@@ -76,7 +76,7 @@ fn localized_vs_global(c: &mut Criterion) {
         b.iter(|| black_box(tree.knn(&center, 20)))
     });
     group.bench_function("subtree_k20", |b| {
-        b.iter(|| black_box(tree.knn_in(leaf, &center, 20)))
+        b.iter(|| black_box(tree.knn_in_budgeted(leaf, &center, 20, None).neighbors))
     });
     group.finish();
 }

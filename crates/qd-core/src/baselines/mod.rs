@@ -25,6 +25,7 @@ pub mod qpm;
 use crate::metrics::{gtir, precision, RoundTrace};
 use crate::user::SimulatedUser;
 use qd_corpus::{Corpus, QuerySpec};
+use qd_linalg::metric::sq_l2_each;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -102,14 +103,39 @@ pub(crate) fn feedback_loop(
 }
 
 /// Brute-force top-`k` scan under an arbitrary scoring function
-/// (ascending score = more similar). Shared by all baselines, which makes
-/// it the single counting point for `baseline.distance_computations`: one
+/// (ascending score = more similar). Together with [`top_k_euclidean`] it
+/// is the single counting point for `baseline.distance_computations`: one
 /// candidate scoring per database image per scan, whatever the technique.
 pub(crate) fn top_k_by(n: usize, k: usize, mut score: impl FnMut(usize) -> f32) -> Vec<usize> {
-    qd_obs::count(qd_obs::ctr::BASELINE_DISTANCE, n as u64);
-    let mut scored: Vec<(f32, usize)> = (0..n).map(|id| (score(id), id)).collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    scored.into_iter().take(k).map(|(_, id)| id).collect()
+    top_k((0..n).map(|id| (score(id), id)).collect(), k)
+}
+
+/// [`top_k_by`] for the plain Euclidean distance to `query`, scored through
+/// the same multi-row kernel as the index's leaf scans.
+pub(crate) fn top_k_euclidean(features: &[Vec<f32>], query: &[f32], k: usize) -> Vec<usize> {
+    let mut scored = Vec::with_capacity(features.len());
+    // CAST: `qd_linalg::metric::euclidean`'s own narrowing — the f64 sum
+    // back to the f32 feature domain, then the root.
+    sq_l2_each(features, query, |id, d2| {
+        scored.push(((d2 as f32).sqrt(), id))
+    });
+    top_k(scored, k)
+}
+
+/// The `k` best of one full scan, ascending by `(score, id)`. Selection
+/// first, so only the `k` survivors are sorted, not the database.
+fn top_k(mut scored: Vec<(f32, usize)>, k: usize) -> Vec<usize> {
+    qd_obs::count(qd_obs::ctr::BASELINE_DISTANCE, scored.len() as u64);
+    let by_score_then_id =
+        |a: &(f32, usize), b: &(f32, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    if k < scored.len() {
+        if k > 0 {
+            scored.select_nth_unstable_by(k - 1, by_score_then_id);
+        }
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(by_score_then_id);
+    scored.into_iter().map(|(_, id)| id).collect()
 }
 
 #[cfg(test)]
@@ -122,6 +148,27 @@ mod tests {
         let scores = [5.0f32, 1.0, 3.0, 0.5];
         let got = top_k_by(4, 2, |i| scores[i]);
         assert_eq!(got, vec![3, 1]);
+    }
+
+    #[test]
+    fn top_k_breaks_score_ties_by_id_at_the_cut() {
+        // Ids 1, 3 and 4 tie for the last two places: the lower ids win.
+        let scores = [2.0f32, 1.0, 0.0, 1.0, 1.0];
+        assert_eq!(top_k_by(5, 3, |i| scores[i]), vec![2, 1, 3]);
+        assert_eq!(top_k_by(5, 0, |i| scores[i]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn top_k_euclidean_matches_the_scalar_scan() {
+        let (corpus, _) = testutil::shared();
+        let features = corpus.features();
+        let query = &features[7];
+        for k in [1usize, 10, features.len(), features.len() + 3] {
+            let want = top_k_by(features.len(), k, |id| {
+                qd_linalg::metric::euclidean(&features[id], query)
+            });
+            assert_eq!(top_k_euclidean(features, query, k), want, "k {k}");
+        }
     }
 
     #[test]

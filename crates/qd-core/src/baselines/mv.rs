@@ -14,7 +14,7 @@
 //! experiments (and ours) show it cannot cover ground-truth subconcepts that
 //! are scattered across distant clusters.
 
-use super::{feedback_loop, top_k_by, BaselineConfig, BaselineOutcome};
+use super::{feedback_loop, top_k_by, top_k_euclidean, BaselineConfig, BaselineOutcome};
 use crate::user::SimulatedUser;
 use qd_corpus::{Corpus, QuerySpec};
 use qd_imagery::Viewpoint;
@@ -107,7 +107,7 @@ fn retrieve(
                 channels.iter().copied().zip(&query_points).collect();
             let ranked: Vec<Vec<usize>> = qd_runtime::par_map_indexed(&work, |ch, &(feats, qp)| {
                 qd_obs::span_indexed(qd_obs::sp::MV_VIEWPOINT, ch as u64, || {
-                    top_k_by(n, k, |id| euclidean(&feats[id], qp))
+                    top_k_euclidean(feats, qp, k)
                 })
             });
             let mut out = Vec::with_capacity(k);

@@ -212,7 +212,7 @@ pub fn try_run_local_query<I: KnnIndex>(
                 scope,
                 neighbors: scored,
                 support,
-                // The weighted path performs zero `knn_in` node reads, same
+                // The weighted path performs zero `knn_in_budgeted` node reads, same
                 // as the global counter's accounting.
                 accesses: 0,
                 distance_computations: allowed as u64,

@@ -20,7 +20,8 @@
 //! [`BudgetedKnn::distances_pruned`].
 
 use crate::rect::Rect;
-use std::cmp::Ordering;
+use qd_linalg::metric::{sq_l2_f64, sq_l2_rows4};
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -123,7 +124,7 @@ pub struct BudgetedKnn {
     /// Neighbors found, ascending by distance; exactly the unbudgeted answer
     /// when `exhausted` is false, a valid best-so-far prefix otherwise.
     pub neighbors: Vec<Neighbor>,
-    /// Node reads performed (call-local, same unit as [`RStarTree::knn_in_counted`]).
+    /// Node reads performed by this call (same unit as [`RStarTree::accesses`]).
     pub accesses: u64,
     /// Distance evaluations performed (leaf-entry distances + child-rectangle
     /// MINDIST evaluations) — the budget's currency. Charged as if no pruning
@@ -861,7 +862,8 @@ impl RStarTree {
                 NodeKind::Internal { .. } => unreachable!(),
             };
             slots.sort_by(|&a, &b| {
-                dist2(self.store.point(a), &center).total_cmp(&dist2(self.store.point(b), &center))
+                sq_l2_f64(self.store.point(a), &center)
+                    .total_cmp(&sq_l2_f64(self.store.point(b), &center))
             });
             let evicted = slots.split_off(slots.len() - count.min(slots.len()));
             match &mut self.node_mut(n).kind {
@@ -880,7 +882,7 @@ impl RStarTree {
                         .as_ref()
                         .expect("child without rect")
                         .center();
-                    (dist2(&ccenter, &center), c)
+                    (sq_l2_f64(&ccenter, &center), c)
                 })
                 .collect();
             scored.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -1170,47 +1172,43 @@ impl RStarTree {
     // ------------------------------------------------------------------
 
     /// The `k` nearest neighbors of `query` over the whole database,
-    /// ascending by distance.
+    /// ascending by distance: unbudgeted [`Self::knn_in_budgeted`] from the
+    /// root.
     pub fn knn(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.knn_in(self.root, query, k)
+        self.knn_in_budgeted(self.root, query, k, None).neighbors
     }
 
     /// The `k` nearest neighbors of `query` among the points stored under
     /// `scope` — the paper's *localized* k-NN computation (§3.3): each final
-    /// subquery searches only its own subcluster.
-    pub fn knn_in(&self, scope: NodeId, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.knn_in_counted(scope, query, k).0
-    }
-
-    /// [`Self::knn_in`] that additionally returns the number of node accesses
-    /// this call performed. The count is accumulated call-locally (and folded
-    /// into the global [`Self::accesses`] counter afterwards), so concurrent
-    /// queries over a shared tree each see exactly their own cost — the
-    /// per-subquery accounting the deterministic parallel executor relies on.
-    pub fn knn_in_counted(&self, scope: NodeId, query: &[f32], k: usize) -> (Vec<Neighbor>, u64) {
-        let b = self.knn_in_budgeted(scope, query, k, None);
-        (b.neighbors, b.accesses)
-    }
-
-    /// [`Self::knn_in_counted`] under an optional *distance-computation
-    /// budget* — the anytime variant behind cost-budgeted graceful
-    /// degradation. The budget counts distance evaluations (one per leaf
-    /// entry scored, one per child-rectangle MINDIST), a deterministic
-    /// machine-independent cost measure: no wall clock is consulted, so a
-    /// fixed `(scope, query, k, budget)` tuple always returns bit-identical
-    /// results at any thread count.
+    /// subquery searches only its own subcluster — under an optional
+    /// *distance-computation budget*, the anytime variant behind
+    /// cost-budgeted graceful degradation. This is the one search loop; every
+    /// scope, shard leg, serve tick and convenience wrapper goes through it.
+    ///
+    /// The budget counts distance evaluations (one per leaf entry scored,
+    /// one per child-rectangle MINDIST), a deterministic machine-independent
+    /// cost measure: no wall clock is consulted, so a fixed
+    /// `(scope, query, k, budget)` tuple always returns bit-identical results
+    /// at any thread count. The node reads are counted call-locally (and
+    /// folded into the global [`Self::accesses`] counter afterwards), so
+    /// concurrent queries over a shared tree each see exactly their own cost.
     ///
     /// Once the budget is spent, no further node is expanded; data entries
     /// already scored keep draining from the frontier in distance order
     /// (best-so-far fill toward `k`), and every node left unexpanded is
-    /// counted in [`BudgetedKnn::nodes_skipped`]. `None` means unlimited and
-    /// behaves exactly like [`Self::knn_in_counted`].
+    /// counted in [`BudgetedKnn::nodes_skipped`]. `None` means unlimited.
     ///
     /// Leaf entries whose norm lower bound `(‖p‖ − ‖q‖)²` provably exceeds
     /// the k-th best distance seen skip the full distance evaluation. A
     /// pruned entry is charged to the budget exactly like an evaluated one
     /// (so budgets, counters, and rankings are identical to an unpruned
     /// scan); the skips are reported in [`BudgetedKnn::distances_pruned`].
+    ///
+    /// The frontier is totally ordered (see [`Candidate`]) and bounded: once
+    /// `k` entries have been scored, an entry farther than the k-th best of
+    /// them is dropped on the spot — `k` entries at most that far are
+    /// already queued or emitted, so it could never be among the first `k`
+    /// popped, with or without a budget. DESIGN.md §11 has the contract.
     pub fn knn_in_budgeted(
         &self,
         scope: NodeId,
@@ -1229,80 +1227,43 @@ impl RStarTree {
         let mut nodes_skipped = 0u64;
         let mut exhausted = false;
         let mut out = Vec::with_capacity(k);
-        if k == 0 || self.node(scope).rect.is_none() {
-            return BudgetedKnn {
-                neighbors: out,
-                accesses: touched,
-                distance_computations: spent,
-                distances_pruned: pruned,
-                nodes_skipped,
-                partitions_dropped: 0,
-                exhausted,
-            };
-        }
-        #[derive(PartialEq)]
-        struct HeapItem {
-            dist2: f64,
-            kind: HeapKind,
-        }
-        #[derive(PartialEq)]
-        enum HeapKind {
-            Node(NodeId),
-            Data(u64),
-        }
-        impl Eq for HeapItem {}
-        impl PartialOrd for HeapItem {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
+        let scope_rect = match self.node(scope).rect.as_ref() {
+            Some(r) if k > 0 => r,
+            _ => {
+                return BudgetedKnn {
+                    neighbors: out,
+                    accesses: touched,
+                    distance_computations: spent,
+                    distances_pruned: pruned,
+                    nodes_skipped,
+                    partitions_dropped: 0,
+                    exhausted,
+                }
             }
-        }
-        impl Ord for HeapItem {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // Min-heap on distance via reversed comparison.
-                other.dist2.total_cmp(&self.dist2)
-            }
-        }
-        /// Max-heap entry tracking the k smallest evaluated data distances.
-        #[derive(PartialEq)]
-        struct WorstOfBest(f64);
-        impl Eq for WorstOfBest {}
-        impl PartialOrd for WorstOfBest {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for WorstOfBest {
-            fn cmp(&self, other: &Self) -> Ordering {
-                self.0.total_cmp(&other.0)
-            }
-        }
+        };
 
         let qnorm = norm_of(query);
-        let mut best_k: BinaryHeap<WorstOfBest> = BinaryHeap::with_capacity(k + 1);
-        let mut heap = BinaryHeap::new();
-        let scope_rect = match self.node(scope).rect.as_ref() {
-            Some(r) => r,
-            None => unreachable!("rect presence checked above"),
-        };
+        let mut best = BestK::new(k);
+        let mut frontier = BinaryHeap::with_capacity(k);
         spent += 1;
-        heap.push(HeapItem {
-            dist2: scope_rect.min_dist2(query),
-            kind: HeapKind::Node(scope),
-        });
-        while let Some(item) = heap.pop() {
-            match item.kind {
-                HeapKind::Data(id) => {
+        frontier.push(Reverse((
+            TotalF64(scope_rect.min_dist2(query)),
+            Entry::Node(scope),
+        )));
+        while let Some(Reverse((TotalF64(dist2), entry))) = frontier.pop() {
+            match entry {
+                Entry::Data(id) => {
                     out.push(Neighbor {
                         id,
                         // CAST: f64 search-heap distance narrowed back to the
                         // f32 feature domain the points live in.
-                        distance: item.dist2.sqrt() as f32,
+                        distance: dist2.sqrt() as f32,
                     });
                     if out.len() == k {
                         break;
                     }
                 }
-                HeapKind::Node(n) => {
+                Entry::Node(n) => {
                     if budget.is_some_and(|b| spent >= b) {
                         // Budget gone: leave this subtree unexplored but keep
                         // draining already-scored data entries.
@@ -1316,35 +1277,15 @@ impl RStarTree {
                             // Charged as if every entry were evaluated — the
                             // budget currency is layout- and pruning-free.
                             spent += slots.len() as u64;
-                            for &s in slots {
-                                if best_k.len() == k {
-                                    let lb = self.store.norm(s) - qnorm;
-                                    let prunable =
-                                        best_k.peek().is_some_and(|w| lb * lb > w.0 * PRUNE_SLACK);
-                                    if prunable {
-                                        pruned += 1;
-                                        continue;
-                                    }
-                                }
-                                let d2 = dist2(self.store.point(s), query);
-                                heap.push(HeapItem {
-                                    dist2: d2,
-                                    kind: HeapKind::Data(self.store.id(s)),
-                                });
-                                best_k.push(WorstOfBest(d2));
-                                if best_k.len() > k {
-                                    best_k.pop();
-                                }
-                            }
+                            pruned +=
+                                self.score_leaf(slots, query, qnorm, &mut best, &mut frontier);
                         }
                         NodeKind::Internal { .. } => {
                             for child in self.child_iter(n) {
                                 if let Some(r) = self.node(child).rect.as_ref() {
                                     spent += 1;
-                                    heap.push(HeapItem {
-                                        dist2: r.min_dist2(query),
-                                        kind: HeapKind::Node(child),
-                                    });
+                                    let mindist = TotalF64(r.min_dist2(query));
+                                    frontier.push(Reverse((mindist, Entry::Node(child))));
                                 }
                             }
                         }
@@ -1362,6 +1303,52 @@ impl RStarTree {
             partitions_dropped: 0,
             exhausted,
         }
+    }
+
+    /// Scores the entries of one opened leaf onto the frontier and returns how
+    /// many the norm lower bound pruned — the same entries, counted the same,
+    /// as a one-by-one scan in slot order, but evaluated four at a time.
+    fn score_leaf(
+        &self,
+        slots: &[u32],
+        query: &[f32],
+        qnorm: f64,
+        best: &mut BestK,
+        frontier: &mut BinaryHeap<Candidate>,
+    ) -> u64 {
+        let mut pruned = 0;
+        // Entries that survive the norm bound as it stands collect into
+        // blocks of four. The bound only tightens, so an entry prunable now
+        // would also have been prunable at its turn in the one-by-one scan.
+        let mut block = [0u32; 4];
+        let mut filled = 0;
+        for (i, &s) in slots.iter().enumerate() {
+            if best.prunes(self.store.norm(s) - qnorm) {
+                pruned += 1;
+            } else {
+                block[filled] = s;
+                filled += 1;
+            }
+            if filled == 4 || (filled > 0 && i + 1 == slots.len()) {
+                // A short last block repeats its last row in the spare lanes.
+                let rows = std::array::from_fn(|j| self.store.point(block[j.min(filled - 1)]));
+                let d2 = sq_l2_rows4(rows, query, best.bound());
+                // Walk the block in slot order against the bound as it
+                // moves: an entry that has become prunable is counted pruned
+                // and its distance discarded, as if never computed. (A block
+                // the kernel abandoned lies wholly beyond the bound, so
+                // `admit` turns every row of it away whatever its lanes hold.)
+                for (&s, &d2) in block[..filled].iter().zip(&d2) {
+                    if best.prunes(self.store.norm(s) - qnorm) {
+                        pruned += 1;
+                    } else if best.admit(d2) {
+                        frontier.push(Reverse((TotalF64(d2), Entry::Data(self.store.id(s)))));
+                    }
+                }
+                filled = 0;
+            }
+        }
+        pruned
     }
 
     /// The single nearest neighbor of `query`, if the tree is non-empty.
@@ -1649,8 +1636,95 @@ fn bounding_rect_of_slots(store: &FeatureStore, slots: &[u32]) -> Rect {
     rect
 }
 
-pub(crate) fn dist2(a: &[f32], b: &[f32]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| ((x - y) as f64).powi(2)).sum()
+/// What the best-first search queues: a scored data entry or a node still to
+/// open. The derived order — data before nodes, then ascending id / node
+/// index — breaks distance ties on the frontier.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Entry {
+    Data(u64),
+    Node(NodeId),
+}
+
+/// A frontier element. `Reverse` turns `BinaryHeap`'s max-heap around, so the
+/// frontier pops in ascending `(dist2.total_cmp, entry)` order — a *total*
+/// order: which of two equidistant images is emitted first, and whether an
+/// image at distance `d` is emitted before a node at MINDIST `d` is opened,
+/// is decided here and not by the heap's internal layout.
+type Candidate = Reverse<(TotalF64, Entry)>;
+
+/// A squared distance ordered by `total_cmp`.
+#[derive(Debug)]
+struct TotalF64(f64);
+
+impl Ord for TotalF64 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+impl PartialOrd for TotalF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for TotalF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for TotalF64 {}
+
+/// The `k` smallest data distances scored so far in one search, emitted or
+/// not, largest on top. Once `k` are held the top is the *bound*: the norm
+/// prune and the frontier's admission test both compare against it, and it
+/// only ever tightens.
+struct BestK {
+    k: usize,
+    worst_first: BinaryHeap<TotalF64>,
+}
+
+impl BestK {
+    fn new(k: usize) -> Self {
+        Self {
+            k,
+            worst_first: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    /// The k-th best distance scored so far; infinite until `k` have been.
+    fn bound(&self) -> f64 {
+        match self.worst_first.peek() {
+            Some(worst) if self.worst_first.len() == self.k => worst.0,
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// True when the norm gap `lb = ‖p‖ − ‖q‖` proves the entry lies beyond
+    /// the bound, so its distance need not be evaluated.
+    fn prunes(&self, lb: f64) -> bool {
+        lb * lb > self.bound() * PRUNE_SLACK
+    }
+
+    /// Records a scored distance. False when it is strictly beyond the
+    /// bound: the entry can never be among the first `k` emitted and is
+    /// dropped. An entry *at* the bound is kept — the tie is the frontier's
+    /// to break.
+    fn admit(&mut self, d2: f64) -> bool {
+        if self.worst_first.len() < self.k {
+            self.worst_first.push(TotalF64(d2));
+            return true;
+        }
+        let Some(mut worst) = self.worst_first.peek_mut() else {
+            return true; // k = 0 holds nothing; the search returns before scoring
+        };
+        match d2.total_cmp(&worst.0) {
+            Ordering::Greater => false,
+            Ordering::Less => {
+                worst.0 = d2; // re-sifted when the guard drops
+                true
+            }
+            Ordering::Equal => true,
+        }
+    }
 }
 
 /// Recursively partitions `items` into chunks of at most `max` elements by
@@ -2027,7 +2101,8 @@ mod tests {
     }
 
     fn brute_knn(items: &[(u64, Vec<f32>)], q: &[f32], k: usize) -> Vec<u64> {
-        let mut scored: Vec<(f64, u64)> = items.iter().map(|(id, p)| (dist2(p, q), *id)).collect();
+        let mut scored: Vec<(f64, u64)> =
+            items.iter().map(|(id, p)| (sq_l2_f64(p, q), *id)).collect();
         scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         scored.into_iter().take(k).map(|(_, id)| id).collect()
     }
@@ -2119,7 +2194,9 @@ mod tests {
             .iter()
             .map(|(id, _)| *id)
             .collect();
-        let result = tree.knn_in(child, &[5.0, 5.0, 5.0], 25);
+        let result = tree
+            .knn_in_budgeted(child, &[5.0, 5.0, 5.0], 25, None)
+            .neighbors;
         assert!(!result.is_empty());
         for n in &result {
             assert!(local_ids.contains(&n.id), "{} escaped the subtree", n.id);
@@ -2251,7 +2328,8 @@ mod tests {
         // A subtree-scoped query touches fewer nodes.
         tree.reset_accesses();
         let child = tree.children(tree.root())[0];
-        tree.knn_in(child, &[5.0, 5.0, 5.0], 5);
+        let local = tree.knn_in_budgeted(child, &[5.0, 5.0, 5.0], 5, None);
+        assert_eq!(tree.accesses(), local.accesses);
         assert!(tree.accesses() < global);
     }
 
@@ -2367,13 +2445,15 @@ mod tests {
     }
 
     #[test]
-    fn unlimited_budget_matches_counted_knn() {
+    fn unlimited_budget_matches_plain_knn() {
         let items: Vec<(u64, Vec<f32>)> = (0..200u64)
             .map(|i| (i, vec![(i % 17) as f32, (i / 17) as f32]))
             .collect();
         let tree = RStarTree::bulk_load(TreeConfig::small(2), items);
         let q = [3.3f32, 4.1];
-        let (plain, accesses) = tree.knn_in_counted(tree.root(), &q, 10);
+        tree.reset_accesses();
+        let plain = tree.knn(&q, 10);
+        let accesses = tree.accesses();
         let b = tree.knn_in_budgeted(tree.root(), &q, 10, None);
         assert_eq!(b.neighbors, plain);
         assert_eq!(b.accesses, accesses);
@@ -2386,6 +2466,60 @@ mod tests {
         assert!(!c.exhausted);
     }
 
+    fn ids_of(b: &BudgetedKnn) -> Vec<u64> {
+        b.neighbors.iter().map(|n| n.id).collect()
+    }
+
+    #[test]
+    fn equidistant_entries_of_a_leaf_are_emitted_in_ascending_id() {
+        // One leaf (capacity 100): the same vector five times under ids that
+        // ascend in no slot order, between a nearer and a farther point.
+        let mut tree = RStarTree::new(TreeConfig::paper(2));
+        for id in [7u64, 3, 9, 1, 5] {
+            tree.insert(vec![1.0, 0.0], id);
+        }
+        tree.insert(vec![0.1, 0.0], 100);
+        tree.insert(vec![5.0, 5.0], 200);
+        assert!(tree.is_leaf(tree.root()));
+        let order = [100u64, 1, 3, 5, 7, 9, 200];
+        for k in 1..=order.len() {
+            let full = tree.knn_in_budgeted(tree.root(), &[0.0, 0.0], k, None);
+            assert_eq!(ids_of(&full), order[..k], "k {k}");
+            // A budget that just covers the search changes nothing.
+            let budget = Some(full.distance_computations);
+            let tight = tree.knn_in_budgeted(tree.root(), &[0.0, 0.0], k, budget);
+            assert_eq!(tight, full, "k {k}");
+            assert!(!tight.exhausted);
+        }
+    }
+
+    #[test]
+    fn answers_across_a_tie_group_are_prefixes_of_each_other() {
+        // Duplicated vectors spread over several small leaves: ties between
+        // images of different leaves, and between an image and the MINDIST
+        // of a leaf whose rectangle is that very point.
+        let mut tree = RStarTree::new(TreeConfig::small(2));
+        let mut id = 0u64;
+        for round in 0..6 {
+            for p in [[1.0f32, 0.0], [0.0, 1.0], [-1.0, 0.0], [2.0, 2.0]] {
+                tree.insert(p.to_vec(), (id * 7) % 24); // ids in scrambled order
+                id += 1;
+            }
+            tree.insert(vec![0.3 * round as f32, 0.1], 100 + round);
+        }
+        assert!(tree.height() >= 2);
+        let q = [0.0f32, 0.0];
+        let all = tree.knn_in_budgeted(tree.root(), &q, tree.len(), None);
+        assert_eq!(all.neighbors.len(), tree.len());
+        for k in 1..tree.len() {
+            let full = tree.knn_in_budgeted(tree.root(), &q, k, None);
+            assert_eq!(full.neighbors, all.neighbors[..k], "k {k}");
+            let budget = Some(full.distance_computations);
+            let tight = tree.knn_in_budgeted(tree.root(), &q, k, budget);
+            assert_eq!(tight, full, "k {k}");
+        }
+    }
+
     #[test]
     fn exhausted_budget_returns_valid_best_so_far() {
         let items: Vec<(u64, Vec<f32>)> = (0..300u64)
@@ -2393,7 +2527,7 @@ mod tests {
             .collect();
         let tree = RStarTree::bulk_load(TreeConfig::small(2), items);
         let q = [9.5f32, 7.5];
-        let full = tree.knn_in(tree.root(), &q, 25);
+        let full = tree.knn(&q, 25);
         for budget in [0u64, 1, 5, 20, 60, 150] {
             let b = tree.knn_in_budgeted(tree.root(), &q, 25, Some(budget));
             assert!(

@@ -142,12 +142,83 @@ impl Metric {
 
 #[inline]
 fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| ((x - y) as f64).powi(2))
-        // CAST: f64-accumulated squared distance narrowed back to the f32
-        // feature domain; the widening was only to stabilize the sum.
-        .sum::<f64>() as f32
+    // CAST: f64-accumulated squared distance narrowed back to the f32
+    // feature domain; the widening was only to stabilize the sum.
+    sq_l2_f64(a, b) as f32
+}
+
+/// Squared Euclidean distance accumulated and returned in `f64`: each
+/// coordinate difference is taken in `f32`, widened, squared, and added in
+/// dimension order. This is the one summation order every distance in the
+/// workspace uses; [`sq_l2_rows4`] produces the same bits four rows at a time.
+#[inline]
+pub fn sq_l2_f64(a: &[f32], b: &[f32]) -> f64 {
+    let mut acc = 0.0f64;
+    for (x, y) in a.iter().zip(b) {
+        let d = (x - y) as f64;
+        acc += d * d;
+    }
+    acc
+}
+
+/// Dimensions between two early-abandon checks of [`sq_l2_rows4`]. Root-scope
+/// 37-d k-NN times the same at 4, 8 and 12 and slower at 16.
+const ABANDON_STRIDE: usize = 8;
+
+/// [`sq_l2_f64`] from `q` to four rows at once. The four sums are
+/// independent accumulators advanced together, so the CPU overlaps four
+/// add chains where the single-row form waits on one; each lane still adds
+/// its own terms in dimension order and is `to_bits`-equal to
+/// `sq_l2_f64(rows[i], q)`. Callers with fewer than four rows left repeat
+/// one and ignore the spare lanes.
+///
+/// `bound` allows an exact early abandon: a sum of non-negative terms never
+/// decreases, so once all four partial sums exceed `bound` every full sum
+/// does too, and the block stops there. Each lane is therefore either the
+/// exact distance or — only when all four exceed `bound` — a partial sum
+/// that already exceeds it; a caller that discards what lies beyond `bound`
+/// cannot tell the difference. Pass `f64::INFINITY` for four exact sums.
+///
+/// # Panics
+/// Panics if a row is shorter than `q`.
+#[inline]
+pub fn sq_l2_rows4(rows: [&[f32]; 4], q: &[f32], bound: f64) -> [f64; 4] {
+    let n = q.len();
+    let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
+    let mut acc = [0.0f64; 4];
+    let mut j = 0;
+    while j < n {
+        let end = (j + ABANDON_STRIDE).min(n);
+        while j < end {
+            let d0 = (r0[j] - q[j]) as f64;
+            let d1 = (r1[j] - q[j]) as f64;
+            let d2 = (r2[j] - q[j]) as f64;
+            let d3 = (r3[j] - q[j]) as f64;
+            acc[0] += d0 * d0;
+            acc[1] += d1 * d1;
+            acc[2] += d2 * d2;
+            acc[3] += d3 * d3;
+            j += 1;
+        }
+        if acc.iter().all(|&partial| partial > bound) {
+            break;
+        }
+    }
+    acc
+}
+
+/// Calls `visit(i, sq_l2_f64(rows[i], q))` for every row in order, scoring
+/// them through [`sq_l2_rows4`] in blocks of four — the full-scan loop of
+/// the exhaustive baselines.
+pub fn sq_l2_each<V: AsRef<[f32]>>(rows: &[V], q: &[f32], mut visit: impl FnMut(usize, f64)) {
+    for (b, block) in rows.chunks(4).enumerate() {
+        let last = block.len() - 1;
+        let block_rows = std::array::from_fn(|i| block[i.min(last)].as_ref());
+        let d2 = sq_l2_rows4(block_rows, q, f64::INFINITY);
+        for (i, &d) in d2.iter().take(block.len()).enumerate() {
+            visit(4 * b + i, d);
+        }
+    }
 }
 
 /// Convenience: Euclidean distance without constructing a [`Metric`].
@@ -167,6 +238,8 @@ pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     const A: [f32; 3] = [1.0, 2.0, 3.0];
     const B: [f32; 3] = [4.0, 6.0, 3.0];
@@ -182,6 +255,139 @@ mod tests {
     fn squared_euclidean_is_square_of_euclidean() {
         assert!((Metric::SquaredEuclidean.distance(&A, &B) - 25.0).abs() < 1e-5);
         assert!((squared_euclidean(&A, &B) - 25.0).abs() < 1e-5);
+    }
+
+    /// The scalar definition the kernels must reproduce bit for bit.
+    fn reference_sq_l2(a: &[f32], b: &[f32]) -> f64 {
+        let mut sum = 0.0f64;
+        for j in 0..a.len() {
+            let d = (a[j] - b[j]) as f64;
+            sum += d * d;
+        }
+        sum
+    }
+
+    /// Bit pattern of a sum, with every NaN folded to one: which operand's
+    /// sign and payload survives `NaN + NaN` is the instruction selector's
+    /// choice, in the scalar form as much as in the kernels.
+    fn bits(d: f64) -> u64 {
+        if d.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            d.to_bits()
+        }
+    }
+
+    /// Rows of `dim` random values with signed zeros, subnormals,
+    /// infinities and NaNs mixed in when `specials` is set.
+    fn kernel_rows(rng: &mut StdRng, n: usize, dim: usize, specials: bool) -> Vec<Vec<f32>> {
+        const SPECIALS: [f32; 8] = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| {
+                        if specials && rng.random_range(0..4usize) == 0 {
+                            SPECIALS[rng.random_range(0..SPECIALS.len())]
+                        } else {
+                            rng.random_range(-100.0f32..100.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_row_kernels_are_bit_identical_to_the_scalar_sum() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for dim in [1usize, 2, 3, 4, 5, 36, 37, 38, 64] {
+            for specials in [false, true] {
+                for n in [1usize, 2, 3, 4, 5, 7, 10, 13] {
+                    let rows = kernel_rows(&mut rng, n, dim, specials);
+                    let q = kernel_rows(&mut rng, 1, dim, specials).remove(0);
+                    let want: Vec<u64> =
+                        rows.iter().map(|r| bits(reference_sq_l2(r, &q))).collect();
+
+                    let single: Vec<u64> = rows.iter().map(|r| bits(sq_l2_f64(r, &q))).collect();
+                    assert_eq!(single, want, "sq_l2_f64 dim {dim} n {n}");
+
+                    let mut each = vec![u64::MAX; n];
+                    sq_l2_each(&rows, &q, |i, d| each[i] = bits(d));
+                    assert_eq!(each, want, "sq_l2_each dim {dim} n {n}");
+
+                    // Every lane, with the rows rotated through all four.
+                    for shift in 0..4 {
+                        let pick = |i: usize| rows[(i + shift) % n].as_slice();
+                        let lanes = sq_l2_rows4(std::array::from_fn(pick), &q, f64::INFINITY);
+                        for (i, lane) in lanes.iter().enumerate() {
+                            assert_eq!(
+                                bits(*lane),
+                                want[(i + shift) % n],
+                                "sq_l2_rows4 dim {dim} n {n} lane {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_abandon_only_touches_blocks_wholly_beyond_the_bound() {
+        let mut rng = StdRng::seed_from_u64(39);
+        let (mut abandoned, mut finished) = (0, 0);
+        for dim in [5usize, 8, 9, 36, 37, 38, 64] {
+            for _ in 0..200 {
+                let rows = kernel_rows(&mut rng, 4, dim, false);
+                let q = kernel_rows(&mut rng, 1, dim, false).remove(0);
+                let exact: Vec<f64> = rows.iter().map(|r| reference_sq_l2(r, &q)).collect();
+                // A bound in and around the block's own range of distances.
+                let bound = exact[rng.random_range(0..4usize)] * rng.random_range(0.2f64..1.2);
+                let lanes = sq_l2_rows4(std::array::from_fn(|i| rows[i].as_slice()), &q, bound);
+                if exact.iter().any(|&d| d <= bound) {
+                    // A row within the bound: nothing may be cut short.
+                    for (lane, want) in lanes.iter().zip(&exact) {
+                        assert_eq!(lane.to_bits(), want.to_bits());
+                    }
+                    finished += 1;
+                } else {
+                    // Cut short or not, every lane still reads "beyond the
+                    // bound" and never overshoots the true distance.
+                    for (lane, want) in lanes.iter().zip(&exact) {
+                        assert!(*lane > bound && lane <= want);
+                    }
+                    abandoned += usize::from(lanes.iter().zip(&exact).any(|(l, w)| l < w));
+                }
+            }
+        }
+        assert!(
+            abandoned > 100 && finished > 100,
+            "{abandoned} / {finished}"
+        );
+    }
+
+    #[test]
+    fn f32_distances_are_the_narrowed_f64_sum() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let rows = kernel_rows(&mut rng, 2, 37, false);
+        let d2 = reference_sq_l2(&rows[0], &rows[1]);
+        assert_eq!(
+            squared_euclidean(&rows[0], &rows[1]).to_bits(),
+            (d2 as f32).to_bits()
+        );
+        assert_eq!(
+            euclidean(&rows[0], &rows[1]).to_bits(),
+            (d2 as f32).sqrt().to_bits()
+        );
     }
 
     #[test]

@@ -213,6 +213,9 @@ use query_decomposition::obs;
 
 /// One observed session: the served outcome plus its full trace.
 fn observed_serve(query_name: &str, cfg: &QdConfig) -> (ServedOutcome, obs::Trace) {
+    // Build the lazily initialised fixture outside the recorder: whichever
+    // test gets here first would otherwise record the RFS build in its trace.
+    fixture();
     obs::with_recorder(|| serve(query_name, cfg))
 }
 
