@@ -19,7 +19,7 @@
 //! | R7 | no `.unwrap()`/`.expect(` in qd-core/qd-corpus/qd-index/qd-runtime `src/` outside `#[cfg(test)]` code |
 //! | R8 | no string-literal counter/span names at `qd_obs` call sites in `src/` outside `#[cfg(test)]` — names come from the `qd_obs::ctr`/`qd_obs::sp` catalogs |
 //! | R9 | crate dependencies point strictly down the layering manifest (`qd-analyze.layers`); engine crates never reach qd-bench or the CLI |
-//! | R10 | every `io::Result` fn in the persistence modules reaches a qd-fault site, and every declared site is exercised by `tests/fault_properties.rs` |
+//! | R10 | no `std::fs` in qd-index/qd-corpus/qd-core/qd-shard `src/` outside `#[cfg(test)]` code (files go through `qd_fault::codec`), and every declared fault site is exercised by `tests/fault_properties.rs` |
 //! | R11 | every `qd_obs::ctr`/`qd_obs::sp` catalog name is referenced outside qd-obs (reverse of R8 — no dead metrics) |
 //! | R12 | narrowing `as` casts in engine-crate src carry a `// CAST:` justification within 3 lines |
 //! | R13 | `#[allow(...)]` in first-party src carries an `// ALLOW:` justification within 3 lines |

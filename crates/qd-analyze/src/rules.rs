@@ -42,8 +42,9 @@ pub enum RuleId {
     /// Crate-layering DAG: dependencies must point strictly down the
     /// checked-in layering manifest.
     R9,
-    /// Failpoint coverage: I/O fns carry qd-fault sites, and no declared
-    /// site is dead (unexercised by the chaos suite).
+    /// Failpoint coverage: the persisting crates reach the filesystem only
+    /// through `qd_fault::codec`, and no declared site is dead (unexercised
+    /// by the chaos suite).
     R10,
     /// Observability catalog closure: every `qd_obs::ctr`/`qd_obs::sp` name
     /// is emitted at least once.
@@ -115,11 +116,11 @@ impl RuleId {
                  cover exactly the first-party crate set"
             }
             RuleId::R10 => {
-                "failpoint coverage: every io::Result-returning fn in the \
-                 qd-corpus cache and qd-index persistence modules reaches a \
-                 qd-fault site (fire/fire_keyed/should_fail), and every \
-                 declared qd_fault::site name is exercised by \
-                 tests/fault_properties.rs — no dead failpoints"
+                "failpoint coverage: no std::fs in qd-index/qd-corpus/qd-core/\
+                 qd-shard src outside #[cfg(test)] code — files are read and \
+                 written through qd_fault::codec, where the I/O failpoints \
+                 fire — and every declared qd_fault::site name is exercised \
+                 by tests/fault_properties.rs — no dead failpoints"
             }
             RuleId::R11 => {
                 "observability catalog closure (reverse of R8): every name \

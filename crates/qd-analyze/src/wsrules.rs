@@ -2,8 +2,9 @@
 //!
 //! These are the rules the old line-based scrubber could not express: each
 //! one relates facts from *different* files — manifests against the layering
-//! table (R9), failpoint declarations against I/O fns and the chaos suite
-//! (R10), the observability catalogs against their call sites (R11). They
+//! table (R9), failpoint declarations against the chaos suite and the one
+//! file boundary (R10), the observability catalogs against their call sites
+//! (R11). They
 //! run only through [`crate::run_check`], which hands them the full
 //! [`Workspace`] model.
 
@@ -138,15 +139,13 @@ impl Rule for Layering {
     }
 }
 
-/// The qd-fault entry points whose presence marks a fn as fault-covered.
-const SITE_HOOKS: [&str; 3] = ["fire", "fire_keyed", "should_fail"];
-
-/// The persistence modules R10 audits: every `io::Result`-returning fn here
-/// must reach a failpoint so the chaos suite can prove its error path.
-const R10_FILES: [&str; 3] = [
-    "crates/qd-corpus/src/cache.rs",
-    "crates/qd-index/src/persist.rs",
-    "crates/qd-shard/src/persist.rs",
+/// The crates that persist an engine format (QDT2, QDC2, QDR2, QDS1): their
+/// `src/` reaches the filesystem only through `qd_fault::codec`.
+const PERSISTING_SRC: [&str; 4] = [
+    "crates/qd-index/src/",
+    "crates/qd-corpus/src/",
+    "crates/qd-core/src/",
+    "crates/qd-shard/src/",
 ];
 
 /// Where fault sites are declared and where they must be exercised.
@@ -155,13 +154,14 @@ const FAULT_TESTS: &str = "tests/fault_properties.rs";
 
 /// R10: failpoint coverage, both directions.
 ///
-/// Forward: every `io::Result`-returning fn in the persistence modules
-/// ([`R10_FILES`]) contains a qd-fault call (`fire`/`fire_keyed`/
-/// `should_fail`) — directly, or by calling a same-file fn that does
-/// (computed to a fixed point, so `load → try_load → should_fail` passes).
-/// Reverse: every `pub const NAME: &str` in `qd_fault::site` appears as an
-/// identifier in `tests/fault_properties.rs`, so no declared failpoint is
-/// dead weight the chaos suite never pulls.
+/// Forward: `std::fs` does not appear in the `src/` of the persisting crates
+/// ([`PERSISTING_SRC`]) outside `#[cfg(test)]` code. Every file they read or
+/// write therefore goes through `qd_fault::codec::{read_file,
+/// write_file_atomic}` — the one place the I/O failpoints fire and the one
+/// temp-file + rename — so a new format is fault-covered and atomic by
+/// construction. Reverse: every `pub const NAME: &str` in `qd_fault::site`
+/// appears as an identifier in `tests/fault_properties.rs`, so no declared
+/// failpoint is dead weight the chaos suite never pulls.
 pub struct FaultCoverage;
 
 impl Rule for FaultCoverage {
@@ -170,63 +170,30 @@ impl Rule for FaultCoverage {
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
-        for rel in R10_FILES {
-            let Some(file) = ws.file(rel) else {
+        for file in &ws.files {
+            if !PERSISTING_SRC.iter().any(|p| file.rel_path.starts_with(p)) {
                 continue;
-            };
+            }
             let lines = &file.scrubbed.lines;
             let test_mask = cfg_test_lines(lines);
-            let fns = extract_fns(lines);
-            // Fixed point: a fn passes if its body has a hook, or calls a
-            // passing same-file fn.
-            let mut passes: Vec<bool> = fns
-                .iter()
-                .map(|f| {
-                    body_lines(lines, f).any(|l| {
-                        SITE_HOOKS
-                            .iter()
-                            .any(|h| !word_occurrences(l, h).is_empty())
-                    })
-                })
-                .collect();
-            loop {
-                let mut changed = false;
-                for i in 0..fns.len() {
-                    if passes[i] {
-                        continue;
-                    }
-                    let delegated = fns.iter().enumerate().any(|(j, callee)| {
-                        j != i
-                            && passes[j]
-                            && body_lines(lines, &fns[i])
-                                .any(|l| !word_occurrences(l, &callee.name).is_empty())
+            for (li, line) in lines.iter().enumerate() {
+                // `std::fs`, or a call through an imported `fs::`.
+                let direct = word_occurrences(line, "fs")
+                    .into_iter()
+                    .any(|at| line[..at].ends_with("std::") || line[at + 2..].starts_with("::"));
+                if direct && !test_mask[li] {
+                    out.push(Finding {
+                        rule: RuleId::R10,
+                        file: file.rel_path.clone(),
+                        line: li + 1,
+                        message: "std::fs in a persisting crate outside qd_fault::codec"
+                            .to_string(),
+                        hint: "read with qd_fault::codec::read_file and write with \
+                               write_file_atomic, so the I/O failpoints and the atomic \
+                               rename cover this file too"
+                            .to_string(),
                     });
-                    if delegated {
-                        passes[i] = true;
-                        changed = true;
-                    }
                 }
-                if !changed {
-                    break;
-                }
-            }
-            for (f, pass) in fns.iter().zip(&passes) {
-                if *pass || !f.returns_io_result || test_mask[f.line - 1] {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: RuleId::R10,
-                    file: rel.to_string(),
-                    line: f.line,
-                    message: format!(
-                        "`{}` returns io::Result but reaches no qd-fault site",
-                        f.name
-                    ),
-                    hint: "add a qd_fault::should_fail/fire call on the I/O path \
-                           (and a chaos test for it), or route through a helper \
-                           that has one"
-                        .to_string(),
-                });
             }
         }
 
@@ -327,99 +294,6 @@ impl Rule for ObsClosure {
     }
 }
 
-/// One fn found in a scrubbed file.
-struct FnDecl {
-    name: String,
-    /// 1-based line of the `fn` keyword.
-    line: usize,
-    /// Whether the signature mentions `io::Result`.
-    returns_io_result: bool,
-    /// 0-based inclusive line range of the body (empty for bodyless decls).
-    body: Option<(usize, usize)>,
-}
-
-/// The body lines of `f` (whole lines; rustfmt never puts two fns on one).
-fn body_lines<'a>(lines: &'a [String], f: &FnDecl) -> impl Iterator<Item = &'a str> {
-    let (lo, hi) = f.body.unwrap_or((1, 0));
-    lines
-        .iter()
-        .take(if hi >= lo { hi + 1 } else { 0 })
-        .skip(lo)
-        .map(String::as_str)
-}
-
-/// Finds every `fn name…` in scrubbed lines, records whether its signature
-/// (the text up to the opening `{` or a terminating `;`) mentions
-/// `io::Result`, and brace-matches the body. Scrubbed input means braces in
-/// strings/comments are already blanked, so depth counting is exact.
-fn extract_fns(lines: &[String]) -> Vec<FnDecl> {
-    let mut out = Vec::new();
-    for (li, line) in lines.iter().enumerate() {
-        for start in word_occurrences(line, "fn") {
-            let rest = line[start + 2..].trim_start();
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if name.is_empty() {
-                continue; // `fn(…)` pointer type, not a declaration
-            }
-            // Walk forward for the signature end: the first `{` opens the
-            // body; a `;` first means a bodyless decl (trait method, extern).
-            let mut sig = String::new();
-            let mut cur = li;
-            let mut col = start;
-            let mut body = None;
-            'sig: while cur < lines.len() {
-                for c in lines[cur][col..].chars() {
-                    match c {
-                        '{' => {
-                            body = Some(cur);
-                            break 'sig;
-                        }
-                        ';' => break 'sig,
-                        _ => sig.push(c),
-                    }
-                }
-                sig.push(' ');
-                cur += 1;
-                col = 0;
-            }
-            let returns_io_result = sig.contains("io::Result");
-            let body = body.map(|open_line| {
-                // Brace-match from the opening line to the body end.
-                let mut depth = 0i64;
-                let mut end = lines.len() - 1;
-                let from_col = if open_line == li { start } else { 0 };
-                'body: for (bi, bline) in lines.iter().enumerate().skip(open_line) {
-                    let skip = if bi == open_line { from_col } else { 0 };
-                    for c in bline[skip..].chars() {
-                        match c {
-                            '{' => depth += 1,
-                            '}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    end = bi;
-                                    break 'body;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                (open_line, end)
-            });
-            out.push(FnDecl {
-                name,
-                line: li + 1,
-                returns_io_result,
-                body,
-            });
-        }
-    }
-    out
-}
-
 /// Collects `pub const NAME: &str = …;` declarations inside `pub mod <name>`
 /// of a scrubbed file, with their 1-based lines. The `&str` type filter
 /// excludes the aggregate catalogs (`SITES`, `COUNTERS`, `SPANS`), whose
@@ -468,31 +342,6 @@ fn str_consts_in_mod(lines: &[String], mod_name: &str) -> Vec<(String, usize)> {
 mod tests {
     use super::*;
     use crate::scan::scrub;
-
-    #[test]
-    fn extract_fns_reads_signatures_and_bodies() {
-        let src = "pub fn save(&self, p: &Path) -> io::Result<()> {\n\
-                       fs::write(p, b\"x\")\n\
-                   }\n\
-                   fn helper(n: usize) -> usize { n }\n\
-                   type F = fn(usize) -> u8;\n";
-        let fns = extract_fns(&scrub(src).lines);
-        assert_eq!(fns.len(), 2);
-        assert_eq!(fns[0].name, "save");
-        assert!(fns[0].returns_io_result);
-        assert_eq!(fns[0].body, Some((0, 2)));
-        assert_eq!(fns[1].name, "helper");
-        assert!(!fns[1].returns_io_result);
-    }
-
-    #[test]
-    fn extract_fns_handles_multiline_signatures() {
-        let src = "fn load(\n    path: &Path,\n    budget: usize,\n) -> std::io::Result<Corpus> {\n    body()\n}";
-        let fns = extract_fns(&scrub(src).lines);
-        assert_eq!(fns.len(), 1);
-        assert!(fns[0].returns_io_result);
-        assert_eq!(fns[0].body, Some((3, 5)));
-    }
 
     #[test]
     fn str_consts_sees_only_str_typed_consts_in_the_mod() {

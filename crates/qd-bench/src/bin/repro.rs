@@ -19,7 +19,7 @@
 //! `--quick` runs on a 3,000-image corpus instead of the paper's 15,000.
 //!
 //! `--json` ignores the command and instead writes the machine-readable
-//! observability report `BENCH_qd.json` ({commit, config, tables, counters,
+//! observability report `BENCH_qd.json` ({config, tables, counters,
 //! histograms, span_tree} — the histograms carry exact p50/p90/p99/max
 //! per-query distance and node-access distributions for QD vs MV). It runs
 //! at the `Tiny` scale by default (`--quick` upgrades it to `Quick`) and

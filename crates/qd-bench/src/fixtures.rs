@@ -11,7 +11,7 @@ pub enum BenchScale {
     /// The paper's database: 15,000 images, ~150 categories, capacity-100
     /// nodes (3-level RFS).
     Paper,
-    /// A reduced database for quick runs and criterion benches.
+    /// A reduced database for quick runs.
     Quick,
     /// The smallest complete scale (viewpoints included) — sized for the
     /// `repro --json` observability report, which CI runs several times per

@@ -5,10 +5,10 @@
 //!
 //! The `repro` binary (`cargo run --release -p qd-bench --bin repro -- <cmd>`)
 //! prints each artifact as an aligned text table and writes a CSV copy under
-//! `bench_results/`. Criterion benches (`cargo bench`) cover the wall-clock
-//! experiments (Figures 10/11 and index microbenchmarks) with statistical
-//! rigor; the `repro` versions of those figures report single-shot sweeps
-//! over larger databases.
+//! `bench_results/`. The `perf` binary (`BENCHMARK.json`) covers the
+//! wall-clock experiments (Figures 10/11 and the per-layer timings) with
+//! medians and spread; the `repro` versions of those figures report
+//! single-shot sweeps.
 
 pub mod experiments;
 pub mod fixtures;

@@ -371,27 +371,12 @@ pub fn chrome_trace_json(trace: &qd_obs::Trace) -> JsonValue {
     ])
 }
 
-/// The current git commit, or `"unknown"` outside a repository. The commit
-/// is the only environment-derived field in the report — everything else
-/// depends exclusively on `(scale, seed)`, which is what makes consecutive
-/// runs byte-identical.
-pub fn current_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Assembles the `BENCH_qd.json` document — schema
-/// `{commit, config, tables: {...}, serving, sharding, counters: {...},
+/// `{config, tables: {...}, serving, sharding, counters: {...},
 /// histograms: {...}, span_tree}` — and
-/// writes it to `path`. Deliberately excludes wall-clock readings and
-/// thread counts: the report must be byte-identical across consecutive
+/// writes it to `path`. A pure function of `(scale, seed)` and the code:
+/// it excludes wall-clock readings, thread counts and the git commit, so
+/// the report must be byte-identical across consecutive
 /// runs and across `QD_THREADS` settings (the CI observability job
 /// verifies both). The `serving` value (when present) carries the
 /// multi-tenant serving simulation's outcome mix and latency/cost
@@ -408,7 +393,6 @@ pub fn write_bench_report(
     trace: &qd_obs::Trace,
 ) -> std::io::Result<()> {
     let mut fields = vec![
-        ("commit".to_string(), JsonValue::str(current_commit())),
         ("config".to_string(), config),
         (
             "tables".to_string(),

@@ -53,32 +53,6 @@ pub enum QdError {
         /// Description of the last failure observed.
         last_error: String,
     },
-    /// The corpus cache on disk is in a legacy (pre-arena) format. The
-    /// serving path refuses to guess at old layouts: the fix is to rebuild
-    /// the cache, not to parse it.
-    LegacyCacheFormat {
-        /// The magic string found in the file header (e.g. `QDC1`).
-        found: String,
-    },
-    /// The corpus cache on disk exists but could not be loaded (corruption,
-    /// config mismatch, or an io failure).
-    CacheLoad {
-        /// Human-readable description of the failure.
-        reason: String,
-    },
-}
-
-impl From<qd_corpus::cache::CacheError> for QdError {
-    fn from(e: qd_corpus::cache::CacheError) -> Self {
-        match e {
-            qd_corpus::cache::CacheError::LegacyVersion { found } => {
-                QdError::LegacyCacheFormat { found }
-            }
-            other => QdError::CacheLoad {
-                reason: other.to_string(),
-            },
-        }
-    }
 }
 
 impl fmt::Display for QdError {
@@ -125,76 +99,8 @@ impl fmt::Display for QdError {
                     "gave up after {attempts} attempts (last error: {last_error})"
                 )
             }
-            QdError::LegacyCacheFormat { found } => {
-                write!(
-                    f,
-                    "corpus cache is in legacy {found} format — rebuild the cache"
-                )
-            }
-            QdError::CacheLoad { reason } => {
-                write!(f, "corpus cache failed to load: {reason}")
-            }
         }
     }
 }
 
 impl std::error::Error for QdError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qd_corpus::cache::CacheError;
-
-    /// Satellite: a legacy-format corpus cache surfaces as the dedicated
-    /// typed variant, while other load failures collapse to `CacheLoad`.
-    #[test]
-    fn cache_errors_map_to_typed_variants() {
-        let legacy = CacheError::LegacyVersion {
-            found: "QDC1".to_string(),
-        };
-        assert_eq!(
-            QdError::from(legacy),
-            QdError::LegacyCacheFormat {
-                found: "QDC1".to_string()
-            }
-        );
-        let corrupt = CacheError::Corrupt("truncated corpus cache".to_string());
-        match QdError::from(corrupt) {
-            QdError::CacheLoad { reason } => assert!(reason.contains("truncated"), "{reason}"),
-            other => panic!("expected CacheLoad, got {other:?}"),
-        }
-    }
-
-    /// An on-disk QDC1 file travels end to end into the typed QdError.
-    #[test]
-    fn legacy_cache_file_rejected_as_qd_error() {
-        let dir = std::env::temp_dir().join("qd_core_error_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.qdc");
-        let config = qd_corpus::CorpusConfig {
-            size: 6,
-            image_size: 8,
-            seed: 5,
-            filler_count: 1,
-            with_viewpoints: false,
-        };
-        let corpus = qd_corpus::Corpus::build(&config);
-        qd_corpus::cache::save(&corpus, &path).unwrap();
-        let mut data = std::fs::read(&path).unwrap();
-        data[..4].copy_from_slice(b"QDC1");
-        std::fs::write(&path, &data).unwrap();
-
-        let err: QdError = qd_corpus::cache::try_load(&path, &config)
-            .map(|_| ())
-            .unwrap_err()
-            .into();
-        assert_eq!(
-            err,
-            QdError::LegacyCacheFormat {
-                found: "QDC1".to_string()
-            }
-        );
-        assert!(err.to_string().contains("legacy QDC1"), "{err}");
-        std::fs::remove_file(&path).ok();
-    }
-}

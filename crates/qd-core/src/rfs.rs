@@ -15,11 +15,16 @@
 //! rounds cost pure tree navigation, no k-NN.
 
 use qd_cluster::KMeans;
+use qd_fault::codec::{self, CodecError, Reader, Writer, INDEX_SITES};
 use qd_index::{IndexBuild, KnnIndex, NodeId, RStarTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::path::Path;
+
+/// Magic of a persisted [`RfsStructure`].
+const MAGIC: &[u8; 4] = b"QDR2";
 
 /// RFS construction parameters.
 #[derive(Debug, Clone)]
@@ -470,15 +475,13 @@ impl<I: KnnIndex> RfsStructure<I> {
         self.tree.is_empty()
     }
 
-    /// The full per-node representative map, in ascending node order —
-    /// what shard persistence serializes alongside the tree bytes.
+    /// The full per-node representative map, in ascending node order.
     pub fn reps_map(&self) -> &BTreeMap<NodeId, Vec<usize>> {
         &self.reps
     }
 
     /// Reassembles a structure from a deserialized tree and representative
-    /// map, deriving the leaf map and re-checking every invariant — the
-    /// loader-side counterpart of [`Self::reps_map`].
+    /// map, deriving the leaf map and re-checking every invariant.
     ///
     /// # Errors
     /// Returns the first invariant violation as a description, without
@@ -493,107 +496,85 @@ impl<I: KnnIndex> RfsStructure<I> {
         built.check_invariants()?;
         Ok(built)
     }
+
+    /// Appends the representative section — `rep_count | (node_index |
+    /// count | image ids)*`, the tail of both the QDR2 and the QDS1 format.
+    pub fn write_reps(&self, w: &mut Writer) {
+        // BTreeMap iteration is ascending by node handle: the on-disk order
+        // is canonical without an explicit sort.
+        w.usize(self.reps.len());
+        for (node, list) in &self.reps {
+            w.usize(node.index());
+            w.usize(list.len());
+            for &image in list {
+                w.usize(image);
+            }
+        }
+    }
+
+    /// Reads the representative section that ends `r` and reassembles the
+    /// structure over `tree` through [`Self::from_parts`], so a list for an
+    /// unknown or repeated node, an id outside its node's subtree and
+    /// trailing bytes are all refused.
+    pub fn read_reps(tree: I, mut r: Reader<'_>) -> Result<Self, CodecError> {
+        let bad = CodecError::Invalid;
+        let mut reps = BTreeMap::new();
+        // Every list costs at least its node index and its count.
+        for _ in 0..r.count(16)? {
+            let raw = r.usize()?;
+            // `from_index` panics from the arena's u32::MAX sentinel upwards.
+            let node = Some(raw)
+                .filter(|&i| i < u32::MAX as usize)
+                .map(NodeId::from_index)
+                .filter(|&n| tree.contains_node(n))
+                .ok_or_else(|| bad(format!("representative list for unknown node {raw}")))?;
+            let count = r.count(8)?;
+            let list = r
+                .u64s(count)?
+                .into_iter()
+                .map(usize::try_from)
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|_| bad(format!("representative id of node {raw} overflows usize")))?;
+            if reps.insert(node, list).is_some() {
+                return Err(bad(format!("duplicate representative list for node {raw}")));
+            }
+        }
+        r.finish()?;
+        Self::from_parts(tree, reps).map_err(bad)
+    }
 }
 
 impl RfsStructure {
-    /// Saves the structure (tree + representative lists) to `path`.
+    /// Serializes the structure (`QDR2`: the QDT2 tree as a section, then
+    /// the representative section).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = Writer::new(MAGIC);
+        w.section(&qd_index::persist::to_bytes(&self.tree));
+        self.write_reps(&mut w);
+        w.finish()
+    }
+
+    /// Deserializes a structure from bytes produced by [`Self::to_bytes`],
+    /// re-checking every invariant.
+    pub fn from_bytes(data: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(data);
+        r.magic(MAGIC)?;
+        let tree = qd_index::persist::from_bytes(r.section()?)?;
+        Self::read_reps(tree, r)
+    }
+
+    /// Saves the structure to `path`, atomically.
     ///
     /// A deployment builds the RFS once over its image database and serves
     /// every session from it; loading is orders of magnitude cheaper than
     /// the R\*-insertion + k-means build.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let tree_bytes = qd_index::persist::to_bytes(&self.tree);
-        let mut out = Vec::with_capacity(tree_bytes.len() + 1024);
-        out.extend_from_slice(b"QDR2");
-        out.extend_from_slice(&(tree_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&tree_bytes);
-        // BTreeMap iteration is already ascending by node id — the on-disk
-        // representative order is canonical without an explicit sort.
-        out.extend_from_slice(&(self.reps.len() as u64).to_le_bytes());
-        for (node, reps) in &self.reps {
-            out.extend_from_slice(&(node.index() as u64).to_le_bytes());
-            out.extend_from_slice(&(reps.len() as u64).to_le_bytes());
-            for &r in reps {
-                out.extend_from_slice(&(r as u64).to_le_bytes());
-            }
-        }
-        std::fs::write(path, out)
+    pub fn save(&self, path: &Path) -> Result<(), CodecError> {
+        codec::write_file_atomic(path, &self.to_bytes(), &INDEX_SITES)
     }
 
     /// Loads a structure saved by [`Self::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
-        let data = std::fs::read(path)?;
-        if data.len() >= 4 && &data[..4] == b"QDR1" {
-            return Err(bad(
-                "legacy QDR1 (pre-arena) RFS file — rebuild and re-save the structure",
-            ));
-        }
-        if data.len() < 12 || &data[..4] != b"QDR2" {
-            return Err(bad("not an RFS file"));
-        }
-        let tree_len = {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&data[4..12]);
-            u64::from_le_bytes(b) as usize
-        };
-        if data.len() < 12 + tree_len {
-            return Err(bad("truncated RFS file"));
-        }
-        let tree = qd_index::persist::from_bytes(&data[12..12 + tree_len])?;
-
-        let mut pos = 12 + tree_len;
-        let u64_at = |data: &[u8], pos: &mut usize| -> std::io::Result<u64> {
-            if *pos + 8 > data.len() {
-                return Err(Error::new(ErrorKind::UnexpectedEof, "truncated RFS file"));
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&data[*pos..*pos + 8]);
-            let v = u64::from_le_bytes(b);
-            *pos += 8;
-            Ok(v)
-        };
-        let node_ids: HashMap<usize, NodeId> = tree
-            .node_ids()
-            .into_iter()
-            .map(|n| (n.index(), n))
-            .collect();
-        let node_count = u64_at(&data, &mut pos)? as usize;
-        let mut reps: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for _ in 0..node_count {
-            let raw = u64_at(&data, &mut pos)? as usize;
-            let node = *node_ids
-                .get(&raw)
-                .ok_or_else(|| bad("representative list for unknown node"))?;
-            let count = u64_at(&data, &mut pos)? as usize;
-            let mut list = Vec::with_capacity(count);
-            for _ in 0..count {
-                let image = u64_at(&data, &mut pos)? as usize;
-                if image >= tree.len() {
-                    return Err(bad("representative id out of range"));
-                }
-                list.push(image);
-            }
-            reps.insert(node, list);
-        }
-        if pos != data.len() {
-            return Err(bad("trailing bytes in RFS file"));
-        }
-
-        let mut leaf_of = BTreeMap::new();
-        for n in tree.node_ids() {
-            if tree.is_leaf(n) {
-                for (id, _) in tree.leaf_entries(n) {
-                    leaf_of.insert(id as usize, n);
-                }
-            }
-        }
-        Ok(Self {
-            tree,
-            reps,
-            leaf_of,
-        })
+    pub fn load(path: &Path) -> Result<Self, CodecError> {
+        Self::from_bytes(&codec::read_file(path, &INDEX_SITES)?)
     }
 }
 

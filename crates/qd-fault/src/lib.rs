@@ -21,6 +21,12 @@
 //! thread. `qd_runtime` captures the active plan via [`current`] before
 //! spawning scoped workers and re-installs it in each via [`with_current`],
 //! so fault injection crosses the fan-out boundary without any global state.
+//!
+//! [`codec`] is the persistence boundary the six I/O sites live behind: the
+//! framed binary codec and the one fault-aware file read / atomic write that
+//! all four on-disk formats share.
+
+pub mod codec;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -33,13 +39,14 @@ pub const FAULT_SEED_ENV: &str = "QD_FAULT_SEED";
 /// Well-known injection site names. Serving crates reference these constants
 /// so the chaos suite can enumerate every registered site.
 pub mod site {
-    /// Corpus cache `load` fails with an injected `io::Error` after the read.
+    /// Corpus cache (QDC2) `load` fails with an injected `io::Error` after
+    /// the read.
     pub const CACHE_READ: &str = "corpus.cache.read";
     /// Corpus cache `load` observes a deterministically truncated byte buffer
     /// (torn read), exercising the checked-parse error paths.
     pub const CACHE_SHORT_READ: &str = "corpus.cache.short_read";
     /// Corpus cache `save` fails with an injected `io::Error` before the
-    /// atomic rename, leaving no partial file behind.
+    /// temp file is written, leaving no partial file behind.
     pub const CACHE_WRITE: &str = "corpus.cache.write";
     /// Representative selection for one RFS node panics mid-build (keyed by
     /// node index); the build isolates the panic and falls back to a
@@ -51,15 +58,15 @@ pub mod site {
     /// One localized subquery worker panics (keyed by subquery index); the
     /// session drops that subquery from the merge and reports degradation.
     pub const SESSION_SUBQUERY_PANIC: &str = "session.subquery.panic";
-    /// R\*-tree persistence `load` fails with an injected `io::Error` after
-    /// the read.
+    /// `load` of an R\*-tree (QDT2), RFS structure (QDR2) or shard set
+    /// (QDS1) fails with an injected `io::Error` after the read.
     pub const INDEX_READ: &str = "index.persist.read";
-    /// R\*-tree persistence `from_bytes` observes a deterministically
+    /// `load` of a QDT2 / QDR2 / QDS1 file observes a deterministically
     /// truncated byte buffer (torn read); the length-checked reader must
     /// reject it rather than panic or misparse.
     pub const INDEX_SHORT_READ: &str = "index.persist.short_read";
-    /// R\*-tree persistence `save` fails with an injected `io::Error` before
-    /// any bytes reach the filesystem.
+    /// `save` of a QDT2 / QDR2 / QDS1 file fails with an injected
+    /// `io::Error` before any bytes reach the filesystem.
     pub const INDEX_WRITE: &str = "index.persist.write";
     /// Client→server transmission of the remote query fails; the client
     /// retries on a deterministic backoff schedule.

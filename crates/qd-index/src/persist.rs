@@ -4,55 +4,33 @@
 //! serves queries from it for months; rebuilding a 15k-image R\*-tree by
 //! insertion costs seconds of CPU while loading it from disk costs
 //! milliseconds. The format (`QDT2`) is a straightforward little-endian dump
-//! of the node arena plus the contiguous SoA feature block; `NodeId` handles
-//! remain valid across save/load, which the RFS structure relies on (its
-//! representative lists are keyed by `NodeId`). Files in the pre-arena
-//! `QDT1` format are rejected with a distinct error rather than misread.
+//! of the node arena plus the contiguous SoA feature block, framed by
+//! [`qd_fault::codec`]; `NodeId` handles remain valid across save/load,
+//! which the RFS structure relies on (its representative lists are keyed by
+//! `NodeId`).
 
-use crate::rect::Rect;
 use crate::tree::{read_tree, write_tree, RStarTree};
-use std::io;
+use qd_fault::codec::{self, CodecError, INDEX_SITES};
 use std::path::Path;
 
 /// Serializes the tree to bytes.
 pub fn to_bytes(tree: &RStarTree) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_tree(tree, &mut out);
-    out
+    write_tree(tree)
 }
 
 /// Deserializes a tree from bytes produced by [`to_bytes`].
-pub fn from_bytes(data: &[u8]) -> io::Result<RStarTree> {
-    if let Some(payload) = qd_fault::fire(qd_fault::site::INDEX_SHORT_READ) {
-        // Torn read: parse a deterministic, payload-chosen prefix; the
-        // length-checked reader rejects it with a typed error, never panics.
-        return read_tree(&data[..payload as usize % (data.len() + 1)]);
-    }
+pub fn from_bytes(data: &[u8]) -> Result<RStarTree, CodecError> {
     read_tree(data)
 }
 
-/// Saves the tree to `path`.
-pub fn save(tree: &RStarTree, path: &Path) -> io::Result<()> {
-    if qd_fault::should_fail(qd_fault::site::INDEX_WRITE) {
-        return Err(io::Error::other("injected fault: index persist write"));
-    }
-    std::fs::write(path, to_bytes(tree))
+/// Saves the tree to `path`, atomically.
+pub fn save(tree: &RStarTree, path: &Path) -> Result<(), CodecError> {
+    codec::write_file_atomic(path, &to_bytes(tree), &INDEX_SITES)
 }
 
 /// Loads a tree from `path`.
-pub fn load(path: &Path) -> io::Result<RStarTree> {
-    let data = std::fs::read(path)?;
-    if qd_fault::should_fail(qd_fault::site::INDEX_READ) {
-        return Err(io::Error::other("injected fault: index persist read"));
-    }
-    from_bytes(&data)
-}
-
-/// Serializes a rectangle (used by the tree writer).
-pub(crate) fn write_rect(out: &mut Vec<u8>, rect: &Rect) {
-    for v in rect.min().iter().chain(rect.max()) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+pub fn load(path: &Path) -> Result<RStarTree, CodecError> {
+    from_bytes(&codec::read_file(path, &INDEX_SITES)?)
 }
 
 #[cfg(test)]

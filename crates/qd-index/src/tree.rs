@@ -20,6 +20,7 @@
 //! [`BudgetedKnn::distances_pruned`].
 
 use crate::rect::Rect;
+use qd_fault::codec::{CodecError, Reader, Writer};
 use qd_linalg::metric::{sq_l2_f64, sq_l2_rows4};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -1769,131 +1770,73 @@ fn partition_recursive<T: Clone>(
 
 /// Arena format: nodes + the contiguous SoA feature block.
 const PERSIST_MAGIC: &[u8; 4] = b"QDT2";
-/// The pre-arena node-owned format; rejected with a distinct error.
-const LEGACY_PERSIST_MAGIC: &[u8; 4] = b"QDT1";
 
-/// Serializes the full arena into `out` (little-endian): config header, the
-/// feature store (ids, one contiguous f32 block of `slot_count × dims`
-/// values, free list; norms are recomputed on load), then the node arena
-/// with explicit child lists (sibling chains are rebuilt on load).
-pub(crate) fn write_tree(tree: &RStarTree, out: &mut Vec<u8>) {
-    out.extend_from_slice(PERSIST_MAGIC);
-    let w64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-    w64(out, tree.config.dims as u64);
-    w64(out, tree.config.min_entries as u64);
-    w64(out, tree.config.max_entries as u64);
-    out.extend_from_slice(&tree.config.reinsert_fraction.to_le_bytes());
-    w64(out, tree.len as u64);
-    out.extend_from_slice(&tree.root.0.to_le_bytes());
+/// Serializes the full arena (little-endian): config header, the feature
+/// store (ids, one contiguous f32 block of `slot_count × dims` values, free
+/// list; norms are recomputed on load), then the node arena with explicit
+/// child lists (sibling chains are rebuilt on load).
+pub(crate) fn write_tree(tree: &RStarTree) -> Vec<u8> {
+    let mut w = Writer::new(PERSIST_MAGIC);
+    w.usize(tree.config.dims);
+    w.usize(tree.config.min_entries);
+    w.usize(tree.config.max_entries);
+    w.f32(tree.config.reinsert_fraction);
+    w.usize(tree.len);
+    w.u32(tree.root.0);
 
     // Feature store.
-    let slot_count = tree.store.slot_count();
-    w64(out, slot_count as u64);
-    w64(out, tree.store.data.len() as u64);
-    for id in &tree.store.ids {
-        w64(out, *id);
-    }
-    for v in &tree.store.data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    w64(out, tree.store.free.len() as u64);
-    for f in &tree.store.free {
-        out.extend_from_slice(&f.to_le_bytes());
-    }
+    w.usize(tree.store.slot_count());
+    w.usize(tree.store.data.len());
+    w.u64s(&tree.store.ids);
+    w.f32s(&tree.store.data);
+    w.usize(tree.store.free.len());
+    w.u32s(&tree.store.free);
 
     // Node arena.
-    w64(out, tree.nodes.len() as u64);
+    w.usize(tree.nodes.len());
     for (i, node) in tree.nodes.iter().enumerate() {
-        // CAST: bool is 0 or 1, exact in u8 — the on-disk liveness flag.
-        out.push(node.live as u8);
+        w.u8(u8::from(node.live));
         if !node.live {
             continue;
         }
-        out.extend_from_slice(&node.level.to_le_bytes());
-        out.extend_from_slice(&node.parent.to_le_bytes());
-        match node.rect.as_ref() {
-            Some(rect) => {
-                out.push(1);
-                crate::persist::write_rect(out, rect);
-            }
-            None => out.push(0),
+        w.u32(node.level);
+        w.u32(node.parent);
+        w.u8(u8::from(node.rect.is_some()));
+        if let Some(rect) = &node.rect {
+            w.f32s(rect.min());
+            w.f32s(rect.max());
         }
         match &node.kind {
             NodeKind::Leaf(slots) => {
-                out.push(0);
-                w64(out, slots.len() as u64);
-                for s in slots {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
+                w.u8(0);
+                w.usize(slots.len());
+                w.u32s(slots);
             }
             NodeKind::Internal { .. } => {
-                out.push(1);
+                w.u8(1);
                 // CAST: i indexes the node arena, u32 by design (see alloc).
                 let children = tree.child_vec(NodeId(i as u32));
-                w64(out, children.len() as u64);
+                w.usize(children.len());
                 for c in children {
-                    out.extend_from_slice(&c.0.to_le_bytes());
+                    w.u32(c.0);
                 }
             }
         }
     }
+    w.finish()
 }
 
 /// Deserializes a tree written by [`write_tree`], validating structure.
-pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
-    use std::io::{Error, ErrorKind};
-    let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
-    struct R<'a> {
-        data: &'a [u8],
-        pos: usize,
-    }
-    impl<'a> R<'a> {
-        fn bytes(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
-            let end = self
-                .pos
-                .checked_add(n)
-                .filter(|&e| e <= self.data.len())
-                .ok_or_else(|| Error::new(ErrorKind::UnexpectedEof, "truncated tree file"))?;
-            let s = &self.data[self.pos..end];
-            self.pos = end;
-            Ok(s)
-        }
-        fn u64(&mut self) -> std::io::Result<u64> {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(self.bytes(8)?);
-            Ok(u64::from_le_bytes(b))
-        }
-        fn u32(&mut self) -> std::io::Result<u32> {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(self.bytes(4)?);
-            Ok(u32::from_le_bytes(b))
-        }
-        fn f32(&mut self) -> std::io::Result<f32> {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(self.bytes(4)?);
-            Ok(f32::from_le_bytes(b))
-        }
-        fn f32s(&mut self, n: usize) -> std::io::Result<Vec<f32>> {
-            (0..n).map(|_| self.f32()).collect()
-        }
-    }
-
-    let mut r = R { data, pos: 0 };
-    let magic = r.bytes(4)?;
-    if magic == LEGACY_PERSIST_MAGIC {
-        return Err(bad(
-            "legacy QDT1 (pre-arena) index file — rebuild and re-save the index",
-        ));
-    }
-    if magic != PERSIST_MAGIC {
-        return Err(bad("not an R*-tree file"));
-    }
-    let dims = r.u64()? as usize;
-    let min_entries = r.u64()? as usize;
-    let max_entries = r.u64()? as usize;
+/// Every count is bounded by the remaining payload before it sizes an
+/// allocation (`Reader::count`), and the blocks decode in bulk.
+pub(crate) fn read_tree(data: &[u8]) -> Result<RStarTree, CodecError> {
+    let bad = |msg: &str| CodecError::Invalid(msg.to_string());
+    let mut r = Reader::new(data);
+    r.magic(PERSIST_MAGIC)?;
+    let dims = r.usize()?;
+    let min_entries = r.usize()?;
+    let max_entries = r.usize()?;
     let reinsert_fraction = r.f32()?;
-    // Sanity bounds guard every later `with_capacity` against corrupted
-    // count fields — a flipped byte must produce an error, not an OOM.
     if dims == 0
         || dims > 1 << 16
         // bound before multiplying (overflow)
@@ -1904,45 +1847,27 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
     {
         return Err(bad("invalid tree configuration"));
     }
-    let len = r.u64()? as usize;
+    let len = r.usize()?;
     let root = NodeId(r.u32()?);
-    if len > data.len() / 8 {
-        return Err(bad("corrupt size fields"));
-    }
 
-    // Feature store: every slot costs at least 8 id bytes, so `slot_count`
-    // is bounded by the file size before any allocation happens.
-    let slot_count = r.u64()? as usize;
-    let block_len = r.u64()? as usize;
-    if slot_count > data.len() / 8 {
-        return Err(bad("corrupt feature slot count"));
+    // Feature store.
+    let slot_count = r.count(8)?;
+    let block_len = r.usize()?;
+    if slot_count.checked_mul(dims) != Some(block_len) {
+        return Err(bad("feature block length does not equal dims x slot count"));
     }
-    match slot_count.checked_mul(dims) {
-        Some(expect) if expect == block_len => {}
-        _ => return Err(bad("feature block length does not equal dims x slot count")),
-    }
-    let mut ids = Vec::with_capacity(slot_count);
-    for _ in 0..slot_count {
-        ids.push(r.u64()?);
-    }
+    let ids = r.u64s(slot_count)?;
     let block = r.f32s(block_len)?;
-    let free_count = r.u64()? as usize;
-    if free_count > slot_count {
-        return Err(bad("corrupt feature free list"));
-    }
+    let free_count = r.count(4)?;
+    let store_free = r.u32s(free_count)?;
     let mut live = vec![true; slot_count];
-    let mut store_free = Vec::with_capacity(free_count);
-    for _ in 0..free_count {
-        let f = r.u32()?;
-        if f as usize >= slot_count || !live[f as usize] {
-            return Err(bad("corrupt feature free list"));
+    for &f in &store_free {
+        match live.get_mut(f as usize) {
+            Some(slot) if *slot => *slot = false,
+            _ => return Err(bad("corrupt feature free list")),
         }
-        live[f as usize] = false;
-        store_free.push(f);
     }
-    let norms = (0..slot_count)
-        .map(|s| norm_of(&block[s * dims..(s + 1) * dims]))
-        .collect();
+    let norms = block.chunks_exact(dims).map(norm_of).collect();
     let store = FeatureStore {
         dims,
         ids,
@@ -1952,23 +1877,18 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
         free: store_free,
     };
 
-    // Node arena.
-    let arena = r.u64()? as usize;
+    // Node arena: every serialized node costs at least one byte.
+    let arena = r.count(1)?;
     if root.index() >= arena {
         return Err(bad("root out of range"));
-    }
-    // Every serialized node costs at least one byte.
-    if arena > data.len() {
-        return Err(bad("corrupt size fields"));
     }
     let mut nodes = Vec::with_capacity(arena);
     let mut free = Vec::new();
     let mut children_of: Vec<Vec<NodeId>> = Vec::with_capacity(arena);
     for i in 0..arena {
-        let live_node = r.bytes(1)?[0] != 0;
-        if !live_node {
-            // CAST: i < arena ≤ data.len() (checked above); overflowing u32
-            // would require a >4 GiB in-memory index image.
+        if r.u8()? == 0 {
+            // CAST: i < arena ≤ data.len() (bounded by `count`); overflowing
+            // u32 would require a >4 GiB in-memory index image.
             free.push(i as u32);
             nodes.push(Node {
                 rect: None,
@@ -1987,7 +1907,7 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
             p if (p as usize) < arena => p,
             _ => return Err(bad("parent out of range")),
         };
-        let rect = if r.bytes(1)?[0] != 0 {
+        let rect = if r.u8()? != 0 {
             let min = r.f32s(dims)?;
             let max = r.f32s(dims)?;
             for (lo, hi) in min.iter().zip(&max) {
@@ -1999,41 +1919,32 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
         } else {
             None
         };
-        let (kind, children) = match r.bytes(1)?[0] {
+        let kind_tag = r.u8()?;
+        let count = r.count(4)?;
+        if count > max_entries {
+            return Err(bad("node overfull"));
+        }
+        let entries = r.u32s(count)?;
+        let (kind, children) = match kind_tag {
             0 => {
-                let count = r.u64()? as usize;
-                if count > max_entries {
-                    return Err(bad("leaf overfull"));
+                if entries
+                    .iter()
+                    .any(|&s| store.live.get(s as usize) != Some(&true))
+                {
+                    return Err(bad("leaf references a bad feature slot"));
                 }
-                let mut slots = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let s = r.u32()?;
-                    if s as usize >= slot_count || !store.live[s as usize] {
-                        return Err(bad("leaf references a bad feature slot"));
-                    }
-                    slots.push(s);
-                }
-                (NodeKind::Leaf(slots), Vec::new())
+                (NodeKind::Leaf(entries), Vec::new())
             }
             1 => {
-                let count = r.u64()? as usize;
-                if count > max_entries {
-                    return Err(bad("internal node overfull"));
-                }
-                let mut children = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let c = r.u32()?;
-                    if c as usize >= arena {
-                        return Err(bad("child out of range"));
-                    }
-                    children.push(NodeId(c));
+                if entries.iter().any(|&c| c as usize >= arena) {
+                    return Err(bad("child out of range"));
                 }
                 (
                     NodeKind::Internal {
                         first_child: NONE,
                         count: 0,
                     },
-                    children,
+                    entries.into_iter().map(NodeId).collect(),
                 )
             }
             _ => return Err(bad("unknown node kind")),
@@ -2048,9 +1959,7 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
         });
         children_of.push(children);
     }
-    if r.pos != data.len() {
-        return Err(bad("trailing bytes in tree file"));
-    }
+    r.finish()?;
 
     let mut tree = RStarTree {
         config: TreeConfig {
@@ -2070,20 +1979,18 @@ pub(crate) fn read_tree(data: &[u8]) -> std::io::Result<RStarTree> {
     // from the file and are cross-validated against the chains below.
     for (i, children) in children_of.into_iter().enumerate() {
         if !children.is_empty() {
-            // CAST: i < arena ≤ data.len() (checked above); overflowing u32
-            // would require a >4 GiB in-memory index image.
+            // CAST: i < arena ≤ data.len() (bounded by `count`); overflowing
+            // u32 would require a >4 GiB in-memory index image.
             tree.chain_children(NodeId(i as u32), &children);
         }
     }
     // A structurally broken file must not produce a tree that misbehaves
     // later; the non-panicking checker rejects it cleanly.
-    if let Err(msg) = tree.check_invariants() {
-        return Err(bad(&format!(
-            "tree file fails structural validation: {msg}"
-        )));
-    }
+    tree.check_invariants()
+        .map_err(|msg| CodecError::Invalid(format!("tree fails structural validation: {msg}")))?;
     Ok(tree)
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,13 +1,14 @@
 //! QDS1: on-disk format for a sharded RFS (shard trees + representatives).
 //!
-//! Layout (all integers little-endian u64 unless noted):
+//! Layout (framed by [`qd_fault::codec`]; all integers little-endian u64
+//! unless noted):
 //!
 //! ```text
 //! b"QDS1"
 //! shards | seed                          -- ShardConfig
 //! dims | min_entries | max_entries       -- TreeConfig
 //! reinsert_fraction                      -- f32 le
-//! per shard: tree_len | QDT2 tree bytes  -- qd_index::persist blobs
+//! per shard: tree_len | QDT2 tree bytes  -- qd_index::persist sections
 //! rep_count
 //! per rep list: node_index | count | image ids
 //! ```
@@ -19,202 +20,87 @@
 //! Corruption contract (exercised exhaustively by
 //! `tests/persistence_properties.rs`): every load failure — bad magic,
 //! truncation, over-long counts, invalid tree bytes, representative ids
-//! outside their subtree — surfaces as a typed [`CacheError`], never a
-//! panic. Counts are bounds-checked against the remaining payload before
-//! any allocation, so a flipped length byte cannot trigger an oversized
-//! reservation.
+//! outside their subtree — surfaces as a typed [`CodecError`], never a
+//! panic.
 
 use crate::{ShardConfig, ShardSet, MAX_SHARDS, STRIDE};
 use qd_core::RfsStructure;
-use qd_index::{KnnIndex, NodeId, RStarTree, TreeConfig};
-use std::collections::BTreeMap;
+use qd_fault::codec::{self, CodecError, Reader, Writer, INDEX_SITES};
+use qd_index::{KnnIndex, RStarTree, TreeConfig};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Why a QDS1 file failed to load.
-#[derive(Debug)]
-pub enum CacheError {
-    /// The underlying read failed (or the injected read fault fired).
-    Io(std::io::Error),
-    /// The bytes are not a valid QDS1 shard set.
-    Format(String),
-}
+const MAGIC: &[u8; 4] = b"QDS1";
 
-impl std::fmt::Display for CacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CacheError::Io(e) => write!(f, "shard set io error: {e}"),
-            CacheError::Format(msg) => write!(f, "invalid shard set file: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for CacheError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CacheError::Io(e) => Some(e),
-            CacheError::Format(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CacheError {
-    fn from(e: std::io::Error) -> Self {
-        CacheError::Io(e)
-    }
-}
-
-fn bad(msg: impl Into<String>) -> CacheError {
-    CacheError::Format(msg.into())
+fn bad(msg: impl Into<String>) -> CodecError {
+    CodecError::Invalid(msg.into())
 }
 
 /// Serializes a sharded RFS to QDS1 bytes.
 pub fn to_bytes(rfs: &RfsStructure<ShardSet>) -> Vec<u8> {
     let set = rfs.tree();
-    let mut out = Vec::new();
-    out.extend_from_slice(b"QDS1");
-    out.extend_from_slice(&(set.config().shards as u64).to_le_bytes());
-    out.extend_from_slice(&set.config().seed.to_le_bytes());
+    let mut w = Writer::new(MAGIC);
+    w.usize(set.config().shards);
+    w.u64(set.config().seed);
     let tc = set.tree_config();
-    out.extend_from_slice(&(tc.dims as u64).to_le_bytes());
-    out.extend_from_slice(&(tc.min_entries as u64).to_le_bytes());
-    out.extend_from_slice(&(tc.max_entries as u64).to_le_bytes());
-    out.extend_from_slice(&tc.reinsert_fraction.to_le_bytes());
+    w.usize(tc.dims);
+    w.usize(tc.min_entries);
+    w.usize(tc.max_entries);
+    w.f32(tc.reinsert_fraction);
     for s in 0..set.shard_count() {
-        let tree_bytes = qd_index::persist::to_bytes(set.shard(s));
-        out.extend_from_slice(&(tree_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&tree_bytes);
+        w.section(&qd_index::persist::to_bytes(set.shard(s)));
     }
-    // BTreeMap iteration is ascending by node handle: canonical order, no
-    // explicit sort needed.
-    let reps = rfs.reps_map();
-    out.extend_from_slice(&(reps.len() as u64).to_le_bytes());
-    for (node, list) in reps {
-        out.extend_from_slice(&(node.index() as u64).to_le_bytes());
-        out.extend_from_slice(&(list.len() as u64).to_le_bytes());
-        for &image in list {
-            out.extend_from_slice(&(image as u64).to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Saves a sharded RFS to `path` in the QDS1 format.
-///
-/// # Errors
-/// Propagates filesystem errors; the `index.write.fail` failpoint injects
-/// one for chaos coverage of the error path.
-pub fn save(rfs: &RfsStructure<ShardSet>, path: &Path) -> std::io::Result<()> {
-    if qd_fault::should_fail(qd_fault::site::INDEX_WRITE) {
-        return Err(std::io::Error::other("injected fault: shard set write"));
-    }
-    std::fs::write(path, to_bytes(rfs))
-}
-
-/// Loads a sharded RFS saved by [`save`].
-///
-/// # Errors
-/// [`CacheError::Io`] on read failure (including the injected
-/// `index.read.fail` fault), [`CacheError::Format`] on any corruption.
-pub fn load(path: &Path) -> Result<RfsStructure<ShardSet>, CacheError> {
-    let data = std::fs::read(path)?;
-    if qd_fault::should_fail(qd_fault::site::INDEX_READ) {
-        return Err(CacheError::Io(std::io::Error::other(
-            "injected fault: shard set read",
-        )));
-    }
-    from_bytes(&data)
-}
-
-/// Reads the next little-endian u64, advancing `pos`.
-fn u64_at(data: &[u8], pos: &mut usize) -> Result<u64, CacheError> {
-    let end = pos.checked_add(8).filter(|&e| e <= data.len());
-    let Some(end) = end else {
-        return Err(bad("truncated shard set file"));
-    };
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&data[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Reads a u64 that counts `width`-byte records still to come — rejected
-/// when it exceeds the remaining payload, so corrupt lengths fail before
-/// any allocation.
-fn count_at(data: &[u8], pos: &mut usize, width: usize) -> Result<usize, CacheError> {
-    let raw = u64_at(data, pos)?;
-    let remaining = (data.len() - *pos) / width.max(1);
-    if raw > remaining as u64 {
-        return Err(bad(format!(
-            "count {raw} exceeds the {remaining} records the payload could hold"
-        )));
-    }
-    // CAST: bounded by the remaining byte length just above.
-    Ok(raw as usize)
+    rfs.write_reps(&mut w);
+    w.finish()
 }
 
 /// Deserializes QDS1 bytes into a sharded RFS, re-deriving shard membership
 /// from the tree contents and re-checking every structural invariant.
-///
-/// # Errors
-/// [`CacheError::Format`] describing the first corruption found.
-pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CacheError> {
-    if data.len() < 4 || &data[..4] != b"QDS1" {
-        return Err(bad("not a QDS1 shard set file"));
-    }
-    let mut pos = 4usize;
-    let shards = u64_at(data, &mut pos)?;
-    if shards == 0 || shards > MAX_SHARDS as u64 {
+pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
+    let mut r = Reader::new(data);
+    r.magic(MAGIC)?;
+    let shards = r.usize()?;
+    if shards == 0 || shards > MAX_SHARDS {
         return Err(bad(format!(
             "shard count {shards} outside 1..={MAX_SHARDS}"
         )));
     }
-    // CAST: bounded by MAX_SHARDS just above.
-    let shards = shards as usize;
-    let seed = u64_at(data, &mut pos)?;
-    let config = ShardConfig { shards, seed };
+    let config = ShardConfig {
+        shards,
+        seed: r.u64()?,
+    };
 
-    let dims = u64_at(data, &mut pos)?;
-    let min_entries = u64_at(data, &mut pos)?;
-    let max_entries = u64_at(data, &mut pos)?;
-    if dims == 0 || dims > u32::MAX as u64 {
+    let dims = r.usize()?;
+    let min_entries = r.usize()?;
+    let max_entries = r.usize()?;
+    let reinsert_fraction = r.f32()?;
+    if dims == 0 || dims > u32::MAX as usize {
         return Err(bad(format!("implausible dimensionality {dims}")));
     }
-    if min_entries < 2 || max_entries > u32::MAX as u64 || min_entries > max_entries / 2 {
+    if min_entries < 2 || max_entries > u32::MAX as usize || min_entries > max_entries / 2 {
         return Err(bad(format!(
             "invalid node capacities {min_entries}..{max_entries}"
         )));
     }
-    if pos + 4 > data.len() {
-        return Err(bad("truncated shard set file"));
-    }
-    let mut f = [0u8; 4];
-    f.copy_from_slice(&data[pos..pos + 4]);
-    pos += 4;
-    let reinsert_fraction = f32::from_le_bytes(f);
     if !(0.0..0.5).contains(&reinsert_fraction) {
         return Err(bad(format!(
             "reinsert fraction {reinsert_fraction} outside [0, 0.5)"
         )));
     }
+
     let tree_config = TreeConfig {
-        // CAST: bounded against u32::MAX above.
-        dims: dims as usize,
-        // CAST: bounded against u32::MAX above.
-        min_entries: min_entries as usize,
-        // CAST: bounded against u32::MAX above.
-        max_entries: max_entries as usize,
+        dims,
+        min_entries,
+        max_entries,
         reinsert_fraction,
     };
 
     let mut trees: Vec<Arc<RStarTree>> = Vec::with_capacity(shards);
     let mut members: Vec<Vec<u64>> = Vec::with_capacity(shards);
     for s in 0..shards {
-        let tree_len = count_at(data, &mut pos, 1)?;
-        let tree = qd_index::persist::from_bytes(&data[pos..pos + tree_len])
+        let tree = qd_index::persist::from_bytes(r.section()?)
             .map_err(|e| bad(format!("shard {s} tree: {e}")))?;
-        pos += tree_len;
-        if !tree.is_empty() && KnnIndex::dims(&tree) != tree_config.dims {
+        if !tree.is_empty() && KnnIndex::dims(&tree) != dims {
             return Err(bad(format!("shard {s} dims disagree with the header")));
         }
         let mut stored: Vec<u64> = tree
@@ -246,37 +132,17 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CacheError> {
     }
     let set = ShardSet::assemble(config, tree_config, trees, members);
     set.check_invariants().map_err(bad)?;
+    RfsStructure::read_reps(set, r)
+}
 
-    let handle_of: BTreeMap<usize, NodeId> =
-        set.node_ids().into_iter().map(|n| (n.index(), n)).collect();
-    let rep_lists = count_at(data, &mut pos, 16)?;
-    let mut reps: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for _ in 0..rep_lists {
-        let raw = u64_at(data, &mut pos)?;
-        // CAST: validated against the live handle map right below; an
-        // out-of-range index simply fails the lookup.
-        let node = handle_of
-            .get(&(raw as usize))
-            .copied()
-            .ok_or_else(|| bad(format!("representative list for unknown node {raw}")))?;
-        let count = count_at(data, &mut pos, 8)?;
-        let mut list = Vec::with_capacity(count);
-        for _ in 0..count {
-            let image = u64_at(data, &mut pos)?;
-            if image >= set.len() as u64 || !set.contains_image(image) {
-                return Err(bad(format!("representative id {image} is not a member")));
-            }
-            // CAST: bounded by the member check above.
-            list.push(image as usize);
-        }
-        if reps.insert(node, list).is_some() {
-            return Err(bad(format!("duplicate representative list for node {raw}")));
-        }
-    }
-    if pos != data.len() {
-        return Err(bad("trailing bytes in shard set file"));
-    }
-    RfsStructure::from_parts(set, reps).map_err(bad)
+/// Saves a sharded RFS to `path` in the QDS1 format, atomically.
+pub fn save(rfs: &RfsStructure<ShardSet>, path: &Path) -> Result<(), CodecError> {
+    codec::write_file_atomic(path, &to_bytes(rfs), &INDEX_SITES)
+}
+
+/// Loads a sharded RFS saved by [`save`].
+pub fn load(path: &Path) -> Result<RfsStructure<ShardSet>, CodecError> {
+    from_bytes(&codec::read_file(path, &INDEX_SITES)?)
 }
 
 #[cfg(test)]
@@ -338,7 +204,7 @@ mod tests {
         let bytes = to_bytes(&rfs);
         assert!(matches!(
             from_bytes(b"QDR2garbage"),
-            Err(CacheError::Format(_))
+            Err(CodecError::BadMagic { .. })
         ));
         for cut in [0, 3, 4, 11, bytes.len() / 2, bytes.len() - 1] {
             assert!(

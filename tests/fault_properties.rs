@@ -15,6 +15,7 @@
 //! `QD_THREADS=1` and `QD_THREADS=8` for a fixed `(fault seed, query)`. The
 //! CI chaos job reruns this suite under eight different `QD_FAULT_SEED`s.
 
+use qd_fault::codec::CodecError;
 use qd_fault::{FaultPlan, Mode};
 use query_decomposition::prelude::*;
 use std::sync::OnceLock;
@@ -248,9 +249,62 @@ fn client_submit_retries_deterministically_under_chaos() {
     }
 }
 
+/// Drives one format's `save`/`load` pair through the three failpoints of
+/// its family: a failed save leaves neither the target nor a `.tmp` sibling
+/// behind, a failed read is a typed error, and a torn read is rejected or —
+/// for the one payload that keeps every byte — loads a value that passes
+/// `validate`, the same way on every run.
+fn check_file_sites<T>(
+    file: &str,
+    [read, short_read, write]: [&str; 3],
+    save: impl Fn(&std::path::Path) -> Result<(), CodecError>,
+    load: impl Fn(&std::path::Path) -> Result<T, CodecError>,
+    validate: impl Fn(&T),
+) {
+    let dir = std::env::temp_dir().join("qd_fault_file_sites");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(file);
+    let tmp = dir.join(format!("{file}.tmp"));
+    std::fs::remove_file(&path).ok();
+
+    let plan = FaultPlan::new(fault_seed()).site(write, Mode::Always);
+    let err = qd_fault::with_plan(&plan, || save(&path)).unwrap_err();
+    assert!(err.to_string().contains("injected"), "{file}: {err}");
+    assert!(
+        !path.exists() && !tmp.exists(),
+        "{file}: a failed save left a file behind"
+    );
+
+    save(&path).unwrap();
+    assert!(!tmp.exists(), "{file}: the temp file must be renamed away");
+    validate(&load(&path).unwrap());
+
+    let plan = FaultPlan::new(fault_seed()).site(read, Mode::Always);
+    let err = qd_fault::with_plan(&plan, || load(&path).map(drop)).unwrap_err();
+    assert!(err.to_string().contains("injected"), "{file}: {err}");
+
+    let plan = FaultPlan::new(fault_seed()).site(short_read, Mode::Always);
+    let torn = || {
+        qd_fault::with_plan(&plan, || {
+            load(&path)
+                .map(|loaded| validate(&loaded))
+                .map_err(|e| e.to_string())
+        })
+    };
+    assert_eq!(torn(), torn(), "{file}: torn reads are deterministic");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
-fn cache_sites_inject_failures_on_every_persistence_path() {
+fn all_four_formats_honour_their_file_sites() {
+    use qd_fault::site::*;
     use query_decomposition::corpus::cache;
+    use query_decomposition::index::persist;
+    use query_decomposition::shard::persist as shard_persist;
+    let cache_sites = [CACHE_READ, CACHE_SHORT_READ, CACHE_WRITE];
+    let index_sites = [INDEX_READ, INDEX_SHORT_READ, INDEX_WRITE];
+    let (_, rfs) = fixture();
+
     let config = CorpusConfig {
         size: 40,
         image_size: 16,
@@ -259,74 +313,46 @@ fn cache_sites_inject_failures_on_every_persistence_path() {
         with_viewpoints: false,
     };
     let corpus = Corpus::build(&config);
-    let dir = std::env::temp_dir().join("qd_fault_cache_sites");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("corpus.qdc");
-    std::fs::remove_file(&path).ok();
-
-    // CACHE_WRITE fires before the atomic rename: no partial file appears.
-    let write_plan = FaultPlan::new(fault_seed()).site(qd_fault::site::CACHE_WRITE, Mode::Always);
-    let err = qd_fault::with_plan(&write_plan, || cache::save(&corpus, &path)).unwrap_err();
-    assert!(err.to_string().contains("injected"), "{err}");
-    assert!(!path.exists(), "failed save must not leave a file behind");
-
-    cache::save(&corpus, &path).unwrap();
-
-    // CACHE_READ covers both the full load and the header-only probe.
-    let read_plan = FaultPlan::new(fault_seed()).site(qd_fault::site::CACHE_READ, Mode::Always);
-    qd_fault::with_plan(&read_plan, || {
-        assert!(cache::load(&path, &config).is_err());
-        assert!(cache::read_header(&path).is_err());
-    });
-
-    // CACHE_SHORT_READ: the checked parser rejects torn prefixes with a
-    // typed error and never panics; the one payload that keeps every byte
-    // yields the intact corpus.
-    let torn_plan =
-        FaultPlan::new(fault_seed()).site(qd_fault::site::CACHE_SHORT_READ, Mode::Always);
-    qd_fault::with_plan(&torn_plan, || {
-        if let Ok(loaded) = cache::load(&path, &config) {
-            assert_eq!(loaded.len(), corpus.len());
-        }
-    });
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn index_persistence_sites_inject_failures_on_every_path() {
-    use query_decomposition::index::persist;
-    let (_, rfs) = fixture();
-    let tree = rfs.tree();
-    let dir = std::env::temp_dir().join("qd_fault_index_sites");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tree.qdt");
-    std::fs::remove_file(&path).ok();
-
-    // INDEX_WRITE fires before any bytes reach the filesystem.
-    let write_plan = FaultPlan::new(fault_seed()).site(qd_fault::site::INDEX_WRITE, Mode::Always);
-    let err = qd_fault::with_plan(&write_plan, || persist::save(tree, &path)).unwrap_err();
-    assert!(err.to_string().contains("injected"), "{err}");
-    assert!(!path.exists(), "failed save must not leave a file behind");
-
-    persist::save(tree, &path).unwrap();
-
-    // INDEX_READ surfaces after the filesystem read, as a typed error.
-    let read_plan = FaultPlan::new(fault_seed()).site(qd_fault::site::INDEX_READ, Mode::Always);
-    let err = qd_fault::with_plan(&read_plan, || persist::load(&path)).unwrap_err();
-    assert!(err.to_string().contains("injected"), "{err}");
-
-    // INDEX_SHORT_READ: the length-checked reader rejects torn prefixes and
-    // never panics; the one payload keeping every byte yields the full tree.
-    let torn_plan =
-        FaultPlan::new(fault_seed()).site(qd_fault::site::INDEX_SHORT_READ, Mode::Always);
-    let bytes = persist::to_bytes(tree);
-    qd_fault::with_plan(&torn_plan, || {
-        if let Ok(loaded) = persist::from_bytes(&bytes) {
+    check_file_sites(
+        "corpus.qdc",
+        cache_sites,
+        |p| cache::save(&corpus, p),
+        |p| cache::load(p, &config),
+        |loaded| assert_eq!(loaded.features(), corpus.features()),
+    );
+    // The CLI's config-free load sits behind the same sites.
+    check_file_sites(
+        "corpus_any.qdc",
+        cache_sites,
+        |p| cache::save(&corpus, p),
+        cache::load_any,
+        |loaded| assert_eq!(loaded.config(), &config),
+    );
+    check_file_sites(
+        "tree.qdt",
+        index_sites,
+        |p| persist::save(rfs.tree(), p),
+        persist::load,
+        |loaded| {
             loaded.validate();
-            assert_eq!(loaded.len(), tree.len());
-        }
-    });
-    std::fs::remove_file(&path).ok();
+            assert_eq!(loaded.len(), rfs.len());
+        },
+    );
+    check_file_sites(
+        "rfs.qdr",
+        index_sites,
+        |p| rfs.save(p),
+        RfsStructure::load,
+        |loaded| assert_eq!(loaded.reps_map(), rfs.reps_map()),
+    );
+    let sharded = sharded_fixture();
+    check_file_sites(
+        "set.qds",
+        index_sites,
+        |p| shard_persist::save(sharded, p),
+        shard_persist::load,
+        |loaded| assert_eq!(loaded.reps_map(), sharded.reps_map()),
+    );
 }
 
 #[test]
