@@ -23,12 +23,17 @@
 //! 5. **Snapshot swaps**: `Server::run_with_swaps` publishes a new
 //!    snapshot mid-run without perturbing any session that was in flight —
 //!    fingerprints stay byte-identical to the swap-free run.
+//! 6. **Updates against an oracle**: a seeded random walk of inserts,
+//!    removes and publications beside a `BTreeSet` of member ids — after
+//!    every step the invariants hold, root-scope k-NN is the exhaustive
+//!    scan over the model's membership, and the structure survives QDS1.
 
 use qd_fault::{FaultPlan, Mode};
 use query_decomposition::index::KnnIndex;
 use query_decomposition::obs;
 use query_decomposition::prelude::*;
-use query_decomposition::shard::{build_sharded_rfs, ShardConfig, ShardSet};
+use query_decomposition::shard::{build_sharded_rfs, ShardConfig, ShardPublisher, ShardSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
@@ -519,4 +524,236 @@ fn snapshot_swap_preserves_inflight_session_fingerprints() {
 fn base_minus_one(base: &ShardedRfs, features: &[Vec<f32>], config: &RfsConfig) -> ShardedRfs {
     let shrunk = base.tree().remove(features, 137);
     base.rebuild_with_refresh(shrunk, features, config)
+}
+
+/// The exhaustive-scan answer over `members`: `(distance bits, id)` in
+/// `(d², id)` order, with the arithmetic of `index_properties.rs`'s oracle
+/// (f32 differences, f64 squares and sum).
+fn scan_knn(
+    features: &[Vec<f32>],
+    members: &BTreeSet<u64>,
+    q: &[f32],
+    k: usize,
+) -> Vec<(u32, u64)> {
+    let mut scored: Vec<(f64, u64)> = members
+        .iter()
+        .map(|&id| {
+            let p = &features[id as usize];
+            let d2 = p.iter().zip(q).map(|(x, y)| ((x - y) as f64).powi(2)).sum();
+            (d2, id)
+        })
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    scored.truncate(k);
+    scored
+        .into_iter()
+        .map(|(d2, id)| ((d2.sqrt() as f32).to_bits(), id))
+        .collect()
+}
+
+/// Root-scope k-NN of `rfs` at every probe equals the scan over `members`.
+fn assert_answers_over(
+    rfs: &ShardedRfs,
+    features: &[Vec<f32>],
+    members: &BTreeSet<u64>,
+    probes: &[u64],
+    what: &str,
+) {
+    let set = rfs.tree();
+    for &p in probes {
+        let q = features[p as usize].as_slice();
+        let got = set.knn_in_budgeted(set.root(), q, 12, None);
+        assert!(!got.exhausted && got.partitions_dropped == 0, "{what}");
+        assert_eq!(
+            ranking(&got),
+            scan_knn(features, members, q, 12),
+            "{what}: probe {p}"
+        );
+    }
+}
+
+/// The update model behind gate 6: a sharded RFS driven beside a `BTreeSet`
+/// of the image ids that should be in it.
+struct Model<'a> {
+    features: &'a [Vec<f32>],
+    config: RfsConfig,
+    members: BTreeSet<u64>,
+    current: ShardedRfs,
+    publisher: ShardPublisher,
+    /// Membership of the published snapshot.
+    published: BTreeSet<u64>,
+}
+
+impl<'a> Model<'a> {
+    fn new(features: &'a [Vec<f32>], k_shards: usize) -> Self {
+        // Small nodes: ≈ 11 leaves per shard at K = 4, so removals underflow
+        // nodes (condense, free-listed node and feature slots) and
+        // re-inserts split them again within a few hundred steps.
+        let config = RfsConfig {
+            node_min: 4,
+            node_max: 10,
+            ..rfs_config()
+        };
+        let current = build_sharded_rfs(features, &config, ShardConfig::new(k_shards, SHARD_SEED));
+        let members: BTreeSet<u64> = (0..features.len() as u64).collect();
+        Self {
+            features,
+            publisher: ShardPublisher::new(current.clone()),
+            published: members.clone(),
+            config,
+            members,
+            current,
+        }
+    }
+
+    /// One insert (`id` absent) or remove (`id` present), then every check
+    /// of the update contract.
+    fn toggle(&mut self, id: u64, extra_probe: u64) {
+        let features = self.features;
+        let before = self.current.clone();
+        let before_members = self.members.clone();
+        let old_set = before.tree();
+        let new_set = if self.members.remove(&id) {
+            old_set.remove(features, id)
+        } else {
+            self.members.insert(id);
+            old_set.insert(features, id)
+        };
+        let what = format!("after toggling image {id}");
+        let touched = query_decomposition::shard::shard_of(old_set.config(), id);
+        for s in 0..old_set.shard_count() {
+            assert_eq!(
+                std::ptr::eq(old_set.shard(s), new_set.shard(s)),
+                s != touched,
+                "{what}: shard {s} sharing"
+            );
+        }
+        new_set.check_invariants().expect("set invariants");
+        let next = before.rebuild_with_refresh(new_set.clone(), features, &self.config);
+        next.check_invariants().expect("refreshed RFS invariants");
+
+        // Membership: the tree, the leaf map and the descent all agree with
+        // the model, for members and non-members alike.
+        let set = next.tree();
+        assert_eq!(set.len(), self.members.len(), "{what}");
+        let stored: BTreeSet<u64> = (0..set.shard_count())
+            .flat_map(|s| set.shard_members(s).to_vec())
+            .collect();
+        assert_eq!(stored, self.members, "{what}: member lists");
+        let root = set.root();
+        for image in 0..features.len() {
+            let member = self.members.contains(&(image as u64));
+            assert_eq!(set.contains_image(image as u64), member, "{what}");
+            if !member {
+                assert_eq!(next.child_containing(root, image), None, "{what}");
+                continue;
+            }
+            let leaf = next.leaf_of(image);
+            assert!(
+                set.is_leaf(leaf) && set.leaf_items(leaf).iter().any(|(i, _)| *i == image as u64),
+                "{what}: leaf_of[{image}]"
+            );
+            if leaf != root {
+                let child = next
+                    .child_containing(root, image)
+                    .expect("member under root");
+                assert_eq!(set.parent(child), Some(root), "{what}");
+            }
+        }
+
+        // The refresh is exactly a from-scratch decoration of the same tree.
+        let scratch = ShardedRfs::build_on(new_set, features, &self.config);
+        assert_eq!(next.reps_map(), scratch.reps_map(), "{what}: refresh");
+        for &image in &self.members {
+            assert_eq!(
+                next.leaf_of(image as usize),
+                scratch.leaf_of(image as usize),
+                "{what}"
+            );
+        }
+
+        // Answers: the new structure over the new membership; the structure
+        // it was derived from, and the published snapshot, over theirs.
+        let probes = [id, extra_probe];
+        assert_answers_over(&next, features, &self.members, &probes, &what);
+        assert_answers_over(&before, features, &before_members, &probes, &what);
+        let snapshot = self.publisher.snapshot();
+        assert_answers_over(&snapshot, features, &self.published, &probes, &what);
+
+        // QDS1 round trip of the mutated arenas.
+        let bytes = qd_shard::persist::to_bytes(&next);
+        let loaded = qd_shard::persist::from_bytes(&bytes).expect("own bytes decode");
+        assert_eq!(loaded.reps_map(), next.reps_map(), "{what}: QDS1 reps");
+        assert_eq!(qd_shard::persist::to_bytes(&loaded), bytes, "{what}: QDS1");
+        assert_answers_over(&loaded, features, &self.members, &probes, &what);
+
+        self.current = next;
+    }
+
+    fn publish(&mut self) {
+        let published = self
+            .publisher
+            .publish(self.current.clone())
+            .expect("no failpoint armed");
+        self.published = self.members.clone();
+        assert_eq!(published.reps_map(), self.current.reps_map());
+    }
+}
+
+/// Gate 6: updates against an oracle, not against a rebuild. A seeded walk
+/// of random insert / remove / publish steps at K ∈ {1, 4} beside a
+/// `BTreeSet` of member ids; after every step the invariants hold on the
+/// set and on the refreshed RFS, root-scope k-NN is the exhaustive scan
+/// over the model's membership, `leaf_of` / `child_containing` resolve
+/// exactly the members, the refresh equals `build_on` over the same tree,
+/// untouched shards are shared, older snapshots still answer over their own
+/// membership, and the structure survives a QDS1 round trip. At K = 4 the
+/// walk ends by emptying one shard completely and refilling it.
+#[test]
+fn random_updates_agree_with_a_membership_oracle() {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    let (corpus, _, _) = fixture();
+    let features = corpus.features();
+    let n = features.len() as u64;
+    for k_shards in [1usize, 4] {
+        let mut rng = StdRng::seed_from_u64(fault_seed() ^ (0x6a7e << 8) ^ k_shards as u64);
+        let mut model = Model::new(features, k_shards);
+        for step in 0..320 {
+            if rng.random_range(0..10) == 0 {
+                model.publish();
+                continue;
+            }
+            // Alternate shrinking and growing phases so the walk drifts far
+            // enough to condense nodes and then split them again.
+            let shrinking = (step / 80) % 2 == 0;
+            let remove = model.members.len() > 8
+                && (model.members.len() as u64 == n
+                    || rng.random_range(0..10) < if shrinking { 8 } else { 2 });
+            let pool: Vec<u64> = (0..n)
+                .filter(|id| model.members.contains(id) == remove)
+                .collect();
+            let id = pool[rng.random_range(0..pool.len())];
+            model.toggle(id, rng.random_range(0..n));
+        }
+        if k_shards == 1 {
+            continue;
+        }
+        // The edge no other test visits: one shard emptied completely
+        // (queried and persisted by `toggle` at every size down to zero),
+        // then refilled in descending id order.
+        let victims = model.current.tree().shard_members(2).to_vec();
+        assert!(!victims.is_empty());
+        for &id in &victims {
+            model.toggle(id, rng.random_range(0..n));
+        }
+        assert!(model.current.tree().shard_members(2).is_empty());
+        assert!(model.current.tree().shard(2).is_empty());
+        model.publish();
+        for &id in victims.iter().rev() {
+            model.toggle(id, rng.random_range(0..n));
+        }
+        assert_eq!(model.current.tree().shard_members(2), victims);
+    }
 }
