@@ -133,21 +133,34 @@ pub struct RfsStructure<I: KnnIndex = RStarTree> {
     leaf_of: BTreeMap<usize, NodeId>,
 }
 
-/// Per-node image-id lists: candidate pools or selected representatives,
-/// keyed by node handle.
-type NodePools = BTreeMap<NodeId, Vec<usize>>;
-
-/// The image → leaf map of `tree` (shared by every construction path).
+/// The image → leaf map of `tree` (shared by every construction path):
+/// the pairs are sorted first, so the map is bulk-built in one pass instead
+/// of taking one tree insertion per image.
 fn leaf_map<I: KnnIndex>(tree: &I) -> BTreeMap<usize, NodeId> {
-    let mut leaf_of = BTreeMap::new();
+    let mut pairs: Vec<(usize, NodeId)> = Vec::with_capacity(tree.len());
     for n in tree.node_ids() {
         if tree.is_leaf(n) {
-            for (id, _) in tree.leaf_items(n) {
-                leaf_of.insert(id as usize, n);
-            }
+            pairs.extend(tree.leaf_items(n).iter().map(|(id, _)| (*id as usize, n)));
         }
     }
-    leaf_of
+    pairs.sort_unstable();
+    pairs.into_iter().collect()
+}
+
+/// A node's candidate pool under the representative lists `reps`: a leaf's
+/// stored images, an internal node's concatenated child representatives.
+fn pool_of<I: KnnIndex>(tree: &I, reps: &BTreeMap<NodeId, Vec<usize>>, n: NodeId) -> Vec<usize> {
+    if tree.is_leaf(n) {
+        tree.leaf_items(n)
+            .into_iter()
+            .map(|(id, _)| id as usize)
+            .collect()
+    } else {
+        tree.children(n)
+            .iter()
+            .flat_map(|c| reps.get(c).cloned().unwrap_or_default())
+            .collect()
+    }
 }
 
 /// Bottom-up per-node representative selection over `tree` — the shared back
@@ -158,8 +171,8 @@ fn leaf_map<I: KnnIndex>(tree: &I) -> BTreeMap<usize, NodeId> {
 /// index — never a shared RNG stream — so the selection is bit-identical
 /// whatever the thread count or completion order.
 ///
-/// With `previous = Some((old_pools, old_reps))` this is an *incremental
-/// refresh*: a node whose candidate pool is identical to its old pool keeps
+/// With `previous = Some(old)` this is an *incremental refresh*: a node that
+/// is the same kind of node in `old` with an identical candidate pool keeps
 /// its old representatives untouched, and every other node re-selects from
 /// scratch with the same node-index-keyed seed a full rebuild would use
 /// (counted in `rfs.representatives_refreshed`) — which makes a refreshed
@@ -168,8 +181,8 @@ fn select_representatives<I: KnnIndex + Sync>(
     tree: &I,
     features: &[Vec<f32>],
     config: &RfsConfig,
-    previous: Option<(&NodePools, &NodePools)>,
-) -> NodePools {
+    previous: Option<&RfsStructure<I>>,
+) -> BTreeMap<NodeId, Vec<usize>> {
     // `by_level` is a BTreeMap so iterating it visits levels in ascending
     // order — leaves first — with no separate sorted key list.
     let mut by_level: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
@@ -180,20 +193,6 @@ fn select_representatives<I: KnnIndex + Sync>(
     let mut reps: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
     for (level, mut nodes) in by_level {
         nodes.sort_unstable(); // deterministic order
-        let reps_ref = &reps;
-        let pool_of = |n: NodeId| -> Vec<usize> {
-            if level == 0 {
-                tree.leaf_items(n)
-                    .into_iter()
-                    .map(|(id, _)| id as usize)
-                    .collect()
-            } else {
-                tree.children(n)
-                    .iter()
-                    .flat_map(|c| reps_ref.get(c).cloned().unwrap_or_default())
-                    .collect()
-            }
-        };
         let target_of = |pool_len: usize| -> usize {
             let target = if level == 0 {
                 // At least two representatives per leaf: a single medoid
@@ -223,14 +222,20 @@ fn select_representatives<I: KnnIndex + Sync>(
                         n.index()
                     );
                 }
-                let pool = pool_of(n);
+                let pool = pool_of(tree, &reps, n);
                 if pool.is_empty() {
                     return Vec::new();
                 }
-                if let Some((old_pools, old_reps)) = previous {
-                    if old_pools.get(&n) == Some(&pool) {
-                        if let Some(old) = old_reps.get(&n) {
-                            return old.clone();
+                if let Some(old) = previous {
+                    // Same handle, same kind, same pool: a freed leaf index
+                    // reused by an internal node must re-select, because the
+                    // two kinds keep different fractions of their pool.
+                    if old.tree.contains_node(n)
+                        && old.tree.is_leaf(n) == tree.is_leaf(n)
+                        && pool_of(&old.tree, &old.reps, n) == pool
+                    {
+                        if let Some(kept) = old.reps.get(&n) {
+                            return kept.clone();
                         }
                     }
                     qd_obs::count(qd_obs::ctr::RFS_REFRESHED, 1);
@@ -269,7 +274,7 @@ fn select_representatives<I: KnnIndex + Sync>(
                     // Degraded selection: the pool prefix (already in
                     // deterministic traversal order) keeps every node
                     // covered by *some* representatives.
-                    let pool = pool_of(n);
+                    let pool = pool_of(tree, &reps, n);
                     let target = target_of(pool.len().max(1)).min(pool.len());
                     pool.into_iter().take(target).collect()
                 }
@@ -325,9 +330,22 @@ impl<I: KnnIndex + IndexBuild + Sync> RfsStructure<I> {
             t
         };
         qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
+        Self::decorate(tree, features, config, None)
+    }
+}
 
+impl<I: KnnIndex + Sync> RfsStructure<I> {
+    /// The shared back half of every construction path: the leaf map and
+    /// the bottom-up selection over `tree`, incremental against `previous`
+    /// when there is one.
+    fn decorate(
+        tree: I,
+        features: &[Vec<f32>],
+        config: &RfsConfig,
+        previous: Option<&Self>,
+    ) -> Self {
         let leaf_of = leaf_map(&tree);
-        let reps = select_representatives(&tree, features, config, None);
+        let reps = select_representatives(&tree, features, config, previous);
         let built = Self {
             tree,
             reps,
@@ -339,9 +357,7 @@ impl<I: KnnIndex + IndexBuild + Sync> RfsStructure<I> {
         built.validate();
         built
     }
-}
 
-impl<I: KnnIndex + Sync> RfsStructure<I> {
     /// Decorates an already-constructed index with representatives and the
     /// leaf map — the entry point for index types without single-insert
     /// construction, e.g. `qd-shard`'s `ShardSet`. Runs the exact bottom-up
@@ -355,16 +371,7 @@ impl<I: KnnIndex + Sync> RfsStructure<I> {
     pub fn build_on(tree: I, features: &[Vec<f32>], config: &RfsConfig) -> Self {
         qd_obs::span(qd_obs::sp::RFS_BUILD, || {
             qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
-            let leaf_of = leaf_map(&tree);
-            let reps = select_representatives(&tree, features, config, None);
-            let built = Self {
-                tree,
-                reps,
-                leaf_of,
-            };
-            #[cfg(debug_assertions)]
-            built.validate();
-            built
+            Self::decorate(tree, features, config, None)
         })
     }
 
@@ -374,51 +381,17 @@ impl<I: KnnIndex + Sync> RfsStructure<I> {
     /// actually touched re-selects with the same node-index-keyed seed a
     /// full rebuild would use. The result is exactly equal to
     /// [`RfsStructure::build_on`] over the same mutated tree — the refresh
-    /// saves the k-means work, never changes the answer.
+    /// saves the k-means work, never changes the answer. It creates no RFS
+    /// node (`rfs.nodes_created` does not move); what it re-selected is
+    /// counted in `rfs.representatives_refreshed`.
     ///
     /// # Panics
     /// Panics (in debug builds) if the resulting structure violates an
     /// invariant.
     pub fn rebuild_with_refresh(&self, tree: I, features: &[Vec<f32>], config: &RfsConfig) -> Self {
         qd_obs::span(qd_obs::sp::RFS_BUILD, || {
-            qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
-            let old_pools = self.pools();
-            let leaf_of = leaf_map(&tree);
-            let reps =
-                select_representatives(&tree, features, config, Some((&old_pools, &self.reps)));
-            let built = Self {
-                tree,
-                reps,
-                leaf_of,
-            };
-            #[cfg(debug_assertions)]
-            built.validate();
-            built
+            Self::decorate(tree, features, config, Some(self))
         })
-    }
-
-    /// Every node's current candidate pool: a leaf's stored images, an
-    /// internal node's concatenated child representatives — the comparison
-    /// baseline the incremental refresh diffs new pools against.
-    fn pools(&self) -> BTreeMap<NodeId, Vec<usize>> {
-        let mut pools = BTreeMap::new();
-        for n in self.tree.node_ids() {
-            let pool: Vec<usize> = if self.tree.is_leaf(n) {
-                self.tree
-                    .leaf_items(n)
-                    .into_iter()
-                    .map(|(id, _)| id as usize)
-                    .collect()
-            } else {
-                self.tree
-                    .children(n)
-                    .iter()
-                    .flat_map(|c| self.reps.get(c).cloned().unwrap_or_default())
-                    .collect()
-            };
-            pools.insert(n, pool);
-        }
-        pools
     }
 }
 

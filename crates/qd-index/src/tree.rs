@@ -157,7 +157,7 @@ const PRUNE_SLACK: f64 = 1.0 + 1e-6;
 /// caller id and the precomputed f64 Euclidean norm (for lower-bound
 /// pruning) in parallel arrays. Slots are recycled through a free list;
 /// norms are recomputed on load rather than serialized.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct FeatureStore {
     dims: usize,
     ids: Vec<u64>,
@@ -236,7 +236,7 @@ fn norm_of(point: &[f32]) -> f64 {
         .sqrt()
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum NodeKind {
     /// Feature-store slots of the entries stored here.
     Leaf(Vec<u32>),
@@ -244,7 +244,7 @@ enum NodeKind {
     Internal { first_child: u32, count: u32 },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node {
     rect: Option<Rect>,
     /// Arena index of the parent; `NONE` for the root (and detached nodes).
@@ -296,6 +296,24 @@ pub struct RStarTree {
     len: usize,
     store: FeatureStore,
     accesses: AtomicU64,
+}
+
+/// A private copy of the whole arena — the copy-on-write step of an index
+/// update: readers keep the shared original, the writer inserts into or
+/// removes from the clone. The arena is flat `Vec`s, so this is a handful of
+/// memcpys; the access counter carries its current value over.
+impl Clone for RStarTree {
+    fn clone(&self) -> Self {
+        Self {
+            config: self.config.clone(),
+            nodes: self.nodes.clone(),
+            free: self.free.clone(),
+            root: self.root,
+            len: self.len,
+            store: self.store.clone(),
+            accesses: AtomicU64::new(self.accesses()),
+        }
+    }
 }
 
 impl RStarTree {

@@ -23,11 +23,19 @@
 //!   one tree with identity node handles and no scatter instrumentation, so
 //!   whole sessions (results, counters, span trees) are byte-identical to an
 //!   unsharded run over the same corpus.
-//! * **Incremental ≡ rebuild** — [`ShardSet::insert`]/[`ShardSet::remove`]
-//!   rebuild only the touched shard, re-inserting its member ids in
-//!   ascending order — exactly how a from-scratch build constructs that
-//!   shard — so an incrementally updated set equals a full rebuild of the
-//!   mutated corpus, structurally and byte-for-byte.
+//! * **One update algorithm** — [`ShardSet::insert`]/[`ShardSet::remove`]
+//!   clone the one touched shard's tree and apply a single R\* insert or
+//!   remove to the clone: the O(M · height) update a monolithic tree takes,
+//!   never a rebuild. What an updated set is equal to, strongest first:
+//!   [`ShardSet::build`] is byte-pinned; *appending* an id above every
+//!   member equals a from-scratch build byte for byte (it is the next step
+//!   of that shard's ascending-id construction); a one-shard set's update
+//!   equals `RStarTree::clone` + `insert`/`remove` on the monolithic tree,
+//!   bytes and refreshed representatives alike; every other update (a
+//!   middle id re-inserted, any removal) is held to an oracle instead —
+//!   invariants, exhaustive-scan answers over the mutated membership, and
+//!   a representative refresh equal to a fresh decoration of the same tree
+//!   (DESIGN.md §14).
 //! * **Copy-on-write snapshots** — a mutation returns a *new* `ShardSet`
 //!   sharing the untouched shards by `Arc`; [`ShardPublisher`] swaps the
 //!   published snapshot atomically so in-flight sessions keep reading the
@@ -116,7 +124,8 @@ pub struct ShardSet {
     config: ShardConfig,
     tree_config: TreeConfig,
     shards: Vec<Arc<RStarTree>>,
-    /// Per-shard member image ids, ascending — the rebuild order contract.
+    /// Per-shard member image ids, ascending: the order [`Self::build`]
+    /// inserts in, and the index membership checks binary-search.
     members: Vec<Vec<u64>>,
     total: usize,
     /// Union of the shard root rectangles (the synthetic root's rect).
@@ -125,10 +134,9 @@ pub struct ShardSet {
     root_level: u32,
 }
 
-/// Builds one shard's tree by inserting its member ids in ascending order —
-/// the single construction order used by full builds and incremental
-/// rebuilds alike, which is what makes insert-then-query equal
-/// rebuild-then-query exactly.
+/// Builds one shard's tree from scratch by inserting its member ids in
+/// ascending order, so appending a larger id to a built shard is the next
+/// step of the same construction.
 fn build_shard_tree(ids: &[u64], features: &[Vec<f32>], config: &TreeConfig) -> RStarTree {
     let mut tree = RStarTree::new(config.clone());
     for &id in ids {
@@ -163,11 +171,11 @@ impl ShardSet {
         Self::assemble(config, tree_config, shards, members)
     }
 
-    /// Returns a new set with `id` added to its assigned shard — only that
-    /// shard's tree is rebuilt (ascending-id insertion, identical to a
-    /// from-scratch build of the mutated corpus); every other shard is
-    /// shared with `self` by `Arc`. `features` must already contain the
-    /// new image's vector at index `id`.
+    /// Returns a new set with `id` added to its assigned shard: that shard's
+    /// tree is cloned and takes one R\* insert, exactly the update a
+    /// monolithic tree takes; every other shard is shared with `self` by
+    /// `Arc`. `features` must already contain the new image's vector at
+    /// index `id`.
     ///
     /// # Panics
     /// Panics if `id` has no feature vector or is already a member.
@@ -183,16 +191,23 @@ impl ShardSet {
             Ok(_) => panic!("image {id} is already a member of shard {s}"),
         };
         members[s].insert(pos, id);
-        self.rebuild_one(features, s, members)
+        let mut tree = RStarTree::clone(&self.shards[s]);
+        tree.insert(features[id as usize].clone(), id);
+        self.with_shard(s, tree, members)
     }
 
     /// Returns a new set with `id` removed from its assigned shard — the
-    /// copy-on-write counterpart of [`Self::insert`]. The feature slice may
-    /// still contain the removed image; only membership changes.
+    /// copy-on-write counterpart of [`Self::insert`]: one R\* remove on a
+    /// clone of that shard's tree. `features` must still hold the removed
+    /// image's vector at index `id`; the tree locates the entry by it.
     ///
     /// # Panics
-    /// Panics if `id` is not a member.
+    /// Panics if `id` has no feature vector or is not a member.
     pub fn remove(&self, features: &[Vec<f32>], id: u64) -> Self {
+        assert!(
+            (id as usize) < features.len(),
+            "removed id {id} has no feature vector"
+        );
         let s = shard_of(&self.config, id);
         let mut members = self.members.clone();
         let pos = match members[s].binary_search(&id) {
@@ -200,16 +215,20 @@ impl ShardSet {
             Err(_) => panic!("image {id} is not a member of shard {s}"),
         };
         members[s].remove(pos);
-        self.rebuild_one(features, s, members)
+        let mut tree = RStarTree::clone(&self.shards[s]);
+        assert!(
+            tree.remove(&features[id as usize], id),
+            "invariant violated: shard {s} lists image {id} as a member but its tree holds no \
+             entry with that id and feature vector"
+        );
+        self.with_shard(s, tree, members)
     }
 
-    /// Rebuilds shard `s` from `members[s]` and reassembles the set around
-    /// it, sharing every other shard tree with `self`.
-    fn rebuild_one(&self, features: &[Vec<f32>], s: usize, members: Vec<Vec<u64>>) -> Self {
+    /// Reassembles the set around the updated copy of shard `s`, sharing
+    /// every other shard tree with `self`.
+    fn with_shard(&self, s: usize, tree: RStarTree, members: Vec<Vec<u64>>) -> Self {
         let mut shards = self.shards.clone();
-        shards[s] = qd_obs::span_indexed(qd_obs::sp::SHARD_BUILD, s as u64, || {
-            Arc::new(build_shard_tree(&members[s], features, &self.tree_config))
-        });
+        shards[s] = Arc::new(tree);
         Self::assemble(
             self.config.clone(),
             self.tree_config.clone(),
@@ -845,6 +864,10 @@ mod tests {
         }
     }
 
+    /// Append ≡ rebuild: id 90 is larger than every member, so the in-place
+    /// insert is the next step of the shard's ascending-id construction and
+    /// the result equals a from-scratch build exactly. Inserting a middle
+    /// id would not be (`tests/shard_properties.rs`, gates 6 and 7).
     #[test]
     fn insert_then_query_equals_rebuild_then_query() {
         let mut features = blob_features(90, 3, 13);
@@ -881,6 +904,23 @@ mod tests {
         assert_eq!(removed.len(), 69);
         let got = removed.knn_in_budgeted(removed.root(), &features[33], 69, None);
         assert!(got.neighbors.iter().all(|n| n.id != 33));
+    }
+
+    #[test]
+    #[should_panic(expected = "removed id 33 has no feature vector")]
+    fn remove_needs_the_feature_vector() {
+        let features = blob_features(70, 2, 17);
+        let set = ShardSet::build(&features, tree_config(2), ShardConfig::new(3, 5));
+        set.remove(&features[..33], 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "lists image 33 as a member but its tree holds no entry")]
+    fn remove_names_the_image_its_tree_cannot_find() {
+        let mut features = blob_features(70, 2, 17);
+        let set = ShardSet::build(&features, tree_config(2), ShardConfig::new(3, 5));
+        features[33][0] += 1.0;
+        set.remove(&features, 33);
     }
 
     #[test]
