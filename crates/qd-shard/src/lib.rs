@@ -191,9 +191,9 @@ impl ShardSet {
             Ok(_) => panic!("image {id} is already a member of shard {s}"),
         };
         members[s].insert(pos, id);
-        let mut tree = RStarTree::clone(&self.shards[s]);
-        tree.insert(features[id as usize].clone(), id);
-        self.with_shard(s, tree, members)
+        self.with_updated_shard(s, members, |tree| {
+            tree.insert(features[id as usize].clone(), id);
+        })
     }
 
     /// Returns a new set with `id` removed from its assigned shard — the
@@ -215,18 +215,26 @@ impl ShardSet {
             Err(_) => panic!("image {id} is not a member of shard {s}"),
         };
         members[s].remove(pos);
-        let mut tree = RStarTree::clone(&self.shards[s]);
-        assert!(
-            tree.remove(&features[id as usize], id),
-            "invariant violated: shard {s} lists image {id} as a member but its tree holds no \
-             entry with that id and feature vector"
-        );
-        self.with_shard(s, tree, members)
+        self.with_updated_shard(s, members, |tree| {
+            assert!(
+                tree.remove(&features[id as usize], id),
+                "invariant violated: shard {s} lists image {id} as a member but its tree holds \
+                 no entry with that id and feature vector"
+            );
+        })
     }
 
-    /// Reassembles the set around the updated copy of shard `s`, sharing
-    /// every other shard tree with `self`.
-    fn with_shard(&self, s: usize, tree: RStarTree, members: Vec<Vec<u64>>) -> Self {
+    /// The copy-on-write step: applies `update` to a private clone of shard
+    /// `s`'s tree and reassembles the set around it, sharing every other
+    /// shard tree with `self`.
+    fn with_updated_shard(
+        &self,
+        s: usize,
+        members: Vec<Vec<u64>>,
+        update: impl FnOnce(&mut RStarTree),
+    ) -> Self {
+        let mut tree = RStarTree::clone(&self.shards[s]);
+        update(&mut tree);
         let mut shards = self.shards.clone();
         shards[s] = Arc::new(tree);
         Self::assemble(

@@ -37,7 +37,11 @@ use qd_fault::{FaultPlan, Mode};
 use query_decomposition::index::KnnIndex;
 use query_decomposition::obs;
 use query_decomposition::prelude::*;
-use query_decomposition::shard::{build_sharded_rfs, ShardConfig, ShardPublisher, ShardSet};
+use query_decomposition::shard::{
+    build_sharded_rfs, shard_of, ShardConfig, ShardPublisher, ShardSet,
+};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -52,6 +56,18 @@ const SHARD_SEED: u64 = 0x51ed;
 
 fn rfs_config() -> RfsConfig {
     RfsConfig::test_small()
+}
+
+/// Small nodes for the update gates: ≈ 11 leaves per shard over the fixture
+/// at K = 4, so removals underflow nodes (condensation, free-listed node
+/// and feature slots) and re-inserts split them again within a few hundred
+/// steps.
+fn small_node_config() -> RfsConfig {
+    RfsConfig {
+        node_min: 4,
+        node_max: 10,
+        ..rfs_config()
+    }
 }
 
 /// Shared fixture: corpus, the monolithic RFS, and sharded RFS structures
@@ -595,14 +611,7 @@ struct Model<'a> {
 
 impl<'a> Model<'a> {
     fn new(features: &'a [Vec<f32>], k_shards: usize) -> Self {
-        // Small nodes: ≈ 11 leaves per shard at K = 4, so removals underflow
-        // nodes (condense, free-listed node and feature slots) and
-        // re-inserts split them again within a few hundred steps.
-        let config = RfsConfig {
-            node_min: 4,
-            node_max: 10,
-            ..rfs_config()
-        };
+        let config = small_node_config();
         let current = build_sharded_rfs(features, &config, ShardConfig::new(k_shards, SHARD_SEED));
         let members: BTreeSet<u64> = (0..features.len() as u64).collect();
         Self {
@@ -619,7 +628,7 @@ impl<'a> Model<'a> {
     /// of the update contract.
     fn toggle(&mut self, id: u64, extra_probe: u64) {
         let features = self.features;
-        let before = self.current.clone();
+        let before = &self.current;
         let before_members = self.members.clone();
         let old_set = before.tree();
         let new_set = if self.members.remove(&id) {
@@ -629,7 +638,7 @@ impl<'a> Model<'a> {
             old_set.insert(features, id)
         };
         let what = format!("after toggling image {id}");
-        let touched = query_decomposition::shard::shard_of(old_set.config(), id);
+        let touched = shard_of(old_set.config(), id);
         for s in 0..old_set.shard_count() {
             assert_eq!(
                 std::ptr::eq(old_set.shard(s), new_set.shard(s)),
@@ -685,7 +694,7 @@ impl<'a> Model<'a> {
         // it was derived from, and the published snapshot, over theirs.
         let probes = [id, extra_probe];
         assert_answers_over(&next, features, &self.members, &probes, &what);
-        assert_answers_over(&before, features, &before_members, &probes, &what);
+        assert_answers_over(before, features, &before_members, &probes, &what);
         let snapshot = self.publisher.snapshot();
         assert_answers_over(&snapshot, features, &self.published, &probes, &what);
 
@@ -723,9 +732,6 @@ impl<'a> Model<'a> {
 /// walk ends by emptying one shard completely and refilling it.
 #[test]
 fn random_updates_agree_with_a_membership_oracle() {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
     let (corpus, _, _) = fixture();
     let features = corpus.features();
     let n = features.len() as u64;
@@ -823,15 +829,8 @@ fn single_shard_update_is_the_monolithic_update() {
 /// unchanged set (every shard untouched) refreshes none.
 #[test]
 fn one_update_costs_a_path_not_a_shard() {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-
     let counter = |trace: &obs::Trace, name: &str| trace.counters.get(name).copied().unwrap_or(0);
-    let config = RfsConfig {
-        node_min: 4,
-        node_max: 10,
-        ..rfs_config()
-    };
+    let config = small_node_config();
     for n in [1_200usize, 4_800] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let features: Vec<Vec<f32>> = (0..n)
@@ -845,7 +844,7 @@ fn one_update_costs_a_path_not_a_shard() {
 
         for step in 0..40 {
             let id = rng.random_range(0..n as u64);
-            let s = query_decomposition::shard::shard_of(rfs.tree().config(), id);
+            let s = shard_of(rfs.tree().config(), id);
             for insert in [false, true] {
                 let old = rfs.tree().shard(s);
                 old.reset_accesses();
