@@ -2,10 +2,12 @@
 //! force and structural invariants under arbitrary operation interleavings.
 
 use proptest::prelude::*;
-use query_decomposition::index::{NodeId, RStarTree, Rect, TreeConfig};
+use query_decomposition::index::{persist, NodeId, RStarTree, Rect, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
+
+mod common;
 
 fn dist2(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(x, y)| ((x - y) as f64).powi(2)).sum()
@@ -95,8 +97,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Invariants survive arbitrary insert/remove interleavings, and removed
-    /// entries stay gone.
+    /// Invariants survive arbitrary insert/remove interleavings, every
+    /// rectangle stays the tight box of its entries, and removed entries
+    /// stay gone.
     #[test]
     fn interleaved_operations_keep_invariants(
         ops in prop::collection::vec((point(2), any::<bool>()), 1..120),
@@ -114,6 +117,7 @@ proptest! {
                 next_id += 1;
             }
             tree.validate();
+            common::assert_rects_tight(&tree);
         }
         prop_assert_eq!(tree.len(), live.len());
         // Every live entry is findable as its own nearest neighbor.
@@ -186,11 +190,10 @@ proptest! {
 
 const ORACLE_DIMS: usize = 37;
 
-/// A seeded 37-d database of twelve clusters at different distances from the
-/// origin (so the norm lower bound has something to prune), R\*-inserted
-/// into a small-fan-out tree of height 3.
-fn oracle_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
-    let mut rng = StdRng::seed_from_u64(0x5EA2_C0DE);
+/// `n` seeded 37-d points in twelve clusters at different distances from the
+/// origin (so the norm lower bound has something to prune).
+fn clustered_points(seed: u64, n: u64) -> Vec<(u64, Vec<f32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<Vec<f32>> = (0..12)
         .map(|c| {
             let scale = 1.0 + c as f32;
@@ -199,7 +202,7 @@ fn oracle_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
                 .collect()
         })
         .collect();
-    let items: Vec<(u64, Vec<f32>)> = (0..1500u64)
+    (0..n)
         .map(|id| {
             let center = &centers[rng.random_range(0..centers.len())];
             let p = center
@@ -208,16 +211,13 @@ fn oracle_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
                 .collect();
             (id, p)
         })
-        .collect();
-    let mut tree = RStarTree::new(TreeConfig {
-        dims: ORACLE_DIMS,
-        min_entries: 8,
-        max_entries: 20,
-        reinsert_fraction: 0.3,
-    });
-    for (id, p) in &items {
-        tree.insert(p.clone(), *id);
-    }
+        .collect()
+}
+
+/// 1 500 clustered points R\*-inserted into a small-fan-out tree of height 3.
+fn oracle_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
+    let items = clustered_points(0x5EA2_C0DE, 1500);
+    let tree = inserted(tree_config(ORACLE_DIMS, 8, 20), &items);
     tree.validate();
     assert_eq!(tree.height(), 3, "fixture must have leaf, level-1 and root");
     (tree, items)
@@ -431,4 +431,149 @@ fn assert_matches_golden(file: &str, actual: &str) {
         actual.lines().count(),
         "golden {file} drifted in length"
     );
+}
+
+// ---------------------------------------------------------------------
+// The construction pin (DESIGN.md §11, "construction core").
+// ---------------------------------------------------------------------
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn tree_config(dims: usize, min_entries: usize, max_entries: usize) -> TreeConfig {
+    TreeConfig {
+        dims,
+        min_entries,
+        max_entries,
+        reinsert_fraction: 0.3,
+    }
+}
+
+fn inserted(config: TreeConfig, items: &[(u64, Vec<f32>)]) -> RStarTree {
+    let mut tree = RStarTree::new(config);
+    for (id, p) in items {
+        tree.insert(p.clone(), *id);
+    }
+    tree
+}
+
+/// `n` points of `dims` dimensions on the integer grid `0..side`, the last
+/// dimension constant: every rectangle has zero volume, so every area,
+/// enlargement and overlap the insertion compares is exactly 0.0 and only
+/// the tie order decides — among many exact duplicates (`side^(dims-1)`
+/// distinct points at most).
+fn grid_points(seed: u64, n: u64, dims: usize, side: u32) -> Vec<(u64, Vec<f32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|id| {
+            let mut p: Vec<f32> = (1..dims)
+                .map(|_| rng.random_range(0..side) as f32)
+                .collect();
+            p.push(1.0);
+            (id, p)
+        })
+        .collect()
+}
+
+fn uniform_point(rng: &mut StdRng, dims: usize) -> Vec<f32> {
+    (0..dims).map(|_| rng.random::<f32>() * 10.0).collect()
+}
+
+/// A seeded walk of inserts and removes over `tree`, shrinking first and
+/// growing afterwards. Removes eat a hole around a probe that moves every 50
+/// steps, so whole leaves (and their parents) underflow: condensation
+/// orphans entries and subtrees, and later inserts land in free-listed
+/// nodes and slots.
+fn churn(tree: &mut RStarTree, items: &[(u64, Vec<f32>)], seed: u64, steps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dims = tree.dims();
+    let mut live: Vec<(u64, Vec<f32>)> = items.to_vec();
+    let mut next_id = items.len() as u64;
+    let built_nodes = tree.node_count();
+    let mut fewest_nodes = built_nodes;
+    let mut hole = Vec::new();
+    for step in 0..steps {
+        if step % 50 == 0 {
+            hole = uniform_point(&mut rng, dims);
+        }
+        let shrinking = step < steps * 5 / 8;
+        if rng.random_range(0..10) < if shrinking { 8 } else { 2 } {
+            let nearest = (0..live.len())
+                .min_by(|&a, &b| dist2(&live[a].1, &hole).total_cmp(&dist2(&live[b].1, &hole)))
+                .expect("the walk never empties the tree");
+            let (id, p) = live.swap_remove(nearest);
+            assert!(tree.remove(&p, id));
+        } else {
+            let p = uniform_point(&mut rng, dims);
+            tree.insert(p.clone(), next_id);
+            live.push((next_id, p));
+            next_id += 1;
+        }
+        fewest_nodes = fewest_nodes.min(tree.node_count());
+    }
+    assert_eq!(tree.len(), live.len());
+    assert!(fewest_nodes < built_nodes, "the walk condensed no node");
+}
+
+/// One golden line: the QDT2 encoding's length and FNV-1a-64 (the
+/// `format_digests.txt` convention) plus the node count, the height and the
+/// node accesses the construction charged — a changed `touch` count fails
+/// even where the bytes agree.
+fn digest_line(name: &str, tree: &RStarTree) -> String {
+    tree.validate();
+    common::assert_rects_tight(tree);
+    let bytes = persist::to_bytes(tree);
+    format!(
+        "{name} QDT2 len={} fnv1a64={:016x} nodes={} height={} accesses={}\n",
+        bytes.len(),
+        fnv1a64(&bytes),
+        tree.node_count(),
+        tree.height(),
+        tree.accesses()
+    )
+}
+
+/// Pins R\* construction to the bit on builds the 300-image structure
+/// golden does not reach. `tests/golden/build_digests.txt` was generated by
+/// this test at the commit before the insertion fast path landed; the fast
+/// path changes no decision, so it must reproduce every line, in the test
+/// and the release profile alike. `QD_UPDATE_GOLDEN=1` rewrites the file —
+/// which means a tree-shaping decision changed.
+#[test]
+fn build_digests_match_golden() {
+    // (a) leaf-level forced reinsertion and splits at the paper's M = 100
+    // over 37-d volumes; (b) the same points in a tree tall enough for
+    // subtree reinsertion and internal splits over 37-d box entries.
+    let clustered = clustered_points(0xB01D_D16E, 4000);
+    let paper = inserted(TreeConfig::paper(ORACLE_DIMS), &clustered);
+    assert!(paper.height() >= 2);
+    let tall = inserted(tree_config(ORACLE_DIMS, 6, 16), &clustered);
+    assert!(tall.height() >= 4, "height {}", tall.height());
+
+    // (c) cascading splits dominate; (e) the same tree after churn.
+    let mut rng = StdRng::seed_from_u64(0xCA5C_ADE5);
+    let low_d: Vec<(u64, Vec<f32>)> = (0..3000u64)
+        .map(|id| (id, uniform_point(&mut rng, 4)))
+        .collect();
+    let small = inserted(TreeConfig::small(4), &low_d);
+    assert!(small.height() >= 5, "height {}", small.height());
+    let mut churned = small.clone();
+    churn(&mut churned, &low_d, 0xC4A2, 400);
+
+    // (d) only the tie order decides.
+    let ties = inserted(tree_config(6, 4, 10), &grid_points(0x71E5, 1500, 6, 3));
+    assert!(ties.height() >= 3);
+
+    let actual = [
+        digest_line("clustered37d_paper", &paper),
+        digest_line("clustered37d_m6_M16", &tall),
+        digest_line("uniform4d_small", &small),
+        digest_line("grid6d_ties_m4_M10", &ties),
+        digest_line("uniform4d_small_churned", &churned),
+    ]
+    .concat();
+    assert_matches_golden("build_digests.txt", &actual);
 }

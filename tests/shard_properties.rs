@@ -46,6 +46,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
+mod common;
+
 type SoloRfs = RfsStructure<RStarTree>;
 type ShardedRfs = RfsStructure<ShardSet>;
 /// The shared fixture tuple: corpus, monolithic RFS, and `(K, sharded RFS)`
@@ -647,6 +649,7 @@ impl<'a> Model<'a> {
             );
         }
         new_set.check_invariants().expect("set invariants");
+        common::assert_rects_tight(new_set.shard(touched));
         let next = before.rebuild_with_refresh(new_set.clone(), features, &self.config);
         next.check_invariants().expect("refreshed RFS invariants");
 
