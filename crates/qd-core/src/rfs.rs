@@ -315,16 +315,17 @@ impl<I: KnnIndex + IndexBuild + Sync> RfsStructure<I> {
         assert!(!features.is_empty(), "cannot build an RFS over no images");
         let dims = features[0].len();
         let tree_config = config.tree_config(dims);
-        let items: Vec<(u64, Vec<f32>)> = features
+        // Only the bulk loader needs every row owned at once; insertion
+        // clones one row at a time.
+        let rows = features
             .iter()
             .enumerate()
-            .map(|(i, f)| (i as u64, f.clone()))
-            .collect();
+            .map(|(i, f)| (i as u64, f.clone()));
         let tree = if config.bulk_load {
-            I::bulk_load(tree_config, items)
+            I::bulk_load(tree_config, rows.collect())
         } else {
             let mut t = I::new(tree_config);
-            for (id, f) in items {
+            for (id, f) in rows {
                 t.insert(f, id);
             }
             t

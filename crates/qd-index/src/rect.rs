@@ -118,9 +118,31 @@ impl Rect {
         }
     }
 
-    /// Increase in area needed to cover `other`.
+    /// Grows `self` in place to cover `point`.
+    pub fn enlarge_point(&mut self, point: &[f32]) {
+        debug_assert_eq!(self.dim(), point.len(), "dimension mismatch");
+        for ((lo, hi), p) in self.min.iter_mut().zip(&mut self.max).zip(point) {
+            *lo = lo.min(*p);
+            *hi = hi.max(*p);
+        }
+    }
+
+    /// Increase in area needed to cover `other`: `union(other).area() -
+    /// area()` to the bit (the same extents multiplied in the same dimension
+    /// order) without materialising the union.
     pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
+        // Two independent product chains in one pass, each in `area`'s order.
+        let (mut union_area, mut area) = (1.0f64, 1.0f64);
+        for ((alo, ahi), (blo, bhi)) in self
+            .min
+            .iter()
+            .zip(&self.max)
+            .zip(other.min.iter().zip(&other.max))
+        {
+            union_area *= (ahi.max(*bhi) - alo.min(*blo)) as f64;
+            area *= (ahi - alo) as f64;
+        }
+        union_area - area
     }
 
     /// True if the rectangles share any point (boundary contact counts).
@@ -141,8 +163,14 @@ impl Rect {
             .zip(&self.max)
             .zip(other.min.iter().zip(&other.max))
         {
-            let lo = alo.max(*blo);
-            let hi = ahi.min(*bhi);
+            // Plain selects, not `f32::max`/`min`: corners are never NaN, so
+            // the NaN handling those carry (most of this loop's cost inside
+            // ChooseSubtree) buys nothing. The two can disagree only on
+            // which of two opposite-signed zeros they return, and a zero's
+            // sign can reach `hi - lo` only when that is zero too — the case
+            // the exit below takes.
+            let lo = if alo > blo { *alo } else { *blo };
+            let hi = if ahi < bhi { *ahi } else { *bhi };
             if lo >= hi {
                 return 0.0;
             }
@@ -209,6 +237,8 @@ impl Rect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn r(min: &[f32], max: &[f32]) -> Rect {
         Rect::new(min.to_vec(), max.to_vec())
@@ -276,6 +306,52 @@ mod tests {
         assert_eq!(a.overlap(&r(&[5.0, 5.0], &[6.0, 6.0])), 0.0);
         // Touching rectangles have zero overlap volume.
         assert_eq!(a.overlap(&r(&[2.0, 0.0], &[3.0, 2.0])), 0.0);
+    }
+
+    #[test]
+    fn overlap_and_enlargement_match_their_naive_formulations_bit_for_bit() {
+        // `overlap` with `f32::max`/`min`, as it was written before the
+        // construction fast path.
+        fn naive_overlap(a: &Rect, b: &Rect) -> f64 {
+            let mut v = 1.0f64;
+            for d in 0..a.dim() {
+                let lo = a.min[d].max(b.min[d]);
+                let hi = a.max[d].min(b.max[d]);
+                if lo >= hi {
+                    return 0.0;
+                }
+                v *= (hi - lo) as f64;
+            }
+            v
+        }
+        // Corners from a small set that includes both zeros, so boxes touch,
+        // nest, degenerate and meet at a signed zero all the time.
+        let values = [-2.5f32, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0];
+        let mut rng = StdRng::seed_from_u64(0x2E20);
+        let mut pick = || values[rng.random_range(0..values.len())];
+        let mut rect = |dims: usize| {
+            let (min, max) = (0..dims)
+                .map(|_| {
+                    let (a, b) = (pick(), pick());
+                    if a <= b {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    }
+                })
+                .unzip();
+            Rect::new(min, max)
+        };
+        for dims in [1usize, 2, 5, 37] {
+            for _ in 0..2000 {
+                let (a, b) = (rect(dims), rect(dims));
+                assert_eq!(a.overlap(&b).to_bits(), naive_overlap(&a, &b).to_bits());
+                assert_eq!(
+                    a.enlargement(&b).to_bits(),
+                    (a.union(&b).area() - a.area()).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -257,7 +257,26 @@ struct Node {
     live: bool,
 }
 
+impl NodeKind {
+    const EMPTY_INTERNAL: Self = NodeKind::Internal {
+        first_child: NONE,
+        count: 0,
+    };
+}
+
 impl Node {
+    /// A live node with no rectangle, parent or sibling yet.
+    fn detached(level: u32, kind: NodeKind) -> Self {
+        Self {
+            rect: None,
+            parent: NONE,
+            next_sibling: NONE,
+            level,
+            kind,
+            live: true,
+        }
+    }
+
     fn entry_count(&self) -> usize {
         match &self.kind {
             NodeKind::Leaf(d) => d.len(),
@@ -323,14 +342,7 @@ impl RStarTree {
     /// Panics on an invalid [`TreeConfig`].
     pub fn new(config: TreeConfig) -> Self {
         config.validate();
-        let root = Node {
-            rect: None,
-            parent: NONE,
-            next_sibling: NONE,
-            level: 0,
-            kind: NodeKind::Leaf(Vec::new()),
-            live: true,
-        };
+        let root = Node::detached(0, NodeKind::Leaf(Vec::new()));
         let store = FeatureStore::new(config.dims);
         Self {
             config,
@@ -398,21 +410,14 @@ impl RStarTree {
         while level_nodes.len() > 1 {
             let mut handles: Vec<(NodeId, Vec<f32>)> = level_nodes
                 .iter()
-                .map(|&n| {
-                    let center = tree.nodes[n.index()]
-                        .rect
-                        .as_ref()
-                        .expect("bulk-loaded node without rect")
-                        .center();
-                    (n, center)
-                })
+                .map(|&n| (n, tree.rect_of(n).center()))
                 .collect();
             let groups = partition_recursive(&mut handles, max, dims, |h, d| h.1[d]);
             level_nodes = groups
                 .into_iter()
                 .map(|group| {
                     let children: Vec<NodeId> = group.into_iter().map(|(n, _)| n).collect();
-                    let rect = tree.rect_of_children(&children);
+                    let rect = tree.rect_of_children(children.iter().copied());
                     // CAST: node indices are u32 by arena design (see alloc).
                     let id = NodeId(tree.nodes.len() as u32);
                     tree.nodes.push(Node {
@@ -589,13 +594,26 @@ impl RStarTree {
 
     /// `(id, point)` pairs stored in a leaf; empty for internal nodes.
     pub fn leaf_entries(&self, n: NodeId) -> impl Iterator<Item = (u64, &[f32])> {
-        let slots: &[u32] = match &self.node(n).kind {
-            NodeKind::Leaf(s) => s,
-            NodeKind::Internal { .. } => &[],
-        };
-        slots
+        self.leaf_slots(n)
             .iter()
             .map(move |&s| (self.store.id(s), self.store.point(s)))
+    }
+
+    /// Feature-store slots of the entries of leaf `n`; empty for internal
+    /// nodes.
+    fn leaf_slots(&self, n: NodeId) -> &[u32] {
+        match &self.node(n).kind {
+            NodeKind::Leaf(s) => s,
+            NodeKind::Internal { .. } => &[],
+        }
+    }
+
+    /// The slot list of `n`, which must be a leaf.
+    fn leaf_slots_mut(&mut self, n: NodeId) -> &mut Vec<u32> {
+        match &mut self.node_mut(n).kind {
+            NodeKind::Leaf(s) => s,
+            NodeKind::Internal { .. } => unreachable!("slot list of an internal node"),
+        }
     }
 
     /// All `(id, point)` pairs stored under `n`.
@@ -680,12 +698,16 @@ impl RStarTree {
         self.free.push(n.0);
     }
 
-    fn rect_of_children(&self, children: &[NodeId]) -> Rect {
-        let mut it = children.iter();
-        let first = *it.next().expect("empty child list");
-        let mut rect = self.node(first).rect.clone().expect("child without rect");
-        for &c in it {
-            rect.enlarge(self.node(c).rect.as_ref().expect("child without rect"));
+    /// Rectangle of a node that has entries — every node but an empty root.
+    fn rect_of(&self, n: NodeId) -> &Rect {
+        self.node(n).rect.as_ref().expect("node without rect")
+    }
+
+    fn rect_of_children(&self, mut children: impl Iterator<Item = NodeId>) -> Rect {
+        let first = children.next().expect("empty child list");
+        let mut rect = self.rect_of(first).clone();
+        for c in children {
+            rect.enlarge(self.rect_of(c));
         }
         rect
     }
@@ -703,14 +725,15 @@ impl RStarTree {
                 if *count == 0 {
                     None
                 } else {
-                    Some(self.rect_of_children(&self.child_vec(n)))
+                    Some(self.rect_of_children(self.child_iter(n)))
                 }
             }
         };
         self.node_mut(n).rect = rect;
     }
 
-    /// Recomputes rectangles from `n` up to the root.
+    /// Recomputes rectangles from `n` up to the root — what a node needs
+    /// after entries *left* it (eviction, split, removal).
     fn adjust_upward(&mut self, mut n: NodeId) {
         loop {
             self.recompute_rect(n);
@@ -718,6 +741,23 @@ impl RStarTree {
                 Some(p) => n = p,
                 None => break,
             }
+        }
+    }
+
+    /// Grows rectangles from `n` up to cover `entry`, just appended to `n`.
+    /// Every rectangle is the tight box of its entries, so the first
+    /// ancestor that already contains `entry` ends the walk: every ancestor
+    /// above contains that one. `min`/`max` are exact, so this is the box a
+    /// recomputation would fold (at `n` itself in the same order too).
+    fn grow_upward(&mut self, n: NodeId, entry: &Rect) {
+        let mut cur = Some(n);
+        while let Some(c) = cur {
+            match &mut self.node_mut(c).rect {
+                Some(r) if c != n && r.contains_rect(entry) => break,
+                Some(r) => r.enlarge(entry),
+                empty => *empty = Some(entry.clone()),
+            }
+            cur = self.parent(c);
         }
     }
 
@@ -739,35 +779,32 @@ impl RStarTree {
             "point dimensionality mismatch"
         );
         let slot = self.store.alloc(id, &point);
-        let mut reinserted = vec![false; self.height()];
-        self.insert_orphan(Orphan::Data(slot), 0, &mut reinserted);
+        self.insert_orphan(Orphan::Data(slot), 0, &mut 0);
         self.len += 1;
     }
 
     /// Inserts an orphan (data slot or whole subtree) at the given level.
-    fn insert_orphan(&mut self, orphan: Orphan, level: u32, reinserted: &mut Vec<bool>) {
+    /// Bit `l` of `reinserted` is set once level `l` has had its forced
+    /// reinsertion for this insertion (levels stay far below 64: slot
+    /// indices are u32 and every node holds at least two entries).
+    fn insert_orphan(&mut self, orphan: Orphan, level: u32, reinserted: &mut u64) {
         match orphan {
             Orphan::Data(slot) => {
                 debug_assert_eq!(level, 0);
                 let rect = Rect::point(self.store.point(slot));
                 let leaf = self.choose_subtree(&rect, 0);
-                match &mut self.node_mut(leaf).kind {
-                    NodeKind::Leaf(slots) => slots.push(slot),
-                    NodeKind::Internal { .. } => {
-                        unreachable!("choose_subtree(0) returned internal")
-                    }
-                }
-                self.adjust_upward(leaf);
+                self.leaf_slots_mut(leaf).push(slot);
+                self.grow_upward(leaf, &rect);
                 if self.node(leaf).entry_count() > self.config.max_entries {
                     self.overflow(leaf, reinserted);
                 }
             }
             Orphan::Subtree(child) => {
-                let child_rect = self.node(child).rect.clone().expect("orphan without rect");
+                let child_rect = self.rect_of(child).clone();
                 // A subtree of level L becomes the child of a node at L+1.
                 let target = self.choose_subtree(&child_rect, level + 1);
                 self.push_child(target, child);
-                self.adjust_upward(target);
+                self.grow_upward(target, &child_rect);
                 if self.node(target).entry_count() > self.config.max_entries {
                     self.overflow(target, reinserted);
                 }
@@ -782,23 +819,22 @@ impl RStarTree {
         let mut n = self.root;
         while self.node(n).level > target_level {
             self.touch(n);
-            let children = self.child_vec(n);
-            debug_assert!(!children.is_empty(), "internal node without children");
             n = if self.node(n).level == 1 {
-                self.pick_min_overlap_child(&children, rect)
+                self.pick_min_overlap_child(n, rect)
             } else {
-                self.pick_min_area_child(&children, rect)
+                self.pick_min_area_child(n, rect)
             };
         }
         self.touch(n);
         n
     }
 
-    fn pick_min_area_child(&self, children: &[NodeId], rect: &Rect) -> NodeId {
-        let mut best = children[0];
+    fn pick_min_area_child(&self, n: NodeId, rect: &Rect) -> NodeId {
+        let mut children = self.child_iter(n).peekable();
+        let mut best = *children.peek().expect("internal node without children");
         let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for &c in children {
-            let r = self.node(c).rect.as_ref().expect("child without rect");
+        for c in children {
+            let r = self.rect_of(c);
             let key = (r.enlargement(rect), r.area());
             if key < best_key {
                 best_key = key;
@@ -808,33 +844,48 @@ impl RStarTree {
         best
     }
 
-    /// Minimum overlap-enlargement child. For wide nodes, only the
+    /// Minimum overlap-enlargement child of `n`. For wide nodes, only the
     /// `CANDIDATES` children with the least area enlargement are examined —
     /// the R\* paper's own large-fan-out shortcut.
-    fn pick_min_overlap_child(&self, children: &[NodeId], rect: &Rect) -> NodeId {
+    ///
+    /// A candidate's overlap enlargement is a sum of terms `overlap(r ∪ e, s)
+    /// − overlap(r, s)`, none of them negative, rounding included: per
+    /// dimension the grown intersection's extent is at least the present
+    /// one's, f32 subtraction, the widening cast and f64 multiplication are
+    /// monotone on non-negative operands, and where the grown product takes
+    /// the empty-intersection exit the present one has taken it too. So the
+    /// partial sums never decrease: once one exceeds the best key's first
+    /// component the candidate can no longer compare below the best, and
+    /// its remaining siblings are skipped. The abandon is strict (`>`): on
+    /// `==` the later key components still decide, and a NaN sum never
+    /// abandons, exactly as it never wins. The choice is the full
+    /// evaluation's, bit for bit.
+    fn pick_min_overlap_child(&self, n: NodeId, rect: &Rect) -> NodeId {
         const CANDIDATES: usize = 16;
-        let mut by_area: Vec<(f64, NodeId)> = children
+        let children: Vec<(NodeId, &Rect)> =
+            self.child_iter(n).map(|c| (c, self.rect_of(c))).collect();
+        let mut by_area: Vec<(f64, usize)> = children
             .iter()
-            .map(|&c| {
-                let r = self.node(c).rect.as_ref().expect("child without rect");
-                (r.enlargement(rect), c)
-            })
+            .enumerate()
+            .map(|(i, (_, r))| (r.enlargement(rect), i))
             .collect();
         by_area.sort_by(|a, b| a.0.total_cmp(&b.0));
-        by_area.truncate(CANDIDATES.max(1));
+        by_area.truncate(CANDIDATES);
 
         let mut best = by_area[0].1;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for &(area_enlargement, c) in &by_area {
-            let r = self.node(c).rect.as_ref().expect("child without rect");
+        'candidates: for &(area_enlargement, c) in &by_area {
+            let r = children[c].1;
             let enlarged = r.union(rect);
             let mut overlap_increase = 0.0;
-            for &s in children {
+            for (s, (_, sr)) in children.iter().enumerate() {
                 if s == c {
                     continue;
                 }
-                let sr = self.node(s).rect.as_ref().expect("child without rect");
                 overlap_increase += enlarged.overlap(sr) - r.overlap(sr);
+                if overlap_increase > best_key.0 {
+                    continue 'candidates;
+                }
             }
             let key = (overlap_increase, area_enlargement, r.area());
             if key < best_key {
@@ -842,18 +893,15 @@ impl RStarTree {
                 best = c;
             }
         }
-        best
+        children[best].0
     }
 
     /// R\* `OverflowTreatment`: forced reinsertion once per level per
     /// insertion, splits thereafter.
-    fn overflow(&mut self, n: NodeId, reinserted: &mut Vec<bool>) {
-        let level = self.node(n).level as usize;
-        if n != self.root && !reinserted.get(level).copied().unwrap_or(false) {
-            if reinserted.len() <= level {
-                reinserted.resize(level + 1, false);
-            }
-            reinserted[level] = true;
+    fn overflow(&mut self, n: NodeId, reinserted: &mut u64) {
+        let level_bit = 1u64 << self.node(n).level;
+        if n != self.root && *reinserted & level_bit == 0 {
+            *reinserted |= level_bit;
             self.forced_reinsert(n, reinserted);
         } else {
             self.split_and_propagate(n, reinserted);
@@ -862,60 +910,43 @@ impl RStarTree {
 
     /// Evicts the `reinsert_fraction` entries farthest from the node center
     /// and re-inserts them from the top.
-    fn forced_reinsert(&mut self, n: NodeId, reinserted: &mut Vec<bool>) {
-        let center = self
-            .node(n)
-            .rect
-            .as_ref()
-            .expect("overflowing node without rect")
-            .center();
+    fn forced_reinsert(&mut self, n: NodeId, reinserted: &mut u64) {
+        let center = self.rect_of(n).center();
         // CAST: max_entries is a small node capacity (~100), exact in f32.
         let count = ((self.config.max_entries as f32 * self.config.reinsert_fraction).ceil()
             as usize)
             .max(1);
         let level = self.node(n).level;
 
+        // Distances are computed once per entry; the stable sort on them is
+        // the order a comparator recomputing both sides would produce.
         let orphans: Vec<Orphan> = if self.is_leaf(n) {
-            let mut slots = match &mut self.node_mut(n).kind {
-                NodeKind::Leaf(s) => std::mem::take(s),
-                NodeKind::Internal { .. } => unreachable!(),
-            };
-            slots.sort_by(|&a, &b| {
-                sq_l2_f64(self.store.point(a), &center)
-                    .total_cmp(&sq_l2_f64(self.store.point(b), &center))
-            });
-            let evicted = slots.split_off(slots.len() - count.min(slots.len()));
-            match &mut self.node_mut(n).kind {
-                NodeKind::Leaf(s) => *s = slots,
-                NodeKind::Internal { .. } => unreachable!(),
-            }
-            evicted.into_iter().map(Orphan::Data).collect()
-        } else {
-            let children = self.child_vec(n);
-            let mut scored: Vec<(f64, NodeId)> = children
+            let mut scored: Vec<(f64, u32)> = self
+                .leaf_slots(n)
                 .iter()
-                .map(|&c| {
-                    let ccenter = self
-                        .node(c)
-                        .rect
-                        .as_ref()
-                        .expect("child without rect")
-                        .center();
-                    (sq_l2_f64(&ccenter, &center), c)
-                })
+                .map(|&s| (sq_l2_f64(self.store.point(s), &center), s))
                 .collect();
             scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let evicted: Vec<NodeId> = scored
-                .split_off(scored.len() - count.min(scored.len()))
-                .into_iter()
-                .map(|(_, c)| c)
+            let evicted = scored.split_off(scored.len() - count.min(scored.len()));
+            // The leaf keeps its entries in ascending-distance order.
+            *self.leaf_slots_mut(n) = scored.into_iter().map(|(_, s)| s).collect();
+            evicted.into_iter().map(|(_, s)| Orphan::Data(s)).collect()
+        } else {
+            let mut scored: Vec<(f64, usize, NodeId)> = self
+                .child_iter(n)
+                .enumerate()
+                .map(|(i, c)| (sq_l2_f64(&self.rect_of(c).center(), &center), i, c))
                 .collect();
-            let kept: Vec<NodeId> = children
-                .into_iter()
-                .filter(|c| !evicted.contains(c))
-                .collect();
+            scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let evicted = scored.split_off(scored.len() - count.min(scored.len()));
+            // The node keeps its children in chain order.
+            scored.sort_by_key(|&(_, i, _)| i);
+            let kept: Vec<NodeId> = scored.into_iter().map(|(_, _, c)| c).collect();
             self.link_children(n, &kept);
-            evicted.into_iter().map(Orphan::Subtree).collect()
+            evicted
+                .into_iter()
+                .map(|(_, _, c)| Orphan::Subtree(c))
+                .collect()
         };
 
         self.adjust_upward(n);
@@ -931,21 +962,11 @@ impl RStarTree {
         }
     }
 
-    fn split_and_propagate(&mut self, n: NodeId, reinserted: &mut Vec<bool>) {
+    fn split_and_propagate(&mut self, n: NodeId, reinserted: &mut u64) {
         let sibling = self.split(n);
         if n == self.root {
             let level = self.node(n).level + 1;
-            let new_root = self.alloc(Node {
-                rect: None,
-                parent: NONE,
-                next_sibling: NONE,
-                level,
-                kind: NodeKind::Internal {
-                    first_child: NONE,
-                    count: 0,
-                },
-                live: true,
-            });
+            let new_root = self.alloc(Node::detached(level, NodeKind::EMPTY_INTERNAL));
             self.link_children(new_root, &[n, sibling]);
             self.root = new_root;
             self.recompute_rect(new_root);
@@ -959,118 +980,35 @@ impl RStarTree {
         }
     }
 
-    /// R\* topological split: choose the axis minimizing total margin over
-    /// all distributions, then the distribution minimizing overlap (ties by
-    /// area). Returns the new sibling holding the second group.
+    /// R\* topological split ([`choose_split`]). Returns the new sibling
+    /// holding the second group; both groups keep their entries in the
+    /// order the node held them.
     fn split(&mut self, n: NodeId) -> NodeId {
-        let m = self.config.min_entries;
-        let rects: Vec<Rect> = match &self.node(n).kind {
-            NodeKind::Leaf(slots) => slots
-                .iter()
-                .map(|&s| Rect::point(self.store.point(s)))
-                .collect(),
-            NodeKind::Internal { .. } => self
-                .child_iter(n)
-                .map(|c| self.node(c).rect.clone().expect("child without rect"))
-                .collect(),
-        };
-        let total = rects.len();
-        debug_assert!(total > self.config.max_entries);
-
-        let dims = self.config.dims;
-        let mut best_axis = 0usize;
-        let mut best_axis_margin = f64::INFINITY;
-        let mut best_axis_order: Vec<usize> = Vec::new();
-
-        for axis in 0..dims {
-            for sort_by_upper in [false, true] {
-                let mut order: Vec<usize> = (0..total).collect();
-                order.sort_by(|&a, &b| {
-                    let (ka, kb) = if sort_by_upper {
-                        (rects[a].max()[axis], rects[b].max()[axis])
-                    } else {
-                        (rects[a].min()[axis], rects[b].min()[axis])
-                    };
-                    ka.total_cmp(&kb)
-                });
-                let margin_sum = distributions(&order, &rects, m)
-                    .iter()
-                    .map(|d| d.margin_sum)
-                    .sum::<f64>();
-                if margin_sum < best_axis_margin {
-                    best_axis_margin = margin_sum;
-                    best_axis = axis;
-                    best_axis_order = order;
-                }
-            }
-        }
-        let _ = best_axis; // retained for debugging clarity
-
-        let split_at = {
-            let dists = distributions(&best_axis_order, &rects, m);
-            let mut best = &dists[0];
-            for d in &dists {
-                if (d.overlap, d.area_sum) < (best.overlap, best.area_sum) {
-                    best = d;
-                }
-            }
-            best.first_group_len
-        };
-
-        // Partition the actual entries according to the chosen order.
-        let second_indices: std::collections::HashSet<usize> =
-            best_axis_order[split_at..].iter().copied().collect();
-        let level = self.node(n).level;
-
-        let sibling = if self.is_leaf(n) {
-            let slots = match &mut self.node_mut(n).kind {
-                NodeKind::Leaf(s) => std::mem::take(s),
-                NodeKind::Internal { .. } => unreachable!(),
-            };
-            let mut keep = Vec::with_capacity(split_at);
-            let mut give = Vec::with_capacity(total - split_at);
-            for (i, slot) in slots.into_iter().enumerate() {
-                if second_indices.contains(&i) {
-                    give.push(slot);
-                } else {
-                    keep.push(slot);
-                }
-            }
-            match &mut self.node_mut(n).kind {
-                NodeKind::Leaf(s) => *s = keep,
-                NodeKind::Internal { .. } => unreachable!(),
-            }
-            self.alloc(Node {
-                rect: None,
-                parent: NONE,
-                next_sibling: NONE,
-                level,
-                kind: NodeKind::Leaf(give),
-                live: true,
-            })
+        let rects: Vec<Rect> = if self.is_leaf(n) {
+            let slots = self.leaf_slots(n).iter();
+            slots.map(|&s| Rect::point(self.store.point(s))).collect()
         } else {
-            let children = self.child_vec(n);
-            let mut keep = Vec::with_capacity(split_at);
-            let mut give = Vec::with_capacity(total - split_at);
-            for (i, child) in children.into_iter().enumerate() {
-                if second_indices.contains(&i) {
-                    give.push(child);
-                } else {
-                    keep.push(child);
-                }
-            }
+            self.child_iter(n)
+                .map(|c| self.rect_of(c).clone())
+                .collect()
+        };
+        debug_assert!(rects.len() > self.config.max_entries);
+        let (order, split_at) = choose_split(&rects, self.config.min_entries);
+        let mut second = vec![false; rects.len()];
+        for &i in &order[split_at..] {
+            second[i] = true;
+        }
+
+        let level = self.node(n).level;
+        let sibling = if self.is_leaf(n) {
+            let slots = std::mem::take(self.leaf_slots_mut(n));
+            let (keep, give) = partition_by(slots, &second);
+            *self.leaf_slots_mut(n) = keep;
+            self.alloc(Node::detached(level, NodeKind::Leaf(give)))
+        } else {
+            let (keep, give) = partition_by(self.child_iter(n), &second);
             self.link_children(n, &keep);
-            let sibling = self.alloc(Node {
-                rect: None,
-                parent: NONE,
-                next_sibling: NONE,
-                level,
-                kind: NodeKind::Internal {
-                    first_child: NONE,
-                    count: 0,
-                },
-                live: true,
-            });
+            let sibling = self.alloc(Node::detached(level, NodeKind::EMPTY_INTERNAL));
             self.link_children(sibling, &give);
             sibling
         };
@@ -1094,17 +1032,12 @@ impl RStarTree {
         let Some(leaf) = self.find_leaf(self.root, point, id) else {
             return false;
         };
-        let pos = match &self.node(leaf).kind {
-            NodeKind::Leaf(slots) => slots
-                .iter()
-                .position(|&s| self.store.id(s) == id && self.store.point(s) == point)
-                .expect("find_leaf returned a leaf without the entry"),
-            NodeKind::Internal { .. } => unreachable!(),
-        };
-        let slot = match &mut self.node_mut(leaf).kind {
-            NodeKind::Leaf(slots) => slots.swap_remove(pos),
-            NodeKind::Internal { .. } => unreachable!(),
-        };
+        let pos = self
+            .leaf_slots(leaf)
+            .iter()
+            .position(|&s| self.store.id(s) == id && self.store.point(s) == point)
+            .expect("find_leaf returned a leaf without the entry");
+        let slot = self.leaf_slots_mut(leaf).swap_remove(pos);
         self.store.release(slot);
         self.len -= 1;
         self.condense(leaf);
@@ -1142,13 +1075,7 @@ impl RStarTree {
                 self.remove_child(parent, cur);
                 let level = self.node(cur).level;
                 if self.is_leaf(cur) {
-                    let slots = match std::mem::replace(
-                        &mut self.node_mut(cur).kind,
-                        NodeKind::Leaf(Vec::new()),
-                    ) {
-                        NodeKind::Leaf(s) => s,
-                        NodeKind::Internal { .. } => unreachable!(),
-                    };
+                    let slots = std::mem::take(self.leaf_slots_mut(cur));
                     orphans.extend(slots.into_iter().map(|s| (Orphan::Data(s), 0)));
                 } else {
                     let children = self.child_vec(cur);
@@ -1168,7 +1095,7 @@ impl RStarTree {
         self.recompute_rect(self.root);
 
         for (orphan, level) in orphans {
-            let mut reinserted = vec![true; self.height()]; // no forced reinsert storms
+            let mut reinserted = u64::MAX; // every level: no forced reinsert storms
             self.insert_orphan(orphan, level, &mut reinserted);
         }
 
@@ -1614,43 +1541,101 @@ impl RStarTree {
     }
 }
 
-/// One candidate split distribution.
-struct Distribution {
-    first_group_len: usize,
-    margin_sum: f64,
-    overlap: f64,
-    area_sum: f64,
+/// R\* split choice over the entry rectangles of an overflowing node: the
+/// ordering (entries sorted by lower or by upper bound along one axis) whose
+/// legal distributions have the least total margin, then its distribution of
+/// least overlap (ties by area sum). A distribution cuts the ordering into a
+/// first group of `split_at` entries and the rest, each at least `m`.
+/// Returns `(ordering, split_at)`.
+///
+/// Each ordering is swept once from either end ([`sweep`]) instead of
+/// rebuilding both groups' boxes for every cut: `min`/`max` are exact, so a
+/// running box equals the box folded from scratch.
+fn choose_split(rects: &[Rect], m: usize) -> (Vec<usize>, usize) {
+    let total = rects.len();
+    let mut best_margin = f64::INFINITY;
+    let mut best: Vec<usize> = Vec::new();
+    let mut keyed: Vec<(f32, usize)> = Vec::with_capacity(total);
+    let mut order: Vec<usize> = Vec::with_capacity(total);
+    // Margin sums per cut, indexed by `split_at - m`.
+    let mut margins = vec![0.0f64; total - 2 * m + 1];
+    for axis in 0..rects[0].dim() {
+        for bound in [Rect::min, Rect::max] {
+            keyed.clear();
+            keyed.extend(rects.iter().enumerate().map(|(i, r)| (bound(r)[axis], i)));
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            order.clear();
+            order.extend(keyed.iter().map(|&(_, i)| i));
+            sweep(rects, order.iter(), m, |len, first| {
+                margins[len - m] = first.margin()
+            });
+            sweep(rects, order.iter().rev(), m, |len, second| {
+                margins[total - len - m] += second.margin()
+            });
+            let margin_sum = margins.iter().sum::<f64>();
+            if margin_sum < best_margin {
+                best_margin = margin_sum;
+                best.clone_from(&order);
+            }
+        }
+    }
+
+    // Overlap and area only for the winner: first groups by a forward sweep,
+    // each met by its second group on the way back.
+    let mut firsts: Vec<Rect> = Vec::with_capacity(margins.len());
+    sweep(rects, best.iter(), m, |_, first| firsts.push(first.clone()));
+    let mut keys = vec![(0.0f64, 0.0f64); margins.len()];
+    sweep(rects, best.iter().rev(), m, |len, second| {
+        let first = &firsts[total - len - m];
+        keys[total - len - m] = (first.overlap(second), first.area() + second.area());
+    });
+    let mut cut = 0;
+    for (i, key) in keys.iter().enumerate() {
+        if *key < keys[cut] {
+            cut = i;
+        }
+    }
+    (best, cut + m)
 }
 
-/// All legal (first, second) group splits of `order`, each group at least `m`.
-fn distributions(order: &[usize], rects: &[Rect], m: usize) -> Vec<Distribution> {
-    let total = order.len();
-    let mut out = Vec::with_capacity(total.saturating_sub(2 * m) + 1);
-    for first_len in m..=(total - m) {
-        let first = bounding_rect(order[..first_len].iter().map(|&i| &rects[i]));
-        let second = bounding_rect(order[first_len..].iter().map(|&i| &rects[i]));
-        out.push(Distribution {
-            first_group_len: first_len,
-            margin_sum: first.margin() + second.margin(),
-            overlap: first.overlap(&second),
-            area_sum: first.area() + second.area(),
-        });
+/// Calls `visit(len, bbox)` with the bounding box of the first `len`
+/// rectangles in `order`, for every `len` that leaves both sides of the cut
+/// at least `m` of them.
+fn sweep<'a>(
+    rects: &[Rect],
+    order: impl ExactSizeIterator<Item = &'a usize>,
+    m: usize,
+    mut visit: impl FnMut(usize, &Rect),
+) {
+    let longest = order.len() - m;
+    let mut bbox: Option<Rect> = None;
+    for (len, &i) in (1..=longest).zip(order) {
+        let bbox = match &mut bbox {
+            Some(bbox) => {
+                bbox.enlarge(&rects[i]);
+                bbox
+            }
+            None => bbox.insert(rects[i].clone()),
+        };
+        if len >= m {
+            visit(len, bbox);
+        }
     }
-    out
 }
 
-fn bounding_rect<'a>(mut rects: impl Iterator<Item = &'a Rect>) -> Rect {
-    let mut out = rects.next().expect("empty rect set").clone();
-    for r in rects {
-        out.enlarge(r);
+/// `items` in order, parted by the flag at each one's position: `(unset, set)`.
+fn partition_by<T>(items: impl IntoIterator<Item = T>, flags: &[bool]) -> (Vec<T>, Vec<T>) {
+    let (mut unset, mut set) = (Vec::new(), Vec::new());
+    for (item, &flag) in items.into_iter().zip(flags) {
+        if flag { &mut set } else { &mut unset }.push(item);
     }
-    out
+    (unset, set)
 }
 
 fn bounding_rect_of_slots(store: &FeatureStore, slots: &[u32]) -> Rect {
     let mut rect = Rect::point(store.point(slots[0]));
     for &s in &slots[1..] {
-        rect.enlarge(&Rect::point(store.point(s)));
+        rect.enlarge_point(store.point(s));
     }
     rect
 }
@@ -2557,6 +2542,291 @@ mod tests {
         tree.store.release(0);
         let err = tree.check_invariants().unwrap_err();
         assert!(err.contains("slot"), "{err}");
+    }
+
+    // ------------------------------------------------------------------
+    // The construction oracle: the two R* decisions as they were computed
+    // before the insertion fast path (DESIGN.md §11, "The construction
+    // core"), kept verbatim as references for the differential test below.
+    // ------------------------------------------------------------------
+
+    impl RStarTree {
+        fn reference_pick_min_overlap_child(&self, children: &[NodeId], rect: &Rect) -> NodeId {
+            const CANDIDATES: usize = 16;
+            let mut by_area: Vec<(f64, NodeId)> = children
+                .iter()
+                .map(|&c| {
+                    let r = self.node(c).rect.as_ref().expect("child without rect");
+                    (r.union(rect).area() - r.area(), c)
+                })
+                .collect();
+            by_area.sort_by(|a, b| a.0.total_cmp(&b.0));
+            by_area.truncate(CANDIDATES.max(1));
+
+            let mut best = by_area[0].1;
+            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            for &(area_enlargement, c) in &by_area {
+                let r = self.node(c).rect.as_ref().expect("child without rect");
+                let enlarged = r.union(rect);
+                let mut overlap_increase = 0.0;
+                for &s in children {
+                    if s == c {
+                        continue;
+                    }
+                    let sr = self.node(s).rect.as_ref().expect("child without rect");
+                    overlap_increase += enlarged.overlap(sr) - r.overlap(sr);
+                }
+                let key = (overlap_increase, area_enlargement, r.area());
+                if key < best_key {
+                    best_key = key;
+                    best = c;
+                }
+            }
+            best
+        }
+    }
+
+    struct Distribution {
+        first_group_len: usize,
+        margin_sum: f64,
+        overlap: f64,
+        area_sum: f64,
+    }
+
+    fn distributions(order: &[usize], rects: &[Rect], m: usize) -> Vec<Distribution> {
+        let total = order.len();
+        let mut out = Vec::with_capacity(total.saturating_sub(2 * m) + 1);
+        for first_len in m..=(total - m) {
+            let first = bounding_rect(order[..first_len].iter().map(|&i| &rects[i]));
+            let second = bounding_rect(order[first_len..].iter().map(|&i| &rects[i]));
+            out.push(Distribution {
+                first_group_len: first_len,
+                margin_sum: first.margin() + second.margin(),
+                overlap: first.overlap(&second),
+                area_sum: first.area() + second.area(),
+            });
+        }
+        out
+    }
+
+    fn bounding_rect<'a>(mut rects: impl Iterator<Item = &'a Rect>) -> Rect {
+        let mut out = rects.next().expect("empty rect set").clone();
+        for r in rects {
+            out.enlarge(r);
+        }
+        out
+    }
+
+    fn reference_choose_split(rects: &[Rect], m: usize) -> (Vec<usize>, usize) {
+        let total = rects.len();
+        let mut best_axis_margin = f64::INFINITY;
+        let mut best_axis_order: Vec<usize> = Vec::new();
+        for axis in 0..rects[0].dim() {
+            for sort_by_upper in [false, true] {
+                let mut order: Vec<usize> = (0..total).collect();
+                order.sort_by(|&a, &b| {
+                    let (ka, kb) = if sort_by_upper {
+                        (rects[a].max()[axis], rects[b].max()[axis])
+                    } else {
+                        (rects[a].min()[axis], rects[b].min()[axis])
+                    };
+                    ka.total_cmp(&kb)
+                });
+                let margin_sum = distributions(&order, rects, m)
+                    .iter()
+                    .map(|d| d.margin_sum)
+                    .sum::<f64>();
+                if margin_sum < best_axis_margin {
+                    best_axis_margin = margin_sum;
+                    best_axis_order = order;
+                }
+            }
+        }
+        let split_at = {
+            let dists = distributions(&best_axis_order, rects, m);
+            let mut best = &dists[0];
+            for d in &dists {
+                if (d.overlap, d.area_sum) < (best.overlap, best.area_sum) {
+                    best = d;
+                }
+            }
+            best.first_group_len
+        };
+        (best_axis_order, split_at)
+    }
+
+    /// How the rectangles of a generated node relate to each other.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Small boxes scattered over the space: in 37-d they hardly ever
+        /// overlap, so most overlap terms take the early `0.0` exit.
+        Scattered,
+        /// Boxes spanning most of the space in all but three dimensions:
+        /// positive 37-factor overlaps everywhere.
+        Overlapping,
+        /// Corners on a coarse integer grid, the last dimension constant:
+        /// every volume is 0.0 and sort keys repeat — only tie order decides.
+        Grid,
+        /// Three distinct boxes, repeated.
+        Duplicates,
+    }
+
+    fn random_rect(rng: &mut StdRng, dims: usize, shape: Shape, point: bool) -> Rect {
+        let narrow: Vec<usize> = (0..3).map(|_| rng.random_range(0..dims)).collect();
+        let (mut min, mut max) = (Vec::new(), Vec::new());
+        for d in 0..dims {
+            let (lo, hi) = match shape {
+                Shape::Grid if d + 1 == dims => (1.0, 1.0),
+                Shape::Grid => {
+                    let lo = rng.random_range(0..3u32) as f32;
+                    (lo, lo + rng.random_range(0..2u32) as f32)
+                }
+                Shape::Overlapping if !narrow.contains(&d) => {
+                    (rng.random::<f32>(), 9.0 + rng.random::<f32>())
+                }
+                _ => {
+                    let lo = rng.random::<f32>() * 8.0;
+                    (lo, lo + rng.random::<f32>() * 2.0)
+                }
+            };
+            min.push(lo);
+            max.push(if point { lo } else { hi });
+        }
+        Rect::new(min, max)
+    }
+
+    fn random_rects(
+        rng: &mut StdRng,
+        n: usize,
+        dims: usize,
+        shape: Shape,
+        points: bool,
+    ) -> Vec<Rect> {
+        let mut rects: Vec<Rect> = (0..n)
+            .map(|_| random_rect(rng, dims, shape, points))
+            .collect();
+        if matches!(shape, Shape::Duplicates) {
+            for i in 3..n {
+                rects[i] = rects[rng.random_range(0..3usize)].clone();
+            }
+        }
+        rects
+    }
+
+    /// A two-level tree whose root holds one (empty) leaf per rectangle:
+    /// everything ChooseSubtree reads.
+    fn level1_tree(rects: &[Rect]) -> RStarTree {
+        let mut tree = RStarTree::new(TreeConfig::small(rects[0].dim()));
+        let leaves: Vec<NodeId> = rects
+            .iter()
+            .map(|r| {
+                let mut leaf = Node::detached(0, NodeKind::Leaf(Vec::new()));
+                leaf.rect = Some(r.clone());
+                tree.alloc(leaf)
+            })
+            .collect();
+        tree.root = tree.alloc(Node::detached(1, NodeKind::EMPTY_INTERNAL));
+        tree.link_children(tree.root, &leaves);
+        tree
+    }
+
+    /// The premise of the early abandon, asserted term by term, and the
+    /// allocation-free geometry against the materialised union.
+    fn assert_overlap_terms_monotone(rects: &[Rect], entry: &Rect) {
+        for (c, r) in rects.iter().enumerate() {
+            let enlarged = r.union(entry);
+            assert_eq!(
+                r.enlargement(entry).to_bits(),
+                (enlarged.area() - r.area()).to_bits()
+            );
+            let mut sum = 0.0f64;
+            for (s, sr) in rects.iter().enumerate() {
+                if s == c {
+                    continue;
+                }
+                let term = enlarged.overlap(sr) - r.overlap(sr);
+                assert!(term >= 0.0, "negative overlap term {term}");
+                assert!(sum + term >= sum, "partial sum decreased");
+                sum += term;
+            }
+        }
+    }
+
+    /// The fast ChooseSubtree and split make the reference's choice on
+    /// every generated node: point and box entries, M ∈ {5, 100}, d ∈ {2, 37},
+    /// scattered, overlapping, all-tie and duplicate-heavy nodes, and nodes
+    /// whose new entry lies inside two overlapping children of different
+    /// area — equal overlap and area enlargement (both 0.0), so only the
+    /// third key component decides, which an abandon on `>=` would skip.
+    #[test]
+    fn fast_choose_subtree_and_split_match_the_reference_decisions() {
+        let mut rng = StdRng::seed_from_u64(0xD1FF_0AC1E);
+        let mut nodes = 0usize;
+        let mut third_component_decided = 0usize;
+        for (max_entries, m) in [(5usize, 2usize), (100, 40)] {
+            for dims in [2usize, 37] {
+                let rounds = if max_entries * dims > 1000 { 12 } else { 48 };
+                for round in 0..rounds {
+                    for shape in [
+                        Shape::Scattered,
+                        Shape::Overlapping,
+                        Shape::Grid,
+                        Shape::Duplicates,
+                    ] {
+                        for points in [true, false] {
+                            // ChooseSubtree over a node that still has room.
+                            let n = rng.random_range(2..=max_entries);
+                            let mut rects = random_rects(&mut rng, n, dims, shape, false);
+                            let entry = random_rect(&mut rng, dims, shape, points);
+                            if round % 2 == 0 {
+                                // Two children around the entry, one inside
+                                // the other, in either chain order.
+                                let grow = |by: f32| {
+                                    Rect::new(
+                                        entry.min().iter().map(|v| v - by).collect(),
+                                        entry.max().iter().map(|v| v + by).collect(),
+                                    )
+                                };
+                                let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+                                rects[i] = grow(2.0);
+                                rects[j] = grow(1.0);
+                            }
+                            assert_overlap_terms_monotone(&rects, &entry);
+                            let tree = level1_tree(&rects);
+                            let children = tree.child_vec(tree.root);
+                            let want = tree.reference_pick_min_overlap_child(&children, &entry);
+                            assert_eq!(
+                                tree.pick_min_overlap_child(tree.root, &entry),
+                                want,
+                                "ChooseSubtree: M {max_entries} d {dims} {shape:?} round {round}"
+                            );
+                            assert_eq!(tree.choose_subtree(&entry, 0), want);
+                            let contains_entry =
+                                |c: &&NodeId| tree.rect_of(**c).contains_rect(&entry);
+                            let first_containing = children.iter().find(contains_entry);
+                            if first_containing.is_some_and(|&c| c != want) {
+                                third_component_decided += 1;
+                            }
+
+                            // Split of an overflowing node.
+                            let rects =
+                                random_rects(&mut rng, max_entries + 1, dims, shape, points);
+                            assert_eq!(
+                                choose_split(&rects, m),
+                                reference_choose_split(&rects, m),
+                                "split: M {max_entries} d {dims} {shape:?} round {round}"
+                            );
+                            nodes += 2;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(nodes >= 2000, "only {nodes} nodes");
+        assert!(
+            third_component_decided >= 50,
+            "only {third_component_decided} nodes were decided by area alone"
+        );
     }
 
     #[test]
