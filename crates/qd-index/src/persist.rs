@@ -2,7 +2,7 @@
 //!
 //! A CBIR deployment builds its index once over the image database and
 //! serves queries from it for months; rebuilding a 15k-image R\*-tree by
-//! insertion costs seconds of CPU while loading it from disk costs
+//! insertion costs most of a second of CPU while loading it from disk costs
 //! milliseconds. The format (`QDT2`) is a straightforward little-endian dump
 //! of the node arena plus the contiguous SoA feature block, framed by
 //! [`qd_fault::codec`]; `NodeId` handles remain valid across save/load,

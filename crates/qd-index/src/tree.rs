@@ -849,17 +849,13 @@ impl RStarTree {
     /// the R\* paper's own large-fan-out shortcut.
     ///
     /// A candidate's overlap enlargement is a sum of terms `overlap(r ∪ e, s)
-    /// − overlap(r, s)`, none of them negative, rounding included: per
-    /// dimension the grown intersection's extent is at least the present
-    /// one's, f32 subtraction, the widening cast and f64 multiplication are
-    /// monotone on non-negative operands, and where the grown product takes
-    /// the empty-intersection exit the present one has taken it too. So the
-    /// partial sums never decrease: once one exceeds the best key's first
-    /// component the candidate can no longer compare below the best, and
-    /// its remaining siblings are skipped. The abandon is strict (`>`): on
-    /// `==` the later key components still decide, and a NaN sum never
-    /// abandons, exactly as it never wins. The choice is the full
-    /// evaluation's, bit for bit.
+    /// − overlap(r, s)`, none of them negative, rounding included (DESIGN.md
+    /// §11, "The construction core"), so its partial sums never decrease:
+    /// once one exceeds the best key's first component the candidate can no
+    /// longer compare below the best, and its remaining siblings are
+    /// skipped. The abandon is strict (`>`): on `==` the later key
+    /// components still decide, and a NaN sum never abandons, exactly as it
+    /// never wins. The choice is the full evaluation's, bit for bit.
     fn pick_min_overlap_child(&self, n: NodeId, rect: &Rect) -> NodeId {
         const CANDIDATES: usize = 16;
         let children: Vec<(NodeId, &Rect)> =
@@ -1556,7 +1552,6 @@ fn choose_split(rects: &[Rect], m: usize) -> (Vec<usize>, usize) {
     let mut best_margin = f64::INFINITY;
     let mut best: Vec<usize> = Vec::new();
     let mut keyed: Vec<(f32, usize)> = Vec::with_capacity(total);
-    let mut order: Vec<usize> = Vec::with_capacity(total);
     // Margin sums per cut, indexed by `split_at - m`.
     let mut margins = vec![0.0f64; total - 2 * m + 1];
     for axis in 0..rects[0].dim() {
@@ -1564,18 +1559,18 @@ fn choose_split(rects: &[Rect], m: usize) -> (Vec<usize>, usize) {
             keyed.clear();
             keyed.extend(rects.iter().enumerate().map(|(i, r)| (bound(r)[axis], i)));
             keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-            order.clear();
-            order.extend(keyed.iter().map(|&(_, i)| i));
-            sweep(rects, order.iter(), m, |len, first| {
+            let order = keyed.iter().map(|(_, i)| i);
+            sweep(rects, order.clone(), m, |len, first| {
                 margins[len - m] = first.margin()
             });
-            sweep(rects, order.iter().rev(), m, |len, second| {
+            sweep(rects, order.clone().rev(), m, |len, second| {
                 margins[total - len - m] += second.margin()
             });
             let margin_sum = margins.iter().sum::<f64>();
             if margin_sum < best_margin {
                 best_margin = margin_sum;
-                best.clone_from(&order);
+                best.clear();
+                best.extend(order);
             }
         }
     }
@@ -1600,25 +1595,20 @@ fn choose_split(rects: &[Rect], m: usize) -> (Vec<usize>, usize) {
 
 /// Calls `visit(len, bbox)` with the bounding box of the first `len`
 /// rectangles in `order`, for every `len` that leaves both sides of the cut
-/// at least `m` of them.
+/// at least `m` of them (`m` ≥ 2, so never for the first alone).
 fn sweep<'a>(
     rects: &[Rect],
-    order: impl ExactSizeIterator<Item = &'a usize>,
+    mut order: impl ExactSizeIterator<Item = &'a usize>,
     m: usize,
     mut visit: impl FnMut(usize, &Rect),
 ) {
     let longest = order.len() - m;
-    let mut bbox: Option<Rect> = None;
-    for (len, &i) in (1..=longest).zip(order) {
-        let bbox = match &mut bbox {
-            Some(bbox) => {
-                bbox.enlarge(&rects[i]);
-                bbox
-            }
-            None => bbox.insert(rects[i].clone()),
-        };
+    let Some(&first) = order.next() else { return };
+    let mut bbox = rects[first].clone();
+    for (len, &i) in (2..=longest).zip(order) {
+        bbox.enlarge(&rects[i]);
         if len >= m {
-            visit(len, bbox);
+            visit(len, &bbox);
         }
     }
 }
