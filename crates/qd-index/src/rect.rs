@@ -365,6 +365,117 @@ mod tests {
     }
 
     #[test]
+    fn min_dist2_matches_the_branching_form_bit_for_bit() {
+        // `min_dist2` as a per-dimension three-way branch, verbatim as it was
+        // written before the branch-free form.
+        fn branching_min_dist2(rect: &Rect, point: &[f32]) -> f64 {
+            rect.min
+                .iter()
+                .zip(&rect.max)
+                .zip(point)
+                .map(|((lo, hi), p)| {
+                    let d = if p < lo {
+                        lo - p
+                    } else if p > hi {
+                        p - hi
+                    } else {
+                        0.0
+                    };
+                    (d as f64).powi(2)
+                })
+                .sum()
+        }
+        // Corners from a small set with both zeros, subnormals and values an
+        // ulp apart, so boxes degenerate to points, faces and edges all the
+        // time; query coordinates from the same set (inside, on a face, on a
+        // corner) plus the box's own corners, far outside, ±∞ and NaN.
+        let tiny = f32::from_bits(1);
+        let corners = [
+            -2.5f32,
+            -1.0,
+            -f32::MIN_POSITIVE,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            f32::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1.0 + f32::EPSILON,
+            3.0,
+        ];
+        let specials = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            1e-30,
+            -7.25,
+            0.75,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x31D1);
+        let mut checked_outside = 0usize;
+        for dims in [1usize, 2, 37] {
+            for case in 0..4000 {
+                let (min, max): (Vec<f32>, Vec<f32>) = (0..dims)
+                    .map(|_| {
+                        let a = corners[rng.random_range(0..corners.len())];
+                        let b = match case % 4 {
+                            0 => a, // a point box
+                            _ => corners[rng.random_range(0..corners.len())],
+                        };
+                        if a <= b {
+                            (a, b)
+                        } else {
+                            (b, a)
+                        }
+                    })
+                    .unzip();
+                let rect = Rect::new(min, max);
+                let query: Vec<f32> = (0..dims)
+                    .map(|d| match rng.random_range(0..6) {
+                        0 => rect.min[d],
+                        1 => rect.max[d],
+                        2 => (rect.min[d] + rect.max[d]) / 2.0,
+                        3 => specials[rng.random_range(0..specials.len())],
+                        _ => corners[rng.random_range(0..corners.len())],
+                    })
+                    .collect();
+                let got = rect.min_dist2(&query);
+                let want = branching_min_dist2(&rect, &query);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{rect:?} from {query:?}: {got} vs {want}"
+                );
+                assert!(!got.is_nan() && got.is_sign_positive());
+                checked_outside += usize::from(got > 0.0);
+            }
+        }
+        assert!(checked_outside > 3000, "only {checked_outside} outside");
+        // The named cases, by hand: inside, face, corner, outside, ±0.
+        let unit = r(&[0.0, -0.0], &[1.0, 1.0]);
+        for (q, want) in [
+            ([0.5f32, 0.5], 0.0f64),
+            ([1.0, 0.5], 0.0),
+            ([1.0, 1.0], 0.0),
+            ([-0.0, 0.0], 0.0),
+            ([3.0, -2.0], 8.0),
+            ([f32::NAN, 2.0], 1.0),
+            ([f32::NEG_INFINITY, 0.0], f64::INFINITY),
+        ] {
+            assert_eq!(unit.min_dist2(&q).to_bits(), want.to_bits(), "{q:?}");
+            assert_eq!(
+                branching_min_dist2(&unit, &q).to_bits(),
+                want.to_bits(),
+                "{q:?}"
+            );
+        }
+    }
+
+    #[test]
     fn min_dist2_lower_bounds_distance_to_any_contained_point() {
         let a = r(&[0.0, -1.0], &[2.0, 1.0]);
         let q = [5.0, 5.0];

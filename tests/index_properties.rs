@@ -403,6 +403,151 @@ fn knn_budget_sweep_matches_golden() {
     assert_matches_golden("knn_budget_sweep.txt", &sweep);
 }
 
+/// The all-tie build of `build_digests.txt`, line (d): 1 500 points on the
+/// grid `{0, 1, 2}^5 × {1}` in nodes of at most 10 — 243 distinct points at
+/// most, every rectangle's corners on the grid, so every image distance and
+/// every MINDIST from a grid or half-integer query is a small multiple of
+/// 1/4, exact in f64.
+fn tie_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
+    let items = grid_points(0x71E5, 1500, 6, 3);
+    let tree = inserted(tree_config(6, 4, 10), &items);
+    assert_eq!(tree.height(), 4);
+    (tree, items)
+}
+
+/// Every observable of the budgeted search where the budget sweep above is
+/// blind by construction: on ties. Image distances coincide with each other
+/// and with node MINDISTs all the time here, so which of two equidistant
+/// images is answered, and whether an image at distance `d` comes before the
+/// images of a node at MINDIST `d`, decide ids, counters and exhaustion
+/// points on almost every line. Pinned against a golden captured from the
+/// search loop that popped images and nodes off one totally ordered
+/// frontier (`tests/golden/knn_tie_sweep.txt`, generated at the commit
+/// before the one-heap loop; it must hold in the test and release profile).
+#[test]
+fn knn_tie_sweep_matches_golden() {
+    const BUDGETS: [Option<u64>; 5] = [None, Some(16), Some(64), Some(256), Some(1024)];
+    let (tree, items) = tie_fixture();
+    let root = tree.root();
+    let level2 = tree.children(root)[0];
+    let last = *tree.children(root).last().unwrap();
+    let level1 = tree.children(last)[0];
+    let leaf = tree.children(level1)[0];
+    assert!(tree.is_leaf(leaf) && tree.level(level1) == 1 && tree.level(level2) == 2);
+    // Two grid points (the centre of the data; one step outside its
+    // bounding box on every axis) and two half-integer points (inside every
+    // cell wall; half a step outside the box on two axes).
+    let queries: [[f32; 6]; 4] = [
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        [-1.0, -1.0, 3.0, 3.0, -1.0, 1.0],
+        [0.5, 1.5, 0.5, 1.5, 0.5, 1.0],
+        [-0.5, 1.0, 2.5, 0.5, 1.0, 1.0],
+    ];
+
+    // The fixture really ties at the root. Images tie with each other on
+    // every query: 1 500 of them share a few dozen distances. And on every
+    // query but the third they tie with MINDISTs: leaves that hold an image
+    // exactly at their own positive MINDIST (it is answered after every
+    // image already scored at that distance, whatever its id), and images
+    // exactly at the MINDIST of some other node (they are answered before
+    // that node is opened).
+    for (qi, q) in queries.iter().enumerate() {
+        let mindists: Vec<(NodeId, u64)> = tree
+            .node_ids()
+            .into_iter()
+            .filter_map(|n| Some((n, tree.node_rect(n)?.min_dist2(q).to_bits())))
+            .collect();
+        let at_own_leaf: usize = mindists
+            .iter()
+            .map(|&(n, m)| {
+                let at_m = |(_, p): (u64, &[f32])| m != 0 && dist2(p, q).to_bits() == m;
+                tree.leaf_entries(n).filter(|&e| at_m(e)).count()
+            })
+            .sum();
+        let distances: Vec<u64> = items.iter().map(|(_, p)| dist2(p, q).to_bits()).collect();
+        let at_a_node = distances
+            .iter()
+            .filter(|&&d| mindists.iter().any(|&(_, m)| m == d))
+            .count();
+        let distinct: std::collections::BTreeSet<u64> = distances.iter().copied().collect();
+        assert!(distinct.len() <= 40, "q{qi}: {} distances", distinct.len());
+        if qi != 2 {
+            assert!(
+                at_own_leaf >= 5,
+                "q{qi}: {at_own_leaf} image = own leaf ties"
+            );
+            assert!(at_a_node >= 500, "q{qi}: {at_a_node} image = node ties");
+        }
+    }
+
+    let mut sweep = String::new();
+    let (mut exhausted_lines, mut pruned_total) = (0usize, 0u64);
+    for scope in [root, level2, level1, leaf] {
+        for (qi, q) in queries.iter().enumerate() {
+            let scan = exhaustive_scan(&tree, scope, q);
+            for budget in BUDGETS {
+                for k in [1usize, 2, 3, 7, 10, 40, 300] {
+                    let b = tree.knn_in_budgeted(scope, q, k, budget);
+                    // Ids are the tie order's to choose; the distances are
+                    // not: each is the id's own, and an unexhausted answer
+                    // carries the scan's `k` smallest.
+                    let mut seen = std::collections::HashSet::new();
+                    for n in &b.neighbors {
+                        assert!(seen.insert(n.id), "id {} answered twice", n.id);
+                        let d2 = dist2(&items[n.id as usize].1, q);
+                        assert_eq!(n.distance.to_bits(), (d2.sqrt() as f32).to_bits());
+                    }
+                    assert!(b
+                        .neighbors
+                        .windows(2)
+                        .all(|w| w[0].distance <= w[1].distance));
+                    if !b.exhausted {
+                        let want: Vec<u32> = scan
+                            .iter()
+                            .take(k)
+                            .map(|s| (s.0.sqrt() as f32).to_bits())
+                            .collect();
+                        let got: Vec<u32> =
+                            b.neighbors.iter().map(|n| n.distance.to_bits()).collect();
+                        assert_eq!(got, want);
+                        assert_eq!(b.nodes_skipped, 0);
+                    }
+                    exhausted_lines += usize::from(b.exhausted);
+                    pruned_total += b.distances_pruned;
+                    // Ids in answer order, grouped under their distance.
+                    let groups: Vec<String> = b
+                        .neighbors
+                        .chunk_by(|a, b| a.distance.to_bits() == b.distance.to_bits())
+                        .map(|g| {
+                            let ids: Vec<String> = g.iter().map(|n| n.id.to_string()).collect();
+                            format!("{:08x}:{}", g[0].distance.to_bits(), ids.join(","))
+                        })
+                        .collect();
+                    writeln!(
+                        sweep,
+                        "scope={} q={qi} budget={budget:?} k={k} accesses={} charged={} \
+                         pruned={} skipped={} exhausted={} ids=[{}]",
+                        scope.index(),
+                        b.accesses,
+                        b.distance_computations,
+                        b.distances_pruned,
+                        b.nodes_skipped,
+                        b.exhausted,
+                        groups.join(" ")
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+    assert!(
+        exhausted_lines >= 50,
+        "only {exhausted_lines} exhausted lines"
+    );
+    assert!(pruned_total > 0, "the sweep never exercised the norm prune");
+    assert_matches_golden("knn_tie_sweep.txt", &sweep);
+}
+
 /// Compares `actual` against `tests/golden/<file>`; `QD_UPDATE_GOLDEN=1`
 /// rewrites the file instead (same convention as `arena_equivalence.rs`).
 fn assert_matches_golden(file: &str, actual: &str) {
