@@ -324,11 +324,7 @@ impl<I: KnnIndex + IndexBuild + Sync> RfsStructure<I> {
         let tree = if config.bulk_load {
             I::bulk_load(tree_config, rows.collect())
         } else {
-            let mut t = I::new(tree_config);
-            for (id, f) in rows {
-                t.insert(f, id);
-            }
-            t
+            I::from_rows(tree_config, rows)
         };
         qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
         Self::decorate(tree, features, config, None)

@@ -201,6 +201,14 @@ impl Rect {
     /// Squared Euclidean distance from `point` to the nearest point of the
     /// rectangle (0 when inside) — the MINDIST bound of branch-and-bound
     /// k-NN search.
+    ///
+    /// Branch-free, and bit for bit the three-way `p < lo` / `p > hi` / else
+    /// form: `lo ≤ hi`, so at most one of the two differences is positive
+    /// and it is that branch's value; neither positive gives `0.0` (as a
+    /// `-0.0` at most, which squares to `0.0`); a NaN coordinate gives `0.0`
+    /// both ways, `f32::max` returning its other operand. The search loop
+    /// evaluates this once per child it queues, on a query the predictor has
+    /// never seen.
     pub fn min_dist2(&self, point: &[f32]) -> f64 {
         debug_assert_eq!(self.dim(), point.len(), "dimension mismatch");
         self.min
@@ -208,13 +216,7 @@ impl Rect {
             .zip(&self.max)
             .zip(point)
             .map(|((lo, hi), p)| {
-                let d = if p < lo {
-                    lo - p
-                } else if p > hi {
-                    p - hi
-                } else {
-                    0.0
-                };
+                let d = (lo - p).max(p - hi).max(0.0);
                 (d as f64).powi(2)
             })
             .sum()

@@ -62,14 +62,16 @@ pub trait KnnIndex {
     fn validate(&self);
 }
 
-/// Construction entry points shared by both tree layouts.
+/// The two from-scratch construction paths. Both leave every leaf's feature
+/// slots one consecutive run (DESIGN.md §11, "Slot order").
 pub trait IndexBuild: KnnIndex + Sized {
-    /// Creates an empty tree.
-    fn new(config: TreeConfig) -> Self;
+    /// Builds a tree by R\* insertion of `rows` (`(id, point)`) in order,
+    /// then lays the feature store out leaf by leaf
+    /// ([`crate::RStarTree::compact`]) — the one place rows are inserted into
+    /// a fresh tree, and the one place a tree is compacted.
+    fn from_rows(config: TreeConfig, rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Self;
     /// Bulk-loads a tree by recursive tiling.
     fn bulk_load(config: TreeConfig, items: Vec<(u64, Vec<f32>)>) -> Self;
-    /// Inserts one point.
-    fn insert(&mut self, point: Vec<f32>, id: u64);
 }
 
 impl KnnIndex for crate::RStarTree {
@@ -136,13 +138,15 @@ impl KnnIndex for crate::RStarTree {
 }
 
 impl IndexBuild for crate::RStarTree {
-    fn new(config: TreeConfig) -> Self {
-        crate::RStarTree::new(config)
+    fn from_rows(config: TreeConfig, rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Self {
+        let mut tree = crate::RStarTree::new(config);
+        for (id, point) in rows {
+            tree.insert(point, id);
+        }
+        tree.compact();
+        tree
     }
     fn bulk_load(config: TreeConfig, items: Vec<(u64, Vec<f32>)>) -> Self {
         crate::RStarTree::bulk_load(config, items)
-    }
-    fn insert(&mut self, point: Vec<f32>, id: u64) {
-        crate::RStarTree::insert(self, point, id)
     }
 }

@@ -168,13 +168,14 @@ pub(crate) struct FeatureStore {
 }
 
 impl FeatureStore {
-    fn new(dims: usize) -> Self {
+    /// An empty store with room for exactly `slots` vectors.
+    fn with_capacity(dims: usize, slots: usize) -> Self {
         Self {
             dims,
-            ids: Vec::new(),
-            data: Vec::new(),
-            norms: Vec::new(),
-            live: Vec::new(),
+            ids: Vec::with_capacity(slots),
+            data: Vec::with_capacity(slots * dims),
+            norms: Vec::with_capacity(slots),
+            live: Vec::with_capacity(slots),
             free: Vec::new(),
         }
     }
@@ -343,7 +344,7 @@ impl RStarTree {
     pub fn new(config: TreeConfig) -> Self {
         config.validate();
         let root = Node::detached(0, NodeKind::Leaf(Vec::new()));
-        let store = FeatureStore::new(config.dims);
+        let store = FeatureStore::with_capacity(config.dims, 0);
         Self {
             config,
             nodes: vec![root],
@@ -439,6 +440,36 @@ impl RStarTree {
         }
         tree.root = level_nodes[0];
         tree
+    }
+
+    /// Re-lays the feature store in leaf order: leaves taken depth-first
+    /// along the child chains, each leaf's entries in the order it holds
+    /// them, copied into a fresh store of exactly `len` slots with nothing
+    /// on the free list. Afterwards every leaf scans one ascending run of
+    /// consecutive slots and the leaves of a subtree lie next to each other
+    /// — what [`Self::bulk_load`] produces directly and repeated insertion
+    /// (slots in arrival order) does not. Slot numbers are layout, not
+    /// structure: nodes, rectangles, entry order, and so every answer and
+    /// every counter, are untouched; only the QDT2 bytes of the store and
+    /// of the leaves' slot lists change.
+    pub fn compact(&mut self) {
+        let mut store = FeatureStore::with_capacity(self.config.dims, self.len);
+        let mut stack = vec![self.root];
+        while let Some(n) = stack.pop() {
+            match &mut self.nodes[n.index()].kind {
+                NodeKind::Leaf(slots) => {
+                    for s in slots {
+                        *s = store.alloc(self.store.id(*s), self.store.point(*s));
+                    }
+                }
+                NodeKind::Internal { .. } => {
+                    let first = stack.len();
+                    stack.extend(self.child_iter(n));
+                    stack[first..].reverse();
+                }
+            }
+        }
+        self.store = store;
     }
 
     /// Point dimensionality.
@@ -1135,10 +1166,11 @@ impl RStarTree {
     /// folded into the global [`Self::accesses`] counter afterwards), so
     /// concurrent queries over a shared tree each see exactly their own cost.
     ///
-    /// Once the budget is spent, no further node is expanded; data entries
-    /// already scored keep draining from the frontier in distance order
-    /// (best-so-far fill toward `k`), and every node left unexpanded is
-    /// counted in [`BudgetedKnn::nodes_skipped`]. `None` means unlimited.
+    /// Once the budget is spent, no further node is expanded; the images
+    /// already scored still fill the answer toward `k` in distance order
+    /// (best-so-far), and every node that would have been opened before the
+    /// answer was complete is counted in [`BudgetedKnn::nodes_skipped`].
+    /// `None` means unlimited.
     ///
     /// Leaf entries whose norm lower bound `(‖p‖ − ‖q‖)²` provably exceeds
     /// the k-th best distance seen skip the full distance evaluation. A
@@ -1146,11 +1178,13 @@ impl RStarTree {
     /// (so budgets, counters, and rankings are identical to an unpruned
     /// scan); the skips are reported in [`BudgetedKnn::distances_pruned`].
     ///
-    /// The frontier is totally ordered (see [`Candidate`]) and bounded: once
-    /// `k` entries have been scored, an entry farther than the k-th best of
-    /// them is dropped on the spot — `k` entries at most that far are
-    /// already queued or emitted, so it could never be among the first `k`
-    /// popped, with or without a budget. DESIGN.md §11 has the contract.
+    /// The frontier holds unopened nodes only, in ascending `(MINDIST, node
+    /// index)` order. Scored images go straight to the one bounded result
+    /// heap ([`BestK`]), which keeps the `k` that a best-first search over
+    /// images and nodes alike would answer first, in the order it would
+    /// answer them; the search is over when the nearest unopened node is no
+    /// nearer than the worst of `k` held images. DESIGN.md §11 has the
+    /// contract.
     pub fn knn_in_budgeted(
         &self,
         scope: NodeId,
@@ -1163,72 +1197,47 @@ impl RStarTree {
             self.config.dims,
             "query dimensionality mismatch"
         );
+        // No answer is longer than the tree: asking for more asks for all of
+        // it, and `k` sizes the result heap.
+        let k = k.min(self.len);
         let mut touched = 0u64;
         let mut spent = 0u64;
         let mut pruned = 0u64;
         let mut nodes_skipped = 0u64;
         let mut exhausted = false;
-        let mut out = Vec::with_capacity(k);
-        let scope_rect = match self.node(scope).rect.as_ref() {
-            Some(r) if k > 0 => r,
-            _ => {
-                return BudgetedKnn {
-                    neighbors: out,
-                    accesses: touched,
-                    distance_computations: spent,
-                    distances_pruned: pruned,
-                    nodes_skipped,
-                    partitions_dropped: 0,
-                    exhausted,
-                }
-            }
-        };
-
-        let qnorm = norm_of(query);
         let mut best = BestK::new(k);
-        let mut frontier = BinaryHeap::with_capacity(k);
-        spent += 1;
-        frontier.push(Reverse((
-            TotalF64(scope_rect.min_dist2(query)),
-            Entry::Node(scope),
-        )));
-        while let Some(Reverse((TotalF64(dist2), entry))) = frontier.pop() {
-            match entry {
-                Entry::Data(id) => {
-                    out.push(Neighbor {
-                        id,
-                        // CAST: f64 search-heap distance narrowed back to the
-                        // f32 feature domain the points live in.
-                        distance: dist2.sqrt() as f32,
-                    });
-                    if out.len() == k {
-                        break;
-                    }
+        if let Some(scope_rect) = self.node(scope).rect.as_ref().filter(|_| k > 0) {
+            let qnorm = norm_of(query);
+            let mut frontier = BinaryHeap::new();
+            spent += 1;
+            frontier.push(Reverse((TotalF64(scope_rect.min_dist2(query)), scope)));
+            while let Some(Reverse((TotalF64(mindist), n))) = frontier.pop() {
+                if best.closes(mindist) {
+                    // `k` images at most this far are held, and every node
+                    // still queued is at least this far.
+                    break;
                 }
-                Entry::Node(n) => {
-                    if budget.is_some_and(|b| spent >= b) {
-                        // Budget gone: leave this subtree unexplored but keep
-                        // draining already-scored data entries.
-                        exhausted = true;
-                        nodes_skipped += 1;
-                        continue;
+                if budget.is_some_and(|b| spent >= b) {
+                    // Budget gone: leave this subtree unexplored; the nodes
+                    // queued behind it are skipped the same way.
+                    exhausted = true;
+                    nodes_skipped += 1;
+                    continue;
+                }
+                touched += 1;
+                match &self.node(n).kind {
+                    NodeKind::Leaf(slots) => {
+                        // Charged as if every entry were evaluated — the
+                        // budget currency is layout- and pruning-free.
+                        spent += slots.len() as u64;
+                        let opened = (mindist, touched);
+                        pruned += self.score_leaf(slots, query, qnorm, opened, &mut best);
                     }
-                    touched += 1;
-                    match &self.node(n).kind {
-                        NodeKind::Leaf(slots) => {
-                            // Charged as if every entry were evaluated — the
-                            // budget currency is layout- and pruning-free.
-                            spent += slots.len() as u64;
-                            pruned +=
-                                self.score_leaf(slots, query, qnorm, &mut best, &mut frontier);
-                        }
-                        NodeKind::Internal { .. } => {
-                            for child in self.child_iter(n) {
-                                if let Some(r) = self.node(child).rect.as_ref() {
-                                    spent += 1;
-                                    let mindist = TotalF64(r.min_dist2(query));
-                                    frontier.push(Reverse((mindist, Entry::Node(child))));
-                                }
+                    NodeKind::Internal { .. } => {
+                        for child in self.child_iter(n) {
+                            if let Some(r) = self.node(child).rect.as_ref() {
+                                spent += 1;
+                                frontier.push(Reverse((TotalF64(r.min_dist2(query)), child)));
                             }
                         }
                     }
@@ -1237,7 +1246,7 @@ impl RStarTree {
         }
         self.accesses.fetch_add(touched, AtomicOrdering::Relaxed);
         BudgetedKnn {
-            neighbors: out,
+            neighbors: best.into_neighbors(),
             accesses: touched,
             distance_computations: spent,
             distances_pruned: pruned,
@@ -1247,16 +1256,18 @@ impl RStarTree {
         }
     }
 
-    /// Scores the entries of one opened leaf onto the frontier and returns how
-    /// many the norm lower bound pruned — the same entries, counted the same,
-    /// as a one-by-one scan in slot order, but evaluated four at a time.
+    /// Scores the entries of one opened leaf into `best` and returns how many
+    /// the norm lower bound pruned — the same entries, counted the same, as a
+    /// one-by-one scan in slot order, but evaluated four at a time. `opened`
+    /// is the leaf's MINDIST and its position in the open sequence, from
+    /// which [`BestK::admit`] takes an image's turn.
     fn score_leaf(
         &self,
         slots: &[u32],
         query: &[f32],
         qnorm: f64,
+        opened: (f64, u64),
         best: &mut BestK,
-        frontier: &mut BinaryHeap<Candidate>,
     ) -> u64 {
         let mut pruned = 0;
         // Entries that survive the norm bound as it stands collect into
@@ -1283,8 +1294,8 @@ impl RStarTree {
                 for (&s, &d2) in block[..filled].iter().zip(&d2) {
                     if best.prunes(self.store.norm(s) - qnorm) {
                         pruned += 1;
-                    } else if best.admit(d2) {
-                        frontier.push(Reverse((TotalF64(d2), Entry::Data(self.store.id(s)))));
+                    } else {
+                        best.admit(d2, opened, self.store.id(s));
                     }
                 }
                 filled = 0;
@@ -1630,22 +1641,6 @@ fn bounding_rect_of_slots(store: &FeatureStore, slots: &[u32]) -> Rect {
     rect
 }
 
-/// What the best-first search queues: a scored data entry or a node still to
-/// open. The derived order — data before nodes, then ascending id / node
-/// index — breaks distance ties on the frontier.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Entry {
-    Data(u64),
-    Node(NodeId),
-}
-
-/// A frontier element. `Reverse` turns `BinaryHeap`'s max-heap around, so the
-/// frontier pops in ascending `(dist2.total_cmp, entry)` order — a *total*
-/// order: which of two equidistant images is emitted first, and whether an
-/// image at distance `d` is emitted before a node at MINDIST `d` is opened,
-/// is decided here and not by the heap's internal layout.
-type Candidate = Reverse<(TotalF64, Entry)>;
-
 /// A squared distance ordered by `total_cmp`.
 #[derive(Debug)]
 struct TotalF64(f64);
@@ -1667,13 +1662,24 @@ impl PartialEq for TotalF64 {
 }
 impl Eq for TotalF64 {}
 
-/// The `k` smallest data distances scored so far in one search, emitted or
-/// not, largest on top. Once `k` are held the top is the *bound*: the norm
-/// prune and the frontier's admission test both compare against it, and it
-/// only ever tightens.
+/// The answer of one search as it forms: the `k` scored images that sort
+/// first by `(dist2, turn, id)`, largest on top. Once `k` are held the top's
+/// distance is the *bound*: the norm prune, the kernel's early abandon and
+/// the loop's stop test all compare against it, and it only ever tightens.
+///
+/// `turn` makes the key the order in which a best-first search over images
+/// and nodes together answers (an image before a node at the same distance,
+/// then ascending id / node index): an image nearer the query than its own
+/// leaf's MINDIST was scored before anything at its distance is answered and
+/// takes turn 0; an image exactly *at* its leaf's MINDIST `d` was scored
+/// only when that leaf came up — after every image then known at `d` had
+/// been answered — and takes the leaf's position in the open sequence.
+/// Leaves tied at `d` open one after another, each one's images at `d`
+/// answered before the next opens, so ascending turn is answer order and the
+/// answer for `k` is a prefix of the answer for `k + 1` across any tie group.
 struct BestK {
     k: usize,
-    worst_first: BinaryHeap<TotalF64>,
+    worst_first: BinaryHeap<(TotalF64, u64, u64)>,
 }
 
 impl BestK {
@@ -1687,7 +1693,7 @@ impl BestK {
     /// The k-th best distance scored so far; infinite until `k` have been.
     fn bound(&self) -> f64 {
         match self.worst_first.peek() {
-            Some(worst) if self.worst_first.len() == self.k => worst.0,
+            Some(worst) if self.worst_first.len() == self.k => worst.0 .0,
             _ => f64::INFINITY,
         }
     }
@@ -1698,26 +1704,44 @@ impl BestK {
         lb * lb > self.bound() * PRUNE_SLACK
     }
 
-    /// Records a scored distance. False when it is strictly beyond the
-    /// bound: the entry can never be among the first `k` emitted and is
-    /// dropped. An entry *at* the bound is kept — the tie is the frontier's
-    /// to break.
-    fn admit(&mut self, d2: f64) -> bool {
+    /// True when `k` images are held and none is farther than `mindist`: no
+    /// image under a node at least that far can sort before one of them (at
+    /// equal distance the image already scored is answered first).
+    fn closes(&self, mindist: f64) -> bool {
+        match self.worst_first.peek() {
+            Some(worst) => self.worst_first.len() == self.k && worst.0 <= TotalF64(mindist),
+            None => false,
+        }
+    }
+
+    /// Offers an image scored at `d2` in a leaf `opened` at `(MINDIST,
+    /// position in the open sequence)`. It is held while it sorts among the
+    /// first `k`; one beyond the bound (every row of an abandoned block) is
+    /// turned away.
+    fn admit(&mut self, d2: f64, opened: (f64, u64), id: u64) {
+        let turn = if d2 == opened.0 { opened.1 } else { 0 };
+        let key = (TotalF64(d2), turn, id);
         if self.worst_first.len() < self.k {
-            self.worst_first.push(TotalF64(d2));
-            return true;
-        }
-        let Some(mut worst) = self.worst_first.peek_mut() else {
-            return true; // k = 0 holds nothing; the search returns before scoring
-        };
-        match d2.total_cmp(&worst.0) {
-            Ordering::Greater => false,
-            Ordering::Less => {
-                worst.0 = d2; // re-sifted when the guard drops
-                true
+            self.worst_first.push(key);
+        } else if let Some(mut worst) = self.worst_first.peek_mut() {
+            if key < *worst {
+                *worst = key; // re-sifted when the guard drops
             }
-            Ordering::Equal => true,
         }
+    }
+
+    /// The held images, nearest first.
+    fn into_neighbors(self) -> Vec<Neighbor> {
+        self.worst_first
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(TotalF64(d2), _, id)| Neighbor {
+                id,
+                // CAST: f64 search-heap distance narrowed back to the f32
+                // feature domain the points live in.
+                distance: d2.sqrt() as f32,
+            })
+            .collect()
     }
 }
 
@@ -2078,6 +2102,28 @@ mod tests {
             tree.insert(p, id);
         }
         assert_eq!(tree.knn(&[0.0, 0.0], 100).len(), 8);
+    }
+
+    #[test]
+    fn knn_with_k_at_usize_max_is_knn_with_k_at_len() {
+        // `k` is the caller's number: it must size nothing (a heap of
+        // `usize::MAX` entries cannot be allocated) and change nothing.
+        let items = random_points(150, 3, 5);
+        let mut tree = RStarTree::new(TreeConfig::small(3));
+        for (id, p) in items {
+            tree.insert(p, id);
+        }
+        let q = [4.0f32, 5.0, 6.0];
+        assert_eq!(tree.knn(&q, usize::MAX), tree.knn(&q, tree.len()));
+        let child = tree.children(tree.root())[0];
+        for budget in [None, Some(40)] {
+            for scope in [tree.root(), child] {
+                assert_eq!(
+                    tree.knn_in_budgeted(scope, &q, usize::MAX, budget),
+                    tree.knn_in_budgeted(scope, &q, tree.len(), budget)
+                );
+            }
+        }
     }
 
     #[test]
@@ -2817,6 +2863,45 @@ mod tests {
             third_component_decided >= 50,
             "only {third_component_decided} nodes were decided by area alone"
         );
+    }
+
+    #[test]
+    fn compact_renumbers_slots_leaf_by_leaf_and_drops_the_free_list() {
+        let items = random_points(600, 3, 97);
+        let mut tree = RStarTree::new(TreeConfig::small(3));
+        for (id, p) in items.clone() {
+            tree.insert(p, id);
+        }
+        for (id, p) in items.iter().step_by(4) {
+            assert!(tree.remove(p, *id));
+        }
+        assert!(!tree.store.free.is_empty() && tree.store.slot_count() > tree.len());
+        let entries = |tree: &RStarTree| -> Vec<String> {
+            let of = |n| tree.leaf_entries(n).collect::<Vec<_>>();
+            tree.node_ids()
+                .into_iter()
+                .map(|n| format!("{n:?}: {:?}", of(n)))
+                .collect()
+        };
+        let before = entries(&tree);
+
+        tree.compact();
+        tree.validate();
+        assert_eq!(entries(&tree), before);
+        assert_eq!(tree.store.slot_count(), tree.len());
+        assert!(tree.store.free.is_empty());
+        // Depth-first along the child chains, every leaf holds the next
+        // consecutive run of slots, in its entry order.
+        let mut next = 0u32;
+        let mut stack = vec![tree.root()];
+        while let Some(n) = stack.pop() {
+            for &s in tree.leaf_slots(n) {
+                assert_eq!(s, next, "leaf {n:?}");
+                next += 1;
+            }
+            stack.extend(tree.child_vec(n).into_iter().rev());
+        }
+        assert_eq!(next as usize, tree.len());
     }
 
     #[test]

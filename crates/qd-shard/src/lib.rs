@@ -53,7 +53,7 @@
 pub mod persist;
 
 use qd_core::{split_budget, RfsConfig, RfsStructure};
-use qd_index::{BudgetedKnn, KnnIndex, Neighbor, NodeId, RStarTree, Rect, TreeConfig};
+use qd_index::{BudgetedKnn, IndexBuild, KnnIndex, Neighbor, NodeId, RStarTree, Rect, TreeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -135,14 +135,13 @@ pub struct ShardSet {
 }
 
 /// Builds one shard's tree from scratch by inserting its member ids in
-/// ascending order, so appending a larger id to a built shard is the next
-/// step of the same construction.
+/// ascending order — the monolithic build's own entry point, compaction
+/// included — so appending a larger id to a built shard is the next step of
+/// the same construction (in structure; the appended row takes the next
+/// free slot, not a place in its leaf's run).
 fn build_shard_tree(ids: &[u64], features: &[Vec<f32>], config: &TreeConfig) -> RStarTree {
-    let mut tree = RStarTree::new(config.clone());
-    for &id in ids {
-        tree.insert(features[id as usize].clone(), id);
-    }
-    tree
+    let rows = ids.iter().map(|&id| (id, features[id as usize].clone()));
+    RStarTree::from_rows(config.clone(), rows)
 }
 
 impl ShardSet {

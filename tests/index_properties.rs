@@ -2,7 +2,7 @@
 //! force and structural invariants under arbitrary operation interleavings.
 
 use proptest::prelude::*;
-use query_decomposition::index::{persist, NodeId, RStarTree, Rect, TreeConfig};
+use query_decomposition::index::{persist, BudgetedKnn, NodeId, RStarTree, Rect, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
@@ -681,14 +681,8 @@ fn digest_line(name: &str, tree: &RStarTree) -> String {
     )
 }
 
-/// Pins R\* construction to the bit on builds the 300-image structure
-/// golden does not reach. `tests/golden/build_digests.txt` was generated by
-/// this test at the commit before the insertion fast path landed; the fast
-/// path changes no decision, so it must reproduce every line, in the test
-/// and the release profile alike. `QD_UPDATE_GOLDEN=1` rewrites the file —
-/// which means a tree-shaping decision changed.
-#[test]
-fn build_digests_match_golden() {
+/// The five builds behind `build_digests.txt`, in its line order.
+fn digest_fixtures() -> [(&'static str, RStarTree); 5] {
     // (a) leaf-level forced reinsertion and splits at the paper's M = 100
     // over 37-d volumes; (b) the same points in a tree tall enough for
     // subtree reinsertion and internal splits over 37-d box entries.
@@ -712,13 +706,205 @@ fn build_digests_match_golden() {
     let ties = inserted(tree_config(6, 4, 10), &grid_points(0x71E5, 1500, 6, 3));
     assert!(ties.height() >= 3);
 
-    let actual = [
-        digest_line("clustered37d_paper", &paper),
-        digest_line("clustered37d_m6_M16", &tall),
-        digest_line("uniform4d_small", &small),
-        digest_line("grid6d_ties_m4_M10", &ties),
-        digest_line("uniform4d_small_churned", &churned),
+    [
+        ("clustered37d_paper", paper),
+        ("clustered37d_m6_M16", tall),
+        ("uniform4d_small", small),
+        ("grid6d_ties_m4_M10", ties),
+        ("uniform4d_small_churned", churned),
     ]
-    .concat();
+}
+
+/// Pins R\* construction to the bit on builds the 300-image structure
+/// golden does not reach. `tests/golden/build_digests.txt` was generated by
+/// this test at the commit before the insertion fast path landed; the fast
+/// path changes no decision, so it must reproduce every line, in the test
+/// and the release profile alike. `QD_UPDATE_GOLDEN=1` rewrites the file —
+/// which means a tree-shaping decision changed. The trees are built by plain
+/// `insert` and never compacted: slots in arrival order, as the bytes were
+/// pinned.
+#[test]
+fn build_digests_match_golden() {
+    let actual: String = digest_fixtures()
+        .iter()
+        .map(|(name, tree)| digest_line(name, tree))
+        .collect();
     assert_matches_golden("build_digests.txt", &actual);
+}
+
+// ---------------------------------------------------------------------
+// The slot-order pin (DESIGN.md §11, "Slot order").
+// ---------------------------------------------------------------------
+
+/// Everything about a tree but where its vectors sit in the feature block:
+/// per live node its index, level, parent, children in chain order,
+/// rectangle bits, and the `(id, point bits)` sequence of a leaf.
+fn structure_dump(tree: &RStarTree) -> String {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut out = format!(
+        "root={} len={} height={}\n",
+        tree.root().index(),
+        tree.len(),
+        tree.height()
+    );
+    for n in tree.node_ids() {
+        let children: Vec<usize> = tree.children(n).iter().map(|c| c.index()).collect();
+        let rect = tree.node_rect(n).map(|r| (bits(r.min()), bits(r.max())));
+        let entries: Vec<(u64, Vec<u32>)> =
+            tree.leaf_entries(n).map(|(id, p)| (id, bits(p))).collect();
+        writeln!(
+            out,
+            "node={} level={} parent={:?} children={children:?} rect={rect:?} entries={entries:?}",
+            n.index(),
+            tree.level(n),
+            tree.parent(n).map(NodeId::index),
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// The vectors of the leaves, taken depth-first along the child chains and
+/// in each leaf's entry order, lie back to back in memory: each starts where
+/// the one before it ended. Returns how many entries were walked.
+fn contiguous_entries(tree: &RStarTree) -> Result<usize, String> {
+    let mut next: Option<*const f32> = None;
+    let mut walked = 0usize;
+    let mut stack = vec![tree.root()];
+    while let Some(n) = stack.pop() {
+        for (id, p) in tree.leaf_entries(n) {
+            if next.is_some_and(|at| at != p.as_ptr()) {
+                return Err(format!("entry {id} of leaf {} breaks the run", n.index()));
+            }
+            next = Some(p.as_ptr().wrapping_add(p.len()));
+            walked += 1;
+        }
+        stack.extend(tree.children(n).into_iter().rev());
+    }
+    Ok(walked)
+}
+
+/// A budget/`k`/scope sweep of `knn_in_budgeted` over `tree`, every answer
+/// with all its counters.
+fn knn_sweep(tree: &RStarTree, queries: &[Vec<f32>]) -> Vec<BudgetedKnn> {
+    let root = tree.root();
+    let mid = tree.children(root)[0];
+    let leaf = std::iter::successors(Some(mid), |&n| tree.children(n).first().copied())
+        .last()
+        .expect("a chain of first children ends in a leaf");
+    let mut answers = Vec::new();
+    for scope in [root, mid, leaf] {
+        for q in queries {
+            for budget in [Some(0), Some(2), Some(64), Some(256), Some(1_000), None] {
+                for k in [1usize, 10, 50] {
+                    answers.push(tree.knn_in_budgeted(scope, q, k, budget));
+                }
+            }
+        }
+    }
+    answers
+}
+
+/// A seeded walk of 2 removes of a random live entry to 1 insert beside one,
+/// checked at the end against its own membership list.
+fn update_walk(tree: &mut RStarTree, seed: u64, steps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut live: Vec<(u64, Vec<f32>)> = tree
+        .subtree_items(tree.root())
+        .into_iter()
+        .map(|(id, p)| (id, p.to_vec()))
+        .collect();
+    let mut next_id = 1u64 << 32;
+    for _ in 0..steps {
+        let i = rng.random_range(0..live.len());
+        if rng.random_range(0..3) == 0 {
+            let p: Vec<f32> = live[i]
+                .1
+                .iter()
+                .map(|v| v + rng.random_range(-0.5f32..0.5))
+                .collect();
+            tree.insert(p.clone(), next_id);
+            live.push((next_id, p));
+            next_id += 1;
+        } else {
+            let (id, p) = live.swap_remove(i);
+            assert!(tree.remove(&p, id), "entry {id} not found");
+        }
+    }
+    tree.validate();
+    let mut stored: Vec<u64> = tree
+        .subtree_items(tree.root())
+        .iter()
+        .map(|e| e.0)
+        .collect();
+    let mut expected: Vec<u64> = live.iter().map(|e| e.0).collect();
+    stored.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(stored, expected);
+}
+
+/// `compact` is a permutation of the feature slots and nothing else. On the
+/// five construction fixtures (the churned one carries free-listed slots)
+/// and the search oracle's: the structure dump, every budgeted answer with
+/// its counters, and what a further insert/remove walk does to the tree are
+/// the same before and after; afterwards the leaves' vectors are one linear
+/// walk of a block with no dead slot in it; and a second call changes
+/// nothing.
+#[test]
+fn compact_permutes_feature_slots_and_nothing_else() {
+    let (oracle, oracle_items) = oracle_fixture();
+    let oracle_queries = outside_queries(&oracle_items);
+    let fixtures = digest_fixtures()
+        .into_iter()
+        .chain([("oracle37d_m8_M20", oracle)]);
+    for (name, plain) in fixtures {
+        let mut compacted = plain.clone();
+        compacted.compact();
+        compacted.validate();
+        common::assert_rects_tight(&compacted);
+        assert_eq!(structure_dump(&compacted), structure_dump(&plain), "{name}");
+
+        // Insertion leaves slots in arrival order: nowhere near one run.
+        assert!(contiguous_entries(&plain).is_err(), "{name}");
+        assert_eq!(contiguous_entries(&compacted), Ok(plain.len()), "{name}");
+        // No dead slot and no free list survive: the encoding is that of a
+        // tree whose store holds exactly its points.
+        let bytes = persist::to_bytes(&compacted);
+        assert!(bytes.len() <= persist::to_bytes(&plain).len(), "{name}");
+        assert_eq!(
+            bytes.len() < persist::to_bytes(&plain).len(),
+            name.ends_with("churned")
+        );
+        persist::from_bytes(&bytes).unwrap().validate();
+        let mut again = compacted.clone();
+        again.compact();
+        assert_eq!(persist::to_bytes(&again), bytes, "{name}: not idempotent");
+
+        let queries: Vec<Vec<f32>> = if plain.dims() == ORACLE_DIMS {
+            oracle_queries.clone()
+        } else {
+            let some = plain.subtree_items(plain.root());
+            [3usize, 77, 500]
+                .iter()
+                .map(|&i| some[i].1.iter().map(|v| v + 0.25).collect())
+                .collect()
+        };
+        assert_eq!(
+            knn_sweep(&compacted, &queries),
+            knn_sweep(&plain, &queries),
+            "{name}"
+        );
+
+        // Updates after compaction: the same walk shapes the same tree, on
+        // whichever slots the new rows land.
+        let (mut a, mut b) = (plain, compacted);
+        update_walk(&mut a, 0x5107, 150);
+        update_walk(&mut b, 0x5107, 150);
+        common::assert_rects_tight(&b);
+        assert_eq!(
+            structure_dump(&b),
+            structure_dump(&a),
+            "{name}: after the walk"
+        );
+    }
 }
