@@ -110,8 +110,8 @@ fn retrieve(
                     top_k_euclidean(feats, qp, k)
                 })
             });
-            let mut out = Vec::with_capacity(k);
-            let mut taken = std::collections::HashSet::with_capacity(k);
+            let mut out = Vec::with_capacity(k.min(n));
+            let mut taken = std::collections::HashSet::with_capacity(k.min(n));
             let mut cursors = vec![0usize; ranked.len()];
             'fill: loop {
                 let mut advanced = false;

@@ -41,7 +41,9 @@ pub fn allocate_quotas(supports: &[usize], k: usize) -> Vec<usize> {
         .map(|&s| k as f64 * s as f64 / total as f64)
         .collect();
     let mut quotas: Vec<usize> = exact.iter().map(|&e| e.floor() as usize).collect();
-    let assigned: usize = quotas.iter().sum();
+    // `k` is the caller's: past 2^53 the f64 shares round, and their floors
+    // can sum past `k` or past `usize`. Saturate instead of wrapping.
+    let assigned = quotas.iter().fold(0usize, |a, &q| a.saturating_add(q));
     // Hand the remaining slots to the largest fractional remainders.
     let mut rema: Vec<(f64, usize)> = exact
         .iter()
@@ -49,7 +51,7 @@ pub fn allocate_quotas(supports: &[usize], k: usize) -> Vec<usize> {
         .map(|(i, &e)| (e - e.floor(), i))
         .collect();
     rema.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(_, i) in rema.iter().take(k - assigned) {
+    for &(_, i) in rema.iter().take(k.saturating_sub(assigned)) {
         quotas[i] += 1;
     }
     quotas
@@ -73,7 +75,7 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
     let mut taken: HashSet<usize> = HashSet::new();
     let mut groups: Vec<ResultGroup> = Vec::with_capacity(locals.len());
     for (local, &quota) in locals.iter().zip(&quotas) {
-        let mut images = Vec::with_capacity(quota);
+        let mut images = Vec::with_capacity(quota.min(local.neighbors.len()));
         for n in &local.neighbors {
             if images.len() == quota {
                 break;

@@ -527,7 +527,7 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
         qd_runtime::par_try_map_indexed(&work, |i, &(support, quota, budget)| {
             qd_obs::span_indexed(qd_obs::sp::SUBQUERY, i as u64, || {
                 let (home, marks) = &subqueries[i];
-                let fetch = quota + (quota / 2).max(5);
+                let fetch = quota.saturating_add((quota / 2).max(5));
                 let lq = LocalQuery {
                     home: *home,
                     query_points: marks.clone(),

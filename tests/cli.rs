@@ -99,6 +99,44 @@ fn query_runs_a_session_and_reports_metrics() {
     assert!(text.contains("GTIR"), "{text}");
 }
 
+/// `--k` is the caller's number and sizes no buffer: one past what the
+/// allocator can give (2^60 results) and one at which `quota + slack`
+/// overflows are both requests for everything there is, on the QD path and
+/// on a baseline's.
+#[test]
+fn query_with_an_absurd_k_answers_with_at_most_the_corpus() {
+    let dir = built();
+    for k in ["1152921504606846976", "18446744073709551615"] {
+        let out = qd(
+            dir,
+            &[
+                "query",
+                "--corpus",
+                "c.qdc",
+                "--rfs",
+                "r.qdr",
+                "--query",
+                "bird",
+                "--k",
+                k,
+                "--baseline",
+                "mv",
+            ],
+        );
+        assert!(out.status.success(), "k {k}: {}", stderr(&out));
+        let text = stdout(&out);
+        // `query "bird": 2 subqueries, 400 results (k = …)`
+        let results: usize = text
+            .split(" results")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no result count in {text}"));
+        assert!((1..=400).contains(&results), "k {k}: {results} results");
+        assert!(text.contains("MV: precision"), "{text}");
+    }
+}
+
 #[test]
 fn export_writes_ppm_files() {
     let dir = built();
