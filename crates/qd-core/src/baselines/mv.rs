@@ -110,8 +110,9 @@ fn retrieve(
                     top_k_euclidean(feats, qp, k)
                 })
             });
-            let mut out = Vec::with_capacity(k.min(n));
-            let mut taken = std::collections::HashSet::with_capacity(k.min(n));
+            let capacity = k.min(n); // `k` is the caller's; `n` images exist
+            let mut out = Vec::with_capacity(capacity);
+            let mut taken = std::collections::HashSet::with_capacity(capacity);
             let mut cursors = vec![0usize; ranked.len()];
             'fill: loop {
                 let mut advanced = false;

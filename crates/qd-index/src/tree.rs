@@ -1709,8 +1709,8 @@ impl BestK {
     /// equal distance the image already scored is answered first).
     fn closes(&self, mindist: f64) -> bool {
         match self.worst_first.peek() {
-            Some(worst) => self.worst_first.len() == self.k && worst.0 <= TotalF64(mindist),
-            None => false,
+            Some(worst) if self.worst_first.len() == self.k => worst.0 <= TotalF64(mindist),
+            _ => false,
         }
     }
 
