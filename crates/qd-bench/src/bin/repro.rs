@@ -32,8 +32,16 @@
 
 use qd_bench::experiments;
 use qd_bench::BenchScale;
+use qd_core::QdError;
 
 fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), QdError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let seed = args
@@ -56,8 +64,7 @@ fn main() {
         };
         let with_timing = args.iter().any(|a| a == "--timing");
         eprintln!("[repro: json report, scale={scale:?}, seed={seed}, timing={with_timing}]");
-        experiments::json_report(scale, seed, with_timing);
-        return;
+        return experiments::json_report(scale, seed, with_timing);
     }
 
     let scale = if quick {
@@ -75,26 +82,26 @@ fn main() {
     let start = std::time::Instant::now();
     match command.as_str() {
         "fig1" => experiments::fig1(scale, seed),
-        "table1" => experiments::table1(scale, seed),
-        "table2" => experiments::table2(scale, seed),
-        "figs4to9" | "fig4_5" | "fig6_7" | "fig8_9" => experiments::figs4to9(scale, seed),
-        "fig10" => experiments::fig10(&sizes, per_size, seed),
-        "fig11" => experiments::fig11(&sizes, per_size, seed),
-        "io" => experiments::io_experiment(scale, seed),
-        "ablate" => run_ablations(scale, seed),
-        "shootout" => experiments::baseline_shootout(scale, seed),
-        "patk" => experiments::precision_at_k(scale, seed),
+        "table1" => experiments::table1(scale, seed)?,
+        "table2" => experiments::table2(scale, seed)?,
+        "figs4to9" | "fig4_5" | "fig6_7" | "fig8_9" => experiments::figs4to9(scale, seed)?,
+        "fig10" => experiments::fig10(&sizes, per_size, seed)?,
+        "fig11" => experiments::fig11(&sizes, per_size, seed)?,
+        "io" => experiments::io_experiment(scale, seed)?,
+        "ablate" => run_ablations(scale, seed)?,
+        "shootout" => experiments::baseline_shootout(scale, seed)?,
+        "patk" => experiments::precision_at_k(scale, seed)?,
         "all" => {
             experiments::fig1(scale, seed);
-            experiments::table1(scale, seed);
-            experiments::table2(scale, seed);
-            experiments::figs4to9(scale, seed);
-            experiments::fig10(&sizes, per_size, seed);
-            experiments::fig11(&sizes, per_size, seed);
-            experiments::io_experiment(scale, seed);
-            experiments::baseline_shootout(scale, seed);
-            experiments::precision_at_k(scale, seed);
-            run_ablations(scale, seed);
+            experiments::table1(scale, seed)?;
+            experiments::table2(scale, seed)?;
+            experiments::figs4to9(scale, seed)?;
+            experiments::fig10(&sizes, per_size, seed)?;
+            experiments::fig11(&sizes, per_size, seed)?;
+            experiments::io_experiment(scale, seed)?;
+            experiments::baseline_shootout(scale, seed)?;
+            experiments::precision_at_k(scale, seed)?;
+            run_ablations(scale, seed)?;
         }
         other => {
             eprintln!("unknown command {other:?}; see the module docs for the list");
@@ -102,16 +109,17 @@ fn main() {
         }
     }
     eprintln!("[repro finished in {:.1}s]", start.elapsed().as_secs_f64());
+    Ok(())
 }
 
-fn run_ablations(scale: BenchScale, seed: u64) {
-    experiments::ablate_threshold(scale, seed, &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0]);
-    experiments::ablate_representative_fraction(scale, seed, &[0.01, 0.03, 0.05, 0.08, 0.10]);
-    experiments::ablate_fanout(scale, seed, &[25, 50, 100, 200]);
-    experiments::ablate_merge(scale, seed);
-    experiments::ablate_build(scale, seed);
-    experiments::ablate_representative_selection(scale, seed);
-    experiments::ablate_feature_weights(scale, seed);
-    experiments::ablate_user_noise(scale, seed, &[0.0, 0.1, 0.2, 0.3, 0.4]);
-    experiments::ablate_patience(scale, seed, &[1, 3, 7, 15, usize::MAX]);
+fn run_ablations(scale: BenchScale, seed: u64) -> Result<(), QdError> {
+    experiments::ablate_threshold(scale, seed, &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0])?;
+    experiments::ablate_representative_fraction(scale, seed, &[0.01, 0.03, 0.05, 0.08, 0.10])?;
+    experiments::ablate_fanout(scale, seed, &[25, 50, 100, 200])?;
+    experiments::ablate_merge(scale, seed)?;
+    experiments::ablate_build(scale, seed)?;
+    experiments::ablate_representative_selection(scale, seed)?;
+    experiments::ablate_feature_weights(scale, seed)?;
+    experiments::ablate_user_noise(scale, seed, &[0.0, 0.1, 0.2, 0.3, 0.4])?;
+    experiments::ablate_patience(scale, seed, &[1, 3, 7, 15, usize::MAX])
 }

@@ -1,6 +1,7 @@
 //! One function per paper artifact (tables, figures, §5.2.2 I/O claim) and
 //! per DESIGN.md ablation. Each emits an aligned table to stdout and a CSV
-//! under `bench_results/`.
+//! under `bench_results/`; the ones that run QD sessions return the first
+//! session's [`QdError`] instead, for `repro` to report.
 
 use crate::fixtures::{bench_corpus, bench_rfs, BenchScale};
 use crate::report::{self, f3, f3_opt, ms, JsonValue, Table};
@@ -8,8 +9,9 @@ use crate::simqueries::random_queries;
 use qd_core::baselines::BaselineConfig;
 use qd_core::eval::{self, Baseline};
 use qd_core::rfs::{RfsConfig, RfsStructure};
-use qd_core::session::{run_session, MergeStrategy, QdConfig};
+use qd_core::session::{try_run_session, MergeStrategy, QdConfig};
 use qd_core::user::SimulatedUser;
+use qd_core::QdError;
 use qd_corpus::{queries, Corpus};
 use qd_linalg::metric::euclidean;
 use qd_linalg::vector::centroid;
@@ -94,7 +96,7 @@ pub fn fig1(scale: BenchScale, seed: u64) {
 
 /// Table 1: per-query precision and GTIR, MV vs QD, over the eleven standard
 /// queries.
-pub fn table1(scale: BenchScale, seed: u64) {
+pub fn table1(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let rows = eval::run_table1(
@@ -103,7 +105,7 @@ pub fn table1(scale: BenchScale, seed: u64) {
         Baseline::MultipleViewpoints,
         &QdConfig::default(),
         &BaselineConfig::default(),
-    );
+    )?;
     let avg = eval::average_row(&rows);
     let mut table = Table::new(
         "Table 1: query evaluation, MV vs QD",
@@ -125,10 +127,11 @@ pub fn table1(scale: BenchScale, seed: u64) {
         ]);
     }
     table.emit("table1_quality");
+    Ok(())
 }
 
 /// Table 2: per-round precision/GTIR averaged over the eleven queries.
-pub fn table2(scale: BenchScale, seed: u64) {
+pub fn table2(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     // A finite per-round inspection budget models the paper's 21-image
@@ -149,7 +152,7 @@ pub fn table2(scale: BenchScale, seed: u64) {
         Baseline::MultipleViewpoints,
         &qd_cfg,
         &baseline_cfg,
-    );
+    )?;
     let mut table = Table::new(
         "Table 2: quality per feedback round (averaged over 11 queries)",
         &[
@@ -170,12 +173,13 @@ pub fn table2(scale: BenchScale, seed: u64) {
         ]);
     }
     table.emit("table2_rounds");
+    Ok(())
 }
 
 /// Figures 4–9: qualitative top-k category listings, MV vs QD, for the three
 /// computer queries ("portable computer" top-8, "personal computer" top-16,
 /// "computer" top-24).
-pub fn figs4to9(scale: BenchScale, seed: u64) {
+pub fn figs4to9(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let specs = [
@@ -200,7 +204,7 @@ pub fn figs4to9(scale: BenchScale, seed: u64) {
             Baseline::MultipleViewpoints,
             &QdConfig::default(),
             &BaselineConfig::default(),
-        );
+        )?;
         let mut table = Table::new(title, &["rank", "MV category", "QD category"]);
         for i in 0..k {
             table.row(vec![
@@ -234,6 +238,7 @@ pub fn figs4to9(scale: BenchScale, seed: u64) {
             query.groups.len()
         );
     }
+    Ok(())
 }
 
 /// Writes the visual version of a Figures 4–9 panel: actual thumbnails of
@@ -284,7 +289,7 @@ fn write_figure_html(
 /// Single-neighborhood techniques front-load one cluster's images, so their
 /// curves start high and sag as the prefix outgrows that cluster; QD's
 /// grouped merge keeps the curve flat.
-pub fn precision_at_k(scale: BenchScale, seed: u64) {
+pub fn precision_at_k(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let fractions = [0.25f64, 0.5, 0.75, 1.0];
@@ -335,12 +340,14 @@ pub fn precision_at_k(scale: BenchScale, seed: u64) {
         rows.push((baseline.name().to_string(), acc.map(|a| a / n)));
     }
     {
-        let acc = sum4(qd_runtime::par_map(&qs, |query| {
+        let per_query = qd_runtime::par_map(&qs, |query| {
             let k = corpus.ground_truth(query).len();
             let mut user = SimulatedUser::oracle(query, seed);
-            let out = run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default());
-            prefix_precision(&corpus, query, &out.results)
-        }));
+            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
+                .into_outcome();
+            Ok(prefix_precision(&corpus, query, &out.results))
+        });
+        let acc = sum4(per_query.into_iter().collect::<Result<_, QdError>>()?);
         rows.push(("QD (this paper)".to_string(), acc.map(|a| a / n)));
     }
     for (name, vals) in rows {
@@ -353,12 +360,13 @@ pub fn precision_at_k(scale: BenchScale, seed: u64) {
         ]);
     }
     table.emit("precision_at_k");
+    Ok(())
 }
 
 /// Ablation: per-round browsing budget (display pages inspected). Drives
 /// Table 2's coverage progression: a small budget slows subconcept
 /// discovery; an unbounded one front-loads it.
-pub fn ablate_patience(scale: BenchScale, seed: u64, budgets: &[usize]) {
+pub fn ablate_patience(scale: BenchScale, seed: u64, budgets: &[usize]) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -382,7 +390,8 @@ pub fn ablate_patience(scale: BenchScale, seed: u64, budgets: &[usize]) {
         for query in &qs {
             let k = corpus.ground_truth(query).len();
             let mut user = SimulatedUser::oracle(query, seed).with_patience(patience);
-            let out = run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default());
+            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
+                .into_outcome();
             g1 += out.round_trace.first().map(|t| t.gtir).unwrap_or(0.0);
             p3 += qd_core::metrics::precision(&corpus, query, &out.results);
             g3 += qd_core::metrics::gtir(&corpus, query, &out.results);
@@ -399,12 +408,17 @@ pub fn ablate_patience(scale: BenchScale, seed: u64, budgets: &[usize]) {
         ]);
     }
     table.emit("ablate_patience");
+    Ok(())
 }
 
 /// Robustness study (ours): how quality degrades as the simulated user's
 /// judgments become noisy — the variance dimension behind the paper's
 /// 20-student evaluation.
-pub fn ablate_user_noise(scale: BenchScale, seed: u64, noise_levels: &[f32]) {
+pub fn ablate_user_noise(
+    scale: BenchScale,
+    seed: u64,
+    noise_levels: &[f32],
+) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -419,13 +433,15 @@ pub fn ablate_user_noise(scale: BenchScale, seed: u64, noise_levels: &[f32]) {
         for query in &qs {
             let k = corpus.ground_truth(query).len();
             let mut user = SimulatedUser::oracle(query, seed).with_noise(noise);
-            let out = run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default());
+            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
+                .into_outcome();
             p_sum += qd_core::metrics::precision(&corpus, query, &out.results);
             g_sum += qd_core::metrics::gtir(&corpus, query, &out.results);
         }
         table.row(vec![format!("{noise:.2}"), f3(p_sum / n), f3(g_sum / n)]);
     }
     table.emit("ablate_user_noise");
+    Ok(())
 }
 
 /// Per-database-size timing rows shared by Figures 10 and 11.
@@ -443,7 +459,11 @@ pub struct TimingRow {
 }
 
 /// Runs the timing sweep behind Figures 10 and 11.
-pub fn timing_sweep(sizes: &[usize], queries_per_size: usize, seed: u64) -> Vec<TimingRow> {
+pub fn timing_sweep(
+    sizes: &[usize],
+    queries_per_size: usize,
+    seed: u64,
+) -> Result<Vec<TimingRow>, QdError> {
     sizes
         .iter()
         .map(|&size| {
@@ -453,18 +473,20 @@ pub fn timing_sweep(sizes: &[usize], queries_per_size: usize, seed: u64) -> Vec<
             let sims = random_queries(corpus.taxonomy(), queries_per_size, seed ^ 0xBEEF);
             // Sessions are seeded per query index, so they fan out across
             // the qd-runtime pool; the timing totals reduce in input order.
+            let per_query = qd_runtime::par_map_indexed(&sims, |i, q| {
+                let k = corpus.ground_truth(q).len().clamp(1, 100);
+                let mut user = SimulatedUser::oracle(q, seed + i as u64);
+                let out = try_run_session(&corpus, &rfs, q, &mut user, k, &QdConfig::default())?
+                    .into_outcome();
+                let rounds: Duration = out.round_durations.iter().sum();
+                Ok((
+                    rounds + out.final_knn_duration,
+                    rounds,
+                    out.round_durations.len() as u32,
+                ))
+            });
             let per_query: Vec<(Duration, Duration, u32)> =
-                qd_runtime::par_map_indexed(&sims, |i, q| {
-                    let k = corpus.ground_truth(q).len().clamp(1, 100);
-                    let mut user = SimulatedUser::oracle(q, seed + i as u64);
-                    let out = run_session(&corpus, &rfs, q, &mut user, k, &QdConfig::default());
-                    let rounds: Duration = out.round_durations.iter().sum();
-                    (
-                        rounds + out.final_knn_duration,
-                        rounds,
-                        out.round_durations.len() as u32,
-                    )
-                });
+                per_query.into_iter().collect::<Result<_, QdError>>()?;
             let mut total = Duration::ZERO;
             let mut iteration = Duration::ZERO;
             let mut iterations = 0u32;
@@ -510,19 +532,19 @@ pub fn timing_sweep(sizes: &[usize], queries_per_size: usize, seed: u64) -> Vec<
                 }
             };
 
-            TimingRow {
+            Ok(TimingRow {
                 size,
                 qd_total: total / sessions.max(1),
                 qd_iteration: iteration / iterations.max(1),
                 global_round,
-            }
+            })
         })
         .collect()
 }
 
 /// Figure 10: overall query processing time vs database size.
-pub fn fig10(sizes: &[usize], queries_per_size: usize, seed: u64) {
-    let rows = timing_sweep(sizes, queries_per_size, seed);
+pub fn fig10(sizes: &[usize], queries_per_size: usize, seed: u64) -> Result<(), QdError> {
+    let rows = timing_sweep(sizes, queries_per_size, seed)?;
     let mut table = Table::new(
         "Figure 10: overall query processing time vs database size",
         &[
@@ -535,12 +557,13 @@ pub fn fig10(sizes: &[usize], queries_per_size: usize, seed: u64) {
         table.row(vec![r.size.to_string(), ms(r.qd_total), ms(r.global_round)]);
     }
     table.emit("fig10_overall_time");
+    Ok(())
 }
 
 /// Figure 11: average per-iteration feedback processing time vs database
 /// size.
-pub fn fig11(sizes: &[usize], queries_per_size: usize, seed: u64) {
-    let rows = timing_sweep(sizes, queries_per_size, seed);
+pub fn fig11(sizes: &[usize], queries_per_size: usize, seed: u64) -> Result<(), QdError> {
+    let rows = timing_sweep(sizes, queries_per_size, seed)?;
     let mut table = Table::new(
         "Figure 11: average iteration processing time vs database size",
         &[
@@ -557,11 +580,12 @@ pub fn fig11(sizes: &[usize], queries_per_size: usize, seed: u64) {
         ]);
     }
     table.emit("fig11_iteration_time");
+    Ok(())
 }
 
 /// §5.2.2's disk-I/O claim: node accesses per feedback action stay ~1 and
 /// localized k-NN touches only a few neighborhoods.
-pub fn io_experiment(scale: BenchScale, seed: u64) {
+pub fn io_experiment(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -578,7 +602,8 @@ pub fn io_experiment(scale: BenchScale, seed: u64) {
     for query in queries::standard_queries(corpus.taxonomy()) {
         let k = corpus.ground_truth(&query).len();
         let mut user = SimulatedUser::oracle(&query, seed);
-        let out = run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default());
+        let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default())?
+            .into_outcome();
         table.row(vec![
             query.name.clone(),
             out.feedback_accesses.to_string(),
@@ -588,6 +613,7 @@ pub fn io_experiment(scale: BenchScale, seed: u64) {
         ]);
     }
     table.emit("io_node_accesses");
+    Ok(())
 }
 
 /// Runs the eleven standard queries under one QD configuration and averages
@@ -597,20 +623,22 @@ fn qd_average(
     rfs: &RfsStructure,
     cfg: &QdConfig,
     seed: u64,
-) -> (f64, f64, f64, f64) {
+) -> Result<(f64, f64, f64, f64), QdError> {
     let qs = queries::standard_queries(corpus.taxonomy());
     let n = qs.len() as f64;
     let per_query = qd_runtime::par_map(&qs, |query| {
         let k = corpus.ground_truth(query).len();
         let mut user = SimulatedUser::oracle(query, seed);
-        let out = run_session(corpus, rfs, query, &mut user, k, cfg);
-        (
+        let out = try_run_session(corpus, rfs, query, &mut user, k, cfg)?.into_outcome();
+        Ok((
             qd_core::metrics::precision(corpus, query, &out.results),
             qd_core::metrics::gtir(corpus, query, &out.results),
             out.knn_accesses as f64,
             out.results.len() as f64 / k as f64,
-        )
+        ))
     });
+    let per_query: Vec<(f64, f64, f64, f64)> =
+        per_query.into_iter().collect::<Result<_, QdError>>()?;
     let (mut precision, mut gtir, mut knn_accesses, mut fill) = (0.0, 0.0, 0.0, 0.0);
     for (p, g, io, f) in per_query {
         precision += p;
@@ -618,11 +646,11 @@ fn qd_average(
         knn_accesses += io;
         fill += f;
     }
-    (precision / n, gtir / n, knn_accesses / n, fill / n)
+    Ok((precision / n, gtir / n, knn_accesses / n, fill / n))
 }
 
 /// Ablation: boundary-ratio threshold sweep (§3.3; DESIGN.md §5.1).
-pub fn ablate_threshold(scale: BenchScale, seed: u64, thresholds: &[f32]) {
+pub fn ablate_threshold(scale: BenchScale, seed: u64, thresholds: &[f32]) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -634,7 +662,7 @@ pub fn ablate_threshold(scale: BenchScale, seed: u64, thresholds: &[f32]) {
             boundary_threshold: t,
             ..QdConfig::default()
         };
-        let (p, g, io, fill) = qd_average(&corpus, &rfs, &cfg, seed);
+        let (p, g, io, fill) = qd_average(&corpus, &rfs, &cfg, seed)?;
         table.row(vec![
             format!("{t:.2}"),
             f3(p),
@@ -644,10 +672,15 @@ pub fn ablate_threshold(scale: BenchScale, seed: u64, thresholds: &[f32]) {
         ]);
     }
     table.emit("ablate_threshold");
+    Ok(())
 }
 
 /// Ablation: representative fraction sweep (DESIGN.md §5.2).
-pub fn ablate_representative_fraction(scale: BenchScale, seed: u64, fractions: &[f32]) {
+pub fn ablate_representative_fraction(
+    scale: BenchScale,
+    seed: u64,
+    fractions: &[f32],
+) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let mut table = Table::new(
         "Ablation: leaf representative fraction",
@@ -660,7 +693,7 @@ pub fn ablate_representative_fraction(scale: BenchScale, seed: u64, fractions: &
         };
         let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
         let reps = rfs.all_representatives().len();
-        let (p, g, _, fill) = qd_average(&corpus, &rfs, &QdConfig::default(), seed);
+        let (p, g, _, fill) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
         table.row(vec![
             format!("{frac:.2}"),
             reps.to_string(),
@@ -670,11 +703,12 @@ pub fn ablate_representative_fraction(scale: BenchScale, seed: u64, fractions: &
         ]);
     }
     table.emit("ablate_representative_fraction");
+    Ok(())
 }
 
 /// Ablation: node fan-out sweep (DESIGN.md §5.3) — alters RFS depth and
 /// decomposition granularity.
-pub fn ablate_fanout(scale: BenchScale, seed: u64, capacities: &[usize]) {
+pub fn ablate_fanout(scale: BenchScale, seed: u64, capacities: &[usize]) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let mut table = Table::new(
         "Ablation: RFS node capacity",
@@ -688,12 +722,8 @@ pub fn ablate_fanout(scale: BenchScale, seed: u64, capacities: &[usize]) {
         };
         let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
         let tree = rfs.tree();
-        let leaves = tree
-            .node_ids()
-            .into_iter()
-            .filter(|&n| tree.is_leaf(n))
-            .count();
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed);
+        let leaves = tree.node_ids().filter(|&n| tree.is_leaf(n)).count();
+        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
         table.row(vec![
             cap.to_string(),
             tree.height().to_string(),
@@ -703,10 +733,11 @@ pub fn ablate_fanout(scale: BenchScale, seed: u64, capacities: &[usize]) {
         ]);
     }
     table.emit("ablate_fanout");
+    Ok(())
 }
 
 /// Ablation: proportional vs uniform result merging (§3.4; DESIGN.md §5.4).
-pub fn ablate_merge(scale: BenchScale, seed: u64) {
+pub fn ablate_merge(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -722,15 +753,16 @@ pub fn ablate_merge(scale: BenchScale, seed: u64) {
             merge,
             ..QdConfig::default()
         };
-        let (p, g, _, fill) = qd_average(&corpus, &rfs, &cfg, seed);
+        let (p, g, _, fill) = qd_average(&corpus, &rfs, &cfg, seed)?;
         table.row(vec![name.to_string(), f3(p), f3(g), f3(fill)]);
     }
     table.emit("ablate_merge");
+    Ok(())
 }
 
 /// Ablation: k-means medoid vs random representative selection (§3.1;
 /// DESIGN.md §5.5).
-pub fn ablate_representative_selection(scale: BenchScale, seed: u64) {
+pub fn ablate_representative_selection(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let mut table = Table::new(
         "Ablation: representative selection",
@@ -742,17 +774,18 @@ pub fn ablate_representative_selection(scale: BenchScale, seed: u64) {
             ..scale.rfs_config()
         };
         let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed);
+        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
         table.row(vec![name.to_string(), f3(p), f3(g)]);
     }
     table.emit("ablate_representative_selection");
+    Ok(())
 }
 
 /// Ablation: R\* insertion clustering vs kd-median bulk loading for the RFS
 /// tree. The kd loader is much cheaper to build but its median splits slice
 /// through feature-space clusters, so leaves mix categories and localized
 /// retrieval loses precision.
-pub fn ablate_build(scale: BenchScale, seed: u64) {
+pub fn ablate_build(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let mut table = Table::new(
         "Ablation: RFS tree construction",
@@ -766,14 +799,15 @@ pub fn ablate_build(scale: BenchScale, seed: u64) {
         let start = std::time::Instant::now();
         let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
         let built = start.elapsed();
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed);
+        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
         table.row(vec![name.to_string(), ms(built), f3(p), f3(g)]);
     }
     table.emit("ablate_build");
+    Ok(())
 }
 
 /// Extension study (§6 future work): user-defined feature-group importance.
-pub fn ablate_feature_weights(scale: BenchScale, seed: u64) {
+pub fn ablate_feature_weights(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -788,10 +822,11 @@ pub fn ablate_feature_weights(scale: BenchScale, seed: u64) {
         ("color only (1,0,0)", 1.0, 0.0, 0.0),
     ] {
         let cfg = QdConfig::default().with_group_weights(c, t, e);
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &cfg, seed);
+        let (p, g, _, _) = qd_average(&corpus, &rfs, &cfg, seed)?;
         table.row(vec![name.to_string(), f3(p), f3(g)]);
     }
     table.emit("ablate_feature_weights");
+    Ok(())
 }
 
 /// The machine-readable bench report (`repro --json`): runs the Table 1
@@ -817,11 +852,11 @@ pub fn ablate_feature_weights(scale: BenchScale, seed: u64) {
 /// report. Timing is inherently non-deterministic, so the flag is off by
 /// default and off in the CI byte-diff job; everything outside the timing
 /// tables is unchanged by the flag.
-pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) {
+pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let qd_cfg = QdConfig::default();
     let baseline_cfg = BaselineConfig::default();
-    let ((rows, timings, avg), trace) = qd_obs::with_recorder(|| {
+    let (recorded, trace) = qd_obs::with_recorder(|| {
         let rfs = RfsStructure::build(corpus.features(), &scale.rfs_config());
         let qs = queries::standard_queries(corpus.taxonomy());
         let per_query = qd_runtime::par_map_indexed(&qs, |i, query| {
@@ -833,7 +868,8 @@ pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) {
                     Baseline::MultipleViewpoints.run(&corpus, query, &mut b_user, k, &baseline_cfg);
                 let mut q_user =
                     SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-                let q = run_session(&corpus, &rfs, query, &mut q_user, k, &qd_cfg);
+                let q =
+                    try_run_session(&corpus, &rfs, query, &mut q_user, k, &qd_cfg)?.into_outcome();
                 let row = eval::QualityRow {
                     query: query.name.clone(),
                     baseline_precision: qd_core::metrics::precision(&corpus, query, &b.results),
@@ -841,18 +877,20 @@ pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) {
                     qd_precision: qd_core::metrics::precision(&corpus, query, &q.results),
                     qd_gtir: qd_core::metrics::gtir(&corpus, query, &q.results),
                 };
-                (row, (q.round_durations, q.final_knn_duration))
+                Ok((row, (q.round_durations, q.final_knn_duration)))
             })
         });
         let mut rows = Vec::with_capacity(per_query.len());
         let mut timings = crate::timing::TimingHists::new();
-        for (row, (rounds, final_knn)) in per_query {
+        for outcome in per_query {
+            let (row, (rounds, final_knn)) = outcome?;
             rows.push(row);
             timings.record_query(&rounds, final_knn);
         }
         let avg = eval::average_row(&rows);
-        (rows, timings, avg)
+        Ok((rows, timings, avg))
     });
+    let (rows, timings, avg) = recorded?;
 
     let mut table = Table::new(
         "Table 1: query evaluation, MV vs QD",
@@ -903,7 +941,7 @@ pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) {
             BenchScale::Tiny => vec![200, 400],
             _ => vec![1_000, 2_000, 3_000],
         };
-        let rows = timing_sweep(&sizes, 5, seed);
+        let rows = timing_sweep(&sizes, 5, seed)?;
         let mut fig10 = Table::new(
             "Figure 10: overall query processing time vs database size",
             &["db size", "QD total (ms)", "global-kNN RF round (ms)"],
@@ -934,6 +972,7 @@ pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
 /// The `serving` section of `BENCH_qd.json`: a deliberately overloaded
@@ -1148,7 +1187,7 @@ fn sharding_section(scale: BenchScale, seed: u64) -> JsonValue {
 }
 
 /// Baseline shoot-out: QD against all four baselines on Table 1's metric.
-pub fn baseline_shootout(scale: BenchScale, seed: u64) {
+pub fn baseline_shootout(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
     let rfs = bench_rfs(scale, seed);
     let mut table = Table::new(
@@ -1167,7 +1206,7 @@ pub fn baseline_shootout(scale: BenchScale, seed: u64) {
             baseline,
             &QdConfig::default(),
             &BaselineConfig::default(),
-        );
+        )?;
         let avg = eval::average_row(&rows);
         table.row(vec![
             baseline.name().to_string(),
@@ -1184,4 +1223,5 @@ pub fn baseline_shootout(scale: BenchScale, seed: u64) {
         }
     }
     table.emit("baseline_shootout");
+    Ok(())
 }

@@ -18,8 +18,7 @@
 use crate::error::QdError;
 use crate::rfs::{FeedbackHierarchy, RfsStructure};
 use crate::session::{
-    execute_subqueries, run_feedback_rounds, try_execute_subqueries, validate_subqueries,
-    FinalExecution, QdConfig,
+    run_feedback_rounds, try_execute_subqueries, validate_subqueries, FinalExecution, QdConfig,
 };
 use crate::user::SimulatedUser;
 use qd_corpus::taxonomy::SubconceptId;
@@ -155,21 +154,6 @@ pub fn client_feedback(
     }
 }
 
-/// Answers a client's query on the server: localized multipoint k-NN per
-/// subquery plus the merge of §3.4.
-///
-/// Panics on a malformed query; serving paths should prefer
-/// [`try_server_execute`].
-pub fn server_execute(
-    corpus: &Corpus,
-    rfs: &RfsStructure,
-    remote: &RemoteQuery,
-    k: usize,
-    cfg: &QdConfig,
-) -> FinalExecution {
-    execute_subqueries(corpus, rfs, &remote.subqueries, k, cfg)
-}
-
 /// Checks a remote query against the server's corpus and tree before any
 /// k-NN work: every subquery must be non-empty, reference a cluster handle
 /// this server actually holds, and mark only in-range image ids.
@@ -182,9 +166,10 @@ pub fn validate_remote_query(
     validate_subqueries(corpus, rfs, &remote.subqueries, cfg)
 }
 
-/// Fallible server entry point: validates the payload, then executes the
-/// localized subqueries, surfacing malformed queries and worker failures as
-/// typed [`QdError`]s instead of panics.
+/// Answers a client's query on the server — localized multipoint k-NN per
+/// subquery plus the merge of §3.4: validates the payload, then executes
+/// the subqueries, surfacing malformed queries and worker failures as typed
+/// [`QdError`]s instead of panics.
 pub fn try_server_execute(
     corpus: &Corpus,
     rfs: &RfsStructure,
@@ -313,7 +298,7 @@ pub fn submit_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::run_session;
+    use crate::session::try_run_session;
     use crate::testutil;
 
     fn client_fixture() -> (&'static Corpus, &'static RfsStructure, ClientRfs) {
@@ -365,11 +350,13 @@ mod tests {
         let cfg = QdConfig::default();
 
         let mut mono_user = SimulatedUser::oracle(&query, 21);
-        let monolithic = run_session(corpus, rfs, &query, &mut mono_user, k, &cfg);
+        let monolithic = try_run_session(corpus, rfs, &query, &mut mono_user, k, &cfg)
+            .unwrap()
+            .into_outcome();
 
         let mut split_user = SimulatedUser::oracle(&query, 21);
         let remote = client_feedback(&client, corpus.labels(), &mut split_user, &cfg);
-        let execution = server_execute(corpus, rfs, &remote, k, &cfg);
+        let execution = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
 
         assert_eq!(execution.results, monolithic.results);
         assert_eq!(execution.subquery_count, monolithic.subquery_count);
@@ -396,7 +383,7 @@ mod tests {
         let cfg = QdConfig::default();
         let mut user = SimulatedUser::oracle(&query, 21);
         let remote = client_feedback(&client, corpus.labels(), &mut user, &cfg);
-        let clean = server_execute(corpus, rfs, &remote, k, &cfg);
+        let clean = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
 
         // First send fails, second goes through.
         let plan = qd_fault::FaultPlan::new(11)
@@ -430,7 +417,7 @@ mod tests {
         let cfg = QdConfig::default();
         let mut user = SimulatedUser::oracle(&query, 5);
         let remote = client_feedback(&client, corpus.labels(), &mut user, &cfg);
-        let clean = server_execute(corpus, rfs, &remote, k, &cfg);
+        let clean = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
 
         let plan = qd_fault::FaultPlan::new(29)
             .site(qd_fault::site::CLIENT_MARK_CORRUPT, qd_fault::Mode::Once(0));

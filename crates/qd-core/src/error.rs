@@ -46,6 +46,9 @@ pub enum QdError {
         /// Panic messages, in subquery order.
         panics: Vec<String>,
     },
+    /// The session was configured with zero feedback rounds: there is no
+    /// final round to take subqueries from.
+    NoFeedbackRounds,
     /// The client exhausted its retry budget against the server.
     RetriesExhausted {
         /// Attempts performed (== the policy's maximum).
@@ -88,6 +91,12 @@ impl fmt::Display for QdError {
                     "all {} localized subqueries failed: {:?}",
                     panics.len(),
                     panics
+                )
+            }
+            QdError::NoFeedbackRounds => {
+                write!(
+                    f,
+                    "a session needs at least one feedback round (rounds = 0)"
                 )
             }
             QdError::RetriesExhausted {

@@ -4,9 +4,10 @@
 //! 4–9.
 
 use crate::baselines::{self, BaselineConfig};
+use crate::error::QdError;
 use crate::metrics::{gtir, precision, RoundTrace};
 use crate::rfs::RfsStructure;
-use crate::session::{run_session, QdConfig};
+use crate::session::{try_run_session, QdConfig};
 use crate::user::SimulatedUser;
 use qd_corpus::{queries, Corpus, QuerySpec};
 
@@ -88,13 +89,16 @@ pub struct QualityRow {
 /// `k = |ground truth|` per query (making precision = recall, §5.2.1).
 /// The final row returned by [`average_row`] reproduces the table's
 /// "Average" line.
+///
+/// # Errors
+/// The first QD session's [`QdError`], in query order.
 pub fn run_table1(
     corpus: &Corpus,
     rfs: &RfsStructure,
     baseline: Baseline,
     qd_cfg: &QdConfig,
     baseline_cfg: &BaselineConfig,
-) -> Vec<QualityRow> {
+) -> Result<Vec<QualityRow>, QdError> {
     // Each Table 1 row seeds its own simulated users from the config seeds,
     // so queries share no RNG stream and the rows fan out across the
     // qd-runtime pool while staying byte-identical to a sequential run.
@@ -106,15 +110,17 @@ pub fn run_table1(
         let b = baseline.run(corpus, query, &mut mv_user, k, baseline_cfg);
         let mut qd_user =
             SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-        let q = run_session(corpus, rfs, query, &mut qd_user, k, qd_cfg);
-        QualityRow {
+        let q = try_run_session(corpus, rfs, query, &mut qd_user, k, qd_cfg)?.into_outcome();
+        Ok(QualityRow {
             query: query.name.clone(),
             baseline_precision: precision(corpus, query, &b.results),
             baseline_gtir: gtir(corpus, query, &b.results),
             qd_precision: precision(corpus, query, &q.results),
             qd_gtir: gtir(corpus, query, &q.results),
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// The "Average" line of Table 1.
@@ -147,18 +153,21 @@ pub struct RoundRow {
 
 /// Runs Table 2: per-round precision/GTIR averaged over the 11 standard
 /// queries.
+///
+/// # Errors
+/// The first QD session's [`QdError`], in query order.
 pub fn run_table2(
     corpus: &Corpus,
     rfs: &RfsStructure,
     baseline: Baseline,
     qd_cfg: &QdConfig,
     baseline_cfg: &BaselineConfig,
-) -> Vec<RoundRow> {
+) -> Result<Vec<RoundRow>, QdError> {
     let queries = queries::standard_queries(corpus.taxonomy());
     let rounds = qd_cfg.rounds.max(baseline_cfg.rounds);
     // As in Table 1, every query's users are seeded independently; the
     // per-query trace pairs fan out and come back in query order.
-    let traces: Vec<(Vec<RoundTrace>, Vec<RoundTrace>)> = qd_runtime::par_map(&queries, |query| {
+    let traces = qd_runtime::par_map(&queries, |query| {
         let k = corpus.ground_truth(query).len();
         let mut b_user = SimulatedUser::oracle(query, baseline_cfg.seed)
             .with_patience(baseline_cfg.user_patience);
@@ -167,12 +176,16 @@ pub fn run_table2(
             .round_trace;
         let mut q_user =
             SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-        let q_trace = run_session(corpus, rfs, query, &mut q_user, k, qd_cfg).round_trace;
-        (b_trace, q_trace)
+        let q_trace = try_run_session(corpus, rfs, query, &mut q_user, k, qd_cfg)?
+            .into_outcome()
+            .round_trace;
+        Ok((b_trace, q_trace))
     });
+    let traces: Vec<(Vec<RoundTrace>, Vec<RoundTrace>)> =
+        traces.into_iter().collect::<Result<_, QdError>>()?;
     let (baseline_traces, qd_traces): (Vec<_>, Vec<_>) = traces.into_iter().unzip();
 
-    (1..=rounds)
+    Ok((1..=rounds)
         .map(|round| {
             let n = queries.len() as f64;
             let b_prec = baseline_traces
@@ -206,7 +219,7 @@ pub fn run_table2(
                 qd_gtir,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// A qualitative top-k run (Figures 4–9): retrieves `k` images for `query`
@@ -224,6 +237,9 @@ pub struct TopKComparison {
 }
 
 /// Runs the Figures 4–9 comparison for one query at a fixed `k`.
+///
+/// # Errors
+/// The QD session's [`QdError`].
 pub fn run_topk_comparison(
     corpus: &Corpus,
     rfs: &RfsStructure,
@@ -232,14 +248,14 @@ pub fn run_topk_comparison(
     baseline: Baseline,
     qd_cfg: &QdConfig,
     baseline_cfg: &BaselineConfig,
-) -> TopKComparison {
+) -> Result<TopKComparison, QdError> {
     let mut b_user =
         SimulatedUser::oracle(query, baseline_cfg.seed).with_patience(baseline_cfg.user_patience);
     let b = baseline.run(corpus, query, &mut b_user, k, baseline_cfg);
     let mut q_user = SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-    let q = run_session(corpus, rfs, query, &mut q_user, k, qd_cfg);
+    let q = try_run_session(corpus, rfs, query, &mut q_user, k, qd_cfg)?.into_outcome();
     let name = |id: usize| corpus.taxonomy().name(corpus.label(id)).to_string();
-    TopKComparison {
+    Ok(TopKComparison {
         query: query.name.clone(),
         k,
         baseline: b
@@ -254,7 +270,7 @@ pub fn run_topk_comparison(
             .take(k)
             .map(|id| (id, name(id)))
             .collect(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -271,7 +287,8 @@ mod tests {
             Baseline::MultipleViewpoints,
             &QdConfig::default(),
             &BaselineConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(rows.len(), 11);
         let avg = average_row(&rows);
         // The full Table 1 shape (QD ≈ 2× MV precision) needs paper-scale
@@ -303,7 +320,8 @@ mod tests {
             Baseline::MultipleViewpoints,
             &QdConfig::default(),
             &BaselineConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(rows.len(), 3);
         // QD reports no precision before the final round.
         assert!(rows[0].qd_precision.is_none());
@@ -325,7 +343,8 @@ mod tests {
             Baseline::MultipleViewpoints,
             &QdConfig::default(),
             &BaselineConfig::default(),
-        );
+        )
+        .unwrap();
         assert_eq!(cmp.baseline.len(), 8);
         assert!(cmp.qd.len() <= 8);
         for (_, name) in cmp.baseline.iter().chain(&cmp.qd) {

@@ -104,9 +104,8 @@ pub fn resolve_scope<I: KnnIndex>(
 /// scope holds fewer than `min_pool` images the scope is expanded to
 /// ancestors until it can supply that many candidates (or the root is
 /// reached). Pass 0 to disable.
-// ALLOW: the seven knobs of `run_local_query` plus the distance budget;
-// callers are the two wrappers below and `try_execute_subqueries`, which
-// thread config fields straight through.
+// ALLOW: tree, features and query plus five knobs; the one engine caller,
+// `try_execute_subqueries`, threads config fields straight through.
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_local_query<I: KnnIndex>(
     tree: &I,
@@ -188,16 +187,17 @@ pub fn try_run_local_query<I: KnnIndex>(
             // scan order is the tree's deterministic subtree traversal, so a
             // truncated scan is still bit-identical at every thread count.
             let metric = qd_linalg::Metric::WeightedEuclidean(w.to_vec());
-            let items = tree.subtree_items(scope);
+            let total = tree.subtree_len(scope);
             let allowed = match budget {
-                Some(b) => (b as usize).min(items.len()),
-                None => items.len(),
+                Some(b) => (b as usize).min(total),
+                None => total,
             };
-            let skipped = (items.len() - allowed) as u64;
+            let skipped = (total - allowed) as u64;
             qd_obs::count(qd_obs::ctr::KNN_DISTANCE, allowed as u64);
             qd_obs::count(qd_obs::ctr::KNN_NODES_SKIPPED, skipped);
             qd_obs::count(qd_obs::ctr::KNN_BUDGET_EXHAUSTED, u64::from(skipped > 0));
-            let mut scored: Vec<Neighbor> = items
+            let mut scored: Vec<Neighbor> = tree
+                .subtree_items(scope)
                 .into_iter()
                 .take(allowed)
                 .map(|(id, point)| Neighbor {
@@ -223,62 +223,6 @@ pub fn try_run_local_query<I: KnnIndex>(
                 exhausted: skipped > 0,
             })
         }
-    }
-}
-
-/// Executes one localized multipoint k-NN query (infallible convenience
-/// wrapper over [`try_run_local_query`] with no weights and no budget).
-///
-/// # Panics
-/// Panics if the query is malformed (no query points, out-of-range image id,
-/// foreign node handle) — serving paths use [`try_run_local_query`] instead.
-pub fn run_local_query<I: KnnIndex>(
-    tree: &I,
-    features: &[Vec<f32>],
-    query: &LocalQuery,
-    threshold: f32,
-    fetch: usize,
-    min_pool: usize,
-) -> LocalResult {
-    match try_run_local_query(
-        tree, features, query, threshold, fetch, min_pool, None, None,
-    ) {
-        Ok(r) => r,
-        Err(QdError::EmptySubquery { .. }) => panic!("localized query without query points"),
-        Err(e) => panic!("localized query failed: {e}"),
-    }
-}
-
-/// [`run_local_query`] under a user-defined per-dimension importance
-/// weighting (the §6 extension: "the user may define color as the most
-/// important feature").
-///
-/// # Panics
-/// Panics if the query has no query points or `weights` has the wrong
-/// dimensionality — serving paths use [`try_run_local_query`] instead.
-pub fn run_local_query_weighted<I: KnnIndex>(
-    tree: &I,
-    features: &[Vec<f32>],
-    query: &LocalQuery,
-    threshold: f32,
-    fetch: usize,
-    min_pool: usize,
-    weights: &[f32],
-) -> LocalResult {
-    match try_run_local_query(
-        tree,
-        features,
-        query,
-        threshold,
-        fetch,
-        min_pool,
-        Some(weights),
-        None,
-    ) {
-        Ok(r) => r,
-        Err(QdError::EmptySubquery { .. }) => panic!("localized query without query points"),
-        Err(QdError::WeightDimension { .. }) => panic!("weight dimensionality mismatch"),
-        Err(e) => panic!("localized query failed: {e}"),
     }
 }
 
@@ -352,11 +296,7 @@ mod tests {
     #[test]
     fn threshold_zero_always_expands_to_root() {
         let (tree, features) = setup();
-        let leaf = tree
-            .node_ids()
-            .into_iter()
-            .find(|&n| tree.is_leaf(n))
-            .unwrap();
+        let leaf = tree.node_ids().find(|&n| tree.is_leaf(n)).unwrap();
         let q = [features[1].as_slice()];
         assert_eq!(resolve_scope(&tree, leaf, &q, 0.0), tree.root());
     }
@@ -382,7 +322,6 @@ mod tests {
         let leaf = {
             // A leaf wholly inside blob A.
             tree.node_ids()
-                .into_iter()
                 .find(|&n| {
                     tree.is_leaf(n) && tree.leaf_entries(n).all(|(id, _)| (id as usize) < 40)
                 })
@@ -393,14 +332,14 @@ mod tests {
             home: leaf,
             query_points: vec![member],
         };
-        let result = run_local_query(&tree, &features, &lq, 0.9, 5, 0);
+        let result = try_run_local_query(&tree, &features, &lq, 0.9, 5, 0, None, None).unwrap();
         assert_eq!(result.support, 1);
         assert!(!result.neighbors.is_empty());
         // All neighbors come from the resolved scope's subtree.
         let scope_members: std::collections::HashSet<u64> = tree
             .subtree_items(result.scope)
-            .iter()
-            .map(|(id, _)| *id)
+            .into_iter()
+            .map(|(id, _)| id)
             .collect();
         for n in &result.neighbors {
             assert!(scope_members.contains(&n.id));
@@ -420,23 +359,12 @@ mod tests {
             home: tree.root(),
             query_points: vec![0, 39],
         };
-        let result = run_local_query(&tree, &features, &lq, 1.0, 40, 0);
+        let result = try_run_local_query(&tree, &features, &lq, 1.0, 40, 0, None, None).unwrap();
         assert_eq!(result.neighbors.len(), 40);
         // Everything retrieved first is from blob A (ids < 40).
         for n in &result.neighbors[..10] {
             assert!(n.id < 40, "blob B leaked into local result");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "without query points")]
-    fn empty_local_query_panics() {
-        let (tree, features) = setup();
-        let lq = LocalQuery {
-            home: tree.root(),
-            query_points: vec![],
-        };
-        run_local_query(&tree, &features, &lq, 0.4, 5, 0);
     }
 
     #[test]
@@ -464,10 +392,9 @@ mod tests {
         let tiny_items = (0..3u64).map(|id| (id, vec![id as f32, 0.0])).collect();
         let tiny = RStarTree::bulk_load(TreeConfig::small(2), tiny_items);
         let tiny_features: Vec<Vec<f32>> = (0..3).map(|i| vec![i as f32, 0.0]).collect();
-        let foreign = *tree
+        let foreign = tree
             .node_ids()
-            .iter()
-            .find(|n| !tiny.contains_node(**n))
+            .find(|&n| !tiny.contains_node(n))
             .expect("big tree must hold a node unknown to the tiny tree");
         let divergent = LocalQuery {
             home: foreign,

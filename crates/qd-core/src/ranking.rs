@@ -191,8 +191,9 @@ mod tests {
             let items = (0..200u64).map(|id| (id, vec![id as f32, 0.0])).collect();
             RStarTree::bulk_load(TreeConfig::small(2), items)
         });
-        let ids = tree.node_ids();
-        ids[i % ids.len()]
+        tree.node_ids()
+            .nth(i % tree.node_count())
+            .expect("index below the node count")
     }
 
     #[test]

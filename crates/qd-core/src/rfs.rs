@@ -121,11 +121,11 @@ pub trait FeedbackHierarchy {
 /// makes every such traversal deterministic by construction instead of by an
 /// adjacent sort (qd-analyze rule R3).
 ///
-/// Generic over the index implementation — a seam inherited from the
-/// differential arena-equivalence harness, where the same build and
-/// navigation code ran over the arena tree (the default, and today the only
-/// instantiation) and the since-retired pre-arena reference tree so any
-/// divergence was attributable to the storage layout.
+/// Generic over the index implementation: the arena tree (the default) and
+/// `qd-shard`'s `ShardSet` both build, navigate and serve through this one
+/// structure. The seam is inherited from the differential arena-equivalence
+/// harness, where the same code also ran over the since-retired pre-arena
+/// reference tree so any divergence was attributable to the storage layout.
 #[derive(Debug, Clone)]
 pub struct RfsStructure<I: KnnIndex = RStarTree> {
     tree: I,
@@ -140,7 +140,11 @@ fn leaf_map<I: KnnIndex>(tree: &I) -> BTreeMap<usize, NodeId> {
     let mut pairs: Vec<(usize, NodeId)> = Vec::with_capacity(tree.len());
     for n in tree.node_ids() {
         if tree.is_leaf(n) {
-            pairs.extend(tree.leaf_items(n).iter().map(|(id, _)| (*id as usize, n)));
+            pairs.extend(
+                tree.leaf_items(n)
+                    .into_iter()
+                    .map(|(id, _)| (id as usize, n)),
+            );
         }
     }
     pairs.sort_unstable();
@@ -157,8 +161,8 @@ fn pool_of<I: KnnIndex>(tree: &I, reps: &BTreeMap<NodeId, Vec<usize>>, n: NodeId
             .collect()
     } else {
         tree.children(n)
-            .iter()
-            .flat_map(|c| reps.get(c).cloned().unwrap_or_default())
+            .into_iter()
+            .flat_map(|c| reps.get(&c).cloned().unwrap_or_default())
             .collect()
     }
 }
@@ -576,7 +580,7 @@ impl<I: KnnIndex> RfsStructure<I> {
         self.tree.check_invariants()?;
         let fail = |msg: String| Err(msg);
 
-        let node_ids = self.tree.node_ids();
+        let node_ids: Vec<NodeId> = self.tree.node_ids().into_iter().collect();
         for (&image, &leaf) in &self.leaf_of {
             if !self.tree.is_leaf(leaf) {
                 return fail(format!("leaf_of[{image}] = {leaf:?} is not a leaf"));
@@ -635,8 +639,8 @@ impl<I: KnnIndex> RfsStructure<I> {
             let members: std::collections::HashSet<usize> = self
                 .tree
                 .subtree_items(n)
-                .iter()
-                .map(|(id, _)| *id as usize)
+                .into_iter()
+                .map(|(id, _)| id as usize)
                 .collect();
             for &r in self.representatives(n) {
                 if !members.contains(&r) {
@@ -717,7 +721,6 @@ mod tests {
         let total: usize = rfs
             .tree()
             .node_ids()
-            .into_iter()
             .filter(|&n| rfs.tree().is_leaf(n))
             .map(|n| rfs.representatives(n).len())
             .sum();
@@ -736,8 +739,8 @@ mod tests {
             let members: std::collections::HashSet<usize> = rfs
                 .tree()
                 .subtree_items(n)
-                .iter()
-                .map(|(id, _)| *id as usize)
+                .into_iter()
+                .map(|(id, _)| id as usize)
                 .collect();
             for &r in rfs.representatives(n) {
                 assert!(members.contains(&r), "rep {r} outside node {n:?}");
@@ -756,8 +759,7 @@ mod tests {
             }
             let child_reps: std::collections::HashSet<usize> = tree
                 .children(n)
-                .iter()
-                .flat_map(|&c| rfs.representatives(c).iter().copied())
+                .flat_map(|c| rfs.representatives(c).iter().copied())
                 .collect();
             for &r in rfs.representatives(n) {
                 assert!(
@@ -797,8 +799,8 @@ mod tests {
             assert_eq!(tree.parent(child), Some(root));
             let members: Vec<usize> = tree
                 .subtree_items(child)
-                .iter()
-                .map(|(i, _)| *i as usize)
+                .into_iter()
+                .map(|(i, _)| i as usize)
                 .collect();
             assert!(members.contains(&id));
         }
@@ -810,12 +812,11 @@ mod tests {
         let rfs = RfsStructure::build(&features, &RfsConfig::test_small());
         let tree = rfs.tree();
         let root = tree.root();
-        if tree.is_leaf(root) || tree.children(root).len() < 2 {
+        let mut children = tree.children(root);
+        let (Some(a), Some(b)) = (children.next(), children.next()) else {
             return;
-        }
-        let a = tree.children(root)[0];
-        let b = tree.children(root)[1];
-        let in_b = tree.subtree_items(b)[0].0 as usize;
+        };
+        let in_b = tree.subtree_items(b).into_iter().next().unwrap().0 as usize;
         // Asking `a` for an image stored under `b` must fail.
         assert_eq!(rfs.child_containing(a, in_b), None);
     }
@@ -852,12 +853,8 @@ mod tests {
         let loaded = RfsStructure::load(&path).unwrap();
         assert_eq!(loaded.len(), rfs.len());
         assert_eq!(loaded.all_representatives(), rfs.all_representatives());
-        let mut nodes = rfs.tree().node_ids();
-        nodes.sort_unstable();
-        let mut loaded_nodes = loaded.tree().node_ids();
-        loaded_nodes.sort_unstable();
-        assert_eq!(nodes, loaded_nodes);
-        for n in nodes {
+        assert!(rfs.tree().node_ids().eq(loaded.tree().node_ids()));
+        for n in rfs.tree().node_ids() {
             assert_eq!(loaded.representatives(n), rfs.representatives(n));
         }
         for id in (0..features.len()).step_by(13) {

@@ -64,8 +64,8 @@ pub struct QdConfig {
     /// Optional distance-computation budget for the final localized k-NN
     /// phase (anytime retrieval). The budget is split across subqueries
     /// up front, proportionally to their quotas — never shared through a
-    /// live counter — so degraded results are bit-identical at every thread
-    /// count. `None` (the default) means unlimited.
+    /// live counter — so a subquery's degraded answer depends on nothing
+    /// but its own share. `None` (the default) means unlimited.
     pub distance_budget: Option<u64>,
 }
 
@@ -183,6 +183,11 @@ pub struct FeedbackStepper<'a, H: FeedbackHierarchy> {
 
 impl<'a, H: FeedbackHierarchy> FeedbackStepper<'a, H> {
     /// A stepper positioned before round 1.
+    ///
+    /// # Panics
+    /// Panics if `cfg.rounds` is 0. The entry points that take a
+    /// configuration from outside refuse it first: [`try_run_session`]
+    /// with [`QdError::NoFeedbackRounds`], qd-serve at admission.
     pub fn new(hierarchy: &'a H, labels: &'a [SubconceptId], cfg: QdConfig) -> Self {
         assert!(cfg.rounds >= 1, "at least one feedback round required");
         let rng = StdRng::seed_from_u64(cfg.seed);
@@ -351,7 +356,7 @@ pub struct Degradation {
     /// Index frontier nodes (or weighted-scan items) skipped because a
     /// subquery's budget share ran out.
     pub nodes_skipped: u64,
-    /// Subqueries dropped because their worker panicked — or, over a sharded
+    /// Subqueries dropped because they panicked — or, over a sharded
     /// index, because every shard leg carrying them failed; their result
     /// slots were redistributed to the survivors.
     pub subqueries_dropped: usize,
@@ -382,8 +387,8 @@ pub struct FinalExecution {
     pub subquery_count: usize,
     /// Wall-clock duration of the k-NN + merge phase.
     pub duration: Duration,
-    /// `Some` when the answer is best-so-far (budget exhausted or workers
-    /// dropped) rather than exact.
+    /// `Some` when the answer is best-so-far (budget exhausted or
+    /// subqueries dropped) rather than exact.
     pub degradation: Option<Degradation>,
 }
 
@@ -432,7 +437,7 @@ pub fn validate_subqueries<I: KnnIndex>(
 /// Splits a total distance budget across subqueries proportionally to their
 /// quotas (largest-remainder rounding, ties to the lower index), falling
 /// back to an even split when every quota is zero. Budgets are fixed before
-/// the fan-out so no live counter is ever shared between workers — the
+/// any item runs so no live counter is ever shared between them — the
 /// degraded answer is bit-identical at every thread count. Public because
 /// `qd-shard` reuses the identical split to apportion a subquery's budget
 /// share across shard scatter legs (proportional to shard populations).
@@ -466,11 +471,11 @@ pub fn split_budget(total: Option<u64>, quotas: &[usize]) -> Vec<Option<u64>> {
 
 /// Executes the final localized subqueries against the full RFS structure,
 /// returning a typed error on malformed input and a degraded (but valid)
-/// answer when budgets run out or workers panic. Quotas are known before the
+/// answer when budgets run out or subqueries panic. Quotas are known before the
 /// queries run (they depend only on the mark counts), so each subquery
 /// fetches just enough candidates to fill its share plus slack for
 /// cross-subquery deduplication.
-pub fn try_execute_subqueries<I: KnnIndex + Sync>(
+pub fn try_execute_subqueries<I: KnnIndex>(
     corpus: &Corpus,
     rfs: &RfsStructure<I>,
     subqueries: &[(NodeId, Vec<usize>)],
@@ -503,20 +508,20 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
     let quotas = crate::ranking::allocate_quotas(&supports, k);
     let budgets = split_budget(cfg.distance_budget, &quotas);
 
-    // Each subquery is independent (§3.3), so they fan out across the
-    // qd-runtime pool. Determinism: quotas and budget shares are fixed up
-    // front, access counts are accumulated per call (not via the tree's
-    // global counter), failpoints are keyed by subquery index, and
-    // `par_try_map` returns results in input order — so rankings, group
-    // order, and `knn_accesses` are bit-identical to a sequential run even
-    // when faults fire or budgets run dry.
+    // Each subquery is independent (§3.3) but small — a few microseconds of
+    // leaf-scoped k-NN against the tens to hundreds a thread fan-out costs —
+    // so they run one after another on the calling thread, each still isolated
+    // under `catch_unwind` (qd-runtime's serial entry). Quotas and budget
+    // shares are fixed up front, access counts are accumulated per call
+    // (not via the tree's global counter) and failpoints are keyed by
+    // subquery index, so no subquery can see another's work.
     let work: Vec<(usize, usize, Option<u64>)> = supports
         .into_iter()
         .zip(quotas)
         .zip(budgets)
         .map(|((s, q), b)| (s, q, b))
         .collect();
-    // The whole fan-out runs under a measured span: the same `qd_obs`
+    // The whole loop runs under a measured span: the same `qd_obs`
     // counters that feed external traces also produce the authoritative
     // cost accounting below (`measured` installs a temporary recorder when
     // none is active, so the accounting is identical either way). The
@@ -524,7 +529,7 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
     // subquery's distance work is already recorded — the degradation report
     // charges work performed, not work kept.
     let (attempts, final_counters) = qd_obs::measured(qd_obs::sp::SESSION_FINAL, || {
-        qd_runtime::par_try_map_indexed(&work, |i, &(support, quota, budget)| {
+        qd_runtime::try_map_indexed(&work, |i, &(support, quota, budget)| {
             qd_obs::span_indexed(qd_obs::sp::SUBQUERY, i as u64, || {
                 let (home, marks) = &subqueries[i];
                 let fetch = quota.saturating_add((quota / 2).max(5));
@@ -549,7 +554,7 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
                 result.support = support;
                 // Per-subquery distance distribution (Fig. 11): one
                 // observation per surviving subquery, recorded inside the
-                // SUBQUERY span so fan-out merge order stays deterministic.
+                // SUBQUERY span it belongs to.
                 qd_obs::observe(
                     qd_obs::hist::QD_SUBQUERY_DISTANCES,
                     result.distance_computations,
@@ -573,9 +578,9 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
     if locals.is_empty() {
         return Err(QdError::AllSubqueriesFailed { panics });
     }
-    // Over a sharded index a subquery can "survive" the fan-out yet return
+    // Over a sharded index a subquery can "survive" the loop yet return
     // nothing because every shard leg carrying it failed — account it as a
-    // dropped subquery, same as a panicked worker (degraded, not an error,
+    // dropped subquery, same as a panicked one (degraded, not an error,
     // as long as some other subquery still answered).
     let subqueries_dropped = panics.len()
         + locals
@@ -636,26 +641,6 @@ pub fn try_execute_subqueries<I: KnnIndex + Sync>(
     })
 }
 
-/// Infallible convenience wrapper over [`try_execute_subqueries`] for
-/// callers that construct their own well-formed subqueries (the eval
-/// runners, benches, and tests).
-///
-/// # Panics
-/// Panics if the subqueries are malformed or every worker fails — serving
-/// paths use [`try_execute_subqueries`] instead.
-pub fn execute_subqueries<I: KnnIndex + Sync>(
-    corpus: &Corpus,
-    rfs: &RfsStructure<I>,
-    subqueries: &[(NodeId, Vec<usize>)],
-    k: usize,
-    cfg: &QdConfig,
-) -> FinalExecution {
-    match try_execute_subqueries(corpus, rfs, subqueries, k, cfg) {
-        Ok(execution) => execution,
-        Err(e) => panic!("subquery execution failed: {e}"),
-    }
-}
-
 /// A session answer plus its service level: exact, or degraded-but-valid.
 ///
 /// Either way the ranked list inside satisfies the result invariants
@@ -701,8 +686,9 @@ impl ServedOutcome {
 /// Runs one complete QD session for `query`, retrieving `k` images, with
 /// typed errors and graceful degradation: every injected fault or exhausted
 /// budget yields either `Ok(Degraded {..})` with a valid ranked list or a
-/// typed [`QdError`] — never a panic.
-pub fn try_run_session<I: KnnIndex + Sync>(
+/// typed [`QdError`] — never a panic, a configuration of zero feedback
+/// rounds ([`QdError::NoFeedbackRounds`]) included.
+pub fn try_run_session<I: KnnIndex>(
     corpus: &Corpus,
     rfs: &RfsStructure<I>,
     query: &QuerySpec,
@@ -710,6 +696,9 @@ pub fn try_run_session<I: KnnIndex + Sync>(
     k: usize,
     cfg: &QdConfig,
 ) -> Result<ServedOutcome, QdError> {
+    if cfg.rounds == 0 {
+        return Err(QdError::NoFeedbackRounds);
+    }
     let rounds = run_feedback_rounds(rfs, corpus.labels(), user, cfg);
     let execution = try_execute_subqueries(corpus, rfs, &rounds.final_marks, k, cfg)?;
     Ok(assemble_outcome(corpus, query, cfg, &rounds, execution))
@@ -785,31 +774,25 @@ pub fn assemble_outcome(
     }
 }
 
-/// Runs one complete QD session for `query`, retrieving `k` images
-/// (infallible wrapper over [`try_run_session`] for trusted in-process
-/// callers: the eval runners, benches, and examples).
-///
-/// # Panics
-/// Panics if the session fails with a [`QdError`] — serving paths use
-/// [`try_run_session`] instead.
-pub fn run_session<I: KnnIndex + Sync>(
-    corpus: &Corpus,
-    rfs: &RfsStructure<I>,
-    query: &QuerySpec,
-    user: &mut SimulatedUser,
-    k: usize,
-    cfg: &QdConfig,
-) -> QdOutcome {
-    match try_run_session(corpus, rfs, query, user, k, cfg) {
-        Ok(served) => served.into_outcome(),
-        Err(e) => panic!("session failed: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil;
+
+    /// The outcome of a session over a well-formed fixture, whatever its
+    /// service level.
+    fn session_outcome(
+        corpus: &Corpus,
+        rfs: &RfsStructure,
+        query: &QuerySpec,
+        user: &mut SimulatedUser,
+        k: usize,
+        cfg: &QdConfig,
+    ) -> QdOutcome {
+        try_run_session(corpus, rfs, query, user, k, cfg)
+            .expect("well-formed session")
+            .into_outcome()
+    }
 
     #[test]
     fn qd_retrieves_multiple_subconcepts() {
@@ -817,7 +800,7 @@ mod tests {
         let query = testutil::query("bird");
         let k = corpus.ground_truth(&query).len();
         let mut user = SimulatedUser::oracle(&query, 1);
-        let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &QdConfig::default());
         assert!(!out.results.is_empty());
         assert!(out.results.len() <= k);
         let g = gtir(corpus, &query, &out.results);
@@ -836,7 +819,7 @@ mod tests {
         let query = testutil::query("rose");
         let k = corpus.ground_truth(&query).len();
         let mut user = SimulatedUser::oracle(&query, 2);
-        let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &QdConfig::default());
         assert_eq!(out.round_trace.len(), 3);
         assert!(out.round_trace[0].precision.is_none());
         assert!(out.round_trace[1].precision.is_none());
@@ -854,7 +837,7 @@ mod tests {
         let k = corpus.ground_truth(&query).len();
         let run = || {
             let mut user = SimulatedUser::oracle(&query, 7);
-            run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default())
+            session_outcome(corpus, rfs, &query, &mut user, k, &QdConfig::default())
         };
         let a = run();
         let b = run();
@@ -867,7 +850,7 @@ mod tests {
         let (corpus, rfs) = testutil::shared();
         let query = testutil::query("horse");
         let mut user = SimulatedUser::oracle(&query, 3).with_patience(0);
-        let out = run_session(corpus, rfs, &query, &mut user, 10, &QdConfig::default());
+        let out = session_outcome(corpus, rfs, &query, &mut user, 10, &QdConfig::default());
         assert!(out.results.is_empty());
         assert_eq!(out.subquery_count, 0);
         assert_eq!(out.round_trace.len(), 3);
@@ -884,7 +867,7 @@ mod tests {
             ..QdConfig::default()
         };
         let mut user = SimulatedUser::oracle(&query, 4);
-        let out = run_session(corpus, rfs, &query, &mut user, k, &cfg);
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &cfg);
         // Localized scopes bound the candidate pool, so QD may return fewer
         // than k images on a small corpus, but never more — and the pool
         // should cover most of the request.
@@ -902,7 +885,7 @@ mod tests {
         let query = testutil::query("a person");
         let k = corpus.ground_truth(&query).len();
         let mut user = SimulatedUser::oracle(&query, 5);
-        let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &QdConfig::default());
         let from_groups: Vec<usize> = crate::ranking::flatten_groups(&out.groups);
         assert_eq!(from_groups, out.results);
         // No duplicates across groups.
@@ -919,7 +902,7 @@ mod tests {
         let query = testutil::query("airplane");
         let k = corpus.ground_truth(&query).len();
         let mut user = SimulatedUser::oracle(&query, 6);
-        let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &QdConfig::default());
         // Feedback node reads stay a tiny fraction of the node count: the
         // paper's scalability claim.
         let nodes = rfs.tree().node_count() as u64;
@@ -939,9 +922,9 @@ mod tests {
         let plain = QdConfig::default();
         let weighted = QdConfig::default().with_group_weights(1.0, 1.0, 1.0);
         let mut u1 = SimulatedUser::oracle(&query, 9);
-        let a = run_session(corpus, rfs, &query, &mut u1, k, &plain);
+        let a = session_outcome(corpus, rfs, &query, &mut u1, k, &plain);
         let mut u2 = SimulatedUser::oracle(&query, 9);
-        let b = run_session(corpus, rfs, &query, &mut u2, k, &weighted);
+        let b = session_outcome(corpus, rfs, &query, &mut u2, k, &weighted);
         // Unit weights rank identically to plain Euclidean (ties broken the
         // same way), so results agree as sets.
         let mut ra = a.results.clone();
@@ -958,9 +941,9 @@ mod tests {
         let k = corpus.ground_truth(&query).len();
         let color_cfg = QdConfig::default().with_group_weights(1.0, 0.0, 0.0);
         let mut u1 = SimulatedUser::oracle(&query, 9);
-        let plain = run_session(corpus, rfs, &query, &mut u1, k, &QdConfig::default());
+        let plain = session_outcome(corpus, rfs, &query, &mut u1, k, &QdConfig::default());
         let mut u2 = SimulatedUser::oracle(&query, 9);
-        let colored = run_session(corpus, rfs, &query, &mut u2, k, &color_cfg);
+        let colored = session_outcome(corpus, rfs, &query, &mut u2, k, &color_cfg);
         assert!(!colored.results.is_empty());
         // The color-only session still performs respectably on a
         // color-dominated query.
@@ -984,9 +967,9 @@ mod tests {
             ..QdConfig::default()
         };
         let mut u1 = SimulatedUser::oracle(&query, 8);
-        let a = run_session(corpus, rfs, &query, &mut u1, k, &tight);
+        let a = session_outcome(corpus, rfs, &query, &mut u1, k, &tight);
         let mut u2 = SimulatedUser::oracle(&query, 8);
-        let b = run_session(corpus, rfs, &query, &mut u2, k, &loose);
+        let b = session_outcome(corpus, rfs, &query, &mut u2, k, &loose);
         // Threshold 0 forces every subquery to the root: strictly more k-NN
         // node reads than the tight setting.
         assert!(b.knn_accesses >= a.knn_accesses);
@@ -1001,6 +984,19 @@ mod tests {
         for &id in results {
             assert!(id < corpus_len, "result id {id} out of range");
         }
+    }
+
+    #[test]
+    fn zero_rounds_is_a_typed_error_not_a_panic() {
+        let (corpus, rfs) = testutil::shared();
+        let query = testutil::query("bird");
+        let cfg = QdConfig {
+            rounds: 0,
+            ..QdConfig::default()
+        };
+        let mut user = SimulatedUser::oracle(&query, 1);
+        let err = try_run_session(corpus, rfs, &query, &mut user, 10, &cfg).unwrap_err();
+        assert_eq!(err, QdError::NoFeedbackRounds);
     }
 
     #[test]

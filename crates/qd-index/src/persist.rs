@@ -37,6 +37,7 @@ pub fn load(path: &Path) -> Result<RStarTree, CodecError> {
 mod tests {
     use super::*;
     use crate::tree::TreeConfig;
+    use crate::KnnIndex;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -67,14 +68,10 @@ mod tests {
         assert_eq!(loaded.height(), tree.height());
         assert_eq!(loaded.root(), tree.root());
         // Node handles survive: every node's rect and children match.
-        let mut a = tree.node_ids();
-        let mut b = loaded.node_ids();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        for n in a {
+        assert!(tree.node_ids().eq(loaded.node_ids()));
+        for n in tree.node_ids() {
             assert_eq!(tree.level(n), loaded.level(n));
-            assert_eq!(tree.children(n), loaded.children(n));
+            assert!(tree.children(n).eq(loaded.children(n)));
             assert_eq!(
                 tree.node_rect(n).map(|r| r.min().to_vec()),
                 loaded.node_rect(n).map(|r| r.min().to_vec())

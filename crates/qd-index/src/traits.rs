@@ -1,18 +1,24 @@
-//! Read/build abstraction over the R\*-tree.
+//! Read/build abstraction over an R\*-tree-shaped index.
 //!
-//! Born as the seam of the differential arena-equivalence harness: `qd-core`'s
-//! RFS builder and the localized-k-NN executor are generic over [`KnnIndex`],
-//! so during the arena refactor the exact same build and query code ran
-//! against both the arena tree ([`crate::RStarTree`]) and the since-retired
-//! pre-arena reference implementation, attributing any observable divergence
-//! to the storage layout alone. The reference tree is gone (its behavior is
-//! pinned by the golden snapshots in `tests/arena_equivalence.rs`); the trait
-//! stays as the structural/query surface the RFS layer builds against.
+//! `qd-core`'s RFS builder, feedback navigation and localized-k-NN executor
+//! are generic over [`KnnIndex`]. Two indexes implement it: the arena tree
+//! ([`crate::RStarTree`]) and `qd-shard`'s `ShardSet`, K such trees under
+//! one synthetic root with strided node handles. (The seam was born for the
+//! differential arena-equivalence harness; the pre-arena reference tree it
+//! compared against is retired, its behaviour pinned by the goldens of
+//! `tests/arena_equivalence.rs`.)
+//!
+//! The structural accessors hand out *borrowed views*: `node_ids`,
+//! `children` and `leaf_items` return `IntoIterator`s that borrow the arena
+//! and allocate nothing, and everything derivable from them — heights,
+//! counts, the subtree walk — is a provided method, so an implementation
+//! supplies twelve methods and overrides a provided one only where it has a
+//! cheaper answer.
 
 use crate::rect::Rect;
 use crate::tree::{BudgetedKnn, NodeId, TreeConfig};
 
-/// Read-only structural and query access shared by both tree layouts.
+/// Read-only structural and query access to a tree-shaped index.
 pub trait KnnIndex {
     /// Root node handle.
     fn root(&self) -> NodeId;
@@ -20,34 +26,24 @@ pub trait KnnIndex {
     fn dims(&self) -> usize;
     /// Number of stored points.
     fn len(&self) -> usize;
-    /// True if no points are stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Tree height in levels.
-    fn height(&self) -> usize;
-    /// Number of live nodes.
-    fn node_count(&self) -> usize;
-    /// All live node handles.
-    fn node_ids(&self) -> Vec<NodeId>;
-    /// True if `n` is a live node of this tree.
+    /// All live node handles, each once, in arbitrary order.
+    fn node_ids(&self) -> impl IntoIterator<Item = NodeId> + '_;
+    /// True if `n` is a live node of this index.
     fn contains_node(&self, n: NodeId) -> bool;
     /// Level of `n` (0 = leaf).
     fn level(&self, n: NodeId) -> u32;
-    /// True if `n` is a leaf.
-    fn is_leaf(&self, n: NodeId) -> bool;
     /// Parent of `n`, if any.
     fn parent(&self, n: NodeId) -> Option<NodeId>;
     /// Bounding rectangle of `n`.
     fn node_rect(&self, n: NodeId) -> Option<&Rect>;
     /// Children of `n`, in order; empty for leaves.
-    fn children(&self, n: NodeId) -> Vec<NodeId>;
-    /// `(id, point)` pairs stored directly in leaf `n`.
-    fn leaf_items(&self, n: NodeId) -> Vec<(u64, &[f32])>;
-    /// All `(id, point)` pairs stored under `n`.
-    fn subtree_items(&self, n: NodeId) -> Vec<(u64, &[f32])>;
-    /// Number of points stored under `n`.
-    fn subtree_len(&self, n: NodeId) -> usize;
+    fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_;
+    /// `(id, point)` pairs stored directly in `n`, in order; empty for
+    /// internal nodes.
+    fn leaf_items(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_;
     /// Budgeted localized k-NN (see [`crate::RStarTree::knn_in_budgeted`]).
     fn knn_in_budgeted(
         &self,
@@ -58,8 +54,59 @@ pub trait KnnIndex {
     ) -> BudgetedKnn;
     /// Non-panicking structural invariant check.
     fn check_invariants(&self) -> Result<(), String>;
-    /// Panicking invariant check (tests).
-    fn validate(&self);
+
+    /// True if no points are stored.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Height in levels (a lone leaf root is height 1).
+    fn height(&self) -> usize {
+        self.level(self.root()) as usize + 1
+    }
+    /// Number of live nodes.
+    fn node_count(&self) -> usize {
+        self.node_ids().into_iter().count()
+    }
+    /// True if `n` is a leaf.
+    fn is_leaf(&self, n: NodeId) -> bool {
+        self.level(n) == 0
+    }
+    /// All `(id, point)` pairs stored under `n`, leaf by leaf. The order is
+    /// an answer wherever a budget cuts a scan short (the weighted localized
+    /// k-NN): a node's children are taken last-first — popped off a stack —
+    /// and a leaf's entries in the order it holds them.
+    fn subtree_items(&self, n: NodeId) -> impl IntoIterator<Item = (u64, &[f32])> + '_ {
+        leaves_under(self, n).flat_map(|leaf| self.leaf_items(leaf))
+    }
+    /// Number of points stored under `n`.
+    fn subtree_len(&self, n: NodeId) -> usize {
+        leaves_under(self, n)
+            .map(|leaf| self.leaf_items(leaf).into_iter().len())
+            .sum()
+    }
+    /// Panicking invariant check (tests and debug assertions).
+    ///
+    /// # Panics
+    /// Panics with the first violation [`Self::check_invariants`] reports.
+    fn validate(&self) {
+        if let Err(msg) = self.check_invariants() {
+            panic!("{msg}");
+        }
+    }
+}
+
+/// The subtree walk behind [`KnnIndex::subtree_items`] and
+/// [`KnnIndex::subtree_len`]: the leaves under `n`, children popped
+/// last-first off a stack.
+fn leaves_under<I: KnnIndex + ?Sized>(index: &I, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    let mut stack = vec![n];
+    std::iter::from_fn(move || loop {
+        let cur = stack.pop()?;
+        if index.is_leaf(cur) {
+            return Some(cur);
+        }
+        stack.extend(index.children(cur));
+    })
 }
 
 /// The two from-scratch construction paths. Both leave every leaf's feature
@@ -84,13 +131,7 @@ impl KnnIndex for crate::RStarTree {
     fn len(&self) -> usize {
         crate::RStarTree::len(self)
     }
-    fn height(&self) -> usize {
-        crate::RStarTree::height(self)
-    }
-    fn node_count(&self) -> usize {
-        crate::RStarTree::node_count(self)
-    }
-    fn node_ids(&self) -> Vec<NodeId> {
+    fn node_ids(&self) -> impl IntoIterator<Item = NodeId> + '_ {
         crate::RStarTree::node_ids(self)
     }
     fn contains_node(&self, n: NodeId) -> bool {
@@ -99,26 +140,20 @@ impl KnnIndex for crate::RStarTree {
     fn level(&self, n: NodeId) -> u32 {
         crate::RStarTree::level(self, n)
     }
-    fn is_leaf(&self, n: NodeId) -> bool {
-        crate::RStarTree::is_leaf(self, n)
-    }
     fn parent(&self, n: NodeId) -> Option<NodeId> {
         crate::RStarTree::parent(self, n)
     }
     fn node_rect(&self, n: NodeId) -> Option<&Rect> {
         crate::RStarTree::node_rect(self, n)
     }
-    fn children(&self, n: NodeId) -> Vec<NodeId> {
+    fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_ {
         crate::RStarTree::children(self, n)
     }
-    fn leaf_items(&self, n: NodeId) -> Vec<(u64, &[f32])> {
-        crate::RStarTree::leaf_entries(self, n).collect()
-    }
-    fn subtree_items(&self, n: NodeId) -> Vec<(u64, &[f32])> {
-        crate::RStarTree::subtree_items(self, n)
-    }
-    fn subtree_len(&self, n: NodeId) -> usize {
-        crate::RStarTree::subtree_len(self, n)
+    fn leaf_items(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
+        crate::RStarTree::leaf_entries(self, n)
     }
     fn knn_in_budgeted(
         &self,
@@ -131,9 +166,6 @@ impl KnnIndex for crate::RStarTree {
     }
     fn check_invariants(&self) -> Result<(), String> {
         crate::RStarTree::check_invariants(self)
-    }
-    fn validate(&self) {
-        crate::RStarTree::validate(self)
     }
 }
 

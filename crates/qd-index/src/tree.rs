@@ -464,7 +464,7 @@ impl RStarTree {
                 }
                 NodeKind::Internal { .. } => {
                     let first = stack.len();
-                    stack.extend(self.child_iter(n));
+                    stack.extend(self.children(n));
                     stack[first..].reverse();
                 }
             }
@@ -497,13 +497,12 @@ impl RStarTree {
         self.root
     }
 
-    /// All live node handles, in arbitrary order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
+    /// All live node handles, in ascending arena order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         // CAST: the arena length fits u32 by design (see alloc).
         (0..self.nodes.len() as u32)
             .map(NodeId)
             .filter(|n| self.nodes[n.index()].live)
-            .collect()
     }
 
     /// Number of live nodes.
@@ -540,14 +539,9 @@ impl RStarTree {
         self.node(n).rect.as_ref()
     }
 
-    /// Children of an internal node (collected from the sibling chain, in
-    /// chain order); empty for leaves.
-    pub fn children(&self, n: NodeId) -> Vec<NodeId> {
-        self.child_iter(n).collect()
-    }
-
-    /// Iterates the sibling-linked child chain of `n` in order.
-    fn child_iter(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    /// Children of an internal node, walking its sibling-linked chain in
+    /// order; empty for leaves.
+    pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let first = match &self.node(n).kind {
             NodeKind::Internal { first_child, .. } => *first_child,
             NodeKind::Leaf(_) => NONE,
@@ -556,11 +550,6 @@ impl RStarTree {
             let next = self.nodes[c.index()].next_sibling;
             (next != NONE).then_some(NodeId(next))
         })
-    }
-
-    /// Collects the child chain into a `Vec` for mutation algorithms.
-    fn child_vec(&self, n: NodeId) -> Vec<NodeId> {
-        self.child_iter(n).collect()
     }
 
     /// Rewrites `parent`'s child chain to exactly `children` (in order) and
@@ -618,13 +607,12 @@ impl RStarTree {
 
     /// Unlinks `child` from `parent`'s chain (keeping the remaining order).
     fn remove_child(&mut self, parent: NodeId, child: NodeId) {
-        let mut children = self.child_vec(parent);
-        children.retain(|&c| c != child);
+        let children: Vec<NodeId> = self.children(parent).filter(|&c| c != child).collect();
         self.chain_children(parent, &children);
     }
 
     /// `(id, point)` pairs stored in a leaf; empty for internal nodes.
-    pub fn leaf_entries(&self, n: NodeId) -> impl Iterator<Item = (u64, &[f32])> {
+    pub fn leaf_entries(&self, n: NodeId) -> impl ExactSizeIterator<Item = (u64, &[f32])> + '_ {
         self.leaf_slots(n)
             .iter()
             .map(move |&s| (self.store.id(s), self.store.point(s)))
@@ -645,36 +633,6 @@ impl RStarTree {
             NodeKind::Leaf(s) => s,
             NodeKind::Internal { .. } => unreachable!("slot list of an internal node"),
         }
-    }
-
-    /// All `(id, point)` pairs stored under `n`.
-    pub fn subtree_items(&self, n: NodeId) -> Vec<(u64, &[f32])> {
-        let mut out = Vec::new();
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            match &self.node(cur).kind {
-                NodeKind::Leaf(slots) => out.extend(
-                    slots
-                        .iter()
-                        .map(|&s| (self.store.id(s), self.store.point(s))),
-                ),
-                NodeKind::Internal { .. } => stack.extend(self.child_iter(cur)),
-            }
-        }
-        out
-    }
-
-    /// Number of points stored under `n`.
-    pub fn subtree_len(&self, n: NodeId) -> usize {
-        let mut count = 0;
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            match &self.node(cur).kind {
-                NodeKind::Leaf(slots) => count += slots.len(),
-                NodeKind::Internal { .. } => stack.extend(self.child_iter(cur)),
-            }
-        }
-        count
     }
 
     /// Node accesses performed since the last [`Self::reset_accesses`] —
@@ -756,7 +714,7 @@ impl RStarTree {
                 if *count == 0 {
                     None
                 } else {
-                    Some(self.rect_of_children(self.child_iter(n)))
+                    Some(self.rect_of_children(self.children(n)))
                 }
             }
         };
@@ -861,7 +819,7 @@ impl RStarTree {
     }
 
     fn pick_min_area_child(&self, n: NodeId, rect: &Rect) -> NodeId {
-        let mut children = self.child_iter(n).peekable();
+        let mut children = self.children(n).peekable();
         let mut best = *children.peek().expect("internal node without children");
         let mut best_key = (f64::INFINITY, f64::INFINITY);
         for c in children {
@@ -890,7 +848,7 @@ impl RStarTree {
     fn pick_min_overlap_child(&self, n: NodeId, rect: &Rect) -> NodeId {
         const CANDIDATES: usize = 16;
         let children: Vec<(NodeId, &Rect)> =
-            self.child_iter(n).map(|c| (c, self.rect_of(c))).collect();
+            self.children(n).map(|c| (c, self.rect_of(c))).collect();
         let mut by_area: Vec<(f64, usize)> = children
             .iter()
             .enumerate()
@@ -960,7 +918,7 @@ impl RStarTree {
             evicted.into_iter().map(|(_, s)| Orphan::Data(s)).collect()
         } else {
             let mut scored: Vec<(f64, usize, NodeId)> = self
-                .child_iter(n)
+                .children(n)
                 .enumerate()
                 .map(|(i, c)| (sq_l2_f64(&self.rect_of(c).center(), &center), i, c))
                 .collect();
@@ -1015,9 +973,7 @@ impl RStarTree {
             let slots = self.leaf_slots(n).iter();
             slots.map(|&s| Rect::point(self.store.point(s))).collect()
         } else {
-            self.child_iter(n)
-                .map(|c| self.rect_of(c).clone())
-                .collect()
+            self.children(n).map(|c| self.rect_of(c).clone()).collect()
         };
         debug_assert!(rects.len() > self.config.max_entries);
         let (order, split_at) = choose_split(&rects, self.config.min_entries);
@@ -1033,7 +989,7 @@ impl RStarTree {
             *self.leaf_slots_mut(n) = keep;
             self.alloc(Node::detached(level, NodeKind::Leaf(give)))
         } else {
-            let (keep, give) = partition_by(self.child_iter(n), &second);
+            let (keep, give) = partition_by(self.children(n), &second);
             self.link_children(n, &keep);
             let sibling = self.alloc(Node::detached(level, NodeKind::EMPTY_INTERNAL));
             self.link_children(sibling, &give);
@@ -1079,7 +1035,7 @@ impl RStarTree {
                 .any(|&s| self.store.id(s) == id && self.store.point(s) == point)
                 .then_some(n),
             NodeKind::Internal { .. } => self
-                .child_iter(n)
+                .children(n)
                 .filter(|&child| {
                     self.node(child)
                         .rect
@@ -1105,7 +1061,7 @@ impl RStarTree {
                     let slots = std::mem::take(self.leaf_slots_mut(cur));
                     orphans.extend(slots.into_iter().map(|s| (Orphan::Data(s), 0)));
                 } else {
-                    let children = self.child_vec(cur);
+                    let children = self.children(cur).collect::<Vec<_>>();
                     self.node_mut(cur).kind = NodeKind::Leaf(Vec::new());
                     orphans.extend(
                         children
@@ -1234,7 +1190,7 @@ impl RStarTree {
                         pruned += self.score_leaf(slots, query, qnorm, opened, &mut best);
                     }
                     NodeKind::Internal { .. } => {
-                        for child in self.child_iter(n) {
+                        for child in self.children(n) {
                             if let Some(r) = self.node(child).rect.as_ref() {
                                 spent += 1;
                                 frontier.push(Reverse((TotalF64(r.min_dist2(query)), child)));
@@ -1358,7 +1314,7 @@ impl RStarTree {
                             .map(|&s| self.store.id(s)),
                     );
                 }
-                NodeKind::Internal { .. } => stack.extend(self.child_iter(n)),
+                NodeKind::Internal { .. } => stack.extend(self.children(n)),
             }
         }
         out
@@ -1832,7 +1788,7 @@ pub(crate) fn write_tree(tree: &RStarTree) -> Vec<u8> {
             NodeKind::Internal { .. } => {
                 w.u8(1);
                 // CAST: i indexes the node arena, u32 by design (see alloc).
-                let children = tree.child_vec(NodeId(i as u32));
+                let children = tree.children(NodeId(i as u32)).collect::<Vec<_>>();
                 w.usize(children.len());
                 for c in children {
                     w.u32(c.0);
@@ -2011,6 +1967,7 @@ pub(crate) fn read_tree(data: &[u8]) -> Result<RStarTree, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KnnIndex;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -2115,7 +2072,7 @@ mod tests {
         }
         let q = [4.0f32, 5.0, 6.0];
         assert_eq!(tree.knn(&q, usize::MAX), tree.knn(&q, tree.len()));
-        let child = tree.children(tree.root())[0];
+        let child = tree.children(tree.root()).next().unwrap();
         for budget in [None, Some(40)] {
             for scope in [tree.root(), child] {
                 assert_eq!(
@@ -2134,11 +2091,11 @@ mod tests {
             tree.insert(p, id);
         }
         // Search restricted to the first child only returns items stored there.
-        let child = tree.children(tree.root())[0];
+        let child = tree.children(tree.root()).next().unwrap();
         let local_ids: std::collections::HashSet<u64> = tree
             .subtree_items(child)
-            .iter()
-            .map(|(id, _)| *id)
+            .into_iter()
+            .map(|(id, _)| id)
             .collect();
         let result = tree
             .knn_in_budgeted(child, &[5.0, 5.0, 5.0], 25, None)
@@ -2273,7 +2230,7 @@ mod tests {
         assert!(global > 0);
         // A subtree-scoped query touches fewer nodes.
         tree.reset_accesses();
-        let child = tree.children(tree.root())[0];
+        let child = tree.children(tree.root()).next().unwrap();
         let local = tree.knn_in_budgeted(child, &[5.0, 5.0, 5.0], 5, None);
         assert_eq!(tree.accesses(), local.accesses);
         assert!(tree.accesses() < global);
@@ -2298,7 +2255,7 @@ mod tests {
         }
         assert_eq!(total, tree.len());
         assert_eq!(tree.subtree_len(root), tree.len());
-        assert_eq!(tree.subtree_items(root).len(), tree.len());
+        assert_eq!(tree.subtree_items(root).into_iter().count(), tree.len());
     }
 
     #[test]
@@ -2384,7 +2341,7 @@ mod tests {
         }
         let single = RStarTree::bulk_load(TreeConfig::small(2), vec![(0, vec![0.0, 0.0])]);
         // A handle minted by a much larger tree dangles in the single-node one.
-        let big = *tree.node_ids().last().unwrap();
+        let big = tree.node_ids().last().unwrap();
         if big.index() >= single.node_count() {
             assert!(!single.contains_node(big));
         }
@@ -2563,7 +2520,7 @@ mod tests {
         let items = random_points(200, 2, 79);
         let mut tree = RStarTree::bulk_load(TreeConfig::small(2), items);
         let root = tree.root();
-        let first = tree.children(root)[0];
+        let first = tree.children(root).next().unwrap();
         // Cut the chain short: the recorded count no longer matches.
         tree.nodes[first.index()].next_sibling = NONE;
         let err = tree.check_invariants().unwrap_err();
@@ -2829,7 +2786,7 @@ mod tests {
                             }
                             assert_overlap_terms_monotone(&rects, &entry);
                             let tree = level1_tree(&rects);
-                            let children = tree.child_vec(tree.root);
+                            let children = tree.children(tree.root).collect::<Vec<_>>();
                             let want = tree.reference_pick_min_overlap_child(&children, &entry);
                             assert_eq!(
                                 tree.pick_min_overlap_child(tree.root, &entry),
@@ -2879,7 +2836,6 @@ mod tests {
         let entries = |tree: &RStarTree| -> Vec<String> {
             let of = |n| tree.leaf_entries(n).collect::<Vec<_>>();
             tree.node_ids()
-                .into_iter()
                 .map(|n| format!("{n:?}: {:?}", of(n)))
                 .collect()
         };
@@ -2899,7 +2855,9 @@ mod tests {
                 assert_eq!(s, next, "leaf {n:?}");
                 next += 1;
             }
-            stack.extend(tree.child_vec(n).into_iter().rev());
+            let first = stack.len();
+            stack.extend(tree.children(n));
+            stack[first..].reverse();
         }
         assert_eq!(next as usize, tree.len());
     }

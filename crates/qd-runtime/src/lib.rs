@@ -2,10 +2,10 @@
 
 //! Deterministic parallel execution for the Query Decomposition engine.
 //!
-//! The paper's workloads are embarrassingly parallel at three layers — the
-//! final round's localized subqueries are independent (§3.3–3.4), MV's four
-//! viewpoint k-NNs are independent, and the benchmark harness evaluates
-//! independent queries — so this crate provides a tiny executor built on
+//! The engine has independent work at several layers — per-node
+//! representative selection, shard builds and scatter legs, MV's four
+//! viewpoint k-NNs, the queries of an evaluation table, the sessions of a
+//! serve tick — so this crate provides a tiny executor built on
 //! [`std::thread::scope`] with one hard guarantee:
 //!
 //! **Determinism contract.** [`par_map`] returns results in input order, and
@@ -15,8 +15,19 @@
 //! `QD_THREADS=8` produce byte-identical CSVs, rankings, and access counts —
 //! enforced by `tests/parallel_equivalence.rs`.
 //!
+//! **Grain rule.** A fan-out spawns its scoped workers per call: four no-op
+//! items cost 30–225 µs at `nproc` workers on a 2-vCPU box, depending on
+//! what the scheduler is doing, against 0.02 µs as a plain loop
+//! (`qd-runtime.par_map4_us_tn` / `_t1`). So it pays only where one item
+//! costs hundreds of microseconds or more. The final round's localized
+//! subqueries (≈ 4 µs each) are far below that grain and run through the
+//! serial entry, [`try_map_indexed`]. A fan-out's workers run
+//! any fan-out nested inside an item serially, so the worker count the
+//! caller asked for bounds the threads of the whole call tree.
+//!
 //! Worker count resolution order:
-//! 1. an in-process [`with_threads`] override (used by tests),
+//! 1. an in-process [`with_threads`] override (used by tests; `1` inside a
+//!    fan-out's workers),
 //! 2. the `QD_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 
@@ -49,9 +60,10 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` with the worker count pinned to `n` on this thread (and every
-/// [`par_map`] it calls directly). Restores the previous setting afterwards,
-/// panic or not. Tests use this instead of mutating the process-global
+/// Runs `f` with the worker count pinned to `n` on this thread: every
+/// [`par_map`] `f` calls directly uses up to `n` workers, each of which runs
+/// nested fan-outs serially. Restores the previous setting afterwards, panic
+/// or not. Tests use this instead of mutating the process-global
 /// environment.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
@@ -146,18 +158,34 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let task = |i: usize| {
-        catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| TaskPanic {
-            index: i,
-            message: panic_message(payload.as_ref()),
-        })
-    };
     let n = items.len();
     let workers = threads().min(n);
     if workers <= 1 {
-        return (0..n).map(task).collect();
+        return try_map_indexed(items, f);
     }
-    scatter_gather(n, workers, task)
+    scatter_gather(n, workers, |i| isolated(i, || f(i, &items[i])))
+}
+
+/// The serial entry — what [`par_try_map_indexed`] does at one worker:
+/// every item on the calling thread in input order, each under the same
+/// per-task panic isolation, straight into the caller's recorder and fault
+/// plan. Nothing crosses a thread, so nothing needs `Sync` or `Send`. For
+/// items below the grain rule (see the crate docs).
+pub fn try_map_indexed<T, U>(items: &[T], f: impl Fn(usize, &T) -> U) -> Vec<Result<U, TaskPanic>> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| isolated(i, || f(i, item)))
+        .collect()
+}
+
+/// Runs task `index` under `catch_unwind`, turning a panic into a
+/// [`TaskPanic`].
+fn isolated<U>(index: usize, task: impl FnOnce() -> U) -> Result<U, TaskPanic> {
+    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| TaskPanic {
+        index,
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 /// Shared fan-out core: runs `task(i)` for `i in 0..n` on `workers` scoped
@@ -167,7 +195,10 @@ where
 /// failpoints keep firing deterministically across the thread boundary, and
 /// each task runs under a *fresh* `qd_obs` recorder whose trace is absorbed
 /// back into the caller in input order after the join — so the merged trace
-/// is byte-identical to a sequential run at every worker count.
+/// is byte-identical to a sequential run at every worker count. Every
+/// worker pins its own worker count to 1: a fan-out nested inside a task
+/// runs serially instead of multiplying the caller's count by itself
+/// (answers are worker-count-independent by contract, so none can change).
 fn scatter_gather<U, F>(n: usize, workers: usize, task: F) -> Vec<U>
 where
     U: Send,
@@ -183,17 +214,19 @@ where
             .map(|_| {
                 let plan = plan.clone();
                 s.spawn(move || {
-                    qd_fault::with_current(plan, || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
+                    with_threads(1, || {
+                        qd_fault::with_current(plan, || {
+                            let mut local = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= n {
+                                    break;
+                                }
+                                let (value, trace) = qd_obs::observe_task(&obs, || task(i));
+                                local.push((i, value, trace));
                             }
-                            let (value, trace) = qd_obs::observe_task(&obs, || task(i));
-                            local.push((i, value, trace));
-                        }
-                        local
+                            local
+                        })
                     })
                 })
             })
@@ -291,6 +324,57 @@ mod tests {
             assert_eq!(threads(), 3);
         });
         assert_eq!(threads(), before);
+    }
+
+    #[test]
+    fn workers_run_nested_fan_outs_serially() {
+        // Every item of a multi-worker fan-out sees a worker count of 1,
+        // whatever the caller's override or `QD_THREADS` says, so the
+        // caller's count bounds the whole call tree.
+        let items: Vec<usize> = (0..16).collect();
+        let caller = std::thread::current().id();
+        let seen = with_threads(4, || {
+            par_map(&items, |_| (std::thread::current().id(), threads()))
+        });
+        assert!(seen.iter().all(|&(id, _)| id != caller), "ran on workers");
+        assert!(seen.iter().all(|&(_, n)| n == 1), "nested counts {seen:?}");
+        // And the nested fan-out itself stays on its worker's thread.
+        let nested = with_threads(4, || {
+            par_map(&items, |_| {
+                let worker = std::thread::current().id();
+                par_map(&[0u8, 1, 2], |_| std::thread::current().id() == worker)
+            })
+        });
+        assert!(nested.iter().flatten().all(|&same| same));
+    }
+
+    #[test]
+    fn serial_entry_needs_no_sync_and_isolates_panics() {
+        // `Cell` is `!Sync`: this compiles only while nothing crosses a
+        // thread.
+        let calls = Cell::new(0usize);
+        let items = vec![1u64, 2, 3];
+        let caller = std::thread::current().id();
+        let out = with_threads(8, || {
+            try_map_indexed(&items, |i, &x| {
+                calls.set(calls.get() + 1);
+                assert_eq!(std::thread::current().id(), caller);
+                if i == 1 {
+                    panic!("injected {x}");
+                }
+                x * 10
+            })
+        });
+        assert_eq!(calls.get(), 3);
+        assert_eq!(out[0], Ok(10));
+        assert_eq!(
+            out[1],
+            Err(TaskPanic {
+                index: 1,
+                message: "injected 2".to_string()
+            })
+        );
+        assert_eq!(out[2], Ok(30));
     }
 
     #[test]

@@ -674,13 +674,19 @@ impl<I: KnnIndex + Sync> Server<I> {
     ) {
         let spec = &plan.specs[spec_index];
         let id = spec.id.0;
+        // A tenant asking for zero feedback rounds has no final round to
+        // answer from (and a stepper cannot be built for it): refused at
+        // the door with the engine's own typed error.
+        if spec.cfg.rounds == 0 {
+            let refused = SessionOutcome::Failed(QdError::NoFeedbackRounds);
+            reports.insert(id, self.door_report(spec, refused, tick));
+            return;
+        }
         // Failpoint: admission rejects this session at the door.
         if qd_fault::fire_keyed(qd_fault::site::SERVE_ADMISSION, id).is_some() {
             qd_obs::count(qd_obs::ctr::SERVE_SHED, 1);
-            reports.insert(
-                id,
-                self.door_report(spec, EvictReason::AdmissionFault, tick),
-            );
+            let shed = SessionOutcome::Evicted(EvictReason::AdmissionFault);
+            reports.insert(id, self.door_report(spec, shed, tick));
             return;
         }
         let admit_to_queue = |metas: &mut BTreeMap<u64, Meta>, queue: &mut VecDeque<u64>| {
@@ -707,25 +713,25 @@ impl<I: KnnIndex + Sync> Server<I> {
         // shed — deterministic at any thread count or arrival interleaving.
         qd_obs::count(qd_obs::ctr::SERVE_SHED, 1);
         if mix64(self.cfg.shed_seed ^ mix64(id)) & 1 == 0 || queue.is_empty() {
-            reports.insert(id, self.door_report(spec, EvictReason::Shed, tick));
+            let shed = SessionOutcome::Evicted(EvictReason::Shed);
+            reports.insert(id, self.door_report(spec, shed, tick));
         } else if let Some(victim) = queue.pop_front() {
             metas.remove(&victim);
             if let Some(victim_spec) = plan.specs.iter().find(|s| s.id.0 == victim) {
-                reports.insert(
-                    victim,
-                    self.door_report(victim_spec, EvictReason::Shed, tick),
-                );
+                let shed = SessionOutcome::Evicted(EvictReason::Shed);
+                reports.insert(victim, self.door_report(victim_spec, shed, tick));
             }
             admit_to_queue(metas, queue);
         }
     }
 
-    /// A report for a session shed before it ever held an active slot.
-    fn door_report(&self, spec: &SessionSpec, reason: EvictReason, tick: u64) -> SessionReport {
+    /// A report for a session turned away before it ever held an active
+    /// slot.
+    fn door_report(&self, spec: &SessionSpec, outcome: SessionOutcome, tick: u64) -> SessionReport {
         SessionReport {
             id: spec.id,
             scenario: spec.scenario,
-            outcome: SessionOutcome::Evicted(reason),
+            outcome,
             rounds_run: 0,
             truncated: false,
             cost_spent: 0,
@@ -855,10 +861,8 @@ impl<I: KnnIndex + Sync> Server<I> {
         for idx in arrivals {
             let spec = &plan.specs[idx];
             qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
-            reports.insert(
-                spec.id.0,
-                self.door_report(spec, EvictReason::Stalled, tick),
-            );
+            let stalled = SessionOutcome::Evicted(EvictReason::Stalled);
+            reports.insert(spec.id.0, self.door_report(spec, stalled, tick));
         }
     }
 }
@@ -1067,6 +1071,27 @@ mod tests {
                 assert!(outcome.results.len() <= p.specs[idx].k);
             }
             other => panic!("truncated session should degrade, got {:?}", other.state()),
+        }
+    }
+
+    #[test]
+    fn a_tenant_with_zero_rounds_is_refused_at_admission() {
+        let mut p = plan(4);
+        p.specs[1].cfg.rounds = 0;
+        let refused = p.specs[1].id;
+        let report = server(ServeConfig::default()).run(&p);
+        assert_eq!(report.sessions.len(), 4);
+        let s = report.session(refused).expect("refused tenant is reported");
+        assert!(
+            matches!(s.outcome, SessionOutcome::Failed(QdError::NoFeedbackRounds)),
+            "{:?}",
+            s.outcome
+        );
+        assert_eq!((s.rounds_run, s.cost_spent), (0, 0));
+        // Everyone else is served as if the refused tenant never arrived.
+        for other in report.sessions.iter().filter(|s| s.id != refused) {
+            assert!(is_terminal(&other.outcome));
+            assert!(!matches!(other.outcome, SessionOutcome::Failed(_)));
         }
     }
 

@@ -457,29 +457,13 @@ impl KnnIndex for ShardSet {
         self.total
     }
 
-    fn height(&self) -> usize {
-        if self.config.shards == 1 {
-            return self.shards[0].height();
-        }
-        self.root_level as usize + 1
-    }
-
-    fn node_count(&self) -> usize {
-        let base: usize = self.shards.iter().map(|t| t.node_count()).sum();
-        base + usize::from(self.config.shards > 1)
-    }
-
-    fn node_ids(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.node_count());
-        for (s, tree) in self.shards.iter().enumerate() {
-            for n in tree.node_ids() {
-                out.push(self.encode(s, n));
-            }
-        }
-        if self.config.shards > 1 {
-            out.push(Self::synth_root());
-        }
-        out
+    fn node_ids(&self) -> impl IntoIterator<Item = NodeId> + '_ {
+        let shard_nodes = self
+            .shards
+            .iter()
+            .enumerate()
+            .flat_map(move |(s, tree)| tree.node_ids().map(move |n| self.encode(s, n)));
+        shard_nodes.chain((self.config.shards > 1).then(Self::synth_root))
     }
 
     fn contains_node(&self, n: NodeId) -> bool {
@@ -500,14 +484,6 @@ impl KnnIndex for ShardSet {
         }
         let (s, local) = self.decode(n);
         self.shards[s].level(local)
-    }
-
-    fn is_leaf(&self, n: NodeId) -> bool {
-        if self.is_synth(n) {
-            return false;
-        }
-        let (s, local) = self.decode(n);
-        self.shards[s].is_leaf(local)
     }
 
     fn parent(&self, n: NodeId) -> Option<NodeId> {
@@ -531,38 +507,53 @@ impl KnnIndex for ShardSet {
         self.shards[s].node_rect(local)
     }
 
-    fn children(&self, n: NodeId) -> Vec<NodeId> {
-        if self.is_synth(n) {
-            return (0..self.config.shards)
-                .map(|s| self.encode(s, self.shards[s].root()))
-                .collect();
-        }
-        let (s, local) = self.decode(n);
-        self.shards[s]
-            .children(local)
+    fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_ {
+        // Either arm, never both: the shard roots under the synthetic root,
+        // the owning shard's children below it.
+        let roots = self
+            .is_synth(n)
+            .then(|| (0..self.config.shards).map(|s| self.encode(s, self.shards[s].root())));
+        let below = (!self.is_synth(n)).then(|| {
+            let (s, local) = self.decode(n);
+            self.shards[s]
+                .children(local)
+                .map(move |c| self.encode(s, c))
+        });
+        roots
             .into_iter()
-            .map(|c| self.encode(s, c))
-            .collect()
+            .flatten()
+            .chain(below.into_iter().flatten())
     }
 
-    fn leaf_items(&self, n: NodeId) -> Vec<(u64, &[f32])> {
-        if self.is_synth(n) {
-            return Vec::new();
-        }
-        let (s, local) = self.decode(n);
-        self.shards[s].leaf_entries(local).collect()
+    fn leaf_items(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
+        // The synthetic root stores nothing: zero entries of shard 0's root
+        // gives the empty answer the same type as a leaf's entries.
+        let (s, local, keep) = if self.is_synth(n) {
+            (0, self.shards[0].root(), 0)
+        } else {
+            let (s, local) = self.decode(n);
+            (s, local, usize::MAX)
+        };
+        self.shards[s].leaf_entries(local).take(keep)
     }
 
-    fn subtree_items(&self, n: NodeId) -> Vec<(u64, &[f32])> {
-        if self.is_synth(n) {
-            return self
-                .shards
-                .iter()
-                .flat_map(|t| t.subtree_items(t.root()))
-                .collect();
-        }
-        let (s, local) = self.decode(n);
-        self.shards[s].subtree_items(local)
+    /// Shards in index order under the synthetic root — not the last-first
+    /// order the provided walk would give its children — then each shard's
+    /// own walk; pinned by `tests/golden/weighted_budget_scan.txt`.
+    fn subtree_items(&self, n: NodeId) -> impl IntoIterator<Item = (u64, &[f32])> + '_ {
+        let (shards, local) = if self.is_synth(n) {
+            (0..self.config.shards, None)
+        } else {
+            let (s, local) = self.decode(n);
+            (s..s + 1, Some(local))
+        };
+        shards.flat_map(move |s| {
+            let tree = &self.shards[s];
+            tree.subtree_items(local.unwrap_or_else(|| tree.root()))
+        })
     }
 
     fn subtree_len(&self, n: NodeId) -> usize {
@@ -607,8 +598,8 @@ impl KnnIndex for ShardSet {
             }
             let mut stored: Vec<u64> = tree
                 .subtree_items(tree.root())
-                .iter()
-                .map(|(id, _)| *id)
+                .into_iter()
+                .map(|(id, _)| id)
                 .collect();
             stored.sort_unstable();
             if &stored != members {
@@ -654,12 +645,6 @@ impl KnnIndex for ShardSet {
             }
         }
         Ok(())
-    }
-
-    fn validate(&self) {
-        if let Err(msg) = self.check_invariants() {
-            panic!("{msg}");
-        }
     }
 }
 
@@ -818,7 +803,7 @@ mod tests {
         };
         assert_eq!(set.root(), KnnIndex::root(&solo));
         assert_eq!(set.node_count(), KnnIndex::node_count(&solo));
-        assert_eq!(set.node_ids(), KnnIndex::node_ids(&solo));
+        assert!(set.node_ids().into_iter().eq(solo.node_ids()));
         let q = &features[7];
         let a = set.knn_in_budgeted(set.root(), q, 10, None);
         let b = KnnIndex::knn_in_budgeted(&solo, KnnIndex::root(&solo), q, 10, None);
@@ -857,14 +842,14 @@ mod tests {
         let root = set.root();
         assert!(!set.is_leaf(root));
         assert_eq!(set.parent(root), None);
-        let children = set.children(root);
+        let children: Vec<NodeId> = set.children(root).into_iter().collect();
         assert_eq!(children.len(), 3);
         for &c in &children {
             assert_eq!(set.parent(c), Some(root));
             assert!(set.level(c) < set.level(root));
         }
         assert_eq!(set.subtree_len(root), 100);
-        assert_eq!(set.subtree_items(root).len(), 100);
+        assert_eq!(set.subtree_items(root).into_iter().count(), 100);
         let rect = set.node_rect(root).expect("non-empty set has a root rect");
         for (_, p) in set.subtree_items(root) {
             assert!(rect.contains_point(p));
@@ -883,7 +868,7 @@ mod tests {
         let incremental = set.insert(&features, 90);
         let rebuilt = ShardSet::build(&features, tree_config(3), ShardConfig::new(4, 21));
         incremental.validate();
-        assert_eq!(incremental.node_ids(), rebuilt.node_ids());
+        assert!(incremental.node_ids().into_iter().eq(rebuilt.node_ids()));
         for s in 0..4 {
             assert_eq!(incremental.shard_members(s), rebuilt.shard_members(s));
         }

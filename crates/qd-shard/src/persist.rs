@@ -105,8 +105,8 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
         }
         let mut stored: Vec<u64> = tree
             .subtree_items(tree.root())
-            .iter()
-            .map(|(id, _)| *id)
+            .into_iter()
+            .map(|(id, _)| id)
             .collect();
         stored.sort_unstable();
         if stored.windows(2).any(|w| w[0] == w[1]) {
@@ -171,7 +171,11 @@ mod tests {
         let bytes = to_bytes(&rfs);
         let loaded = from_bytes(&bytes).expect("roundtrip");
         assert_eq!(loaded.tree().config(), rfs.tree().config());
-        assert_eq!(loaded.tree().node_ids(), rfs.tree().node_ids());
+        assert!(loaded
+            .tree()
+            .node_ids()
+            .into_iter()
+            .eq(rfs.tree().node_ids()));
         assert_eq!(loaded.reps_map(), rfs.reps_map());
         for s in 0..3 {
             assert_eq!(loaded.tree().shard_members(s), rfs.tree().shard_members(s));

@@ -7,8 +7,7 @@
 //! cargo run --release --example client_server
 //! ```
 
-use query_decomposition::core::client::{client_feedback, server_execute, ClientRfs};
-use query_decomposition::core::session::run_session;
+use query_decomposition::core::client::{client_feedback, try_server_execute, ClientRfs};
 use query_decomposition::prelude::*;
 
 fn main() {
@@ -48,7 +47,8 @@ fn main() {
     );
 
     // --- the server answers with localized k-NN ------------------------
-    let execution = server_execute(&corpus, &rfs, &remote, k, &cfg);
+    let execution = try_server_execute(&corpus, &rfs, &remote, k, &cfg)
+        .expect("the replica's subqueries are well-formed");
     println!(
         "server executed {} localized k-NN subqueries ({} node reads) in {:.2?}",
         execution.subquery_count, execution.knn_accesses, execution.duration
@@ -61,7 +61,9 @@ fn main() {
 
     // --- sanity: identical to the monolithic deployment ----------------
     let mut mono_user = SimulatedUser::oracle(&query, 13);
-    let monolithic = run_session(&corpus, &rfs, &query, &mut mono_user, k, &cfg);
+    let monolithic = try_run_session(&corpus, &rfs, &query, &mut mono_user, k, &cfg)
+        .expect("a well-formed session")
+        .into_outcome();
     assert_eq!(execution.results, monolithic.results);
     println!("\nsplit deployment reproduces the monolithic session exactly ✓");
 }

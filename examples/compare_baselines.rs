@@ -45,7 +45,9 @@ fn main() {
     }
 
     let mut user = SimulatedUser::oracle(&query, 3);
-    let out = run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default());
+    let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default())
+        .expect("a well-formed session")
+        .into_outcome();
     println!(
         "{:<22} {:>9.3} {:>6.3}   ({} localized subqueries)",
         "QD (this paper)",

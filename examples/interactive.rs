@@ -132,14 +132,17 @@ fn main() {
     let per_subquery = k / homes.len().max(1) + 8;
     for home in homes {
         let query_points = final_marks.remove(&home).unwrap();
-        locals.push(query_decomposition::core::localknn::run_local_query(
+        let local = query_decomposition::core::localknn::try_run_local_query(
             rfs.tree(),
             corpus.features(),
             &LocalQuery { home, query_points },
             cfg.boundary_threshold,
             per_subquery,
             8,
-        ));
+            None,
+            None,
+        );
+        locals.push(local.expect("marks come from this corpus and this tree"));
     }
     let groups = merge_local_results(&locals, k.min(24));
     println!(

@@ -41,7 +41,9 @@ fn main() {
     );
 
     let mut user = SimulatedUser::oracle(&query, 7);
-    let outcome = run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default());
+    let outcome = try_run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default())
+        .expect("a well-formed session")
+        .into_outcome();
 
     println!(
         "  decomposed into {} localized subqueries; {} feedback node reads, {} kNN node reads",

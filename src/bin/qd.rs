@@ -283,7 +283,9 @@ fn query(opts: &Options) -> Result<(), String> {
         ..QdConfig::default()
     };
     let mut user = SimulatedUser::oracle(&query, seed);
-    let out = run_session(&corpus, &rfs, &query, &mut user, k, &cfg);
+    let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
+        .map_err(|e| e.to_string())?
+        .into_outcome();
 
     println!(
         "query {:?}: {} subqueries, {} results (k = {k})",
@@ -370,9 +372,10 @@ fn traced_session(
         ..QdConfig::default()
     };
     let mut user = SimulatedUser::oracle(&query, seed);
-    let (out, trace) = query_decomposition::obs::with_recorder(|| {
-        run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
+    let (served, trace) = query_decomposition::obs::with_recorder(|| {
+        try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
     });
+    let out = served.map_err(|e| e.to_string())?.into_outcome();
     Ok((query.name.clone(), seed, k, out, trace))
 }
 
@@ -431,6 +434,11 @@ fn serve_sim(opts: &Options) -> Result<(), String> {
         k: None,
         deadline: opts.parse_or("deadline", 900u64)?,
     };
+    if load_cfg.rounds == 0 {
+        // The server would admit no one: every tenant is refused with this
+        // error at the door.
+        return Err(QdError::NoFeedbackRounds.to_string());
+    }
     let serve_cfg = ServeConfig {
         max_active: opts.parse_or("max-active", 4usize)?,
         queue_capacity: opts.parse_or("queue", 8usize)?,
@@ -570,7 +578,9 @@ fn shard(opts: &Options) -> Result<(), String> {
         ..QdConfig::default()
     };
     let mut user = SimulatedUser::oracle(&query, seed);
-    let out = run_session(&corpus, &rfs, &query, &mut user, k, &cfg);
+    let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
+        .map_err(|e| e.to_string())?
+        .into_outcome();
     println!(
         "query {:?} over {} shards: {} subqueries, {} results (k = {k})",
         query.name,

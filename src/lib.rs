@@ -48,7 +48,9 @@
 //!     .unwrap();
 //! let k = corpus.ground_truth(&query).len();
 //! let mut user = SimulatedUser::oracle(&query, 7);
-//! let outcome = run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default());
+//! let outcome = try_run_session(&corpus, &rfs, &query, &mut user, k, &QdConfig::default())
+//!     .expect("a well-formed session")
+//!     .into_outcome();
 //!
 //! println!(
 //!     "precision {:.2}, GTIR {:.2}, {} subqueries",
@@ -77,8 +79,7 @@ pub mod prelude {
     pub use qd_core::metrics::{gtir, precision, recall};
     pub use qd_core::rfs::{RfsConfig, RfsStructure};
     pub use qd_core::session::{
-        run_session, try_run_session, Degradation, MergeStrategy, QdConfig, QdOutcome,
-        ServedOutcome,
+        try_run_session, Degradation, MergeStrategy, QdConfig, QdOutcome, ServedOutcome,
     };
     pub use qd_core::user::SimulatedUser;
     pub use qd_corpus::{queries, Corpus, CorpusConfig, QuerySpec, Taxonomy};

@@ -144,7 +144,7 @@ fn serialize_structure<I: KnnIndex>(rfs: &RfsStructure<I>, corpus_len: usize) ->
         t.root().index()
     )
     .unwrap();
-    let mut ids = t.node_ids();
+    let mut ids: Vec<_> = t.node_ids().into_iter().collect();
     ids.sort_unstable_by_key(|n| n.index());
     for n in ids {
         let rect = match t.node_rect(n) {
@@ -153,12 +153,12 @@ fn serialize_structure<I: KnnIndex>(rfs: &RfsStructure<I>, corpus_len: usize) ->
         };
         let children: Vec<String> = t
             .children(n)
-            .iter()
+            .into_iter()
             .map(|c| c.index().to_string())
             .collect();
         let items: Vec<String> = t
             .leaf_items(n)
-            .iter()
+            .into_iter()
             .map(|(id, p)| format!("{id}:{}", f32_bits(p)))
             .collect();
         let reps: Vec<String> = rfs
@@ -470,7 +470,7 @@ fn arena_invariants_hold_under_churn() {
                 assert!(ids_seen.insert(id), "image {id} stored in two leaves");
             }
         } else {
-            assert!(tree.leaf_items(n).is_empty());
+            assert_eq!(tree.leaf_items(n).into_iter().len(), 0);
         }
     }
     assert_eq!(ids_seen.len(), tree.len(), "leaf union misses points");
@@ -489,14 +489,15 @@ fn rfs_leaf_of_agrees_with_live_leaves() {
         assert!(t.contains_node(leaf), "leaf_of returned a dead node");
         assert!(t.is_leaf(leaf), "leaf_of returned an internal node");
         assert!(
-            t.leaf_items(leaf).iter().any(|(id, _)| *id == image as u64),
+            t.leaf_items(leaf)
+                .into_iter()
+                .any(|(id, _)| id == image as u64),
             "leaf_of({image}) points at a leaf that does not store it"
         );
         leaves_hit.insert(leaf.index());
     }
     let live_leaves: std::collections::BTreeSet<usize> = t
         .node_ids()
-        .into_iter()
         .filter(|&n| t.is_leaf(n))
         .map(|n| n.index())
         .collect();

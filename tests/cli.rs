@@ -137,6 +137,30 @@ fn query_with_an_absurd_k_answers_with_at_most_the_corpus() {
     }
 }
 
+/// `--rounds 0` reaches the engine from four commands; every one of them
+/// answers with the typed error — exit 1 and an `error:` line — instead of
+/// tripping the stepper's assertion (exit 101).
+#[test]
+fn zero_rounds_is_an_error_not_a_panic() {
+    let dir = built();
+    let session = ["--corpus", "c.qdc", "--rfs", "r.qdr", "--rounds", "0"];
+    for command in ["query", "trace", "profile", "serve-sim"] {
+        let mut args = vec![command];
+        args.extend(session);
+        if command != "serve-sim" {
+            args.extend(["--query", "bird"]);
+        }
+        let out = qd(dir, &args);
+        assert_eq!(out.status.code(), Some(1), "{command}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.starts_with("error: ") && err.contains("feedback round"),
+            "{command}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{command}: {err}");
+    }
+}
+
 #[test]
 fn export_writes_ppm_files() {
     let dir = built();

@@ -14,6 +14,20 @@ fn fixture() -> &'static (Corpus, RfsStructure) {
     })
 }
 
+/// One QD session over a well-formed fixture, whatever its service level.
+fn session(
+    corpus: &Corpus,
+    rfs: &RfsStructure,
+    query: &QuerySpec,
+    user: &mut SimulatedUser,
+    k: usize,
+    cfg: &QdConfig,
+) -> QdOutcome {
+    try_run_session(corpus, rfs, query, user, k, cfg)
+        .expect("well-formed session")
+        .into_outcome()
+}
+
 fn standard_query(name: &str) -> QuerySpec {
     let (corpus, _) = fixture();
     queries::standard_queries(corpus.taxonomy())
@@ -28,7 +42,7 @@ fn full_pipeline_produces_grouped_multi_cluster_results() {
     let query = standard_query("bird");
     let k = corpus.ground_truth(&query).len();
     let mut user = SimulatedUser::oracle(&query, 11);
-    let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+    let out = session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
 
     assert!(!out.results.is_empty());
     assert!(out.subquery_count >= 2, "no decomposition happened");
@@ -75,7 +89,7 @@ fn whole_experiment_is_deterministic_end_to_end() {
     let k = corpus_a.ground_truth(&query).len();
     let mut user_a = SimulatedUser::oracle(&query, 3);
     let mut user_b = SimulatedUser::oracle(&query, 3);
-    let out_a = run_session(
+    let out_a = session(
         &corpus_a,
         &rfs_a,
         &query,
@@ -83,7 +97,7 @@ fn whole_experiment_is_deterministic_end_to_end() {
         k,
         &QdConfig::default(),
     );
-    let out_b = run_session(
+    let out_b = session(
         &corpus_b,
         &rfs_b,
         &query,
@@ -101,7 +115,7 @@ fn qd_covers_more_subconcepts_than_every_baseline() {
     let k = corpus.ground_truth(&query).len();
 
     let mut qd_user = SimulatedUser::oracle(&query, 5);
-    let qd = run_session(corpus, rfs, &query, &mut qd_user, k, &QdConfig::default());
+    let qd = session(corpus, rfs, &query, &mut qd_user, k, &QdConfig::default());
     let qd_gtir = gtir(corpus, &query, &qd.results);
 
     for baseline in [
@@ -129,7 +143,7 @@ fn noisy_user_degrades_gracefully() {
     let k = corpus.ground_truth(&query).len();
 
     let mut clean_user = SimulatedUser::oracle(&query, 2);
-    let clean = run_session(
+    let clean = session(
         corpus,
         rfs,
         &query,
@@ -138,7 +152,7 @@ fn noisy_user_degrades_gracefully() {
         &QdConfig::default(),
     );
     let mut noisy_user = SimulatedUser::oracle(&query, 2).with_noise(0.3);
-    let noisy = run_session(
+    let noisy = session(
         corpus,
         rfs,
         &query,
@@ -163,7 +177,7 @@ fn impatient_user_limits_coverage_but_not_correctness() {
     let query = standard_query("computer");
     let k = corpus.ground_truth(&query).len();
     let mut user = SimulatedUser::oracle(&query, 4).with_patience(10);
-    let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+    let out = session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
     // With only 10 inspected images per display the user may miss groups,
     // but everything returned is still a valid image and within k.
     assert!(out.results.len() <= k);
@@ -176,7 +190,7 @@ fn feedback_cost_stays_far_below_database_scans() {
     let query = standard_query("horse");
     let k = corpus.ground_truth(&query).len();
     let mut user = SimulatedUser::oracle(&query, 6);
-    let out = run_session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
+    let out = session(corpus, rfs, &query, &mut user, k, &QdConfig::default());
     // §5.2.2: feedback processing reads a handful of RFS nodes, and the
     // final localized k-NN touches only a few neighborhoods — all far below
     // one node access per database image.
@@ -197,7 +211,7 @@ fn rstar_and_bulk_built_rfs_both_serve_sessions() {
         let rfs = RfsStructure::build(corpus.features(), &cfg);
         rfs.tree().validate();
         let mut user = SimulatedUser::oracle(&query, 8);
-        let out = run_session(corpus, &rfs, &query, &mut user, k, &QdConfig::default());
+        let out = session(corpus, &rfs, &query, &mut user, k, &QdConfig::default());
         assert!(out.results.len() <= k);
     }
 }
@@ -212,7 +226,8 @@ fn table_runners_work_across_crates() {
         Baseline::MultipleViewpoints,
         &QdConfig::default(),
         &BaselineConfig::default(),
-    );
+    )
+    .unwrap();
     assert_eq!(rows.len(), 11);
     let avg = eval::average_row(&rows);
     assert!(avg.qd_gtir > 0.8);
@@ -223,7 +238,8 @@ fn table_runners_work_across_crates() {
         Baseline::MultipleViewpoints,
         &QdConfig::default(),
         &BaselineConfig::default(),
-    );
+    )
+    .unwrap();
     assert_eq!(rounds.len(), 3);
     assert!(rounds[2].qd_precision.is_some());
 }

@@ -2,7 +2,9 @@
 //! force and structural invariants under arbitrary operation interleavings.
 
 use proptest::prelude::*;
-use query_decomposition::index::{persist, BudgetedKnn, NodeId, RStarTree, Rect, TreeConfig};
+use query_decomposition::index::{
+    persist, BudgetedKnn, KnnIndex, NodeId, RStarTree, Rect, TreeConfig,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
@@ -223,11 +225,15 @@ fn oracle_fixture() -> (RStarTree, Vec<(u64, Vec<f32>)>) {
     (tree, items)
 }
 
+fn first_child(tree: &RStarTree, n: NodeId) -> NodeId {
+    tree.children(n).next().expect("an internal node")
+}
+
 /// Root, its first child (level 1) and that child's first child (a leaf).
 fn oracle_scopes(tree: &RStarTree) -> [NodeId; 3] {
     let root = tree.root();
-    let mid = tree.children(root)[0];
-    let leaf = tree.children(mid)[0];
+    let mid = first_child(tree, root);
+    let leaf = first_child(tree, mid);
     assert!(tree.is_leaf(leaf) && tree.level(mid) == 1);
     [leaf, mid, root]
 }
@@ -274,7 +280,6 @@ fn assert_tie_free(tree: &RStarTree, q: &[f32]) {
     };
     let mut keys: Vec<(u64, Option<NodeId>)> = tree
         .node_ids()
-        .into_iter()
         .filter_map(|n| Some((tree.node_rect(n)?.min_dist2(q).to_bits(), Some(n))))
         .chain(
             tree.subtree_items(tree.root())
@@ -429,10 +434,10 @@ fn knn_tie_sweep_matches_golden() {
     const BUDGETS: [Option<u64>; 5] = [None, Some(16), Some(64), Some(256), Some(1024)];
     let (tree, items) = tie_fixture();
     let root = tree.root();
-    let level2 = tree.children(root)[0];
-    let last = *tree.children(root).last().unwrap();
-    let level1 = tree.children(last)[0];
-    let leaf = tree.children(level1)[0];
+    let level2 = first_child(&tree, root);
+    let last = tree.children(root).last().unwrap();
+    let level1 = first_child(&tree, last);
+    let leaf = first_child(&tree, level1);
     assert!(tree.is_leaf(leaf) && tree.level(level1) == 1 && tree.level(level2) == 2);
     // Two grid points (the centre of the data; one step outside its
     // bounding box on every axis) and two half-integer points (inside every
@@ -454,7 +459,6 @@ fn knn_tie_sweep_matches_golden() {
     for (qi, q) in queries.iter().enumerate() {
         let mindists: Vec<(NodeId, u64)> = tree
             .node_ids()
-            .into_iter()
             .filter_map(|n| Some((n, tree.node_rect(n)?.min_dist2(q).to_bits())))
             .collect();
         let at_own_leaf: usize = mindists
@@ -748,7 +752,7 @@ fn structure_dump(tree: &RStarTree) -> String {
         tree.height()
     );
     for n in tree.node_ids() {
-        let children: Vec<usize> = tree.children(n).iter().map(|c| c.index()).collect();
+        let children: Vec<usize> = tree.children(n).map(NodeId::index).collect();
         let rect = tree.node_rect(n).map(|r| (bits(r.min()), bits(r.max())));
         let entries: Vec<(u64, Vec<u32>)> =
             tree.leaf_entries(n).map(|(id, p)| (id, bits(p))).collect();
@@ -779,7 +783,9 @@ fn contiguous_entries(tree: &RStarTree) -> Result<usize, String> {
             next = Some(p.as_ptr().wrapping_add(p.len()));
             walked += 1;
         }
-        stack.extend(tree.children(n).into_iter().rev());
+        let first = stack.len();
+        stack.extend(tree.children(n));
+        stack[first..].reverse();
     }
     Ok(walked)
 }
@@ -788,8 +794,8 @@ fn contiguous_entries(tree: &RStarTree) -> Result<usize, String> {
 /// with all its counters.
 fn knn_sweep(tree: &RStarTree, queries: &[Vec<f32>]) -> Vec<BudgetedKnn> {
     let root = tree.root();
-    let mid = tree.children(root)[0];
-    let leaf = std::iter::successors(Some(mid), |&n| tree.children(n).first().copied())
+    let mid = first_child(tree, root);
+    let leaf = std::iter::successors(Some(mid), |&n| tree.children(n).next())
         .last()
         .expect("a chain of first children ends in a leaf");
     let mut answers = Vec::new();
@@ -834,7 +840,7 @@ fn update_walk(tree: &mut RStarTree, seed: u64, steps: usize) {
     tree.validate();
     let mut stored: Vec<u64> = tree
         .subtree_items(tree.root())
-        .iter()
+        .into_iter()
         .map(|e| e.0)
         .collect();
     let mut expected: Vec<u64> = live.iter().map(|e| e.0).collect();
@@ -880,7 +886,7 @@ fn compact_permutes_feature_slots_and_nothing_else() {
         let queries: Vec<Vec<f32>> = if plain.dims() == ORACLE_DIMS {
             oracle_queries.clone()
         } else {
-            let some = plain.subtree_items(plain.root());
+            let some: Vec<_> = plain.subtree_items(plain.root()).into_iter().collect();
             [3usize, 77, 500]
                 .iter()
                 .map(|&i| some[i].1.iter().map(|v| v + 0.25).collect())

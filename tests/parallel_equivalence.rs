@@ -1,9 +1,10 @@
 //! Parallel ≡ sequential property suite for the qd-runtime wiring.
 //!
-//! Every layer that fans out over the qd-runtime pool — the final localized
-//! subqueries, the MV baseline's viewpoint k-NNs, the bottom-up RFS build,
-//! and the evaluation harness — must produce *bit-identical* output whatever
-//! the worker count. These properties pin that contract: each scenario runs
+//! Every layer that fans out over the qd-runtime pool — the MV baseline's
+//! viewpoint k-NNs, the bottom-up RFS build, and the evaluation harness —
+//! must produce *bit-identical* output whatever the worker count, and so
+//! must the session path above them, which runs its subqueries serially on
+//! the calling thread. These properties pin that contract: each scenario runs
 //! once under a forced single thread and once under eight workers, and every
 //! observable (result ids, group order, similarity scores down to the bit,
 //! access counts) must match exactly.
@@ -13,7 +14,7 @@ use query_decomposition::core::baselines::{mv, BaselineConfig};
 use query_decomposition::core::eval::{self, Baseline};
 use query_decomposition::core::rfs::{RfsConfig, RfsStructure};
 use query_decomposition::core::session::{
-    execute_subqueries, run_session, FinalExecution, MergeStrategy, QdConfig,
+    try_execute_subqueries, try_run_session, FinalExecution, MergeStrategy, QdConfig,
 };
 use query_decomposition::core::user::SimulatedUser;
 use query_decomposition::index::NodeId;
@@ -68,8 +69,8 @@ fn assert_exec_identical(a: &FinalExecution, b: &FinalExecution) -> Result<(), T
 }
 
 /// Decomposes a standard query into per-leaf subqueries (one per RFS leaf
-/// holding ground-truth images) — the shape `execute_subqueries` receives
-/// from the feedback rounds.
+/// holding ground-truth images) — the shape `try_execute_subqueries`
+/// receives from the feedback rounds.
 fn decompose(
     corpus: &Corpus,
     rfs: &RfsStructure,
@@ -108,7 +109,9 @@ proptest! {
             merge,
             ..QdConfig::default()
         };
-        let (seq, par) = both_modes(|| execute_subqueries(corpus, rfs, &subqueries, k, &cfg));
+        let (seq, par) = both_modes(|| {
+            try_execute_subqueries(corpus, rfs, &subqueries, k, &cfg).expect("well-formed marks")
+        });
         assert_exec_identical(&seq, &par)?;
     }
 
@@ -126,7 +129,9 @@ proptest! {
         let cfg = QdConfig { seed, ..QdConfig::default() };
         let (seq, par) = both_modes(|| {
             let mut user = SimulatedUser::oracle(query, seed);
-            run_session(corpus, rfs, query, &mut user, k, &cfg)
+            try_run_session(corpus, rfs, query, &mut user, k, &cfg)
+                .expect("well-formed session")
+                .into_outcome()
         });
         prop_assert_eq!(&seq.results, &par.results);
         prop_assert_eq!(seq.knn_accesses, par.knn_accesses);
@@ -190,9 +195,7 @@ proptest! {
         seq.validate();
         par.validate();
         prop_assert_eq!(seq.all_representatives(), par.all_representatives());
-        let mut nodes = seq.tree().node_ids();
-        nodes.sort_unstable();
-        for n in nodes {
+        for n in seq.tree().node_ids() {
             prop_assert_eq!(
                 seq.representatives(n),
                 par.representatives(n),
@@ -211,6 +214,7 @@ proptest! {
         let baseline_cfg = BaselineConfig { seed, ..BaselineConfig::default() };
         let (seq1, par1) = both_modes(|| {
             eval::run_table1(corpus, rfs, Baseline::MultipleViewpoints, &qd_cfg, &baseline_cfg)
+                .expect("well-formed sessions")
         });
         prop_assert_eq!(seq1.len(), par1.len());
         for (a, b) in seq1.iter().zip(&par1) {
@@ -222,6 +226,7 @@ proptest! {
         }
         let (seq2, par2) = both_modes(|| {
             eval::run_table2(corpus, rfs, Baseline::MultipleViewpoints, &qd_cfg, &baseline_cfg)
+                .expect("well-formed sessions")
         });
         prop_assert_eq!(seq2.len(), par2.len());
         for (a, b) in seq2.iter().zip(&par2) {
@@ -261,8 +266,9 @@ mod nan_regression {
             let items = (0..200u64).map(|id| (id, vec![id as f32, 0.0])).collect();
             RStarTree::bulk_load(TreeConfig::small(2), items)
         });
-        let ids = tree.node_ids();
-        ids[i % ids.len()]
+        tree.node_ids()
+            .nth(i % tree.node_count())
+            .expect("index below the node count")
     }
 
     fn local(home: usize, support: usize, neighbors: &[(u64, f32)]) -> LocalResult {

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use query_decomposition::core::localknn::resolve_scope;
-use query_decomposition::index::{NodeId, RStarTree, TreeConfig};
+use query_decomposition::index::{KnnIndex, NodeId, RStarTree, TreeConfig};
 
 fn points() -> impl Strategy<Value = Vec<Vec<f32>>> {
     prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 3), 40..120)
@@ -49,7 +49,7 @@ proptest! {
         threshold in 0.0f32..1.0,
     ) {
         let tree = build_tree(&pts);
-        let nodes = tree.node_ids();
+        let nodes: Vec<NodeId> = tree.node_ids().collect();
         let home = nodes[home_sel.index(nodes.len())];
         // Scaling pushes some queries well outside their node (and the
         // whole dataset), exercising both the stay-home and expand paths.
@@ -71,10 +71,10 @@ proptest! {
         home_sel in any::<prop::sample::Index>(),
     ) {
         let tree = build_tree(&pts);
-        let nodes = tree.node_ids();
+        let nodes: Vec<NodeId> = tree.node_ids().collect();
         let home = nodes[home_sel.index(nodes.len())];
-        let members = tree.subtree_items(home);
-        let query_features: Vec<&[f32]> = members.iter().map(|&(_, p)| p).collect();
+        let query_features: Vec<&[f32]> =
+            tree.subtree_items(home).into_iter().map(|(_, p)| p).collect();
         prop_assume!(!query_features.is_empty());
         prop_assert_eq!(resolve_scope(&tree, home, &query_features, 1.0), home);
     }
@@ -92,7 +92,6 @@ proptest! {
         let tree = build_tree(&pts);
         let leaves: Vec<NodeId> = tree
             .node_ids()
-            .into_iter()
             .filter(|&n| tree.is_leaf(n))
             .collect();
         let home = leaves[leaf_sel.index(leaves.len())];
@@ -120,7 +119,7 @@ proptest! {
     ) {
         let (lo, hi) = if t_a <= t_b { (t_a, t_b) } else { (t_b, t_a) };
         let tree = build_tree(&pts);
-        let nodes = tree.node_ids();
+        let nodes: Vec<NodeId> = tree.node_ids().collect();
         let home = nodes[home_sel.index(nodes.len())];
         let q: Vec<f32> = pts[q_sel.index(pts.len())].iter().map(|&x| x * scale).collect();
         let scope_lo = resolve_scope(&tree, home, &[&q], lo);

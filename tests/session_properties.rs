@@ -3,6 +3,7 @@
 //! invariants must hold.
 
 use proptest::prelude::*;
+use query_decomposition::index::{BudgetedKnn, KnnIndex, NodeId, Rect};
 use query_decomposition::prelude::*;
 use std::sync::OnceLock;
 
@@ -19,6 +20,20 @@ fn fixture() -> &'static (Corpus, RfsStructure) {
         let rfs = RfsStructure::build(corpus.features(), &RfsConfig::test_small());
         (corpus, rfs)
     })
+}
+
+/// One QD session over a well-formed fixture, whatever its service level.
+fn session(
+    corpus: &Corpus,
+    rfs: &RfsStructure,
+    query: &QuerySpec,
+    user: &mut SimulatedUser,
+    k: usize,
+    cfg: &QdConfig,
+) -> QdOutcome {
+    try_run_session(corpus, rfs, query, user, k, cfg)
+        .expect("well-formed session")
+        .into_outcome()
 }
 
 proptest! {
@@ -45,7 +60,7 @@ proptest! {
         let mut user = SimulatedUser::oracle(query, user_seed)
             .with_noise(noise)
             .with_patience(patience);
-        let out = run_session(corpus, rfs, query, &mut user, k, &cfg);
+        let out = session(corpus, rfs, query, &mut user, k, &cfg);
 
         // Results: bounded, valid, unique.
         prop_assert!(out.results.len() <= k);
@@ -88,7 +103,7 @@ proptest! {
         for merge in [MergeStrategy::Proportional, MergeStrategy::Uniform] {
             let cfg = QdConfig { merge, seed, ..QdConfig::default() };
             let mut user = SimulatedUser::oracle(query, seed);
-            let out = run_session(corpus, rfs, query, &mut user, k, &cfg);
+            let out = session(corpus, rfs, query, &mut user, k, &cfg);
             prop_assert!(out.results.len() <= k, "{merge:?}");
         }
     }
@@ -100,7 +115,7 @@ proptest! {
         let k = corpus.ground_truth(query).len();
         let cfg = QdConfig { seed, ..QdConfig::default() };
         let mut user = SimulatedUser::oracle(query, seed);
-        let out = run_session(corpus, rfs, query, &mut user, k, &cfg);
+        let out = session(corpus, rfs, query, &mut user, k, &cfg);
         for w in out.groups.windows(2) {
             prop_assert!(w[0].ranking_score <= w[1].ranking_score);
         }
@@ -110,4 +125,161 @@ proptest! {
             }
         }
     }
+}
+
+/// Everything deterministic about a served outcome (durations left out),
+/// floats as raw bits.
+fn fingerprint(served: &ServedOutcome) -> String {
+    let o = served.outcome();
+    let groups: Vec<String> = o
+        .groups
+        .iter()
+        .map(|g| {
+            let images: Vec<String> = g
+                .images
+                .iter()
+                .map(|(id, d)| format!("{id}:{:08x}", d.to_bits()))
+                .collect();
+            format!(
+                "{}@{:016x}[{}]",
+                g.home.index(),
+                g.ranking_score.to_bits(),
+                images.join(",")
+            )
+        })
+        .collect();
+    format!(
+        "results={:?} groups={groups:?} trace={:?} fb={} knn={} sub={} degradation={:?}",
+        o.results,
+        o.round_trace,
+        o.feedback_accesses,
+        o.knn_accesses,
+        o.subquery_count,
+        served.degradation()
+    )
+}
+
+/// An `RStarTree` that is `!Sync` by construction and a [`KnnIndex`] by
+/// delegation.
+struct SerialOnly(RStarTree, std::marker::PhantomData<std::cell::Cell<()>>);
+
+impl KnnIndex for SerialOnly {
+    fn root(&self) -> NodeId {
+        self.0.root()
+    }
+    fn dims(&self) -> usize {
+        self.0.dims()
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn node_ids(&self) -> impl IntoIterator<Item = NodeId> + '_ {
+        self.0.node_ids()
+    }
+    fn contains_node(&self, n: NodeId) -> bool {
+        self.0.contains_node(n)
+    }
+    fn level(&self, n: NodeId) -> u32 {
+        self.0.level(n)
+    }
+    fn parent(&self, n: NodeId) -> Option<NodeId> {
+        self.0.parent(n)
+    }
+    fn node_rect(&self, n: NodeId) -> Option<&Rect> {
+        self.0.node_rect(n)
+    }
+    fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_ {
+        self.0.children(n)
+    }
+    fn leaf_items(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
+        self.0.leaf_entries(n)
+    }
+    fn knn_in_budgeted(
+        &self,
+        scope: NodeId,
+        query: &[f32],
+        k: usize,
+        budget: Option<u64>,
+    ) -> BudgetedKnn {
+        self.0.knn_in_budgeted(scope, query, k, budget)
+    }
+    fn check_invariants(&self) -> Result<(), String> {
+        self.0.check_invariants()
+    }
+}
+
+/// Serial by type: the session path runs over an index that cannot be
+/// shared between threads, so this compiles only while no thread fan-out
+/// is reachable from `try_run_session` — and the outcome is the bare
+/// tree's, whatever worker count the caller asked for.
+#[test]
+fn a_non_sync_index_serves_the_same_sessions() {
+    let (corpus, rfs) = fixture();
+    let serial = RfsStructure::from_parts(
+        SerialOnly(rfs.tree().clone(), std::marker::PhantomData),
+        rfs.reps_map().clone(),
+    )
+    .expect("the same tree under the same representatives");
+    for (name, budget) in [("bird", None), ("rose", Some(200)), ("car", Some(0))] {
+        let query = queries::standard_queries(corpus.taxonomy())
+            .into_iter()
+            .find(|q| q.name == name)
+            .expect("standard query");
+        let k = corpus.ground_truth(&query).len();
+        let cfg = QdConfig {
+            distance_budget: budget,
+            ..QdConfig::default()
+        };
+        let bare = {
+            let mut user = SimulatedUser::oracle(&query, 5);
+            try_run_session(corpus, rfs, &query, &mut user, k, &cfg).expect("bare tree")
+        };
+        for workers in [1, 8] {
+            let mut user = SimulatedUser::oracle(&query, 5);
+            let served = qd_runtime::with_threads(workers, || {
+                try_run_session(corpus, &serial, &query, &mut user, k, &cfg)
+            })
+            .expect("non-Sync index");
+            assert_eq!(
+                fingerprint(&served),
+                fingerprint(&bare),
+                "{name} at {workers} workers"
+            );
+        }
+    }
+}
+
+/// The subquery-panic chaos case: one subquery's worker dies, exactly that
+/// subquery is dropped, and the degraded answer does not depend on the
+/// worker count.
+#[test]
+fn one_panicking_subquery_is_dropped_at_any_worker_count() {
+    let (corpus, rfs) = fixture();
+    let query = queries::standard_queries(corpus.taxonomy())
+        .into_iter()
+        .find(|q| q.name == "bird")
+        .expect("standard query");
+    let k = corpus.ground_truth(&query).len();
+    let cfg = QdConfig::default();
+    let plan = qd_fault::FaultPlan::new(7).site(
+        qd_fault::site::SESSION_SUBQUERY_PANIC,
+        qd_fault::Mode::Once(0),
+    );
+    let run = |workers: usize| {
+        let mut user = SimulatedUser::oracle(&query, 5);
+        qd_fault::with_plan(&plan, || {
+            qd_runtime::with_threads(workers, || {
+                try_run_session(corpus, rfs, &query, &mut user, k, &cfg)
+            })
+        })
+        .expect("the other subqueries still answer")
+    };
+    let one = run(1);
+    let report = one.degradation().expect("a dropped subquery degrades");
+    assert_eq!(report.subqueries_dropped, 1);
+    assert!(one.outcome().subquery_count >= 1);
+    assert_eq!(fingerprint(&one), fingerprint(&run(8)));
 }

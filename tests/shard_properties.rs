@@ -4,7 +4,7 @@
 //! its own R\*-tree arena, served through a scatter-gather merge that must
 //! be indistinguishable from the monolithic index. This suite pins that
 //! contract differentially, against the live monolithic implementation —
-//! no goldens, because the reference is always available:
+//! no goldens but gate 8's, because the reference is always available:
 //!
 //! 1. **K=1 transparency**: a single-shard set is handle-transparent, so
 //!    whole sessions — results, grouping scores, counters, span trees —
@@ -32,6 +32,9 @@
 //!    the monolithic tree's `clone` + `insert`/`remove`, and an update
 //!    costs a bounded number of node accesses whatever the shard's size —
 //!    no shard build, no RFS node created, a path's worth of refreshes.
+//! 8. **Scan order**: the weighted scan under a finite budget scores a
+//!    prefix of the subtree traversal, so the traversal order (children
+//!    last-first, shards in index order) is pinned by a golden.
 
 use qd_fault::{FaultPlan, Mode};
 use query_decomposition::index::KnnIndex;
@@ -358,7 +361,7 @@ fn serialize_sharded(rfs: &ShardedRfs, corpus_len: usize) -> String {
     for shard in 0..t.shard_count() {
         writeln!(s, "shard {shard} members={:?}", t.shard_members(shard)).unwrap();
     }
-    let mut ids = t.node_ids();
+    let mut ids: Vec<_> = t.node_ids().into_iter().collect();
     ids.sort_unstable_by_key(|n| n.index());
     for n in ids {
         let rect = match t.node_rect(n) {
@@ -375,12 +378,12 @@ fn serialize_sharded(rfs: &ShardedRfs, corpus_len: usize) -> String {
         };
         let children: Vec<String> = t
             .children(n)
-            .iter()
+            .into_iter()
             .map(|c| c.index().to_string())
             .collect();
         let items: Vec<String> = t
             .leaf_items(n)
-            .iter()
+            .into_iter()
             .map(|(id, _)| id.to_string())
             .collect();
         let reps: Vec<String> = rfs
@@ -478,7 +481,7 @@ fn delete_then_query_never_returns_a_deleted_id() {
         assert!(!set.contains_image(v), "image {v} still a member");
         for n in set.node_ids() {
             assert!(
-                set.leaf_items(n).iter().all(|(id, _)| *id != v),
+                set.leaf_items(n).into_iter().all(|(id, _)| id != v),
                 "image {v} still stored in a leaf"
             );
         }
@@ -689,7 +692,11 @@ impl<'a> Model<'a> {
             }
             let leaf = next.leaf_of(image);
             assert!(
-                set.is_leaf(leaf) && set.leaf_items(leaf).iter().any(|(i, _)| *i == image as u64),
+                set.is_leaf(leaf)
+                    && set
+                        .leaf_items(leaf)
+                        .into_iter()
+                        .any(|(i, _)| i == image as u64),
                 "{what}: leaf_of[{image}]"
             );
             if leaf != root {
@@ -898,4 +905,82 @@ fn one_update_costs_a_path_not_a_shard() {
             }
         }
     }
+}
+
+/// Gate 8: the weighted scan under a finite budget scores the first `b`
+/// items of the scope's subtree traversal, so that traversal order is an
+/// answer: a node's children are taken last-first (popped off a stack),
+/// and under the synthetic root the shards come in index order. One line
+/// per `(index, scope, budget)` — neighbours as `id:distance bits`, the
+/// distance computations and the items skipped — over the monolithic tree
+/// and the 4-shard set, at the root and at one child of the root.
+#[test]
+fn weighted_budget_scan_matches_golden() {
+    use qd_core::localknn::{try_run_local_query, LocalQuery};
+
+    fn sweep<I: KnnIndex>(out: &mut String, label: &str, corpus: &Corpus, rfs: &RfsStructure<I>) {
+        let weights = QdConfig::default()
+            .with_group_weights(1.0, 0.25, 0.5)
+            .feature_weights
+            .expect("group weights set");
+        let marks = vec![3usize, 141, 267];
+        let root = rfs.tree().root();
+        let child = rfs
+            .child_containing(root, marks[0])
+            .expect("the fixture's root is internal");
+        for (scope_name, home) in [("root", root), ("child", child)] {
+            let lq = LocalQuery {
+                home,
+                query_points: marks.clone(),
+            };
+            for budget in [0u64, 1, 5, 25, 100] {
+                // An infinite threshold and no minimum pool: the scope is
+                // `home` itself.
+                let r = try_run_local_query(
+                    rfs.tree(),
+                    corpus.features(),
+                    &lq,
+                    f32::INFINITY,
+                    10,
+                    0,
+                    Some(&weights),
+                    Some(budget),
+                )
+                .expect("well-formed query");
+                assert_eq!(r.scope, home);
+                let neighbors: Vec<String> = r
+                    .neighbors
+                    .iter()
+                    .map(|n| format!("{}:{:08x}", n.id, n.distance.to_bits()))
+                    .collect();
+                writeln!(
+                    out,
+                    "{label} {scope_name} b={budget} dist={} skipped={} exhausted={} :: {}",
+                    r.distance_computations,
+                    r.nodes_skipped,
+                    r.exhausted,
+                    neighbors.join(" ")
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    let (corpus, solo, _) = fixture();
+    let mut actual = String::new();
+    sweep(&mut actual, "rstar", corpus, solo);
+    sweep(&mut actual, "shard4", corpus, sharded(4));
+
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/weighted_budget_scan.txt");
+    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+    for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "weighted_budget_scan.txt drifted at line {}", i + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
