@@ -49,6 +49,14 @@ pub enum QdError {
     /// The session was configured with zero feedback rounds: there is no
     /// final round to take subqueries from.
     NoFeedbackRounds,
+    /// The session was configured with more feedback rounds than
+    /// [`MAX_FEEDBACK_ROUNDS`](crate::session::MAX_FEEDBACK_ROUNDS).
+    TooManyFeedbackRounds {
+        /// Rounds asked for.
+        rounds: usize,
+        /// The most rounds a session may run.
+        max: usize,
+    },
     /// The client exhausted its retry budget against the server.
     RetriesExhausted {
         /// Attempts performed (== the policy's maximum).
@@ -97,6 +105,12 @@ impl fmt::Display for QdError {
                 write!(
                     f,
                     "a session needs at least one feedback round (rounds = 0)"
+                )
+            }
+            QdError::TooManyFeedbackRounds { rounds, max } => {
+                write!(
+                    f,
+                    "a session may run at most {max} feedback rounds (rounds = {rounds})"
                 )
             }
             QdError::RetriesExhausted {

@@ -40,10 +40,35 @@ pub enum MergeStrategy {
     SingleList,
 }
 
+/// The most feedback rounds one session may ask for. The paper evaluates
+/// three and no configuration in this repository asks for more than four;
+/// the bound keeps a mistyped round count (`--rounds 99999999999`) from
+/// starting a session that, for all practical purposes, never ends: every
+/// round re-displays the surviving leaves.
+pub const MAX_FEEDBACK_ROUNDS: usize = 1_000;
+
+/// Refuses a round count no session can run: zero has no final round to
+/// take subqueries from, and more than [`MAX_FEEDBACK_ROUNDS`] is a
+/// mistake. Applied where a configuration enters from outside:
+/// [`try_run_session`], qd-serve admission and the `qd` CLI.
+pub fn validate_rounds(rounds: usize) -> Result<(), QdError> {
+    if rounds == 0 {
+        Err(QdError::NoFeedbackRounds)
+    } else if rounds > MAX_FEEDBACK_ROUNDS {
+        Err(QdError::TooManyFeedbackRounds {
+            rounds,
+            max: MAX_FEEDBACK_ROUNDS,
+        })
+    } else {
+        Ok(())
+    }
+}
+
 /// Session parameters.
 #[derive(Debug, Clone)]
 pub struct QdConfig {
-    /// Number of feedback rounds (the paper evaluates 3).
+    /// Number of feedback rounds (the paper evaluates 3); at most
+    /// [`MAX_FEEDBACK_ROUNDS`].
     pub rounds: usize,
     /// Boundary-ratio threshold for expanding localized queries (§3.3; the
     /// paper uses 0.4 for its database).
@@ -139,8 +164,11 @@ pub struct FeedbackRounds {
     /// `(subcluster, user-marked relevant images)` per surviving subquery,
     /// sorted by node id for determinism.
     pub final_marks: Vec<(NodeId, Vec<usize>)>,
-    /// Cumulative relevant images seen after each round (for GTIR traces).
-    pub relevant_snapshots: Vec<Vec<usize>>,
+    /// Every image the user marked relevant, in marking order across all
+    /// rounds; each round's cumulative snapshot is a prefix of it.
+    relevant_seen: Vec<usize>,
+    /// `relevant_seen.len()` at the end of each round run.
+    round_ends: Vec<usize>,
     /// RFS node reads performed (one per displayed subcluster per round).
     pub feedback_accesses: u64,
     /// Wall-clock duration of each round's processing.
@@ -149,6 +177,17 @@ pub struct FeedbackRounds {
     /// fired — the session degrades (marks never collected from that node)
     /// instead of aborting.
     pub displays_skipped: u64,
+}
+
+impl FeedbackRounds {
+    /// The relevant images seen by the end of each round run, oldest first
+    /// (for GTIR traces). Each is a prefix of one list, so a session retains
+    /// every mark once however many rounds it runs.
+    pub fn snapshots(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.round_ends
+            .iter()
+            .map(|&end| &self.relevant_seen[..end])
+    }
 }
 
 /// Resumable feedback-phase state machine: one [`step_round`] call per
@@ -166,7 +205,7 @@ pub struct FeedbackStepper<'a, H: FeedbackHierarchy> {
     rng: StdRng,
     active: Vec<NodeId>,
     relevant_seen: Vec<usize>,
-    relevant_snapshots: Vec<Vec<usize>>,
+    round_ends: Vec<usize>,
     feedback_accesses: u64,
     displays_skipped: u64,
     round_durations: Vec<Duration>,
@@ -185,11 +224,14 @@ impl<'a, H: FeedbackHierarchy> FeedbackStepper<'a, H> {
     /// A stepper positioned before round 1.
     ///
     /// # Panics
-    /// Panics if `cfg.rounds` is 0. The entry points that take a
-    /// configuration from outside refuse it first: [`try_run_session`]
-    /// with [`QdError::NoFeedbackRounds`], qd-serve at admission.
+    /// Panics if [`validate_rounds`] refuses `cfg.rounds`. The entry points
+    /// that take a configuration from outside refuse it first, with the
+    /// same typed error: [`try_run_session`], qd-serve at admission.
     pub fn new(hierarchy: &'a H, labels: &'a [SubconceptId], cfg: QdConfig) -> Self {
-        assert!(cfg.rounds >= 1, "at least one feedback round required");
+        assert!(
+            validate_rounds(cfg.rounds).is_ok(),
+            "feedback rounds must be in 1..={MAX_FEEDBACK_ROUNDS}"
+        );
         let rng = StdRng::seed_from_u64(cfg.seed);
         let active = vec![hierarchy.root()];
         FeedbackStepper {
@@ -199,7 +241,7 @@ impl<'a, H: FeedbackHierarchy> FeedbackStepper<'a, H> {
             rng,
             active,
             relevant_seen: Vec::new(),
-            relevant_snapshots: Vec::new(),
+            round_ends: Vec::new(),
             feedback_accesses: 0,
             displays_skipped: 0,
             round_durations: Vec::new(),
@@ -295,7 +337,7 @@ impl<'a, H: FeedbackHierarchy> FeedbackStepper<'a, H> {
         });
 
         self.round_durations.push(round_start.elapsed());
-        self.relevant_snapshots.push(self.relevant_seen.clone());
+        self.round_ends.push(self.relevant_seen.len());
         if is_final {
             self.done = true;
         } else if next_active.is_empty() {
@@ -323,7 +365,8 @@ impl<'a, H: FeedbackHierarchy> FeedbackStepper<'a, H> {
         let final_marks: Vec<(NodeId, Vec<usize>)> = self.final_marks.into_iter().collect();
         FeedbackRounds {
             final_marks,
-            relevant_snapshots: self.relevant_snapshots,
+            relevant_seen: self.relevant_seen,
+            round_ends: self.round_ends,
             feedback_accesses: self.feedback_accesses,
             round_durations: self.round_durations,
             displays_skipped: self.displays_skipped,
@@ -686,8 +729,8 @@ impl ServedOutcome {
 /// Runs one complete QD session for `query`, retrieving `k` images, with
 /// typed errors and graceful degradation: every injected fault or exhausted
 /// budget yields either `Ok(Degraded {..})` with a valid ranked list or a
-/// typed [`QdError`] — never a panic, a configuration of zero feedback
-/// rounds ([`QdError::NoFeedbackRounds`]) included.
+/// typed [`QdError`] — never a panic, a round count [`validate_rounds`]
+/// refuses included.
 pub fn try_run_session<I: KnnIndex>(
     corpus: &Corpus,
     rfs: &RfsStructure<I>,
@@ -696,9 +739,7 @@ pub fn try_run_session<I: KnnIndex>(
     k: usize,
     cfg: &QdConfig,
 ) -> Result<ServedOutcome, QdError> {
-    if cfg.rounds == 0 {
-        return Err(QdError::NoFeedbackRounds);
-    }
+    validate_rounds(cfg.rounds)?;
     let rounds = run_feedback_rounds(rfs, corpus.labels(), user, cfg);
     let execution = try_execute_subqueries(corpus, rfs, &rounds.final_marks, k, cfg)?;
     Ok(assemble_outcome(corpus, query, cfg, &rounds, execution))
@@ -726,22 +767,16 @@ pub fn assemble_outcome(
     // the final round's retrieval quality. A session that died early keeps
     // its last snapshot for the remaining rounds with zero precision.
     let mut round_trace = Vec::with_capacity(cfg.rounds);
-    let last_snapshot = rounds
-        .relevant_snapshots
-        .last()
-        .cloned()
-        .unwrap_or_default();
+    let snapshots: Vec<&[usize]> = rounds.snapshots().collect();
+    let last_snapshot = snapshots.last().copied().unwrap_or_default();
     for round in 1..=cfg.rounds {
         let is_final = round == cfg.rounds;
-        let snapshot = rounds
-            .relevant_snapshots
-            .get(round - 1)
-            .unwrap_or(&last_snapshot);
+        let snapshot = snapshots.get(round - 1).copied().unwrap_or(last_snapshot);
         round_trace.push(RoundTrace {
             round,
             precision: if is_final {
                 Some(precision(corpus, query, &execution.results))
-            } else if round > rounds.relevant_snapshots.len() {
+            } else if round > snapshots.len() {
                 Some(0.0) // dead session: the paper would show empty panels
             } else {
                 None
@@ -1000,6 +1035,67 @@ mod tests {
     }
 
     #[test]
+    fn more_rounds_than_the_bound_is_a_typed_error() {
+        let (corpus, rfs) = testutil::shared();
+        let query = testutil::query("bird");
+        for rounds in [MAX_FEEDBACK_ROUNDS + 1, usize::MAX] {
+            let cfg = QdConfig {
+                rounds,
+                ..QdConfig::default()
+            };
+            let mut user = SimulatedUser::oracle(&query, 1);
+            let err = try_run_session(corpus, rfs, &query, &mut user, 10, &cfg).unwrap_err();
+            assert_eq!(
+                err,
+                QdError::TooManyFeedbackRounds {
+                    rounds,
+                    max: MAX_FEEDBACK_ROUNDS
+                }
+            );
+        }
+    }
+
+    /// A session at the round bound keeps every mark once: the snapshots
+    /// are prefixes of one list holding exactly the marks the rounds made,
+    /// not one copy of everything seen per round.
+    #[test]
+    fn a_thousand_round_session_retains_each_mark_once() {
+        let (corpus, rfs) = testutil::shared();
+        let query = testutil::query("bird");
+        let cfg = QdConfig {
+            rounds: MAX_FEEDBACK_ROUNDS,
+            ..QdConfig::default()
+        };
+        let mut user = SimulatedUser::oracle(&query, 3);
+        let (rounds, trace) =
+            qd_obs::with_recorder(|| run_feedback_rounds(rfs, corpus.labels(), &mut user, &cfg));
+        assert_eq!(
+            rounds.round_ends.len(),
+            MAX_FEEDBACK_ROUNDS,
+            "the session died"
+        );
+        let marks = trace.counters[qd_obs::ctr::SESSION_MARKS];
+        assert_eq!(rounds.relevant_seen.len() as u64, marks);
+        assert!(rounds.round_ends.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(rounds.round_ends.last(), Some(&rounds.relevant_seen.len()));
+        // What one copy per round would have retained.
+        let prefix_total: usize = rounds.snapshots().map(<[usize]>::len).sum();
+        assert!(
+            prefix_total as u64 > 100 * marks,
+            "{prefix_total} vs {marks}"
+        );
+
+        // The GTIR trace reads those prefixes round by round.
+        let mut user = SimulatedUser::oracle(&query, 3);
+        let k = corpus.ground_truth(&query).len();
+        let out = session_outcome(corpus, rfs, &query, &mut user, k, &cfg);
+        assert_eq!(out.round_trace.len(), MAX_FEEDBACK_ROUNDS);
+        for w in out.round_trace.windows(2) {
+            assert!(w[1].gtir >= w[0].gtir - 1e-9);
+        }
+    }
+
+    #[test]
     fn stepped_feedback_matches_the_solo_run() {
         let (corpus, rfs) = testutil::shared();
         let query = testutil::query("car");
@@ -1015,7 +1111,7 @@ mod tests {
         assert_eq!(steps + 1, stepper.rounds_run());
         let b = stepper.finish();
         assert_eq!(a.final_marks, b.final_marks);
-        assert_eq!(a.relevant_snapshots, b.relevant_snapshots);
+        assert!(a.snapshots().eq(b.snapshots()));
         assert_eq!(a.feedback_accesses, b.feedback_accesses);
         assert_eq!(a.displays_skipped, b.displays_skipped);
     }

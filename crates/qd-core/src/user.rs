@@ -7,17 +7,22 @@
 //! an optional noise rate modelling imperfect human judgment and an optional
 //! patience bound modelling how many displayed images a user actually
 //! inspects per round.
+//!
+//! A judgment is one `binary_search` of the query's leaf categories (1–15
+//! ids, sorted and deduplicated by [`QuerySpec::leaf_ids`]): a round judges
+//! every representative it displays, so the test is on the round's critical
+//! path and hashes nothing.
 
 use qd_corpus::taxonomy::SubconceptId;
 use qd_corpus::QuerySpec;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashSet;
 
 /// A deterministic relevance-feedback oracle.
 #[derive(Debug)]
 pub struct SimulatedUser {
-    relevant: HashSet<SubconceptId>,
+    /// The query's leaf categories, sorted and deduplicated.
+    relevant: Vec<SubconceptId>,
     /// Probability that a single judgment is flipped.
     noise: f32,
     /// Maximum images the user inspects per feedback round;
@@ -26,7 +31,8 @@ pub struct SimulatedUser {
     /// Pending mid-session intent change: after `after` judgments the
     /// relevant set is swapped for this one (Barz & Denzler-style query
     /// ambiguity — the user changes their mind about what they wanted).
-    drift: Option<(HashSet<SubconceptId>, usize)>,
+    /// The target is sorted and deduplicated like `relevant`.
+    drift: Option<(Vec<SubconceptId>, usize)>,
     /// Judgments made so far, driving the drift trigger.
     judged: usize,
     rng: StdRng,
@@ -36,7 +42,7 @@ impl SimulatedUser {
     /// A noise-free, unbounded-patience oracle for `query`.
     pub fn oracle(query: &QuerySpec, seed: u64) -> Self {
         Self {
-            relevant: query.leaf_ids().into_iter().collect(),
+            relevant: query.leaf_ids(),
             noise: 0.0,
             patience: usize::MAX,
             drift: None,
@@ -49,7 +55,7 @@ impl SimulatedUser {
     /// judgments the user starts judging by `target`'s ground truth instead
     /// of the original query's.
     pub fn with_drift(mut self, target: &QuerySpec, after: usize) -> Self {
-        self.drift = Some((target.leaf_ids().into_iter().collect(), after));
+        self.drift = Some((target.leaf_ids(), after));
         self
     }
 
@@ -83,7 +89,7 @@ impl SimulatedUser {
             }
         }
         self.judged += 1;
-        let truthful = self.relevant.contains(&label);
+        let truthful = self.relevant.binary_search(&label).is_ok();
         if self.noise > 0.0 && self.rng.random::<f32>() < self.noise {
             !truthful
         } else {
@@ -105,6 +111,9 @@ impl SimulatedUser {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod hashset_reference;
 
 #[cfg(test)]
 mod tests {

@@ -23,8 +23,8 @@
 
 use crate::load::{mix64, LoadPlan, Scenario, SessionId, SessionSpec};
 use qd_core::session::{
-    assemble_outcome, try_execute_subqueries, Degradation, FeedbackRounds, FeedbackStepper,
-    QdOutcome, ServedOutcome,
+    assemble_outcome, try_execute_subqueries, validate_rounds, Degradation, FeedbackRounds,
+    FeedbackStepper, QdOutcome, ServedOutcome,
 };
 use qd_core::{QdError, RfsStructure, SimulatedUser};
 use qd_corpus::Corpus;
@@ -675,10 +675,11 @@ impl<I: KnnIndex + Sync> Server<I> {
         let spec = &plan.specs[spec_index];
         let id = spec.id.0;
         // A tenant asking for zero feedback rounds has no final round to
-        // answer from (and a stepper cannot be built for it): refused at
+        // answer from, and one asking for more than the engine's bound would
+        // never finish (a stepper cannot be built for either): refused at
         // the door with the engine's own typed error.
-        if spec.cfg.rounds == 0 {
-            let refused = SessionOutcome::Failed(QdError::NoFeedbackRounds);
+        if let Err(e) = validate_rounds(spec.cfg.rounds) {
+            let refused = SessionOutcome::Failed(e);
             reports.insert(id, self.door_report(spec, refused, tick));
             return;
         }
@@ -1075,23 +1076,35 @@ mod tests {
     }
 
     #[test]
-    fn a_tenant_with_zero_rounds_is_refused_at_admission() {
-        let mut p = plan(4);
-        p.specs[1].cfg.rounds = 0;
-        let refused = p.specs[1].id;
-        let report = server(ServeConfig::default()).run(&p);
-        assert_eq!(report.sessions.len(), 4);
-        let s = report.session(refused).expect("refused tenant is reported");
-        assert!(
-            matches!(s.outcome, SessionOutcome::Failed(QdError::NoFeedbackRounds)),
-            "{:?}",
-            s.outcome
-        );
-        assert_eq!((s.rounds_run, s.cost_spent), (0, 0));
-        // Everyone else is served as if the refused tenant never arrived.
-        for other in report.sessions.iter().filter(|s| s.id != refused) {
-            assert!(is_terminal(&other.outcome));
-            assert!(!matches!(other.outcome, SessionOutcome::Failed(_)));
+    fn a_tenant_with_zero_or_unbounded_rounds_is_refused_at_admission() {
+        let too_many = qd_core::session::MAX_FEEDBACK_ROUNDS + 1;
+        for (rounds, want) in [
+            (0, QdError::NoFeedbackRounds),
+            (
+                too_many,
+                QdError::TooManyFeedbackRounds {
+                    rounds: too_many,
+                    max: qd_core::session::MAX_FEEDBACK_ROUNDS,
+                },
+            ),
+        ] {
+            let mut p = plan(4);
+            p.specs[1].cfg.rounds = rounds;
+            let refused = p.specs[1].id;
+            let report = server(ServeConfig::default()).run(&p);
+            assert_eq!(report.sessions.len(), 4);
+            let s = report.session(refused).expect("refused tenant is reported");
+            assert!(
+                matches!(&s.outcome, SessionOutcome::Failed(e) if *e == want),
+                "{rounds} rounds: {:?}",
+                s.outcome
+            );
+            assert_eq!((s.rounds_run, s.cost_spent), (0, 0));
+            // Everyone else is served as if the refused tenant never arrived.
+            for other in report.sessions.iter().filter(|s| s.id != refused) {
+                assert!(is_terminal(&other.outcome));
+                assert!(!matches!(other.outcome, SessionOutcome::Failed(_)));
+            }
         }
     }
 

@@ -46,6 +46,7 @@
 //! percentiles. Everything is deterministic for a fixed seed set.
 
 use query_decomposition::core::eval::Baseline;
+use query_decomposition::core::session::validate_rounds;
 use query_decomposition::corpus::cache;
 use query_decomposition::imagery::io::write_ppm;
 use query_decomposition::prelude::*;
@@ -434,11 +435,9 @@ fn serve_sim(opts: &Options) -> Result<(), String> {
         k: None,
         deadline: opts.parse_or("deadline", 900u64)?,
     };
-    if load_cfg.rounds == 0 {
-        // The server would admit no one: every tenant is refused with this
-        // error at the door.
-        return Err(QdError::NoFeedbackRounds.to_string());
-    }
+    // The server would admit no one: every tenant is refused with this
+    // error at the door.
+    validate_rounds(load_cfg.rounds).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
         max_active: opts.parse_or("max-active", 4usize)?,
         queue_capacity: opts.parse_or("queue", 8usize)?,

@@ -161,6 +161,36 @@ fn zero_rounds_is_an_error_not_a_panic() {
     }
 }
 
+/// `--rounds 99999999999` used to run a session that never ends until the
+/// kernel killed it (exit 137); every command refuses it where the option
+/// enters, with the typed error, before any round runs.
+#[test]
+fn unbounded_rounds_are_an_error_not_an_oom_kill() {
+    let dir = built();
+    let session = [
+        "--corpus",
+        "c.qdc",
+        "--rfs",
+        "r.qdr",
+        "--rounds",
+        "99999999999",
+    ];
+    for command in ["query", "trace", "profile", "serve-sim"] {
+        let mut args = vec![command];
+        args.extend(session);
+        if command != "serve-sim" {
+            args.extend(["--query", "bird"]);
+        }
+        let out = qd(dir, &args);
+        assert_eq!(out.status.code(), Some(1), "{command}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(
+            err.starts_with("error: ") && err.contains("at most 1000 feedback rounds"),
+            "{command}: {err}"
+        );
+    }
+}
+
 #[test]
 fn export_writes_ppm_files() {
     let dir = built();

@@ -3,6 +3,8 @@
 //! invariants must hold.
 
 use proptest::prelude::*;
+use qd_bench::BenchScale;
+use query_decomposition::core::session::{run_feedback_rounds, FeedbackRounds};
 use query_decomposition::index::{BudgetedKnn, KnnIndex, NodeId, Rect};
 use query_decomposition::prelude::*;
 use std::sync::OnceLock;
@@ -250,6 +252,98 @@ fn a_non_sync_index_serves_the_same_sessions() {
             );
         }
     }
+}
+
+/// FNV-1a-64 over `ids`, each as a little-endian `u64`.
+fn fnv1a64(ids: &[usize]) -> u64 {
+    ids.iter()
+        .flat_map(|&id| (id as u64).to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// One golden line per feedback phase: the final marks, every round's
+/// snapshot as `length:digest`, the node reads and the skipped displays.
+fn feedback_line(label: &str, rounds: &FeedbackRounds) -> String {
+    let snaps: Vec<String> = rounds
+        .snapshots()
+        .map(|s| format!("{}:{:016x}", s.len(), fnv1a64(s)))
+        .collect();
+    let marks: Vec<String> = rounds
+        .final_marks
+        .iter()
+        .map(|(node, ids)| format!("{}{ids:?}", node.index()))
+        .collect();
+    format!(
+        "{label} accesses={} skipped={} snapshots=[{}] marks=[{}]\n",
+        rounds.feedback_accesses,
+        rounds.displays_skipped,
+        snaps.join(","),
+        marks.join(";")
+    )
+}
+
+/// The feedback phase for every kind of user the repo simulates, pinned on
+/// the `repro --json` corpus (Tiny, seed 42): the eleven standard queries ×
+/// three seeds × an oracle, two noise rates (0.35 is qd-serve's
+/// `ContradictoryMarks` tenant), a ten-image patience bound, and an intent
+/// drift to the next query after five judgments. Every noise draw, the
+/// drift switch point and the patience cut reach a line of
+/// `tests/golden/feedback_phase.txt` (three seeds, so that a drift switched
+/// one judgment late lands on a label the two intents disagree on).
+/// Regenerate only with `QD_UPDATE_GOLDEN=1`, and only for a change meant to
+/// alter what a user marks.
+#[test]
+fn feedback_phase_matches_golden() {
+    let corpus = qd_bench::bench_corpus(BenchScale::Tiny, 42);
+    let rfs = qd_bench::bench_rfs(BenchScale::Tiny, 42);
+    let queries = queries::standard_queries(corpus.taxonomy());
+    let mut actual = String::new();
+    for (i, query) in queries.iter().enumerate() {
+        let other = &queries[(i + 1) % queries.len()];
+        for seed in [100, 200, 300].map(|s| s + i as u64) {
+            let cfg = QdConfig {
+                seed,
+                ..QdConfig::default()
+            };
+            let users = [
+                ("oracle", SimulatedUser::oracle(query, seed)),
+                (
+                    "noise0.1",
+                    SimulatedUser::oracle(query, seed).with_noise(0.1),
+                ),
+                (
+                    "noise0.35",
+                    SimulatedUser::oracle(query, seed).with_noise(0.35),
+                ),
+                (
+                    "patience10",
+                    SimulatedUser::oracle(query, seed).with_patience(10),
+                ),
+                (
+                    "drift5",
+                    SimulatedUser::oracle(query, seed).with_drift(other, 5),
+                ),
+            ];
+            for (kind, mut user) in users {
+                let rounds = run_feedback_rounds(&*rfs, corpus.labels(), &mut user, &cfg);
+                let label = format!("{}/{kind}/seed{seed}", query.name);
+                actual.push_str(&feedback_line(&label, &rounds));
+            }
+        }
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/feedback_phase.txt");
+    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &actual).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).expect("tests/golden/feedback_phase.txt");
+    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
+        assert_eq!(e, a, "feedback_phase.txt drifted at line {}", n + 1);
+    }
+    assert_eq!(expected.lines().count(), actual.lines().count());
 }
 
 /// The subquery-panic chaos case: one subquery's worker dies, exactly that
