@@ -16,7 +16,9 @@
 //! Robustness comes from the shared boundary: [`save`] is atomic, [`load`]
 //! carries the `corpus.cache.{read,short_read,write}` failpoints, and
 //! [`from_bytes`] turns arbitrary corruption into a `CodecError`, never a
-//! panic (swept in `tests/persistence_properties.rs`).
+//! panic (swept in `tests/persistence_properties.rs`). That includes a
+//! feature or viewpoint table holding a NaN or an infinity: every value is
+//! a coordinate the index orders, so a non-finite one is refused on load.
 
 use crate::corpus::{Corpus, CorpusConfig};
 use crate::taxonomy::{SubconceptId, Taxonomy};
@@ -109,7 +111,16 @@ pub fn from_bytes(data: &[u8]) -> Result<Corpus, CodecError> {
     if n.checked_mul(dim) != Some(block_len) {
         return Err(bad("feature block length does not match n × dim"));
     }
-    let table = |r: &mut Reader| (0..n).map(|_| r.f32s(dim)).collect::<Result<Vec<_>, _>>();
+    // Feature values become R*-tree corners, which must be ordered numbers:
+    // a NaN or an infinity is refused here rather than panicking the build.
+    let table = |r: &mut Reader| {
+        let rows = (0..n).map(|_| r.f32s(dim)).collect::<Result<Vec<_>, _>>()?;
+        if rows.iter().flatten().all(|v| v.is_finite()) {
+            Ok(rows)
+        } else {
+            Err(bad("non-finite feature value"))
+        }
+    };
     let features = table(&mut r)?;
     let taxonomy = Taxonomy::standard(config.filler_count, config.seed);
     let labels = r.u32s(n)?;
@@ -259,6 +270,30 @@ mod tests {
         std::fs::write(&path, b"garbage").unwrap();
         assert!(load(&path, &config).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_table_values_are_refused() {
+        let config = tiny_config();
+        let bytes = to_bytes(&Corpus::build(&config));
+        let (n, dim) = (config.size, 37);
+        // magic, five config fields, dim, normalizer, then n / dim / block_len
+        let features = 4 + 8 * 4 + 1 + 8 + 2 * 4 * dim + 3 * 8;
+        // the feature table, the labels, the table count and one tag
+        let first_viewpoint = features + 4 * n * dim + 4 * n + 8 + 1;
+        for at in [features + 4 * 3 * dim, first_viewpoint + 4 * (5 * dim + 2)] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut data = bytes.clone();
+                data[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                let err = from_bytes(&data).err().map(|e| e.to_string());
+                assert_eq!(
+                    err.as_deref(),
+                    Some("invalid file: non-finite feature value"),
+                    "{bad} at byte {at}"
+                );
+            }
+        }
+        assert!(from_bytes(&bytes).is_ok());
     }
 
     #[test]

@@ -191,6 +191,47 @@ fn unbounded_rounds_are_an_error_not_an_oom_kill() {
     }
 }
 
+/// A corpus file whose feature table holds a NaN is refused where it is
+/// read: `build-rfs` exits 1 with an `error:` line instead of panicking
+/// (exit 101) when the NaN reaches the R*-tree as a rectangle corner.
+#[test]
+fn a_nan_feature_is_an_error_not_a_panic() {
+    let dir = workdir("nan_feature");
+    let out = qd(
+        &dir,
+        &[
+            "build-corpus",
+            "--out",
+            "c.qdc",
+            "--size",
+            "120",
+            "--fillers",
+            "2",
+            "--image-size",
+            "16",
+        ],
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut data = std::fs::read(dir.join("c.qdc")).unwrap();
+    // QDC2: magic, five config fields, dim, the normalizer's two 37-value
+    // vectors, then n / dim / block_len and the feature rows. Row 3, value 0:
+    let at = 4 + 8 * 4 + 1 + 8 + 2 * 4 * 37 + 3 * 8 + 4 * 3 * 37;
+    data[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    std::fs::write(dir.join("nan.qdc"), &data).unwrap();
+
+    let out = qd(
+        &dir,
+        &["build-rfs", "--corpus", "nan.qdc", "--out", "r.qdr"],
+    );
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.starts_with("error: ") && err.contains("non-finite feature value"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn export_writes_ppm_files() {
     let dir = built();
