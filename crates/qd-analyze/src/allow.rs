@@ -5,7 +5,7 @@
 //! ```text
 //! # comment
 //! R4 crates/qd-core/src/session.rs:310-340  Round durations are the Fig-10/11 measurement …
-//! R2 crates/qd-fault/src/lib.rs             Probe thread in a doc example …
+//! R3 crates/qd-core/src/x.rs                Order-insensitive integer fold …
 //! ```
 //!
 //! `<rule> <path>[:<start>[-<end>]] <justification>`. An entry suppresses
@@ -86,7 +86,7 @@ pub fn parse(text: &str) -> Result<Vec<AllowEntry>, ParseError> {
         let mut parts = line.splitn(3, char::is_whitespace);
         let rule_s = parts.next().unwrap_or_default();
         let rule = parse_rule(rule_s)
-            .ok_or_else(|| err(format!("unknown rule `{rule_s}` (expected R1..R13)")))?;
+            .ok_or_else(|| err(format!("unknown rule `{rule_s}` (see `qd-analyze rules`)")))?;
         let target = parts
             .next()
             .ok_or_else(|| err("missing file path".to_string()))?;
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn parses_line_ranges() {
         let entries = parse(
-            "R7 crates/qd-index/src/tree.rs:100-140 structural invariant\n\
+            "R4 crates/qd-index/src/tree.rs:100-140 reporting-only timer\n\
              R3 crates/qd-core/src/client.rs:57 order-insensitive consumer\n",
         )
         .unwrap();
@@ -195,9 +195,9 @@ mod tests {
 
     #[test]
     fn rejects_bad_ranges() {
-        assert!(parse("R7 a.rs:x justification here").is_err());
-        assert!(parse("R7 a.rs:20-10 justification here").is_err());
-        assert!(parse("R7 a.rs:0 justification here").is_err());
+        assert!(parse("R4 a.rs:x justification here").is_err());
+        assert!(parse("R4 a.rs:20-10 justification here").is_err());
+        assert!(parse("R4 a.rs:0 justification here").is_err());
     }
 
     #[test]
@@ -209,6 +209,8 @@ mod tests {
     #[test]
     fn rejects_unknown_rule() {
         assert!(parse("R14 src/x.rs because").is_err());
+        // A retired id is unknown too: clippy carries that rule now.
+        assert!(parse("R7 src/x.rs because").is_err());
     }
 
     #[test]
@@ -232,11 +234,11 @@ mod tests {
 
     #[test]
     fn ranged_entries_scope_the_suppression() {
-        let entries = parse("R7 a.rs:10-20 invariant holds in this block\n").unwrap();
+        let entries = parse("R4 a.rs:10-20 reporting-only timer in this block\n").unwrap();
         let findings = vec![
-            finding(RuleId::R7, "a.rs", 10),
-            finding(RuleId::R7, "a.rs", 20),
-            finding(RuleId::R7, "a.rs", 21),
+            finding(RuleId::R4, "a.rs", 10),
+            finding(RuleId::R4, "a.rs", 20),
+            finding(RuleId::R4, "a.rs", 21),
         ];
         let (suppressed, reported, stale) = apply(findings, &entries);
         assert_eq!(suppressed.len(), 2);
@@ -247,8 +249,8 @@ mod tests {
 
     #[test]
     fn ranged_entry_that_misses_is_stale() {
-        let entries = parse("R7 a.rs:10 moved elsewhere\n").unwrap();
-        let (suppressed, reported, stale) = apply(vec![finding(RuleId::R7, "a.rs", 11)], &entries);
+        let entries = parse("R4 a.rs:10 moved elsewhere\n").unwrap();
+        let (suppressed, reported, stale) = apply(vec![finding(RuleId::R4, "a.rs", 11)], &entries);
         assert!(suppressed.is_empty());
         assert_eq!(reported.len(), 1);
         assert_eq!(stale.len(), 1);

@@ -2,7 +2,7 @@
 //!
 //! The token stream is the single lexical authority for every rule: the
 //! line-oriented scrub view ([`crate::scan`]) is *derived* from it, and the
-//! cross-file semantic rules (R9–R13) walk it directly. A full parser is
+//! cross-file rules (R9–R11) walk it directly. A full parser is
 //! unnecessary — and unavailable: the build environment is offline, so `syn`
 //! cannot be pulled in — but the lexer must get the lexical grammar right:
 //! nested block comments, raw strings with arbitrary `#` counts, byte and C
@@ -50,16 +50,6 @@ pub struct Token {
     pub text: String,
     /// 1-based line of the token's first character.
     pub line: usize,
-}
-
-impl Token {
-    /// True for tokens the syntactic rules skip (whitespace and comments).
-    pub fn is_trivia(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::Ws | TokenKind::LineComment | TokenKind::BlockComment
-        )
-    }
 }
 
 /// Lexes `source` into a token stream whose concatenated text reproduces the

@@ -5,41 +5,40 @@
 //! The workspace's core contract since the qd-runtime PR is *parallel ≡
 //! sequential, byte-identical CSVs at any `QD_THREADS`*; since the qd-fault
 //! PR it also includes *serving paths never panic — they return typed errors
-//! or degrade*. Those contracts rest on source-level invariants no generic
-//! linter checks:
+//! or degrade*. Those contracts rest on source-level invariants. Where
+//! clippy can state one, the workspace lint configuration carries it
+//! (`cargo clippy --workspace --all-targets -- -D warnings`); this crate
+//! checks the rest:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | R1 | float comparators use `total_cmp`, never `partial_cmp(..).unwrap()` (NaN ⇒ panic) or `unwrap_or(Equal)` (NaN ⇒ nondeterministic ranking) |
-//! | R2 | no raw `thread::spawn`/`thread::scope` outside `qd-runtime` |
 //! | R3 | no hash-container iteration shaping results in qd-core/qd-cluster/qd-index without an adjacent deterministic sort |
 //! | R4 | no `Instant::now`/`SystemTime::now` outside `qd-bench` |
-//! | R5 | every `unsafe` carries a `// SAFETY:` comment |
-//! | R6 | no `todo!`/`unimplemented!`/`dbg!` |
-//! | R7 | no `.unwrap()`/`.expect(` in qd-core/qd-corpus/qd-index/qd-runtime `src/` outside `#[cfg(test)]` code |
 //! | R8 | no string-literal counter/span names at `qd_obs` call sites in `src/` outside `#[cfg(test)]` — names come from the `qd_obs::ctr`/`qd_obs::sp` catalogs |
 //! | R9 | crate dependencies point strictly down the layering manifest (`qd-analyze.layers`); engine crates never reach qd-bench or the CLI |
 //! | R10 | no `std::fs` in qd-index/qd-corpus/qd-core/qd-shard `src/` outside `#[cfg(test)]` code (files go through `qd_fault::codec`), and every declared fault site is exercised by `tests/fault_properties.rs` |
 //! | R11 | every `qd_obs::ctr`/`qd_obs::sp` catalog name is referenced outside qd-obs (reverse of R8 — no dead metrics) |
 //! | R12 | narrowing `as` casts in engine-crate src carry a `// CAST:` justification within 3 lines |
-//! | R13 | `#[allow(...)]` in first-party src carries an `// ALLOW:` justification within 3 lines |
+//!
+//! The retired ids R2, R5, R6, R7 and R13 are clippy lints now, with
+//! exceptions as in-source `#[expect(lint, reason = "…")]`; DESIGN.md §8
+//! maps each one to its lint.
 //!
 //! The crate is dependency-free (the build environment is offline, so `syn`
 //! is not an option). A hand-rolled Rust lexer ([`lex`]) produces a lossless
 //! comment/string/raw-string-aware token stream; the line-oriented scrub
 //! view ([`scan`]) is derived from it, and the [`model::Workspace`] adds the
 //! cross-file facts (crate manifests, the layering table, per-file token
-//! streams). Rules implement the [`rules::Rule`] trait; R1–R8 plus R12/R13
-//! are file-scoped ([`rules`]), R9–R11 are cross-file ([`wsrules`]).
+//! streams). Rules implement the [`rules::Rule`] trait; R1, R3, R4, R8 and
+//! R12 are file-scoped ([`rules`]), R9–R11 are cross-file ([`wsrules`]).
 //! Justified exceptions live in `qd-analyze.allow` at the workspace root
 //! ([`allow`]), optionally scoped to line ranges; stale entries are
-//! themselves an error. [`json::report_to_json`] renders the machine-readable
-//! findings report (`check --json`), byte-identical across runs.
+//! themselves an error.
 //!
 //! Run it as `cargo run -p qd-analyze -- check`.
 
 pub mod allow;
-pub mod json;
 pub mod lex;
 pub mod model;
 pub mod rules;
@@ -154,7 +153,7 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), Chec
 }
 
 /// Runs the full check over the workspace at `root`: builds the workspace
-/// model, runs every rule R1–R13, and applies the allowlist at
+/// model, runs every rule, and applies the allowlist at
 /// `root/qd-analyze.allow` when present.
 pub fn run_check(root: &Path) -> Result<CheckReport, CheckError> {
     let files = source_files(root)?;

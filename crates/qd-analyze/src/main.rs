@@ -8,10 +8,8 @@ const USAGE: &str = "\
 qd-analyze — workspace determinism & panic-safety lints
 
 USAGE:
-    qd-analyze check [--root <path>] [--json]
-                          run all rules; nonzero exit on findings;
-                          --json prints a deterministic machine-readable
-                          findings report on stdout
+    qd-analyze check [--root <path>]
+                          run all rules; nonzero exit on findings
     qd-analyze rules      list the rules
 ";
 
@@ -34,7 +32,6 @@ fn main() -> ExitCode {
 
 fn check(args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -45,7 +42,6 @@ fn check(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => json = true,
             other => {
                 eprintln!("unknown argument `{other}`\n{USAGE}");
                 return ExitCode::from(2);
@@ -78,19 +74,15 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    if json {
-        print!("{}", qd_analyze::json::report_to_json(&report));
-    } else {
-        for f in &report.reported {
-            println!("{f}");
-        }
-        for s in &report.stale {
-            println!(
-                "{}:{} [allowlist] stale entry `{s}` suppresses nothing — remove it",
-                qd_analyze::ALLOWLIST_FILE,
-                s.line
-            );
-        }
+    for f in &report.reported {
+        println!("{f}");
+    }
+    for s in &report.stale {
+        println!(
+            "{}:{} [allowlist] stale entry `{s}` suppresses nothing — remove it",
+            qd_analyze::ALLOWLIST_FILE,
+            s.line
+        );
     }
     eprintln!(
         "qd-analyze: {} files, {} finding(s), {} suppressed, {} stale allowlist entr(y/ies)",

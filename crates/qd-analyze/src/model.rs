@@ -4,7 +4,7 @@
 //! per-crate `[dependencies]`, the layering manifest, and the token streams
 //! of every first-party source file. [`Workspace::load`] gathers all of it
 //! up front so rules are pure functions of the model — no I/O inside a rule,
-//! which is what keeps `check --json` byte-identical across runs.
+//! so a report depends on nothing but the tree.
 
 use crate::lex::{lex, Token, TokenKind};
 use crate::scan::{scrub_tokens, Scrubbed};

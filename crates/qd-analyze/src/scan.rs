@@ -1,7 +1,7 @@
 //! The line-oriented scrub view, derived from the token stream.
 //!
-//! The syntactic rules (R1–R8 and the cast/allow justification windows of
-//! R12/R13) match on *code*, never on comment or string contents, so this
+//! The syntactic rules (R1, R3, R4, R8 and R12) match on *code*, never on
+//! comment or string contents, so this
 //! module renders the [`crate::lex`] token stream into per-line text with
 //! every comment and every string/char-literal body blanked to spaces while
 //! preserving the line structure (so findings report real line numbers).
@@ -9,8 +9,7 @@
 //! visible to rules like R8.
 //!
 //! The view also records, per line, whether the *comment* text on that line
-//! carries one of the justification markers the rules look for: `SAFETY`
-//! (R5), `CAST:` (R12), and `ALLOW:` (R13) — the one place rules read
+//! carries R12's `CAST:` justification marker — the one place a rule reads
 //! comment contents.
 
 use crate::lex::{lex, Token, TokenKind};
@@ -20,12 +19,8 @@ use crate::lex::{lex, Token, TokenKind};
 pub struct Scrubbed {
     /// Source lines with comments and literal bodies blanked out.
     pub lines: Vec<String>,
-    /// `true` for lines whose comment text contains `SAFETY` (rule R5).
-    pub safety_comment: Vec<bool>,
     /// `true` for lines whose comment text contains `CAST:` (rule R12).
     pub cast_comment: Vec<bool>,
-    /// `true` for lines whose comment text contains `ALLOW:` (rule R13).
-    pub allow_comment: Vec<bool>,
 }
 
 /// Scrubs `source`: comments and string/char bodies become spaces, everything
@@ -53,23 +48,18 @@ pub fn scrub_tokens(tokens: &[Token]) -> Scrubbed {
     sink.finish()
 }
 
-/// Accumulates scrubbed lines plus the per-line comment-marker flags.
+/// Accumulates scrubbed lines plus the per-line `CAST:` flags.
 #[derive(Default)]
 struct Sink {
     lines: Vec<String>,
-    markers: Vec<(bool, bool, bool)>,
+    cast_comment: Vec<bool>,
     cur: String,
     cur_comment: String,
 }
 
 impl Sink {
     fn newline(&mut self) {
-        let m = (
-            self.cur_comment.contains("SAFETY"),
-            self.cur_comment.contains("CAST:"),
-            self.cur_comment.contains("ALLOW:"),
-        );
-        self.markers.push(m);
+        self.cast_comment.push(self.cur_comment.contains("CAST:"));
         self.lines.push(std::mem::take(&mut self.cur));
         self.cur_comment.clear();
     }
@@ -86,7 +76,7 @@ impl Sink {
     }
 
     /// Blanks a comment token to spaces, collecting its text per line for
-    /// the justification markers.
+    /// the `CAST:` marker.
     fn comment(&mut self, text: &str) {
         for c in text.chars() {
             if c == '\n' {
@@ -120,35 +110,23 @@ impl Sink {
 
     fn finish(mut self) -> Scrubbed {
         self.newline();
-        let (safety, rest): (Vec<bool>, Vec<(bool, bool)>) =
-            self.markers.iter().map(|&(s, c, a)| (s, (c, a))).unzip();
-        let (cast, allow) = rest.into_iter().unzip();
         Scrubbed {
             lines: self.lines,
-            safety_comment: safety,
-            cast_comment: cast,
-            allow_comment: allow,
+            cast_comment: self.cast_comment,
         }
     }
 }
 
-/// True if the byte range `[start, end)` of `line` is a standalone word
+/// Byte offsets of every standalone-word occurrence of `word` in `line`
 /// (identifier-boundary on both sides).
-pub fn is_word(line: &str, start: usize, end: usize) -> bool {
-    let before = line[..start].chars().next_back();
-    let after = line[end..].chars().next();
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    !before.is_some_and(ident) && !after.is_some_and(ident)
-}
-
-/// Byte offsets of every standalone-word occurrence of `word` in `line`.
 pub fn word_occurrences(line: &str, word: &str) -> Vec<usize> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
     let mut out = Vec::new();
     let mut from = 0usize;
     while let Some(pos) = line[from..].find(word) {
         let start = from + pos;
         let end = start + word.len();
-        if is_word(line, start, end) {
+        if !line[..start].ends_with(ident) && !line[end..].starts_with(ident) {
             out.push(start);
         }
         from = end;
@@ -223,19 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn safety_comments_are_recorded() {
-        let s = scrub("// SAFETY: index checked above\nunsafe { x() }");
-        assert!(s.safety_comment[0]);
-        assert!(!s.safety_comment[1]);
-    }
-
-    #[test]
-    fn cast_and_allow_markers_are_recorded_per_line() {
-        let s = scrub("// CAST: count < 2^24, exact in f32\nlet a = n as f32;\n/* ALLOW: seven knobs, see design */\n#[allow(clippy::too_many_arguments)]");
+    fn cast_markers_are_recorded_per_line() {
+        let s =
+            scrub("// CAST: count < 2^24, exact in f32\nlet a = n as f32;\n/* CAST: block form */");
         assert!(s.cast_comment[0]);
         assert!(!s.cast_comment[1]);
-        assert!(s.allow_comment[2]);
-        assert!(!s.allow_comment[3]);
+        assert!(s.cast_comment[2]);
         // Markers inside string literals never count.
         let lit = scrub("let s = \"CAST: not a comment\";");
         assert!(!lit.cast_comment[0]);

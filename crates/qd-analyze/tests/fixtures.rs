@@ -1,4 +1,4 @@
-//! Fixture self-tests: one positive and one negative snippet per rule, the
+//! Fixture self-tests: positive and negative snippets for R1, R3 and R4, the
 //! allowlist contract (including staleness), and a self-check that the real
 //! workspace is clean.
 //!
@@ -23,12 +23,10 @@ fn rules_fired(path: &str, src: &str) -> Vec<RuleId> {
 #[test]
 fn r1_positive_unwrap_comparator() {
     let src = "fn f(v: &mut Vec<f32>) {\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
-    let fired = rules_fired("crates/qd-core/src/x.rs", src);
-    // One line, two defects: the NaN-panicking comparator (R1) and the bare
-    // `.unwrap()` on a serving-path crate (R7).
-    assert!(fired.contains(&RuleId::R1));
-    assert!(fired.contains(&RuleId::R7));
-    assert_eq!(fired.len(), 2);
+    assert_eq!(
+        rules_fired("crates/qd-core/src/x.rs", src),
+        vec![RuleId::R1]
+    );
 }
 
 #[test]
@@ -54,29 +52,6 @@ fn r1_negative_partial_cmp_outside_comparator() {
     // closures are in scope.
     let src = "impl PartialOrd for X {\n    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {\n        Some(self.cmp(o))\n    }\n}\n";
     assert!(run("crates/qd-index/src/x.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------- R2
-
-#[test]
-fn r2_positive_raw_spawn() {
-    let src = "fn f() {\n    std::thread::spawn(|| work());\n    thread::scope(|s| {});\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R2, RuleId::R2]
-    );
-}
-
-#[test]
-fn r2_negative_inside_qd_runtime() {
-    let src = "fn f() {\n    std::thread::scope(|s| {});\n}\n";
-    assert!(run("crates/qd-runtime/src/lib.rs", src).is_empty());
-}
-
-#[test]
-fn r2_negative_par_map() {
-    let src = "fn f(xs: &[u32]) -> Vec<u32> {\n    qd_runtime::par_map(xs, |&x| x + 1)\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", src).is_empty());
 }
 
 // ---------------------------------------------------------------- R3
@@ -140,70 +115,10 @@ fn r4_negative_duration_arithmetic() {
     assert!(run("crates/qd-core/src/x.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- R5
-
-#[test]
-fn r5_positive_undocumented_unsafe() {
-    let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R5]
-    );
-}
-
-#[test]
-fn r5_negative_safety_comment() {
-    let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid for reads.\n    unsafe { *p }\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------- R6
-
-#[test]
-fn r6_positive_stub_macros() {
-    let src = "fn f() {\n    todo!()\n}\nfn g() {\n    unimplemented!(\"later\")\n}\nfn h(x: u32) -> u32 {\n    dbg!(x)\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R6, RuleId::R6, RuleId::R6]
-    );
-}
-
-#[test]
-fn r6_negative_mentions_in_comments_and_strings() {
-    let src = "// a todo! in prose is fine\nfn f() -> &'static str {\n    \"dbg!(x) as data\"\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------------- R7
-
-#[test]
-fn r7_positive_unwrap_and_expect() {
-    let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\nfn g(r: Result<u32, ()>) -> u32 {\n    r.expect(\"always ok\")\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-corpus/src/x.rs", src),
-        vec![RuleId::R7, RuleId::R7]
-    );
-}
-
-#[test]
-fn r7_negative_test_code_and_off_path_crates() {
-    // Inside a #[cfg(test)] module: exempt.
-    let test_mod = "#[cfg(test)]\nmod tests {\n    fn t(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", test_mod).is_empty());
-    // Fallible combinators: exempt everywhere.
-    let combinators = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_default() }\n";
-    assert!(run("crates/qd-core/src/x.rs", combinators).is_empty());
-    // Crates off the serving path: exempt.
-    let bare = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert!(run("crates/qd-bench/src/x.rs", bare).is_empty());
-    assert!(run("src/bin/qd.rs", bare).is_empty());
-}
-
 // ---------------------------------------------------------- allowlist
 
 /// Builds a throwaway workspace on disk: `crates/qd-core/src/bad.rs` with a
-/// known R1 violation (and only R1 — `unwrap_or` keeps R7 quiet), plus an
-/// optional allowlist.
+/// known R1 violation, plus an optional allowlist.
 fn scratch_workspace(name: &str, allowlist: Option<&str>) -> PathBuf {
     let root = std::env::temp_dir().join(format!("qd_analyze_fixture_{name}"));
     let _ = std::fs::remove_dir_all(&root);
@@ -258,7 +173,7 @@ fn stale_allowlist_entry_fails_the_check() {
         "stale",
         Some(
             "R1 crates/qd-core/src/bad.rs fixture: kept broken on purpose\n\
-             R6 crates/qd-core/src/gone.rs this file no longer exists\n",
+             R4 crates/qd-core/src/gone.rs this file no longer exists\n",
         ),
     );
     let report = qd_analyze::run_check(&root).unwrap();

@@ -1,17 +1,12 @@
-//! Fixture tests for the token-stream engine additions: the cross-file rules
-//! R9–R11 (scratch workspaces on disk, run through [`qd_analyze::run_check`]
-//! exactly like CI), the file-scoped R12/R13, the walker's coverage and
+//! Fixture tests for the token-stream engine: the cross-file rules R9–R11
+//! (scratch workspaces on disk, run through [`qd_analyze::run_check`]
+//! exactly like CI), the file-scoped R12, the walker's coverage and
 //! exclusion behavior, and the lexer's byte-identity property over every
 //! first-party file of the real workspace.
-//!
-//! The R1–R8 fixtures in `fixtures.rs` double as the migration guard for the
-//! lexer rewrite: they were written against the line-based scrubber and now
-//! run unchanged against the token-derived scrub view, so any verdict drift
-//! between the two engines fails there.
 
 use qd_analyze::rules::{analyze_file, Finding, RuleId};
 use qd_analyze::scan::scrub;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 fn run(path: &str, src: &str) -> Vec<Finding> {
     analyze_file(path, &scrub(src))
@@ -55,27 +50,6 @@ fn r12_negative_outside_engine_src_and_in_tests() {
     let in_test_mod =
         "#[cfg(test)]\nmod tests {\n    fn f(n: usize) -> u32 {\n        n as u32\n    }\n}\n";
     assert!(rules_fired("crates/qd-index/src/tree.rs", in_test_mod).is_empty());
-}
-
-// ---------------------------------------------------------- R13 (file-scoped)
-
-#[test]
-fn r13_positive_unjustified_allow() {
-    let src = "#[allow(clippy::too_many_arguments)]\nfn f() {}\n";
-    let findings = run("crates/qd-core/src/session.rs", src);
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, RuleId::R13);
-    assert_eq!(findings[0].line, 1);
-}
-
-#[test]
-fn r13_negative_allow_comment_and_out_of_scope() {
-    let justified =
-        "// ALLOW: seven config knobs threaded straight through.\n#[allow(clippy::too_many_arguments)]\nfn f() {}\n";
-    assert!(rules_fired("crates/qd-core/src/session.rs", justified).is_empty());
-    // Tests and benches may allow freely.
-    let bare = "#[allow(dead_code)]\nfn f() {}\n";
-    assert!(rules_fired("crates/qd-core/tests/t.rs", bare).is_empty());
 }
 
 // ---------------------------------------------------------- scratch workspaces
@@ -468,7 +442,3 @@ fn scrub_preserves_line_structure_of_every_first_party_file() {
         }
     }
 }
-
-// Keep Path in scope for fixture sources that mention it in strings only.
-#[allow(dead_code)]
-fn _unused(_: &Path) {}

@@ -24,15 +24,15 @@ use crate::user::SimulatedUser;
 use qd_corpus::taxonomy::SubconceptId;
 use qd_corpus::Corpus;
 use qd_index::NodeId;
-use std::collections::HashMap;
 
 /// One node of the client replica.
 #[derive(Debug, Clone)]
 struct ClientNode {
     leaf: bool,
     reps: Vec<usize>,
-    /// Child cluster each representative traces to (absent for leaves).
-    rep_child: HashMap<usize, NodeId>,
+    /// The child cluster each representative traces to, parallel to `reps`
+    /// (`None` throughout a leaf).
+    rep_child: Vec<Option<NodeId>>,
 }
 
 /// The thin client-side copy of the RFS structure: hierarchy +
@@ -40,32 +40,30 @@ struct ClientNode {
 #[derive(Debug, Clone)]
 pub struct ClientRfs {
     root: NodeId,
-    nodes: HashMap<NodeId, ClientNode>,
+    /// Indexed by [`NodeId::index`]; `None` for an arena slot the tree has
+    /// freed.
+    nodes: Vec<Option<ClientNode>>,
 }
 
 impl ClientRfs {
     /// Extracts the client replica from a full server-side structure.
     pub fn replicate(rfs: &RfsStructure) -> Self {
         let tree = rfs.tree();
-        let mut nodes = HashMap::with_capacity(tree.node_count());
+        let mut nodes = Vec::new();
         for n in tree.node_ids() {
             let reps = rfs.representatives(n).to_vec();
-            let leaf = tree.is_leaf(n);
-            let rep_child = if leaf {
-                HashMap::new()
-            } else {
-                reps.iter()
-                    .filter_map(|&rep| rfs.child_containing(n, rep).map(|c| (rep, c)))
-                    .collect()
-            };
-            nodes.insert(
-                n,
-                ClientNode {
-                    leaf,
-                    reps,
-                    rep_child,
-                },
-            );
+            let rep_child = reps
+                .iter()
+                .map(|&rep| rfs.child_containing(n, rep))
+                .collect();
+            if nodes.len() <= n.index() {
+                nodes.resize_with(n.index() + 1, || None);
+            }
+            nodes[n.index()] = Some(ClientNode {
+                leaf: tree.is_leaf(n),
+                reps,
+                rep_child,
+            });
         }
         Self {
             root: tree.root(),
@@ -73,16 +71,22 @@ impl ClientRfs {
         }
     }
 
+    /// The replicated node `n`, if the replica holds it.
+    fn node(&self, n: NodeId) -> Option<&ClientNode> {
+        self.nodes.get(n.index())?.as_ref()
+    }
+
     /// Number of replicated hierarchy nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.iter().flatten().count()
     }
 
     /// Number of distinct representative image ids the client holds.
     pub fn representative_count(&self) -> usize {
         let mut ids: Vec<usize> = self
             .nodes
-            .values()
+            .iter()
+            .flatten()
             .flat_map(|n| n.reps.iter().copied())
             .collect();
         ids.sort_unstable();
@@ -90,20 +94,18 @@ impl ClientRfs {
         ids.len()
     }
 
-    /// Rough in-memory footprint of the replica in bytes (ids + maps). The
-    /// point of the estimate is the *ratio* against the server-side feature
-    /// table, which carries `n × 37` floats.
+    /// Rough in-memory footprint of the replica in bytes (node slots plus
+    /// ids). The point of the estimate is the *ratio* against the
+    /// server-side feature table, which carries `n × 37` floats.
     pub fn estimated_bytes(&self) -> usize {
-        self.nodes
-            .values()
-            .map(|n| {
-                std::mem::size_of::<ClientNode>()
-                    + n.reps.len() * std::mem::size_of::<usize>()
-                    + n.rep_child.len()
-                        * (std::mem::size_of::<usize>() + std::mem::size_of::<NodeId>())
-            })
-            .sum::<usize>()
-            + self.nodes.len() * std::mem::size_of::<NodeId>()
+        let per_rep = std::mem::size_of::<usize>() + std::mem::size_of::<Option<NodeId>>();
+        self.nodes.len() * std::mem::size_of::<Option<ClientNode>>()
+            + self
+                .nodes
+                .iter()
+                .flatten()
+                .map(|n| n.reps.len() * per_rep)
+                .sum::<usize>()
     }
 }
 
@@ -112,16 +114,19 @@ impl FeedbackHierarchy for ClientRfs {
         self.root
     }
 
+    /// A node the replica does not hold has no children to descend to.
     fn is_leaf(&self, n: NodeId) -> bool {
-        self.nodes[&n].leaf
+        self.node(n).is_none_or(|node| node.leaf)
     }
 
     fn representatives(&self, n: NodeId) -> &[usize] {
-        &self.nodes[&n].reps
+        self.node(n).map_or(&[], |node| &node.reps)
     }
 
     fn child_containing(&self, n: NodeId, image: usize) -> Option<NodeId> {
-        self.nodes[&n].rep_child.get(&image).copied()
+        let node = self.node(n)?;
+        let at = node.reps.iter().position(|&rep| rep == image)?;
+        node.rep_child[at]
     }
 }
 
@@ -298,46 +303,82 @@ pub fn submit_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rfs::RfsConfig;
     use crate::session::try_run_session;
     use crate::testutil;
+    use qd_index::KnnIndex;
 
     fn client_fixture() -> (&'static Corpus, &'static RfsStructure, ClientRfs) {
         let (corpus, rfs) = testutil::shared();
         (corpus, rfs, ClientRfs::replicate(rfs))
     }
 
+    /// The shared structure after removing every third image: condensing the
+    /// tree frees arena slots below its highest live node.
+    fn structure_with_freed_slots() -> RfsStructure {
+        let (corpus, rfs) = testutil::shared();
+        let mut tree = rfs.tree().clone();
+        for id in (0..corpus.len()).step_by(3) {
+            assert!(tree.remove(&corpus.features()[id], id as u64));
+        }
+        let highest = tree.node_ids().map(NodeId::index).max().unwrap();
+        assert!(tree.node_count() <= highest, "no freed slot to skip");
+        RfsStructure::build_on(tree, corpus.features(), &RfsConfig::test_small())
+    }
+
     #[test]
     fn replica_mirrors_the_hierarchy() {
-        let (_, rfs, client) = client_fixture();
-        let tree = rfs.tree();
-        assert_eq!(client.node_count(), tree.node_count());
-        assert_eq!(
-            client.representative_count(),
-            rfs.all_representatives().len()
-        );
-        for n in tree.node_ids() {
+        let (_, shared, _) = client_fixture();
+        for rfs in [shared, &structure_with_freed_slots()] {
+            let client = ClientRfs::replicate(rfs);
+            let tree = rfs.tree();
+            assert_eq!(client.node_count(), tree.node_count());
             assert_eq!(
-                FeedbackHierarchy::representatives(&client, n),
-                rfs.representatives(n)
+                client.representative_count(),
+                rfs.all_representatives().len()
             );
-            assert_eq!(FeedbackHierarchy::is_leaf(&client, n), tree.is_leaf(n));
+            for n in tree.node_ids() {
+                assert_eq!(client.representatives(n), rfs.representatives(n));
+                assert_eq!(client.is_leaf(n), tree.is_leaf(n));
+            }
         }
     }
 
     #[test]
     fn replica_rep_child_mapping_matches_server() {
-        let (_, rfs, client) = client_fixture();
-        let tree = rfs.tree();
-        for n in tree.node_ids() {
-            if tree.is_leaf(n) {
-                continue;
-            }
-            for &rep in rfs.representatives(n) {
-                assert_eq!(
-                    FeedbackHierarchy::child_containing(&client, n, rep),
-                    rfs.child_containing(n, rep),
-                    "node {n:?} rep {rep}"
-                );
+        let (corpus, shared, _) = client_fixture();
+        for rfs in [shared, &structure_with_freed_slots()] {
+            let client = ClientRfs::replicate(rfs);
+            let tree = rfs.tree();
+            for n in tree.node_ids() {
+                for &rep in rfs.representatives(n) {
+                    assert_eq!(
+                        client.child_containing(n, rep),
+                        rfs.child_containing(n, rep),
+                        "node {n:?} rep {rep}"
+                    );
+                }
+                // Non-representative images: the first one outside `n`'s
+                // subtree (the root has none) and one outside the corpus.
+                let members: Vec<usize> = tree
+                    .subtree_items(n)
+                    .into_iter()
+                    .map(|(id, _)| id as usize)
+                    .collect();
+                let outside = (0..corpus.len()).find(|id| !members.contains(id));
+                for image in outside.into_iter().chain([corpus.len()]) {
+                    assert!(!rfs.representatives(n).contains(&image));
+                    assert_eq!(
+                        client.child_containing(n, image),
+                        None,
+                        "node {n:?} image {image}"
+                    );
+                    assert_eq!(
+                        rfs.child_containing(n, image),
+                        None,
+                        "node {n:?} image {image}"
+                    );
+                }
             }
         }
     }

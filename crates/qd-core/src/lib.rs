@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// A serving path returns a typed error or degrades; it never panics on input.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Query Decomposition — the paper's primary contribution.
 //!

@@ -104,9 +104,11 @@ pub fn resolve_scope<I: KnnIndex>(
 /// scope holds fewer than `min_pool` images the scope is expanded to
 /// ancestors until it can supply that many candidates (or the root is
 /// reached). Pass 0 to disable.
-// ALLOW: tree, features and query plus five knobs; the one engine caller,
-// `try_execute_subqueries`, threads config fields straight through.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "tree, features and query plus five knobs; the one engine caller, \
+              try_execute_subqueries, threads config fields straight through"
+)]
 pub fn try_run_local_query<I: KnnIndex>(
     tree: &I,
     features: &[Vec<f32>],

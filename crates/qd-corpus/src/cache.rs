@@ -31,8 +31,9 @@ const MAGIC: &[u8; 4] = b"QDC2";
 
 /// Most filler categories a cache header may name. The taxonomy is rebuilt
 /// from this count before anything else can vouch for it, so it is capped
-/// (the paper's database has 121).
-const MAX_FILLERS: usize = 1 << 16;
+/// (the paper's database has 121); a corpus with more cannot be saved in a
+/// form [`load`] accepts.
+pub const MAX_FILLERS: usize = 1 << 16;
 
 /// Serializes a corpus to `QDC2` bytes.
 pub fn to_bytes(corpus: &Corpus) -> Vec<u8> {
@@ -294,6 +295,30 @@ mod tests {
             }
         }
         assert!(from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn the_largest_filler_count_round_trips_and_one_more_is_refused() {
+        let config = CorpusConfig {
+            size: 4,
+            image_size: 8,
+            seed: 5,
+            filler_count: MAX_FILLERS,
+            with_viewpoints: false,
+        };
+        let corpus = Corpus::build(&config);
+        let mut bytes = to_bytes(&corpus);
+        let loaded = from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.config(), &config);
+        assert_eq!(loaded.taxonomy().len(), corpus.taxonomy().len());
+        assert_eq!(loaded.features(), corpus.features());
+        // magic, size, image_size, seed, then filler_count
+        bytes[28..36].copy_from_slice(&(MAX_FILLERS as u64 + 1).to_le_bytes());
+        let err = from_bytes(&bytes).err().map(|e| e.to_string());
+        assert_eq!(
+            err.as_deref(),
+            Some("invalid file: implausible filler category count")
+        );
     }
 
     #[test]

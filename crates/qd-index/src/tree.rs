@@ -59,6 +59,10 @@ impl NodeId {
 /// `first_child`). An arena of `u32::MAX` nodes is unreachable in practice.
 const NONE: u32 = u32::MAX;
 
+/// Largest node capacity (`max_entries`) a QDT2 file may declare: a tree
+/// built with more cannot be read back.
+pub const MAX_NODE_ENTRIES: usize = 1 << 20;
+
 /// Construction parameters.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
@@ -690,6 +694,13 @@ impl RStarTree {
     }
 
     /// Rectangle of a node that has entries — every node but an empty root.
+    #[expect(
+        clippy::expect_used,
+        reason = "every node but an empty root has a rect: insert, split and bulk_load \
+                  set it whenever a node gets an entry, and a decoded file whose \
+                  entry-holding node lacks one fails check_invariants; rect_of is asked \
+                  only about children and nodes that hold entries"
+    )]
     fn rect_of(&self, n: NodeId) -> &Rect {
         self.node(n).rect.as_ref().expect("node without rect")
     }
@@ -797,6 +808,12 @@ impl RStarTree {
         let mut orphans: Vec<(Orphan, u32)> = Vec::new();
         let mut cur = leaf;
         while cur != self.root {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node below the root has a parent: link_children and \
+                          push_child set it, and a decoded file whose parent pointers \
+                          disagree with the child chains fails check_invariants"
+            )]
             let parent = self.parent(cur).expect("non-root without parent");
             if self.node(cur).entry_count() < m {
                 self.remove_child(parent, cur);
@@ -1472,8 +1489,8 @@ pub(crate) fn read_tree(data: &[u8]) -> Result<RStarTree, CodecError> {
     if dims == 0
         || dims > 1 << 16
         // bound before multiplying (overflow)
-        || !(2..=1 << 20).contains(&min_entries)
-        || max_entries > 1 << 20
+        || !(2..=MAX_NODE_ENTRIES).contains(&min_entries)
+        || max_entries > MAX_NODE_ENTRIES
         || min_entries * 2 > max_entries
         || !reinsert_fraction.is_finite()
     {

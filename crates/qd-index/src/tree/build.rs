@@ -77,6 +77,13 @@ impl RStarTree {
 
     fn pick_min_area_child(&self, n: NodeId, rect: &Rect) -> NodeId {
         let mut children = self.children(n).peekable();
+        #[expect(
+            clippy::expect_used,
+            reason = "ChooseSubtree descends only through internal nodes, and an internal \
+                      node has at least two children: min_entries >= 2 below the root, and \
+                      a root is made internal by a split into two and is shrunk by condense \
+                      when it has one child"
+        )]
         let mut best = *children.peek().expect("internal node without children");
         let mut best_key = (f64::INFINITY, f64::INFINITY);
         for c in children {
@@ -230,6 +237,11 @@ impl RStarTree {
             self.root = new_root;
             self.recompute_rect(new_root);
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "an overflowing node that is not the root has a parent, the \
+                          invariant condense relies on"
+            )]
             let parent = self.parent(n).expect("non-root without parent");
             self.push_child(parent, sibling);
             self.adjust_upward(parent);

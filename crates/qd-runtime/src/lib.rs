@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// A serving path returns a typed error or degrades; it never panics on input.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 //! Deterministic parallel execution for the Query Decomposition engine.
 //!
@@ -207,6 +209,10 @@ where
     let plan = qd_fault::current();
     let obs = qd_obs::current();
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the executor every other fan-out goes through"
+    )]
     let parts: Vec<Vec<(usize, U, Option<qd_obs::Trace>)>> = thread::scope(|s| {
         let next = &next;
         let task = &task;

@@ -661,7 +661,10 @@ impl<I: KnnIndex + Sync> Server<I> {
 
     /// Admission control: failpoint rejection, then slot/queue placement,
     /// then the seeded overload coin.
-    #[allow(clippy::too_many_arguments)] // ALLOW: supervisor plumbing — the alternatives (a context struct per call) obscure the scheduler loop.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
+    )]
     fn admit(
         &self,
         plan: &LoadPlan,
@@ -743,7 +746,10 @@ impl<I: KnnIndex + Sync> Server<I> {
     }
 
     /// Folds one step result back into the scheduler state.
-    #[allow(clippy::too_many_arguments)] // ALLOW: supervisor plumbing — the alternatives (a context struct per call) obscure the scheduler loop.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
+    )]
     fn process_step<'a>(
         &self,
         plan: &LoadPlan,
@@ -837,7 +843,10 @@ impl<I: KnnIndex + Sync> Server<I> {
     /// Tick-limit watchdog: every unfinished session (active, queued, or
     /// not yet arrived) is retired as stalled so the report always covers
     /// the whole plan.
-    #[allow(clippy::too_many_arguments)] // ALLOW: supervisor plumbing — the alternatives (a context struct per call) obscure the scheduler loop.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
+    )]
     fn stall_out(
         &self,
         plan: &LoadPlan,

@@ -49,7 +49,9 @@ use query_decomposition::core::eval::Baseline;
 use query_decomposition::core::session::validate_rounds;
 use query_decomposition::corpus::cache;
 use query_decomposition::imagery::io::write_ppm;
+use query_decomposition::index::tree::MAX_NODE_ENTRIES;
 use query_decomposition::prelude::*;
+use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -131,6 +133,21 @@ impl Options {
         }
     }
 
+    /// [`Options::parse_or`] for a value the library asserts on: one outside
+    /// `range` is refused here, before any work starts.
+    fn parse_in<T, R>(&self, key: &str, default: T, range: R) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+        R: RangeBounds<T> + std::fmt::Debug,
+    {
+        let v = self.parse_or(key, default)?;
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("--{key} {v} is outside {range:?}"))
+        }
+    }
+
     fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -141,13 +158,37 @@ fn load_corpus(opts: &Options) -> Result<Corpus, String> {
     cache::load_any(Path::new(path)).map_err(|e| format!("cannot load corpus {path}: {e}"))
 }
 
+/// The RFS configuration `build-rfs` and `shard --out` share, refusing a
+/// node capacity the R\*-tree cannot split (it needs at least twice the
+/// minimum fill) or the tree file cannot hold, and a representative
+/// fraction outside `[0, 1]`.
+fn rfs_config(opts: &Options, corpus: &Corpus) -> Result<RfsConfig, String> {
+    // Default node capacity adapts to the corpus so small test databases
+    // still get a multi-level hierarchy (the paper's 100 suits 15k images).
+    let default_node_max = (corpus.len() / 8).clamp(10, 100);
+    let node_max = opts.parse_in("node-max", default_node_max, ..=MAX_NODE_ENTRIES)?;
+    let node_min = (node_max * 2 / 5).max(2);
+    if node_min * 2 > node_max {
+        return Err(format!(
+            "--node-max {node_max} is too small: a node must hold twice its minimum fill {node_min}"
+        ));
+    }
+    Ok(RfsConfig {
+        node_min,
+        node_max,
+        representative_fraction: opts.parse_in("rep-fraction", 0.05f32, 0.0..=1.0)?,
+        ..RfsConfig::paper()
+    })
+}
+
 fn build_corpus(opts: &Options) -> Result<(), String> {
     let out = PathBuf::from(opts.require("out")?);
     let config = CorpusConfig {
-        size: opts.parse_or("size", 740usize)?,
-        image_size: opts.parse_or("image-size", 32usize)?,
+        size: opts.parse_in("size", 740usize, 1..)?,
+        image_size: opts.parse_in("image-size", 32usize, 1..)?,
         seed: opts.parse_or("seed", 42u64)?,
-        filler_count: opts.parse_or("fillers", 8usize)?,
+        // The cache reader refuses more fillers than this.
+        filler_count: opts.parse_in("fillers", 8usize, ..=cache::MAX_FILLERS)?,
         with_viewpoints: !opts.flag("no-viewpoints"),
     };
     eprintln!(
@@ -170,16 +211,9 @@ fn build_corpus(opts: &Options) -> Result<(), String> {
 fn build_rfs(opts: &Options) -> Result<(), String> {
     let corpus = load_corpus(opts)?;
     let out = PathBuf::from(opts.require("out")?);
-    // Default node capacity adapts to the corpus so small test databases
-    // still get a multi-level hierarchy (the paper's 100 suits 15k images).
-    let default_node_max = (corpus.len() / 8).clamp(10, 100);
-    let node_max = opts.parse_or("node-max", default_node_max)?;
     let config = RfsConfig {
-        node_min: (node_max * 2 / 5).max(2),
-        node_max,
-        representative_fraction: opts.parse_or("rep-fraction", 0.05f32)?,
         bulk_load: opts.flag("bulk"),
-        ..RfsConfig::paper()
+        ..rfs_config(opts, &corpus)?
     };
     eprintln!(
         "building RFS: node capacity {}, rep fraction {:.2}…",
@@ -428,9 +462,9 @@ fn serve_sim(opts: &Options) -> Result<(), String> {
         ));
     }
     let load_cfg = LoadConfig {
-        users: opts.parse_or("users", 12usize)?,
+        users: opts.parse_in("users", 12usize, 1..)?,
         seed: opts.parse_or("seed", 7u64)?,
-        arrivals_per_tick: opts.parse_or("arrivals", 2u64)?,
+        arrivals_per_tick: opts.parse_in("arrivals", 2u64, 1..)?,
         rounds: opts.parse_or("rounds", 3usize)?,
         k: None,
         deadline: opts.parse_or("deadline", 900u64)?,
@@ -439,7 +473,7 @@ fn serve_sim(opts: &Options) -> Result<(), String> {
     // error at the door.
     validate_rounds(load_cfg.rounds).map_err(|e| e.to_string())?;
     let serve_cfg = ServeConfig {
-        max_active: opts.parse_or("max-active", 4usize)?,
+        max_active: opts.parse_in("max-active", 4usize, 1..)?,
         queue_capacity: opts.parse_or("queue", 8usize)?,
         shed_seed: opts.parse_or("shed-seed", ServeConfig::default().shed_seed)?,
         ..ServeConfig::default()
@@ -511,22 +545,15 @@ fn export(opts: &Options) -> Result<(), String> {
 
 fn shard(opts: &Options) -> Result<(), String> {
     use query_decomposition::index::KnnIndex;
-    use query_decomposition::shard::{build_sharded_rfs, persist, ShardConfig};
+    use query_decomposition::shard::{build_sharded_rfs, persist, ShardConfig, MAX_SHARDS};
 
     let corpus = load_corpus(opts)?;
     if let Some(out) = opts.get("out") {
         // Build mode: partition, build one RFS arena per shard, save QDS1.
         let out = PathBuf::from(out);
-        let shards = opts.parse_or("shards", 4usize)?;
+        let shards = opts.parse_in("shards", 4usize, 1..=MAX_SHARDS)?;
         let shard_seed = opts.parse_or("shard-seed", 42u64)?;
-        let default_node_max = (corpus.len() / 8).clamp(10, 100);
-        let node_max = opts.parse_or("node-max", default_node_max)?;
-        let config = RfsConfig {
-            node_min: (node_max * 2 / 5).max(2),
-            node_max,
-            representative_fraction: opts.parse_or("rep-fraction", 0.05f32)?,
-            ..RfsConfig::paper()
-        };
+        let config = rfs_config(opts, &corpus)?;
         eprintln!(
             "building sharded RFS: {shards} shards (seed {shard_seed}), node capacity {}…",
             config.node_max

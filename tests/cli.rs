@@ -191,6 +191,43 @@ fn unbounded_rounds_are_an_error_not_an_oom_kill() {
     }
 }
 
+/// An option value the library would assert on is refused where the option
+/// enters, before any work starts: exit 1 and an `error:` line naming the
+/// option, never a panic (exit 101) and never a written file.
+#[test]
+fn out_of_range_options_are_errors_not_panics() {
+    let dir = built();
+    let build_corpus = ["build-corpus", "--out", "refused.out"];
+    let build_rfs = ["build-rfs", "--corpus", "c.qdc", "--out", "refused.out"];
+    let shard = ["shard", "--corpus", "c.qdc", "--out", "refused.out"];
+    let serve = ["serve-sim", "--corpus", "c.qdc", "--rfs", "r.qdr"];
+    let cases: &[(&[&str], [&str; 2])] = &[
+        (&shard, ["--shards", "0"]),
+        (&shard, ["--shards", "300"]),
+        (&shard, ["--node-max", "1"]),
+        (&build_corpus, ["--size", "0"]),
+        (&build_corpus, ["--image-size", "0"]),
+        (&build_corpus, ["--fillers", "65537"]),
+        (&build_rfs, ["--node-max", "0"]),
+        (&build_rfs, ["--node-max", "3"]),
+        (&build_rfs, ["--node-max", "1048577"]),
+        (&build_rfs, ["--rep-fraction", "NaN"]),
+        (&serve, ["--max-active", "0"]),
+        (&serve, ["--users", "0"]),
+    ];
+    for (command, [key, value]) in cases {
+        let args: Vec<&str> = command.iter().chain(&[*key, *value]).copied().collect();
+        let out = qd(dir, &args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("error: ") && err.contains(&format!("{key} {value}")),
+            "{args:?}: {err}"
+        );
+        assert!(!dir.join("refused.out").exists(), "{args:?} wrote a file");
+    }
+}
+
 /// A corpus file whose feature table holds a NaN is refused where it is
 /// read: `build-rfs` exits 1 with an `error:` line instead of panicking
 /// (exit 101) when the NaN reaches the R*-tree as a rectangle corner.
