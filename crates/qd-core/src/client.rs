@@ -361,9 +361,9 @@ mod tests {
                 // Non-representative images: the first one outside `n`'s
                 // subtree (the root has none) and one outside the corpus.
                 let members: Vec<usize> = tree
-                    .subtree_items(n)
+                    .subtree_ids(n)
                     .into_iter()
-                    .map(|(id, _)| id as usize)
+                    .map(|id| id as usize)
                     .collect();
                 let outside = (0..corpus.len()).find(|id| !members.contains(id));
                 for image in outside.into_iter().chain([corpus.len()]) {

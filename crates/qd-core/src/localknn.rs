@@ -198,15 +198,20 @@ pub fn try_run_local_query<I: KnnIndex>(
             qd_obs::count(qd_obs::ctr::KNN_DISTANCE, allowed as u64);
             qd_obs::count(qd_obs::ctr::KNN_NODES_SKIPPED, skipped);
             qd_obs::count(qd_obs::ctr::KNN_BUDGET_EXHAUSTED, u64::from(skipped > 0));
-            let mut scored: Vec<Neighbor> = tree
-                .subtree_items(scope)
-                .into_iter()
-                .take(allowed)
-                .map(|(id, point)| Neighbor {
+            // Points come from the caller's table: the index holds ids the
+            // table must cover, which a mismatched tree/corpus pair breaks.
+            let mut scored = Vec::with_capacity(allowed);
+            for id in tree.subtree_ids(scope).into_iter().take(allowed) {
+                let point = features.get(id as usize).ok_or(QdError::ImageOutOfRange {
+                    subquery: 0,
+                    image: id as usize,
+                    corpus_len: features.len(),
+                })?;
+                scored.push(Neighbor {
                     id,
                     distance: metric.distance(point, &multipoint),
-                })
-                .collect();
+                });
+            }
             scored.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
             scored.truncate(fetch);
             Ok(LocalResult {
@@ -270,7 +275,7 @@ mod tests {
             let mut found = None;
             for n in tree.node_ids() {
                 if tree.is_leaf(n) {
-                    let (id, _) = tree.leaf_entries(n).next().unwrap();
+                    let id = tree.leaf_ids(n).next().unwrap();
                     if (id as usize) < 40 {
                         found = Some(n);
                         break;
@@ -312,7 +317,7 @@ mod tests {
             if !tree.is_leaf(n) {
                 continue;
             }
-            let (id, _) = tree.leaf_entries(n).next().unwrap();
+            let id = tree.leaf_ids(n).next().unwrap();
             let q = [features[id as usize].as_slice()];
             assert_eq!(resolve_scope(&tree, n, &q, 1.0), n);
         }
@@ -324,12 +329,10 @@ mod tests {
         let leaf = {
             // A leaf wholly inside blob A.
             tree.node_ids()
-                .find(|&n| {
-                    tree.is_leaf(n) && tree.leaf_entries(n).all(|(id, _)| (id as usize) < 40)
-                })
+                .find(|&n| tree.is_leaf(n) && tree.leaf_ids(n).all(|id| (id as usize) < 40))
                 .unwrap()
         };
-        let member = tree.leaf_entries(leaf).next().unwrap().0 as usize;
+        let member = tree.leaf_ids(leaf).next().unwrap() as usize;
         let lq = LocalQuery {
             home: leaf,
             query_points: vec![member],
@@ -338,11 +341,8 @@ mod tests {
         assert_eq!(result.support, 1);
         assert!(!result.neighbors.is_empty());
         // All neighbors come from the resolved scope's subtree.
-        let scope_members: std::collections::HashSet<u64> = tree
-            .subtree_items(result.scope)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let scope_members: std::collections::HashSet<u64> =
+            tree.subtree_ids(result.scope).into_iter().collect();
         for n in &result.neighbors {
             assert!(scope_members.contains(&n.id));
         }
@@ -415,6 +415,45 @@ mod tests {
             try_run_local_query(&tree, &features, &ok, 0.4, 5, 0, Some(&[1.0]), None),
             Err(QdError::WeightDimension { got: 1, want: 2 })
         ));
+    }
+
+    #[test]
+    fn weighted_scan_of_an_index_beyond_the_feature_table_is_a_typed_error() {
+        // The weighted scan reads each scope member's point from the
+        // caller's table. Cut the table just past the first id the scan
+        // visits, so the tree holds ids the table does not.
+        let (tree, mut features) = setup();
+        let order: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
+        let cut = order[0] as usize + 1;
+        assert!(
+            cut < features.len(),
+            "fixture: the scan starts at the last id"
+        );
+        features.truncate(cut);
+        let lq = LocalQuery {
+            home: tree.root(),
+            query_points: vec![0],
+        };
+        let weights = [1.0f32, 2.0];
+        let scan =
+            |budget| try_run_local_query(&tree, &features, &lq, 0.4, 5, 0, Some(&weights), budget);
+        match scan(None) {
+            Err(QdError::ImageOutOfRange {
+                subquery: 0,
+                image,
+                corpus_len,
+            }) => assert!(
+                corpus_len == cut && image >= cut,
+                "image {image} of {corpus_len}"
+            ),
+            other => panic!("expected ImageOutOfRange, got {other:?}"),
+        }
+        // A budget that stops the scan before the first missing id answers.
+        let in_table = order.iter().take_while(|&&id| (id as usize) < cut).count();
+        let partial = scan(Some(in_table as u64)).unwrap();
+        assert!(partial.exhausted);
+        assert_eq!(partial.distance_computations, in_table as u64);
+        assert!(partial.neighbors.iter().all(|n| (n.id as usize) < cut));
     }
 
     #[test]

@@ -140,11 +140,7 @@ fn leaf_map<I: KnnIndex>(tree: &I) -> BTreeMap<usize, NodeId> {
     let mut pairs: Vec<(usize, NodeId)> = Vec::with_capacity(tree.len());
     for n in tree.node_ids() {
         if tree.is_leaf(n) {
-            pairs.extend(
-                tree.leaf_items(n)
-                    .into_iter()
-                    .map(|(id, _)| (id as usize, n)),
-            );
+            pairs.extend(tree.leaf_ids(n).into_iter().map(|id| (id as usize, n)));
         }
     }
     pairs.sort_unstable();
@@ -155,10 +151,7 @@ fn leaf_map<I: KnnIndex>(tree: &I) -> BTreeMap<usize, NodeId> {
 /// stored images, an internal node's concatenated child representatives.
 fn pool_of<I: KnnIndex>(tree: &I, reps: &BTreeMap<NodeId, Vec<usize>>, n: NodeId) -> Vec<usize> {
     if tree.is_leaf(n) {
-        tree.leaf_items(n)
-            .into_iter()
-            .map(|(id, _)| id as usize)
-            .collect()
+        tree.leaf_ids(n).into_iter().map(|id| id as usize).collect()
     } else {
         tree.children(n)
             .into_iter()
@@ -587,9 +580,9 @@ impl<I: KnnIndex> RfsStructure<I> {
             }
             if !self
                 .tree
-                .leaf_items(leaf)
+                .leaf_ids(leaf)
                 .into_iter()
-                .any(|(id, _)| id as usize == image)
+                .any(|id| id as usize == image)
             {
                 return fail(format!("leaf_of[{image}] = {leaf:?} does not store it"));
             }
@@ -597,7 +590,7 @@ impl<I: KnnIndex> RfsStructure<I> {
         let mut stored = 0usize;
         for &n in &node_ids {
             if self.tree.is_leaf(n) {
-                for (id, _) in self.tree.leaf_items(n) {
+                for id in self.tree.leaf_ids(n) {
                     stored += 1;
                     if self.leaf_of.get(&(id as usize)) != Some(&n) {
                         return fail(format!("image {id} in {n:?} missing from leaf_of"));
@@ -638,9 +631,9 @@ impl<I: KnnIndex> RfsStructure<I> {
             }
             let members: std::collections::HashSet<usize> = self
                 .tree
-                .subtree_items(n)
+                .subtree_ids(n)
                 .into_iter()
-                .map(|(id, _)| id as usize)
+                .map(|id| id as usize)
                 .collect();
             for &r in self.representatives(n) {
                 if !members.contains(&r) {
@@ -738,9 +731,9 @@ mod tests {
         for n in rfs.tree().node_ids() {
             let members: std::collections::HashSet<usize> = rfs
                 .tree()
-                .subtree_items(n)
+                .subtree_ids(n)
                 .into_iter()
-                .map(|(id, _)| id as usize)
+                .map(|id| id as usize)
                 .collect();
             for &r in rfs.representatives(n) {
                 assert!(members.contains(&r), "rep {r} outside node {n:?}");
@@ -778,10 +771,7 @@ mod tests {
         for id in 0..features.len() {
             let leaf = rfs.leaf_of(id);
             assert!(rfs.tree().is_leaf(leaf));
-            assert!(rfs
-                .tree()
-                .leaf_entries(leaf)
-                .any(|(eid, _)| eid as usize == id));
+            assert!(rfs.tree().leaf_ids(leaf).any(|eid| eid as usize == id));
         }
     }
 
@@ -798,9 +788,9 @@ mod tests {
             let child = rfs.child_containing(root, id).expect("image under root");
             assert_eq!(tree.parent(child), Some(root));
             let members: Vec<usize> = tree
-                .subtree_items(child)
+                .subtree_ids(child)
                 .into_iter()
-                .map(|(i, _)| i as usize)
+                .map(|i| i as usize)
                 .collect();
             assert!(members.contains(&id));
         }
@@ -816,7 +806,7 @@ mod tests {
         let (Some(a), Some(b)) = (children.next(), children.next()) else {
             return;
         };
-        let in_b = tree.subtree_items(b).into_iter().next().unwrap().0 as usize;
+        let in_b = tree.subtree_ids(b).into_iter().next().unwrap() as usize;
         // Asking `a` for an image stored under `b` must fail.
         assert_eq!(rfs.child_containing(a, in_b), None);
     }

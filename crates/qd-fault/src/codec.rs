@@ -162,6 +162,13 @@ impl<'a> Reader<'a> {
         self.block(n, f32::from_le_bytes)
     }
 
+    /// The next `n` little-endian `f32`s as raw words, for a caller that
+    /// decodes them straight into a layout of its own.
+    pub fn f32_words(&mut self, n: usize) -> Result<&'a [[u8; 4]], CodecError> {
+        let raw = self.take(n.checked_mul(4).ok_or(CodecError::Truncated)?)?;
+        Ok(raw.as_chunks::<4>().0)
+    }
+
     /// A `u64` count of records still to come, each at least `record_width`
     /// bytes long: refused when the remaining payload could not hold them,
     /// so the caller may allocate for the count it gets back.
@@ -202,9 +209,16 @@ pub struct Writer {
 impl Writer {
     /// Starts an encoding with its magic.
     pub fn new(magic: &[u8; 4]) -> Self {
-        Writer {
-            out: magic.to_vec(),
-        }
+        Self::with_capacity(magic, 0)
+    }
+
+    /// Starts an encoding with its magic and room for `bytes` in all, for
+    /// a caller that knows its size: a buffer grown by doubling past a
+    /// large block copies it, holding both copies at once.
+    pub fn with_capacity(magic: &[u8; 4], bytes: usize) -> Self {
+        let mut out = Vec::with_capacity(bytes.max(magic.len()));
+        out.extend_from_slice(magic);
+        Writer { out }
     }
 
     /// Appends one byte.
@@ -249,6 +263,15 @@ impl Writer {
     pub fn f32s(&mut self, vs: &[f32]) {
         self.out.reserve(vs.len() * 4);
         vs.iter().for_each(|&v| self.f32(v));
+    }
+
+    /// Appends room for `n` little-endian `f32`s, zeroed, and hands it to
+    /// the caller to fill — the inverse of [`Reader::f32_words`], for a
+    /// caller that encodes straight from a layout of its own.
+    pub fn f32_words(&mut self, n: usize) -> &mut [[u8; 4]] {
+        let start = self.out.len();
+        self.out.resize(start + 4 * n, 0);
+        self.out[start..].as_chunks_mut::<4>().0
     }
 
     /// Appends `bytes` behind their `u64` length.
@@ -348,6 +371,8 @@ mod tests {
         w.u32s(&[1, 2, 3]);
         w.u64s(&[4, 5]);
         w.f32s(&[0.25, f32::MAX]);
+        let words = [-0.0f32, 3.5, f32::MIN_POSITIVE].map(f32::to_le_bytes);
+        w.f32_words(3).copy_from_slice(&words);
         w.section(b"nested");
         let bytes = w.finish();
 
@@ -361,6 +386,13 @@ mod tests {
         assert_eq!(r.u32s(n).unwrap(), [1, 2, 3]);
         assert_eq!(r.u64s(2).unwrap(), [4, 5]);
         assert_eq!(r.f32s(2).unwrap(), [0.25, f32::MAX]);
+        let words = r
+            .f32_words(3)
+            .unwrap()
+            .iter()
+            .map(|&w| u32::from_le_bytes(w));
+        let bits = [-0.0f32, 3.5, f32::MIN_POSITIVE].map(f32::to_bits);
+        assert!(words.eq(bits));
         assert_eq!(r.section().unwrap(), b"nested");
         r.finish().unwrap();
 
@@ -376,6 +408,7 @@ mod tests {
                 r.u32s(n)?;
                 r.u64s(2)?;
                 r.f32s(2)?;
+                r.f32_words(3)?;
                 r.section().map(|_| ())
             })();
             assert!(matches!(all, Err(CodecError::Truncated)), "cut {cut}");
@@ -393,6 +426,10 @@ mod tests {
         assert!(matches!(r.count(8), Err(CodecError::Truncated)));
         assert!(matches!(
             Reader::new(&[]).f32s(usize::MAX),
+            Err(CodecError::Truncated)
+        ));
+        assert!(matches!(
+            Reader::new(&[0; 8]).f32_words(usize::MAX / 2),
             Err(CodecError::Truncated)
         ));
         assert!(matches!(

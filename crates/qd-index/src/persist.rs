@@ -4,7 +4,8 @@
 //! serves queries from it for months; rebuilding a 15k-image R\*-tree by
 //! insertion costs most of a second of CPU while loading it from disk costs
 //! milliseconds. The format (`QDT2`) is a straightforward little-endian dump
-//! of the node arena plus the contiguous SoA feature block, framed by
+//! of the node arena plus the feature block (row-major on disk, gathered
+//! from and scattered into the in-memory tiles), framed by
 //! [`qd_fault::codec`]; `NodeId` handles remain valid across save/load,
 //! which the RFS structure relies on (its representative lists are keyed by
 //! `NodeId`).
@@ -37,7 +38,6 @@ pub fn load(path: &Path) -> Result<RStarTree, CodecError> {
 mod tests {
     use super::*;
     use crate::tree::TreeConfig;
-    use crate::KnnIndex;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -117,8 +117,8 @@ mod tests {
         let mut tree = random_tree(200, 4);
         let mut rng = StdRng::seed_from_u64(5);
         let items: Vec<(u64, Vec<f32>)> = tree
-            .subtree_items(tree.root())
-            .into_iter()
+            .node_ids()
+            .flat_map(|n| tree.leaf_items(n))
             .map(|(id, p)| (id, p.to_vec()))
             .collect();
         for (id, p) in items.iter().take(120) {

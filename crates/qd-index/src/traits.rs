@@ -9,11 +9,13 @@
 //! `tests/arena_equivalence.rs`.)
 //!
 //! The structural accessors hand out *borrowed views*: `node_ids`,
-//! `children` and `leaf_items` return `IntoIterator`s that borrow the arena
+//! `children` and `leaf_ids` return `IntoIterator`s that borrow the arena
 //! and allocate nothing, and everything derivable from them — heights,
 //! counts, the subtree walk — is a provided method, so an implementation
-//! supplies twelve methods and overrides a provided one only where it has a
-//! cheaper answer.
+//! supplies thirteen methods and overrides a provided one only where it has
+//! a cheaper answer. Points stay inside the index, stored dimension-major
+//! (DESIGN.md §11): an engine caller that needs an image's vector reads it
+//! from its own feature table, by id.
 
 use crate::rect::Rect;
 use crate::tree::{BudgetedKnn, NodeId, TreeConfig};
@@ -38,8 +40,16 @@ pub trait KnnIndex {
     fn node_rect(&self, n: NodeId) -> Option<&Rect>;
     /// Children of `n`, in order; empty for leaves.
     fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_;
+    /// Ids stored directly in `n`, in order; empty for internal nodes.
+    fn leaf_ids(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator> + '_;
     /// `(id, point)` pairs stored directly in `n`, in order; empty for
-    /// internal nodes.
+    /// internal nodes. The points are a row-major copy of the index's
+    /// dimension-major store, made on first use ([`crate::RStarTree::leaf_items`]),
+    /// for probes that need them as slices; [`Self::leaf_ids`] copies
+    /// nothing.
     fn leaf_items(
         &self,
         n: NodeId,
@@ -71,17 +81,17 @@ pub trait KnnIndex {
     fn is_leaf(&self, n: NodeId) -> bool {
         self.level(n) == 0
     }
-    /// All `(id, point)` pairs stored under `n`, leaf by leaf. The order is
-    /// an answer wherever a budget cuts a scan short (the weighted localized
-    /// k-NN): a node's children are taken last-first — popped off a stack —
-    /// and a leaf's entries in the order it holds them.
-    fn subtree_items(&self, n: NodeId) -> impl IntoIterator<Item = (u64, &[f32])> + '_ {
-        leaves_under(self, n).flat_map(|leaf| self.leaf_items(leaf))
+    /// All ids stored under `n`, leaf by leaf. The order is an answer
+    /// wherever a budget cuts a scan short (the weighted localized k-NN): a
+    /// node's children are taken last-first — popped off a stack — and a
+    /// leaf's entries in the order it holds them.
+    fn subtree_ids(&self, n: NodeId) -> impl IntoIterator<Item = u64> + '_ {
+        leaves_under(self, n).flat_map(|leaf| self.leaf_ids(leaf))
     }
     /// Number of points stored under `n`.
     fn subtree_len(&self, n: NodeId) -> usize {
         leaves_under(self, n)
-            .map(|leaf| self.leaf_items(leaf).into_iter().len())
+            .map(|leaf| self.leaf_ids(leaf).into_iter().len())
             .sum()
     }
     /// Panicking invariant check (tests and debug assertions).
@@ -95,7 +105,7 @@ pub trait KnnIndex {
     }
 }
 
-/// The subtree walk behind [`KnnIndex::subtree_items`] and
+/// The subtree walk behind [`KnnIndex::subtree_ids`] and
 /// [`KnnIndex::subtree_len`]: the leaves under `n`, children popped
 /// last-first off a stack.
 fn leaves_under<I: KnnIndex + ?Sized>(index: &I, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
@@ -149,11 +159,17 @@ impl KnnIndex for crate::RStarTree {
     fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_ {
         crate::RStarTree::children(self, n)
     }
+    fn leaf_ids(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator> + '_ {
+        crate::RStarTree::leaf_ids(self, n)
+    }
     fn leaf_items(
         &self,
         n: NodeId,
     ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
-        crate::RStarTree::leaf_entries(self, n)
+        crate::RStarTree::leaf_items(self, n)
     }
     fn knn_in_budgeted(
         &self,

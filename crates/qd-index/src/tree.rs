@@ -3,9 +3,10 @@
 //! Arena-based twice over: nodes live in one `Vec` and refer to each other
 //! through compact u32 indices ([`NodeId`] handles, `first_child` /
 //! `next_sibling` links), and every stored feature vector lives in one
-//! contiguous structure-of-arrays block (the [`FeatureStore`]) so localized
-//! k-NN leaf scans are cache-linear. Leaves hold u32 slot indices into the
-//! store instead of owning their points. The layout contract is documented
+//! block of dimension-major tiles of eight (the [`FeatureStore`]), so a
+//! localized k-NN leaf scan is cache-linear and scores eight entries at a
+//! time. Leaves hold u32 slot indices into the store instead of owning their
+//! points. The layout contract is documented
 //! in DESIGN.md §11; `tests/arena_equivalence.rs` proves the layout change
 //! is unobservable next to the pre-arena implementation (`crate::legacy`).
 //!
@@ -21,10 +22,11 @@
 
 use crate::rect::Rect;
 use qd_fault::codec::{CodecError, Reader, Writer};
-use qd_linalg::metric::sq_l2_rows4;
+use qd_linalg::metric::{sq_l2_tile, TILE};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 mod build;
 
@@ -158,19 +160,37 @@ pub struct BudgetedKnn {
 /// rounding with an order of magnitude to spare.
 const PRUNE_SLACK: f64 = 1.0 + 1e-6;
 
-/// Contiguous structure-of-arrays storage for every feature vector in the
-/// tree: `data[slot*dims .. (slot+1)*dims]` is the point of `slot`, with the
-/// caller id and the precomputed f64 Euclidean norm (for lower-bound
-/// pruning) in parallel arrays. Slots are recycled through a free list;
-/// norms are recomputed on load rather than serialized.
+/// Dimension-major storage for every feature vector in the tree. Slots are
+/// grouped in tiles of [`TILE`]: slot `s` is lane `s % TILE` of tile
+/// `s / TILE`, tile `t` is the `TILE × dims` block at `tiles[t * TILE *
+/// dims..]`, and coordinate `j` of lane `l` sits at `tile[j * TILE + l]` —
+/// the layout [`sq_l2_tile`] scores eight slots from. The caller id and the
+/// precomputed f64 Euclidean norm (for lower-bound pruning) sit in parallel
+/// per-slot arrays. Slots are recycled through a free list; lanes past the
+/// last slot hold zeros and freed slots their old point, neither read as a
+/// point. Norms are recomputed on load rather than serialized.
 #[derive(Debug, Clone)]
 pub(crate) struct FeatureStore {
     dims: usize,
     ids: Vec<u64>,
-    data: Vec<f32>,
+    tiles: Vec<f32>,
     norms: Vec<f64>,
     live: Vec<bool>,
     free: Vec<u32>,
+    rows: RowView,
+}
+
+/// A row-major copy of a [`FeatureStore`], made by the first
+/// [`RStarTree::leaf_items`] call after the store last changed: the one
+/// reader that needs a point as a slice. No search, build, update or codec
+/// path makes it, and a clone starts without it.
+#[derive(Debug, Default)]
+struct RowView(OnceLock<Vec<f32>>);
+
+impl Clone for RowView {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl FeatureStore {
@@ -179,10 +199,11 @@ impl FeatureStore {
         Self {
             dims,
             ids: Vec::with_capacity(slots),
-            data: Vec::with_capacity(slots * dims),
+            tiles: Vec::with_capacity(slots.div_ceil(TILE) * TILE * dims),
             norms: Vec::with_capacity(slots),
             live: Vec::with_capacity(slots),
             free: Vec::new(),
+            rows: RowView::default(),
         }
     }
 
@@ -193,23 +214,43 @@ impl FeatureStore {
     fn alloc(&mut self, id: u64, point: &[f32]) -> u32 {
         debug_assert_eq!(point.len(), self.dims);
         let norm = norm_of(point);
-        if let Some(slot) = self.free.pop() {
+        let slot = if let Some(slot) = self.free.pop() {
             let s = slot as usize;
             self.ids[s] = id;
-            self.data[s * self.dims..(s + 1) * self.dims].copy_from_slice(point);
             self.norms[s] = norm;
             self.live[s] = true;
             slot
         } else {
-            // CAST: slot indices are u32 by arena design; a tree would need
-            // 2^32 stored points to overflow, far past the 15k corpus scale.
-            let slot = self.ids.len() as u32;
-            self.ids.push(id);
-            self.data.extend_from_slice(point);
-            self.norms.push(norm);
-            self.live.push(true);
-            slot
+            self.push(id, norm)
+        };
+        self.write(slot, point.iter().copied());
+        slot
+    }
+
+    /// Appends a slot past the last one, starting a zeroed tile when the
+    /// last is full; the caller writes its coordinates.
+    fn push(&mut self, id: u64, norm: f64) -> u32 {
+        // CAST: slot indices are u32 by arena design; a tree would need
+        // 2^32 stored points to overflow, far past the 15k corpus scale.
+        let slot = self.ids.len() as u32;
+        if self.ids.len().is_multiple_of(TILE) {
+            self.tiles.resize(self.tiles.len() + TILE * self.dims, 0.0);
         }
+        self.ids.push(id);
+        self.norms.push(norm);
+        self.live.push(true);
+        slot
+    }
+
+    /// Sets the coordinates of `slot`, in dimension order.
+    fn write(&mut self, slot: u32, point: impl IntoIterator<Item = f32>) {
+        let (t, lane) = (slot as usize / TILE, slot as usize % TILE);
+        let len = TILE * self.dims;
+        let (dims, _) = self.tiles[t * len..(t + 1) * len].as_chunks_mut::<TILE>();
+        for (lanes, value) in dims.iter_mut().zip(point) {
+            lanes[lane] = value;
+        }
+        self.rows.0.take();
     }
 
     fn release(&mut self, slot: u32) {
@@ -217,10 +258,100 @@ impl FeatureStore {
         self.free.push(slot);
     }
 
+    /// The coordinates of `slot`, in dimension order.
     #[inline]
-    fn point(&self, slot: u32) -> &[f32] {
+    fn coords(&self, slot: u32) -> impl ExactSizeIterator<Item = f32> + '_ {
+        let (t, lane) = (slot as usize / TILE, slot as usize % TILE);
+        let (dims, _) = self.tile(t).as_chunks::<TILE>();
+        dims.iter().map(move |lanes| lanes[lane])
+    }
+
+    /// The point of `slot`, gathered into a row.
+    fn row(&self, slot: u32) -> Vec<f32> {
+        self.coords(slot).collect()
+    }
+
+    /// The degenerate rectangle of `slot`'s point ([`Rect::point`]).
+    fn point_rect(&self, slot: u32) -> Rect {
+        let row = self.row(slot);
+        Rect::new(row.clone(), row)
+    }
+
+    /// Tile `t`: `TILE` slots, dimension-major.
+    #[inline]
+    fn tile(&self, t: usize) -> &[f32] {
+        let len = TILE * self.dims;
+        &self.tiles[t * len..(t + 1) * len]
+    }
+
+    /// Writes every slot's point into `out`, little-endian, slot after slot
+    /// and each in dimension order: the row-major block of the QDT2 format.
+    fn encode_rows(&self, out: &mut [[u8; 4]]) {
+        let len = TILE * self.dims;
+        for (rows, tile) in out.chunks_mut(len).zip(self.tiles.chunks_exact(len)) {
+            let (dims, _) = tile.as_chunks::<TILE>();
+            for (lane, row) in rows.chunks_exact_mut(self.dims).enumerate() {
+                for (word, lanes) in row.iter_mut().zip(dims) {
+                    *word = lanes[lane].to_le_bytes();
+                }
+            }
+        }
+    }
+
+    /// The inverse of [`Self::encode_rows`]: a store of one live slot per
+    /// id, its points scattered from the row-major `block` straight into
+    /// the tiles and its norms summed eight lanes at a time.
+    fn decode(dims: usize, ids: Vec<u64>, block: &[[u8; 4]]) -> Self {
+        let len = TILE * dims;
+        let mut tiles = vec![0.0; ids.len().div_ceil(TILE) * len];
+        for (tile, rows) in tiles.chunks_exact_mut(len).zip(block.chunks(len)) {
+            let (tile, _) = tile.as_chunks_mut::<TILE>();
+            for (lane, row) in rows.chunks_exact(dims).enumerate() {
+                for (lanes, word) in tile.iter_mut().zip(row) {
+                    lanes[lane] = f32::from_le_bytes(*word);
+                }
+            }
+        }
+        let mut store = Self {
+            dims,
+            norms: Vec::with_capacity(ids.len()),
+            live: vec![true; ids.len()],
+            ids,
+            tiles,
+            free: Vec::new(),
+            rows: RowView::default(),
+        };
+        for t in 0..store.tiles.len() / len {
+            let norms = store.tile_norms(t);
+            let lanes = (store.ids.len() - t * TILE).min(TILE);
+            store.norms.extend_from_slice(&norms[..lanes]);
+        }
+        store
+    }
+
+    /// [`norm_of`] of every lane of tile `t`, eight sums advanced together,
+    /// each adding its squares in dimension order as `norm_of` does.
+    fn tile_norms(&self, t: usize) -> [f64; TILE] {
+        let (dims, _) = self.tile(t).as_chunks::<TILE>();
+        let mut acc = [0.0f64; TILE];
+        for lanes in dims {
+            for (sum, &v) in acc.iter_mut().zip(lanes) {
+                *sum += (v as f64) * (v as f64);
+            }
+        }
+        acc.map(f64::sqrt)
+    }
+
+    /// The point of `slot` as a slice of the row-major copy, made on first
+    /// use.
+    fn row_view(&self, slot: u32) -> &[f32] {
+        let rows = (self.rows.0).get_or_init(|| {
+            // CAST: slot indices are u32 by arena design (see `push`).
+            let slots = 0..self.slot_count() as u32;
+            slots.flat_map(|s| self.coords(s)).collect()
+        });
         let s = slot as usize;
-        &self.data[s * self.dims..(s + 1) * self.dims]
+        &rows[s * self.dims..(s + 1) * self.dims]
     }
 
     #[inline]
@@ -465,7 +596,9 @@ impl RStarTree {
             match &mut self.nodes[n.index()].kind {
                 NodeKind::Leaf(slots) => {
                     for s in slots {
-                        *s = store.alloc(self.store.id(*s), self.store.point(*s));
+                        let slot = store.push(self.store.id(*s), self.store.norm(*s));
+                        store.write(slot, self.store.coords(*s));
+                        *s = slot;
                     }
                 }
                 NodeKind::Internal { .. } => {
@@ -617,11 +750,22 @@ impl RStarTree {
         self.chain_children(parent, &children);
     }
 
-    /// `(id, point)` pairs stored in a leaf; empty for internal nodes.
-    pub fn leaf_entries(&self, n: NodeId) -> impl ExactSizeIterator<Item = (u64, &[f32])> + '_ {
+    /// Ids of the entries stored in a leaf, in order; empty for internal
+    /// nodes.
+    pub fn leaf_ids(&self, n: NodeId) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.leaf_slots(n).iter().map(|&s| self.store.id(s))
+    }
+
+    /// `(id, point)` pairs stored in a leaf; empty for internal nodes. The
+    /// store keeps points dimension-major (DESIGN.md §11), so the points are
+    /// slices of a row-major copy of it, made by the first call after the
+    /// tree last changed and kept until the next change: for callers that
+    /// need a point as a slice, such as a per-leaf probe. Ids alone are
+    /// [`Self::leaf_ids`], which copies nothing.
+    pub fn leaf_items(&self, n: NodeId) -> impl ExactSizeIterator<Item = (u64, &[f32])> + '_ {
         self.leaf_slots(n)
             .iter()
-            .map(move |&s| (self.store.id(s), self.store.point(s)))
+            .map(|&s| (self.store.id(s), self.store.row_view(s)))
     }
 
     /// Feature-store slots of the entries of leaf `n`; empty for internal
@@ -787,7 +931,9 @@ impl RStarTree {
         match &self.node(n).kind {
             NodeKind::Leaf(slots) => slots
                 .iter()
-                .position(|&s| self.store.id(s) == id && self.store.point(s) == point)
+                .position(|&s| {
+                    self.store.id(s) == id && self.store.coords(s).eq(point.iter().copied())
+                })
                 .map(|pos| (n, pos)),
             NodeKind::Internal { .. } => self
                 .children(n)
@@ -909,6 +1055,20 @@ impl RStarTree {
         k: usize,
         budget: Option<u64>,
     ) -> BudgetedKnn {
+        self.search(scope, query, k, budget, Self::score_leaf)
+    }
+
+    /// The loop of [`Self::knn_in_budgeted`] with its leaf scorer as a
+    /// parameter, so that a test can run a one-by-one reference scorer
+    /// through the same frontier, budget and result heap.
+    fn search(
+        &self,
+        scope: NodeId,
+        query: &[f32],
+        k: usize,
+        budget: Option<u64>,
+        score_leaf: impl Fn(&Self, &[u32], &[f32], f64, (f64, u64), &mut BestK) -> u64,
+    ) -> BudgetedKnn {
         assert_eq!(
             query.len(),
             self.config.dims,
@@ -948,7 +1108,7 @@ impl RStarTree {
                         // budget currency is layout- and pruning-free.
                         spent += slots.len() as u64;
                         let opened = (mindist, touched);
-                        pruned += self.score_leaf(slots, query, qnorm, opened, &mut best);
+                        pruned += score_leaf(self, slots, query, qnorm, opened, &mut best);
                     }
                     NodeKind::Internal { .. } => {
                         for child in self.children(n) {
@@ -974,10 +1134,12 @@ impl RStarTree {
     }
 
     /// Scores the entries of one opened leaf into `best` and returns how many
-    /// the norm lower bound pruned — the same entries, counted the same, as a
-    /// one-by-one scan in slot order, but evaluated four at a time. `opened`
-    /// is the leaf's MINDIST and its position in the open sequence, from
-    /// which [`BestK::admit`] takes an image's turn.
+    /// the norm lower bound pruned — a one-by-one scan in slot order, each
+    /// entry pruned against the bound as it stands or admitted, except that
+    /// the first survivor in a tile scores the whole tile and the entries
+    /// after it in the same tile take their lanes from that. `opened` is the
+    /// leaf's MINDIST and its position in the open sequence, from which
+    /// [`BestK::admit`] takes an image's turn.
     fn score_leaf(
         &self,
         slots: &[u32],
@@ -987,36 +1149,25 @@ impl RStarTree {
         best: &mut BestK,
     ) -> u64 {
         let mut pruned = 0;
-        // Entries that survive the norm bound as it stands collect into
-        // blocks of four. The bound only tightens, so an entry prunable now
-        // would also have been prunable at its turn in the one-by-one scan.
-        let mut block = [0u32; 4];
-        let mut filled = 0;
-        for (i, &s) in slots.iter().enumerate() {
+        // The tile scored last and its lanes. A lane the kernel abandoned
+        // exceeds the bound it was given, and the bound only tightens, so
+        // `admit` turns it away as it would the exact distance.
+        let mut scored: Option<(usize, [f64; TILE])> = None;
+        for &s in slots {
             if best.prunes(self.store.norm(s) - qnorm) {
                 pruned += 1;
-            } else {
-                block[filled] = s;
-                filled += 1;
+                continue;
             }
-            if filled == 4 || (filled > 0 && i + 1 == slots.len()) {
-                // A short last block repeats its last row in the spare lanes.
-                let rows = std::array::from_fn(|j| self.store.point(block[j.min(filled - 1)]));
-                let d2 = sq_l2_rows4(rows, query, best.bound());
-                // Walk the block in slot order against the bound as it
-                // moves: an entry that has become prunable is counted pruned
-                // and its distance discarded, as if never computed. (A block
-                // the kernel abandoned lies wholly beyond the bound, so
-                // `admit` turns every row of it away whatever its lanes hold.)
-                for (&s, &d2) in block[..filled].iter().zip(&d2) {
-                    if best.prunes(self.store.norm(s) - qnorm) {
-                        pruned += 1;
-                    } else {
-                        best.admit(d2, opened, self.store.id(s));
-                    }
+            let (tile, lane) = (s as usize / TILE, s as usize % TILE);
+            let lanes = match scored {
+                Some((t, lanes)) if t == tile => lanes,
+                _ => {
+                    let lanes = sq_l2_tile(self.store.tile(tile), query, best.bound());
+                    scored = Some((tile, lanes));
+                    lanes
                 }
-                filled = 0;
-            }
+            };
+            best.admit(lanes[lane], opened, self.store.id(s));
         }
         pruned
     }
@@ -1071,7 +1222,7 @@ impl RStarTree {
                     out.extend(
                         slots
                             .iter()
-                            .filter(|&&s| range.contains_point(self.store.point(s)))
+                            .filter(|&&s| range.contains_point(&self.store.row(s)))
                             .map(|&s| self.store.id(s)),
                     );
                 }
@@ -1100,23 +1251,33 @@ impl RStarTree {
     /// layout contract (DESIGN.md §11): every child/next-sibling link
     /// resolves to a live in-bounds node, each child chain has exactly the
     /// recorded length and terminates, traversal from the root reaches every
-    /// node at most once, the SoA feature block length equals
-    /// `dims × slot_count`, every live feature slot is referenced by exactly
-    /// one leaf, and the free lists are consistent with liveness.
+    /// node at most once, the feature tiles hold `dims × TILE` values for
+    /// every started tile of slots, every live feature slot is referenced by
+    /// exactly one leaf and has a fresh norm, and the free lists are
+    /// consistent with liveness.
     pub fn check_invariants(&self) -> Result<(), String> {
         let fail = |msg: String| Err(msg);
 
         // --- Feature store layout ---
         let slot_count = self.store.slot_count();
-        if self.store.data.len() != slot_count * self.config.dims {
+        let tile_count = slot_count.div_ceil(TILE);
+        if self.store.tiles.len() != tile_count * TILE * self.config.dims {
             return fail(format!(
-                "feature block length {} does not equal dims {} x slot count {slot_count}",
-                self.store.data.len(),
+                "feature block length {} does not equal dims {} x {TILE} x tile count {tile_count}",
+                self.store.tiles.len(),
                 self.config.dims
             ));
         }
         if self.store.norms.len() != slot_count || self.store.live.len() != slot_count {
             return fail("feature store parallel arrays disagree on slot count".to_string());
+        }
+        for t in 0..tile_count {
+            for (lane, norm) in self.store.tile_norms(t).into_iter().enumerate() {
+                let s = t * TILE + lane;
+                if s < slot_count && self.store.live[s] && self.store.norms[s] != norm {
+                    return fail(format!("stale cached norm for feature slot {s}"));
+                }
+            }
         }
         let mut freed = std::collections::HashSet::new();
         for &f in &self.store.free {
@@ -1146,7 +1307,8 @@ impl RStarTree {
             return fail("root has a parent".to_string());
         }
         let mut seen_points = 0usize;
-        let mut seen_slots = std::collections::HashSet::new();
+        let mut seen_slots = vec![false; slot_count];
+        let mut row = Vec::with_capacity(self.config.dims);
         let mut visited = std::collections::HashSet::new();
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
@@ -1179,16 +1341,15 @@ impl RStarTree {
                         if !self.store.live[s as usize] {
                             return fail(format!("leaf references freed feature slot {s}"));
                         }
-                        if !seen_slots.insert(s) {
+                        if std::mem::replace(&mut seen_slots[s as usize], true) {
                             return fail(format!("feature slot {s} referenced by two leaves"));
-                        }
-                        if self.store.norms[s as usize] != norm_of(self.store.point(s)) {
-                            return fail(format!("stale cached norm for feature slot {s}"));
                         }
                     }
                     if let Some(rect) = &node.rect {
                         for &s in slots {
-                            if !rect.contains_point(self.store.point(s)) {
+                            row.clear();
+                            row.extend(self.store.coords(s));
+                            if !rect.contains_point(&row) {
                                 return fail("leaf rect does not contain its point".to_string());
                             }
                         }
@@ -1255,10 +1416,10 @@ impl RStarTree {
                 self.len
             ));
         }
-        if seen_slots.len() != live_slots {
+        let referenced = seen_slots.iter().filter(|&&seen| seen).count();
+        if referenced != live_slots {
             return fail(format!(
-                "live feature slots {live_slots} vs leaf-referenced slots {}",
-                seen_slots.len()
+                "live feature slots {live_slots} vs leaf-referenced slots {referenced}"
             ));
         }
         Ok(())
@@ -1266,9 +1427,12 @@ impl RStarTree {
 }
 
 fn bounding_rect_of_slots(store: &FeatureStore, slots: &[u32]) -> Rect {
-    let mut rect = Rect::point(store.point(slots[0]));
+    let mut rect = store.point_rect(slots[0]);
+    let mut row = Vec::with_capacity(store.dims);
     for &s in &slots[1..] {
-        rect.enlarge_point(store.point(s));
+        row.clear();
+        row.extend(store.coords(s));
+        rect.enlarge_point(&row);
     }
     rect
 }
@@ -1417,16 +1581,26 @@ fn partition_recursive<T: Clone>(
 // Persistence (see `crate::persist` for the public API)
 // ----------------------------------------------------------------------
 
-/// Arena format: nodes + the contiguous SoA feature block.
+/// Arena format: nodes + the contiguous row-major feature block.
 const PERSIST_MAGIC: &[u8; 4] = b"QDT2";
 
 /// Serializes the full arena (little-endian): config header, the feature
-/// store (ids, one contiguous f32 block of `slot_count × dims` values, free
-/// list; norms are recomputed on load), then the node arena with explicit
-/// child lists (sibling chains are rebuilt on load).
+/// store (ids, one row-major f32 block of `slot_count × dims` values
+/// gathered from the tiles, free list; norms are recomputed on load), then
+/// the node arena with explicit child lists (sibling chains are rebuilt on
+/// load).
 pub(crate) fn write_tree(tree: &RStarTree) -> Vec<u8> {
-    let mut w = Writer::new(PERSIST_MAGIC);
-    w.usize(tree.config.dims);
+    // The size, bounded from above: the header, each slot's id and row, the
+    // free list, and per node a live byte, level, parent, rectangle, kind,
+    // count and its child link or entries.
+    let dims = tree.config.dims;
+    let bytes = 76
+        + tree.store.slot_count() * (8 + 4 * dims)
+        + 4 * tree.store.free.len()
+        + tree.nodes.len() * (23 + 8 * dims)
+        + 4 * tree.len;
+    let mut w = Writer::with_capacity(PERSIST_MAGIC, bytes);
+    w.usize(dims);
     w.usize(tree.config.min_entries);
     w.usize(tree.config.max_entries);
     w.f32(tree.config.reinsert_fraction);
@@ -1434,10 +1608,11 @@ pub(crate) fn write_tree(tree: &RStarTree) -> Vec<u8> {
     w.u32(tree.root.0);
 
     // Feature store.
-    w.usize(tree.store.slot_count());
-    w.usize(tree.store.data.len());
+    let slot_count = tree.store.slot_count();
+    w.usize(slot_count);
+    w.usize(slot_count * dims);
     w.u64s(&tree.store.ids);
-    w.f32s(&tree.store.data);
+    tree.store.encode_rows(w.f32_words(slot_count * dims));
     w.usize(tree.store.free.len());
     w.u32s(&tree.store.free);
 
@@ -1472,7 +1647,13 @@ pub(crate) fn write_tree(tree: &RStarTree) -> Vec<u8> {
             }
         }
     }
-    w.finish()
+    let out = w.finish();
+    debug_assert!(
+        out.len() <= bytes,
+        "QDT2 size bound {bytes} < {}",
+        out.len()
+    );
+    out
 }
 
 /// Deserializes a tree written by [`write_tree`], validating structure.
@@ -1506,25 +1687,15 @@ pub(crate) fn read_tree(data: &[u8]) -> Result<RStarTree, CodecError> {
         return Err(bad("feature block length does not equal dims x slot count"));
     }
     let ids = r.u64s(slot_count)?;
-    let block = r.f32s(block_len)?;
+    let mut store = FeatureStore::decode(dims, ids, r.f32_words(block_len)?);
     let free_count = r.count(4)?;
-    let store_free = r.u32s(free_count)?;
-    let mut live = vec![true; slot_count];
-    for &f in &store_free {
-        match live.get_mut(f as usize) {
+    store.free = r.u32s(free_count)?;
+    for &f in &store.free {
+        match store.live.get_mut(f as usize) {
             Some(slot) if *slot => *slot = false,
             _ => return Err(bad("corrupt feature free list")),
         }
     }
-    let norms = block.chunks_exact(dims).map(norm_of).collect();
-    let store = FeatureStore {
-        dims,
-        ids,
-        data: block,
-        norms,
-        live,
-        free: store_free,
-    };
 
     // Node arena: every serialized node costs at least one byte.
     let arena = r.count(1)?;
@@ -1769,11 +1940,8 @@ mod tests {
         }
         // Search restricted to the first child only returns items stored there.
         let child = tree.children(tree.root()).next().unwrap();
-        let local_ids: std::collections::HashSet<u64> = tree
-            .subtree_items(child)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let local_ids: std::collections::HashSet<u64> =
+            tree.subtree_ids(child).into_iter().collect();
         let result = tree
             .knn_in_budgeted(child, &[5.0, 5.0, 5.0], 25, None)
             .neighbors;
@@ -1923,7 +2091,7 @@ mod tests {
         let mut total = 0;
         for n in tree.node_ids() {
             if tree.is_leaf(n) {
-                total += tree.leaf_entries(n).count();
+                total += tree.leaf_ids(n).count();
             } else {
                 for c in tree.children(n) {
                     assert_eq!(tree.parent(c), Some(n));
@@ -1932,7 +2100,7 @@ mod tests {
         }
         assert_eq!(total, tree.len());
         assert_eq!(tree.subtree_len(root), tree.len());
-        assert_eq!(tree.subtree_items(root).into_iter().count(), tree.len());
+        assert_eq!(tree.subtree_ids(root).into_iter().count(), tree.len());
     }
 
     #[test]
@@ -2187,7 +2355,7 @@ mod tests {
         let items = random_points(100, 3, 73);
         let mut tree = RStarTree::bulk_load(TreeConfig::small(3), items);
         assert!(tree.check_invariants().is_ok());
-        tree.store.data.pop(); // SoA block no longer dims x slot_count
+        tree.store.tiles.pop(); // no longer dims x TILE per started tile
         let err = tree.check_invariants().unwrap_err();
         assert!(err.contains("feature block length"), "{err}");
     }
@@ -2215,6 +2383,39 @@ mod tests {
     }
 
     #[test]
+    fn leaf_items_see_the_store_as_it_is_now() {
+        let items = random_points(60, 3, 101);
+        let mut tree = RStarTree::new(TreeConfig::small(3));
+        for (id, p) in items.iter().cloned() {
+            tree.insert(p, id);
+        }
+        let rows = |tree: &RStarTree| -> Vec<(u64, Vec<f32>)> {
+            let mut rows: Vec<_> = tree
+                .node_ids()
+                .flat_map(|n| tree.leaf_items(n))
+                .map(|(id, p)| (id, p.to_vec()))
+                .collect();
+            rows.sort_by_key(|r| r.0);
+            rows
+        };
+        assert_eq!(rows(&tree), items);
+        // A freed slot taken by a new point: the row-major copy made above
+        // must not answer for it.
+        let (id, p) = &items[7];
+        assert!(tree.remove(p, *id));
+        let moved = vec![-1.0, -2.0, -3.0];
+        tree.insert(moved.clone(), *id);
+        assert!(tree.store.free.is_empty());
+        let mut want = items.clone();
+        want[7].1 = moved;
+        assert_eq!(rows(&tree), want);
+        // A clone makes its own copy when asked.
+        let clone = tree.clone();
+        assert!(clone.store.rows.0.get().is_none());
+        assert_eq!(rows(&clone), want);
+    }
+
+    #[test]
     fn compact_renumbers_slots_leaf_by_leaf_and_drops_the_free_list() {
         let items = random_points(600, 3, 97);
         let mut tree = RStarTree::new(TreeConfig::small(3));
@@ -2226,7 +2427,7 @@ mod tests {
         }
         assert!(!tree.store.free.is_empty() && tree.store.slot_count() > tree.len());
         let entries = |tree: &RStarTree| -> Vec<String> {
-            let of = |n| tree.leaf_entries(n).collect::<Vec<_>>();
+            let of = |n| tree.leaf_items(n).collect::<Vec<_>>();
             tree.node_ids()
                 .map(|n| format!("{n:?}: {:?}", of(n)))
                 .collect()
@@ -2252,6 +2453,117 @@ mod tests {
             stack[first..].reverse();
         }
         assert_eq!(next as usize, tree.len());
+    }
+
+    /// The leaf scan as a one-by-one loop in slot order: the norm prune
+    /// against the bound as it stands, else the full [`sq_l2_f64`] of the
+    /// gathered row, admitted.
+    fn reference_score_leaf(
+        tree: &RStarTree,
+        slots: &[u32],
+        query: &[f32],
+        qnorm: f64,
+        opened: (f64, u64),
+        best: &mut BestK,
+    ) -> u64 {
+        let mut pruned = 0;
+        for &s in slots {
+            if best.prunes(tree.store.norm(s) - qnorm) {
+                pruned += 1;
+            } else {
+                let d2 = sq_l2_f64(&tree.store.row(s), query);
+                best.admit(d2, opened, tree.store.id(s));
+            }
+        }
+        pruned
+    }
+
+    /// Tile-at-a-time leaf scoring is the one-by-one scan: same neighbours
+    /// and distance bits, same `distance_computations` and
+    /// `distances_pruned` (and every other field), on trees whose leaves
+    /// share tiles with other leaves and with freed slots still holding
+    /// their old points, whose last tile is partial, at several scopes, `k`
+    /// and budgets, with queries on, near and far from the data.
+    #[test]
+    fn tile_scoring_matches_the_one_by_one_scan() {
+        let mut rng = StdRng::seed_from_u64(0x711E);
+        let (mut searches, mut pruning, mut shared_tiles, mut stale_lanes) = (0, 0, 0, 0);
+        for (dims, n) in [(2usize, 150usize), (5, 301), (37, 403)] {
+            // Two clusters far apart, so the norm bound prunes.
+            let mut items = random_points(n, dims, dims as u64);
+            for (_, p) in items.iter_mut().step_by(3) {
+                p.iter_mut().for_each(|v| *v += 60.0);
+            }
+            let config = TreeConfig {
+                dims,
+                min_entries: 4,
+                max_entries: 12,
+                reinsert_fraction: 0.3,
+            };
+            let mut tree = RStarTree::new(config);
+            for (id, p) in items.iter().cloned() {
+                tree.insert(p, id);
+            }
+            // Churn: a third out, a few new points into the freed slots
+            // and past them.
+            for (id, p) in items.iter().step_by(3).take(n / 3) {
+                assert!(tree.remove(p, *id));
+            }
+            for i in 0..n as u64 / 10 {
+                let p = items[i as usize].1.iter().map(|v| v + 0.5).collect();
+                tree.insert(p, 10_000 + i);
+            }
+            tree.validate();
+            let slot_count = tree.store.slot_count();
+            assert!(!tree.store.free.is_empty() && !slot_count.is_multiple_of(TILE));
+            stale_lanes += tree.store.free.len();
+            let leaf_tiles = |n: NodeId| {
+                let mut t: Vec<usize> = tree
+                    .leaf_slots(n)
+                    .iter()
+                    .map(|&s| s as usize / TILE)
+                    .collect();
+                t.dedup();
+                t.len()
+            };
+            let leaves: Vec<NodeId> = tree.node_ids().filter(|&n| tree.is_leaf(n)).collect();
+            shared_tiles += leaves
+                .iter()
+                .filter(|&&l| leaf_tiles(l) * TILE > 2 * tree.leaf_slots(l).len())
+                .count();
+
+            let mut scopes = vec![tree.root()];
+            scopes.extend(tree.children(tree.root()).take(2));
+            scopes.extend(leaves.iter().take(2));
+            for q in 0..12 {
+                let query: Vec<f32> = match q % 3 {
+                    0 => items[rng.random_range(0..n)].1.clone(),
+                    1 => (0..dims).map(|_| rng.random_range(-5.0f32..70.0)).collect(),
+                    _ => vec![200.0; dims],
+                };
+                for &scope in &scopes {
+                    for k in [1usize, 3, 10, 40, usize::MAX] {
+                        for budget in [None, Some(5), Some(60), Some(400)] {
+                            let got = tree.knn_in_budgeted(scope, &query, k, budget);
+                            let want = tree.search(scope, &query, k, budget, reference_score_leaf);
+                            assert_eq!(
+                                got, want,
+                                "d {dims} scope {scope:?} q {q} k {k} budget {budget:?}"
+                            );
+                            searches += 1;
+                            pruning += usize::from(got.distances_pruned > 0);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(searches > 2000, "{searches} searches");
+        assert!(pruning > 300, "only {pruning} searches pruned");
+        assert!(
+            shared_tiles > 20,
+            "only {shared_tiles} leaves spread over tiles"
+        );
+        assert!(stale_lanes > 50, "only {stale_lanes} freed slots");
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl RStarTree {
         match orphan {
             Orphan::Data(slot) => {
                 debug_assert_eq!(level, 0);
-                let rect = Rect::point(self.store.point(slot));
+                let rect = self.store.point_rect(slot);
                 let leaf = self.choose_subtree(&rect, 0);
                 self.leaf_slots_mut(leaf).push(slot);
                 self.grow_upward(leaf, &rect);
@@ -187,10 +187,15 @@ impl RStarTree {
         // Distances are computed once per entry; the stable sort on them is
         // the order a comparator recomputing both sides would produce.
         let orphans: Vec<Orphan> = if self.is_leaf(n) {
+            let mut row = Vec::with_capacity(center.len());
             let mut scored: Vec<(f64, u32)> = self
                 .leaf_slots(n)
                 .iter()
-                .map(|&s| (sq_l2_f64(self.store.point(s), &center), s))
+                .map(|&s| {
+                    row.clear();
+                    row.extend(self.store.coords(s));
+                    (sq_l2_f64(&row, &center), s)
+                })
                 .collect();
             scored.sort_by(|a, b| a.0.total_cmp(&b.0));
             let evicted = scored.split_off(scored.len() - count.min(scored.len()));
@@ -257,7 +262,7 @@ impl RStarTree {
     fn split(&mut self, n: NodeId) -> NodeId {
         let rects: Vec<Rect> = if self.is_leaf(n) {
             let slots = self.leaf_slots(n).iter();
-            slots.map(|&s| Rect::point(self.store.point(s))).collect()
+            slots.map(|&s| self.store.point_rect(s)).collect()
         } else {
             self.children(n).map(|c| self.rect_of(c).clone()).collect()
         };

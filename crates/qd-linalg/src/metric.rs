@@ -150,7 +150,8 @@ fn sq_l2(a: &[f32], b: &[f32]) -> f32 {
 /// Squared Euclidean distance accumulated and returned in `f64`: each
 /// coordinate difference is taken in `f32`, widened, squared, and added in
 /// dimension order. This is the one summation order every distance in the
-/// workspace uses; [`sq_l2_rows4`] produces the same bits four rows at a time.
+/// workspace uses; [`sq_l2_rows4`] produces the same bits four rows at a
+/// time, [`sq_l2_tile`] eight.
 #[inline]
 pub fn sq_l2_f64(a: &[f32], b: &[f32]) -> f64 {
     let mut acc = 0.0f64;
@@ -161,9 +162,93 @@ pub fn sq_l2_f64(a: &[f32], b: &[f32]) -> f64 {
     acc
 }
 
-/// Dimensions between two early-abandon checks of [`sq_l2_rows4`]. Root-scope
-/// 37-d k-NN times the same at 4, 8 and 12 and slower at 16.
+/// Dimensions between two early-abandon checks of [`sq_l2_rows4`] and
+/// [`sq_l2_tile`]. Root-scope 37-d k-NN times the same at 4, 8 and 12 and
+/// slower at 16.
 const ABANDON_STRIDE: usize = 8;
+
+/// Rows per tile of a dimension-major block: coordinate `j` of row `l` is
+/// `tile[j * TILE + l]`, so one dimension of all eight rows is one
+/// contiguous run that [`sq_l2_tile`] advances in eight lanes.
+pub const TILE: usize = 8;
+
+/// A kernel call [`with_best_isa`] compiles twice. `run` must be
+/// `#[inline(always)]`, so that its body is compiled into each branch; a
+/// closure would not do, its body being a function of its own that LLVM
+/// need not inline, leaving both branches to call one baseline compile.
+trait Kernel {
+    type Output;
+    fn run(self) -> Self::Output;
+}
+
+/// Runs `kernel` compiled for AVX2 when the CPU has it, and as the baseline
+/// build otherwise — the workspace's one instruction-set choice. Both
+/// compiles run the same source, and neither may fuse or reassociate an
+/// f64 operation (Rust never contracts `a * b + c`, and AVX2 does not
+/// enable FMA), so they produce the same bits; the kernels' tests run both.
+#[inline(always)]
+fn with_best_isa<K: Kernel>(kernel: K) -> K::Output {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2<K: Kernel>(kernel: K) -> K::Output {
+            kernel.run()
+        }
+        // SAFETY: `avx2` may execute AVX2 instructions, and the CPU has just
+        // reported that it supports them.
+        return unsafe { avx2(kernel) };
+    }
+    kernel.run()
+}
+
+/// [`sq_l2_f64`] from `q` to each of the [`TILE`] rows of a dimension-major
+/// `tile` (coordinate `j` of row `l` at `tile[j * TILE + l]`). Each lane adds
+/// its own terms in dimension order and is `to_bits`-equal to the row's
+/// [`sq_l2_f64`]; a lane holding no row computes a value nobody reads.
+///
+/// `bound` is the same exact early abandon as [`sq_l2_rows4`]'s: once all
+/// eight partial sums exceed it the tile stops, so every lane is either its
+/// exact distance or a partial sum already beyond `bound`. Pass
+/// `f64::INFINITY` for eight exact sums.
+///
+/// # Panics
+/// Panics if `tile` holds fewer than `q.len() * TILE` values.
+#[inline]
+pub fn sq_l2_tile(tile: &[f32], q: &[f32], bound: f64) -> [f64; TILE] {
+    with_best_isa(TileKernel { tile, q, bound })
+}
+
+/// The call behind [`sq_l2_tile`].
+struct TileKernel<'a> {
+    tile: &'a [f32],
+    q: &'a [f32],
+    bound: f64,
+}
+
+impl Kernel for TileKernel<'_> {
+    type Output = [f64; TILE];
+
+    #[inline(always)]
+    fn run(self) -> [f64; TILE] {
+        let (dims, _) = self.tile[..self.q.len() * TILE].as_chunks::<TILE>();
+        let mut acc = [0.0f64; TILE];
+        for (block, qs) in dims
+            .chunks(ABANDON_STRIDE)
+            .zip(self.q.chunks(ABANDON_STRIDE))
+        {
+            for (lanes, &qj) in block.iter().zip(qs) {
+                for (sum, &x) in acc.iter_mut().zip(lanes) {
+                    let d = (x - qj) as f64;
+                    *sum += d * d;
+                }
+            }
+            if acc.iter().all(|&partial| partial > self.bound) {
+                break;
+            }
+        }
+        acc
+    }
+}
 
 /// [`sq_l2_f64`] from `q` to four rows at once. The four sums are
 /// independent accumulators advanced together, so the CPU overlaps four
@@ -181,7 +266,7 @@ const ABANDON_STRIDE: usize = 8;
 ///
 /// # Panics
 /// Panics if a row is shorter than `q`.
-#[inline]
+#[inline(always)]
 pub fn sq_l2_rows4(rows: [&[f32]; 4], q: &[f32], bound: f64) -> [f64; 4] {
     let n = q.len();
     let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
@@ -209,14 +294,30 @@ pub fn sq_l2_rows4(rows: [&[f32]; 4], q: &[f32], bound: f64) -> [f64; 4] {
 
 /// Calls `visit(i, sq_l2_f64(rows[i], q))` for every row in order, scoring
 /// them through [`sq_l2_rows4`] in blocks of four — the full-scan loop of
-/// the exhaustive baselines.
-pub fn sq_l2_each<V: AsRef<[f32]>>(rows: &[V], q: &[f32], mut visit: impl FnMut(usize, f64)) {
-    for (b, block) in rows.chunks(4).enumerate() {
-        let last = block.len() - 1;
-        let block_rows = std::array::from_fn(|i| block[i.min(last)].as_ref());
-        let d2 = sq_l2_rows4(block_rows, q, f64::INFINITY);
-        for (i, &d) in d2.iter().take(block.len()).enumerate() {
-            visit(4 * b + i, d);
+/// the exhaustive baselines, compiled for AVX2 where the CPU has it.
+pub fn sq_l2_each<V: AsRef<[f32]>>(rows: &[V], q: &[f32], visit: impl FnMut(usize, f64)) {
+    with_best_isa(EachKernel { rows, q, visit });
+}
+
+/// The call behind [`sq_l2_each`].
+struct EachKernel<'a, V, F> {
+    rows: &'a [V],
+    q: &'a [f32],
+    visit: F,
+}
+
+impl<V: AsRef<[f32]>, F: FnMut(usize, f64)> Kernel for EachKernel<'_, V, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(mut self) {
+        for (b, block) in self.rows.chunks(4).enumerate() {
+            let last = block.len() - 1;
+            let block_rows = std::array::from_fn(|i| block[i.min(last)].as_ref());
+            let d2 = sq_l2_rows4(block_rows, self.q, f64::INFINITY);
+            for (i, &d) in d2.iter().take(block.len()).enumerate() {
+                (self.visit)(4 * b + i, d);
+            }
         }
     }
 }
@@ -306,12 +407,32 @@ mod tests {
             .collect()
     }
 
+    /// `rows` (at most [`TILE`]) laid out as one dimension-major tile, the
+    /// lanes past them holding `spare`'s rows.
+    fn tile_of(rows: &[Vec<f32>], spare: &[Vec<f32>]) -> Vec<f32> {
+        let lanes: Vec<&Vec<f32>> = rows.iter().chain(spare).take(TILE).collect();
+        let dim = lanes[0].len();
+        (0..dim * TILE).map(|i| lanes[i % TILE][i / TILE]).collect()
+    }
+
+    type TileFn = fn(&[f32], &[f32], f64) -> [f64; TILE];
+
+    /// The tile kernel as it ships — the dispatched entry point, which runs
+    /// the AVX2 compile on a CPU that has it — and its body compiled for the
+    /// baseline ISA, called directly.
+    const TILE_KERNELS: [(&str, TileFn); 2] = [
+        ("sq_l2_tile", sq_l2_tile),
+        ("TileKernel::run", |tile, q, bound| {
+            TileKernel { tile, q, bound }.run()
+        }),
+    ];
+
     #[test]
     fn multi_row_kernels_are_bit_identical_to_the_scalar_sum() {
         let mut rng = StdRng::seed_from_u64(37);
-        for dim in [1usize, 2, 3, 4, 5, 36, 37, 38, 64] {
+        for dim in 1usize..=64 {
             for specials in [false, true] {
-                for n in [1usize, 2, 3, 4, 5, 7, 10, 13] {
+                for n in [1usize, 2, 3, 4, 5, 7, 8, 10, 13] {
                     let rows = kernel_rows(&mut rng, n, dim, specials);
                     let q = kernel_rows(&mut rng, 1, dim, specials).remove(0);
                     let want: Vec<u64> =
@@ -320,9 +441,19 @@ mod tests {
                     let single: Vec<u64> = rows.iter().map(|r| bits(sq_l2_f64(r, &q))).collect();
                     assert_eq!(single, want, "sq_l2_f64 dim {dim} n {n}");
 
+                    // Dispatched, and the body compiled for the baseline ISA.
                     let mut each = vec![u64::MAX; n];
                     sq_l2_each(&rows, &q, |i, d| each[i] = bits(d));
                     assert_eq!(each, want, "sq_l2_each dim {dim} n {n}");
+                    let mut plain = vec![u64::MAX; n];
+                    let visit = |i, d| plain[i] = bits(d);
+                    EachKernel {
+                        rows: &rows,
+                        q: &q,
+                        visit,
+                    }
+                    .run();
+                    assert_eq!(plain, want, "EachKernel::run dim {dim} n {n}");
 
                     // Every lane, with the rows rotated through all four.
                     for shift in 0..4 {
@@ -336,6 +467,23 @@ mod tests {
                             );
                         }
                     }
+
+                    // Eight rows a tile, a short last tile's spare lanes
+                    // filled with other values that must not leak.
+                    for (t, chunk) in rows.chunks(TILE).enumerate() {
+                        let spare = kernel_rows(&mut rng, TILE, dim, specials);
+                        let tile = tile_of(chunk, &spare);
+                        for (name, kernel) in TILE_KERNELS {
+                            let lanes = kernel(&tile, &q, f64::INFINITY);
+                            for (l, lane) in lanes.iter().take(chunk.len()).enumerate() {
+                                assert_eq!(
+                                    bits(*lane),
+                                    want[t * TILE + l],
+                                    "{name} dim {dim} n {n} lane {l}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -344,35 +492,54 @@ mod tests {
     #[test]
     fn early_abandon_only_touches_blocks_wholly_beyond_the_bound() {
         let mut rng = StdRng::seed_from_u64(39);
-        let (mut abandoned, mut finished) = (0, 0);
-        for dim in [5usize, 8, 9, 36, 37, 38, 64] {
+        let mut abandoned = [0usize; 3];
+        let mut finished = [0usize; 3];
+        for dim in [5usize, 8, 9, 16, 17, 36, 37, 38, 64] {
             for _ in 0..200 {
-                let rows = kernel_rows(&mut rng, 4, dim, false);
+                let rows = kernel_rows(&mut rng, TILE, dim, false);
                 let q = kernel_rows(&mut rng, 1, dim, false).remove(0);
                 let exact: Vec<f64> = rows.iter().map(|r| reference_sq_l2(r, &q)).collect();
-                // A bound in and around the block's own range of distances.
-                let bound = exact[rng.random_range(0..4usize)] * rng.random_range(0.2f64..1.2);
-                let lanes = sq_l2_rows4(std::array::from_fn(|i| rows[i].as_slice()), &q, bound);
-                if exact.iter().any(|&d| d <= bound) {
-                    // A row within the bound: nothing may be cut short.
-                    for (lane, want) in lanes.iter().zip(&exact) {
-                        assert_eq!(lane.to_bits(), want.to_bits());
+                let tile = tile_of(&rows, &[]);
+                // Rows 0..4 through the four-row kernel, all eight through
+                // both compiles of the tile kernel.
+                for kernel in 0..3 {
+                    let width = if kernel == 0 { 4 } else { TILE };
+                    let exact = &exact[..width];
+                    // A bound in and around the block's own range of distances.
+                    let bound = exact[rng.random_range(0..width)] * rng.random_range(0.2f64..1.2);
+                    let lanes = match kernel {
+                        0 => {
+                            let rows = std::array::from_fn(|i| rows[i].as_slice());
+                            sq_l2_rows4(rows, &q, bound).to_vec()
+                        }
+                        k => TILE_KERNELS[k - 1].1(&tile, &q, bound).to_vec(),
+                    };
+                    if exact.iter().any(|&d| d <= bound) {
+                        // A row within the bound: nothing may be cut short.
+                        for (lane, want) in lanes.iter().zip(exact) {
+                            assert_eq!(lane.to_bits(), want.to_bits(), "kernel {kernel}");
+                        }
+                        finished[kernel] += 1;
+                    } else {
+                        // Cut short or not, every lane still reads "beyond
+                        // the bound" and never overshoots the true distance.
+                        for (lane, want) in lanes.iter().zip(exact) {
+                            assert!(*lane > bound && lane <= want, "kernel {kernel}");
+                        }
+                        abandoned[kernel] +=
+                            usize::from(lanes.iter().zip(exact).any(|(l, w)| l < w));
                     }
-                    finished += 1;
-                } else {
-                    // Cut short or not, every lane still reads "beyond the
-                    // bound" and never overshoots the true distance.
-                    for (lane, want) in lanes.iter().zip(&exact) {
-                        assert!(*lane > bound && lane <= want);
-                    }
-                    abandoned += usize::from(lanes.iter().zip(&exact).any(|(l, w)| l < w));
                 }
             }
         }
-        assert!(
-            abandoned > 100 && finished > 100,
-            "{abandoned} / {finished}"
-        );
+        for kernel in 0..3 {
+            assert!(
+                abandoned[kernel] > 100 && finished[kernel] > 100,
+                "kernel {kernel}: {} / {}",
+                abandoned[kernel],
+                finished[kernel]
+            );
+        }
     }
 
     #[test]

@@ -354,6 +354,18 @@ impl ShardSet {
         (s, NodeId::from_index(idx % STRIDE))
     }
 
+    /// Where `n`'s leaf entries live: `(shard, local node, how many to
+    /// take)`. The synthetic root stores nothing: zero entries of shard 0's
+    /// root gives the empty answer the same type as a leaf's entries.
+    fn leaf_of_shard(&self, n: NodeId) -> (usize, NodeId, usize) {
+        if self.is_synth(n) {
+            (0, self.shards[0].root(), 0)
+        } else {
+            let (s, local) = self.decode(n);
+            (s, local, usize::MAX)
+        }
+    }
+
     /// The scatter-gather path behind [`KnnIndex::knn_in_budgeted`] at the
     /// synthetic root: split the budget across shards proportionally to
     /// their populations (largest-remainder, same as the session layer's
@@ -527,25 +539,26 @@ impl KnnIndex for ShardSet {
             .chain(below.into_iter().flatten())
     }
 
+    fn leaf_ids(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator> + '_ {
+        let (s, local, keep) = self.leaf_of_shard(n);
+        self.shards[s].leaf_ids(local).take(keep)
+    }
+
     fn leaf_items(
         &self,
         n: NodeId,
     ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
-        // The synthetic root stores nothing: zero entries of shard 0's root
-        // gives the empty answer the same type as a leaf's entries.
-        let (s, local, keep) = if self.is_synth(n) {
-            (0, self.shards[0].root(), 0)
-        } else {
-            let (s, local) = self.decode(n);
-            (s, local, usize::MAX)
-        };
-        self.shards[s].leaf_entries(local).take(keep)
+        let (s, local, keep) = self.leaf_of_shard(n);
+        self.shards[s].leaf_items(local).take(keep)
     }
 
     /// Shards in index order under the synthetic root — not the last-first
     /// order the provided walk would give its children — then each shard's
     /// own walk; pinned by `tests/golden/weighted_budget_scan.txt`.
-    fn subtree_items(&self, n: NodeId) -> impl IntoIterator<Item = (u64, &[f32])> + '_ {
+    fn subtree_ids(&self, n: NodeId) -> impl IntoIterator<Item = u64> + '_ {
         let (shards, local) = if self.is_synth(n) {
             (0..self.config.shards, None)
         } else {
@@ -554,7 +567,7 @@ impl KnnIndex for ShardSet {
         };
         shards.flat_map(move |s| {
             let tree = &self.shards[s];
-            tree.subtree_items(local.unwrap_or_else(|| tree.root()))
+            tree.subtree_ids(local.unwrap_or_else(|| tree.root()))
         })
     }
 
@@ -598,11 +611,7 @@ impl KnnIndex for ShardSet {
             if !members.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("shard {s} member list not strictly ascending"));
             }
-            let mut stored: Vec<u64> = tree
-                .subtree_items(tree.root())
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
+            let mut stored: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
             stored.sort_unstable();
             if &stored != members {
                 return Err(format!(
@@ -851,10 +860,10 @@ mod tests {
             assert!(set.level(c) < set.level(root));
         }
         assert_eq!(set.subtree_len(root), 100);
-        assert_eq!(set.subtree_items(root).into_iter().count(), 100);
+        assert_eq!(set.subtree_ids(root).into_iter().count(), 100);
         let rect = set.node_rect(root).expect("non-empty set has a root rect");
-        for (_, p) in set.subtree_items(root) {
-            assert!(rect.contains_point(p));
+        for id in set.subtree_ids(root) {
+            assert!(rect.contains_point(&features[id as usize]));
         }
     }
 

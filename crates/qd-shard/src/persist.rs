@@ -103,11 +103,7 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
         if !tree.is_empty() && KnnIndex::dims(&tree) != dims {
             return Err(bad(format!("shard {s} dims disagree with the header")));
         }
-        let mut stored: Vec<u64> = tree
-            .subtree_items(tree.root())
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
+        let mut stored: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
         stored.sort_unstable();
         if stored.windows(2).any(|w| w[0] == w[1]) {
             return Err(bad(format!("shard {s} stores a duplicate image id")));

@@ -466,11 +466,11 @@ fn arena_invariants_hold_under_churn() {
     for n in tree.node_ids() {
         assert!(visited.contains(&n.index()), "live node unreachable");
         if tree.is_leaf(n) {
-            for (id, _) in tree.leaf_items(n) {
+            for id in tree.leaf_ids(n) {
                 assert!(ids_seen.insert(id), "image {id} stored in two leaves");
             }
         } else {
-            assert_eq!(tree.leaf_items(n).into_iter().len(), 0);
+            assert_eq!(tree.leaf_ids(n).len(), 0);
         }
     }
     assert_eq!(ids_seen.len(), tree.len(), "leaf union misses points");
@@ -489,9 +489,7 @@ fn rfs_leaf_of_agrees_with_live_leaves() {
         assert!(t.contains_node(leaf), "leaf_of returned a dead node");
         assert!(t.is_leaf(leaf), "leaf_of returned an internal node");
         assert!(
-            t.leaf_items(leaf)
-                .into_iter()
-                .any(|(id, _)| id == image as u64),
+            t.leaf_ids(leaf).into_iter().any(|id| id == image as u64),
             "leaf_of({image}) points at a leaf that does not store it"
         );
         leaves_hit.insert(leaf.index());

@@ -20,7 +20,7 @@ pub fn assert_rects_tight(tree: &RStarTree) {
                 max.iter_mut().zip(hi).for_each(|(a, b)| *a = a.max(*b));
             }
         };
-        for (_, p) in tree.leaf_entries(n) {
+        for (_, p) in tree.leaf_items(n) {
             cover(p, p);
         }
         for c in tree.children(n) {

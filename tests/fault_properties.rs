@@ -568,10 +568,10 @@ fn whole_shard_loss_is_honest_degradation_while_a_subquery_survives() {
         .find(|&n| set.is_leaf(n))
         .expect("a sharded set has leaves");
     let marks: Vec<usize> = set
-        .subtree_items(leaf)
+        .subtree_ids(leaf)
         .into_iter()
         .take(2)
-        .map(|(id, _)| id as usize)
+        .map(|id| id as usize)
         .collect();
     let subqueries = [(set.root(), vec![4usize, 9]), (leaf, marks)];
 

@@ -15,6 +15,18 @@ fn dist2(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(x, y)| ((x - y) as f64).powi(2)).sum()
 }
 
+/// `(id, point)` of every entry under `n`, in `subtree_ids` order: leaves
+/// popped off a stack, children pushed in chain order.
+fn subtree_rows(tree: &RStarTree, n: NodeId) -> Vec<(u64, Vec<f32>)> {
+    let mut rows = Vec::new();
+    let mut stack = vec![n];
+    while let Some(cur) = stack.pop() {
+        rows.extend(tree.leaf_items(cur).map(|(id, p)| (id, p.to_vec())));
+        stack.extend(tree.children(cur));
+    }
+    rows
+}
+
 fn brute_knn(items: &[(u64, Vec<f32>)], q: &[f32], k: usize) -> Vec<u64> {
     let mut scored: Vec<(f64, u64)> = items.iter().map(|(id, p)| (dist2(p, q), *id)).collect();
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -148,11 +160,7 @@ proptest! {
         let root = tree.root();
         prop_assume!(!tree.is_leaf(root));
         for child in tree.children(root) {
-            let local: Vec<(u64, Vec<f32>)> = tree
-                .subtree_items(child)
-                .into_iter()
-                .map(|(id, p)| (id, p.to_vec()))
-                .collect();
+            let local = subtree_rows(&tree, child);
             let k = 5.min(local.len());
             let got: Vec<u64> = tree
                 .knn_in_budgeted(child, &query, k, None)
@@ -282,9 +290,9 @@ fn assert_tie_free(tree: &RStarTree, q: &[f32]) {
         .node_ids()
         .filter_map(|n| Some((tree.node_rect(n)?.min_dist2(q).to_bits(), Some(n))))
         .chain(
-            tree.subtree_items(tree.root())
+            subtree_rows(tree, tree.root())
                 .into_iter()
-                .map(|(_, p)| (dist2(p, q).to_bits(), None)),
+                .map(|(_, p)| (dist2(&p, q).to_bits(), None)),
         )
         .collect();
     keys.sort_unstable();
@@ -301,10 +309,9 @@ fn assert_tie_free(tree: &RStarTree, q: &[f32]) {
 /// The dumb reference: score every item under `scope` with a plain
 /// dimension-order sum and sort by `(d2 bits, id)`.
 fn exhaustive_scan(tree: &RStarTree, scope: NodeId, q: &[f32]) -> Vec<(f64, u64)> {
-    let mut scored: Vec<(f64, u64)> = tree
-        .subtree_items(scope)
+    let mut scored: Vec<(f64, u64)> = subtree_rows(tree, scope)
         .into_iter()
-        .map(|(id, p)| (dist2(p, q), id))
+        .map(|(id, p)| (dist2(&p, q), id))
         .collect();
     scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     scored
@@ -465,7 +472,7 @@ fn knn_tie_sweep_matches_golden() {
             .iter()
             .map(|&(n, m)| {
                 let at_m = |(_, p): (u64, &[f32])| m != 0 && dist2(p, q).to_bits() == m;
-                tree.leaf_entries(n).filter(|&e| at_m(e)).count()
+                tree.leaf_items(n).filter(|&e| at_m(e)).count()
             })
             .sum();
         let distances: Vec<u64> = items.iter().map(|(_, p)| dist2(p, q).to_bits()).collect();
@@ -755,7 +762,7 @@ fn structure_dump(tree: &RStarTree) -> String {
         let children: Vec<usize> = tree.children(n).map(NodeId::index).collect();
         let rect = tree.node_rect(n).map(|r| (bits(r.min()), bits(r.max())));
         let entries: Vec<(u64, Vec<u32>)> =
-            tree.leaf_entries(n).map(|(id, p)| (id, bits(p))).collect();
+            tree.leaf_items(n).map(|(id, p)| (id, bits(p))).collect();
         writeln!(
             out,
             "node={} level={} parent={:?} children={children:?} rect={rect:?} entries={entries:?}",
@@ -776,7 +783,7 @@ fn contiguous_entries(tree: &RStarTree) -> Result<usize, String> {
     let mut walked = 0usize;
     let mut stack = vec![tree.root()];
     while let Some(n) = stack.pop() {
-        for (id, p) in tree.leaf_entries(n) {
+        for (id, p) in tree.leaf_items(n) {
             if next.is_some_and(|at| at != p.as_ptr()) {
                 return Err(format!("entry {id} of leaf {} breaks the run", n.index()));
             }
@@ -815,11 +822,7 @@ fn knn_sweep(tree: &RStarTree, queries: &[Vec<f32>]) -> Vec<BudgetedKnn> {
 /// checked at the end against its own membership list.
 fn update_walk(tree: &mut RStarTree, seed: u64, steps: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut live: Vec<(u64, Vec<f32>)> = tree
-        .subtree_items(tree.root())
-        .into_iter()
-        .map(|(id, p)| (id, p.to_vec()))
-        .collect();
+    let mut live = subtree_rows(tree, tree.root());
     let mut next_id = 1u64 << 32;
     for _ in 0..steps {
         let i = rng.random_range(0..live.len());
@@ -838,11 +841,7 @@ fn update_walk(tree: &mut RStarTree, seed: u64, steps: usize) {
         }
     }
     tree.validate();
-    let mut stored: Vec<u64> = tree
-        .subtree_items(tree.root())
-        .into_iter()
-        .map(|e| e.0)
-        .collect();
+    let mut stored: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
     let mut expected: Vec<u64> = live.iter().map(|e| e.0).collect();
     stored.sort_unstable();
     expected.sort_unstable();
@@ -886,7 +885,7 @@ fn compact_permutes_feature_slots_and_nothing_else() {
         let queries: Vec<Vec<f32>> = if plain.dims() == ORACLE_DIMS {
             oracle_queries.clone()
         } else {
-            let some: Vec<_> = plain.subtree_items(plain.root()).into_iter().collect();
+            let some = subtree_rows(&plain, plain.root());
             [3usize, 77, 500]
                 .iter()
                 .map(|&i| some[i].1.iter().map(|v| v + 0.25).collect())

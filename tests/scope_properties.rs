@@ -73,8 +73,11 @@ proptest! {
         let tree = build_tree(&pts);
         let nodes: Vec<NodeId> = tree.node_ids().collect();
         let home = nodes[home_sel.index(nodes.len())];
-        let query_features: Vec<&[f32]> =
-            tree.subtree_items(home).into_iter().map(|(_, p)| p).collect();
+        let query_features: Vec<&[f32]> = tree
+            .subtree_ids(home)
+            .into_iter()
+            .map(|id| pts[id as usize].as_slice())
+            .collect();
         prop_assume!(!query_features.is_empty());
         prop_assert_eq!(resolve_scope(&tree, home, &query_features, 1.0), home);
     }

@@ -193,11 +193,17 @@ impl KnnIndex for SerialOnly {
     fn children(&self, n: NodeId) -> impl IntoIterator<Item = NodeId> + '_ {
         self.0.children(n)
     }
+    fn leaf_ids(
+        &self,
+        n: NodeId,
+    ) -> impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator> + '_ {
+        self.0.leaf_ids(n)
+    }
     fn leaf_items(
         &self,
         n: NodeId,
     ) -> impl IntoIterator<Item = (u64, &[f32]), IntoIter: ExactSizeIterator> + '_ {
-        self.0.leaf_entries(n)
+        self.0.leaf_items(n)
     }
     fn knn_in_budgeted(
         &self,

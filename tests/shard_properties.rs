@@ -381,11 +381,7 @@ fn serialize_sharded(rfs: &ShardedRfs, corpus_len: usize) -> String {
             .into_iter()
             .map(|c| c.index().to_string())
             .collect();
-        let items: Vec<String> = t
-            .leaf_items(n)
-            .into_iter()
-            .map(|(id, _)| id.to_string())
-            .collect();
+        let items: Vec<String> = t.leaf_ids(n).into_iter().map(|id| id.to_string()).collect();
         let reps: Vec<String> = rfs
             .representatives(n)
             .iter()
@@ -481,7 +477,7 @@ fn delete_then_query_never_returns_a_deleted_id() {
         assert!(!set.contains_image(v), "image {v} still a member");
         for n in set.node_ids() {
             assert!(
-                set.leaf_items(n).into_iter().all(|(id, _)| id != v),
+                set.leaf_ids(n).into_iter().all(|id| id != v),
                 "image {v} still stored in a leaf"
             );
         }
@@ -692,11 +688,7 @@ impl<'a> Model<'a> {
             }
             let leaf = next.leaf_of(image);
             assert!(
-                set.is_leaf(leaf)
-                    && set
-                        .leaf_items(leaf)
-                        .into_iter()
-                        .any(|(i, _)| i == image as u64),
+                set.is_leaf(leaf) && set.leaf_ids(leaf).into_iter().any(|i| i == image as u64),
                 "{what}: leaf_of[{image}]"
             );
             if leaf != root {
