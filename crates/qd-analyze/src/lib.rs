@@ -13,32 +13,28 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | R1 | float comparators use `total_cmp`, never `partial_cmp(..).unwrap()` (NaN ⇒ panic) or `unwrap_or(Equal)` (NaN ⇒ nondeterministic ranking) |
-//! | R3 | no hash-container iteration shaping results in qd-core/qd-cluster/qd-index without an adjacent deterministic sort |
-//! | R4 | no `Instant::now`/`SystemTime::now` outside `qd-bench` |
 //! | R8 | no string-literal counter/span names at `qd_obs` call sites in `src/` outside `#[cfg(test)]` — names come from the `qd_obs::ctr`/`qd_obs::sp` catalogs |
 //! | R9 | crate dependencies point strictly down the layering manifest (`qd-analyze.layers`); engine crates never reach qd-bench or the CLI |
 //! | R10 | no `std::fs` in qd-index/qd-corpus/qd-core/qd-shard `src/` outside `#[cfg(test)]` code (files go through `qd_fault::codec`), and every declared fault site is exercised by `tests/fault_properties.rs` |
 //! | R11 | every `qd_obs::ctr`/`qd_obs::sp` catalog name is referenced outside qd-obs (reverse of R8 — no dead metrics) |
 //! | R12 | narrowing `as` casts in engine-crate src carry a `// CAST:` justification within 3 lines |
 //!
-//! The retired ids R2, R5, R6, R7 and R13 are clippy lints now, with
-//! exceptions as in-source `#[expect(lint, reason = "…")]`; DESIGN.md §8
-//! maps each one to its lint.
+//! The retired ids R2–R7 and R13 are clippy lints now, with exceptions as
+//! in-source `#[expect(lint, reason = "…")]`; DESIGN.md §8 maps each one to
+//! its lint.
 //!
 //! The crate is dependency-free (the build environment is offline, so `syn`
 //! is not an option). A hand-rolled Rust lexer ([`lex`]) produces a lossless
 //! comment/string/raw-string-aware token stream; the line-oriented scrub
 //! view ([`scan`]) is derived from it, and the [`model::Workspace`] adds the
 //! cross-file facts (crate manifests, the layering table, per-file token
-//! streams). Rules implement the [`rules::Rule`] trait; R1, R3, R4, R8 and
-//! R12 are file-scoped ([`rules`]), R9–R11 are cross-file ([`wsrules`]).
-//! Justified exceptions live in `qd-analyze.allow` at the workspace root
-//! ([`allow`]), optionally scoped to line ranges; stale entries are
-//! themselves an error.
+//! streams). Rules implement the [`rules::Rule`] trait; R1, R8 and R12 are
+//! file-scoped ([`rules`]), R9–R11 are cross-file ([`wsrules`]). There is no
+//! suppression file: an exception is an in-source marker, like R12's
+//! `// CAST:` comment.
 //!
 //! Run it as `cargo run -p qd-analyze -- check`.
 
-pub mod allow;
 pub mod lex;
 pub mod model;
 pub mod rules;
@@ -47,9 +43,6 @@ pub mod wsrules;
 
 use rules::Finding;
 use std::path::{Path, PathBuf};
-
-/// Name of the allowlist file at the workspace root.
-pub const ALLOWLIST_FILE: &str = "qd-analyze.allow";
 
 /// The source directories walked, relative to the workspace root.
 const WALKED: [&str; 3] = ["src", "tests", "examples"];
@@ -62,38 +55,26 @@ const EXCLUDED_DIRS: [&str; 2] = ["vendor", "target"];
 /// Everything one `check` run produced.
 #[derive(Debug)]
 pub struct CheckReport {
-    /// Findings not covered by the allowlist — each one fails the check.
+    /// Every finding — each one fails the check.
     pub reported: Vec<Finding>,
-    /// Findings suppressed by an allowlist entry.
-    pub suppressed: Vec<Finding>,
-    /// Allowlist entries that suppressed nothing — each one fails the check.
-    pub stale: Vec<allow::AllowEntry>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
 
 impl CheckReport {
-    /// True if the tree is clean: nothing reported, no stale entries.
+    /// True if the tree is clean: nothing reported.
     pub fn is_clean(&self) -> bool {
-        self.reported.is_empty() && self.stale.is_empty()
+        self.reported.is_empty()
     }
 }
 
-/// Errors from a `check` run (I/O or a malformed allowlist).
+/// A `check` run's error: reading this source file or directory failed.
 #[derive(Debug)]
-pub enum CheckError {
-    /// Reading a source file or directory failed.
-    Io(PathBuf, std::io::Error),
-    /// The allowlist did not parse.
-    Allowlist(allow::ParseError),
-}
+pub struct CheckError(pub PathBuf, pub std::io::Error);
 
 impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckError::Io(p, e) => write!(f, "{}: {e}", p.display()),
-            CheckError::Allowlist(e) => write!(f, "{e}"),
-        }
+        write!(f, "{}: {}", self.0.display(), self.1)
     }
 }
 
@@ -106,7 +87,7 @@ pub fn source_files(root: &Path) -> Result<Vec<String>, CheckError> {
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let entries =
-            std::fs::read_dir(&crates_dir).map_err(|e| CheckError::Io(crates_dir.clone(), e))?;
+            std::fs::read_dir(&crates_dir).map_err(|e| CheckError(crates_dir.clone(), e))?;
         for entry in entries.flatten() {
             let p = entry.path();
             if p.is_dir() {
@@ -127,7 +108,7 @@ pub fn source_files(root: &Path) -> Result<Vec<String>, CheckError> {
 }
 
 fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), CheckError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| CheckError::Io(dir.to_path_buf(), e))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| CheckError(dir.to_path_buf(), e))?;
     for entry in entries.flatten() {
         let p = entry.path();
         if p.is_dir() {
@@ -153,11 +134,10 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), Chec
 }
 
 /// Runs the full check over the workspace at `root`: builds the workspace
-/// model, runs every rule, and applies the allowlist at
-/// `root/qd-analyze.allow` when present.
+/// model and runs every rule.
 pub fn run_check(root: &Path) -> Result<CheckReport, CheckError> {
     let files = source_files(root)?;
-    let ws = model::Workspace::load(root, &files).map_err(|(p, e)| CheckError::Io(p, e))?;
+    let ws = model::Workspace::load(root, &files).map_err(|(p, e)| CheckError(p, e))?;
 
     let mut findings = Vec::new();
     for rule in rules::all_rules() {
@@ -169,20 +149,8 @@ pub fn run_check(root: &Path) -> Result<CheckReport, CheckError> {
     findings.dedup_by(|a, b| {
         a.rule == b.rule && a.file == b.file && a.line == b.line && a.message == b.message
     });
-
-    let allow_path = root.join(ALLOWLIST_FILE);
-    let entries = if allow_path.is_file() {
-        let text = std::fs::read_to_string(&allow_path)
-            .map_err(|e| CheckError::Io(allow_path.clone(), e))?;
-        allow::parse(&text).map_err(CheckError::Allowlist)?
-    } else {
-        Vec::new()
-    };
-    let (suppressed, reported, stale) = allow::apply(findings, &entries);
     Ok(CheckReport {
-        reported,
-        suppressed,
-        stale,
+        reported: findings,
         files_scanned: files.len(),
     })
 }

@@ -48,22 +48,15 @@ fn check(args: &[String]) -> ExitCode {
             }
         }
     }
-    let root = match root {
-        Some(r) => r,
-        None => {
-            // `cargo run -p qd-analyze` runs from the invoker's directory;
-            // fall back to the crate's own location for out-of-tree cwds.
-            let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            match qd_analyze::find_root(&cwd)
-                .or_else(|| qd_analyze::find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR"))))
-            {
-                Some(r) => r,
-                None => {
-                    eprintln!("could not locate the workspace root (pass --root)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    // `cargo run -p qd-analyze` runs from the invoker's directory; fall back
+    // to the crate's own location for out-of-tree cwds.
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let Some(root) = root
+        .or_else(|| qd_analyze::find_root(&cwd))
+        .or_else(|| qd_analyze::find_root(&PathBuf::from(env!("CARGO_MANIFEST_DIR"))))
+    else {
+        eprintln!("could not locate the workspace root (pass --root)");
+        return ExitCode::from(2);
     };
 
     let report = match qd_analyze::run_check(&root) {
@@ -77,19 +70,10 @@ fn check(args: &[String]) -> ExitCode {
     for f in &report.reported {
         println!("{f}");
     }
-    for s in &report.stale {
-        println!(
-            "{}:{} [allowlist] stale entry `{s}` suppresses nothing — remove it",
-            qd_analyze::ALLOWLIST_FILE,
-            s.line
-        );
-    }
     eprintln!(
-        "qd-analyze: {} files, {} finding(s), {} suppressed, {} stale allowlist entr(y/ies)",
+        "qd-analyze: {} files, {} finding(s)",
         report.files_scanned,
-        report.reported.len(),
-        report.suppressed.len(),
-        report.stale.len()
+        report.reported.len()
     );
     if report.is_clean() {
         ExitCode::SUCCESS

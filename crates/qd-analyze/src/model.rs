@@ -37,7 +37,7 @@ impl SourceFile {
     }
 
     /// Every distinct identifier token in the file.
-    pub fn ident_set(&self) -> std::collections::HashSet<&str> {
+    pub fn ident_set(&self) -> std::collections::BTreeSet<&str> {
         self.tokens
             .iter()
             .filter(|t| t.kind == TokenKind::Ident)

@@ -5,16 +5,15 @@
 //! [`crate::lex`] token stream), so mentions of a forbidden pattern in docs,
 //! strings, or test fixtures never fire. Rules are heuristic by design —
 //! tight enough that the workspace runs clean, loose enough to never need a
-//! type checker. The failure direction is chosen per rule: R1/R4
-//! over-approximate (a false positive is an allowlist entry away from
-//! shipping), R3 and R12 under-approximate (R3 only tracks names *declared*
-//! as hash containers in the same file; R12 only recognizes casts whose
-//! *target* type is narrow).
+//! type checker. The failure direction is chosen per rule: R1
+//! over-approximates (any `partial_cmp` inside a comparator), R12
+//! under-approximates (it only recognizes casts whose *target* type is
+//! narrow).
 //!
 //! The cross-file rules R9–R11 live in [`crate::wsrules`]; everything is
 //! driven through the [`Rule`] trait, which receives the full workspace
 //! model ([`crate::model::Workspace`]: token streams, scrub views, crate
-//! manifests, layering table). R2, R5, R6, R7 and R13 are clippy lints now
+//! manifests, layering table). R2–R7 and R13 are clippy lints now
 //! (DESIGN.md §8); their ids stay retired.
 
 use crate::model::Workspace;
@@ -26,10 +25,6 @@ use std::fmt;
 pub enum RuleId {
     /// `partial_cmp` inside a `sort_by`/`max_by`/`min_by` comparator.
     R1,
-    /// Hash-container iteration without an adjacent deterministic sort.
-    R3,
-    /// `Instant::now` / `SystemTime::now` outside `qd-bench`.
-    R4,
     /// String-literal counter/span names passed to `qd_obs` hooks.
     R8,
     /// Crate-layering DAG: dependencies must point strictly down the
@@ -48,10 +43,8 @@ pub enum RuleId {
 
 impl RuleId {
     /// All rules, in report order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 6] = [
         RuleId::R1,
-        RuleId::R3,
-        RuleId::R4,
         RuleId::R8,
         RuleId::R9,
         RuleId::R10,
@@ -66,16 +59,6 @@ impl RuleId {
                 "float comparators must use total_cmp: partial_cmp inside \
                  sort_by/max_by/min_by panics (unwrap) or silently reorders \
                  (unwrap_or) on NaN"
-            }
-            RuleId::R3 => {
-                "HashMap/HashSet iteration in qd-core/qd-cluster/qd-index must \
-                 be followed by a deterministic sort (or be allowlisted with a \
-                 justification)"
-            }
-            RuleId::R4 => {
-                "no Instant::now / SystemTime::now outside qd-bench: wall-clock \
-                 reads in result-shaping code break parallel \u{2261} sequential \
-                 byte-equivalence"
             }
             RuleId::R8 => {
                 "no string-literal counter/span/histogram names at qd_obs call \
@@ -118,11 +101,6 @@ impl fmt::Display for RuleId {
     }
 }
 
-/// Parses a rule id like `R3` (used by the allowlist reader).
-pub fn parse_rule(s: &str) -> Option<RuleId> {
-    RuleId::ALL.into_iter().find(|r| r.to_string() == s)
-}
-
 /// One reported violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -149,7 +127,7 @@ impl fmt::Display for Finding {
 }
 
 /// One lint: an id plus a pass over the workspace model. File-scoped rules
-/// (R1, R3, R4, R8, R12) loop over [`Workspace::files`] and match on the
+/// (R1, R8, R12) loop over [`Workspace::files`] and match on the
 /// scrub view; cross-file rules (R9–R11 in [`crate::wsrules`]) read
 /// manifests, catalogs, and token streams across files.
 pub trait Rule {
@@ -163,10 +141,8 @@ pub trait Rule {
 /// [`analyze_file`] (the single-file path the fixture tests drive) and the
 /// [`Rule`] instances [`all_rules`] returns.
 type FileRuleFn = fn(&str, &Scrubbed, &mut Vec<Finding>);
-const FILE_RULES: [(RuleId, FileRuleFn); 5] = [
+const FILE_RULES: [(RuleId, FileRuleFn); 3] = [
     (RuleId::R1, rule_r1),
-    (RuleId::R3, rule_r3),
-    (RuleId::R4, rule_r4),
     (RuleId::R8, rule_r8),
     (RuleId::R12, rule_r12),
 ];
@@ -176,10 +152,6 @@ const FILE_RULES: [(RuleId, FileRuleFn); 5] = [
 fn rule_applies(id: RuleId, rel_path: &str) -> bool {
     match id {
         RuleId::R1 => true,
-        RuleId::R3 => ["crates/qd-core/", "crates/qd-cluster/", "crates/qd-index/"]
-            .iter()
-            .any(|p| rel_path.starts_with(p)),
-        RuleId::R4 => !rel_path.starts_with("crates/qd-bench/"),
         RuleId::R8 => {
             (rel_path.starts_with("src/") || rel_path.contains("/src/"))
                 && !rel_path.starts_with("crates/qd-obs/")
@@ -272,219 +244,47 @@ fn rule_r1(rel_path: &str, scrubbed: &Scrubbed, out: &mut Vec<Finding>) {
                 if !after[rel_open..].starts_with('(') {
                     continue;
                 }
-                // Walk the argument region until parens balance.
-                let mut depth = 0i32;
-                let mut cur_line = li;
-                let mut cur_col = start + method.len() + rel_open;
-                'walk: loop {
-                    let l = &lines[cur_line];
-                    for (ci, c) in l.char_indices().skip_while(|&(ci, _)| ci < cur_col) {
-                        match c {
-                            '(' => depth += 1,
-                            ')' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    // Region end: scan the covered lines.
-                                    report_partial_cmp_in(
-                                        rel_path, lines, li, cur_line, method, out,
-                                    );
-                                    break 'walk;
-                                }
-                            }
-                            _ => {}
-                        }
-                        let _ = ci;
+                let to = closing_line(lines, li, start + method.len() + rel_open);
+                for (ri, region_line) in lines.iter().enumerate().take(to + 1).skip(li) {
+                    if word_occurrences(region_line, "partial_cmp").is_empty() {
+                        continue;
                     }
-                    cur_line += 1;
-                    cur_col = 0;
-                    if cur_line >= lines.len() {
-                        // Unbalanced (shouldn't happen in compiling code);
-                        // scan to EOF to stay conservative.
-                        report_partial_cmp_in(rel_path, lines, li, lines.len() - 1, method, out);
-                        break 'walk;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn report_partial_cmp_in(
-    rel_path: &str,
-    lines: &[String],
-    from: usize,
-    to: usize,
-    method: &str,
-    out: &mut Vec<Finding>,
-) {
-    for (li, line) in lines.iter().enumerate().take(to + 1).skip(from) {
-        if !word_occurrences(line, "partial_cmp").is_empty() {
-            out.push(Finding {
-                rule: RuleId::R1,
-                file: rel_path.to_string(),
-                line: li + 1,
-                message: format!("partial_cmp inside a `{method}` comparator"),
-                hint: "use f32::total_cmp/f64::total_cmp (NaN-total, never panics, \
-                       one deterministic order)"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-/// Methods that iterate a hash container in arbitrary order.
-const ITERATING_METHODS: [&str; 5] = ["iter", "into_iter", "values", "keys", "drain"];
-
-/// Tokens that, appearing at or shortly after the iteration site, make the
-/// iteration order harmless: an explicit deterministic sort, or a re-collect
-/// into an ordered container.
-const ORDER_RESTORERS: [&str; 9] = [
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_by_cached_key",
-    "sort_unstable",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "BTreeMap",
-    "BTreeSet",
-];
-
-/// How many lines after the iteration site a sort still counts as "adjacent".
-const R3_SORT_WINDOW: usize = 8;
-
-/// R3: iteration over a variable/field *declared in this file* as
-/// `HashMap`/`HashSet`, feeding anything, without a deterministic sort within
-/// [`R3_SORT_WINDOW`] lines. Purely intra-file and name-based: it cannot see
-/// types across files, which is exactly the right cost/benefit for a
-/// repo-local lint (the hash containers that shape results are declared where
-/// they are used). Remainders that are genuinely order-insensitive get an
-/// allowlist entry with a justification.
-fn rule_r3(rel_path: &str, scrubbed: &Scrubbed, out: &mut Vec<Finding>) {
-    let lines = &scrubbed.lines;
-    // Pass 1: names declared as hash containers (`x: HashMap<…>`,
-    // `x = HashMap::new()`, struct fields, …).
-    let mut names: Vec<String> = Vec::new();
-    for line in lines {
-        for container in ["HashMap", "HashSet"] {
-            for start in word_occurrences(line, container) {
-                if let Some(name) = declared_name(line, start) {
-                    if !names.contains(&name) {
-                        names.push(name);
-                    }
-                }
-            }
-        }
-    }
-    // Pass 2: iteration sites over those names. rustfmt splits method chains
-    // across lines (`self.nodes\n    .values()`), so when the name ends its
-    // line the lookup continues on the next one.
-    for name in &names {
-        for (li, line) in lines.iter().enumerate() {
-            for start in word_occurrences(line, name) {
-                let rest = line[start + name.len()..].trim_end();
-                let method = if rest.is_empty() {
-                    lines
-                        .get(li + 1)
-                        .and_then(|next| iterating_call(next.trim_start()))
-                } else {
-                    iterating_call(rest)
-                };
-                let Some(method) = method else {
-                    continue;
-                };
-                if sorted_nearby(lines, li) {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: RuleId::R3,
-                    file: rel_path.to_string(),
-                    line: li + 1,
-                    message: format!(
-                        "`{name}.{method}()` iterates a hash container in arbitrary \
-                         order with no deterministic sort within {R3_SORT_WINDOW} lines"
-                    ),
-                    hint: "sort the collected result, switch the container to \
-                           BTreeMap/BTreeSet, or allowlist with a justification \
-                           if the consumer is order-insensitive"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// If the hash-container word starting at `start` is a declaration, returns
-/// the declared name: handles `name: HashMap<…>`, `name = HashMap::new()`,
-/// and the `std::collections::`-qualified forms of both.
-fn declared_name(line: &str, start: usize) -> Option<String> {
-    let mut before = line[..start].trim_end();
-    before = before
-        .strip_suffix("std::collections::")
-        .unwrap_or(before)
-        .trim_end();
-    let before = before
-        .strip_suffix(':')
-        .or_else(|| before.strip_suffix('='))?
-        .trim_end();
-    // `=` must not be `==`, `>=`, … ; `:` must not be `::`.
-    if before.ends_with(['=', '!', '<', '>', ':']) {
-        return None;
-    }
-    let name: String = before
-        .chars()
-        .rev()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect::<Vec<_>>()
-        .into_iter()
-        .rev()
-        .collect();
-    (!name.is_empty() && !name.chars().next().unwrap().is_numeric()).then_some(name)
-}
-
-/// If `rest` (the text right after a tracked name) starts with a call to an
-/// iterating method — `.iter()`, `.values()`, … — returns the method name.
-fn iterating_call(rest: &str) -> Option<&'static str> {
-    let rest = rest.strip_prefix('.')?;
-    ITERATING_METHODS
-        .into_iter()
-        .find(|m| rest.strip_prefix(m).is_some_and(|r| r.starts_with('(')))
-}
-
-/// True if a deterministic sort (or ordered re-collect) appears on the
-/// finding line or within the next [`R3_SORT_WINDOW`] lines.
-fn sorted_nearby(lines: &[String], li: usize) -> bool {
-    lines
-        .iter()
-        .take(li + 1 + R3_SORT_WINDOW)
-        .skip(li)
-        .any(|l| {
-            ORDER_RESTORERS
-                .iter()
-                .any(|s| !word_occurrences(l, s).is_empty())
-        })
-}
-
-/// R4: wall-clock reads outside qd-bench.
-fn rule_r4(rel_path: &str, scrubbed: &Scrubbed, out: &mut Vec<Finding>) {
-    for (li, line) in scrubbed.lines.iter().enumerate() {
-        for ty in ["Instant", "SystemTime"] {
-            for start in word_occurrences(line, ty) {
-                if line[start + ty.len()..].trim_start().starts_with("::now") {
                     out.push(Finding {
-                        rule: RuleId::R4,
+                        rule: RuleId::R1,
                         file: rel_path.to_string(),
-                        line: li + 1,
-                        message: format!("{ty}::now outside qd-bench"),
-                        hint: "move the measurement into qd-bench, or allowlist if \
-                               the reading is reporting-only and cannot reach \
-                               rankings or CSV-compared columns"
+                        line: ri + 1,
+                        message: format!("partial_cmp inside a `{method}` comparator"),
+                        hint: "use f32::total_cmp/f64::total_cmp (NaN-total, never panics, \
+                               one deterministic order)"
                             .to_string(),
                     });
                 }
             }
         }
     }
+}
+
+/// The line on which the parenthesized region opening at byte `col` of
+/// `line` closes. An unbalanced region (not in compiling code) runs to the
+/// last line, so the scan stays conservative.
+fn closing_line(lines: &[String], line: usize, col: usize) -> usize {
+    let mut depth = 0i32;
+    for (li, l) in lines.iter().enumerate().skip(line) {
+        let from = if li == line { col } else { 0 };
+        for c in l[from..].chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return li;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    lines.len() - 1
 }
 
 /// Marks every line belonging to a `#[cfg(test)]`-gated item. The attribute
@@ -662,27 +462,6 @@ mod tests {
     fn r1_ignores_partial_cmp_outside_comparators() {
         let src = "impl PartialOrd for X {\n    fn partial_cmp(&self, o: &X) -> Option<Ordering> { Some(self.cmp(o)) }\n}";
         assert!(findings("crates/qd-core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r3_tracks_field_declarations() {
-        let src = "struct S { reps: HashMap<u32, Vec<u32>> }\nfn f(s: &S) -> Vec<u32> { s.reps.values().flatten().copied().collect() }";
-        let f = findings("crates/qd-core/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, RuleId::R3);
-    }
-
-    #[test]
-    fn r3_accepts_adjacent_sort() {
-        let src = "struct S { reps: HashMap<u32, Vec<u32>> }\nfn f(s: &S) -> Vec<u32> {\n    let mut v: Vec<u32> = s.reps.values().flatten().copied().collect();\n    v.sort_unstable();\n    v\n}";
-        assert!(findings("crates/qd-core/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r3_only_applies_to_result_shaping_crates() {
-        let src = "fn f(m: HashMap<u32, u32>) -> Vec<u32> { m.values().copied().collect() }";
-        assert!(!findings("crates/qd-core/src/x.rs", src).is_empty());
-        assert!(findings("crates/qd-corpus/src/x.rs", src).is_empty());
     }
 
     #[test]

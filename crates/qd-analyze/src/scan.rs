@@ -1,6 +1,6 @@
 //! The line-oriented scrub view, derived from the token stream.
 //!
-//! The syntactic rules (R1, R3, R4, R8 and R12) match on *code*, never on
+//! The syntactic rules (R1, R8 and R12) match on *code*, never on
 //! comment or string contents, so this
 //! module renders the [`crate::lex`] token stream into per-line text with
 //! every comment and every string/char-literal body blanked to spaces while

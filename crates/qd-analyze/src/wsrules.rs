@@ -11,7 +11,7 @@
 use crate::model::{Workspace, LAYERS_FILE};
 use crate::rules::{cfg_test_lines, Finding, Rule, RuleId};
 use crate::scan::word_occurrences;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// R9: the crate-layering DAG.
 ///
@@ -268,7 +268,7 @@ impl Rule for ObsClosure {
         if names.is_empty() {
             return;
         }
-        let outside: Vec<HashSet<&str>> = ws
+        let outside: Vec<BTreeSet<&str>> = ws
             .files
             .iter()
             .filter(|f| !f.rel_path.starts_with("crates/qd-obs/"))

@@ -1,6 +1,6 @@
-//! Fixture self-tests: positive and negative snippets for R1, R3 and R4, the
-//! allowlist contract (including staleness), and a self-check that the real
-//! workspace is clean.
+//! Fixture self-tests: positive and negative snippets for R1, a check that a
+//! reintroduced violation fails the run, a self-check that the real workspace
+//! is clean, and a drift check between the two clippy configurations.
 //!
 //! Fixtures are string literals on purpose: the scanner blanks string
 //! bodies, so these snippets can never trip the linter when it walks
@@ -54,73 +54,12 @@ fn r1_negative_partial_cmp_outside_comparator() {
     assert!(run("crates/qd-index/src/x.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------------- R3
+// ---------------------------------------------------------- whole run
 
+/// A reintroduced violation in a throwaway on-disk workspace fails the run.
 #[test]
-fn r3_positive_unsorted_hash_iteration() {
-    let src = "use std::collections::HashMap;\nfn f(m: HashMap<u32, f32>) -> Vec<f32> {\n    m.values().copied().collect()\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R3]
-    );
-}
-
-#[test]
-fn r3_positive_line_broken_chain() {
-    // rustfmt splits chains; the lookup must follow to the next line.
-    let src = "struct S { nodes: HashMap<u32, u32> }\nimpl S {\n    fn g(&self) -> usize {\n        self.nodes\n            .values()\n            .map(|n| *n as usize)\n            .product()\n    }\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R3]
-    );
-}
-
-#[test]
-fn r3_negative_adjacent_sort() {
-    let src = "fn f(m: std::collections::HashMap<u32, f32>) -> Vec<u32> {\n    let mut out: Vec<u32> = m.keys().copied().collect();\n    out.sort_unstable();\n    out\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", src).is_empty());
-}
-
-#[test]
-fn r3_negative_btreemap_and_out_of_scope_crates() {
-    let btree = "fn f(m: std::collections::BTreeMap<u32, f32>) -> Vec<u32> {\n    m.keys().copied().collect()\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", btree).is_empty());
-    let hash = "fn f(m: HashMap<u32, f32>) -> Vec<f32> { m.values().copied().collect() }\n";
-    assert!(run("crates/qd-corpus/src/x.rs", hash).is_empty());
-    assert!(run("crates/qd-bench/src/x.rs", hash).is_empty());
-}
-
-// ---------------------------------------------------------------- R4
-
-#[test]
-fn r4_positive_instant_now() {
-    let src =
-        "fn f() {\n    let t = std::time::Instant::now();\n    let s = SystemTime::now();\n}\n";
-    assert_eq!(
-        rules_fired("crates/qd-core/src/x.rs", src),
-        vec![RuleId::R4, RuleId::R4]
-    );
-}
-
-#[test]
-fn r4_negative_inside_qd_bench() {
-    let src = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
-    assert!(run("crates/qd-bench/src/x.rs", src).is_empty());
-    assert!(run("crates/qd-bench/benches/x.rs", src).is_empty());
-}
-
-#[test]
-fn r4_negative_duration_arithmetic() {
-    let src = "fn f(d: std::time::Duration) -> u128 {\n    d.as_millis()\n}\n";
-    assert!(run("crates/qd-core/src/x.rs", src).is_empty());
-}
-
-// ---------------------------------------------------------- allowlist
-
-/// Builds a throwaway workspace on disk: `crates/qd-core/src/bad.rs` with a
-/// known R1 violation, plus an optional allowlist.
-fn scratch_workspace(name: &str, allowlist: Option<&str>) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("qd_analyze_fixture_{name}"));
+fn check_reports_reintroduced_violation() {
+    let root = std::env::temp_dir().join("qd_analyze_fixture_reintroduced");
     let _ = std::fs::remove_dir_all(&root);
     let src_dir = root.join("crates/qd-core/src");
     std::fs::create_dir_all(&src_dir).unwrap();
@@ -130,23 +69,14 @@ fn scratch_workspace(name: &str, allowlist: Option<&str>) -> PathBuf {
     )
     .unwrap();
     std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
-    // Keep the cross-file rules quiet so these tests stay about the
-    // allowlist contract: one manifest, one layer entry, no dep edges.
+    // Keep the cross-file rules quiet: one manifest, one layer entry, no
+    // dependency edges.
     std::fs::write(
         root.join("crates/qd-core/Cargo.toml"),
         "[package]\nname = \"qd-core\"\n",
     )
     .unwrap();
     std::fs::write(root.join("qd-analyze.layers"), "0 qd-core\n").unwrap();
-    if let Some(text) = allowlist {
-        std::fs::write(root.join(qd_analyze::ALLOWLIST_FILE), text).unwrap();
-    }
-    root
-}
-
-#[test]
-fn check_reports_reintroduced_violation() {
-    let root = scratch_workspace("reintroduced", None);
     let report = qd_analyze::run_check(&root).unwrap();
     assert!(!report.is_clean());
     assert_eq!(report.reported.len(), 1);
@@ -155,63 +85,70 @@ fn check_reports_reintroduced_violation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-#[test]
-fn allowlist_suppresses_matching_findings() {
-    let root = scratch_workspace(
-        "suppressed",
-        Some("R1 crates/qd-core/src/bad.rs fixture: kept broken on purpose\n"),
-    );
-    let report = qd_analyze::run_check(&root).unwrap();
-    assert!(report.is_clean());
-    assert_eq!(report.suppressed.len(), 1);
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn stale_allowlist_entry_fails_the_check() {
-    let root = scratch_workspace(
-        "stale",
-        Some(
-            "R1 crates/qd-core/src/bad.rs fixture: kept broken on purpose\n\
-             R4 crates/qd-core/src/gone.rs this file no longer exists\n",
-        ),
-    );
-    let report = qd_analyze::run_check(&root).unwrap();
-    assert!(!report.is_clean(), "stale entry must fail the check");
-    assert!(report.reported.is_empty());
-    assert_eq!(report.stale.len(), 1);
-    assert_eq!(report.stale[0].file, "crates/qd-core/src/gone.rs");
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn allowlist_without_justification_is_rejected() {
-    let root = scratch_workspace("unjustified", Some("R1 crates/qd-core/src/bad.rs\n"));
-    assert!(qd_analyze::run_check(&root).is_err());
-    std::fs::remove_dir_all(&root).ok();
-}
-
 // ---------------------------------------------------------- self-check
 
-/// The real workspace must stay clean: every shipped allowlist entry still
-/// suppresses something, and no rule fires outside the allowlist. This is
-/// the same gate CI runs via `cargo run -p qd-analyze -- check`.
+fn workspace_root() -> PathBuf {
+    let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    qd_analyze::find_root(&here).expect("workspace root above qd-analyze")
+}
+
+/// The real workspace must stay clean: no rule fires anywhere. This is the
+/// same gate CI runs via `cargo run -p qd-analyze -- check`.
 #[test]
 fn shipped_workspace_is_clean() {
-    let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let root = qd_analyze::find_root(&here).expect("workspace root above qd-analyze");
-    let report = qd_analyze::run_check(&root).unwrap();
+    let report = qd_analyze::run_check(&workspace_root()).unwrap();
     for f in &report.reported {
         eprintln!("{f}");
     }
-    for s in &report.stale {
-        eprintln!("stale allowlist entry: {s}");
-    }
-    assert!(
-        report.is_clean(),
-        "{} finding(s), {} stale allowlist entr(y/ies)",
-        report.reported.len(),
-        report.stale.len()
-    );
+    assert!(report.is_clean(), "{} finding(s)", report.reported.len());
     assert!(report.files_scanned > 50, "walker lost the source tree");
+}
+
+// ---------------------------------------------------------- clippy configs
+
+/// The `path = "…"` values of one `key = [ … ]` array in a clippy.toml.
+fn disallowed_paths(toml: &str, key: &str) -> Vec<String> {
+    let Some(start) = toml.lines().position(|l| l.trim_start().starts_with(key)) else {
+        return Vec::new();
+    };
+    toml.lines()
+        .skip(start + 1)
+        .take_while(|l| l.trim() != "]")
+        .filter_map(|l| l.split("path = \"").nth(1)?.split('"').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Clippy reads the nearest clippy.toml and does not merge it with the
+/// root's, so qd-bench sees only what its own file lists. Every root
+/// `disallowed-methods` entry but the two clock reads (qd-bench is where the
+/// clock may be read) must be repeated there, or a rule added at the root
+/// silently skips the harness and its `perf` bin.
+#[test]
+fn qd_bench_clippy_config_repeats_every_root_method_ban_but_the_clock() {
+    let root = workspace_root();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+    let clocks = ["std::time::Instant::now", "std::time::SystemTime::now"];
+    let at_root = disallowed_paths(&read("clippy.toml"), "disallowed-methods");
+    for clock in clocks {
+        assert!(
+            at_root.iter().any(|p| p == clock),
+            "root clippy.toml lost {clock}"
+        );
+    }
+    let in_bench = disallowed_paths(&read("crates/qd-bench/clippy.toml"), "disallowed-methods");
+    let want: Vec<&String> = at_root
+        .iter()
+        .filter(|p| !clocks.contains(&p.as_str()))
+        .collect();
+    assert!(
+        !want.is_empty(),
+        "no thread bans parsed from the root clippy.toml"
+    );
+    for path in want {
+        assert!(
+            in_bench.contains(path),
+            "`{path}` is disallowed at the root but not in crates/qd-bench/clippy.toml"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Wall-clock timing histograms for the bench harness.
 //!
-//! Workspace rule R4 confines wall-clock reads to qd-bench (and the narrow,
-//! allowlisted timers inside qd-core sessions). This module is the R4-legal
+//! Clippy's `disallowed-methods` confines wall-clock reads to qd-bench (and
+//! the two `#[expect]`ed timers inside qd-core sessions). This module is the
 //! aggregation side: it never reads the clock itself — it folds the
 //! `Duration`s that sessions already expose (`round_durations`,
 //! `final_knn_duration`) into [`qd_obs::Hist`]s over microseconds, and

@@ -88,7 +88,7 @@ mod tests {
     fn k_equals_n_gives_singletons() {
         let data = vec![vec![0.0f32], vec![1.0], vec![2.0]];
         let a = agglomerative(&data, 3);
-        let set: std::collections::HashSet<usize> = a.iter().copied().collect();
+        let set: std::collections::BTreeSet<usize> = a.iter().copied().collect();
         assert_eq!(set.len(), 3);
     }
 

@@ -110,9 +110,8 @@ fn retrieve(
                     top_k_euclidean(feats, qp, k)
                 })
             });
-            let capacity = k.min(n); // `k` is the caller's; `n` images exist
-            let mut out = Vec::with_capacity(capacity);
-            let mut taken = std::collections::HashSet::with_capacity(capacity);
+            let mut out = Vec::with_capacity(k.min(n)); // `k` is the caller's; `n` images exist
+            let mut taken = vec![false; n];
             let mut cursors = vec![0usize; ranked.len()];
             'fill: loop {
                 let mut advanced = false;
@@ -120,7 +119,7 @@ fn retrieve(
                     while *cursor < list.len() {
                         let id = list[*cursor];
                         *cursor += 1;
-                        if taken.insert(id) {
+                        if !std::mem::replace(&mut taken[id], true) {
                             out.push(id);
                             advanced = true;
                             if out.len() == k {

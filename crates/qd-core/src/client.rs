@@ -17,9 +17,7 @@
 
 use crate::error::QdError;
 use crate::rfs::{FeedbackHierarchy, RfsStructure};
-use crate::session::{
-    run_feedback_rounds, try_execute_subqueries, validate_subqueries, FinalExecution, QdConfig,
-};
+use crate::session::{run_feedback_rounds, try_execute_subqueries, FinalExecution, QdConfig};
 use crate::user::SimulatedUser;
 use qd_corpus::taxonomy::SubconceptId;
 use qd_corpus::Corpus;
@@ -159,32 +157,6 @@ pub fn client_feedback(
     }
 }
 
-/// Checks a remote query against the server's corpus and tree before any
-/// k-NN work: every subquery must be non-empty, reference a cluster handle
-/// this server actually holds, and mark only in-range image ids.
-pub fn validate_remote_query(
-    corpus: &Corpus,
-    rfs: &RfsStructure,
-    remote: &RemoteQuery,
-    cfg: &QdConfig,
-) -> Result<(), QdError> {
-    validate_subqueries(corpus, rfs, &remote.subqueries, cfg)
-}
-
-/// Answers a client's query on the server — localized multipoint k-NN per
-/// subquery plus the merge of §3.4: validates the payload, then executes
-/// the subqueries, surfacing malformed queries and worker failures as typed
-/// [`QdError`]s instead of panics.
-pub fn try_server_execute(
-    corpus: &Corpus,
-    rfs: &RfsStructure,
-    remote: &RemoteQuery,
-    k: usize,
-    cfg: &QdConfig,
-) -> Result<FinalExecution, QdError> {
-    try_execute_subqueries(corpus, rfs, &remote.subqueries, k, cfg)
-}
-
 /// How persistently the client resubmits a query that fails in transit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -276,7 +248,7 @@ pub fn submit_with_retry(
             Some(payload) => (corrupt_marks(remote, corpus.len(), payload), true),
             None => (remote.clone(), false),
         };
-        match try_server_execute(corpus, rfs, &query, k, cfg) {
+        match try_execute_subqueries(corpus, rfs, &query.subqueries, k, cfg) {
             Ok(execution) => {
                 return Ok(SubmitReport {
                     execution,
@@ -304,7 +276,7 @@ pub fn submit_with_retry(
 mod tests {
     use super::*;
     use crate::rfs::RfsConfig;
-    use crate::session::try_run_session;
+    use crate::session::{try_run_session, validate_subqueries};
     use crate::testutil;
     use qd_index::KnnIndex;
 
@@ -397,7 +369,7 @@ mod tests {
 
         let mut split_user = SimulatedUser::oracle(&query, 21);
         let remote = client_feedback(&client, corpus.labels(), &mut split_user, &cfg);
-        let execution = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
+        let execution = try_execute_subqueries(corpus, rfs, &remote.subqueries, k, &cfg).unwrap();
 
         assert_eq!(execution.results, monolithic.results);
         assert_eq!(execution.subquery_count, monolithic.subquery_count);
@@ -424,7 +396,7 @@ mod tests {
         let cfg = QdConfig::default();
         let mut user = SimulatedUser::oracle(&query, 21);
         let remote = client_feedback(&client, corpus.labels(), &mut user, &cfg);
-        let clean = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
+        let clean = try_execute_subqueries(corpus, rfs, &remote.subqueries, k, &cfg).unwrap();
 
         // First send fails, second goes through.
         let plan = qd_fault::FaultPlan::new(11)
@@ -458,7 +430,7 @@ mod tests {
         let cfg = QdConfig::default();
         let mut user = SimulatedUser::oracle(&query, 5);
         let remote = client_feedback(&client, corpus.labels(), &mut user, &cfg);
-        let clean = try_server_execute(corpus, rfs, &remote, k, &cfg).unwrap();
+        let clean = try_execute_subqueries(corpus, rfs, &remote.subqueries, k, &cfg).unwrap();
 
         let plan = qd_fault::FaultPlan::new(29)
             .site(qd_fault::site::CLIENT_MARK_CORRUPT, qd_fault::Mode::Once(0));
@@ -519,7 +491,7 @@ mod tests {
             subqueries: vec![(rfs.tree().root(), vec![corpus.len() + 9])],
         };
         assert!(matches!(
-            validate_remote_query(corpus, rfs, &invalid, &cfg),
+            validate_subqueries(corpus, rfs, &invalid.subqueries, &cfg),
             Err(QdError::ImageOutOfRange { .. })
         ));
         // No fault plan is active: the defect is the client's own, so the

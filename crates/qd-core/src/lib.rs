@@ -41,8 +41,7 @@ pub(crate) mod testutil;
 pub mod user;
 
 pub use client::{
-    client_feedback, submit_with_retry, try_server_execute, validate_remote_query, ClientRfs,
-    RemoteQuery, RetryPolicy, SubmitReport,
+    client_feedback, submit_with_retry, ClientRfs, RemoteQuery, RetryPolicy, SubmitReport,
 };
 pub use error::QdError;
 pub use metrics::{gtir, precision, RoundTrace};

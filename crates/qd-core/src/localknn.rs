@@ -341,7 +341,7 @@ mod tests {
         assert_eq!(result.support, 1);
         assert!(!result.neighbors.is_empty());
         // All neighbors come from the resolved scope's subtree.
-        let scope_members: std::collections::HashSet<u64> =
+        let scope_members: std::collections::BTreeSet<u64> =
             tree.subtree_ids(result.scope).into_iter().collect();
         for n in &result.neighbors {
             assert!(scope_members.contains(&n.id));

@@ -1,7 +1,6 @@
 //! Retrieval-quality metrics: precision and the Ground Truth Inclusion Ratio.
 
 use qd_corpus::{Corpus, QuerySpec};
-use std::collections::HashSet;
 
 /// Fraction of `results` that are relevant to `query`.
 ///
@@ -21,11 +20,15 @@ pub fn precision(corpus: &Corpus, query: &QuerySpec, results: &[usize]) -> f64 {
 
 /// Fraction of ground-truth images that appear in `results`.
 pub fn recall(corpus: &Corpus, query: &QuerySpec, results: &[usize]) -> f64 {
-    let gt: HashSet<usize> = corpus.ground_truth(query).into_iter().collect();
+    // Ascending and distinct: ground-truth ids come out in corpus order.
+    let gt = corpus.ground_truth(query);
     if gt.is_empty() {
         return 0.0;
     }
-    let hit = results.iter().filter(|id| gt.contains(id)).count();
+    let hit = results
+        .iter()
+        .filter(|id| gt.binary_search(id).is_ok())
+        .count();
     hit as f64 / gt.len() as f64
 }
 

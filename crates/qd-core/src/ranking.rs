@@ -10,7 +10,6 @@
 
 use crate::localknn::LocalResult;
 use qd_index::NodeId;
-use std::collections::HashSet;
 
 /// One presented result group: the merged output of a single localized
 /// subquery.
@@ -72,7 +71,9 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
     let supports: Vec<usize> = locals.iter().map(|l| l.support).collect();
     let quotas = allocate_quotas(&supports, k);
 
-    let mut taken: HashSet<usize> = HashSet::new();
+    // The ids claimed so far, ascending. Sized by the candidates, not by the
+    // largest id: a loaded index may carry any u64 id.
+    let mut taken: Vec<usize> = Vec::new();
     let mut groups: Vec<ResultGroup> = Vec::with_capacity(locals.len());
     for (local, &quota) in locals.iter().zip(&quotas) {
         let mut images = Vec::with_capacity(quota.min(local.neighbors.len()));
@@ -81,7 +82,7 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
                 break;
             }
             let id = n.id as usize;
-            if taken.insert(id) {
+            if take(&mut taken, id) {
                 images.push((id, n.distance));
             }
         }
@@ -100,7 +101,7 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
         for (gi, local) in locals.iter().enumerate() {
             for n in &local.neighbors {
                 let id = n.id as usize;
-                if !taken.contains(&id) {
+                if taken.binary_search(&id).is_err() {
                     leftovers.push((n.distance, gi, id));
                 }
             }
@@ -110,7 +111,7 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
             if missing == 0 {
                 break;
             }
-            if taken.insert(id) {
+            if take(&mut taken, id) {
                 groups[gi].images.push((id, score));
                 missing -= 1;
             }
@@ -125,6 +126,17 @@ pub fn merge_local_results(locals: &[LocalResult], k: usize) -> Vec<ResultGroup>
     groups.retain(|g| !g.images.is_empty());
     groups.sort_by(|a, b| a.ranking_score.total_cmp(&b.ranking_score));
     groups
+}
+
+/// Claims `id` in the ascending list `taken`; false if it was already claimed.
+fn take(taken: &mut Vec<usize>, id: usize) -> bool {
+    match taken.binary_search(&id) {
+        Ok(_) => false,
+        Err(at) => {
+            taken.insert(at, id);
+            true
+        }
+    }
 }
 
 /// Flattens presented groups into the final result id list (group-major, the
@@ -142,8 +154,7 @@ pub fn flatten_groups(groups: &[ResultGroup]) -> Vec<usize> {
 /// supports entirely — strong subclusters no longer get guaranteed slots,
 /// which is why the paper prefers the quota merge (see the merge ablation).
 pub fn merge_single_list(locals: &[LocalResult], k: usize) -> Vec<(usize, f32)> {
-    // BTreeMap: the collected list below starts in image-id order, so the
-    // score sort's tie-break never depends on hash iteration (rule R3).
+    // BTreeMap: the collected list below starts in image-id order.
     let mut best: std::collections::BTreeMap<usize, f32> = std::collections::BTreeMap::new();
     for local in locals {
         for n in &local.neighbors {
@@ -240,8 +251,20 @@ mod tests {
         let groups = merge_local_results(&[a, b], 4);
         let flat = flatten_groups(&groups);
         assert_eq!(flat.len(), 4);
-        let unique: HashSet<usize> = flat.iter().copied().collect();
+        let unique: std::collections::BTreeSet<usize> = flat.iter().copied().collect();
         assert_eq!(unique.len(), 4);
+    }
+
+    #[test]
+    fn merge_sizes_nothing_by_an_id() {
+        // Ids come from a loaded index and may be any u64: a table indexed
+        // by id would try to allocate 2^62 flags here.
+        let a = local(0, 1, &[(1 << 62, 0.1), (u64::MAX, 0.2), (3, 0.3)]);
+        let b = local(1, 1, &[(u64::MAX, 0.05), (1 << 62, 0.4)]);
+        let groups = merge_local_results(&[a, b], 4);
+        let mut flat = flatten_groups(&groups);
+        flat.sort_unstable();
+        assert_eq!(flat, [3, 1 << 62, u64::MAX as usize]);
     }
 
     #[test]
@@ -283,7 +306,7 @@ mod tests {
         assert_eq!(merged[0], (0, 0.05));
         assert_eq!(merged[1].0, 10);
         assert_eq!(merged.len(), 3);
-        let ids: std::collections::HashSet<usize> = merged.iter().map(|&(id, _)| id).collect();
+        let ids: std::collections::BTreeSet<usize> = merged.iter().map(|&(id, _)| id).collect();
         assert_eq!(ids.len(), 3);
     }
 

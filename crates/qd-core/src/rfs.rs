@@ -16,7 +16,7 @@
 
 use qd_cluster::KMeans;
 use qd_fault::codec::{self, CodecError, Reader, Writer, INDEX_SITES};
-use qd_index::{IndexBuild, KnnIndex, NodeId, RStarTree, TreeConfig};
+use qd_index::{KnnIndex, NodeId, RStarTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -36,14 +36,6 @@ pub struct RfsConfig {
     /// Fraction of a leaf's images selected as its representatives (the
     /// paper designates 5 % of the database).
     pub representative_fraction: f32,
-    /// Fraction of the aggregated child representatives an internal node
-    /// keeps. The paper keeps representative counts proportional to cluster
-    /// size at every level ("clusters in the upper levels … have more
-    /// representative images"), which corresponds to 1.0: an internal node
-    /// carries the full pool of its children's representatives. Values < 1
-    /// make upper nodes *summarize* instead — an ablation trading root-level
-    /// browsing load against first-round subconcept coverage.
-    pub upper_fraction: f32,
     /// Build the tree by kd-style bulk loading (cheap but its median splits
     /// slice through clusters, hurting leaf purity) instead of repeated R\*
     /// insertion (the default; this *is* the paper's "hierarchical
@@ -64,7 +56,6 @@ impl RfsConfig {
             node_min: 40,
             node_max: 100,
             representative_fraction: 0.05,
-            upper_fraction: 1.0,
             bulk_load: false,
             kmeans_representatives: true,
             seed: 0,
@@ -77,7 +68,6 @@ impl RfsConfig {
             node_min: 8,
             node_max: 20,
             representative_fraction: 0.10,
-            upper_fraction: 1.0,
             bulk_load: false,
             kmeans_representatives: true,
             seed: 0,
@@ -116,10 +106,10 @@ pub trait FeedbackHierarchy {
 
 /// The built RFS structure: the clustering tree plus per-node representative
 /// image lists.
-/// Both maps are `BTreeMap`, not `HashMap`: `reps` is iterated when
-/// serializing and when listing all representatives, and an ordered container
-/// makes every such traversal deterministic by construction instead of by an
-/// adjacent sort (qd-analyze rule R3).
+/// Both maps are `BTreeMap` (clippy's `disallowed-types` bans the hash
+/// containers): `reps` is iterated when serializing and when listing all
+/// representatives, and an ordered container makes every such traversal
+/// deterministic by construction.
 ///
 /// Generic over the index implementation: the arena tree (the default) and
 /// `qd-shard`'s `ShardSet` both build, navigate and serve through this one
@@ -191,19 +181,21 @@ fn select_representatives<I: KnnIndex + Sync>(
     for (level, mut nodes) in by_level {
         nodes.sort_unstable(); // deterministic order
         let target_of = |pool_len: usize| -> usize {
-            let target = if level == 0 {
-                // At least two representatives per leaf: a single medoid
-                // of a mixed leaf silences its minority categories, and
-                // a category invisible at the leaf level is invisible
-                // everywhere above it.
-                // CAST: pool_len is a node-capacity-bounded count
-                // (≤ max_entries, well under 2^24), exact in f32.
-                ((config.representative_fraction * pool_len as f32).round() as usize).max(2)
-            } else {
-                // CAST: same bound as above — pool_len is exact in f32.
-                (config.upper_fraction * pool_len as f32).round() as usize
-            };
-            target.clamp(1, pool_len)
+            if level > 0 {
+                // The paper keeps representative counts proportional to
+                // cluster size at every level ("clusters in the upper
+                // levels … have more representative images"): an internal
+                // node carries its children's whole representative pool.
+                return pool_len;
+            }
+            // At least two representatives per leaf: a single medoid of a
+            // mixed leaf silences its minority categories, and a category
+            // invisible at the leaf level is invisible everywhere above it.
+            // CAST: pool_len is a node-capacity-bounded count
+            // (≤ max_entries, well under 2^24), exact in f32.
+            ((config.representative_fraction * pool_len as f32).round() as usize)
+                .max(2)
+                .min(pool_len)
         };
         // A panicking selection worker (real bug or the `rfs.select.panic`
         // failpoint, keyed by stable node index) is isolated by
@@ -291,40 +283,23 @@ impl RfsStructure {
     /// # Panics
     /// Panics if `features` is empty or rows differ in length.
     pub fn build(features: &[Vec<f32>], config: &RfsConfig) -> Self {
-        Self::build_with(features, config)
-    }
-}
-
-impl<I: KnnIndex + IndexBuild + Sync> RfsStructure<I> {
-    /// [`RfsStructure::build`] over any index implementation — the entry
-    /// point the arena-equivalence harness builds through, so the golden
-    /// snapshots pin exactly the code path production uses.
-    ///
-    /// # Panics
-    /// Panics if `features` is empty or rows differ in length.
-    pub fn build_with(features: &[Vec<f32>], config: &RfsConfig) -> Self {
         qd_obs::span(qd_obs::sp::RFS_BUILD, || {
-            Self::build_inner(features, config)
+            assert!(!features.is_empty(), "cannot build an RFS over no images");
+            let tree_config = config.tree_config(features[0].len());
+            // Only the bulk loader needs every row owned at once; insertion
+            // clones one row at a time.
+            let rows = features
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (i as u64, f.clone()));
+            let tree = if config.bulk_load {
+                RStarTree::bulk_load(tree_config, rows.collect())
+            } else {
+                RStarTree::from_rows(tree_config, rows)
+            };
+            qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
+            Self::decorate(tree, features, config, None)
         })
-    }
-
-    fn build_inner(features: &[Vec<f32>], config: &RfsConfig) -> Self {
-        assert!(!features.is_empty(), "cannot build an RFS over no images");
-        let dims = features[0].len();
-        let tree_config = config.tree_config(dims);
-        // Only the bulk loader needs every row owned at once; insertion
-        // clones one row at a time.
-        let rows = features
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (i as u64, f.clone()));
-        let tree = if config.bulk_load {
-            I::bulk_load(tree_config, rows.collect())
-        } else {
-            I::from_rows(tree_config, rows)
-        };
-        qd_obs::count(qd_obs::ctr::RFS_NODES_CREATED, tree.node_count() as u64);
-        Self::decorate(tree, features, config, None)
     }
 }
 
@@ -629,7 +604,7 @@ impl<I: KnnIndex> RfsStructure<I> {
             if !self.reps.contains_key(&n) {
                 return fail(format!("node {n:?} has no representative list"));
             }
-            let members: std::collections::HashSet<usize> = self
+            let members: std::collections::BTreeSet<usize> = self
                 .tree
                 .subtree_ids(n)
                 .into_iter()
@@ -729,7 +704,7 @@ mod tests {
         let features = blob_features(5, 40, 4, 3);
         let rfs = RfsStructure::build(&features, &RfsConfig::test_small());
         for n in rfs.tree().node_ids() {
-            let members: std::collections::HashSet<usize> = rfs
+            let members: std::collections::BTreeSet<usize> = rfs
                 .tree()
                 .subtree_ids(n)
                 .into_iter()
@@ -750,7 +725,7 @@ mod tests {
             if tree.is_leaf(n) {
                 continue;
             }
-            let child_reps: std::collections::HashSet<usize> = tree
+            let child_reps: std::collections::BTreeSet<usize> = tree
                 .children(n)
                 .flat_map(|c| rfs.representatives(c).iter().copied())
                 .collect();

@@ -6,6 +6,10 @@
 //! from unsorted groups with duplicates, noise rates and drift thresholds,
 //! that both answer every judgment alike and leave the noise generator in
 //! the same state.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the hashed relevant set is the reference this module checks against"
+)]
 
 use super::SimulatedUser;
 use proptest::prelude::*;

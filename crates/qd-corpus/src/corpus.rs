@@ -408,7 +408,7 @@ mod tests {
             assert!(c.group_of(id, bird).is_some());
         }
         // Non-ground-truth images are not relevant.
-        let gt_set: std::collections::HashSet<usize> = gt.iter().copied().collect();
+        let gt_set: std::collections::BTreeSet<usize> = gt.iter().copied().collect();
         for id in 0..c.len() {
             if !gt_set.contains(&id) {
                 assert!(!c.is_relevant(id, bird));

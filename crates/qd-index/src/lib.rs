@@ -33,5 +33,5 @@ pub mod traits;
 pub mod tree;
 
 pub use rect::Rect;
-pub use traits::{IndexBuild, KnnIndex};
+pub use traits::KnnIndex;
 pub use tree::{BudgetedKnn, Neighbor, NodeId, RStarTree, TreeConfig};

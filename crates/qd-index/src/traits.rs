@@ -1,4 +1,4 @@
-//! Read/build abstraction over an R\*-tree-shaped index.
+//! Read abstraction over an R\*-tree-shaped index.
 //!
 //! `qd-core`'s RFS builder, feedback navigation and localized-k-NN executor
 //! are generic over [`KnnIndex`]. Two indexes implement it: the arena tree
@@ -18,7 +18,7 @@
 //! from its own feature table, by id.
 
 use crate::rect::Rect;
-use crate::tree::{BudgetedKnn, NodeId, TreeConfig};
+use crate::tree::{BudgetedKnn, NodeId};
 
 /// Read-only structural and query access to a tree-shaped index.
 pub trait KnnIndex {
@@ -119,18 +119,6 @@ fn leaves_under<I: KnnIndex + ?Sized>(index: &I, n: NodeId) -> impl Iterator<Ite
     })
 }
 
-/// The two from-scratch construction paths. Both leave every leaf's feature
-/// slots one consecutive run (DESIGN.md §11, "Slot order").
-pub trait IndexBuild: KnnIndex + Sized {
-    /// Builds a tree by R\* insertion of `rows` (`(id, point)`) in order,
-    /// then lays the feature store out leaf by leaf
-    /// ([`crate::RStarTree::compact`]) — the one place rows are inserted into
-    /// a fresh tree, and the one place a tree is compacted.
-    fn from_rows(config: TreeConfig, rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Self;
-    /// Bulk-loads a tree by recursive tiling.
-    fn bulk_load(config: TreeConfig, items: Vec<(u64, Vec<f32>)>) -> Self;
-}
-
 impl KnnIndex for crate::RStarTree {
     fn root(&self) -> NodeId {
         crate::RStarTree::root(self)
@@ -182,19 +170,5 @@ impl KnnIndex for crate::RStarTree {
     }
     fn check_invariants(&self) -> Result<(), String> {
         crate::RStarTree::check_invariants(self)
-    }
-}
-
-impl IndexBuild for crate::RStarTree {
-    fn from_rows(config: TreeConfig, rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Self {
-        let mut tree = crate::RStarTree::new(config);
-        for (id, point) in rows {
-            tree.insert(point, id);
-        }
-        tree.compact();
-        tree
-    }
-    fn bulk_load(config: TreeConfig, items: Vec<(u64, Vec<f32>)>) -> Self {
-        crate::RStarTree::bulk_load(config, items)
     }
 }

@@ -493,6 +493,23 @@ impl RStarTree {
         }
     }
 
+    /// Builds a tree by R\* insertion of `rows` (`(id, point)`) in order,
+    /// then lays the feature store out leaf by leaf ([`Self::compact`]) —
+    /// the one place rows are inserted into a fresh tree, and the one place
+    /// a tree is compacted. Like [`Self::bulk_load`], it leaves every leaf's
+    /// feature slots one consecutive run (DESIGN.md §11, "Slot order").
+    ///
+    /// # Panics
+    /// Panics on an invalid config or a point with the wrong dimensionality.
+    pub fn from_rows(config: TreeConfig, rows: impl Iterator<Item = (u64, Vec<f32>)>) -> Self {
+        let mut tree = Self::new(config);
+        for (id, point) in rows {
+            tree.insert(point, id);
+        }
+        tree.compact();
+        tree
+    }
+
     /// Builds a tree by kd-style recursive tiling — cheaper than repeated
     /// insertion and producing well-separated leaves. Used for
     /// construction-cost comparisons and large benchmark corpora. Feature
@@ -1279,7 +1296,7 @@ impl RStarTree {
                 }
             }
         }
-        let mut freed = std::collections::HashSet::new();
+        let mut freed = vec![false; slot_count];
         for &f in &self.store.free {
             if f as usize >= slot_count {
                 return fail(format!("freed feature slot {f} out of bounds"));
@@ -1287,12 +1304,12 @@ impl RStarTree {
             if self.store.live[f as usize] {
                 return fail(format!("freed feature slot {f} still marked live"));
             }
-            if !freed.insert(f) {
+            if std::mem::replace(&mut freed[f as usize], true) {
                 return fail(format!("feature slot {f} freed twice"));
             }
         }
         let live_slots = self.store.live.iter().filter(|&&l| l).count();
-        if live_slots + freed.len() != slot_count {
+        if live_slots + self.store.free.len() != slot_count {
             return fail("feature slot liveness disagrees with the free list".to_string());
         }
 
@@ -1309,19 +1326,21 @@ impl RStarTree {
         let mut seen_points = 0usize;
         let mut seen_slots = vec![false; slot_count];
         let mut row = Vec::with_capacity(self.config.dims);
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = vec![false; self.nodes.len()];
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            if !visited.insert(n) {
-                return fail(format!(
-                    "node {n:?} reachable twice (cycle or shared child)"
-                ));
-            }
+            // Look the node up before marking it: a dangling index is an
+            // `Err`, never an out-of-bounds mark.
             let node = self
                 .nodes
                 .get(n.index())
                 .filter(|x| x.live)
                 .ok_or_else(|| format!("dangling child reference {n:?}"))?;
+            if std::mem::replace(&mut visited[n.index()], true) {
+                return fail(format!(
+                    "node {n:?} reachable twice (cycle or shared child)"
+                ));
+            }
             if n != root && node.entry_count() < self.config.min_entries {
                 return fail(format!("node {n:?} underfull: {}", node.entry_count()));
             }
@@ -1940,7 +1959,7 @@ mod tests {
         }
         // Search restricted to the first child only returns items stored there.
         let child = tree.children(tree.root()).next().unwrap();
-        let local_ids: std::collections::HashSet<u64> =
+        let local_ids: std::collections::BTreeSet<u64> =
             tree.subtree_ids(child).into_iter().collect();
         let result = tree
             .knn_in_budgeted(child, &[5.0, 5.0, 5.0], 25, None)

@@ -185,8 +185,6 @@ pub struct ServeConfig {
     pub max_active: usize,
     /// Wait-queue capacity; arrivals beyond it trigger load shedding.
     pub queue_capacity: usize,
-    /// Sessions stepped per tick (`usize::MAX` = every active session).
-    pub step_batch: usize,
     /// Seed of the overload shedding coin.
     pub shed_seed: u64,
     /// Watchdog: ticks after which unfinished sessions are evicted as
@@ -199,7 +197,6 @@ impl Default for ServeConfig {
         Self {
             max_active: 4,
             queue_capacity: 8,
-            step_batch: usize::MAX,
             shed_seed: 0x5eed,
             max_ticks: 10_000,
         }
@@ -570,12 +567,10 @@ impl<I: KnnIndex + Sync> Server<I> {
                 }
             }
 
-            // 3. Pick this tick's batch, applying forced evictions at the
-            //    door of the turn.
-            let batch_size = cfg.step_batch.min(rr.len());
+            // 3. Every active session steps this tick; forced evictions
+            //    apply at the door of the turn.
             let mut handles: Vec<BatchEntry<'_, I>> = Vec::new();
-            for _ in 0..batch_size {
-                let Some(id) = rr.pop_front() else { break };
+            for id in std::mem::take(&mut rr) {
                 if qd_fault::fire_keyed(qd_fault::site::SERVE_EVICT, id).is_some() {
                     bodies.remove(&id);
                     qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);

@@ -55,7 +55,7 @@
 pub mod persist;
 
 use qd_core::{split_budget, RfsConfig, RfsStructure};
-use qd_index::{BudgetedKnn, IndexBuild, KnnIndex, Neighbor, NodeId, RStarTree, Rect, TreeConfig};
+use qd_index::{BudgetedKnn, KnnIndex, Neighbor, NodeId, RStarTree, Rect, TreeConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 

@@ -7,7 +7,8 @@
 //! cargo run --release --example client_server
 //! ```
 
-use query_decomposition::core::client::{client_feedback, try_server_execute, ClientRfs};
+use query_decomposition::core::client::{client_feedback, ClientRfs};
+use query_decomposition::core::session::try_execute_subqueries;
 use query_decomposition::prelude::*;
 
 fn main() {
@@ -47,7 +48,7 @@ fn main() {
     );
 
     // --- the server answers with localized k-NN ------------------------
-    let execution = try_server_execute(&corpus, &rfs, &remote, k, &cfg)
+    let execution = try_execute_subqueries(&corpus, &rfs, &remote.subqueries, k, &cfg)
         .expect("the replica's subqueries are well-formed");
     println!(
         "server executed {} localized k-NN subqueries ({} node reads) in {:.2?}",

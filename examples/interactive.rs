@@ -19,7 +19,7 @@ use query_decomposition::core::rfs::FeedbackHierarchy;
 use query_decomposition::imagery::io::ansi_preview;
 use query_decomposition::index::NodeId;
 use query_decomposition::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 
 const PAGE: usize = 7; // thumbnails per page (the GUI shows 21 in a 3×7 grid)
@@ -52,7 +52,7 @@ fn main() {
     let cfg = QdConfig::default();
     let rounds = 3usize;
     let mut active: Vec<NodeId> = vec![rfs.tree().root()];
-    let mut final_marks: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    let mut final_marks: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
     for round in 1..=rounds {
         println!(
             "\n════ Round {round} ── {} active subcluster(s) ════",
@@ -127,11 +127,8 @@ fn main() {
 
     // --- final localized k-NN and grouped display ------------------------
     let mut locals = Vec::new();
-    let mut homes: Vec<NodeId> = final_marks.keys().copied().collect();
-    homes.sort_unstable();
-    let per_subquery = k / homes.len().max(1) + 8;
-    for home in homes {
-        let query_points = final_marks.remove(&home).unwrap();
+    let per_subquery = k / final_marks.len().max(1) + 8;
+    for (home, query_points) in final_marks {
         let local = query_decomposition::core::localknn::try_run_local_query(
             rfs.tree(),
             corpus.features(),

@@ -195,6 +195,10 @@ fn build_corpus(opts: &Options) -> Result<(), String> {
         "building corpus: {} images, {}px, seed {}…",
         config.size, config.image_size, config.seed
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed time printed for the operator; nothing downstream reads it"
+    )]
     let start = std::time::Instant::now();
     let corpus = Corpus::build(&config);
     cache::save(&corpus, &out).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -219,6 +223,10 @@ fn build_rfs(opts: &Options) -> Result<(), String> {
         "building RFS: node capacity {}, rep fraction {:.2}…",
         config.node_max, config.representative_fraction
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed time printed for the operator; nothing downstream reads it"
+    )]
     let start = std::time::Instant::now();
     let rfs = RfsStructure::build(corpus.features(), &config);
     rfs.save(&out)

@@ -52,7 +52,7 @@ fn fixture() -> &'static (Corpus, ArenaRfs) {
             with_viewpoints: false,
         });
         let cfg = RfsConfig::test_small();
-        let arena = ArenaRfs::build_with(corpus.features(), &cfg);
+        let arena = ArenaRfs::build(corpus.features(), &cfg);
         (corpus, arena)
     })
 }
@@ -202,7 +202,7 @@ fn arena_structures_match_goldens() {
         bulk_load: true,
         ..RfsConfig::test_small()
     };
-    let bulk = ArenaRfs::build_with(corpus.features(), &bulk_cfg);
+    let bulk = ArenaRfs::build(corpus.features(), &bulk_cfg);
     bulk.validate();
     assert_matches_golden(
         "arena_structure_bulk.txt",

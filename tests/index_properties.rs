@@ -502,7 +502,7 @@ fn knn_tie_sweep_matches_golden() {
                     // Ids are the tie order's to choose; the distances are
                     // not: each is the id's own, and an unexhausted answer
                     // carries the scan's `k` smallest.
-                    let mut seen = std::collections::HashSet::new();
+                    let mut seen = std::collections::BTreeSet::new();
                     for n in &b.neighbors {
                         assert!(seen.insert(n.id), "id {} answered twice", n.id);
                         let d2 = dist2(&items[n.id as usize].1, q);

@@ -87,7 +87,7 @@ fn fixture() -> &'static Fixture {
             filler_count: 5,
             with_viewpoints: false,
         });
-        let solo = SoloRfs::build_with(corpus.features(), &rfs_config());
+        let solo = SoloRfs::build(corpus.features(), &rfs_config());
         let sharded = [1usize, 2, 4, 7]
             .into_iter()
             .map(|k| {
