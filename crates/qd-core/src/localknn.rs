@@ -212,12 +212,10 @@ pub fn try_run_local_query<I: KnnIndex>(
                     distance: metric.distance(point, &multipoint),
                 });
             }
-            scored.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-            scored.truncate(fetch);
             Ok(LocalResult {
                 home: query.home,
                 scope,
-                neighbors: scored,
+                neighbors: nearest_first(scored, fetch),
                 support,
                 // The weighted path performs zero `knn_in_budgeted` node reads, same
                 // as the global counter's accounting.
@@ -231,6 +229,20 @@ pub fn try_run_local_query<I: KnnIndex>(
             })
         }
     }
+}
+
+/// The `fetch` first of `scored` in ascending `(distance.total_cmp, id)`
+/// order, sorted: the head is selected before it is sorted. Ids are unique,
+/// so the key is a total order and the head is the full sort's prefix.
+fn nearest_first(mut scored: Vec<Neighbor>, fetch: usize) -> Vec<Neighbor> {
+    let by_key =
+        |a: &Neighbor, b: &Neighbor| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id));
+    if fetch < scored.len() {
+        scored.select_nth_unstable_by(fetch, by_key);
+        scored.truncate(fetch);
+    }
+    scored.sort_unstable_by(by_key);
+    scored
 }
 
 #[cfg(test)]
@@ -454,6 +466,65 @@ mod tests {
         assert!(partial.exhausted);
         assert_eq!(partial.distance_computations, in_table as u64);
         assert!(partial.neighbors.iter().all(|n| (n.id as usize) < cut));
+    }
+
+    #[test]
+    fn weighted_scan_selects_the_head_of_the_full_sort() {
+        fn full_sort(mut scored: Vec<Neighbor>, fetch: usize) -> Vec<Neighbor> {
+            scored.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+            scored.truncate(fetch);
+            scored
+        }
+        // Four distances (and a NaN) over 50 ids in scrambled order: most of
+        // the key is decided by id.
+        let scored: Vec<Neighbor> = (0..50u64)
+            .map(|i| Neighbor {
+                id: (i * 17) % 50,
+                distance: [0.5, 0.0, 2.0, 0.5, f32::NAN, 1.0][i as usize % 6],
+            })
+            .collect();
+        for fetch in [0, 1, 7, 25, 49, 50, 51, 1000] {
+            let got = nearest_first(scored.clone(), fetch);
+            let want = full_sort(scored.clone(), fetch);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "fetch {fetch}");
+        }
+        // Through the scan itself, at a leaf, an inner node and the root.
+        let (tree, features) = setup();
+        let weights = [1.0f32, 2.0];
+        let metric = qd_linalg::Metric::WeightedEuclidean(weights.to_vec());
+        let mut homes: Vec<NodeId> = tree
+            .node_ids()
+            .filter(|&n| tree.is_leaf(n))
+            .take(1)
+            .collect();
+        homes.extend(tree.children(tree.root()).take(1));
+        homes.push(tree.root());
+        for home in homes {
+            let ids: Vec<u64> = tree.subtree_ids(home).into_iter().collect();
+            let lq = LocalQuery {
+                home,
+                query_points: vec![ids[0] as usize, ids[ids.len() / 2] as usize],
+            };
+            let multipoint = centroid(&[
+                &features[ids[0] as usize],
+                &features[ids[ids.len() / 2] as usize],
+            ]);
+            for fetch in [0, 1, ids.len(), ids.len() + 1] {
+                let got =
+                    try_run_local_query(&tree, &features, &lq, 1.0, fetch, 0, Some(&weights), None)
+                        .unwrap();
+                assert_eq!(got.scope, home);
+                let scan = ids.iter().map(|&id| Neighbor {
+                    id,
+                    distance: metric.distance(&features[id as usize], &multipoint),
+                });
+                assert_eq!(
+                    got.neighbors,
+                    full_sort(scan.collect(), fetch),
+                    "fetch {fetch}"
+                );
+            }
+        }
     }
 
     #[test]

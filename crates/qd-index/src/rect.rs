@@ -278,8 +278,8 @@ impl Rect {
     /// and it is that branch's value; neither positive gives `0.0` (as a
     /// `-0.0` at most, which squares to `0.0`); a NaN coordinate gives `0.0`
     /// both ways, `f32::max` returning its other operand. The search loop
-    /// evaluates this once per child it queues, on a query the predictor has
-    /// never seen.
+    /// scores children through [`Rect::min_dist2_each`], which must agree
+    /// with this to the bit.
     pub fn min_dist2(&self, point: &[f32]) -> f64 {
         debug_assert_eq!(self.dim(), point.len(), "dimension mismatch");
         self.min
@@ -291,6 +291,68 @@ impl Rect {
                 (d as f64).powi(2)
             })
             .sum()
+    }
+
+    /// [`Rect::min_dist2`] of every rectangle `items` yields, handed to
+    /// `each` with its tag in the order they come: eight rectangles at a
+    /// time, one add chain each. One 37-d MINDIST is a chain of 37 dependent
+    /// adds; eight are independent chains, which the compiler advances as
+    /// vector lanes. Each value is `to_bits`-equal to `min_dist2`: see
+    /// [`Rect::min_dist2_8`]. A last batch of fewer than eight repeats its
+    /// first rectangle in the spare lanes and ignores them.
+    ///
+    /// # Panics
+    /// Panics if a rectangle has fewer dimensions than `point`.
+    #[inline]
+    pub(crate) fn min_dist2_each<'a, T: Copy>(
+        items: impl IntoIterator<Item = (T, &'a Rect)>,
+        point: &[f32],
+        mut each: impl FnMut(T, f64),
+    ) {
+        let mut items = items.into_iter();
+        while let Some(first) = items.next() {
+            let mut batch = [first; 8];
+            let mut len = 1;
+            for slot in &mut batch[1..] {
+                let Some(item) = items.next() else { break };
+                *slot = item;
+                len += 1;
+            }
+            let d2 = Self::min_dist2_8(batch.map(|(_, r)| r), point);
+            for (&(tag, _), d2) in batch[..len].iter().zip(d2) {
+                each(tag, d2);
+            }
+        }
+    }
+
+    /// [`Rect::min_dist2`] of eight rectangles, one add chain per lane: each
+    /// lane squares its terms and adds them in dimension order from `0.0`.
+    /// No term is `−0.0` or NaN, so `sum()`'s starting zero is immaterial.
+    ///
+    /// The terms use plain selects where `min_dist2` uses `f32::max`. Both
+    /// forms give the same square, because they can differ only in a zero's
+    /// sign or where a difference is NaN. A NaN difference needs a NaN
+    /// coordinate, which makes both differences NaN and both forms `0.0`,
+    /// or an infinite coordinate on an equal infinite corner. There the
+    /// other difference is `−∞` or NaN, and both forms give `0.0` again.
+    /// Unlike `f32::max`, the selects compile to single vector instructions.
+    /// The slices are cut to `point.len()` first so that the compiler can
+    /// drop the bounds checks and run the eight lanes as vectors.
+    #[inline]
+    fn min_dist2_8(rects: [&Rect; 8], point: &[f32]) -> [f64; 8] {
+        let n = point.len();
+        let lo: [&[f32]; 8] = std::array::from_fn(|j| &rects[j].min[..n]);
+        let hi: [&[f32]; 8] = std::array::from_fn(|j| &rects[j].max[..n]);
+        let mut acc = [0.0f64; 8];
+        for (d, &p) in point.iter().enumerate() {
+            for j in 0..8 {
+                let (below, above) = (lo[j][d] - p, p - hi[j][d]);
+                let x = if below > above { below } else { above };
+                let x = if x > 0.0 { x } else { 0.0 };
+                acc[j] += (x as f64).powi(2);
+            }
+        }
+        acc
     }
 
     /// Squared distance from `point` to the rectangle's center.
@@ -441,6 +503,72 @@ mod tests {
         assert_eq!(a.min_dist2(&[-1.0, 1.0]), 1.0);
     }
 
+    // Corners from a small set with both zeros, subnormals, values an ulp
+    // apart and ±∞, so boxes degenerate to points, faces and edges all the
+    // time; query coordinates from the same set (inside, on a face, on a
+    // corner) plus the box's own corners, far outside, ±∞ and NaN.
+    const CORNERS: [f32; 14] = [
+        f32::NEG_INFINITY,
+        -2.5,
+        -1.0,
+        -f32::MIN_POSITIVE,
+        -f32::from_bits(1),
+        -0.0,
+        0.0,
+        f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        0.5,
+        1.0,
+        1.0 + f32::EPSILON,
+        3.0,
+        f32::INFINITY,
+    ];
+    const SPECIALS: [f32; 9] = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::MAX,
+        f32::MIN,
+        1e-30,
+        -7.25,
+        0.75,
+    ];
+
+    /// A box with corners from [`CORNERS`]; a point box if `point`.
+    fn edge_case_rect(rng: &mut StdRng, dims: usize, point: bool) -> Rect {
+        let (min, max) = (0..dims)
+            .map(|_| {
+                let a = CORNERS[rng.random_range(0..CORNERS.len())];
+                let b = if point {
+                    a
+                } else {
+                    CORNERS[rng.random_range(0..CORNERS.len())]
+                };
+                if a <= b {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            })
+            .unzip();
+        Rect::new(min, max)
+    }
+
+    /// A query on, inside or outside `rect`, with [`SPECIALS`] among its
+    /// coordinates.
+    fn edge_case_query(rng: &mut StdRng, rect: &Rect) -> Vec<f32> {
+        (0..rect.dim())
+            .map(|d| match rng.random_range(0..6) {
+                0 => rect.min[d],
+                1 => rect.max[d],
+                2 => (rect.min[d] + rect.max[d]) / 2.0,
+                3 => SPECIALS[rng.random_range(0..SPECIALS.len())],
+                _ => CORNERS[rng.random_range(0..CORNERS.len())],
+            })
+            .collect()
+    }
+
     #[test]
     fn min_dist2_matches_the_branching_form_bit_for_bit() {
         // `min_dist2` as a per-dimension three-way branch, verbatim as it was
@@ -462,64 +590,12 @@ mod tests {
                 })
                 .sum()
         }
-        // Corners from a small set with both zeros, subnormals and values an
-        // ulp apart, so boxes degenerate to points, faces and edges all the
-        // time; query coordinates from the same set (inside, on a face, on a
-        // corner) plus the box's own corners, far outside, ±∞ and NaN.
-        let tiny = f32::from_bits(1);
-        let corners = [
-            -2.5f32,
-            -1.0,
-            -f32::MIN_POSITIVE,
-            -tiny,
-            -0.0,
-            0.0,
-            tiny,
-            f32::MIN_POSITIVE,
-            0.5,
-            1.0,
-            1.0 + f32::EPSILON,
-            3.0,
-        ];
-        let specials = [
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            -f32::NAN,
-            f32::MAX,
-            f32::MIN,
-            1e-30,
-            -7.25,
-            0.75,
-        ];
         let mut rng = StdRng::seed_from_u64(0x31D1);
         let mut checked_outside = 0usize;
         for dims in [1usize, 2, 37] {
             for case in 0..4000 {
-                let (min, max): (Vec<f32>, Vec<f32>) = (0..dims)
-                    .map(|_| {
-                        let a = corners[rng.random_range(0..corners.len())];
-                        let b = match case % 4 {
-                            0 => a, // a point box
-                            _ => corners[rng.random_range(0..corners.len())],
-                        };
-                        if a <= b {
-                            (a, b)
-                        } else {
-                            (b, a)
-                        }
-                    })
-                    .unzip();
-                let rect = Rect::new(min, max);
-                let query: Vec<f32> = (0..dims)
-                    .map(|d| match rng.random_range(0..6) {
-                        0 => rect.min[d],
-                        1 => rect.max[d],
-                        2 => (rect.min[d] + rect.max[d]) / 2.0,
-                        3 => specials[rng.random_range(0..specials.len())],
-                        _ => corners[rng.random_range(0..corners.len())],
-                    })
-                    .collect();
+                let rect = edge_case_rect(&mut rng, dims, case % 4 == 0);
+                let query = edge_case_query(&mut rng, &rect);
                 let got = rect.min_dist2(&query);
                 let want = branching_min_dist2(&rect, &query);
                 assert_eq!(
@@ -549,6 +625,36 @@ mod tests {
                 want.to_bits(),
                 "{q:?}"
             );
+        }
+    }
+
+    #[test]
+    fn min_dist2_each_matches_min_dist2_bit_for_bit() {
+        // 1–17 children: one, two and three batches, full and partial, on
+        // the same edge cases as the branching-form test; the query is
+        // drawn against the first child, so it lies on, in or near some.
+        let mut rng = StdRng::seed_from_u64(0x8C41);
+        for dims in [1usize, 2, 37] {
+            for children in 1..=17usize {
+                for case in 0..60 {
+                    let rects: Vec<Rect> = (0..children)
+                        .map(|c| edge_case_rect(&mut rng, dims, (case + c) % 4 == 0))
+                        .collect();
+                    let query = edge_case_query(&mut rng, &rects[0]);
+                    let mut got = Vec::new();
+                    let tagged = rects.iter().enumerate();
+                    Rect::min_dist2_each(tagged, &query, |c, d2| got.push((c, d2.to_bits())));
+                    let want: Vec<_> = rects
+                        .iter()
+                        .map(|r| r.min_dist2(&query).to_bits())
+                        .enumerate()
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "d {dims}, {children} children: {rects:?} from {query:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -1128,12 +1128,13 @@ impl RStarTree {
                         pruned += score_leaf(self, slots, query, qnorm, opened, &mut best);
                     }
                     NodeKind::Internal { .. } => {
-                        for child in self.children(n) {
-                            if let Some(r) = self.node(child).rect.as_ref() {
-                                spent += 1;
-                                frontier.push(Reverse((TotalF64(r.min_dist2(query)), child)));
-                            }
-                        }
+                        let children = self
+                            .children(n)
+                            .filter_map(|c| Some((c, self.node(c).rect.as_ref()?)));
+                        Rect::min_dist2_each(children, query, |child, d2| {
+                            spent += 1;
+                            frontier.push(Reverse((TotalF64(d2), child)));
+                        });
                     }
                 }
             }
@@ -1152,11 +1153,12 @@ impl RStarTree {
 
     /// Scores the entries of one opened leaf into `best` and returns how many
     /// the norm lower bound pruned — a one-by-one scan in slot order, each
-    /// entry pruned against the bound as it stands or admitted, except that
-    /// the first survivor in a tile scores the whole tile and the entries
-    /// after it in the same tile take their lanes from that. `opened` is the
-    /// leaf's MINDIST and its position in the open sequence, from which
-    /// [`BestK::admit`] takes an image's turn.
+    /// entry pruned against the bound as it stands or offered to
+    /// [`BestK::admit`], except that the first survivor in a tile scores the
+    /// whole tile and the entries after it in the same tile take their lanes
+    /// from that, and that an entry `admit` would refuse on distance alone
+    /// is never offered. `opened` is the leaf's MINDIST and its position in
+    /// the open sequence, from which `admit` takes an image's turn.
     fn score_leaf(
         &self,
         slots: &[u32],
@@ -1166,25 +1168,31 @@ impl RStarTree {
         best: &mut BestK,
     ) -> u64 {
         let mut pruned = 0;
+        // The bound changes only when `admit` takes an entry.
+        let (mut bound, mut full) = (best.bound(), best.is_full());
         // The tile scored last and its lanes. A lane the kernel abandoned
         // exceeds the bound it was given, and the bound only tightens, so
-        // `admit` turns it away as it would the exact distance.
-        let mut scored: Option<(usize, [f64; TILE])> = None;
+        // it is rejected below as the exact distance would be.
+        let (mut tile_at, mut lanes) = (usize::MAX, [0.0; TILE]);
         for &s in slots {
-            if best.prunes(self.store.norm(s) - qnorm) {
+            if BestK::prunes(self.store.norm(s) - qnorm, bound) {
                 pruned += 1;
                 continue;
             }
             let (tile, lane) = (s as usize / TILE, s as usize % TILE);
-            let lanes = match scored {
-                Some((t, lanes)) if t == tile => lanes,
-                _ => {
-                    let lanes = sq_l2_tile(self.store.tile(tile), query, best.bound());
-                    scored = Some((tile, lanes));
-                    lanes
-                }
-            };
-            best.admit(lanes[lane], opened, self.store.id(s));
+            if tile != tile_at {
+                lanes = sq_l2_tile(self.store.tile(tile), query, bound);
+                tile_at = tile;
+            }
+            let d2 = lanes[lane];
+            // Exactly the entries `admit` refuses whatever their turn and
+            // id: a full heap and a distance past its top's. A tie still
+            // goes in, and so does a NaN while the heap fills.
+            if full && d2.total_cmp(&bound) == Ordering::Greater {
+                continue;
+            }
+            best.admit(d2, opened, self.store.id(s));
+            (bound, full) = (best.bound(), best.is_full());
         }
         pruned
     }
@@ -1479,8 +1487,9 @@ impl Eq for TotalF64 {}
 
 /// The answer of one search as it forms: the `k` scored images that sort
 /// first by `(dist2, turn, id)`, largest on top. Once `k` are held the top's
-/// distance is the *bound*: the norm prune, the kernel's early abandon and
-/// the loop's stop test all compare against it, and it only ever tightens.
+/// distance is the *bound*: the norm prune, the kernel's early abandon, the
+/// leaf scan's reject before `admit` and the loop's stop test all compare
+/// against it, and it only ever tightens.
 ///
 /// `turn` makes the key the order in which a best-first search over images
 /// and nodes together answers (an image before a node at the same distance,
@@ -1505,18 +1514,24 @@ impl BestK {
         }
     }
 
+    /// True once `k` images are held.
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.worst_first.len() == self.k
+    }
+
     /// The k-th best distance scored so far; infinite until `k` have been.
     fn bound(&self) -> f64 {
         match self.worst_first.peek() {
-            Some(worst) if self.worst_first.len() == self.k => worst.0 .0,
+            Some(worst) if self.is_full() => worst.0 .0,
             _ => f64::INFINITY,
         }
     }
 
     /// True when the norm gap `lb = ‖p‖ − ‖q‖` proves the entry lies beyond
-    /// the bound, so its distance need not be evaluated.
-    fn prunes(&self, lb: f64) -> bool {
-        lb * lb > self.bound() * PRUNE_SLACK
+    /// `bound`, so its distance need not be evaluated.
+    fn prunes(lb: f64, bound: f64) -> bool {
+        lb * lb > bound * PRUNE_SLACK
     }
 
     /// True when `k` images are held and none is farther than `mindist`: no
@@ -1524,7 +1539,7 @@ impl BestK {
     /// equal distance the image already scored is answered first).
     fn closes(&self, mindist: f64) -> bool {
         match self.worst_first.peek() {
-            Some(worst) if self.worst_first.len() == self.k => worst.0 <= TotalF64(mindist),
+            Some(worst) if self.is_full() => worst.0 <= TotalF64(mindist),
             _ => false,
         }
     }
@@ -2287,6 +2302,62 @@ mod tests {
         }
     }
 
+    /// The leaf scan skips `admit` only where `admit` itself refuses: a full
+    /// heap and a distance past the bound by `total_cmp`. An entry that ties
+    /// the bound with a smaller `(turn, id)` still displaces the top, and a
+    /// NaN distance still reaches it. A reject written `!(d2 <= bound)`
+    /// turns away every NaN once the heap is full, and one written
+    /// `!(d2 < bound)` every tie as well.
+    #[test]
+    fn the_reject_before_admit_refuses_only_what_admit_refuses() {
+        let reference = |tree: &RStarTree, q: &[f32], k| {
+            tree.search(tree.root(), q, k, None, reference_score_leaf)
+        };
+        // Ties: one leaf holding four points at distance 1 from the origin,
+        // five times over, under ids that descend in slot order. Each entry
+        // after the k-th ties the bound with turn 0 and a smaller id.
+        let mut tree = RStarTree::new(TreeConfig::paper(2));
+        for (i, id) in (0..20u64).rev().enumerate() {
+            let p = [[1.0f32, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]][i % 4];
+            tree.insert(p.to_vec(), id);
+        }
+        assert!(tree.is_leaf(tree.root()));
+        for k in 1..=tree.len() {
+            let got = tree.knn_in_budgeted(tree.root(), &[0.0, 0.0], k, None);
+            assert_eq!(ids_of(&got), (0..k as u64).collect::<Vec<_>>(), "k {k}");
+            assert!(got.neighbors.iter().all(|n| n.distance == 1.0));
+            assert_eq!(got, reference(&tree, &[0.0, 0.0], k), "k {k}");
+        }
+        // NaN: a query with a NaN coordinate scores every entry NaN of the
+        // coordinate's sign and never prunes one. The first `k` scored fill
+        // the heap, and each later one ties its top and goes in by id. A
+        // positive NaN sorts above every MINDIST, so the search never closes
+        // and answers the `k` smallest ids; a negative one sorts below, so
+        // it closes at the first pop after the heap is full.
+        let tree = RStarTree::bulk_load(TreeConfig::small(3), random_points(200, 3, 107));
+        assert!(tree.height() >= 3);
+        // NaN is not equal to itself: compare the distances' bits.
+        let bits = |b: &BudgetedKnn| {
+            let distances = b.neighbors.iter().map(|n| (n.id, n.distance.to_bits()));
+            let counters = (b.accesses, b.distance_computations, b.distances_pruned);
+            (distances.collect::<Vec<_>>(), counters)
+        };
+        for nan in [f32::NAN, -f32::NAN] {
+            let q = [2.0, nan, 5.0];
+            for k in [1usize, 7, 60, 200] {
+                let got = tree.knn_in_budgeted(tree.root(), &q, k, None);
+                assert_eq!(got.neighbors.len(), k);
+                assert!(got.neighbors.iter().all(|n| n.distance.is_nan()));
+                assert_eq!(got.distances_pruned, 0);
+                if nan.is_sign_positive() {
+                    assert_eq!(ids_of(&got), (0..k as u64).collect::<Vec<_>>(), "k {k}");
+                    assert_eq!(got.accesses, tree.node_ids().count() as u64);
+                }
+                assert_eq!(bits(&got), bits(&reference(&tree, &q, k)), "{nan} k {k}");
+            }
+        }
+    }
+
     #[test]
     fn exhausted_budget_returns_valid_best_so_far() {
         let items: Vec<(u64, Vec<f32>)> = (0..300u64)
@@ -2474,9 +2545,10 @@ mod tests {
         assert_eq!(next as usize, tree.len());
     }
 
-    /// The leaf scan as a one-by-one loop in slot order: the norm prune
-    /// against the bound as it stands, else the full [`sq_l2_f64`] of the
-    /// gathered row, admitted.
+    /// The leaf scan as a one-by-one loop in slot order that offers every
+    /// entry's full [`sq_l2_f64`] of the gathered row to `admit`, and counts
+    /// the entries the norm prune against the bound as it stands would have
+    /// skipped.
     fn reference_score_leaf(
         tree: &RStarTree,
         slots: &[u32],
@@ -2487,19 +2559,18 @@ mod tests {
     ) -> u64 {
         let mut pruned = 0;
         for &s in slots {
-            if best.prunes(tree.store.norm(s) - qnorm) {
-                pruned += 1;
-            } else {
-                let d2 = sq_l2_f64(&tree.store.row(s), query);
-                best.admit(d2, opened, tree.store.id(s));
-            }
+            pruned += u64::from(BestK::prunes(tree.store.norm(s) - qnorm, best.bound()));
+            let d2 = sq_l2_f64(&tree.store.row(s), query);
+            best.admit(d2, opened, tree.store.id(s));
         }
         pruned
     }
 
-    /// Tile-at-a-time leaf scoring is the one-by-one scan: same neighbours
-    /// and distance bits, same `distance_computations` and
-    /// `distances_pruned` (and every other field), on trees whose leaves
+    /// Tile-at-a-time leaf scoring, with its norm prune and its reject
+    /// before `admit`, is the one-by-one scan that offers every entry to
+    /// `admit`: same neighbours and distance bits, same
+    /// `distance_computations` and `distances_pruned` (and every other
+    /// field), on trees whose leaves
     /// share tiles with other leaves and with freed slots still holding
     /// their old points, whose last tile is partial, at several scopes, `k`
     /// and budgets, with queries on, near and far from the data.
