@@ -252,11 +252,11 @@ impl Table {
 }
 
 /// A `qd_obs` counter map as a JSON object (BTreeMap keys: sorted, stable).
-pub fn counters_to_json(counters: &BTreeMap<String, u64>) -> JsonValue {
+pub fn counters_to_json(counters: &BTreeMap<qd_obs::Name, u64>) -> JsonValue {
     JsonValue::Obj(
         counters
             .iter()
-            .map(|(name, value)| (name.clone(), JsonValue::u64(*value)))
+            .map(|(name, value)| (name.to_string(), JsonValue::u64(*value)))
             .collect(),
     )
 }
@@ -265,7 +265,7 @@ pub fn counters_to_json(counters: &BTreeMap<String, u64>) -> JsonValue {
 /// span is unindexed, and empty counter maps / child lists render as `{}` /
 /// `[]` so the shape is uniform.
 pub fn span_to_json(span: &qd_obs::Span) -> JsonValue {
-    let mut pairs = vec![("name".to_string(), JsonValue::str(&span.name))];
+    let mut pairs = vec![("name".to_string(), JsonValue::str(span.name.as_str()))];
     if let Some(index) = span.index {
         pairs.push(("index".to_string(), JsonValue::u64(index)));
     }
@@ -308,11 +308,11 @@ pub fn hist_to_json(hist: &qd_obs::Hist) -> JsonValue {
 }
 
 /// A `qd_obs` histogram map as a JSON object (BTreeMap keys: sorted, stable).
-pub fn hists_to_json(hists: &BTreeMap<String, qd_obs::Hist>) -> JsonValue {
+pub fn hists_to_json(hists: &BTreeMap<qd_obs::Name, qd_obs::Hist>) -> JsonValue {
     JsonValue::Obj(
         hists
             .iter()
-            .map(|(name, hist)| (name.clone(), hist_to_json(hist)))
+            .map(|(name, hist)| (name.to_string(), hist_to_json(hist)))
             .collect(),
     )
 }
@@ -345,7 +345,7 @@ pub fn chrome_trace_json(trace: &qd_obs::Trace) -> JsonValue {
     fn emit(span: &qd_obs::Span, ts: u64, events: &mut Vec<JsonValue>) {
         let name = match span.index {
             Some(index) => format!("{}#{index}", span.name),
-            None => span.name.clone(),
+            None => span.name.to_string(),
         };
         events.push(JsonValue::Obj(vec![
             ("name".to_string(), JsonValue::str(name)),
@@ -534,16 +534,16 @@ mod tests {
     #[test]
     fn trace_to_json_carries_all_three_sections() {
         let (_, trace) = qd_obs::with_recorder(|| {
-            qd_obs::span("work", || {
-                qd_obs::count("w.items", 4);
-                qd_obs::observe("w.latency", 12);
+            qd_obs::span(qd_obs::sp::BENCH_QUERY, || {
+                qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 4);
+                qd_obs::observe(qd_obs::hist::QD_QUERY_DISTANCES, 12);
             });
         });
         let json = trace_to_json(&trace).render();
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"histograms\""));
         assert!(json.contains("\"span_tree\""));
-        assert!(json.contains("\"w.latency\""));
+        assert!(json.contains("\"qd.query.distance_computations\""));
         // Deterministic: same trace renders the same bytes.
         assert_eq!(json, trace_to_json(&trace).render());
     }
@@ -551,24 +551,24 @@ mod tests {
     #[test]
     fn chrome_trace_layout_is_sequential_counter_cost() {
         let (_, trace) = qd_obs::with_recorder(|| {
-            qd_obs::span("outer", || {
-                qd_obs::count("o.work", 10);
-                qd_obs::span_indexed("inner", 0, || {
-                    qd_obs::count("i.work", 3);
+            qd_obs::span(qd_obs::sp::SESSION_FINAL, || {
+                qd_obs::count(qd_obs::ctr::SESSION_DISPLAYS, 10);
+                qd_obs::span_indexed(qd_obs::sp::SUBQUERY, 0, || {
+                    qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 3);
                 });
-                qd_obs::span_indexed("inner", 1, || {
-                    qd_obs::count("i.work", 5);
+                qd_obs::span_indexed(qd_obs::sp::SUBQUERY, 1, || {
+                    qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 5);
                 });
             });
         });
         let json = chrome_trace_json(&trace).render();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"displayTimeUnit\": \"ms\""));
-        assert!(json.contains("\"inner#0\""));
-        assert!(json.contains("\"inner#1\""));
-        // root has no own counters → self segment 1; outer starts at ts=1
-        // with dur = 10 (own) + 3 + 5 (children) = 18; inner#0 at
-        // ts = 1 + 10 = 11 (dur 3), inner#1 at ts = 14 (dur 5).
+        assert!(json.contains("\"session.subquery#0\""));
+        assert!(json.contains("\"session.subquery#1\""));
+        // root has no own counters → self segment 1; the final span starts at
+        // ts=1 with dur = 10 (own) + 3 + 5 (children) = 18; subquery #0 at
+        // ts = 1 + 10 = 11 (dur 3), subquery #1 at ts = 14 (dur 5).
         assert!(json.contains("\"ts\": 11"));
         assert!(json.contains("\"ts\": 14"));
         assert!(json.contains("\"dur\": 18"));
@@ -579,16 +579,16 @@ mod tests {
     #[test]
     fn span_tree_serialization_matches_trace_shape() {
         let (_, trace) = qd_obs::with_recorder(|| {
-            qd_obs::span_indexed("phase", 3, || {
-                qd_obs::count("work.items", 2);
+            qd_obs::span_indexed(qd_obs::sp::ROUND, 3, || {
+                qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 2);
             });
         });
         let json = span_to_json(&trace.root).render();
         assert!(json.contains("\"name\": \"root\""));
-        assert!(json.contains("\"name\": \"phase\""));
+        assert!(json.contains("\"name\": \"session.round\""));
         assert!(json.contains("\"index\": 3"));
-        assert!(json.contains("\"work.items\": 2"));
+        assert!(json.contains("\"knn.distance_computations\": 2"));
         let counters = counters_to_json(&trace.counters).render();
-        assert!(counters.contains("\"work.items\": 2"));
+        assert!(counters.contains("\"knn.distance_computations\": 2"));
     }
 }

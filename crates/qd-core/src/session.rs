@@ -645,7 +645,7 @@ pub fn try_execute_subqueries<I: KnnIndex>(
     // Degradation accounting comes from the measured counters, not from the
     // surviving `locals` — so distance work done by a subquery that was
     // subsequently dropped still shows up in the report.
-    let counter = |name: &str| final_counters.get(name).copied().unwrap_or(0);
+    let counter = |name: &qd_obs::Name| final_counters.get(name).copied().unwrap_or(0);
     let budget_spent = counter(qd_obs::ctr::KNN_DISTANCE);
     // Per-query distance distribution (Figs. 10/12): the measured counters
     // already include work from dropped subqueries, so the observation

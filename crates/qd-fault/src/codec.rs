@@ -8,7 +8,8 @@
 //! overflow or an oversized reservation.
 //!
 //! Files: [`read_file`] and [`write_file_atomic`] are the only places the
-//! persisting crates touch the filesystem (qd-analyze rule R10), and the
+//! persisting crates touch the filesystem (rule R10, checked by
+//! `tests/static_contract.rs`), and the
 //! only places the I/O failpoints fire — so every format's `from_bytes` is a
 //! pure function and every format's `save` is atomic.
 

@@ -24,9 +24,9 @@
 //!   caller **in input order** after the join. The merged trace is
 //!   byte-identical to the one a sequential run records directly.
 //!
-//! Counter, span, and histogram names are `&'static str` constants in
-//! [`ctr`], [`sp`], and [`hist`] — qd-analyze rule R8 rejects string
-//! literals at call sites, so every site is listed in the catalogs.
+//! Counter, span, and histogram names are [`Name`] constants in [`ctr`],
+//! [`sp`], and [`hist`]. Only this crate can make a `Name`, so every name the
+//! engine records is listed in a catalog.
 //!
 //! Beyond counters and spans the recorder collects [`Hist`]ograms
 //! (per-query / per-round / per-subquery cost distributions, fed by
@@ -35,68 +35,104 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// A counter, span, or histogram name: a constant of the [`ctr`], [`sp`],
+/// or [`hist`] catalog.
+///
+/// The field is private, so no other crate can make one, and a string
+/// literal does not compile where a hook takes a name:
+///
+/// ```
+/// qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 1);
+/// ```
+///
+/// ```compile_fail
+/// qd_obs::count("knn.ad_hoc", 1);
+/// ```
+///
+/// ```compile_fail
+/// use qd_obs::count;
+/// count("knn.ad_hoc", 1);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Name(&'static str);
+
+impl Name {
+    /// The dotted name, as traces and reports print it.
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.0)
+    }
+}
 
 /// The counter catalog: every named counter the engine increments.
 pub mod ctr {
+    use super::Name;
+
     /// RFS nodes whose representatives were displayed during feedback.
-    pub const SESSION_NODES_VISITED: &str = "session.nodes_visited";
+    pub const SESSION_NODES_VISITED: &Name = &Name("session.nodes_visited");
     /// Representative displays generated across feedback rounds.
-    pub const SESSION_DISPLAYS: &str = "session.displays_generated";
+    pub const SESSION_DISPLAYS: &Name = &Name("session.displays_generated");
     /// User relevance marks consumed across feedback rounds.
-    pub const SESSION_MARKS: &str = "session.marks_consumed";
+    pub const SESSION_MARKS: &Name = &Name("session.marks_consumed");
     /// Distance evaluations performed by localized k-NN (the anytime
     /// budget's cost unit; `Degradation.budget_spent` derives from this).
-    pub const KNN_DISTANCE: &str = "knn.distance_computations";
+    pub const KNN_DISTANCE: &Name = &Name("knn.distance_computations");
     /// Index frontier expansions (node reads) performed by localized k-NN.
-    pub const KNN_FRONTIER: &str = "knn.frontier_expansions";
+    pub const KNN_FRONTIER: &Name = &Name("knn.frontier_expansions");
     /// Boundary-ratio scope escalations from a home node toward the root.
-    pub const KNN_ESCALATIONS: &str = "knn.scope_escalations";
+    pub const KNN_ESCALATIONS: &Name = &Name("knn.scope_escalations");
     /// Frontier nodes (or weighted-scan items) skipped by budget exhaustion.
-    pub const KNN_NODES_SKIPPED: &str = "knn.nodes_skipped";
+    pub const KNN_NODES_SKIPPED: &Name = &Name("knn.nodes_skipped");
     /// Localized k-NN runs whose distance budget ran dry.
-    pub const KNN_BUDGET_EXHAUSTED: &str = "knn.budget_exhaustions";
+    pub const KNN_BUDGET_EXHAUSTED: &Name = &Name("knn.budget_exhaustions");
     /// Nodes created while building the RFS structure.
-    pub const RFS_NODES_CREATED: &str = "rfs.nodes_created";
+    pub const RFS_NODES_CREATED: &Name = &Name("rfs.nodes_created");
     /// k-means iterations spent selecting representatives.
-    pub const RFS_KMEANS_ITERATIONS: &str = "rfs.kmeans_iterations";
+    pub const RFS_KMEANS_ITERATIONS: &Name = &Name("rfs.kmeans_iterations");
     /// Nodes whose representative set was selected.
-    pub const RFS_SELECTIONS: &str = "rfs.representative_selections";
+    pub const RFS_SELECTIONS: &Name = &Name("rfs.representative_selections");
     /// Candidate scorings performed by the baseline retrievers
     /// (MV/QPM/MPQ/Qcluster all retrieve through the same full scan).
-    pub const BASELINE_DISTANCE: &str = "baseline.distance_computations";
+    pub const BASELINE_DISTANCE: &Name = &Name("baseline.distance_computations");
     /// Client submissions retried after a transport fault or rejection.
-    pub const CLIENT_RETRIES: &str = "client.retries";
+    pub const CLIENT_RETRIES: &Name = &Name("client.retries");
     /// Exponential-backoff units accumulated across client retries.
-    pub const CLIENT_BACKOFF_UNITS: &str = "client.backoff_units";
+    pub const CLIENT_BACKOFF_UNITS: &Name = &Name("client.backoff_units");
     /// Sessions the supervisor admitted (activated or queued).
-    pub const SERVE_ADMITTED: &str = "serve.sessions_admitted";
+    pub const SERVE_ADMITTED: &Name = &Name("serve.sessions_admitted");
     /// Sessions shed by admission control (table and queue full, or the
     /// admission failpoint fired).
-    pub const SERVE_SHED: &str = "serve.sessions_shed";
+    pub const SERVE_SHED: &Name = &Name("serve.sessions_shed");
     /// Sessions evicted mid-flight (poisoned by a panic, force-evicted by
     /// the eviction failpoint, or stalled past the tick limit).
-    pub const SERVE_EVICTED: &str = "serve.sessions_evicted";
+    pub const SERVE_EVICTED: &Name = &Name("serve.sessions_evicted");
     /// Scheduler steps executed (one per session turn).
-    pub const SERVE_STEPS: &str = "serve.scheduler_steps";
+    pub const SERVE_STEPS: &Name = &Name("serve.scheduler_steps");
     /// Sessions whose feedback phase was truncated by a deadline.
-    pub const SERVE_TRUNCATIONS: &str = "serve.deadline_truncations";
+    pub const SERVE_TRUNCATIONS: &Name = &Name("serve.deadline_truncations");
     /// Snapshot swaps the supervisor applied mid-run (new shard-set
     /// generations picked up by subsequently promoted sessions).
-    pub const SERVE_SWAPS: &str = "serve.snapshot_swaps";
+    pub const SERVE_SWAPS: &Name = &Name("serve.snapshot_swaps");
     /// Scatter legs fanned out across shards by sharded localized k-NN.
-    pub const SHARD_LEGS: &str = "shard.scatter_legs";
+    pub const SHARD_LEGS: &Name = &Name("shard.scatter_legs");
     /// Scatter legs dropped (panicked worker or merge-time refusal); their
     /// spent work is still charged to the query's budget accounting.
-    pub const SHARD_LEGS_DROPPED: &str = "shard.legs_dropped";
+    pub const SHARD_LEGS_DROPPED: &Name = &Name("shard.legs_dropped");
     /// Shard-set snapshots successfully published.
-    pub const SHARD_PUBLISHES: &str = "shard.snapshots_published";
+    pub const SHARD_PUBLISHES: &Name = &Name("shard.snapshots_published");
     /// RFS nodes whose representative set was re-selected by an incremental
     /// refresh (insert/delete touched their pool).
-    pub const RFS_REFRESHED: &str = "rfs.representatives_refreshed";
+    pub const RFS_REFRESHED: &Name = &Name("rfs.representatives_refreshed");
 
     /// Every counter with a one-line description, for CLI/report listings.
-    pub const COUNTERS: &[(&str, &str)] = &[
+    pub const COUNTERS: &[(&Name, &str)] = &[
         (
             SESSION_NODES_VISITED,
             "RFS nodes whose representatives were displayed",
@@ -138,37 +174,39 @@ pub mod ctr {
 
 /// The span catalog: every named region of the span tree.
 pub mod sp {
+    use super::Name;
+
     /// One feedback round (indexed by 1-based round number).
-    pub const ROUND: &str = "session.round";
+    pub const ROUND: &Name = &Name("session.round");
     /// The final localized k-NN fan-out and merge.
-    pub const SESSION_FINAL: &str = "session.final";
+    pub const SESSION_FINAL: &Name = &Name("session.final");
     /// One localized subquery (indexed by subquery position).
-    pub const SUBQUERY: &str = "session.subquery";
+    pub const SUBQUERY: &Name = &Name("session.subquery");
     /// RFS structure construction.
-    pub const RFS_BUILD: &str = "rfs.build";
+    pub const RFS_BUILD: &Name = &Name("rfs.build");
     /// One RFS level's representative selection (indexed by level).
-    pub const RFS_LEVEL: &str = "rfs.level";
+    pub const RFS_LEVEL: &Name = &Name("rfs.level");
     /// One MV viewpoint channel's retrieval (indexed by channel).
-    pub const MV_VIEWPOINT: &str = "mv.viewpoint";
+    pub const MV_VIEWPOINT: &Name = &Name("mv.viewpoint");
     /// One benchmark query's full session (indexed by query position).
-    pub const BENCH_QUERY: &str = "bench.query";
+    pub const BENCH_QUERY: &Name = &Name("bench.query");
 
     /// One baseline technique's full feedback session.
-    pub const BASELINE_RUN: &str = "baseline.run";
+    pub const BASELINE_RUN: &Name = &Name("baseline.run");
     /// One complete multi-tenant serving run (arrivals through drain).
-    pub const SERVE_RUN: &str = "serve.run";
+    pub const SERVE_RUN: &Name = &Name("serve.run");
     /// One scheduler tick that stepped at least one session (indexed by
     /// tick number).
-    pub const SERVE_TICK: &str = "serve.tick";
+    pub const SERVE_TICK: &Name = &Name("serve.tick");
     /// One shard's RFS construction during a sharded build (indexed by
     /// shard).
-    pub const SHARD_BUILD: &str = "shard.build";
+    pub const SHARD_BUILD: &Name = &Name("shard.build");
     /// One shard's scatter leg of a sharded localized k-NN (indexed by
     /// shard).
-    pub const SHARD_LEG: &str = "shard.leg";
+    pub const SHARD_LEG: &Name = &Name("shard.leg");
 
     /// Every span with a one-line description, for CLI/report listings.
-    pub const SPANS: &[(&str, &str)] = &[
+    pub const SPANS: &[(&Name, &str)] = &[
         (ROUND, "one feedback round"),
         (SESSION_FINAL, "final localized k-NN fan-out and merge"),
         (SUBQUERY, "one localized subquery"),
@@ -191,46 +229,48 @@ pub mod sp {
 /// makes the paper's linear-scaling claims (Figs. 10–13) testable as
 /// distribution assertions rather than aggregate totals.
 pub mod hist {
+    use super::Name;
+
     /// Distance computations spent by one QD session (one observation per
     /// query).
-    pub const QD_QUERY_DISTANCES: &str = "qd.query.distance_computations";
+    pub const QD_QUERY_DISTANCES: &Name = &Name("qd.query.distance_computations");
     /// Index node reads performed by one QD session: feedback displays plus
     /// localized k-NN frontier reads (one observation per query).
-    pub const QD_QUERY_NODE_ACCESSES: &str = "qd.query.node_accesses";
+    pub const QD_QUERY_NODE_ACCESSES: &Name = &Name("qd.query.node_accesses");
     /// Distance computations spent by one localized subquery (one
     /// observation per subquery; compares decomposition policies).
-    pub const QD_SUBQUERY_DISTANCES: &str = "qd.subquery.distance_computations";
+    pub const QD_SUBQUERY_DISTANCES: &Name = &Name("qd.subquery.distance_computations");
     /// Representative displays generated in one feedback round — the
     /// deterministic per-round display-latency proxy (one observation per
     /// round).
-    pub const QD_ROUND_DISPLAYS: &str = "qd.round.display_cost";
+    pub const QD_ROUND_DISPLAYS: &Name = &Name("qd.round.display_cost");
     /// Candidate scorings spent by one baseline session (one observation
     /// per query).
-    pub const BASELINE_QUERY_DISTANCES: &str = "baseline.query.distance_computations";
+    pub const BASELINE_QUERY_DISTANCES: &Name = &Name("baseline.query.distance_computations");
     /// Record reads performed by one baseline session. Baselines retrieve
     /// by full sequential scans, so every candidate scoring is exactly one
     /// record read — this equals the distance count by construction, kept
     /// as its own distribution so QD-vs-baseline node-access comparisons
     /// stay symmetric.
-    pub const BASELINE_QUERY_NODE_ACCESSES: &str = "baseline.query.node_accesses";
+    pub const BASELINE_QUERY_NODE_ACCESSES: &Name = &Name("baseline.query.node_accesses");
     /// Scheduler ticks from a session's arrival to its terminal state (one
     /// observation per admitted session) — the deterministic latency proxy
     /// of the serving layer: queue wait plus one tick per scheduler turn.
-    pub const SERVE_LATENCY_TICKS: &str = "serve.session.latency_ticks";
+    pub const SERVE_LATENCY_TICKS: &Name = &Name("serve.session.latency_ticks");
     /// Deterministic cost units (representative displays plus distance
     /// computations) one session spent before terminating (one observation
     /// per admitted session).
-    pub const SERVE_COST_UNITS: &str = "serve.session.cost_units";
+    pub const SERVE_COST_UNITS: &Name = &Name("serve.session.cost_units");
     /// Sessions stepped in one scheduler tick (one observation per active
     /// tick) — the serving throughput distribution.
-    pub const SERVE_TICK_STEPS: &str = "serve.tick.sessions_stepped";
+    pub const SERVE_TICK_STEPS: &Name = &Name("serve.tick.sessions_stepped");
     /// Distance computations spent by one shard's scatter leg (one
     /// observation per surviving leg) — the shard load-balance
     /// distribution of the largest-remainder budget split.
-    pub const SHARD_LEG_DISTANCES: &str = "shard.leg.distance_computations";
+    pub const SHARD_LEG_DISTANCES: &Name = &Name("shard.leg.distance_computations");
 
     /// Every histogram with a one-line description, for CLI/report listings.
-    pub const HISTS: &[(&str, &str)] = &[
+    pub const HISTS: &[(&Name, &str)] = &[
         (QD_QUERY_DISTANCES, "per-query QD distance computations"),
         (QD_QUERY_NODE_ACCESSES, "per-query QD index node reads"),
         (QD_SUBQUERY_DISTANCES, "per-subquery distance computations"),
@@ -385,30 +425,38 @@ fn bucket_upper(value: u64) -> u64 {
 /// One node of the span tree: a named (optionally indexed) region with the
 /// counters recorded directly inside it and its child spans in execution
 /// order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
-    /// Span name (a [`sp`] constant at every instrumented site).
-    pub name: String,
+    /// Span name: a [`sp`] constant, `root` for a recorder's root span.
+    pub name: Name,
     /// Optional stable index (round number, subquery position, …).
     pub index: Option<u64>,
     /// Counter deltas recorded while this span was innermost.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<Name, u64>,
     /// Child spans, in the order they closed.
     pub children: Vec<Span>,
 }
 
+/// An unnamed, empty span (the root of an empty [`Trace`]).
+impl Default for Span {
+    fn default() -> Self {
+        Span::new(Name(""), None)
+    }
+}
+
 impl Span {
-    fn new(name: &str, index: Option<u64>) -> Self {
+    fn new(name: Name, index: Option<u64>) -> Self {
         Span {
-            name: name.to_string(),
+            name,
             index,
-            ..Span::default()
+            counters: BTreeMap::new(),
+            children: Vec::new(),
         }
     }
 
     /// The subtree-inclusive counter sum: this span's own counters plus
     /// every descendant's.
-    pub fn inclusive_counters(&self) -> BTreeMap<String, u64> {
+    pub fn inclusive_counters(&self) -> BTreeMap<Name, u64> {
         let mut total = self.counters.clone();
         for child in &self.children {
             for (name, value) in child.inclusive_counters() {
@@ -419,8 +467,8 @@ impl Span {
     }
 
     /// Depth-first search for descendants (including `self`) named `name`.
-    pub fn find_all<'a>(&'a self, name: &str, out: &mut Vec<&'a Span>) {
-        if self.name == name {
+    pub fn find_all<'a>(&'a self, name: &Name, out: &mut Vec<&'a Span>) {
+        if self.name == *name {
             out.push(self);
         }
         for child in &self.children {
@@ -432,7 +480,7 @@ impl Span {
         for _ in 0..depth {
             s.push_str("  ");
         }
-        s.push_str(&self.name);
+        s.push_str(self.name.as_str());
         if let Some(i) = self.index {
             let _ = write!(s, "#{i}");
         }
@@ -460,9 +508,9 @@ impl Span {
 pub struct Trace {
     /// Total per-counter sums over the whole scope. Always equal to
     /// `root.inclusive_counters()`.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<Name, u64>,
     /// Named observation distributions recorded via [`observe`].
-    pub hists: BTreeMap<String, Hist>,
+    pub hists: BTreeMap<Name, Hist>,
     /// The hierarchical span tree (the root span is the scope itself).
     pub root: Span,
 }
@@ -489,7 +537,7 @@ impl Trace {
     }
 
     /// All spans named `name`, depth-first.
-    pub fn spans_named(&self, name: &str) -> Vec<&Span> {
+    pub fn spans_named(&self, name: &Name) -> Vec<&Span> {
         let mut out = Vec::new();
         self.root.find_all(name, &mut out);
         out
@@ -505,14 +553,16 @@ impl Trace {
     /// name's inclusive column once per enclosing ancestor — `self` columns
     /// always sum to the trace totals, inclusive columns need not.
     pub fn profile(&self) -> Vec<ProfileRow> {
-        fn walk(span: &Span, rows: &mut BTreeMap<String, ProfileRow>) {
-            let row = rows.entry(span.name.clone()).or_insert_with(|| ProfileRow {
-                name: span.name.clone(),
-                ..ProfileRow::default()
+        fn walk(span: &Span, rows: &mut BTreeMap<Name, ProfileRow>) {
+            let row = rows.entry(span.name).or_insert_with(|| ProfileRow {
+                name: span.name,
+                calls: 0,
+                self_counters: BTreeMap::new(),
+                inclusive_counters: BTreeMap::new(),
             });
             row.calls += 1;
-            for (name, value) in &span.counters {
-                *row.self_counters.entry(name.clone()).or_default() += value;
+            for (&name, value) in &span.counters {
+                *row.self_counters.entry(name).or_default() += value;
             }
             for (name, value) in span.inclusive_counters() {
                 *row.inclusive_counters.entry(name).or_default() += value;
@@ -529,16 +579,16 @@ impl Trace {
 
 /// One row of the flame-style profile table: every span sharing a name,
 /// aggregated (see [`Trace::profile`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileRow {
-    /// Span name (a [`sp`] constant at every instrumented site).
-    pub name: String,
+    /// Span name (see [`Span::name`]).
+    pub name: Name,
     /// How many spans with this name closed in the trace.
     pub calls: u64,
     /// Counters recorded while a span of this name was innermost.
-    pub self_counters: BTreeMap<String, u64>,
+    pub self_counters: BTreeMap<Name, u64>,
     /// Subtree-inclusive counter sums over all spans of this name.
-    pub inclusive_counters: BTreeMap<String, u64>,
+    pub inclusive_counters: BTreeMap<Name, u64>,
 }
 
 /// Renders profile rows as an aligned text table, one line per
@@ -554,7 +604,7 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
         let label = |first: &mut bool| {
             if *first {
                 *first = false;
-                (row.name.clone(), row.calls.to_string())
+                (row.name.to_string(), row.calls.to_string())
             } else {
                 (String::new(), String::new())
             }
@@ -575,7 +625,7 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
             cells.push([
                 name,
                 calls,
-                counter.clone(),
+                counter.to_string(),
                 own.to_string(),
                 inclusive.to_string(),
             ]);
@@ -607,8 +657,8 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
 /// The live recorder: a totals ledger plus the stack of open spans
 /// (`stack[0]` is the scope's root span and is never popped).
 struct RecorderState {
-    totals: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Hist>,
+    totals: BTreeMap<Name, u64>,
+    hists: BTreeMap<Name, Hist>,
     stack: Vec<Span>,
 }
 
@@ -617,7 +667,7 @@ impl RecorderState {
         RecorderState {
             totals: BTreeMap::new(),
             hists: BTreeMap::new(),
-            stack: vec![Span::new("root", None)],
+            stack: vec![Span::new(Name("root"), None)],
         }
     }
 
@@ -681,16 +731,16 @@ pub fn with_recorder<R>(f: impl FnOnce() -> R) -> (R, Trace) {
 
 /// Adds `delta` to the named counter: once in the scope's totals ledger
 /// and once in the innermost open span. No-op without a recorder.
-pub fn count(name: &str, delta: u64) {
+pub fn count(name: &'static Name, delta: u64) {
     if delta == 0 {
         return;
     }
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         let Some(state) = cur.as_mut() else { return };
-        *state.totals.entry(name.to_string()).or_default() += delta;
+        *state.totals.entry(*name).or_default() += delta;
         if let Some(open) = state.stack.last_mut() {
-            *open.counters.entry(name.to_string()).or_default() += delta;
+            *open.counters.entry(*name).or_default() += delta;
         }
     });
 }
@@ -699,15 +749,11 @@ pub fn count(name: &str, delta: u64) {
 /// constant at every instrumented site). Unlike [`count`], a zero is
 /// meaningful — "this round displayed nothing" is a data point — so zeros
 /// are recorded. No-op without a recorder.
-pub fn observe(name: &str, value: u64) {
+pub fn observe(name: &'static Name, value: u64) {
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         let Some(state) = cur.as_mut() else { return };
-        state
-            .hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        state.hists.entry(*name).or_default().record(value);
     });
 }
 
@@ -733,12 +779,12 @@ impl Drop for SpanGuard {
     }
 }
 
-fn span_inner<R>(name: &str, index: Option<u64>, f: impl FnOnce() -> R) -> R {
+fn span_inner<R>(name: &'static Name, index: Option<u64>, f: impl FnOnce() -> R) -> R {
     let pushed = CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         match cur.as_mut() {
             Some(state) => {
-                state.stack.push(Span::new(name, index));
+                state.stack.push(Span::new(*name, index));
                 true
             }
             None => false,
@@ -752,13 +798,13 @@ fn span_inner<R>(name: &str, index: Option<u64>, f: impl FnOnce() -> R) -> R {
 }
 
 /// Runs `f` inside a named span. Without a recorder this is a plain call.
-pub fn span<R>(name: &str, f: impl FnOnce() -> R) -> R {
+pub fn span<R>(name: &'static Name, f: impl FnOnce() -> R) -> R {
     span_inner(name, None, f)
 }
 
 /// Runs `f` inside a named span carrying a stable index (round number,
 /// subquery position, …). Without a recorder this is a plain call.
-pub fn span_indexed<R>(name: &str, index: u64, f: impl FnOnce() -> R) -> R {
+pub fn span_indexed<R>(name: &'static Name, index: u64, f: impl FnOnce() -> R) -> R {
     span_inner(name, Some(index), f)
 }
 
@@ -819,7 +865,7 @@ pub fn absorb(trace: Trace) {
 /// is identical — this is how serving code derives authoritative
 /// accounting (e.g. `Degradation.budget_spent`) from the same counters
 /// observability reports, at zero marginal cost per counted event.
-pub fn measured<R>(name: &str, f: impl FnOnce() -> R) -> (R, BTreeMap<String, u64>) {
+pub fn measured<R>(name: &'static Name, f: impl FnOnce() -> R) -> (R, BTreeMap<Name, u64>) {
     if enabled() {
         let value = span_inner(name, None, f);
         let counters = CURRENT.with(|c| {
@@ -845,8 +891,8 @@ mod tests {
     fn disabled_hooks_are_inert() {
         assert!(!enabled());
         assert!(current().is_none());
-        count("x", 5); // no recorder: silently dropped
-        let v = span("s", || 42);
+        count(&Name("x"), 5); // no recorder: silently dropped
+        let v = span(&Name("s"), || 42);
         assert_eq!(v, 42);
         assert!(!enabled());
     }
@@ -854,28 +900,28 @@ mod tests {
     #[test]
     fn counters_land_in_totals_and_innermost_span() {
         let ((), trace) = with_recorder(|| {
-            count("a", 1);
-            span("outer", || {
-                count("a", 2);
-                span_indexed("inner", 7, || count("b", 3));
+            count(&Name("a"), 1);
+            span(&Name("outer"), || {
+                count(&Name("a"), 2);
+                span_indexed(&Name("inner"), 7, || count(&Name("b"), 3));
             });
         });
-        assert_eq!(trace.counters["a"], 3);
-        assert_eq!(trace.counters["b"], 3);
-        assert_eq!(trace.root.counters["a"], 1);
+        assert_eq!(trace.counters[&Name("a")], 3);
+        assert_eq!(trace.counters[&Name("b")], 3);
+        assert_eq!(trace.root.counters[&Name("a")], 1);
         let outer = &trace.root.children[0];
-        assert_eq!(outer.name, "outer");
-        assert_eq!(outer.counters["a"], 2);
+        assert_eq!(outer.name, Name("outer"));
+        assert_eq!(outer.counters[&Name("a")], 2);
         let inner = &outer.children[0];
         assert_eq!(inner.index, Some(7));
-        assert_eq!(inner.counters["b"], 3);
+        assert_eq!(inner.counters[&Name("b")], 3);
         // Totals always equal the root's inclusive sum.
         assert_eq!(trace.counters, trace.root.inclusive_counters());
     }
 
     #[test]
     fn zero_deltas_leave_no_entries() {
-        let ((), trace) = with_recorder(|| count("a", 0));
+        let ((), trace) = with_recorder(|| count(&Name("a"), 0));
         assert!(trace.counters.is_empty());
     }
 
@@ -883,50 +929,50 @@ mod tests {
     fn span_guard_survives_caught_panics() {
         let ((), trace) = with_recorder(|| {
             let caught = std::panic::catch_unwind(|| {
-                span("doomed", || {
-                    count("pre", 1);
+                span(&Name("doomed"), || {
+                    count(&Name("pre"), 1);
                     panic!("boom");
                 })
             });
             assert!(caught.is_err());
-            count("post", 1);
+            count(&Name("post"), 1);
         });
         // The unwound span closed into the tree with its pre-panic counts.
-        assert_eq!(trace.root.children[0].name, "doomed");
-        assert_eq!(trace.root.children[0].counters["pre"], 1);
-        assert_eq!(trace.counters["pre"], 1);
-        assert_eq!(trace.counters["post"], 1);
+        assert_eq!(trace.root.children[0].name, Name("doomed"));
+        assert_eq!(trace.root.children[0].counters[&Name("pre")], 1);
+        assert_eq!(trace.counters[&Name("pre")], 1);
+        assert_eq!(trace.counters[&Name("post")], 1);
     }
 
     #[test]
     fn nested_recorders_shadow_and_restore() {
         let ((), outer) = with_recorder(|| {
-            count("o", 1);
-            let ((), inner) = with_recorder(|| count("i", 9));
-            assert_eq!(inner.counters["i"], 9);
-            assert!(!inner.counters.contains_key("o"));
-            count("o", 1);
+            count(&Name("o"), 1);
+            let ((), inner) = with_recorder(|| count(&Name("i"), 9));
+            assert_eq!(inner.counters[&Name("i")], 9);
+            assert!(!inner.counters.contains_key(&Name("o")));
+            count(&Name("o"), 1);
         });
-        assert_eq!(outer.counters["o"], 2);
-        assert!(!outer.counters.contains_key("i"));
+        assert_eq!(outer.counters[&Name("o")], 2);
+        assert!(!outer.counters.contains_key(&Name("i")));
     }
 
     #[test]
     fn observe_and_absorb_match_direct_recording() {
         // Sequential reference: tasks record straight into the recorder.
         let work = |task: u64| {
-            span_indexed("task", task, || {
-                count("work", task + 1);
-                observe("lat", task * 10);
+            span_indexed(&Name("task"), task, || {
+                count(&Name("work"), task + 1);
+                observe(&Name("lat"), task * 10);
             })
         };
         let ((), direct) = with_recorder(|| {
-            span("batch", || (0..4).for_each(work));
+            span(&Name("batch"), || (0..4).for_each(work));
         });
 
         // Fan-out shape: fresh recorder per task, absorbed in input order.
         let ((), merged) = with_recorder(|| {
-            span("batch", || {
+            span(&Name("batch"), || {
                 let handle = current();
                 let traces: Vec<Trace> = (0..4)
                     .map(|t| observe_task(&handle, || work(t)).1.expect("observed"))
@@ -949,25 +995,25 @@ mod tests {
     #[test]
     fn measured_reports_identically_with_and_without_recorder() {
         let work = || {
-            count("a", 2);
-            span("child", || count("b", 3));
+            count(&Name("a"), 2);
+            span(&Name("child"), || count(&Name("b"), 3));
         };
-        let bare_counters = measured("m", work).1;
-        let (counters_inside, trace) = with_recorder(|| measured("m", work).1);
+        let bare_counters = measured(&Name("m"), work).1;
+        let (counters_inside, trace) = with_recorder(|| measured(&Name("m"), work).1);
         assert_eq!(bare_counters, counters_inside);
-        assert_eq!(bare_counters["a"], 2);
-        assert_eq!(bare_counters["b"], 3);
+        assert_eq!(bare_counters[&Name("a")], 2);
+        assert_eq!(bare_counters[&Name("b")], 3);
         // Under a recorder the measured span is part of the outer trace.
-        assert_eq!(trace.root.children[0].name, "m");
-        assert_eq!(trace.counters["b"], 3);
+        assert_eq!(trace.root.children[0].name, Name("m"));
+        assert_eq!(trace.counters[&Name("b")], 3);
     }
 
     #[test]
     fn render_is_stable_and_readable() {
         let ((), trace) = with_recorder(|| {
-            count("z.total", 1);
-            span_indexed("phase", 2, || {
-                count("a.work", 4);
+            count(&Name("z.total"), 1);
+            span_indexed(&Name("phase"), 2, || {
+                count(&Name("a.work"), 4);
             });
         });
         let text = trace.render();
@@ -980,11 +1026,13 @@ mod tests {
     #[test]
     fn spans_named_walks_the_tree() {
         let ((), trace) = with_recorder(|| {
-            span("x", || span("y", || span("x", || count("c", 1))));
+            span(&Name("x"), || {
+                span(&Name("y"), || span(&Name("x"), || count(&Name("c"), 1)))
+            });
         });
-        assert_eq!(trace.spans_named("x").len(), 2);
-        assert_eq!(trace.spans_named("y").len(), 1);
-        assert!(trace.spans_named("absent").is_empty());
+        assert_eq!(trace.spans_named(&Name("x")).len(), 2);
+        assert_eq!(trace.spans_named(&Name("y")).len(), 1);
+        assert!(trace.spans_named(&Name("absent")).is_empty());
     }
 
     #[test]
@@ -1038,24 +1086,24 @@ mod tests {
 
     #[test]
     fn observe_lands_in_the_trace_and_keeps_zeros() {
-        observe("dropped", 7); // no recorder: silently dropped
+        observe(&Name("dropped"), 7); // no recorder: silently dropped
         let ((), trace) = with_recorder(|| {
-            observe("lat", 4);
-            observe("lat", 0);
-            span("phase", || observe("other", 2));
+            observe(&Name("lat"), 4);
+            observe(&Name("lat"), 0);
+            span(&Name("phase"), || observe(&Name("other"), 2));
         });
-        assert_eq!(trace.hists["lat"].values(), &[4, 0]);
-        assert_eq!(trace.hists["other"].values(), &[2]);
-        assert!(!trace.hists.contains_key("dropped"));
+        assert_eq!(trace.hists[&Name("lat")].values(), &[4, 0]);
+        assert_eq!(trace.hists[&Name("other")].values(), &[2]);
+        assert!(!trace.hists.contains_key(&Name("dropped")));
     }
 
     #[test]
     fn render_includes_hists_only_when_observed() {
-        let ((), plain) = with_recorder(|| count("a", 1));
+        let ((), plain) = with_recorder(|| count(&Name("a"), 1));
         assert!(!plain.render().contains("hists:"));
         let ((), observed) = with_recorder(|| {
-            observe("lat", 3);
-            observe("lat", 5);
+            observe(&Name("lat"), 3);
+            observe(&Name("lat"), 5);
         });
         assert_eq!(
             observed.render(),
@@ -1068,14 +1116,14 @@ mod tests {
         let ((), trace) = with_recorder(|| {});
         assert!(trace.counters.is_empty());
         assert!(trace.hists.is_empty());
-        assert_eq!(trace.root.name, "root");
+        assert_eq!(trace.root.name, Name("root"));
         assert!(trace.root.children.is_empty());
         assert_eq!(trace.render(), "counters:\nspans:\n  root\n");
-        assert!(trace.spans_named("anything").is_empty());
+        assert!(trace.spans_named(&Name("anything")).is_empty());
         // The profile of an empty trace is the bare root row.
         let profile = trace.profile();
         assert_eq!(profile.len(), 1);
-        assert_eq!(profile[0].name, "root");
+        assert_eq!(profile[0].name, Name("root"));
         assert_eq!(profile[0].calls, 1);
         assert!(profile[0].inclusive_counters.is_empty());
     }
@@ -1085,19 +1133,21 @@ mod tests {
         // find_all / spans_named must report a span that is its own
         // ancestor's namesake twice, and in depth-first order.
         let ((), trace) = with_recorder(|| {
-            span_indexed("x", 1, || {
-                count("c", 1);
-                span("y", || span_indexed("x", 2, || count("c", 2)));
+            span_indexed(&Name("x"), 1, || {
+                count(&Name("c"), 1);
+                span(&Name("y"), || {
+                    span_indexed(&Name("x"), 2, || count(&Name("c"), 2))
+                });
             });
         });
-        let xs = trace.spans_named("x");
+        let xs = trace.spans_named(&Name("x"));
         assert_eq!(xs.len(), 2);
         assert_eq!(xs[0].index, Some(1));
         assert_eq!(xs[1].index, Some(2));
         // The outer x's inclusive view counts the inner x's work exactly
         // once, even though both spans share a name.
-        assert_eq!(xs[0].inclusive_counters()["c"], 3);
-        assert_eq!(xs[1].inclusive_counters()["c"], 2);
+        assert_eq!(xs[0].inclusive_counters()[&Name("c")], 3);
+        assert_eq!(xs[1].inclusive_counters()[&Name("c")], 2);
     }
 
     #[test]
@@ -1105,17 +1155,17 @@ mod tests {
         // Double-count guard: a diamond-shaped name layout (same counter at
         // several depths) sums to the ledger total, no more.
         let ((), trace) = with_recorder(|| {
-            count("c", 1);
-            span("a", || {
-                count("c", 2);
-                span("b", || count("c", 4));
-                span("b", || count("c", 8));
+            count(&Name("c"), 1);
+            span(&Name("a"), || {
+                count(&Name("c"), 2);
+                span(&Name("b"), || count(&Name("c"), 4));
+                span(&Name("b"), || count(&Name("c"), 8));
             });
         });
-        assert_eq!(trace.root.inclusive_counters()["c"], 15);
-        assert_eq!(trace.counters["c"], 15);
+        assert_eq!(trace.root.inclusive_counters()[&Name("c")], 15);
+        assert_eq!(trace.counters[&Name("c")], 15);
         let a = &trace.root.children[0];
-        assert_eq!(a.inclusive_counters()["c"], 14);
+        assert_eq!(a.inclusive_counters()[&Name("c")], 14);
     }
 
     #[test]
@@ -1127,36 +1177,36 @@ mod tests {
             let handle = current();
             let panicked = std::panic::catch_unwind(|| {
                 observe_task(&handle, || {
-                    span("doomed", || {
-                        count("pre", 1);
-                        observe("lat", 9);
+                    span(&Name("doomed"), || {
+                        count(&Name("pre"), 1);
+                        observe(&Name("lat"), 9);
                         panic!("boom");
                     })
                 })
             });
             assert!(panicked.is_err());
             let ((), survivor) = observe_task(&handle, || {
-                span("ok", || count("post", 1));
+                span(&Name("ok"), || count(&Name("post"), 1));
             });
             absorb(survivor.expect("observed"));
         });
         let trace = handle_holder.1;
         // The panicked task's private recorder died with it; only the
         // survivor's span reached the merged trace.
-        assert!(!trace.counters.contains_key("pre"));
-        assert!(!trace.hists.contains_key("lat"));
-        assert_eq!(trace.counters["post"], 1);
-        assert_eq!(trace.root.children[0].name, "ok");
+        assert!(!trace.counters.contains_key(&Name("pre")));
+        assert!(!trace.hists.contains_key(&Name("lat")));
+        assert_eq!(trace.counters[&Name("post")], 1);
+        assert_eq!(trace.root.children[0].name, Name("ok"));
     }
 
     #[test]
     fn profile_aggregates_calls_self_and_inclusive_cost() {
         let ((), trace) = with_recorder(|| {
-            count("root.work", 1);
+            count(&Name("root.work"), 1);
             for i in 0..3 {
-                span_indexed("phase", i, || {
-                    count("phase.work", 2);
-                    span("leaf", || count("leaf.work", 5));
+                span_indexed(&Name("phase"), i, || {
+                    count(&Name("phase.work"), 2);
+                    span(&Name("leaf"), || count(&Name("leaf.work"), 5));
                 });
             }
         });
@@ -1165,18 +1215,18 @@ mod tests {
         assert_eq!(names, vec!["leaf", "phase", "root"]);
         let phase = &profile[1];
         assert_eq!(phase.calls, 3);
-        assert_eq!(phase.self_counters["phase.work"], 6);
-        assert_eq!(phase.inclusive_counters["phase.work"], 6);
-        assert_eq!(phase.inclusive_counters["leaf.work"], 15);
-        assert!(!phase.self_counters.contains_key("leaf.work"));
+        assert_eq!(phase.self_counters[&Name("phase.work")], 6);
+        assert_eq!(phase.inclusive_counters[&Name("phase.work")], 6);
+        assert_eq!(phase.inclusive_counters[&Name("leaf.work")], 15);
+        assert!(!phase.self_counters.contains_key(&Name("leaf.work")));
         let root = &profile[2];
         assert_eq!(root.calls, 1);
         assert_eq!(root.inclusive_counters, trace.counters);
         // Self columns across all rows sum to the ledger.
-        let mut self_total: BTreeMap<String, u64> = BTreeMap::new();
+        let mut self_total: BTreeMap<Name, u64> = BTreeMap::new();
         for row in &profile {
             for (name, value) in &row.self_counters {
-                *self_total.entry(name.clone()).or_default() += value;
+                *self_total.entry(*name).or_default() += value;
             }
         }
         assert_eq!(self_total, trace.counters);
@@ -1185,8 +1235,8 @@ mod tests {
     #[test]
     fn render_profile_is_aligned_and_stable() {
         let ((), trace) = with_recorder(|| {
-            span("empty", || ());
-            span("phase", || count("work.items", 4));
+            span(&Name("empty"), || ());
+            span(&Name("phase"), || count(&Name("work.items"), 4));
         });
         let text = render_profile(&trace.profile());
         assert_eq!(
@@ -1202,7 +1252,7 @@ mod tests {
     #[test]
     fn catalogs_are_wellformed() {
         for catalog in [ctr::COUNTERS, sp::SPANS, hist::HISTS] {
-            let mut names: Vec<&str> = catalog.iter().map(|&(n, _)| n).collect();
+            let mut names: Vec<&str> = catalog.iter().map(|(n, _)| n.as_str()).collect();
             let before = names.len();
             names.sort_unstable();
             names.dedup();
@@ -1210,7 +1260,8 @@ mod tests {
             for (name, desc) in catalog {
                 assert!(!desc.is_empty());
                 assert!(
-                    name.chars()
+                    name.as_str()
+                        .chars()
                         .all(|ch| ch.is_ascii_lowercase() || ch == '.' || ch == '_'),
                     "bad name {name}"
                 );

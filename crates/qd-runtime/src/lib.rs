@@ -453,10 +453,10 @@ mod tests {
         let run = |workers| {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
-                    qd_obs::span("batch", || {
+                    qd_obs::span(qd_obs::sp::SESSION_FINAL, || {
                         par_map(&items, |&x| {
-                            qd_obs::span_indexed("item", x, || {
-                                qd_obs::count("work.units", x + 1);
+                            qd_obs::span_indexed(qd_obs::sp::SUBQUERY, x, || {
+                                qd_obs::count(qd_obs::ctr::KNN_DISTANCE, x + 1);
                                 x * 2
                             })
                         })
@@ -469,7 +469,10 @@ mod tests {
         assert_eq!(out1, out8);
         assert_eq!(trace1, trace8);
         assert_eq!(trace1.render(), trace8.render());
-        assert_eq!(trace1.counters["work.units"], (1..=40).sum::<u64>());
+        assert_eq!(
+            trace1.counters[qd_obs::ctr::KNN_DISTANCE],
+            (1..=40).sum::<u64>()
+        );
         // Item spans grafted in input order under the batch span.
         let batch = &trace1.root.children[0];
         assert_eq!(batch.children.len(), 40);
@@ -485,7 +488,7 @@ mod tests {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
                     par_map(&items, |&x| {
-                        qd_obs::observe("t.latency", x * 3);
+                        qd_obs::observe(qd_obs::hist::QD_SUBQUERY_DISTANCES, x * 3);
                         x
                     })
                 })
@@ -496,7 +499,7 @@ mod tests {
         assert_eq!(out1, out8);
         assert_eq!(trace1, trace8);
         // Observations land in input order, not completion order.
-        let hist = &trace1.hists["t.latency"];
+        let hist = &trace1.hists[qd_obs::hist::QD_SUBQUERY_DISTANCES];
         let expected: Vec<u64> = items.iter().map(|&x| x * 3).collect();
         assert_eq!(hist.values(), expected.as_slice());
     }
@@ -508,11 +511,11 @@ mod tests {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
                     par_try_map(&items, |&x| {
-                        qd_obs::observe("t.work", x + 1);
+                        qd_obs::observe(qd_obs::hist::QD_SUBQUERY_DISTANCES, x + 1);
                         if x % 5 == 2 {
                             panic!("injected {x}");
                         }
-                        qd_obs::observe("t.done", 1);
+                        qd_obs::observe(qd_obs::hist::QD_QUERY_DISTANCES, 1);
                         x
                     })
                 })
@@ -523,9 +526,12 @@ mod tests {
         assert_eq!(out1, out8);
         assert_eq!(trace1, trace8);
         // Panicked tasks still absorb the observations they made before
-        // dying; only survivors reach `t.done`.
-        assert_eq!(trace1.hists["t.work"].count(), 12);
-        assert_eq!(trace1.hists["t.done"].count(), 10);
+        // dying; only survivors reach the second histogram.
+        assert_eq!(
+            trace1.hists[qd_obs::hist::QD_SUBQUERY_DISTANCES].count(),
+            12
+        );
+        assert_eq!(trace1.hists[qd_obs::hist::QD_QUERY_DISTANCES].count(), 10);
     }
 
     #[test]
@@ -535,11 +541,11 @@ mod tests {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
                     par_try_map(&items, |&x| {
-                        qd_obs::count("before", 1);
+                        qd_obs::count(qd_obs::ctr::KNN_FRONTIER, 1);
                         if x % 5 == 2 {
                             panic!("injected {x}");
                         }
-                        qd_obs::count("after", 1);
+                        qd_obs::count(qd_obs::ctr::KNN_DISTANCE, 1);
                         x
                     })
                 })
@@ -549,9 +555,9 @@ mod tests {
         let (out8, trace8) = run(8);
         assert_eq!(out1, out8);
         assert_eq!(trace1, trace8);
-        // Every task counted `before`, only survivors counted `after`.
-        assert_eq!(trace1.counters["before"], 12);
-        assert_eq!(trace1.counters["after"], 10);
+        // Every task counted before the panic, only survivors after it.
+        assert_eq!(trace1.counters[qd_obs::ctr::KNN_FRONTIER], 12);
+        assert_eq!(trace1.counters[qd_obs::ctr::KNN_DISTANCE], 10);
     }
 
     #[test]

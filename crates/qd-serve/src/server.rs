@@ -362,7 +362,7 @@ struct Meta {
 
 /// Deterministic cost of one step, in the contract's cost units.
 fn step_cost(trace: &qd_obs::Trace) -> u64 {
-    let get = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+    let get = |name: &qd_obs::Name| trace.counters.get(name).copied().unwrap_or(0);
     get(qd_obs::ctr::SESSION_DISPLAYS) + get(qd_obs::ctr::KNN_DISTANCE)
 }
 

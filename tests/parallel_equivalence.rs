@@ -240,7 +240,7 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// NaN-score regression (the qd-analyze R1 migration to `total_cmp`).
+// NaN-score regression (rule R1's migration to `total_cmp`).
 //
 // Before the migration, a NaN similarity score either panicked the merge
 // (`partial_cmp(..).unwrap()`) or — worse for the paper's Table 1/2 numbers —

@@ -849,7 +849,8 @@ fn single_shard_update_is_the_monolithic_update() {
 /// unchanged set (every shard untouched) refreshes none.
 #[test]
 fn one_update_costs_a_path_not_a_shard() {
-    let counter = |trace: &obs::Trace, name: &str| trace.counters.get(name).copied().unwrap_or(0);
+    let counter =
+        |trace: &obs::Trace, name: &obs::Name| trace.counters.get(name).copied().unwrap_or(0);
     let config = small_node_config();
     for n in [1_200usize, 4_800] {
         let mut rng = StdRng::seed_from_u64(n as u64);

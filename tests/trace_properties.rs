@@ -265,7 +265,7 @@ fn subquery_spans_sum_to_session_totals() {
         },
     ] {
         let (served, trace) = observed_serve("bird", &cfg);
-        let total = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
+        let total = |name: &obs::Name| trace.counters.get(name).copied().unwrap_or(0);
         let subquery_sum: u64 = trace
             .spans_named(obs::sp::SUBQUERY)
             .iter()
