@@ -35,8 +35,11 @@ use query_decomposition::index::KnnIndex;
 use query_decomposition::obs;
 use query_decomposition::prelude::*;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::OnceLock;
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::assert_matches_golden;
 
 type ArenaRfs = RfsStructure<RStarTree>;
 
@@ -76,51 +79,6 @@ const BUDGETS: [Option<u64>; 7] = [
     Some(5000),
     Some(u64::MAX),
 ];
-
-fn golden_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file)
-}
-
-/// Compares `actual` against the checked-in golden `file`. With
-/// `QD_UPDATE_GOLDEN=1` the file is (re)written instead and the test
-/// passes. On drift the failure message shows the first differing line.
-fn assert_matches_golden(file: &str, actual: &str) {
-    let path = golden_path(file);
-    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\n(run `QD_UPDATE_GOLDEN=1 cargo test --test arena_equivalence` to create it)",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    let mismatch = expected
-        .lines()
-        .zip(actual.lines())
-        .enumerate()
-        .find(|(_, (e, a))| e != a);
-    match mismatch {
-        Some((i, (e, a))) => panic!(
-            "golden {} drifted at line {}:\n  expected: {e}\n  actual:   {a}\n(if intentional, regenerate with QD_UPDATE_GOLDEN=1)",
-            file,
-            i + 1
-        ),
-        None => panic!(
-            "golden {} drifted in length: expected {} lines, got {} (if intentional, regenerate with QD_UPDATE_GOLDEN=1)",
-            file,
-            expected.lines().count(),
-            actual.lines().count()
-        ),
-    }
-}
 
 fn f32_bits(v: &[f32]) -> String {
     v.iter()

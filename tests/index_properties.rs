@@ -10,6 +10,9 @@ use rand::{RngExt, SeedableRng};
 use std::fmt::Write as _;
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
+use golden::assert_matches_golden;
 
 fn dist2(a: &[f32], b: &[f32]) -> f64 {
     a.iter().zip(b).map(|(x, y)| ((x - y) as f64).powi(2)).sum()
@@ -557,36 +560,6 @@ fn knn_tie_sweep_matches_golden() {
     );
     assert!(pruned_total > 0, "the sweep never exercised the norm prune");
     assert_matches_golden("knn_tie_sweep.txt", &sweep);
-}
-
-/// Compares `actual` against `tests/golden/<file>`; `QD_UPDATE_GOLDEN=1`
-/// rewrites the file instead (same convention as `arena_equivalence.rs`).
-fn assert_matches_golden(file: &str, actual: &str) {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file);
-    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    if let Some((i, (e, a))) = expected
-        .lines()
-        .zip(actual.lines())
-        .enumerate()
-        .find(|(_, (e, a))| e != a)
-    {
-        panic!(
-            "golden {file} drifted at line {}:\n  expected: {e}\n  actual:   {a}",
-            i + 1
-        );
-    }
-    assert_eq!(
-        expected.lines().count(),
-        actual.lines().count(),
-        "golden {file} drifted in length"
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -15,11 +15,16 @@
 //!    two thread counts shed the same ids in the same order.
 //!
 //! The CI chaos job reruns this suite under eight `QD_FAULT_SEED`s with
-//! `QD_THREADS=8`.
+//! `QD_THREADS=8`. One chaos run is also pinned byte for byte, arrival and
+//! finish ticks included (`tests/golden/serve_run.txt`).
 
 use qd_fault::{FaultPlan, Mode};
 use query_decomposition::prelude::*;
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
+
+#[path = "common/golden.rs"]
+mod golden;
 
 fn fixture() -> (Arc<Corpus>, Arc<RfsStructure>) {
     static FIXTURE: OnceLock<(Arc<Corpus>, Arc<RfsStructure>)> = OnceLock::new();
@@ -227,4 +232,87 @@ fn poisoned_tenant_leaves_every_neighbor_byte_identical() {
             );
         }
     }
+}
+
+/// One served run as golden lines: every session's arrival and finish tick
+/// and its fingerprint, then the scheduler's own trace (`serve.*`).
+fn render_run(label: &str, report: &ServeReport, trace: &qd_obs::Trace) -> String {
+    let mut out = format!("== {label}: {} ticks\n", report.ticks);
+    for s in &report.sessions {
+        writeln!(
+            out,
+            "arrival={} finished={} {}",
+            s.arrival_tick,
+            s.finished_tick,
+            s.fingerprint()
+        )
+        .unwrap();
+    }
+    out.push_str(&trace.render());
+    out
+}
+
+/// The scheduler, pinned: one chaos plan with every supervisor decision in
+/// it — admission rejects, poisoned steps, operator evictions, deadline
+/// truncations, overload sheds, and tenants whose shard scatter loses a
+/// leg — served over the monolithic snapshot and over a four-shard set
+/// swapped mid-run for a copy with one image removed. Which session ends
+/// how, and on which tick, is in `tests/golden/serve_run.txt`, at 1 and 8
+/// workers alike. The plan's seeds are fixed: `QD_FAULT_SEED` does not
+/// reach this test.
+#[test]
+fn a_chaos_run_matches_the_serve_golden() {
+    let (corpus, rfs) = fixture();
+    let mut plan = LoadPlan::generate(
+        &corpus,
+        &LoadConfig {
+            users: 18,
+            arrivals_per_tick: 2,
+            deadline: 30,
+            ..LoadConfig::default()
+        },
+    );
+    // Every third tenant escalates its subqueries to the root (a zero
+    // boundary threshold), where the sharded run scatters, and loses shard
+    // 1's leg to a panic.
+    for spec in plan.specs.iter_mut().skip(1).step_by(3) {
+        spec.cfg.boundary_threshold = 0.0;
+        spec.fault_plan =
+            Some(FaultPlan::new(9).site(qd_fault::site::SHARD_SCATTER, Mode::Once(1)));
+    }
+    let chaos = FaultPlan::new(0x5e12e)
+        .site(qd_fault::site::SERVE_ADMISSION, Mode::Probability(0.1))
+        .site(qd_fault::site::SERVE_STEP_PANIC, Mode::Probability(0.2))
+        .site(qd_fault::site::SERVE_EVICT, Mode::Probability(0.1));
+    let cfg = ServeConfig {
+        max_active: 3,
+        queue_capacity: 3,
+        ..ServeConfig::default()
+    };
+    let config = RfsConfig::test_small();
+    let sharded = build_sharded_rfs(corpus.features(), &config, ShardConfig::new(4, 0x51ed));
+    let shrunk = sharded.rebuild_with_refresh(
+        sharded.tree().remove(corpus.features(), 137),
+        corpus.features(),
+        &config,
+    );
+    let swaps = [(4, Arc::new(shrunk))];
+    let mono = Server::new(corpus.clone(), rfs, cfg.clone());
+    let shard4 = Server::new(corpus, Arc::new(sharded), cfg);
+    let run = |workers: usize| {
+        qd_fault::with_plan(&chaos, || {
+            qd_runtime::with_threads(workers, || {
+                let (a, ta) = qd_obs::with_recorder(|| mono.run(&plan));
+                let (b, tb) = qd_obs::with_recorder(|| shard4.run_with_swaps(&plan, &swaps));
+                render_run("monolithic", &a, &ta) + &render_run("shard4, swap at tick 4", &b, &tb)
+            })
+        })
+    };
+    let one = run(1);
+    assert_eq!(
+        one,
+        run(8),
+        "the served run diverged between 1 and 8 workers"
+    );
+    golden::assert_matches_golden("serve_run.txt", &one);
 }

@@ -50,6 +50,9 @@ use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
+use golden::assert_matches_golden;
 
 type SoloRfs = RfsStructure<RStarTree>;
 type ShardedRfs = RfsStructure<ShardSet>;
@@ -964,16 +967,5 @@ fn weighted_budget_scan_matches_golden() {
     sweep(&mut actual, "rstar", corpus, solo);
     sweep(&mut actual, "shard4", corpus, sharded(4));
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/weighted_budget_scan.txt");
-    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(e, a, "weighted_budget_scan.txt drifted at line {}", i + 1);
-    }
-    assert_eq!(expected.lines().count(), actual.lines().count());
+    assert_matches_golden("weighted_budget_scan.txt", &actual);
 }

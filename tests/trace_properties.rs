@@ -21,8 +21,11 @@
 
 use query_decomposition::prelude::*;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::OnceLock;
+
+#[path = "common/golden.rs"]
+mod golden;
+use golden::assert_matches_golden;
 
 /// Shared fixture: a small viewpointed corpus (MV needs channels) and its
 /// RFS structure. Seeds match `fault_properties.rs` so cross-suite behavior
@@ -152,51 +155,6 @@ fn serialize_pinned_sessions() -> String {
         all.push_str(&serialize_served(&label, &serve(name, &cfg)));
     }
     all
-}
-
-fn golden_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file)
-}
-
-/// Compares `actual` against the checked-in golden `file`. With
-/// `QD_UPDATE_GOLDEN=1` the file is (re)written instead and the test
-/// passes. On drift the failure message shows the first differing line.
-fn assert_matches_golden(file: &str, actual: &str) {
-    let path = golden_path(file);
-    if std::env::var("QD_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {}: {e}\n(run `QD_UPDATE_GOLDEN=1 cargo test --test trace_properties` to create it)",
-            path.display()
-        )
-    });
-    if expected == actual {
-        return;
-    }
-    let mismatch = expected
-        .lines()
-        .zip(actual.lines())
-        .enumerate()
-        .find(|(_, (e, a))| e != a);
-    match mismatch {
-        Some((i, (e, a))) => panic!(
-            "golden {} drifted at line {}:\n  expected: {e}\n  actual:   {a}\n(if intentional, regenerate with QD_UPDATE_GOLDEN=1)",
-            file,
-            i + 1
-        ),
-        None => panic!(
-            "golden {} drifted in length: expected {} lines, got {} (if intentional, regenerate with QD_UPDATE_GOLDEN=1)",
-            file,
-            expected.lines().count(),
-            actual.lines().count()
-        ),
-    }
 }
 
 /// Overhead guard: with no recorder installed, the instrumented session path
