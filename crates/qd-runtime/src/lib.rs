@@ -4,11 +4,11 @@
 
 //! Deterministic parallel execution for the Query Decomposition engine.
 //!
-//! The engine has independent work at several layers — per-node
-//! representative selection, shard builds and scatter legs, MV's four
-//! viewpoint k-NNs, the queries of an evaluation table, the sessions of a
-//! serve tick — so this crate provides a tiny executor built on
-//! [`std::thread::scope`] with one hard guarantee:
+//! The engine has independent work at several build-time and harness
+//! layers — per-node representative selection, shard builds, MV's four
+//! viewpoint k-NNs, the queries of an evaluation table — so this crate
+//! provides a tiny executor built on [`std::thread::scope`] with one hard
+//! guarantee:
 //!
 //! **Determinism contract.** [`par_map`] returns results in input order, and
 //! every closure must depend only on its own item (seeding any RNG it uses
@@ -21,9 +21,11 @@
 //! items cost 30–225 µs at `nproc` workers on a 2-vCPU box, depending on
 //! what the scheduler is doing, against 0.02 µs as a plain loop
 //! (`qd-runtime.par_map4_us_tn` / `_t1`). So it pays only where one item
-//! costs hundreds of microseconds or more. The final round's localized
-//! subqueries (≈ 4 µs each) are far below that grain and run through the
-//! serial entry, [`try_map_indexed`]. A fan-out's workers run
+//! costs hundreds of microseconds or more. The request path is far below
+//! that grain and stays on the calling thread: the final round's localized
+//! subqueries (≈ 4 µs each) and a shard scatter's legs run through the
+//! serial entry, [`try_map_indexed`], and a serve tick steps each tenant
+//! under [`isolated`]. A fan-out's workers run
 //! any fan-out nested inside an item serially, so the worker count the
 //! caller asked for bounds the threads of the whole call tree.
 //!
@@ -110,7 +112,7 @@ where
     scatter_gather(n, workers, |i| f(i, &items[i]))
 }
 
-/// A panic caught from a single task by [`par_try_map`], carrying the task's
+/// A panic caught from a single task by [`isolated`], carrying the task's
 /// input index and the panic message (stringified payload).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskPanic {
@@ -150,29 +152,19 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_try_map_indexed(items, |_, item| f(item))
-}
-
-/// [`par_try_map`] where the closure also receives the item's input index.
-pub fn par_try_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<Result<U, TaskPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
     let n = items.len();
     let workers = threads().min(n);
     if workers <= 1 {
-        return try_map_indexed(items, f);
+        return try_map_indexed(items, |_, item| f(item));
     }
-    scatter_gather(n, workers, |i| isolated(i, || f(i, &items[i])))
+    scatter_gather(n, workers, |i| isolated(i, || f(&items[i])))
 }
 
-/// The serial entry — what [`par_try_map_indexed`] does at one worker:
-/// every item on the calling thread in input order, each under the same
-/// per-task panic isolation, straight into the caller's recorder and fault
-/// plan. Nothing crosses a thread, so nothing needs `Sync` or `Send`. For
-/// items below the grain rule (see the crate docs).
+/// The serial entry — what [`par_try_map`] does at one worker: every item
+/// on the calling thread in input order, each under [`isolated`], straight
+/// into the caller's recorder and fault plan. Nothing crosses a thread, so
+/// nothing needs `Sync` or `Send`. For items below the grain rule (see the
+/// crate docs).
 pub fn try_map_indexed<T, U>(items: &[T], f: impl Fn(usize, &T) -> U) -> Vec<Result<U, TaskPanic>> {
     items
         .iter()
@@ -181,9 +173,11 @@ pub fn try_map_indexed<T, U>(items: &[T], f: impl Fn(usize, &T) -> U) -> Vec<Res
         .collect()
 }
 
-/// Runs task `index` under `catch_unwind`, turning a panic into a
-/// [`TaskPanic`].
-fn isolated<U>(index: usize, task: impl FnOnce() -> U) -> Result<U, TaskPanic> {
+/// Runs task `index` on the calling thread under `catch_unwind`, turning a
+/// panic into a [`TaskPanic`]: the per-task isolation of [`par_try_map`]
+/// and [`try_map_indexed`], for a caller that owns its loop (the serve
+/// tick steps its tenants one at a time, each with its own state).
+pub fn isolated<U>(index: usize, task: impl FnOnce() -> U) -> Result<U, TaskPanic> {
     catch_unwind(AssertUnwindSafe(task)).map_err(|payload| TaskPanic {
         index,
         message: panic_message(payload.as_ref()),

@@ -4,8 +4,9 @@
 //! round-robin scheduler over a shared immutable RFS snapshot. Each tick:
 //! arrivals are admitted (or shed), queued sessions are promoted into free
 //! active slots, and every active session advances by one step — one
-//! feedback round or the final localized k-NN — executed in parallel via
-//! `qd_runtime::par_try_map`.
+//! feedback round or the final localized k-NN — in turn order, on the
+//! calling thread. A step is tens of microseconds, well below the grain at
+//! which a thread fan-out pays (DESIGN.md §7).
 //!
 //! The isolation contract (DESIGN.md §13):
 //!
@@ -13,10 +14,10 @@
 //!   (when the spec carries one) its **own** fault plan, so a session's
 //!   trace and fault decisions are byte-identical whether it runs alone or
 //!   among any number of neighbors;
-//! * a panicking step is caught by `par_try_map`; the poisoned session is
-//!   quarantined (its state died with the panic) and reported as evicted,
-//!   while every neighbor's step result is processed exactly as if the
-//!   panic had not happened;
+//! * a panicking step is caught by `qd_runtime::isolated`; the poisoned
+//!   session is quarantined (its state dies with it) and reported as
+//!   evicted, while every neighbor steps exactly as if the panic had not
+//!   happened;
 //! * all supervisor decisions (shedding, eviction, deadlines) are pure
 //!   functions of `(config seeds, session id, accumulated deterministic
 //!   cost)` — never of wall-clock time or thread scheduling.
@@ -30,17 +31,12 @@ use qd_core::{QdError, RfsStructure, SimulatedUser};
 use qd_corpus::Corpus;
 use qd_index::{KnnIndex, RStarTree};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Session lifecycle: `Admitted → Active → {Complete, Degraded, Evicted,
-/// Failed}`. The first two are transient scheduler states; the last four
-/// are terminal and appear in [`SessionReport`]s.
+/// How a session ended: the four terminal states a [`SessionReport`] can
+/// hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
-    /// Past admission control, parked in the wait queue.
-    Admitted,
-    /// Holding an active slot; steps each scheduler tick.
-    Active,
     /// Finished with the exact answer.
     Complete,
     /// Finished with a valid best-so-far answer (deadline truncation,
@@ -181,7 +177,7 @@ impl SessionReport {
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Active slots: sessions stepped concurrently per tick.
+    /// Active slots: sessions stepped per tick, one after another.
     pub max_active: usize,
     /// Wait-queue capacity; arrivals beyond it trigger load shedding.
     pub queue_capacity: usize,
@@ -248,7 +244,6 @@ impl ServeReport {
                 SessionState::Degraded => counts.1 += 1,
                 SessionState::Evicted => counts.2 += 1,
                 SessionState::Failed => counts.3 += 1,
-                SessionState::Admitted | SessionState::Active => {}
             }
         }
         counts
@@ -306,8 +301,7 @@ impl ServeReport {
 /// Where a live session is in its protocol.
 enum Phase<'a, I: KnnIndex> {
     /// Feedback rounds in progress. Boxed: the stepper (marks, per-round
-    /// state) dwarfs the other variants, and the phase moves through
-    /// worker threads every tick.
+    /// state) dwarfs the other variants.
     Feedback(Box<FeedbackStepper<'a, RfsStructure<I>>>),
     /// Feedback done; the final localized k-NN is the next step.
     Final(FeedbackRounds),
@@ -315,9 +309,11 @@ enum Phase<'a, I: KnnIndex> {
     Done,
 }
 
-/// The per-session state that lives inside the scheduler's active slots and
-/// travels through the parallel step workers.
-struct Body<'a, I: KnnIndex> {
+/// Supervisor-side ledger for one session holding an active slot: its
+/// protocol state and what it has spent so far. A queued session needs
+/// none; it has spent nothing yet.
+struct Meta<'a, I: KnnIndex> {
+    spec: &'a SessionSpec,
     user: SimulatedUser,
     phase: Phase<'a, I>,
     /// The snapshot this session was promoted against. Every step of the
@@ -325,39 +321,24 @@ struct Body<'a, I: KnnIndex> {
     /// reference, so a snapshot swap mid-run never changes an in-flight
     /// session's answer (DESIGN.md §14).
     rfs: &'a RfsStructure<I>,
-    truncated: bool,
-    rounds_run: usize,
-}
-
-/// One entry of a tick's step batch: session id, its spec, cost spent so
-/// far, and the body handed to the worker (behind a `Mutex` so the fan-out
-/// can move it out on panic-free completion).
-type BatchEntry<'a, I> = (u64, &'a SessionSpec, u64, Mutex<Option<Body<'a, I>>>);
-
-/// What one scheduler step produced.
-enum StepEvent {
-    /// More steps needed.
-    Continue,
-    /// The session reached an engine-terminal state.
-    Finished(Result<ServedOutcome, QdError>),
-}
-
-/// One worker-side step result: the session state handed back, the event,
-/// and the step's private trace.
-struct WorkOut<'a, I: KnnIndex> {
-    body: Body<'a, I>,
-    event: StepEvent,
-    trace: qd_obs::Trace,
-}
-
-/// Supervisor-side ledger for one admitted session.
-struct Meta {
-    spec_index: usize,
-    state: SessionState,
     spent: u64,
     rounds_run: usize,
     truncated: bool,
     trace: qd_obs::Trace,
+}
+
+/// What one scheduler step produced.
+enum StepEvent {
+    /// A feedback round ran, or the deadline cut the rounds short; more
+    /// steps needed.
+    Round {
+        /// Feedback rounds executed so far.
+        rounds_run: usize,
+        /// True when this step was the deadline truncation.
+        truncated: bool,
+    },
+    /// The session reached an engine-terminal state.
+    Finished(Result<ServedOutcome, QdError>),
 }
 
 /// Deterministic cost of one step, in the contract's cost units.
@@ -382,48 +363,50 @@ fn merge_trace(acc: &mut qd_obs::Trace, step: qd_obs::Trace) {
 }
 
 /// Advances one session by one scheduler step: one feedback round, the
-/// deadline truncation, or the final localized k-NN. Runs on a worker
-/// thread, inside the session's private recorder (and fault plan, when it
-/// has one), so everything it observes lands in the session's own trace.
-fn step_session<'a, I: KnnIndex + Sync>(
-    corpus: &Corpus,
-    spec: &SessionSpec,
-    spent: u64,
-    body: &mut Body<'a, I>,
-) -> StepEvent {
-    let rfs = body.rfs;
-    match std::mem::replace(&mut body.phase, Phase::Done) {
+/// deadline truncation, or the final localized k-NN. Runs inside the
+/// session's private recorder (and fault plan, when it has one), so
+/// everything it observes lands in the session's own trace. The supervisor
+/// folds the event into the ledger only once the step has returned: a
+/// panicking step leaves the ledger's totals as they were before it.
+fn step_session<I: KnnIndex>(corpus: &Corpus, meta: &mut Meta<'_, I>) -> StepEvent {
+    let spec = meta.spec;
+    match std::mem::replace(&mut meta.phase, Phase::Done) {
         Phase::Feedback(mut stepper) => {
-            let over_deadline = spec.deadline.is_some_and(|d| spent >= d);
-            if over_deadline && !stepper.is_done() {
+            let over_deadline = spec.deadline.is_some_and(|d| meta.spent >= d);
+            let truncated = over_deadline && !stepper.is_done();
+            if truncated {
                 // Deadline enforcement: promote the best-so-far marks and
                 // skip the remaining rounds.
                 stepper.truncate();
-                body.truncated = true;
             } else {
-                stepper.step_round(&mut body.user);
+                stepper.step_round(&mut meta.user);
             }
-            body.rounds_run = stepper.rounds_run();
-            body.phase = if stepper.is_done() {
+            let rounds_run = stepper.rounds_run();
+            meta.phase = if stepper.is_done() {
                 Phase::Final(stepper.finish())
             } else {
                 Phase::Feedback(stepper)
             };
-            StepEvent::Continue
+            StepEvent::Round {
+                rounds_run,
+                truncated,
+            }
         }
         Phase::Final(rounds) => {
             // The final k-NN runs on whatever deadline budget remains,
             // folded into the engine's anytime distance-budget path.
             let mut cfg = spec.cfg.clone();
             if let Some(deadline) = spec.deadline {
-                let remaining = deadline.saturating_sub(spent);
+                let remaining = deadline.saturating_sub(meta.spent);
                 cfg.distance_budget = Some(match cfg.distance_budget {
                     Some(budget) => budget.min(remaining),
                     None => remaining,
                 });
             }
-            let result = try_execute_subqueries(corpus, rfs, &rounds.final_marks, spec.k, &cfg)
-                .map(|execution| assemble_outcome(corpus, &spec.query, &cfg, &rounds, execution));
+            let result =
+                try_execute_subqueries(corpus, meta.rfs, &rounds.final_marks, spec.k, &cfg).map(
+                    |execution| assemble_outcome(corpus, &spec.query, &cfg, &rounds, execution),
+                );
             StepEvent::Finished(result)
         }
         Phase::Done => {
@@ -432,20 +415,49 @@ fn step_session<'a, I: KnnIndex + Sync>(
     }
 }
 
+/// Runs [`step_session`] as the `turn`-th step of its tick, isolated from
+/// every neighbor: under its own recorder, under its own fault plan when
+/// the spec carries one, and under `catch_unwind`, so a panic poisons this
+/// session alone.
+fn isolated_step<I: KnnIndex>(
+    corpus: &Corpus,
+    meta: &mut Meta<'_, I>,
+    turn: usize,
+) -> Result<(StepEvent, qd_obs::Trace), qd_runtime::TaskPanic> {
+    let spec = meta.spec;
+    let id = spec.id.0;
+    qd_runtime::isolated(turn, || {
+        let mut step = || {
+            qd_obs::with_recorder(|| {
+                // Failpoint: this session's step is poisoned.
+                if qd_fault::fire_keyed(qd_fault::site::SERVE_STEP_PANIC, id).is_some() {
+                    panic!("injected fault: poisoned step of session {id}");
+                }
+                step_session(corpus, meta)
+            })
+        };
+        match &spec.fault_plan {
+            Some(plan) => qd_fault::with_plan(plan, step),
+            None => step(),
+        }
+    })
+}
+
 /// The multi-tenant session server: a shared immutable snapshot plus a
 /// scheduler configuration. `run` is a pure function of the load plan (and
 /// the ambient fault plan, if one is installed).
 ///
 /// Generic over the index type behind the RFS snapshot: the default
 /// `RStarTree` serves a monolithic arena, while `qd-shard`'s `ShardSet`
-/// serves a partitioned corpus through the same scheduler unchanged.
-pub struct Server<I: KnnIndex + Sync = RStarTree> {
+/// serves a partitioned corpus through the same scheduler unchanged. The
+/// index need not be `Sync`: a run never leaves the calling thread.
+pub struct Server<I: KnnIndex = RStarTree> {
     corpus: Arc<Corpus>,
     rfs: Arc<RfsStructure<I>>,
     cfg: ServeConfig,
 }
 
-impl<I: KnnIndex + Sync> Server<I> {
+impl<I: KnnIndex> Server<I> {
     /// A server over a shared corpus + RFS snapshot.
     pub fn new(corpus: Arc<Corpus>, rfs: Arc<RfsStructure<I>>, cfg: ServeConfig) -> Self {
         assert!(cfg.max_active >= 1, "at least one active slot required");
@@ -477,7 +489,7 @@ impl<I: KnnIndex + Sync> Server<I> {
 
     fn run_inner<'a>(
         &'a self,
-        plan: &LoadPlan,
+        plan: &'a LoadPlan,
         swaps: &'a [(u64, Arc<RfsStructure<I>>)],
     ) -> ServeReport {
         let corpus: &Corpus = &self.corpus;
@@ -487,14 +499,12 @@ impl<I: KnnIndex + Sync> Server<I> {
 
         // Arrival order: (tick, id). The generator already emits this order,
         // but re-sorting makes hand-built plans equally valid.
-        let mut order: Vec<usize> = (0..plan.specs.len()).collect();
-        order.sort_by_key(|&i| (plan.specs[i].arrival_tick, plan.specs[i].id));
-        let mut arrivals: VecDeque<usize> = order.into();
+        let mut order: Vec<&SessionSpec> = plan.specs.iter().collect();
+        order.sort_by_key(|spec| (spec.arrival_tick, spec.id));
+        let mut arrivals: VecDeque<&SessionSpec> = order.into();
 
-        let mut metas: BTreeMap<u64, Meta> = BTreeMap::new();
-        let mut bodies: BTreeMap<u64, Body<'_, I>> = BTreeMap::new();
-        let mut rr: VecDeque<u64> = VecDeque::new(); // active, round-robin order
-        let mut queue: VecDeque<u64> = VecDeque::new(); // admitted, waiting
+        let mut rr: VecDeque<Meta<'a, I>> = VecDeque::new(); // active, round-robin order
+        let mut queue: VecDeque<&SessionSpec> = VecDeque::new(); // admitted, waiting
         let mut reports: BTreeMap<u64, SessionReport> = BTreeMap::new();
 
         let mut tick: u64 = 0;
@@ -503,15 +513,31 @@ impl<I: KnnIndex + Sync> Server<I> {
                 break;
             }
             if tick >= cfg.max_ticks {
-                self.stall_out(plan, arrivals, rr, queue, &mut metas, &mut reports, tick);
+                // Watchdog: every unfinished session (active, queued, or not
+                // yet arrived) is retired as stalled, so the report always
+                // covers the whole plan.
+                let stalled = || SessionOutcome::Evicted(EvictReason::Stalled);
+                for meta in rr.drain(..) {
+                    qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
+                    retire(meta, stalled(), tick, &mut reports);
+                }
+                for spec in queue.drain(..) {
+                    qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
+                    let report = door_report(spec, stalled(), tick);
+                    observe_retired(&report);
+                    reports.insert(spec.id.0, report);
+                }
+                for spec in arrivals.drain(..) {
+                    qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
+                    reports.insert(spec.id.0, door_report(spec, stalled(), tick));
+                }
                 break;
             }
             // Nothing live and the next arrival is in the future: skip ahead.
             if rr.is_empty() && queue.is_empty() {
-                if let Some(&next) = arrivals.front() {
-                    let next_tick = plan.specs[next].arrival_tick;
-                    if next_tick > tick {
-                        tick = next_tick.min(cfg.max_ticks);
+                if let Some(next) = arrivals.front() {
+                    if next.arrival_tick > tick {
+                        tick = next.arrival_tick.min(cfg.max_ticks);
                         continue;
                     }
                 }
@@ -527,119 +553,84 @@ impl<I: KnnIndex + Sync> Server<I> {
             }
 
             // 1. Admission: everyone whose arrival tick has come.
-            while let Some(&idx) = arrivals.front() {
-                if plan.specs[idx].arrival_tick > tick {
+            while let Some(spec) = arrivals.front().copied() {
+                if spec.arrival_tick > tick {
                     break;
                 }
                 arrivals.pop_front();
-                self.admit(
-                    plan,
-                    idx,
-                    tick,
-                    &mut metas,
-                    &mut rr,
-                    &mut queue,
-                    &mut reports,
-                );
+                self.admit(spec, tick, rr.len(), &mut queue, &mut reports);
             }
 
             // 2. Promotion: fill free active slots from the wait queue.
             while rr.len() < cfg.max_active {
-                let Some(id) = queue.pop_front() else { break };
-                if let Some(meta) = metas.get_mut(&id) {
-                    meta.state = SessionState::Active;
-                    let spec = &plan.specs[meta.spec_index];
-                    bodies.insert(
-                        id,
-                        Body {
-                            user: spec.user(),
-                            phase: Phase::Feedback(Box::new(FeedbackStepper::new(
-                                rfs,
-                                corpus.labels(),
-                                spec.cfg.clone(),
-                            ))),
-                            rfs,
-                            truncated: false,
-                            rounds_run: 0,
-                        },
-                    );
-                    rr.push_back(id);
-                }
+                let Some(spec) = queue.pop_front() else { break };
+                rr.push_back(Meta {
+                    spec,
+                    user: spec.user(),
+                    phase: Phase::Feedback(Box::new(FeedbackStepper::new(
+                        rfs,
+                        corpus.labels(),
+                        spec.cfg.clone(),
+                    ))),
+                    rfs,
+                    spent: 0,
+                    rounds_run: 0,
+                    truncated: false,
+                    trace: qd_obs::Trace::default(),
+                });
             }
 
-            // 3. Every active session steps this tick; forced evictions
-            //    apply at the door of the turn.
-            let mut handles: Vec<BatchEntry<'_, I>> = Vec::new();
-            for id in std::mem::take(&mut rr) {
-                if qd_fault::fire_keyed(qd_fault::site::SERVE_EVICT, id).is_some() {
-                    bodies.remove(&id);
+            // 3. Forced evictions apply at the door of the turn, before any
+            //    session steps.
+            let mut turn = Vec::with_capacity(rr.len());
+            for meta in rr.drain(..) {
+                if qd_fault::fire_keyed(qd_fault::site::SERVE_EVICT, meta.spec.id.0).is_some() {
                     qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
-                    self.finalize(
-                        plan,
-                        id,
-                        SessionOutcome::Evicted(EvictReason::Operator),
-                        tick,
-                        &mut metas,
-                        &mut reports,
-                    );
-                    continue;
+                    let evicted = SessionOutcome::Evicted(EvictReason::Operator);
+                    retire(meta, evicted, tick, &mut reports);
+                } else {
+                    turn.push(meta);
                 }
-                let Some(body) = bodies.remove(&id) else {
-                    continue;
-                };
-                let Some(meta) = metas.get(&id) else { continue };
-                handles.push((
-                    id,
-                    &plan.specs[meta.spec_index],
-                    meta.spent,
-                    Mutex::new(Some(body)),
-                ));
             }
 
-            // 4. Step the batch in parallel; process results in input order.
-            if !handles.is_empty() {
+            // 4. Every remaining active session steps, in turn order.
+            if !turn.is_empty() {
                 qd_obs::span_indexed(qd_obs::sp::SERVE_TICK, tick, || {
-                    qd_obs::count(qd_obs::ctr::SERVE_STEPS, handles.len() as u64);
-                    qd_obs::observe(qd_obs::hist::SERVE_TICK_STEPS, handles.len() as u64);
-                    let outs = qd_runtime::par_try_map(&handles, |(id, spec, spent, slot)| {
-                        let mut guard = match slot.lock() {
-                            Ok(g) => g,
-                            Err(poisoned) => poisoned.into_inner(),
+                    qd_obs::count(qd_obs::ctr::SERVE_STEPS, turn.len() as u64);
+                    qd_obs::observe(qd_obs::hist::SERVE_TICK_STEPS, turn.len() as u64);
+                    for (i, mut meta) in turn.into_iter().enumerate() {
+                        let (event, trace) = match isolated_step(corpus, &mut meta, i) {
+                            Ok(stepped) => stepped,
+                            Err(panic) => {
+                                // Quarantined: its in-flight state dies with
+                                // it, and the neighbors step on untouched.
+                                qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
+                                let reason = EvictReason::Poisoned(panic.message);
+                                let poisoned = SessionOutcome::Evicted(reason);
+                                retire(meta, poisoned, tick, &mut reports);
+                                continue;
+                            }
                         };
-                        let mut body = guard.take()?;
-                        drop(guard);
-                        let mut step = || {
-                            qd_obs::with_recorder(|| {
-                                // Failpoint: this session's step is poisoned.
-                                // The panic is caught by par_try_map; the
-                                // session body (and its in-flight state) dies
-                                // with it.
-                                if qd_fault::fire_keyed(qd_fault::site::SERVE_STEP_PANIC, *id)
-                                    .is_some()
-                                {
-                                    panic!("injected fault: poisoned step of session {id}");
+                        meta.spent += step_cost(&trace);
+                        merge_trace(&mut meta.trace, trace);
+                        match event {
+                            StepEvent::Round {
+                                rounds_run,
+                                truncated,
+                            } => {
+                                meta.rounds_run = rounds_run;
+                                if truncated {
+                                    meta.truncated = true;
+                                    qd_obs::count(qd_obs::ctr::SERVE_TRUNCATIONS, 1);
                                 }
-                                step_session(corpus, spec, *spent, &mut body)
-                            })
-                        };
-                        let (event, trace) = match &spec.fault_plan {
-                            Some(plan) => qd_fault::with_plan(plan, step),
-                            None => step(),
-                        };
-                        Some(WorkOut { body, event, trace })
-                    });
-                    for ((id, spec, _, _), out) in handles.iter().zip(outs) {
-                        self.process_step(
-                            plan,
-                            *id,
-                            spec,
-                            out,
-                            tick,
-                            &mut metas,
-                            &mut bodies,
-                            &mut rr,
-                            &mut reports,
-                        );
+                                rr.push_back(meta);
+                            }
+                            StepEvent::Finished(result) => {
+                                let outcome =
+                                    classify(meta.spec, meta.truncated, meta.rounds_run, result);
+                                retire(meta, outcome, tick, &mut reports);
+                            }
+                        }
                     }
                 });
             }
@@ -656,21 +647,14 @@ impl<I: KnnIndex + Sync> Server<I> {
 
     /// Admission control: failpoint rejection, then slot/queue placement,
     /// then the seeded overload coin.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
-    )]
-    fn admit(
+    fn admit<'a>(
         &self,
-        plan: &LoadPlan,
-        spec_index: usize,
+        spec: &'a SessionSpec,
         tick: u64,
-        metas: &mut BTreeMap<u64, Meta>,
-        rr: &mut VecDeque<u64>,
-        queue: &mut VecDeque<u64>,
+        active: usize,
+        queue: &mut VecDeque<&'a SessionSpec>,
         reports: &mut BTreeMap<u64, SessionReport>,
     ) {
-        let spec = &plan.specs[spec_index];
         let id = spec.id.0;
         // A tenant asking for zero feedback rounds has no final round to
         // answer from, and one asking for more than the engine's bound would
@@ -678,198 +662,81 @@ impl<I: KnnIndex + Sync> Server<I> {
         // the door with the engine's own typed error.
         if let Err(e) = validate_rounds(spec.cfg.rounds) {
             let refused = SessionOutcome::Failed(e);
-            reports.insert(id, self.door_report(spec, refused, tick));
+            reports.insert(id, door_report(spec, refused, tick));
             return;
         }
         // Failpoint: admission rejects this session at the door.
         if qd_fault::fire_keyed(qd_fault::site::SERVE_ADMISSION, id).is_some() {
             qd_obs::count(qd_obs::ctr::SERVE_SHED, 1);
             let shed = SessionOutcome::Evicted(EvictReason::AdmissionFault);
-            reports.insert(id, self.door_report(spec, shed, tick));
+            reports.insert(id, door_report(spec, shed, tick));
             return;
         }
-        let admit_to_queue = |metas: &mut BTreeMap<u64, Meta>, queue: &mut VecDeque<u64>| {
-            metas.insert(
-                id,
-                Meta {
-                    spec_index,
-                    state: SessionState::Admitted,
-                    spent: 0,
-                    rounds_run: 0,
-                    truncated: false,
-                    trace: qd_obs::Trace::default(),
-                },
-            );
-            queue.push_back(id);
+        let admit_to_queue = |queue: &mut VecDeque<&'a SessionSpec>| {
+            queue.push_back(spec);
             qd_obs::count(qd_obs::ctr::SERVE_ADMITTED, 1);
         };
-        if rr.len() + queue.len() < self.cfg.max_active + self.cfg.queue_capacity {
-            admit_to_queue(metas, queue);
+        if active + queue.len() < self.cfg.max_active + self.cfg.queue_capacity {
+            admit_to_queue(queue);
             return;
         }
         // Overload: a seeded coin (pure function of shed seed and session
         // id) decides whether the newcomer or the oldest queued session is
         // shed — deterministic at any thread count or arrival interleaving.
         qd_obs::count(qd_obs::ctr::SERVE_SHED, 1);
+        let shed = SessionOutcome::Evicted(EvictReason::Shed);
         if mix64(self.cfg.shed_seed ^ mix64(id)) & 1 == 0 || queue.is_empty() {
-            let shed = SessionOutcome::Evicted(EvictReason::Shed);
-            reports.insert(id, self.door_report(spec, shed, tick));
+            reports.insert(id, door_report(spec, shed, tick));
         } else if let Some(victim) = queue.pop_front() {
-            metas.remove(&victim);
-            if let Some(victim_spec) = plan.specs.iter().find(|s| s.id.0 == victim) {
-                let shed = SessionOutcome::Evicted(EvictReason::Shed);
-                reports.insert(victim, self.door_report(victim_spec, shed, tick));
-            }
-            admit_to_queue(metas, queue);
+            reports.insert(victim.id.0, door_report(victim, shed, tick));
+            admit_to_queue(queue);
         }
     }
+}
 
-    /// A report for a session turned away before it ever held an active
-    /// slot.
-    fn door_report(&self, spec: &SessionSpec, outcome: SessionOutcome, tick: u64) -> SessionReport {
-        SessionReport {
-            id: spec.id,
-            scenario: spec.scenario,
-            outcome,
-            rounds_run: 0,
-            truncated: false,
-            cost_spent: 0,
-            arrival_tick: spec.arrival_tick,
-            finished_tick: tick,
-            trace: qd_obs::Trace::default(),
-        }
+/// A report for a session that never held an active slot.
+fn door_report(spec: &SessionSpec, outcome: SessionOutcome, tick: u64) -> SessionReport {
+    SessionReport {
+        id: spec.id,
+        scenario: spec.scenario,
+        outcome,
+        rounds_run: 0,
+        truncated: false,
+        cost_spent: 0,
+        arrival_tick: spec.arrival_tick,
+        finished_tick: tick,
+        trace: qd_obs::Trace::default(),
     }
+}
 
-    /// Folds one step result back into the scheduler state.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
-    )]
-    fn process_step<'a>(
-        &self,
-        plan: &LoadPlan,
-        id: u64,
-        spec: &SessionSpec,
-        out: Result<Option<WorkOut<'a, I>>, qd_runtime::TaskPanic>,
-        tick: u64,
-        metas: &mut BTreeMap<u64, Meta>,
-        bodies: &mut BTreeMap<u64, Body<'a, I>>,
-        rr: &mut VecDeque<u64>,
-        reports: &mut BTreeMap<u64, SessionReport>,
-    ) {
-        match out {
-            Err(panic) => {
-                // The step panicked: the session is poisoned and its body
-                // died inside the worker. Quarantine it — the neighbors'
-                // results in this very batch are processed untouched.
-                qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
-                self.finalize(
-                    plan,
-                    id,
-                    SessionOutcome::Evicted(EvictReason::Poisoned(panic.message)),
-                    tick,
-                    metas,
-                    reports,
-                );
-            }
-            Ok(None) => unreachable!("step slot emptied by someone other than its worker"),
-            Ok(Some(work)) => {
-                let (truncated, rounds_run) = {
-                    let Some(meta) = metas.get_mut(&id) else {
-                        unreachable!("stepped session without a ledger entry")
-                    };
-                    meta.spent += step_cost(&work.trace);
-                    merge_trace(&mut meta.trace, work.trace);
-                    meta.rounds_run = work.body.rounds_run;
-                    if work.body.truncated && !meta.truncated {
-                        meta.truncated = true;
-                        qd_obs::count(qd_obs::ctr::SERVE_TRUNCATIONS, 1);
-                    }
-                    (meta.truncated, meta.rounds_run)
-                };
-                match work.event {
-                    StepEvent::Continue => {
-                        bodies.insert(id, work.body);
-                        rr.push_back(id);
-                    }
-                    StepEvent::Finished(result) => {
-                        let outcome = classify(spec, truncated, rounds_run, result);
-                        self.finalize(plan, id, outcome, tick, metas, reports);
-                    }
-                }
-            }
-        }
-    }
+/// Feeds an admitted session's retirement into the run's histograms.
+fn observe_retired(report: &SessionReport) {
+    qd_obs::observe(qd_obs::hist::SERVE_LATENCY_TICKS, report.latency_ticks());
+    qd_obs::observe(qd_obs::hist::SERVE_COST_UNITS, report.cost_spent);
+}
 
-    /// Retires an admitted session: ledger out, report in, histograms fed.
-    fn finalize(
-        &self,
-        plan: &LoadPlan,
-        id: u64,
-        outcome: SessionOutcome,
-        tick: u64,
-        metas: &mut BTreeMap<u64, Meta>,
-        reports: &mut BTreeMap<u64, SessionReport>,
-    ) {
-        let Some(meta) = metas.remove(&id) else {
-            unreachable!("finalized a session without a ledger entry")
-        };
-        debug_assert!(
-            matches!(meta.state, SessionState::Admitted | SessionState::Active),
-            "finalized a session in a terminal state"
-        );
-        let spec = &plan.specs[meta.spec_index];
-        let report = SessionReport {
-            id: spec.id,
-            scenario: spec.scenario,
-            outcome,
-            rounds_run: meta.rounds_run,
-            truncated: meta.truncated,
-            cost_spent: meta.spent,
-            arrival_tick: spec.arrival_tick,
-            finished_tick: tick,
-            trace: meta.trace,
-        };
-        qd_obs::observe(qd_obs::hist::SERVE_LATENCY_TICKS, report.latency_ticks());
-        qd_obs::observe(qd_obs::hist::SERVE_COST_UNITS, report.cost_spent);
-        reports.insert(id, report);
-    }
-
-    /// Tick-limit watchdog: every unfinished session (active, queued, or
-    /// not yet arrived) is retired as stalled so the report always covers
-    /// the whole plan.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "supervisor plumbing: a context struct per call would obscure the scheduler loop"
-    )]
-    fn stall_out(
-        &self,
-        plan: &LoadPlan,
-        arrivals: VecDeque<usize>,
-        rr: VecDeque<u64>,
-        queue: VecDeque<u64>,
-        metas: &mut BTreeMap<u64, Meta>,
-        reports: &mut BTreeMap<u64, SessionReport>,
-        tick: u64,
-    ) {
-        for id in rr.into_iter().chain(queue) {
-            qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
-            self.finalize(
-                plan,
-                id,
-                SessionOutcome::Evicted(EvictReason::Stalled),
-                tick,
-                metas,
-                reports,
-            );
-        }
-        for idx in arrivals {
-            let spec = &plan.specs[idx];
-            qd_obs::count(qd_obs::ctr::SERVE_EVICTED, 1);
-            let stalled = SessionOutcome::Evicted(EvictReason::Stalled);
-            reports.insert(spec.id.0, self.door_report(spec, stalled, tick));
-        }
-    }
+/// Retires a session that held an active slot: ledger out, report in,
+/// histograms fed.
+fn retire<I: KnnIndex>(
+    meta: Meta<'_, I>,
+    outcome: SessionOutcome,
+    tick: u64,
+    reports: &mut BTreeMap<u64, SessionReport>,
+) {
+    let spec = meta.spec;
+    let report = SessionReport {
+        id: spec.id,
+        scenario: spec.scenario,
+        outcome,
+        rounds_run: meta.rounds_run,
+        truncated: meta.truncated,
+        cost_spent: meta.spent,
+        arrival_tick: spec.arrival_tick,
+        finished_tick: tick,
+        trace: meta.trace,
+    };
+    observe_retired(&report);
+    reports.insert(spec.id.0, report);
 }
 
 /// Maps an engine-terminal result to the session's outcome, folding the

@@ -14,9 +14,10 @@
 //! scoped below the synthetic root delegate to the owning shard untouched;
 //! queries at the synthetic root *scatter* across all shards (with a
 //! largest-remainder split of the distance budget, reusing
-//! [`qd_core::split_budget`]) and *gather* the per-shard prefixes through
-//! the same `total_cmp`/id-tie-break merge the session layer uses, so
-//! results are bit-identical at every `QD_THREADS`.
+//! [`qd_core::split_budget`]), one leg after another on the calling thread,
+//! and *gather* the per-shard prefixes through the same `total_cmp`/id
+//! tie-break merge the session layer uses, so results are bit-identical at
+//! every `QD_THREADS`.
 //!
 //! Three properties make the layer safe to compose with the rest of the
 //! engine:
@@ -369,8 +370,10 @@ impl ShardSet {
     /// The scatter-gather path behind [`KnnIndex::knn_in_budgeted`] at the
     /// synthetic root: split the budget across shards proportionally to
     /// their populations (largest-remainder, same as the session layer's
-    /// subquery split), run one leg per shard on the qd-runtime pool, then
-    /// merge the surviving prefixes by `(distance.total_cmp, id)`.
+    /// subquery split), run one leg per shard in turn on the calling thread
+    /// (a leg is tens of microseconds, below the grain at which a thread
+    /// fan-out pays, DESIGN.md §7), then merge the surviving prefixes by
+    /// `(distance.total_cmp, id)`.
     ///
     /// Failure semantics: a leg that panics (`shard.scatter.panic`, keyed by
     /// shard index) or is refused at the gather (`shard.merge.drop`) is
@@ -393,19 +396,17 @@ impl ShardSet {
         }
         // One distance charge for the synthetic root rect — the same charge
         // a monolithic search pays for its scope rect — then the remainder
-        // splits across the legs before any of them runs, so no live counter
-        // is ever shared between workers.
+        // splits across the legs before any of them runs, so no leg's
+        // answer depends on another's work.
         let leg_total = budget.map(|b| b.saturating_sub(1));
         let quotas: Vec<usize> = self.members.iter().map(Vec::len).collect();
         let budgets = split_budget(leg_total, &quotas);
-        let shard_ids: Vec<usize> = (0..self.config.shards).collect();
-        let legs = qd_runtime::par_try_map(&shard_ids, |&s| {
+        let legs = qd_runtime::try_map_indexed(&self.shards, |s, tree| {
             qd_obs::span_indexed(qd_obs::sp::SHARD_LEG, s as u64, || {
                 qd_obs::count(qd_obs::ctr::SHARD_LEGS, 1);
                 if qd_fault::fire_keyed(qd_fault::site::SHARD_SCATTER, s as u64).is_some() {
                     panic!("injected fault: shard {s} scatter leg");
                 }
-                let tree = &self.shards[s];
                 let leg = tree.knn_in_budgeted(tree.root(), query, k, budgets[s]);
                 qd_obs::observe(qd_obs::hist::SHARD_LEG_DISTANCES, leg.distance_computations);
                 leg
@@ -421,8 +422,8 @@ impl ShardSet {
         let mut merged: Vec<Neighbor> = Vec::new();
         for (s, leg) in legs.into_iter().enumerate() {
             match leg {
-                // A panicked leg's partial trace was already absorbed by the
-                // fan-out; its results are gone.
+                // A panicked leg's partial trace stays in the caller's
+                // recorder; its results are gone.
                 Err(_) => dropped += 1,
                 Ok(leg) => {
                     // Work is charged whether or not the merge keeps the
