@@ -49,13 +49,6 @@ impl CorpusConfig {
             with_viewpoints: true,
         }
     }
-
-    /// A scaled copy with a different total size (used by the Figure 10/11
-    /// database-size sweeps).
-    pub fn with_size(mut self, size: usize) -> Self {
-        self.size = size;
-        self
-    }
 }
 
 /// The materialized corpus: normalized feature vectors plus ground truth.

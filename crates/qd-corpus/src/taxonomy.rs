@@ -93,11 +93,6 @@ impl Taxonomy {
         self.find(name)
             .unwrap_or_else(|| panic!("taxonomy has no subconcept named {name:?}"))
     }
-
-    /// Ids of the named (non-filler) subconcepts.
-    pub fn named_ids(&self) -> Vec<SubconceptId> {
-        self.ids().filter(|&id| !self.get(id).filler).collect()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,7 @@ mod tests {
     fn standard_taxonomy_has_expected_shape() {
         let t = Taxonomy::standard(121, 0);
         assert_eq!(t.len(), 150);
-        assert_eq!(t.named_ids().len(), 29);
+        assert_eq!(t.ids().filter(|&id| !t.get(id).filler).count(), 29);
     }
 
     #[test]

@@ -354,19 +354,6 @@ impl Rect {
         }
         acc
     }
-
-    /// Squared distance from `point` to the rectangle's center.
-    pub fn center_dist2(&self, point: &[f32]) -> f64 {
-        self.min
-            .iter()
-            .zip(&self.max)
-            .zip(point)
-            .map(|((lo, hi), p)| {
-                let c = (lo + hi) / 2.0;
-                ((p - c) as f64).powi(2)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -667,11 +654,9 @@ mod tests {
     }
 
     #[test]
-    fn center_and_center_dist() {
+    fn center_is_the_midpoint() {
         let a = r(&[0.0, 0.0], &[4.0, 2.0]);
         assert_eq!(a.center(), vec![2.0, 1.0]);
-        assert_eq!(a.center_dist2(&[2.0, 1.0]), 0.0);
-        assert_eq!(a.center_dist2(&[2.0, 3.0]), 4.0);
     }
 
     #[test]

@@ -96,12 +96,6 @@ impl Metric {
         }
     }
 
-    /// True if `distance` satisfies the triangle inequality and symmetry
-    /// (i.e. is a true metric). Squared Euclidean is not.
-    pub fn is_metric(&self) -> bool {
-        !matches!(self, Metric::SquaredEuclidean | Metric::Cosine)
-    }
-
     /// MindReader-style weights: the reciprocal of the per-dimension variance
     /// of the relevant examples, so dimensions on which the user's relevant
     /// set agrees count more. Dimensions with (near-)zero variance receive the
@@ -614,14 +608,6 @@ mod tests {
             );
             assert!(m.distance(&A, &A).abs() < 1e-6, "{m:?}");
         }
-    }
-
-    #[test]
-    fn is_metric_classification() {
-        assert!(Metric::Euclidean.is_metric());
-        assert!(Metric::Manhattan.is_metric());
-        assert!(!Metric::SquaredEuclidean.is_metric());
-        assert!(!Metric::Cosine.is_metric());
     }
 
     #[test]

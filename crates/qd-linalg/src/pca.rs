@@ -78,11 +78,6 @@ impl Pca {
         }
     }
 
-    /// Number of retained components.
-    pub fn n_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
         self.mean.len()

@@ -22,27 +22,9 @@ pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// Accumulates `b` into `a` in place.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn add_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    for (x, y) in a.iter_mut().zip(b) {
-        *x += y;
-    }
-}
-
 /// Returns `s * a` as a new vector.
 pub fn scale(a: &[f32], s: f32) -> Vec<f32> {
     a.iter().map(|x| x * s).collect()
-}
-
-/// Scales `a` by `s` in place.
-pub fn scale_assign(a: &mut [f32], s: f32) {
-    for x in a.iter_mut() {
-        *x *= s;
-    }
 }
 
 /// Dot product of two equal-length vectors.
@@ -97,33 +79,6 @@ pub fn centroid<V: AsRef<[f32]>>(vectors: &[V]) -> Vec<f32> {
     acc.into_iter().map(|a| (a * inv) as f32).collect()
 }
 
-/// Centroid of the rows of `data` selected by `indices`.
-///
-/// # Panics
-/// Panics if `indices` is empty or any index is out of bounds.
-pub fn centroid_of<V: AsRef<[f32]>>(data: &[V], indices: &[usize]) -> Vec<f32> {
-    assert!(!indices.is_empty(), "centroid of an empty set is undefined");
-    let dim = data[indices[0]].as_ref().len();
-    let mut acc = vec![0.0f64; dim];
-    for &i in indices {
-        for (a, x) in acc.iter_mut().zip(data[i].as_ref()) {
-            *a += *x as f64;
-        }
-    }
-    let inv = 1.0 / indices.len() as f64;
-    // CAST: f64-accumulated centroid narrowed back to the f32 feature domain.
-    acc.into_iter().map(|a| (a * inv) as f32).collect()
-}
-
-/// Linear interpolation `a + t * (b - a)` per component.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn lerp(a: &[f32], b: &[f32], t: f32) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + t * (y - x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,22 +91,8 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_matches_add() {
-        let mut a = vec![1.0, 2.0];
-        add_assign(&mut a, &[3.0, 4.0]);
-        assert_eq!(a, vec![4.0, 6.0]);
-    }
-
-    #[test]
     fn scale_by_zero_gives_zero_vector() {
         assert_eq!(scale(&[1.0, -2.0, 3.5], 0.0), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn scale_assign_matches_scale() {
-        let mut a = vec![1.0, -2.0];
-        scale_assign(&mut a, 2.0);
-        assert_eq!(a, vec![2.0, -4.0]);
     }
 
     #[test]
@@ -191,21 +132,6 @@ mod tests {
     fn centroid_of_two_points_is_midpoint() {
         let pts = vec![vec![0.0, 0.0], vec![2.0, 4.0]];
         assert_eq!(centroid(&pts), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn centroid_of_subset_indices() {
-        let data = vec![vec![0.0], vec![10.0], vec![20.0]];
-        assert_eq!(centroid_of(&data, &[0, 2]), vec![10.0]);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = [0.0, 1.0];
-        let b = [10.0, 3.0];
-        assert_eq!(lerp(&a, &b, 0.0), a.to_vec());
-        assert_eq!(lerp(&a, &b, 1.0), b.to_vec());
-        assert_eq!(lerp(&a, &b, 0.5), vec![5.0, 2.0]);
     }
 
     #[test]
