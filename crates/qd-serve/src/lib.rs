@@ -12,7 +12,8 @@
 //!
 //! * a [`Server`] owning `Arc` snapshots of the corpus and RFS structure,
 //!   driving interleaved sessions through a deterministic round-robin
-//!   scheduler with a bounded wait queue;
+//!   scheduler with a bounded wait queue — one step at a time, on the
+//!   calling thread, because a step is far cheaper than a thread fan-out;
 //! * **admission control** with seeded load shedding — overload behavior is
 //!   a pure function of `(shed seed, session id)`, never of arrival timing;
 //! * **deadlines** in deterministic cost units, enforced through the
