@@ -1,6 +1,6 @@
 //! Lloyd's k-means with k-means++ seeding.
 
-use qd_linalg::metric::squared_euclidean;
+use qd_linalg::metric::{sq_l2_each, squared_euclidean};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -194,10 +194,8 @@ impl KMeansResult {
 fn plus_plus_seed<V: AsRef<[f32]>>(data: &[V], k: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
     let mut centroids: Vec<Vec<f32>> = Vec::with_capacity(k);
     centroids.push(data[rng.random_range(0..data.len())].as_ref().to_vec());
-    let mut d2: Vec<f64> = data
-        .iter()
-        .map(|row| squared_euclidean(row.as_ref(), &centroids[0]) as f64)
-        .collect();
+    let mut d2 = vec![0.0f64; data.len()];
+    sq_l2_each(data, &centroids[0], |i, d| d2[i] = f64::from(narrow(d)));
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= 1e-18 {
@@ -216,27 +214,39 @@ fn plus_plus_seed<V: AsRef<[f32]>>(data: &[V], k: usize, rng: &mut StdRng) -> Ve
             chosen
         };
         let c = data[next].as_ref().to_vec();
-        for (w, row) in d2.iter_mut().zip(data) {
-            let nd = squared_euclidean(row.as_ref(), &c) as f64;
-            if nd < *w {
-                *w = nd;
+        sq_l2_each(data, &c, |i, d| {
+            let nd = f64::from(narrow(d));
+            if nd < d2[i] {
+                d2[i] = nd;
             }
-        }
+        });
         centroids.push(c);
     }
     centroids
 }
 
+/// A kernel sum narrowed to the `f32` that [`squared_euclidean`] returns.
+fn narrow(d2: f64) -> f32 {
+    // CAST: f64-accumulated squared distance narrowed back to the f32
+    // feature domain, exactly as `squared_euclidean` narrows it.
+    d2 as f32
+}
+
+/// The centroid nearest `point` and its squared distance; the first of
+/// equal distances wins. [`sq_l2_each`] scores four centroids per kernel
+/// call, each as `(c − p)²` summed in dimension order: the same f64 as
+/// [`squared_euclidean`]'s `(p − c)²`, since an f32 difference only changes
+/// sign when its operands swap.
 fn nearest_centroid(point: &[f32], centroids: &[Vec<f32>]) -> (usize, f32) {
     let mut best = 0usize;
     let mut best_d2 = f32::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let d2 = squared_euclidean(point, centroid);
+    sq_l2_each(centroids, point, |c, d2| {
+        let d2 = narrow(d2);
         if d2 < best_d2 {
             best_d2 = d2;
             best = c;
         }
-    }
+    });
     (best, best_d2)
 }
 
@@ -375,5 +385,47 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         KMeans::new(0).fit(&[vec![0.0f32]]);
+    }
+
+    /// The one-centroid-at-a-time scan `nearest_centroid` replaces.
+    fn reference_nearest(point: &[f32], centroids: &[Vec<f32>]) -> (usize, f32) {
+        let mut best = (0usize, f32::INFINITY);
+        for (c, centroid) in centroids.iter().enumerate() {
+            let d2 = squared_euclidean(point, centroid);
+            if d2 < best.1 {
+                best = (c, d2);
+            }
+        }
+        best
+    }
+
+    /// Every centroid count around the kernel's block of four, repeated
+    /// centroids (ties go to the first) and NaN / infinite coordinates: the
+    /// blocked scan picks the reference's centroid with the same bits.
+    #[test]
+    fn nearest_centroid_matches_the_scalar_scan_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let value = |rng: &mut StdRng| match rng.random_range(0..16u32) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => -0.0,
+            _ => rng.random_range(-4.0f32..4.0),
+        };
+        for k in 1..=9usize {
+            for _ in 0..200 {
+                let dim = rng.random_range(1..12usize);
+                let mut centroids: Vec<Vec<f32>> = (0..k)
+                    .map(|_| (0..dim).map(|_| value(&mut rng)).collect())
+                    .collect();
+                if k > 1 && rng.random_range(0..2u32) == 0 {
+                    let (a, b) = (rng.random_range(0..k), rng.random_range(0..k));
+                    centroids[b] = centroids[a].clone();
+                }
+                let point: Vec<f32> = (0..dim).map(|_| value(&mut rng)).collect();
+                let (c, d2) = nearest_centroid(&point, &centroids);
+                let (rc, rd2) = reference_nearest(&point, &centroids);
+                assert_eq!((c, d2.to_bits()), (rc, rd2.to_bits()), "k={k}");
+            }
+        }
     }
 }

@@ -128,8 +128,10 @@ pub struct ShardSet {
     tree_config: TreeConfig,
     shards: Vec<Arc<RStarTree>>,
     /// Per-shard member image ids, ascending: the order [`Self::build`]
-    /// inserts in, and the index membership checks binary-search.
-    members: Vec<Vec<u64>>,
+    /// inserts in, and the index membership checks binary-search. Held by
+    /// `Arc` like the trees, so an update copies the touched shard's list
+    /// only.
+    members: Vec<Arc<Vec<u64>>>,
     total: usize,
     /// Union of the shard root rectangles (the synthetic root's rect).
     root_rect: Option<Rect>,
@@ -170,6 +172,7 @@ impl ShardSet {
                 Arc::new(build_shard_tree(ids, features, &tree_config))
             })
         });
+        let members = members.into_iter().map(Arc::new).collect();
         Self::assemble(config, tree_config, shards, members)
     }
 
@@ -187,13 +190,13 @@ impl ShardSet {
             "inserted id {id} has no feature vector"
         );
         let s = shard_of(&self.config, id);
-        let mut members = self.members.clone();
-        let pos = match members[s].binary_search(&id) {
+        let old = &self.members[s];
+        let pos = match old.binary_search(&id) {
             Err(pos) => pos,
             Ok(_) => panic!("image {id} is already a member of shard {s}"),
         };
-        members[s].insert(pos, id);
-        self.with_updated_shard(s, members, |tree| {
+        let list = [&old[..pos], &[id], &old[pos..]].concat();
+        self.with_updated_shard(s, list, |tree| {
             tree.insert(features[id as usize].clone(), id);
         })
     }
@@ -211,13 +214,13 @@ impl ShardSet {
             "removed id {id} has no feature vector"
         );
         let s = shard_of(&self.config, id);
-        let mut members = self.members.clone();
-        let pos = match members[s].binary_search(&id) {
+        let old = &self.members[s];
+        let pos = match old.binary_search(&id) {
             Ok(pos) => pos,
             Err(_) => panic!("image {id} is not a member of shard {s}"),
         };
-        members[s].remove(pos);
-        self.with_updated_shard(s, members, |tree| {
+        let list = [&old[..pos], &old[pos + 1..]].concat();
+        self.with_updated_shard(s, list, |tree| {
             assert!(
                 tree.remove(&features[id as usize], id),
                 "invariant violated: shard {s} lists image {id} as a member but its tree holds \
@@ -227,18 +230,21 @@ impl ShardSet {
     }
 
     /// The copy-on-write step: applies `update` to a private clone of shard
-    /// `s`'s tree and reassembles the set around it, sharing every other
-    /// shard tree with `self`.
+    /// `s`'s tree, gives shard `s` the member list `list`, and reassembles
+    /// the set around both, sharing every other shard's tree and list with
+    /// `self`.
     fn with_updated_shard(
         &self,
         s: usize,
-        members: Vec<Vec<u64>>,
+        list: Vec<u64>,
         update: impl FnOnce(&mut RStarTree),
     ) -> Self {
         let mut tree = RStarTree::clone(&self.shards[s]);
         update(&mut tree);
         let mut shards = self.shards.clone();
         shards[s] = Arc::new(tree);
+        let mut members = self.members.clone();
+        members[s] = Arc::new(list);
         Self::assemble(
             self.config.clone(),
             self.tree_config.clone(),
@@ -253,9 +259,9 @@ impl ShardSet {
         config: ShardConfig,
         tree_config: TreeConfig,
         shards: Vec<Arc<RStarTree>>,
-        members: Vec<Vec<u64>>,
+        members: Vec<Arc<Vec<u64>>>,
     ) -> Self {
-        let total = members.iter().map(Vec::len).sum();
+        let total = members.iter().map(|list| list.len()).sum();
         let mut root_rect: Option<Rect> = None;
         let mut max_root_level = 0u32;
         for tree in &shards {
@@ -399,7 +405,7 @@ impl ShardSet {
         // splits across the legs before any of them runs, so no leg's
         // answer depends on another's work.
         let leg_total = budget.map(|b| b.saturating_sub(1));
-        let quotas: Vec<usize> = self.members.iter().map(Vec::len).collect();
+        let quotas: Vec<usize> = self.members.iter().map(|list| list.len()).collect();
         let budgets = split_budget(leg_total, &quotas);
         let legs = qd_runtime::try_map_indexed(&self.shards, |s, tree| {
             qd_obs::span_indexed(qd_obs::sp::SHARD_LEG, s as u64, || {
@@ -614,14 +620,14 @@ impl KnnIndex for ShardSet {
             }
             let mut stored: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
             stored.sort_unstable();
-            if &stored != members {
+            if stored != **members {
                 return Err(format!(
                     "shard {s} stores {} images but its member list has {}",
                     stored.len(),
                     members.len()
                 ));
             }
-            for &id in members {
+            for &id in members.iter() {
                 if shard_of(&self.config, id) != s {
                     return Err(format!("image {id} assigned to the wrong shard {s}"));
                 }

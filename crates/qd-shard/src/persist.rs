@@ -96,7 +96,7 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
     };
 
     let mut trees: Vec<Arc<RStarTree>> = Vec::with_capacity(shards);
-    let mut members: Vec<Vec<u64>> = Vec::with_capacity(shards);
+    let mut members: Vec<Arc<Vec<u64>>> = Vec::with_capacity(shards);
     for s in 0..shards {
         let tree = qd_index::persist::from_bytes(r.section()?)
             .map_err(|e| bad(format!("shard {s} tree: {e}")))?;
@@ -124,7 +124,7 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
             }
         }
         trees.push(Arc::new(tree));
-        members.push(stored);
+        members.push(Arc::new(stored));
     }
     let set = ShardSet::assemble(config, tree_config, trees, members);
     set.check_invariants().map_err(bad)?;

@@ -140,7 +140,7 @@ fn serialize_structure<I: KnnIndex>(rfs: &RfsStructure<I>, corpus_len: usize) ->
         .unwrap();
     }
     for image in 0..corpus_len {
-        writeln!(s, "leaf_of {image}={}", rfs.leaf_of(image).index()).unwrap();
+        writeln!(s, "leaf_of {image}={}", rfs.leaf_of(image).unwrap().index()).unwrap();
     }
     s
 }
@@ -443,7 +443,7 @@ fn rfs_leaf_of_agrees_with_live_leaves() {
     let t = arena.tree();
     let mut leaves_hit = std::collections::BTreeSet::new();
     for image in 0..corpus.len() {
-        let leaf = arena.leaf_of(image);
+        let leaf = arena.leaf_of(image).unwrap();
         assert!(t.contains_node(leaf), "leaf_of returned a dead node");
         assert!(t.is_leaf(leaf), "leaf_of returned an internal node");
         assert!(

@@ -80,7 +80,10 @@ fn decompose(
     let gt = corpus.ground_truth(query);
     let mut by_leaf: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
     for &id in &gt {
-        by_leaf.entry(rfs.leaf_of(id)).or_default().push(id);
+        by_leaf
+            .entry(rfs.leaf_of(id).unwrap())
+            .or_default()
+            .push(id);
     }
     (by_leaf.into_iter().collect(), gt.len())
 }

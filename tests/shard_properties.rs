@@ -404,7 +404,7 @@ fn serialize_sharded(rfs: &ShardedRfs, corpus_len: usize) -> String {
         .unwrap();
     }
     for image in 0..corpus_len {
-        writeln!(s, "leaf_of {image}={}", rfs.leaf_of(image).index()).unwrap();
+        writeln!(s, "leaf_of {image}={}", rfs.leaf_of(image).unwrap().index()).unwrap();
     }
     s
 }
@@ -686,10 +686,11 @@ impl<'a> Model<'a> {
             let member = self.members.contains(&(image as u64));
             assert_eq!(set.contains_image(image as u64), member, "{what}");
             if !member {
+                assert_eq!(next.leaf_of(image), None, "{what}");
                 assert_eq!(next.child_containing(root, image), None, "{what}");
                 continue;
             }
-            let leaf = next.leaf_of(image);
+            let leaf = next.leaf_of(image).unwrap();
             assert!(
                 set.is_leaf(leaf) && set.leaf_ids(leaf).into_iter().any(|i| i == image as u64),
                 "{what}: leaf_of[{image}]"
@@ -705,11 +706,11 @@ impl<'a> Model<'a> {
         // The refresh is exactly a from-scratch decoration of the same tree.
         let scratch = ShardedRfs::build_on(new_set, features, &self.config);
         assert_eq!(next.reps_map(), scratch.reps_map(), "{what}: refresh");
-        for &image in &self.members {
+        for image in 0..features.len() {
             assert_eq!(
-                next.leaf_of(image as usize),
-                scratch.leaf_of(image as usize),
-                "{what}"
+                next.leaf_of(image),
+                scratch.leaf_of(image),
+                "{what}: leaf_of[{image}]"
             );
         }
 
