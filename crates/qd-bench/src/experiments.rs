@@ -1,13 +1,15 @@
-//! One function per paper artifact (tables, figures, §5.2.2 I/O claim) and
-//! per DESIGN.md ablation. Each emits an aligned table to stdout and a CSV
-//! under `bench_results/`; the ones that run QD sessions return the first
+//! One function per paper artifact (tables, figures, §5.2.2 I/O claim), and
+//! one driver for the studies: the DESIGN.md ablations and the Figures 10–11
+//! size sweep are lists of arms that [`run_study`] runs over the eleven
+//! standard queries. Each emits an aligned table to stdout and a CSV under
+//! `bench_results/`; the ones that run QD sessions return the first
 //! session's [`QdError`] instead, for `repro` to report.
 
 use crate::fixtures::{bench_corpus, bench_rfs, BenchScale};
-use crate::report::{self, f3, f3_opt, ms, JsonValue, Table};
-use crate::simqueries::random_queries;
+use crate::report::{f3, f3_opt, ms, Table};
 use qd_core::baselines::BaselineConfig;
-use qd_core::eval::{self, Baseline};
+use qd_core::eval::{self, Baseline, QualityRow};
+use qd_core::metrics::{gtir, precision};
 use qd_core::rfs::{RfsConfig, RfsStructure};
 use qd_core::session::{try_run_session, MergeStrategy, QdConfig};
 use qd_core::user::SimulatedUser;
@@ -16,7 +18,8 @@ use qd_corpus::{queries, Corpus};
 use qd_linalg::metric::euclidean;
 use qd_linalg::vector::centroid;
 use qd_linalg::Pca;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Figure 1: PCA projection of the four "white sedan" pose clusters among
 /// the rest of the database. Emits per-pose cluster statistics in the 3-D
@@ -106,7 +109,13 @@ pub fn table1(scale: BenchScale, seed: u64) -> Result<(), QdError> {
         &QdConfig::default(),
         &BaselineConfig::default(),
     )?;
-    let avg = eval::average_row(&rows);
+    table1_table(&rows).emit("table1_quality");
+    Ok(())
+}
+
+/// Table 1's layout: one row per query plus the "Average" row. `repro
+/// table1` and the `BENCH_qd.json` report share it.
+pub(crate) fn table1_table(rows: &[QualityRow]) -> Table {
     let mut table = Table::new(
         "Table 1: query evaluation, MV vs QD",
         &[
@@ -117,7 +126,7 @@ pub fn table1(scale: BenchScale, seed: u64) -> Result<(), QdError> {
             "QD GTIR",
         ],
     );
-    for r in rows.iter().chain(std::iter::once(&avg)) {
+    for r in rows.iter().chain(std::iter::once(&eval::average_row(rows))) {
         table.row(vec![
             r.query.clone(),
             f3(r.baseline_precision),
@@ -126,8 +135,7 @@ pub fn table1(scale: BenchScale, seed: u64) -> Result<(), QdError> {
             f3(r.qd_gtir),
         ]);
     }
-    table.emit("table1_quality");
-    Ok(())
+    table
 }
 
 /// Table 2: per-round precision/GTIR averaged over the eleven queries.
@@ -284,6 +292,46 @@ fn write_figure_html(
     }
 }
 
+/// Every technique's final results per standard query: the four baselines,
+/// then QD. Each technique's queries fan out over the qd-runtime pool and
+/// come back in query order.
+type TechniqueResults = Vec<(&'static str, Vec<Vec<usize>>)>;
+
+fn technique_results(scale: BenchScale, seed: u64) -> Result<TechniqueResults, QdError> {
+    let corpus = bench_corpus(scale, seed);
+    let rfs = bench_rfs(scale, seed);
+    let qs = queries::standard_queries(corpus.taxonomy());
+    let mut out: TechniqueResults = [
+        Baseline::MultipleViewpoints,
+        Baseline::QueryPointMovement,
+        Baseline::MultipointQuery,
+        Baseline::Qcluster,
+    ]
+    .map(|baseline| {
+        let results = qd_runtime::par_map(&qs, |query| {
+            let k = corpus.ground_truth(query).len();
+            let mut user = SimulatedUser::oracle(query, seed);
+            let cfg = BaselineConfig::default();
+            baseline.run(&corpus, query, &mut user, k, &cfg).results
+        });
+        (baseline.name(), results)
+    })
+    .into();
+    let qd = qd_runtime::par_map(&qs, |query| {
+        let k = corpus.ground_truth(query).len();
+        let mut user = SimulatedUser::oracle(query, seed);
+        let cfg = QdConfig::default();
+        Ok(try_run_session(&corpus, &rfs, query, &mut user, k, &cfg)?
+            .into_outcome()
+            .results)
+    });
+    out.push((
+        "QD (this paper)",
+        qd.into_iter().collect::<Result<_, QdError>>()?,
+    ));
+    Ok(out)
+}
+
 /// Precision@k curves (ours): retrieval quality as the result-list prefix
 /// grows, QD vs every baseline, averaged over the 11 standard queries.
 /// Single-neighborhood techniques front-load one cluster's images, so their
@@ -291,295 +339,27 @@ fn write_figure_html(
 /// grouped merge keeps the curve flat.
 pub fn precision_at_k(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let fractions = [0.25f64, 0.5, 0.75, 1.0];
+    let qs = queries::standard_queries(corpus.taxonomy());
     let mut table = Table::new(
         "Precision@k (k as a fraction of |ground truth|)",
         &["technique", "P@25%", "P@50%", "P@75%", "P@100%"],
     );
-    let qs = queries::standard_queries(corpus.taxonomy());
-    let n = qs.len() as f64;
-
-    let prefix_precision = |corpus: &Corpus, query: &qd_corpus::QuerySpec, results: &[usize]| {
-        fractions.map(|f| {
-            let gt = corpus.ground_truth(query).len();
-            let cut = ((gt as f64 * f) as usize).clamp(1, results.len().max(1));
-            if results.is_empty() {
-                0.0
-            } else {
-                qd_core::metrics::precision(corpus, query, &results[..cut.min(results.len())])
-            }
-        })
-    };
-
-    // Per-query sessions are independently seeded, so each technique's
-    // query loop fans out across the qd-runtime pool; summing the returned
-    // per-query vectors in input order keeps the CSV byte-identical to a
-    // sequential run.
-    let sum4 = |per_query: Vec<[f64; 4]>| {
-        per_query.into_iter().fold([0.0f64; 4], |mut acc, p| {
-            for (a, v) in acc.iter_mut().zip(p) {
-                *a += v;
-            }
-            acc
-        })
-    };
-    let mut rows: Vec<(String, [f64; 4])> = Vec::new();
-    for baseline in [
-        Baseline::MultipleViewpoints,
-        Baseline::QueryPointMovement,
-        Baseline::MultipointQuery,
-        Baseline::Qcluster,
-    ] {
-        let acc = sum4(qd_runtime::par_map(&qs, |query| {
-            let k = corpus.ground_truth(query).len();
-            let mut user = SimulatedUser::oracle(query, seed);
-            let out = baseline.run(&corpus, query, &mut user, k, &BaselineConfig::default());
-            prefix_precision(&corpus, query, &out.results)
-        }));
-        rows.push((baseline.name().to_string(), acc.map(|a| a / n)));
-    }
-    {
-        let per_query = qd_runtime::par_map(&qs, |query| {
-            let k = corpus.ground_truth(query).len();
-            let mut user = SimulatedUser::oracle(query, seed);
-            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
-                .into_outcome();
-            Ok(prefix_precision(&corpus, query, &out.results))
-        });
-        let acc = sum4(per_query.into_iter().collect::<Result<_, QdError>>()?);
-        rows.push(("QD (this paper)".to_string(), acc.map(|a| a / n)));
-    }
-    for (name, vals) in rows {
-        table.row(vec![
-            name,
-            f3(vals[0]),
-            f3(vals[1]),
-            f3(vals[2]),
-            f3(vals[3]),
-        ]);
+    for (name, per_query) in technique_results(scale, seed)? {
+        let mut row = vec![name.to_string()];
+        for f in [0.25f64, 0.5, 0.75, 1.0] {
+            let sum: f64 = qs
+                .iter()
+                .zip(&per_query)
+                .fold(0.0, |sum, (query, results)| {
+                    let gt = corpus.ground_truth(query).len();
+                    let cut = ((gt as f64 * f) as usize).clamp(1, results.len().max(1));
+                    sum + precision(&corpus, query, &results[..cut.min(results.len())])
+                });
+            row.push(f3(sum / qs.len() as f64));
+        }
+        table.row(row);
     }
     table.emit("precision_at_k");
-    Ok(())
-}
-
-/// Ablation: per-round browsing budget (display pages inspected). Drives
-/// Table 2's coverage progression: a small budget slows subconcept
-/// discovery; an unbounded one front-loads it.
-pub fn ablate_patience(scale: BenchScale, seed: u64, budgets: &[usize]) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let mut table = Table::new(
-        "Ablation: per-round inspection budget (21-image pages)",
-        &[
-            "pages/round",
-            "round-1 GTIR",
-            "final precision",
-            "final GTIR",
-        ],
-    );
-    for &pages in budgets {
-        let patience = if pages == usize::MAX {
-            usize::MAX
-        } else {
-            pages * 21
-        };
-        let qs = queries::standard_queries(corpus.taxonomy());
-        let n = qs.len() as f64;
-        let (mut g1, mut p3, mut g3) = (0.0, 0.0, 0.0);
-        for query in &qs {
-            let k = corpus.ground_truth(query).len();
-            let mut user = SimulatedUser::oracle(query, seed).with_patience(patience);
-            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
-                .into_outcome();
-            g1 += out.round_trace.first().map(|t| t.gtir).unwrap_or(0.0);
-            p3 += qd_core::metrics::precision(&corpus, query, &out.results);
-            g3 += qd_core::metrics::gtir(&corpus, query, &out.results);
-        }
-        table.row(vec![
-            if pages == usize::MAX {
-                "all".into()
-            } else {
-                pages.to_string()
-            },
-            f3(g1 / n),
-            f3(p3 / n),
-            f3(g3 / n),
-        ]);
-    }
-    table.emit("ablate_patience");
-    Ok(())
-}
-
-/// Robustness study (ours): how quality degrades as the simulated user's
-/// judgments become noisy — the variance dimension behind the paper's
-/// 20-student evaluation.
-pub fn ablate_user_noise(
-    scale: BenchScale,
-    seed: u64,
-    noise_levels: &[f32],
-) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let mut table = Table::new(
-        "Robustness: relevance-judgment noise",
-        &["noise", "QD precision", "QD GTIR"],
-    );
-    for &noise in noise_levels {
-        let qs = queries::standard_queries(corpus.taxonomy());
-        let n = qs.len() as f64;
-        let mut p_sum = 0.0;
-        let mut g_sum = 0.0;
-        for query in &qs {
-            let k = corpus.ground_truth(query).len();
-            let mut user = SimulatedUser::oracle(query, seed).with_noise(noise);
-            let out = try_run_session(&corpus, &rfs, query, &mut user, k, &QdConfig::default())?
-                .into_outcome();
-            p_sum += qd_core::metrics::precision(&corpus, query, &out.results);
-            g_sum += qd_core::metrics::gtir(&corpus, query, &out.results);
-        }
-        table.row(vec![format!("{noise:.2}"), f3(p_sum / n), f3(g_sum / n)]);
-    }
-    table.emit("ablate_user_noise");
-    Ok(())
-}
-
-/// Per-database-size timing rows shared by Figures 10 and 11.
-pub struct TimingRow {
-    /// Database size (number of images).
-    pub size: usize,
-    /// Mean overall QD query processing time (all rounds + final k-NN).
-    pub qd_total: Duration,
-    /// Mean single-round feedback processing time.
-    pub qd_iteration: Duration,
-    /// Mean per-round cost of traditional global-k-NN relevance feedback
-    /// (one full-database scan per round) on the same corpus — the cost the
-    /// RFS structure avoids.
-    pub global_round: Duration,
-}
-
-/// Runs the timing sweep behind Figures 10 and 11.
-pub fn timing_sweep(
-    sizes: &[usize],
-    queries_per_size: usize,
-    seed: u64,
-) -> Result<Vec<TimingRow>, QdError> {
-    sizes
-        .iter()
-        .map(|&size| {
-            let scale = BenchScale::Sweep(size);
-            let corpus = bench_corpus(scale, seed);
-            let rfs = bench_rfs(scale, seed);
-            let sims = random_queries(corpus.taxonomy(), queries_per_size, seed ^ 0xBEEF);
-            // Sessions are seeded per query index, so they fan out across
-            // the qd-runtime pool; the timing totals reduce in input order.
-            let per_query = qd_runtime::par_map_indexed(&sims, |i, q| {
-                let k = corpus.ground_truth(q).len().clamp(1, 100);
-                let mut user = SimulatedUser::oracle(q, seed + i as u64);
-                let out = try_run_session(&corpus, &rfs, q, &mut user, k, &QdConfig::default())?
-                    .into_outcome();
-                let rounds: Duration = out.round_durations.iter().sum();
-                Ok((
-                    rounds + out.final_knn_duration,
-                    rounds,
-                    out.round_durations.len() as u32,
-                ))
-            });
-            let per_query: Vec<(Duration, Duration, u32)> =
-                per_query.into_iter().collect::<Result<_, QdError>>()?;
-            let mut total = Duration::ZERO;
-            let mut iteration = Duration::ZERO;
-            let mut iterations = 0u32;
-            let sessions = per_query.len() as u32;
-            for (t, it, n_rounds) in per_query {
-                total += t;
-                iteration += it;
-                iterations += n_rounds;
-            }
-
-            // Traditional relevance feedback: one global k-NN scan per round
-            // (query point movement over the whole database).
-            let global_round = {
-                let features = corpus.features();
-                let start = std::time::Instant::now();
-                let mut scans = 0u32;
-                for q in sims.iter().take(queries_per_size.min(20)) {
-                    let gt = corpus.ground_truth(q);
-                    if gt.is_empty() {
-                        continue;
-                    }
-                    let rel: Vec<&[f32]> = gt
-                        .iter()
-                        .take(5)
-                        .map(|&id| features[id].as_slice())
-                        .collect();
-                    let qp = centroid(&rel);
-                    let k = gt.len().clamp(1, 100);
-                    let mut scored: Vec<(f32, usize)> = features
-                        .iter()
-                        .enumerate()
-                        .map(|(id, f)| (euclidean(f, &qp), id))
-                        .collect();
-                    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    scored.truncate(k);
-                    std::hint::black_box(&scored);
-                    scans += 1;
-                }
-                if scans == 0 {
-                    Duration::ZERO
-                } else {
-                    start.elapsed() / scans
-                }
-            };
-
-            Ok(TimingRow {
-                size,
-                qd_total: total / sessions.max(1),
-                qd_iteration: iteration / iterations.max(1),
-                global_round,
-            })
-        })
-        .collect()
-}
-
-/// Figure 10: overall query processing time vs database size.
-pub fn fig10(sizes: &[usize], queries_per_size: usize, seed: u64) -> Result<(), QdError> {
-    let rows = timing_sweep(sizes, queries_per_size, seed)?;
-    let mut table = Table::new(
-        "Figure 10: overall query processing time vs database size",
-        &[
-            "db size",
-            "QD total (ms)",
-            "global-kNN RF round (ms, comparison)",
-        ],
-    );
-    for r in &rows {
-        table.row(vec![r.size.to_string(), ms(r.qd_total), ms(r.global_round)]);
-    }
-    table.emit("fig10_overall_time");
-    Ok(())
-}
-
-/// Figure 11: average per-iteration feedback processing time vs database
-/// size.
-pub fn fig11(sizes: &[usize], queries_per_size: usize, seed: u64) -> Result<(), QdError> {
-    let rows = timing_sweep(sizes, queries_per_size, seed)?;
-    let mut table = Table::new(
-        "Figure 11: average iteration processing time vs database size",
-        &[
-            "db size",
-            "QD iteration (ms)",
-            "global-kNN RF round (ms, comparison)",
-        ],
-    );
-    for r in &rows {
-        table.row(vec![
-            r.size.to_string(),
-            ms(r.qd_iteration),
-            ms(r.global_round),
-        ]);
-    }
-    table.emit("fig11_iteration_time");
     Ok(())
 }
 
@@ -616,612 +396,408 @@ pub fn io_experiment(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     Ok(())
 }
 
-/// Runs the eleven standard queries under one QD configuration and averages
-/// quality/cost — the inner loop of every ablation.
-fn qd_average(
-    corpus: &Corpus,
-    rfs: &RfsStructure,
-    cfg: &QdConfig,
-    seed: u64,
-) -> Result<(f64, f64, f64, f64), QdError> {
-    let qs = queries::standard_queries(corpus.taxonomy());
-    let n = qs.len() as f64;
-    let per_query = qd_runtime::par_map(&qs, |query| {
-        let k = corpus.ground_truth(query).len();
-        let mut user = SimulatedUser::oracle(query, seed);
-        let out = try_run_session(corpus, rfs, query, &mut user, k, cfg)?.into_outcome();
-        Ok((
-            qd_core::metrics::precision(corpus, query, &out.results),
-            qd_core::metrics::gtir(corpus, query, &out.results),
-            out.knn_accesses as f64,
-            out.results.len() as f64 / k as f64,
-        ))
-    });
-    let per_query: Vec<(f64, f64, f64, f64)> =
-        per_query.into_iter().collect::<Result<_, QdError>>()?;
-    let (mut precision, mut gtir, mut knn_accesses, mut fill) = (0.0, 0.0, 0.0, 0.0);
-    for (p, g, io, f) in per_query {
-        precision += p;
-        gtir += g;
-        knn_accesses += io;
-        fill += f;
-    }
-    Ok((precision / n, gtir / n, knn_accesses / n, fill / n))
-}
-
-/// Ablation: boundary-ratio threshold sweep (§3.3; DESIGN.md §5.1).
-pub fn ablate_threshold(scale: BenchScale, seed: u64, thresholds: &[f32]) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let mut table = Table::new(
-        "Ablation: boundary expansion threshold",
-        &["threshold", "precision", "GTIR", "kNN accesses", "fill"],
-    );
-    for &t in thresholds {
-        let cfg = QdConfig {
-            boundary_threshold: t,
-            ..QdConfig::default()
-        };
-        let (p, g, io, fill) = qd_average(&corpus, &rfs, &cfg, seed)?;
-        table.row(vec![
-            format!("{t:.2}"),
-            f3(p),
-            f3(g),
-            format!("{io:.1}"),
-            f3(fill),
-        ]);
-    }
-    table.emit("ablate_threshold");
-    Ok(())
-}
-
-/// Ablation: representative fraction sweep (DESIGN.md §5.2).
-pub fn ablate_representative_fraction(
+/// One configuration a study runs: the eleven standard queries on `scale`'s
+/// corpus, an RFS built with `rfs`, sessions under `qd`, and an oracle user
+/// with a per-round inspection budget and a judgment-noise probability.
+#[derive(Debug, Clone)]
+struct Arm {
+    label: String,
     scale: BenchScale,
+    rfs: RfsConfig,
+    qd: QdConfig,
+    /// `(patience, noise)` of the simulated user.
+    user: (usize, f32),
+}
+
+impl Arm {
+    /// The paper's configuration on `scale`.
+    fn paper(scale: BenchScale, label: impl Into<String>) -> Self {
+        Self {
+            label: label.into(),
+            scale,
+            rfs: scale.rfs_config(),
+            qd: QdConfig::default(),
+            user: (usize::MAX, 0.0),
+        }
+    }
+}
+
+/// What a study's column reports about an arm. Quality and cost columns are
+/// means over the eleven queries; the tree columns describe the arm's RFS.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Col {
+    Label,
+    Representatives,
+    Height,
+    Leaves,
+    /// Wall-clock build time of the arm's own tree.
+    BuildMs,
+    Precision,
+    Gtir,
+    Round1Gtir,
+    KnnAccesses,
+    Fill,
+    FeedbackPerRound,
+    KnnPerSubquery,
+    Subqueries,
+}
+
+/// A table of arms: its title, CSV slug, `(header, column)` list and arms.
+struct Study {
+    title: &'static str,
+    slug: &'static str,
+    columns: Vec<(&'static str, Col)>,
+    arms: Vec<Arm>,
+}
+
+/// What one session contributes to its arm's row.
+struct Session {
+    precision: f64,
+    gtir: f64,
+    round1_gtir: f64,
+    fill: f64,
+    knn_accesses: f64,
+    feedback_accesses: f64,
+    rounds: f64,
+    subqueries: f64,
+}
+
+/// The arm's RFS and how long it took to build. An arm whose `RfsConfig`
+/// equals its scale's shares the cached [`bench_rfs`] build unless `own` asks
+/// for a build of its own (which is what a build-time column has to time).
+fn arm_rfs(arm: &Arm, seed: u64, own: bool) -> (Arc<RfsStructure>, Duration) {
+    // `RfsConfig` has no `PartialEq`; its `Debug` form names every field.
+    if !own && format!("{:?}", arm.rfs) == format!("{:?}", arm.scale.rfs_config()) {
+        return (bench_rfs(arm.scale, seed), Duration::ZERO);
+    }
+    let corpus = bench_corpus(arm.scale, seed);
+    let start = Instant::now();
+    let rfs = RfsStructure::build(corpus.features(), &arm.rfs);
+    (Arc::new(rfs), start.elapsed())
+}
+
+/// Runs one arm's eleven sessions on the qd-runtime pool and formats its
+/// row. Sums run in query order, so the row is the same at any worker count.
+fn arm_row(
+    arm: &Arm,
+    columns: &[(&str, Col)],
     seed: u64,
-    fractions: &[f32],
-) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let mut table = Table::new(
-        "Ablation: leaf representative fraction",
-        &["fraction", "representatives", "precision", "GTIR", "fill"],
-    );
-    for &frac in fractions {
-        let rfs_cfg = RfsConfig {
-            representative_fraction: frac,
-            ..scale.rfs_config()
-        };
-        let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
-        let reps = rfs.all_representatives().len();
-        let (p, g, _, fill) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
-        table.row(vec![
-            format!("{frac:.2}"),
-            reps.to_string(),
-            f3(p),
-            f3(g),
-            f3(fill),
-        ]);
-    }
-    table.emit("ablate_representative_fraction");
-    Ok(())
+    own_build: bool,
+) -> Result<Vec<String>, QdError> {
+    let corpus = bench_corpus(arm.scale, seed);
+    let (rfs, built) = arm_rfs(arm, seed, own_build);
+    let qs = queries::standard_queries(corpus.taxonomy());
+    let sessions = qd_runtime::par_map(&qs, |query| {
+        let k = corpus.ground_truth(query).len();
+        let (patience, noise) = arm.user;
+        let mut user = SimulatedUser::oracle(query, seed)
+            .with_patience(patience)
+            .with_noise(noise);
+        let out = try_run_session(&corpus, &rfs, query, &mut user, k, &arm.qd)?.into_outcome();
+        Ok(Session {
+            precision: precision(&corpus, query, &out.results),
+            gtir: gtir(&corpus, query, &out.results),
+            round1_gtir: out.round_trace.first().map_or(0.0, |t| t.gtir),
+            fill: out.results.len() as f64 / k as f64,
+            knn_accesses: out.knn_accesses as f64,
+            feedback_accesses: out.feedback_accesses as f64,
+            rounds: out.round_trace.len() as f64,
+            subqueries: out.subquery_count as f64,
+        })
+    });
+    let sessions = sessions.into_iter().collect::<Result<Vec<_>, QdError>>()?;
+    let sum = |field: fn(&Session) -> f64| sessions.iter().map(field).sum::<f64>();
+    let mean = |field| sum(field) / qs.len() as f64;
+    let f2 = |x: f64| format!("{x:.2}");
+    let tree = rfs.tree();
+    let cell = |col: Col| match col {
+        Col::Label => arm.label.clone(),
+        Col::Representatives => rfs.all_representatives().len().to_string(),
+        Col::Height => tree.height().to_string(),
+        Col::Leaves => tree
+            .node_ids()
+            .filter(|&id| tree.is_leaf(id))
+            .count()
+            .to_string(),
+        Col::BuildMs => ms(built),
+        Col::Precision => f3(mean(|s| s.precision)),
+        Col::Gtir => f3(mean(|s| s.gtir)),
+        Col::Round1Gtir => f3(mean(|s| s.round1_gtir)),
+        Col::KnnAccesses => format!("{:.1}", mean(|s| s.knn_accesses)),
+        Col::Fill => f3(mean(|s| s.fill)),
+        Col::FeedbackPerRound => f2(sum(|s| s.feedback_accesses) / sum(|s| s.rounds)),
+        Col::KnnPerSubquery => f2(sum(|s| s.knn_accesses) / sum(|s| s.subqueries)),
+        Col::Subqueries => f2(mean(|s| s.subqueries)),
+    };
+    Ok(columns.iter().map(|&(_, col)| cell(col)).collect())
 }
 
-/// Ablation: node fan-out sweep (DESIGN.md §5.3) — alters RFS depth and
-/// decomposition granularity.
-pub fn ablate_fanout(scale: BenchScale, seed: u64, capacities: &[usize]) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let mut table = Table::new(
-        "Ablation: RFS node capacity",
-        &["capacity", "tree height", "leaves", "precision", "GTIR"],
-    );
-    for &cap in capacities {
-        let rfs_cfg = RfsConfig {
-            node_min: (cap * 2 / 5).max(2),
-            node_max: cap,
-            ..scale.rfs_config()
-        };
-        let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
-        let tree = rfs.tree();
-        let leaves = tree.node_ids().filter(|&n| tree.is_leaf(n)).count();
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
-        table.row(vec![
-            cap.to_string(),
-            tree.height().to_string(),
-            leaves.to_string(),
-            f3(p),
-            f3(g),
-        ]);
+/// Runs every arm of `study` into its table.
+fn run_study(study: &Study, seed: u64) -> Result<Table, QdError> {
+    let header: Vec<&str> = study.columns.iter().map(|&(h, _)| h).collect();
+    let mut table = Table::new(study.title, &header);
+    let own_builds = study.columns.iter().any(|&(_, c)| c == Col::BuildMs);
+    for arm in &study.arms {
+        table.row(arm_row(arm, &study.columns, seed, own_builds)?);
     }
-    table.emit("ablate_fanout");
-    Ok(())
+    Ok(table)
 }
 
-/// Ablation: proportional vs uniform result merging (§3.4; DESIGN.md §5.4).
-pub fn ablate_merge(scale: BenchScale, seed: u64) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let mut table = Table::new(
-        "Ablation: result merge strategy",
-        &["strategy", "precision", "GTIR", "fill"],
-    );
-    for (name, merge) in [
+/// The DESIGN.md ablations on `scale`, in `repro ablate`'s order. Each arm
+/// is the paper's configuration with one edit.
+fn ablation_studies(scale: BenchScale) -> Vec<Study> {
+    use Col::*;
+    let arm = |label: String, edit: &dyn Fn(&mut Arm)| {
+        let mut arm = Arm::paper(scale, label);
+        edit(&mut arm);
+        arm
+    };
+    let study = |title, slug, columns: &[(&'static str, Col)], arms: Vec<Arm>| Study {
+        title,
+        slug,
+        columns: columns.to_vec(),
+        arms,
+    };
+    let (p, g) = (("precision", Precision), ("GTIR", Gtir));
+    let weights = [
+        ("uniform (1,1,1)", [1.0, 1.0, 1.0]),
+        ("color-heavy (3,1,1)", [3.0, 1.0, 1.0]),
+        ("texture-heavy (1,3,1)", [1.0, 3.0, 1.0]),
+        ("edge-heavy (1,1,3)", [1.0, 1.0, 3.0]),
+        ("color only (1,0,0)", [1.0, 0.0, 0.0]),
+    ];
+    let merges = [
         ("proportional (paper)", MergeStrategy::Proportional),
         ("uniform", MergeStrategy::Uniform),
         ("single ranked list", MergeStrategy::SingleList),
-    ] {
-        let cfg = QdConfig {
-            merge,
-            ..QdConfig::default()
-        };
-        let (p, g, _, fill) = qd_average(&corpus, &rfs, &cfg, seed)?;
-        table.row(vec![name.to_string(), f3(p), f3(g), f3(fill)]);
-    }
-    table.emit("ablate_merge");
-    Ok(())
-}
-
-/// Ablation: k-means medoid vs random representative selection (§3.1;
-/// DESIGN.md §5.5).
-pub fn ablate_representative_selection(scale: BenchScale, seed: u64) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let mut table = Table::new(
-        "Ablation: representative selection",
-        &["selection", "precision", "GTIR"],
-    );
-    for (name, kmeans) in [("k-means medoids (paper)", true), ("uniform random", false)] {
-        let rfs_cfg = RfsConfig {
-            kmeans_representatives: kmeans,
-            ..scale.rfs_config()
-        };
-        let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
-        table.row(vec![name.to_string(), f3(p), f3(g)]);
-    }
-    table.emit("ablate_representative_selection");
-    Ok(())
-}
-
-/// Ablation: R\* insertion clustering vs kd-median bulk loading for the RFS
-/// tree. The kd loader is much cheaper to build but its median splits slice
-/// through feature-space clusters, so leaves mix categories and localized
-/// retrieval loses precision.
-pub fn ablate_build(scale: BenchScale, seed: u64) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let mut table = Table::new(
-        "Ablation: RFS tree construction",
-        &["build", "build time (ms)", "precision", "GTIR"],
-    );
-    for (name, bulk) in [("R* insertion (paper)", false), ("kd bulk load", true)] {
-        let rfs_cfg = RfsConfig {
-            bulk_load: bulk,
-            ..scale.rfs_config()
-        };
-        let start = std::time::Instant::now();
-        let rfs = RfsStructure::build(corpus.features(), &rfs_cfg);
-        let built = start.elapsed();
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &QdConfig::default(), seed)?;
-        table.row(vec![name.to_string(), ms(built), f3(p), f3(g)]);
-    }
-    table.emit("ablate_build");
-    Ok(())
-}
-
-/// Extension study (§6 future work): user-defined feature-group importance.
-pub fn ablate_feature_weights(scale: BenchScale, seed: u64) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let mut table = Table::new(
-        "Extension: user-defined feature importance (color/texture/edge)",
-        &["weights (c,t,e)", "precision", "GTIR"],
-    );
-    for (name, c, t, e) in [
-        ("uniform (1,1,1)", 1.0, 1.0, 1.0),
-        ("color-heavy (3,1,1)", 3.0, 1.0, 1.0),
-        ("texture-heavy (1,3,1)", 1.0, 3.0, 1.0),
-        ("edge-heavy (1,1,3)", 1.0, 1.0, 3.0),
-        ("color only (1,0,0)", 1.0, 0.0, 0.0),
-    ] {
-        let cfg = QdConfig::default().with_group_weights(c, t, e);
-        let (p, g, _, _) = qd_average(&corpus, &rfs, &cfg, seed)?;
-        table.row(vec![name.to_string(), f3(p), f3(g)]);
-    }
-    table.emit("ablate_feature_weights");
-    Ok(())
-}
-
-/// The machine-readable bench report (`repro --json`): runs the Table 1
-/// workload (MV vs QD over the eleven standard queries) under a `qd_obs`
-/// recorder and writes `BENCH_qd.json` with the schema
-/// `{commit, config, tables, serving, counters, histograms, span_tree}`.
-///
-/// Deterministic by construction: the RFS is built *inside* the recorder so
-/// its build span and counters are part of the report, the corpus
-/// render/extract phase runs *outside* it so a warm disk cache emits the
-/// same bytes as a cold one, and nothing derived from wall-clock time or
-/// thread count is recorded — CI compares consecutive runs and a
-/// `QD_THREADS=8` run byte-for-byte.
-///
-/// The `serving` section comes from [`serving_section`]: an overloaded
-/// multi-tenant `qd-serve` run under its own recorder, so the engine
-/// workload's `counters`/`histograms` sections never mix with `serve.*`
-/// names.
-///
-/// `with_timing` opts in to the Figure 10/11 timing sweep: three extra
-/// tables (`fig10_overall_time`, `fig11_iteration_time`,
-/// `timing_percentiles`) carrying wall-clock readings are appended to the
-/// report. Timing is inherently non-deterministic, so the flag is off by
-/// default and off in the CI byte-diff job; everything outside the timing
-/// tables is unchanged by the flag.
-pub fn json_report(scale: BenchScale, seed: u64, with_timing: bool) -> Result<(), QdError> {
-    let corpus = bench_corpus(scale, seed);
-    let qd_cfg = QdConfig::default();
-    let baseline_cfg = BaselineConfig::default();
-    let (recorded, trace) = qd_obs::with_recorder(|| {
-        let rfs = RfsStructure::build(corpus.features(), &scale.rfs_config());
-        let qs = queries::standard_queries(corpus.taxonomy());
-        let per_query = qd_runtime::par_map_indexed(&qs, |i, query| {
-            qd_obs::span_indexed(qd_obs::sp::BENCH_QUERY, i as u64, || {
-                let k = corpus.ground_truth(query).len();
-                let mut b_user = SimulatedUser::oracle(query, baseline_cfg.seed)
-                    .with_patience(baseline_cfg.user_patience);
-                let b =
-                    Baseline::MultipleViewpoints.run(&corpus, query, &mut b_user, k, &baseline_cfg);
-                let mut q_user =
-                    SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-                let q =
-                    try_run_session(&corpus, &rfs, query, &mut q_user, k, &qd_cfg)?.into_outcome();
-                let row = eval::QualityRow {
-                    query: query.name.clone(),
-                    baseline_precision: qd_core::metrics::precision(&corpus, query, &b.results),
-                    baseline_gtir: qd_core::metrics::gtir(&corpus, query, &b.results),
-                    qd_precision: qd_core::metrics::precision(&corpus, query, &q.results),
-                    qd_gtir: qd_core::metrics::gtir(&corpus, query, &q.results),
-                };
-                Ok((row, (q.round_durations, q.final_knn_duration)))
-            })
-        });
-        let mut rows = Vec::with_capacity(per_query.len());
-        let mut timings = crate::timing::TimingHists::new();
-        for outcome in per_query {
-            let (row, (rounds, final_knn)) = outcome?;
-            rows.push(row);
-            timings.record_query(&rounds, final_knn);
-        }
-        let avg = eval::average_row(&rows);
-        Ok((rows, timings, avg))
-    });
-    let (rows, timings, avg) = recorded?;
-
-    let mut table = Table::new(
-        "Table 1: query evaluation, MV vs QD",
-        &[
-            "query",
-            "MV precision",
-            "MV GTIR",
-            "QD precision",
-            "QD GTIR",
-        ],
-    );
-    for r in rows.iter().chain(std::iter::once(&avg)) {
-        table.row(vec![
-            r.query.clone(),
-            f3(r.baseline_precision),
-            f3(r.baseline_gtir),
-            f3(r.qd_precision),
-            f3(r.qd_gtir),
-        ]);
-    }
-
-    let cc = scale.corpus_config(seed);
-    let rc = scale.rfs_config();
-    let config = JsonValue::Obj(vec![
-        ("scale".to_string(), JsonValue::str(format!("{scale:?}"))),
-        ("seed".to_string(), JsonValue::u64(seed)),
-        ("corpus_size".to_string(), JsonValue::u64(cc.size as u64)),
-        (
-            "image_size".to_string(),
-            JsonValue::u64(cc.image_size as u64),
+    ];
+    vec![
+        study(
+            "Ablation: boundary expansion threshold",
+            "ablate_threshold",
+            &[
+                ("threshold", Label),
+                p,
+                g,
+                ("kNN accesses", KnnAccesses),
+                ("fill", Fill),
+            ],
+            [0.0f32, 0.2, 0.4, 0.6, 0.8, 1.0]
+                .map(|t| arm(format!("{t:.2}"), &|a| a.qd.boundary_threshold = t))
+                .into(),
         ),
-        (
-            "with_viewpoints".to_string(),
-            JsonValue::Bool(cc.with_viewpoints),
+        study(
+            "Ablation: leaf representative fraction",
+            "ablate_representative_fraction",
+            &[
+                ("fraction", Label),
+                ("representatives", Representatives),
+                p,
+                g,
+                ("fill", Fill),
+            ],
+            [0.01f32, 0.03, 0.05, 0.08, 0.10]
+                .map(|f| arm(format!("{f:.2}"), &|a| a.rfs.representative_fraction = f))
+                .into(),
         ),
-        (
-            "rfs_node_min".to_string(),
-            JsonValue::u64(rc.node_min as u64),
-        ),
-        (
-            "rfs_node_max".to_string(),
-            JsonValue::u64(rc.node_max as u64),
-        ),
-    ]);
-    let mut tables = vec![("table1".to_string(), table)];
-    if with_timing {
-        let sizes = match scale {
-            BenchScale::Tiny => vec![200, 400],
-            _ => vec![1_000, 2_000, 3_000],
-        };
-        let rows = timing_sweep(&sizes, 5, seed)?;
-        let mut fig10 = Table::new(
-            "Figure 10: overall query processing time vs database size",
-            &["db size", "QD total (ms)", "global-kNN RF round (ms)"],
-        );
-        let mut fig11 = Table::new(
-            "Figure 11: average iteration processing time vs database size",
-            &["db size", "QD iteration (ms)", "global-kNN RF round (ms)"],
-        );
-        for r in &rows {
-            fig10.row(vec![r.size.to_string(), ms(r.qd_total), ms(r.global_round)]);
-            fig11.row(vec![
-                r.size.to_string(),
-                ms(r.qd_iteration),
-                ms(r.global_round),
-            ]);
-        }
-        tables.push(("fig10_overall_time".to_string(), fig10));
-        tables.push(("fig11_iteration_time".to_string(), fig11));
-        tables.push(("timing_percentiles".to_string(), timings.table()));
-    }
-    let serving = serving_section(scale, seed);
-    let sharding = sharding_section(scale, seed);
-    let path = std::path::Path::new("BENCH_qd.json");
-    match report::write_bench_report(path, config, tables, Some(serving), Some(sharding), &trace) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => {
-            eprintln!("error: could not write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-    Ok(())
-}
-
-/// The `serving` section of `BENCH_qd.json`: a deliberately overloaded
-/// multi-tenant run (arrival rate 4/tick against 4 active slots and a
-/// 4-deep queue) over the scenario matrix, reported as the outcome mix,
-/// shed/evicted id sets, and throughput/latency/cost percentiles. The
-/// simulation runs in its own recorder scope, so the engine workload's
-/// `counters`/`histograms` sections are unaffected, and everything here is
-/// a pure function of `(scale, seed)` — the CI byte-diff covers it.
-fn serving_section(scale: BenchScale, seed: u64) -> JsonValue {
-    use qd_serve::{LoadConfig, LoadPlan, ServeConfig, Server, SessionOutcome};
-
-    let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
-    let load_cfg = LoadConfig {
-        users: 16,
-        seed,
-        arrivals_per_tick: 4,
-        rounds: 3,
-        k: None,
-        deadline: 900,
-    };
-    let serve_cfg = ServeConfig {
-        max_active: 4,
-        queue_capacity: 4,
-        ..ServeConfig::default()
-    };
-    let plan = LoadPlan::generate(&corpus, &load_cfg);
-    let server = Server::new(corpus, rfs, serve_cfg.clone());
-    let (serve_report, serve_trace) = qd_obs::with_recorder(|| server.run(&plan));
-
-    let (complete, degraded, evicted, failed) = serve_report.state_counts();
-    let ids = |list: Vec<qd_serve::SessionId>| {
-        JsonValue::Arr(list.into_iter().map(|id| JsonValue::u64(id.0)).collect())
-    };
-    let truncated = serve_report.sessions.iter().filter(|s| s.truncated).count();
-    let answered = (complete + degraded) as f64;
-    JsonValue::Obj(vec![
-        (
-            "load".to_string(),
-            JsonValue::Obj(vec![
-                ("users".to_string(), JsonValue::u64(load_cfg.users as u64)),
-                ("seed".to_string(), JsonValue::u64(load_cfg.seed)),
-                (
-                    "arrivals_per_tick".to_string(),
-                    JsonValue::u64(load_cfg.arrivals_per_tick),
-                ),
-                ("rounds".to_string(), JsonValue::u64(load_cfg.rounds as u64)),
-                ("deadline".to_string(), JsonValue::u64(load_cfg.deadline)),
-            ]),
-        ),
-        (
-            "scheduler".to_string(),
-            JsonValue::Obj(vec![
-                (
-                    "max_active".to_string(),
-                    JsonValue::u64(serve_cfg.max_active as u64),
-                ),
-                (
-                    "queue_capacity".to_string(),
-                    JsonValue::u64(serve_cfg.queue_capacity as u64),
-                ),
-                ("shed_seed".to_string(), JsonValue::u64(serve_cfg.shed_seed)),
-            ]),
-        ),
-        ("ticks".to_string(), JsonValue::u64(serve_report.ticks)),
-        (
-            "outcomes".to_string(),
-            JsonValue::Obj(vec![
-                ("complete".to_string(), JsonValue::u64(complete as u64)),
-                ("degraded".to_string(), JsonValue::u64(degraded as u64)),
-                ("evicted".to_string(), JsonValue::u64(evicted as u64)),
-                ("failed".to_string(), JsonValue::u64(failed as u64)),
-            ]),
-        ),
-        (
-            "truncated_sessions".to_string(),
-            JsonValue::u64(truncated as u64),
-        ),
-        (
-            "degradation_rate".to_string(),
-            JsonValue::f64(serve_report.degradation_rate()),
-        ),
-        (
-            "throughput_sessions_per_tick".to_string(),
-            JsonValue::f64(if serve_report.ticks == 0 {
-                0.0
-            } else {
-                answered / serve_report.ticks as f64
-            }),
-        ),
-        ("shed_sessions".to_string(), ids(serve_report.shed_ids())),
-        (
-            "evicted_sessions".to_string(),
-            ids(serve_report.evicted_ids()),
-        ),
-        (
-            "failed_sessions".to_string(),
-            JsonValue::Arr(
-                serve_report
-                    .sessions
-                    .iter()
-                    .filter(|s| matches!(&s.outcome, SessionOutcome::Failed(_)))
-                    .map(|s| JsonValue::u64(s.id.0))
-                    .collect(),
-            ),
-        ),
-        (
-            "counters".to_string(),
-            report::counters_to_json(&serve_trace.counters),
-        ),
-        (
-            "histograms".to_string(),
-            report::hists_to_json(&serve_trace.hists),
-        ),
-    ])
-}
-
-/// The `sharding` section of `BENCH_qd.json`: builds a sharded index at
-/// K ∈ {1, 2, 4, 7} over the bench corpus and probes the scatter-gather
-/// merge against the monolithic R\*-tree — unbudgeted k-NN answers must be
-/// the same multiset of `(distance, id)` pairs at every K. Like the
-/// serving section it runs in its own recorder scope (so the `shard.*`
-/// counters and histograms reported here never leak into the engine
-/// workload's sections) and is a pure function of `(scale, seed)` — the
-/// CI byte-diff covers it.
-fn sharding_section(scale: BenchScale, seed: u64) -> JsonValue {
-    use qd_index::KnnIndex;
-    use qd_shard::{ShardConfig, ShardSet};
-
-    let corpus = bench_corpus(scale, seed);
-    let solo = bench_rfs(scale, seed);
-    let tree_cfg = scale.rfs_config().tree_config(corpus.dim());
-    let k = 10usize.min(corpus.len());
-    let probes: Vec<usize> = (0..5).map(|i| i * (corpus.len() - 1) / 4).collect();
-    // The answer is order-insensitive across index shapes: equal distances
-    // may rank differently between one tree and a merged scatter, so the
-    // probe compares the sorted `(distance bits, id)` multiset.
-    let answer = |knn: qd_index::BudgetedKnn| -> Vec<(u32, u64)> {
-        let mut a: Vec<(u32, u64)> = knn
-            .neighbors
-            .iter()
-            .map(|n| (n.distance.to_bits(), n.id))
-            .collect();
-        a.sort_unstable();
-        a
-    };
-    let ((rows, shard_sizes), shard_trace) = qd_obs::with_recorder(|| {
-        let mut rows = Vec::new();
-        let mut sizes = Vec::new();
-        for shards in [1usize, 2, 4, 7] {
-            let set = ShardSet::build(
-                corpus.features(),
-                tree_cfg.clone(),
-                ShardConfig::new(shards, seed),
-            );
-            if shards == 4 {
-                sizes = (0..set.shard_count())
-                    .map(|s| set.shard_members(s).len() as u64)
-                    .collect();
-            }
-            let mut exact = 0usize;
-            for &p in &probes {
-                let q = corpus.features()[p].as_slice();
-                let sharded = answer(set.knn_in_budgeted(set.root(), q, k, None));
-                let tree = solo.tree();
-                let monolithic = answer(tree.knn_in_budgeted(tree.root(), q, k, None));
-                if sharded == monolithic {
-                    exact += 1;
-                }
-            }
-            // One budgeted probe per K exercises the largest-remainder
-            // budget split and the anytime merge accounting.
-            let q = corpus.features()[probes[0]].as_slice();
-            let budgeted = set.knn_in_budgeted(set.root(), q, k, Some(256));
-            rows.push((shards, exact, budgeted.accesses, budgeted.exhausted));
-        }
-        (rows, sizes)
-    });
-    JsonValue::Obj(vec![
-        ("seed".to_string(), JsonValue::u64(seed)),
-        ("k".to_string(), JsonValue::u64(k as u64)),
-        ("probes".to_string(), JsonValue::u64(probes.len() as u64)),
-        (
-            "shard_sizes_at_4".to_string(),
-            JsonValue::Arr(shard_sizes.into_iter().map(JsonValue::u64).collect()),
-        ),
-        (
-            "equivalence".to_string(),
-            JsonValue::Arr(
-                rows.into_iter()
-                    .map(|(shards, exact, accesses, exhausted)| {
-                        JsonValue::Obj(vec![
-                            ("shards".to_string(), JsonValue::u64(shards as u64)),
-                            ("exact_matches".to_string(), JsonValue::u64(exact as u64)),
-                            ("budgeted_accesses".to_string(), JsonValue::u64(accesses)),
-                            ("budgeted_exhausted".to_string(), JsonValue::Bool(exhausted)),
-                        ])
+        study(
+            "Ablation: RFS node capacity",
+            "ablate_fanout",
+            &[
+                ("capacity", Label),
+                ("tree height", Height),
+                ("leaves", Leaves),
+                p,
+                g,
+            ],
+            [25usize, 50, 100, 200]
+                .map(|cap| {
+                    arm(cap.to_string(), &|a| {
+                        (a.rfs.node_min, a.rfs.node_max) = ((cap * 2 / 5).max(2), cap)
                     })
-                    .collect(),
-            ),
+                })
+                .into(),
         ),
-        (
-            "counters".to_string(),
-            report::counters_to_json(&shard_trace.counters),
+        study(
+            "Ablation: result merge strategy",
+            "ablate_merge",
+            &[("strategy", Label), p, g, ("fill", Fill)],
+            merges
+                .map(|(name, m)| arm(name.into(), &|a| a.qd.merge = m))
+                .into(),
         ),
-        (
-            "histograms".to_string(),
-            report::hists_to_json(&shard_trace.hists),
+        study(
+            "Ablation: RFS tree construction",
+            "ablate_build",
+            &[("build", Label), ("build time (ms)", BuildMs), p, g],
+            [("R* insertion (paper)", false), ("kd bulk load", true)]
+                .map(|(name, bulk)| arm(name.into(), &|a| a.rfs.bulk_load = bulk))
+                .into(),
         ),
-    ])
+        study(
+            "Ablation: representative selection",
+            "ablate_representative_selection",
+            &[("selection", Label), p, g],
+            [("k-means medoids (paper)", true), ("uniform random", false)]
+                .map(|(name, km)| arm(name.into(), &|a| a.rfs.kmeans_representatives = km))
+                .into(),
+        ),
+        study(
+            "Extension: user-defined feature importance (color/texture/edge)",
+            "ablate_feature_weights",
+            &[("weights (c,t,e)", Label), p, g],
+            weights
+                .map(|(name, [c, t, e])| {
+                    arm(name.into(), &|a| {
+                        a.qd = QdConfig::default().with_group_weights(c, t, e)
+                    })
+                })
+                .into(),
+        ),
+        study(
+            "Robustness: relevance-judgment noise",
+            "ablate_user_noise",
+            &[
+                ("noise", Label),
+                ("QD precision", Precision),
+                ("QD GTIR", Gtir),
+            ],
+            [0.0f32, 0.1, 0.2, 0.3, 0.4]
+                .map(|noise| arm(format!("{noise:.2}"), &|a| a.user.1 = noise))
+                .into(),
+        ),
+        study(
+            "Ablation: per-round inspection budget (21-image pages)",
+            "ablate_patience",
+            &[
+                ("pages/round", Label),
+                ("round-1 GTIR", Round1Gtir),
+                ("final precision", Precision),
+                ("final GTIR", Gtir),
+            ],
+            [1usize, 3, 7, 15]
+                .map(|pages| arm(pages.to_string(), &|a| a.user.0 = pages * 21))
+                .into_iter()
+                .chain([Arm::paper(scale, "all")])
+                .collect(),
+        ),
+    ]
+}
+
+/// Every DESIGN.md ablation: threshold, representative fraction, fan-out,
+/// merge, build, representative selection, feature weights, judgment noise
+/// and inspection budget.
+pub fn ablate(scale: BenchScale, seed: u64) -> Result<(), QdError> {
+    for study in ablation_studies(scale) {
+        run_study(&study, seed)?.emit(study.slug);
+    }
+    Ok(())
+}
+
+/// Figures 10–11 in the paper's own units (§5.2.2): the paper configuration
+/// at each database size, reported as RFS leaves, feedback node accesses per
+/// round, k-NN node accesses per subquery and subqueries per session. These
+/// are deterministic counts; wall-clock scaling is `perf`'s
+/// (`BENCHMARK.json`).
+pub fn fig10_11(sizes: &[usize], seed: u64) -> Result<(), QdError> {
+    use Col::*;
+    let study = Study {
+        title: "Figures 10–11: node accesses vs database size",
+        slug: "fig10_11_node_accesses",
+        columns: vec![
+            ("db size", Label),
+            ("leaves", Leaves),
+            ("feedback accesses/round", FeedbackPerRound),
+            ("kNN accesses/subquery", KnnPerSubquery),
+            ("subqueries/session", Subqueries),
+        ],
+        arms: sizes
+            .iter()
+            .map(|&size| Arm::paper(BenchScale::Sweep(size), size.to_string()))
+            .collect(),
+    };
+    run_study(&study, seed)?.emit(study.slug);
+    Ok(())
 }
 
 /// Baseline shoot-out: QD against all four baselines on Table 1's metric.
 pub fn baseline_shootout(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
-    let rfs = bench_rfs(scale, seed);
+    let qs = queries::standard_queries(corpus.taxonomy());
     let mut table = Table::new(
         "Baseline shoot-out: average precision/GTIR over 11 queries",
         &["technique", "precision", "GTIR"],
     );
-    for baseline in [
-        Baseline::MultipleViewpoints,
-        Baseline::QueryPointMovement,
-        Baseline::MultipointQuery,
-        Baseline::Qcluster,
-    ] {
-        let rows = eval::run_table1(
-            &corpus,
-            &rfs,
-            baseline,
-            &QdConfig::default(),
-            &BaselineConfig::default(),
-        )?;
-        let avg = eval::average_row(&rows);
-        table.row(vec![
-            baseline.name().to_string(),
-            f3(avg.baseline_precision),
-            f3(avg.baseline_gtir),
-        ]);
-        if baseline == Baseline::Qcluster {
-            // QD is identical across baseline runs; report it once at the end.
-            table.row(vec![
-                "QD (this paper)".to_string(),
-                f3(avg.qd_precision),
-                f3(avg.qd_gtir),
-            ]);
-        }
+    for (name, per_query) in technique_results(scale, seed)? {
+        let mean = |metric: fn(&Corpus, &qd_corpus::QuerySpec, &[usize]) -> f64| {
+            let sum: f64 = qs
+                .iter()
+                .zip(&per_query)
+                .map(|(q, r)| metric(&corpus, q, r))
+                .sum();
+            f3(sum / qs.len() as f64)
+        };
+        table.row(vec![name.to_string(), mean(precision), mean(gtir)]);
     }
     table.emit("baseline_shootout");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ALL_BUT_BUILD: [(&str, Col); 12] = [
+        ("label", Col::Label),
+        ("reps", Col::Representatives),
+        ("height", Col::Height),
+        ("leaves", Col::Leaves),
+        ("precision", Col::Precision),
+        ("GTIR", Col::Gtir),
+        ("round-1 GTIR", Col::Round1Gtir),
+        ("kNN accesses", Col::KnnAccesses),
+        ("fill", Col::Fill),
+        ("feedback/round", Col::FeedbackPerRound),
+        ("kNN/subquery", Col::KnnPerSubquery),
+        ("subqueries", Col::Subqueries),
+    ];
+
+    #[test]
+    fn a_study_gives_the_same_rows_at_one_and_eight_workers() {
+        let scale = BenchScale::Tiny;
+        let mut noisy = Arm::paper(scale, "noisy");
+        noisy.user = (3 * 21, 0.2);
+        let mut narrow = Arm::paper(scale, "narrow");
+        narrow.qd.boundary_threshold = 0.2;
+        let study = Study {
+            title: "two arms",
+            slug: "two_arms",
+            columns: ALL_BUT_BUILD.to_vec(),
+            arms: vec![noisy, narrow],
+        };
+        let one = qd_runtime::with_threads(1, || run_study(&study, 42)).unwrap();
+        let eight = qd_runtime::with_threads(8, || run_study(&study, 42)).unwrap();
+        assert_eq!(one.len(), 2);
+        assert_eq!(one.to_csv(), eight.to_csv());
+    }
+
+    #[test]
+    fn an_arm_on_the_shared_build_matches_the_arm_built_alone() {
+        let scale = BenchScale::Tiny;
+        let paper = Arm::paper(scale, "paper");
+        let (shared, _) = arm_rfs(&paper, 42, false);
+        let (alone, _) = arm_rfs(&paper, 42, true);
+        assert!(Arc::ptr_eq(&shared, &bench_rfs(scale, 42)));
+        assert!(!Arc::ptr_eq(&alone, &shared));
+        let shared_row = arm_row(&paper, &ALL_BUT_BUILD, 42, false).unwrap();
+        assert_eq!(
+            shared_row,
+            arm_row(&paper, &ALL_BUT_BUILD, 42, true).unwrap()
+        );
+
+        // An arm whose RfsConfig differs from the scale's never shares.
+        let mut sparse = Arm::paper(scale, "sparse");
+        sparse.rfs.representative_fraction = 0.03;
+        assert!(!Arc::ptr_eq(&arm_rfs(&sparse, 42, false).0, &shared));
+    }
 }

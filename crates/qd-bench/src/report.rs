@@ -371,52 +371,6 @@ pub fn chrome_trace_json(trace: &qd_obs::Trace) -> JsonValue {
     ])
 }
 
-/// Assembles the `BENCH_qd.json` document — schema
-/// `{config, tables: {...}, serving, sharding, counters: {...},
-/// histograms: {...}, span_tree}` — and
-/// writes it to `path`. A pure function of `(scale, seed)` and the code:
-/// it excludes wall-clock readings, thread counts and the git commit, so
-/// the report must be byte-identical across consecutive
-/// runs and across `QD_THREADS` settings (the CI observability job
-/// verifies both). The `serving` value (when present) carries the
-/// multi-tenant serving simulation's outcome mix and latency/cost
-/// percentiles, and `sharding` (when present) the scatter-gather
-/// equivalence probes; both are assembled by the caller from their own
-/// recorder scopes so the engine-workload `counters`/`histograms`
-/// sections stay untouched.
-pub fn write_bench_report(
-    path: &std::path::Path,
-    config: JsonValue,
-    tables: Vec<(String, Table)>,
-    serving: Option<JsonValue>,
-    sharding: Option<JsonValue>,
-    trace: &qd_obs::Trace,
-) -> std::io::Result<()> {
-    let mut fields = vec![
-        ("config".to_string(), config),
-        (
-            "tables".to_string(),
-            JsonValue::Obj(
-                tables
-                    .into_iter()
-                    .map(|(slug, table)| (slug, table.to_json()))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(serving) = serving {
-        fields.push(("serving".to_string(), serving));
-    }
-    if let Some(sharding) = sharding {
-        fields.push(("sharding".to_string(), sharding));
-    }
-    fields.push(("counters".to_string(), counters_to_json(&trace.counters)));
-    fields.push(("histograms".to_string(), hists_to_json(&trace.hists)));
-    fields.push(("span_tree".to_string(), span_to_json(&trace.root)));
-    let doc = JsonValue::Obj(fields);
-    fs::write(path, doc.render())
-}
-
 /// Formats a fraction with three decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")

@@ -1,4 +1,4 @@
-//! Simulated queries for the efficiency experiments (Figures 10 and 11).
+//! Simulated queries for the wall-clock benchmark's traffic (`perf`).
 //!
 //! §5.2.2: "We randomly generated 100 initial queries and evaluated their
 //! average query processing time … as well as the average relevance feedback
