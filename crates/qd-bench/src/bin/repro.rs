@@ -19,9 +19,8 @@
 //!
 //! `--quick` runs on a 3,000-image corpus instead of the paper's 15,000, and
 //! sweeps 1 000–3 000 images instead of 2 500–15 000 for `fig10`/`fig11`.
-//! Every number `repro` prints is a deterministic count or quality figure
-//! except the build-time column of `ablate`'s construction study; wall-clock
-//! scaling is the `perf` binary's (`BENCHMARK.json`).
+//! Every number `repro` prints is a deterministic count or quality figure;
+//! wall-clock is the `perf` binary's (`BENCHMARK.json`).
 //!
 //! `--json` ignores the command and instead writes the machine-readable
 //! observability report `BENCH_qd.json` ({config, tables, counters,

@@ -6,7 +6,7 @@
 //! session's [`QdError`] instead, for `repro` to report.
 
 use crate::fixtures::{bench_corpus, bench_rfs, BenchScale};
-use crate::report::{f3, f3_opt, ms, Table};
+use crate::report::{f3, f3_opt, Table};
 use qd_core::baselines::BaselineConfig;
 use qd_core::eval::{self, Baseline, QualityRow};
 use qd_core::metrics::{gtir, precision};
@@ -19,7 +19,6 @@ use qd_linalg::metric::euclidean;
 use qd_linalg::vector::centroid;
 use qd_linalg::Pca;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Figure 1: PCA projection of the four "white sedan" pose clusters among
 /// the rest of the database. Emits per-pose cluster statistics in the 3-D
@@ -430,8 +429,6 @@ enum Col {
     Representatives,
     Height,
     Leaves,
-    /// Wall-clock build time of the arm's own tree.
-    BuildMs,
     Precision,
     Gtir,
     Round1Gtir,
@@ -462,32 +459,25 @@ struct Session {
     subqueries: f64,
 }
 
-/// The arm's RFS and how long it took to build. An arm whose `RfsConfig`
-/// equals its scale's shares the cached [`bench_rfs`] build unless `own` asks
-/// for a build of its own (which is what a build-time column has to time).
-fn arm_rfs(arm: &Arm, seed: u64, own: bool) -> (Arc<RfsStructure>, Duration) {
+/// The arm's RFS: an arm whose `RfsConfig` equals its scale's shares the
+/// cached [`bench_rfs`] build.
+fn arm_rfs(arm: &Arm, seed: u64) -> Arc<RfsStructure> {
     // `RfsConfig` has no `PartialEq`; its `Debug` form names every field.
-    if !own && format!("{:?}", arm.rfs) == format!("{:?}", arm.scale.rfs_config()) {
-        return (bench_rfs(arm.scale, seed), Duration::ZERO);
+    if format!("{:?}", arm.rfs) == format!("{:?}", arm.scale.rfs_config()) {
+        return bench_rfs(arm.scale, seed);
     }
     let corpus = bench_corpus(arm.scale, seed);
-    let start = Instant::now();
-    let rfs = RfsStructure::build(corpus.features(), &arm.rfs);
-    (Arc::new(rfs), start.elapsed())
+    Arc::new(RfsStructure::build(corpus.features(), &arm.rfs))
 }
 
-/// Runs one arm's eleven sessions on the qd-runtime pool and formats its
-/// row. Sums run in query order, so the row is the same at any worker count.
-fn arm_row(
-    arm: &Arm,
-    columns: &[(&str, Col)],
-    seed: u64,
-    own_build: bool,
-) -> Result<Vec<String>, QdError> {
+/// Runs one arm's eleven sessions, in query order on the calling thread, and
+/// formats its row. At 2 workers a fan-out over them gained 1.03× on
+/// `repro ablate`, whose time is the arms' RFS builds (DESIGN.md §7).
+fn arm_row(arm: &Arm, columns: &[(&str, Col)], seed: u64) -> Result<Vec<String>, QdError> {
     let corpus = bench_corpus(arm.scale, seed);
-    let (rfs, built) = arm_rfs(arm, seed, own_build);
+    let rfs = arm_rfs(arm, seed);
     let qs = queries::standard_queries(corpus.taxonomy());
-    let sessions = qd_runtime::par_map(&qs, |query| {
+    let sessions = qs.iter().map(|query| {
         let k = corpus.ground_truth(query).len();
         let (patience, noise) = arm.user;
         let mut user = SimulatedUser::oracle(query, seed)
@@ -505,7 +495,7 @@ fn arm_row(
             subqueries: out.subquery_count as f64,
         })
     });
-    let sessions = sessions.into_iter().collect::<Result<Vec<_>, QdError>>()?;
+    let sessions = sessions.collect::<Result<Vec<_>, QdError>>()?;
     let sum = |field: fn(&Session) -> f64| sessions.iter().map(field).sum::<f64>();
     let mean = |field| sum(field) / qs.len() as f64;
     let f2 = |x: f64| format!("{x:.2}");
@@ -519,7 +509,6 @@ fn arm_row(
             .filter(|&id| tree.is_leaf(id))
             .count()
             .to_string(),
-        Col::BuildMs => ms(built),
         Col::Precision => f3(mean(|s| s.precision)),
         Col::Gtir => f3(mean(|s| s.gtir)),
         Col::Round1Gtir => f3(mean(|s| s.round1_gtir)),
@@ -536,9 +525,8 @@ fn arm_row(
 fn run_study(study: &Study, seed: u64) -> Result<Table, QdError> {
     let header: Vec<&str> = study.columns.iter().map(|&(h, _)| h).collect();
     let mut table = Table::new(study.title, &header);
-    let own_builds = study.columns.iter().any(|&(_, c)| c == Col::BuildMs);
     for arm in &study.arms {
-        table.row(arm_row(arm, &study.columns, seed, own_builds)?);
+        table.row(arm_row(arm, &study.columns, seed)?);
     }
     Ok(table)
 }
@@ -629,7 +617,7 @@ fn ablation_studies(scale: BenchScale) -> Vec<Study> {
         study(
             "Ablation: RFS tree construction",
             "ablate_build",
-            &[("build", Label), ("build time (ms)", BuildMs), p, g],
+            &[("build", Label), p, g],
             [("R* insertion (paper)", false), ("kd bulk load", true)]
                 .map(|(name, bulk)| arm(name.into(), &|a| a.rfs.bulk_load = bulk))
                 .into(),
@@ -747,57 +735,44 @@ pub fn baseline_shootout(scale: BenchScale, seed: u64) -> Result<(), QdError> {
 mod tests {
     use super::*;
 
-    const ALL_BUT_BUILD: [(&str, Col); 12] = [
-        ("label", Col::Label),
-        ("reps", Col::Representatives),
-        ("height", Col::Height),
-        ("leaves", Col::Leaves),
-        ("precision", Col::Precision),
-        ("GTIR", Col::Gtir),
-        ("round-1 GTIR", Col::Round1Gtir),
-        ("kNN accesses", Col::KnnAccesses),
-        ("fill", Col::Fill),
-        ("feedback/round", Col::FeedbackPerRound),
-        ("kNN/subquery", Col::KnnPerSubquery),
-        ("subqueries", Col::Subqueries),
-    ];
-
     #[test]
-    fn a_study_gives_the_same_rows_at_one_and_eight_workers() {
-        let scale = BenchScale::Tiny;
-        let mut noisy = Arm::paper(scale, "noisy");
-        noisy.user = (3 * 21, 0.2);
-        let mut narrow = Arm::paper(scale, "narrow");
-        narrow.qd.boundary_threshold = 0.2;
-        let study = Study {
-            title: "two arms",
-            slug: "two_arms",
-            columns: ALL_BUT_BUILD.to_vec(),
-            arms: vec![noisy, narrow],
+    fn technique_results_are_the_same_at_one_and_eight_workers() {
+        let run = |workers| {
+            qd_runtime::with_threads(workers, || technique_results(BenchScale::Tiny, 42)).unwrap()
         };
-        let one = qd_runtime::with_threads(1, || run_study(&study, 42)).unwrap();
-        let eight = qd_runtime::with_threads(8, || run_study(&study, 42)).unwrap();
-        assert_eq!(one.len(), 2);
-        assert_eq!(one.to_csv(), eight.to_csv());
+        let one = run(1);
+        assert_eq!(one.len(), 5);
+        assert_eq!(one, run(8));
     }
 
     #[test]
-    fn an_arm_on_the_shared_build_matches_the_arm_built_alone() {
+    fn only_an_arm_with_the_scale_config_shares_the_cached_build() {
         let scale = BenchScale::Tiny;
         let paper = Arm::paper(scale, "paper");
-        let (shared, _) = arm_rfs(&paper, 42, false);
-        let (alone, _) = arm_rfs(&paper, 42, true);
+        let shared = arm_rfs(&paper, 42);
         assert!(Arc::ptr_eq(&shared, &bench_rfs(scale, 42)));
-        assert!(!Arc::ptr_eq(&alone, &shared));
-        let shared_row = arm_row(&paper, &ALL_BUT_BUILD, 42, false).unwrap();
-        assert_eq!(
-            shared_row,
-            arm_row(&paper, &ALL_BUT_BUILD, 42, true).unwrap()
-        );
+        let alone = RfsStructure::build(bench_corpus(scale, 42).features(), &paper.rfs);
+        assert_eq!(alone.to_bytes(), shared.to_bytes());
 
-        // An arm whose RfsConfig differs from the scale's never shares.
         let mut sparse = Arm::paper(scale, "sparse");
         sparse.rfs.representative_fraction = 0.03;
-        assert!(!Arc::ptr_eq(&arm_rfs(&sparse, 42, false).0, &shared));
+        let own = arm_rfs(&sparse, 42);
+        assert!(!Arc::ptr_eq(&own, &shared));
+        let study = Study {
+            title: "two arms",
+            slug: "two_arms",
+            columns: vec![("label", Col::Label), ("reps", Col::Representatives)],
+            arms: vec![paper, sparse],
+        };
+        let csv = run_study(&study, 42).unwrap().to_csv();
+        let reps = |rfs: &RfsStructure| rfs.all_representatives().len();
+        assert_eq!(
+            csv,
+            format!(
+                "label,reps\npaper,{}\nsparse,{}\n",
+                reps(&shared),
+                reps(&own)
+            )
+        );
     }
 }

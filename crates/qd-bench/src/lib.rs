@@ -6,8 +6,8 @@
 //! The `repro` binary (`cargo run --release -p qd-bench --bin repro -- <cmd>`)
 //! prints each artifact as an aligned text table and writes a CSV copy under
 //! `bench_results/`. Everything it prints is a deterministic count or
-//! quality figure, except the build-time column of the tree-construction
-//! ablation; Figures 10–11 are reported in the paper's node-access units.
+//! quality figure; Figures 10–11 are reported in the paper's node-access
+//! units.
 //! The `perf` binary (`BENCHMARK.json`) owns wall-clock: session and round
 //! latency at 15 000 and 30 000 images and the per-layer timings, with
 //! medians and spread.

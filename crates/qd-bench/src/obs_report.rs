@@ -7,13 +7,10 @@ use crate::experiments::table1_table;
 use crate::fixtures::{bench_corpus, bench_rfs, BenchScale};
 use crate::report::{self, JsonValue};
 use qd_core::baselines::BaselineConfig;
-use qd_core::eval::{Baseline, QualityRow};
-use qd_core::metrics::{gtir, precision};
+use qd_core::eval::{self, Baseline};
 use qd_core::rfs::RfsStructure;
-use qd_core::session::{try_run_session, QdConfig};
-use qd_core::user::SimulatedUser;
+use qd_core::session::QdConfig;
 use qd_core::QdError;
-use qd_corpus::queries;
 
 /// Runs the Table 1 workload (MV vs QD over the eleven standard queries)
 /// under a `qd_obs` recorder and writes `BENCH_qd.json` with the schema
@@ -33,33 +30,15 @@ use qd_corpus::queries;
 /// `shard.*` names.
 pub fn json_report(scale: BenchScale, seed: u64) -> Result<(), QdError> {
     let corpus = bench_corpus(scale, seed);
-    let qd_cfg = QdConfig::default();
-    let baseline_cfg = BaselineConfig::default();
     let (rows, trace) = qd_obs::with_recorder(|| {
         let rfs = RfsStructure::build(corpus.features(), &scale.rfs_config());
-        let qs = queries::standard_queries(corpus.taxonomy());
-        qd_runtime::par_map_indexed(&qs, |i, query| {
-            qd_obs::span_indexed(qd_obs::sp::BENCH_QUERY, i as u64, || {
-                let k = corpus.ground_truth(query).len();
-                let mut b_user = SimulatedUser::oracle(query, baseline_cfg.seed)
-                    .with_patience(baseline_cfg.user_patience);
-                let b =
-                    Baseline::MultipleViewpoints.run(&corpus, query, &mut b_user, k, &baseline_cfg);
-                let mut q_user =
-                    SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-                let q =
-                    try_run_session(&corpus, &rfs, query, &mut q_user, k, &qd_cfg)?.into_outcome();
-                Ok(QualityRow {
-                    query: query.name.clone(),
-                    baseline_precision: precision(&corpus, query, &b.results),
-                    baseline_gtir: gtir(&corpus, query, &b.results),
-                    qd_precision: precision(&corpus, query, &q.results),
-                    qd_gtir: gtir(&corpus, query, &q.results),
-                })
-            })
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, QdError>>()
+        eval::run_table1(
+            &corpus,
+            &rfs,
+            Baseline::MultipleViewpoints,
+            &QdConfig::default(),
+            &BaselineConfig::default(),
+        )
     });
     let table = table1_table(&rows?);
     let cc = scale.corpus_config(seed);

@@ -381,11 +381,6 @@ pub fn f3_opt(x: Option<f64>) -> String {
     x.map(f3).unwrap_or_else(|| "n/a".to_string())
 }
 
-/// Formats a duration in milliseconds with two decimals.
-pub fn ms(d: std::time::Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,7 +412,6 @@ mod tests {
         assert_eq!(f3(0.5), "0.500");
         assert_eq!(f3_opt(None), "n/a");
         assert_eq!(f3_opt(Some(1.0)), "1.000");
-        assert_eq!(ms(std::time::Duration::from_micros(1500)), "1.50");
     }
 
     #[test]

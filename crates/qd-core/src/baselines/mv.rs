@@ -100,16 +100,19 @@ fn retrieve(
             // Each channel ranks the database; the final set takes the
             // channels' heads round-robin until k distinct images are
             // collected, mirroring an even k/4 split per channel.
-            // The four viewpoint k-NNs are independent; run them on the
-            // qd-runtime pool. `par_map` keeps channel order, so the
-            // round-robin fill below sees the same lists as a serial run.
-            let work: Vec<(&[Vec<f32>], &Vec<f32>)> =
-                channels.iter().copied().zip(&query_points).collect();
-            let ranked: Vec<Vec<usize>> = qd_runtime::par_map_indexed(&work, |ch, &(feats, qp)| {
-                qd_obs::span_indexed(qd_obs::sp::MV_VIEWPOINT, ch as u64, || {
-                    top_k_euclidean(feats, qp, k)
+            // The four viewpoint k-NNs run one after another: fanned out
+            // over 2 workers they overlapped too little to pay for the
+            // spawn (DESIGN.md §7).
+            let ranked: Vec<Vec<usize>> = channels
+                .iter()
+                .zip(&query_points)
+                .enumerate()
+                .map(|(ch, (feats, qp))| {
+                    qd_obs::span_indexed(qd_obs::sp::MV_VIEWPOINT, ch as u64, || {
+                        top_k_euclidean(feats, qp, k)
+                    })
                 })
-            });
+                .collect();
             let mut out = Vec::with_capacity(k.min(n)); // `k` is the caller's; `n` images exist
             let mut taken = vec![false; n];
             let mut cursors = vec![0usize; ranked.len()];

@@ -88,7 +88,8 @@ pub struct QualityRow {
 /// Runs Table 1: every standard query under `baseline` and QD, with
 /// `k = |ground truth|` per query (making precision = recall, §5.2.1).
 /// The final row returned by [`average_row`] reproduces the table's
-/// "Average" line.
+/// "Average" line. Each query's two sessions run under a `bench.query` span
+/// keyed by its index.
 ///
 /// # Errors
 /// The first QD session's [`QdError`], in query order.
@@ -103,20 +104,22 @@ pub fn run_table1(
     // so queries share no RNG stream and the rows fan out across the
     // qd-runtime pool while staying byte-identical to a sequential run.
     let queries = queries::standard_queries(corpus.taxonomy());
-    qd_runtime::par_map(&queries, |query| {
-        let k = corpus.ground_truth(query).len();
-        let mut mv_user = SimulatedUser::oracle(query, baseline_cfg.seed)
-            .with_patience(baseline_cfg.user_patience);
-        let b = baseline.run(corpus, query, &mut mv_user, k, baseline_cfg);
-        let mut qd_user =
-            SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
-        let q = try_run_session(corpus, rfs, query, &mut qd_user, k, qd_cfg)?.into_outcome();
-        Ok(QualityRow {
-            query: query.name.clone(),
-            baseline_precision: precision(corpus, query, &b.results),
-            baseline_gtir: gtir(corpus, query, &b.results),
-            qd_precision: precision(corpus, query, &q.results),
-            qd_gtir: gtir(corpus, query, &q.results),
+    qd_runtime::par_map_indexed(&queries, |i, query| {
+        qd_obs::span_indexed(qd_obs::sp::BENCH_QUERY, i as u64, || {
+            let k = corpus.ground_truth(query).len();
+            let mut mv_user = SimulatedUser::oracle(query, baseline_cfg.seed)
+                .with_patience(baseline_cfg.user_patience);
+            let b = baseline.run(corpus, query, &mut mv_user, k, baseline_cfg);
+            let mut qd_user =
+                SimulatedUser::oracle(query, qd_cfg.seed).with_patience(qd_cfg.user_patience);
+            let q = try_run_session(corpus, rfs, query, &mut qd_user, k, qd_cfg)?.into_outcome();
+            Ok(QualityRow {
+                query: query.name.clone(),
+                baseline_precision: precision(corpus, query, &b.results),
+                baseline_gtir: gtir(corpus, query, &b.results),
+                qd_precision: precision(corpus, query, &q.results),
+                qd_gtir: gtir(corpus, query, &q.results),
+            })
         })
     })
     .into_iter()

@@ -275,11 +275,13 @@ fn kept_by<'a, I: KnnIndex>(
 
 /// Bottom-up per-node representative selection over `tree` — the shared back
 /// half of every build path. Levels build bottom-up (an internal node's pool
-/// is its children's representatives), but nodes *within* a level are
-/// independent, so each level fans out across the qd-runtime pool. Every
-/// node derives its randomness from `config.seed` and its own stable node
-/// index — never a shared RNG stream — so the selection is bit-identical
-/// whatever the thread count or completion order.
+/// is its children's representatives); the nodes of a level run in node
+/// order on the calling thread, each under its own `catch_unwind`. At 2
+/// workers a fan-out over them gained nothing on a 15 000-image build and
+/// made the update refresh 4× slower (DESIGN.md §7). Every node derives its
+/// randomness from `config.seed` and its own stable node index — never a
+/// shared RNG stream — so a node's selection does not depend on the order
+/// the others ran in.
 ///
 /// With `previous = Some(old)` this is an *incremental refresh*: a node whose
 /// candidate pool is unchanged from `old` ([`kept_by`]) keeps its old
@@ -291,7 +293,7 @@ fn kept_by<'a, I: KnnIndex>(
 /// Returns the representative lists and, ascending, the leaves that did not
 /// keep theirs: every leaf of a from-scratch build, the changed and new
 /// leaves of a refresh — the `fresh` leaves of [`leaf_map`].
-fn select_representatives<I: KnnIndex + Sync>(
+fn select_representatives<I: KnnIndex>(
     tree: &I,
     features: &[Vec<f32>],
     config: &RfsConfig,
@@ -309,7 +311,7 @@ fn select_representatives<I: KnnIndex + Sync>(
     for (level, mut nodes) in by_level {
         nodes.sort_unstable(); // deterministic order
 
-        // The verdicts are taken before the fan-out, so a panicking worker
+        // The verdicts are taken before the selection, so a panicking node
         // cannot lose one: the leaf map needs every leaf's.
         let work: Vec<(NodeId, Option<&Vec<usize>>)> = nodes
             .iter()
@@ -339,12 +341,12 @@ fn select_representatives<I: KnnIndex + Sync>(
                 .max(2)
                 .min(pool_len)
         };
-        // A panicking selection worker (real bug or the `rfs.select.panic`
+        // A panicking selection (real bug or the `rfs.select.panic`
         // failpoint, keyed by stable node index) is isolated by
-        // `par_try_map`; the node falls back to a deterministic prefix of
-        // its pool rather than aborting the whole build.
+        // `try_map_indexed`; the node falls back to a deterministic prefix
+        // of its pool rather than aborting the whole build.
         let selected = qd_obs::span_indexed(qd_obs::sp::RFS_LEVEL, u64::from(level), || {
-            qd_runtime::par_try_map(&work, |&(n, kept)| {
+            qd_runtime::try_map_indexed(&work, |_, &(n, kept)| {
                 if qd_fault::fire_keyed(qd_fault::site::RFS_SELECT_PANIC, n.index() as u64)
                     .is_some()
                 {
@@ -388,22 +390,15 @@ fn select_representatives<I: KnnIndex + Sync>(
                 }
             })
         });
-        let final_selections: Vec<Vec<usize>> = nodes
-            .iter()
-            .zip(selected)
-            .map(|(&n, sel)| match sel {
-                Ok(s) => s,
-                Err(_) => {
-                    // Degraded selection: the pool prefix (already in
-                    // deterministic traversal order) keeps every node
-                    // covered by *some* representatives.
-                    let pool = pool_of(tree, &reps, n);
-                    let target = target_of(pool.len().max(1)).min(pool.len());
-                    pool.into_iter().take(target).collect()
-                }
-            })
-            .collect();
-        for (n, sel) in nodes.into_iter().zip(final_selections) {
+        for (n, sel) in nodes.into_iter().zip(selected) {
+            let sel = sel.unwrap_or_else(|_| {
+                // Degraded selection: the pool prefix (already in
+                // deterministic traversal order) keeps every node covered
+                // by *some* representatives.
+                let pool = pool_of(tree, &reps, n);
+                let target = target_of(pool.len().max(1)).min(pool.len());
+                pool.into_iter().take(target).collect()
+            });
             reps.insert(n, sel);
         }
     }
@@ -437,7 +432,7 @@ impl RfsStructure {
     }
 }
 
-impl<I: KnnIndex + Sync> RfsStructure<I> {
+impl<I: KnnIndex> RfsStructure<I> {
     /// The shared back half of every construction path: the leaf map and
     /// the bottom-up selection over `tree`, incremental against `previous`
     /// when there is one.
@@ -502,9 +497,7 @@ impl<I: KnnIndex + Sync> RfsStructure<I> {
             Self::decorate(tree, features, config, Some(self))
         })
     }
-}
 
-impl<I: KnnIndex> RfsStructure<I> {
     /// The underlying clustering tree.
     pub fn tree(&self) -> &I {
         &self.tree

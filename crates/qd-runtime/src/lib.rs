@@ -4,11 +4,12 @@
 
 //! Deterministic parallel execution for the Query Decomposition engine.
 //!
-//! The engine has independent work at several build-time and harness
-//! layers — per-node representative selection, shard builds, MV's four
-//! viewpoint k-NNs, the queries of an evaluation table — so this crate
-//! provides a tiny executor built on [`std::thread::scope`] with one hard
-//! guarantee:
+//! Four places fan out, each measured at ≥ 1.3× at 2 workers against a
+//! plain loop (DESIGN.md §7): the corpus build (per image), the shard
+//! builds (per shard), and the per-query loops of Table 1, Table 2 and the
+//! baseline shoot-out. Everything else runs on the calling thread. This
+//! crate provides the executor they share, built on [`std::thread::scope`],
+//! with one hard guarantee:
 //!
 //! **Determinism contract.** [`par_map`] returns results in input order, and
 //! every closure must depend only on its own item (seeding any RNG it uses
@@ -21,13 +22,13 @@
 //! items cost 30–225 µs at `nproc` workers on a 2-vCPU box, depending on
 //! what the scheduler is doing, against 0.02 µs as a plain loop
 //! (`qd-runtime.par_map4_us_tn` / `_t1`). So it pays only where one item
-//! costs hundreds of microseconds or more. The request path is far below
-//! that grain and stays on the calling thread: the final round's localized
-//! subqueries (≈ 4 µs each) and a shard scatter's legs run through the
-//! serial entry, [`try_map_indexed`], and a serve tick steps each tenant
-//! under [`isolated`]. A fan-out's workers run
-//! any fan-out nested inside an item serially, so the worker count the
-//! caller asked for bounds the threads of the whole call tree.
+//! costs hundreds of microseconds or more and the fan-out is most of what
+//! its caller waits on. Below that, work runs through the serial entry,
+//! [`try_map_indexed`] (representative selection per RFS node, the final
+//! round's localized subqueries, a shard scatter's legs), or steps under
+//! [`isolated`] (a serve tick's tenants). A fan-out's workers run any
+//! fan-out nested inside an item serially, so the worker count the caller
+//! asked for bounds the threads of the whole call tree.
 //!
 //! Worker count resolution order:
 //! 1. an in-process [`with_threads`] override (used by tests; `1` inside a
@@ -98,6 +99,16 @@ where
 /// [`par_map`] where the closure also receives the item's input index —
 /// the hook for per-item RNG seeding (`seed + i`), which is what keeps
 /// parallel output identical to sequential output.
+///
+/// At one worker this is a plain loop on the calling thread. Otherwise it
+/// captures the caller's active fault plan and observability recorder, if
+/// any: the plan is installed in every worker so `qd_fault` failpoints keep
+/// firing deterministically across the thread boundary, and each item runs
+/// under a *fresh* `qd_obs` recorder whose trace is absorbed back into the
+/// caller in input order after the join — so the merged trace is
+/// byte-identical to a sequential run at every worker count. Every worker
+/// pins its own worker count to 1: a fan-out nested inside an item runs
+/// serially instead of multiplying the caller's count by itself.
 pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -109,97 +120,6 @@ where
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    scatter_gather(n, workers, |i| f(i, &items[i]))
-}
-
-/// A panic caught from a single task by [`isolated`], carrying the task's
-/// input index and the panic message (stringified payload).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TaskPanic {
-    /// Input index of the task that panicked.
-    pub index: usize,
-    /// The panic payload rendered as a string (`&str`/`String` payloads are
-    /// preserved verbatim; anything else becomes a placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for TaskPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for TaskPanic {}
-
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// [`par_map`] with per-task panic isolation: each closure runs under
-/// `catch_unwind`, and the result vector — still **in input order** — holds
-/// `Err(TaskPanic)` for tasks that panicked instead of tearing down the whole
-/// fan-out. One bad item degrades one slot; the caller decides whether that
-/// is fatal.
-pub fn par_try_map<T, U, F>(items: &[T], f: F) -> Vec<Result<U, TaskPanic>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let n = items.len();
-    let workers = threads().min(n);
-    if workers <= 1 {
-        return try_map_indexed(items, |_, item| f(item));
-    }
-    scatter_gather(n, workers, |i| isolated(i, || f(&items[i])))
-}
-
-/// The serial entry — what [`par_try_map`] does at one worker: every item
-/// on the calling thread in input order, each under [`isolated`], straight
-/// into the caller's recorder and fault plan. Nothing crosses a thread, so
-/// nothing needs `Sync` or `Send`. For items below the grain rule (see the
-/// crate docs).
-pub fn try_map_indexed<T, U>(items: &[T], f: impl Fn(usize, &T) -> U) -> Vec<Result<U, TaskPanic>> {
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| isolated(i, || f(i, item)))
-        .collect()
-}
-
-/// Runs task `index` on the calling thread under `catch_unwind`, turning a
-/// panic into a [`TaskPanic`]: the per-task isolation of [`par_try_map`]
-/// and [`try_map_indexed`], for a caller that owns its loop (the serve
-/// tick steps its tenants one at a time, each with its own state).
-pub fn isolated<U>(index: usize, task: impl FnOnce() -> U) -> Result<U, TaskPanic> {
-    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| TaskPanic {
-        index,
-        message: panic_message(payload.as_ref()),
-    })
-}
-
-/// Shared fan-out core: runs `task(i)` for `i in 0..n` on `workers` scoped
-/// threads (self-scheduling off an atomic counter) and returns the results in
-/// input order. Captures the caller's active fault plan and observability
-/// recorder, if any: the plan is installed in every worker so `qd_fault`
-/// failpoints keep firing deterministically across the thread boundary, and
-/// each task runs under a *fresh* `qd_obs` recorder whose trace is absorbed
-/// back into the caller in input order after the join — so the merged trace
-/// is byte-identical to a sequential run at every worker count. Every
-/// worker pins its own worker count to 1: a fan-out nested inside a task
-/// runs serially instead of multiplying the caller's count by itself
-/// (answers are worker-count-independent by contract, so none can change).
-fn scatter_gather<U, F>(n: usize, workers: usize, task: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
     let plan = qd_fault::current();
     let obs = qd_obs::current();
     let next = AtomicUsize::new(0);
@@ -209,7 +129,7 @@ where
     )]
     let parts: Vec<Vec<(usize, U, Option<qd_obs::Trace>)>> = thread::scope(|s| {
         let next = &next;
-        let task = &task;
+        let f = &f;
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let plan = plan.clone();
@@ -222,7 +142,7 @@ where
                                 if i >= n {
                                     break;
                                 }
-                                let (value, trace) = qd_obs::observe_task(&obs, || task(i));
+                                let (value, trace) = qd_obs::observe_task(&obs, || f(i, &items[i]));
                                 local.push((i, value, trace));
                             }
                             local
@@ -258,6 +178,59 @@ where
             None => unreachable!("index {i} scheduled exactly once"),
         })
         .collect()
+}
+
+/// A panic caught from a single task by [`isolated`], carrying the task's
+/// input index and the panic message (stringified payload).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TaskPanic {
+    /// Input index of the task that panicked.
+    pub index: usize,
+    /// The panic payload rendered as a string (`&str`/`String` payloads are
+    /// preserved verbatim; anything else becomes a placeholder).
+    pub message: String,
+}
+
+impl std::fmt::Display for TaskPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "task {} panicked: {}", self.index, self.message)
+    }
+}
+
+impl std::error::Error for TaskPanic {}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// The serial entry: every item on the calling thread in input order, each
+/// under [`isolated`], straight into the caller's recorder and fault plan.
+/// One bad item degrades one slot (`Err(TaskPanic)`); the caller decides
+/// whether that is fatal. Nothing crosses a thread, so nothing needs `Sync`
+/// or `Send`. For work below the grain rule (see the crate docs).
+pub fn try_map_indexed<T, U>(items: &[T], f: impl Fn(usize, &T) -> U) -> Vec<Result<U, TaskPanic>> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| isolated(i, || f(i, item)))
+        .collect()
+}
+
+/// Runs task `index` on the calling thread under `catch_unwind`, turning a
+/// panic into a [`TaskPanic`]: the per-task isolation of
+/// [`try_map_indexed`], for a caller that owns its loop (the serve
+/// tick steps its tenants one at a time, each with its own state).
+pub fn isolated<U>(index: usize, task: impl FnOnce() -> U) -> Result<U, TaskPanic> {
+    catch_unwind(AssertUnwindSafe(task)).map_err(|payload| TaskPanic {
+        index,
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 #[cfg(test)]
@@ -410,7 +383,7 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         for workers in [1, 4] {
             let out = with_threads(workers, || {
-                par_try_map(&items, |&x| {
+                try_map_indexed(&items, |_, &x| {
                     if x % 13 == 5 {
                         panic!("injected {x}");
                     }
@@ -435,7 +408,7 @@ mod tests {
         let items: Vec<usize> = (0..40).collect();
         let run = |workers| {
             with_threads(workers, || {
-                par_try_map(&items, |&x| if x % 7 == 0 { panic!("p{x}") } else { x })
+                try_map_indexed(&items, |_, &x| if x % 7 == 0 { panic!("p{x}") } else { x })
             })
         };
         assert_eq!(run(1), run(8));
@@ -504,7 +477,7 @@ mod tests {
         let run = |workers| {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
-                    par_try_map(&items, |&x| {
+                    try_map_indexed(&items, |_, &x| {
                         qd_obs::observe(qd_obs::hist::QD_SUBQUERY_DISTANCES, x + 1);
                         if x % 5 == 2 {
                             panic!("injected {x}");
@@ -519,7 +492,7 @@ mod tests {
         let (out8, trace8) = run(8);
         assert_eq!(out1, out8);
         assert_eq!(trace1, trace8);
-        // Panicked tasks still absorb the observations they made before
+        // Panicked tasks still keep the observations they made before
         // dying; only survivors reach the second histogram.
         assert_eq!(
             trace1.hists[qd_obs::hist::QD_SUBQUERY_DISTANCES].count(),
@@ -534,7 +507,7 @@ mod tests {
         let run = |workers| {
             with_threads(workers, || {
                 qd_obs::with_recorder(|| {
-                    par_try_map(&items, |&x| {
+                    try_map_indexed(&items, |_, &x| {
                         qd_obs::count(qd_obs::ctr::KNN_FRONTIER, 1);
                         if x % 5 == 2 {
                             panic!("injected {x}");

@@ -4,7 +4,7 @@
 //! qd build-corpus --out corpus.qdc [--size N] [--image-size PX] [--seed S] [--fillers N] [--no-viewpoints]
 //! qd build-rfs    --corpus corpus.qdc --out rfs.qdr [--node-max N] [--rep-fraction F] [--bulk]
 //! qd stats        --corpus corpus.qdc [--rfs rfs.qdr]
-//! qd query        --corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N]
+//! qd query        --corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N] [--baseline mv|qpm|mpq|qcluster]
 //! qd trace        --corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N] [--json] [--export-chrome PATH]
 //! qd profile      --corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N]
 //! qd list-queries --corpus corpus.qdc
@@ -14,9 +14,14 @@
 //! qd shard        --corpus corpus.qdc --rfs rfs.qds --query <name> [--k N] [--seed S] [--rounds N]
 //! ```
 //!
+//! Each command reads only the options its line names: any other `--key`,
+//! or a word that is neither a command nor an option's value, exits 2 with
+//! the command's usage line.
+//!
 //! `query` runs a full QD session with the simulated oracle user (the CLI
 //! has no human in the loop; use `--example interactive` for that) and
 //! prints the grouped results plus precision/GTIR against ground truth.
+//! `--baseline` also runs one baseline technique for the same user.
 //!
 //! `trace` runs the same session under a `qd_obs` recorder and prints the
 //! deterministic execution trace instead: the session-wide counter totals,
@@ -50,22 +55,58 @@ use query_decomposition::core::session::validate_rounds;
 use query_decomposition::corpus::cache;
 use query_decomposition::imagery::io::write_ppm;
 use query_decomposition::index::tree::MAX_NODE_ENTRIES;
+use query_decomposition::index::KnnIndex;
 use query_decomposition::prelude::*;
 use std::ops::RangeBounds;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Each command's usage line. The options a command accepts are the
+/// `--key`s its lines name: one followed by a placeholder takes a value, one
+/// alone is a flag.
+const USAGE: &[(&str, &str)] = &[
+    ("build-corpus", "--out corpus.qdc [--size N] [--image-size PX] [--seed S] [--fillers N] [--no-viewpoints]"),
+    ("build-rfs", "--corpus corpus.qdc --out rfs.qdr [--node-max N] [--rep-fraction F] [--bulk]"),
+    ("stats", "--corpus corpus.qdc [--rfs rfs.qdr]"),
+    ("query", "--corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N] [--baseline mv|qpm|mpq|qcluster]"),
+    ("trace", "--corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N] [--json] [--export-chrome PATH]"),
+    ("profile", "--corpus corpus.qdc --rfs rfs.qdr --query <name> [--k N] [--seed S] [--rounds N]"),
+    ("list-queries", "--corpus corpus.qdc"),
+    ("export", "--corpus corpus.qdc --ids 0,17,42 --dir out/"),
+    ("serve-sim", "--corpus corpus.qdc --rfs rfs.qdr [--users N] [--seed S] [--arrivals N] [--rounds N] [--deadline COST] [--max-active N] [--queue N] [--shed-seed S]"),
+    ("shard", "--corpus corpus.qdc --out rfs.qds [--shards K] [--shard-seed S] [--node-max N] [--rep-fraction F]"),
+    ("shard", "--corpus corpus.qdc --rfs rfs.qds --query <name> [--k N] [--seed S] [--rounds N]"),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!(
-            "usage: qd <build-corpus|build-rfs|stats|query|trace|profile|list-queries|export|serve-sim|shard> [options]"
-        );
+    let command = args.first().map_or("", String::as_str);
+    let usage: Vec<&str> = USAGE
+        .iter()
+        .filter(|&&(c, _)| c == command)
+        .map(|&(_, line)| line)
+        .collect();
+    if usage.is_empty() {
+        if !command.is_empty() {
+            eprintln!("error: unknown command {command:?}");
+        }
+        let mut commands: Vec<&str> = USAGE.iter().map(|&(c, _)| c).collect();
+        commands.dedup();
+        eprintln!("usage: qd <{}> [options]", commands.join("|"));
         eprintln!("       see the module docs (or `src/bin/qd.rs`) for per-command options");
         return ExitCode::from(2);
+    }
+    let opts = match Options::parse(&args[1..], &usage) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            for line in usage {
+                eprintln!("usage: qd {command} {line}");
+            }
+            return ExitCode::from(2);
+        }
     };
-    let opts = Options::parse(&args[1..]);
-    let result = match command.as_str() {
+    let result = match command {
         "build-corpus" => build_corpus(&opts),
         "build-rfs" => build_rfs(&opts),
         "stats" => stats(&opts),
@@ -75,8 +116,7 @@ fn main() -> ExitCode {
         "list-queries" => list_queries(&opts),
         "export" => export(&opts),
         "serve-sim" => serve_sim(&opts),
-        "shard" => shard(&opts),
-        other => Err(format!("unknown command {other:?}")),
+        _ => shard(&opts), // the last command `USAGE` names
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -87,39 +127,51 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal `--key value` / `--flag` option bag.
-struct Options {
-    values: Vec<(String, String)>,
-    flags: Vec<String>,
-}
+/// The `--key value` / `--flag` options of one command (a flag has no
+/// value).
+struct Options(Vec<(String, Option<String>)>);
 
 impl Options {
-    fn parse(args: &[String]) -> Self {
-        let mut values = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if let Some(key) = arg.strip_prefix("--") {
-                if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                    values.push((key.to_string(), args[i + 1].clone()));
-                    i += 2;
-                } else {
-                    flags.push(key.to_string());
-                    i += 1;
-                }
-            } else {
-                i += 1;
+    /// Parses `args` against the command's `usage` lines, refusing a key
+    /// they do not name, a value key with no value after it, and a stray
+    /// word.
+    fn parse(args: &[String], usage: &[&str]) -> Result<Self, String> {
+        // `--key` followed by a placeholder takes a value; a bracketed
+        // `[--flag]` or a `--key` right before another option does not.
+        let words: Vec<&str> = usage.iter().flat_map(|l| l.split_whitespace()).collect();
+        let takes_value = |key: &str| -> Option<bool> {
+            words.iter().enumerate().find_map(|(i, w)| {
+                let name = w.trim_start_matches('[').trim_end_matches(']');
+                (name.strip_prefix("--") == Some(key)).then(|| {
+                    !w.ends_with(']')
+                        && words
+                            .get(i + 1)
+                            .is_some_and(|next| !next.trim_start_matches('[').starts_with("--"))
+                })
+            })
+        };
+        let mut opts = Self(Vec::new());
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument {arg:?}"));
+            };
+            match takes_value(key) {
+                None => return Err(format!("unknown option --{key}")),
+                Some(false) => opts.0.push((key.to_string(), None)),
+                Some(true) => match args.next() {
+                    Some(v) if !v.starts_with("--") => {
+                        opts.0.push((key.to_string(), Some(v.clone())))
+                    }
+                    _ => return Err(format!("--{key} needs a value")),
+                },
             }
         }
-        Self { values, flags }
+        Ok(opts)
     }
 
     fn get(&self, key: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.0.iter().find(|(k, _)| k == key)?.1.as_deref()
     }
 
     fn require(&self, key: &str) -> Result<&str, String> {
@@ -149,7 +201,7 @@ impl Options {
     }
 
     fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.0.iter().any(|(k, _)| k == key)
     }
 }
 
@@ -293,9 +345,9 @@ fn list_queries(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads the corpus + RFS pair and resolves the named standard query —
-/// the shared front half of `query` and `trace`.
-fn load_session_inputs(opts: &Options) -> Result<(Corpus, RfsStructure, QuerySpec), String> {
+/// Loads the corpus + RFS pair — the shared front half of `query`,
+/// `trace`, `profile` and `serve-sim`.
+fn load_session_inputs(opts: &Options) -> Result<(Corpus, RfsStructure), String> {
     let corpus = load_corpus(opts)?;
     let rfs_path = opts.require("rfs")?;
     let rfs = RfsStructure::load(Path::new(rfs_path))
@@ -307,18 +359,31 @@ fn load_session_inputs(opts: &Options) -> Result<(Corpus, RfsStructure, QuerySpe
             corpus.len()
         ));
     }
+    Ok((corpus, rfs))
+}
+
+/// What [`oracle_session`] ran and what it answered.
+struct Served {
+    query: QuerySpec,
+    k: usize,
+    seed: u64,
+    out: QdOutcome,
+}
+
+/// One QD session over `rfs` with the simulated oracle user, as the options
+/// ask: the `--query` named, `--k` (default: its ground-truth size),
+/// `--seed` for the session and the user, and `--rounds`.
+fn oracle_session<I: KnnIndex>(
+    opts: &Options,
+    corpus: &Corpus,
+    rfs: &RfsStructure<I>,
+) -> Result<Served, String> {
     let name = opts.require("query")?;
     let query = queries::standard_queries(corpus.taxonomy())
         .into_iter()
         .find(|q| q.name == name)
         .ok_or_else(|| format!("no standard query named {name:?} (see `qd list-queries`)"))?;
-    Ok((corpus, rfs, query))
-}
-
-fn query(opts: &Options) -> Result<(), String> {
-    let (corpus, rfs, query) = load_session_inputs(opts)?;
-    let gt = corpus.ground_truth(&query).len();
-    let k = opts.parse_or("k", gt)?;
+    let k = opts.parse_or("k", corpus.ground_truth(&query).len())?;
     let seed = opts.parse_or("seed", 7u64)?;
     let cfg = QdConfig {
         rounds: opts.parse_or("rounds", 3usize)?,
@@ -326,9 +391,25 @@ fn query(opts: &Options) -> Result<(), String> {
         ..QdConfig::default()
     };
     let mut user = SimulatedUser::oracle(&query, seed);
-    let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
+    let out = try_run_session(corpus, rfs, &query, &mut user, k, &cfg)
         .map_err(|e| e.to_string())?
         .into_outcome();
+    Ok(Served {
+        query,
+        k,
+        seed,
+        out,
+    })
+}
+
+fn query(opts: &Options) -> Result<(), String> {
+    let (corpus, rfs) = load_session_inputs(opts)?;
+    let Served {
+        query,
+        k,
+        seed,
+        out,
+    } = oracle_session(opts, &corpus, &rfs)?;
 
     println!(
         "query {:?}: {} subqueries, {} results (k = {k})",
@@ -391,39 +472,16 @@ fn query(opts: &Options) -> Result<(), String> {
 }
 
 /// Runs one traced oracle session — the shared back half of `trace` and
-/// `profile`. Returns the query name, effective seed and k, the outcome,
-/// and the recorded trace.
-fn traced_session(
-    opts: &Options,
-) -> Result<
-    (
-        String,
-        u64,
-        usize,
-        QdOutcome,
-        query_decomposition::obs::Trace,
-    ),
-    String,
-> {
-    let (corpus, rfs, query) = load_session_inputs(opts)?;
-    let gt = corpus.ground_truth(&query).len();
-    let k = opts.parse_or("k", gt)?;
-    let seed = opts.parse_or("seed", 7u64)?;
-    let cfg = QdConfig {
-        rounds: opts.parse_or("rounds", 3usize)?,
-        seed,
-        ..QdConfig::default()
-    };
-    let mut user = SimulatedUser::oracle(&query, seed);
-    let (served, trace) = query_decomposition::obs::with_recorder(|| {
-        try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
-    });
-    let out = served.map_err(|e| e.to_string())?.into_outcome();
-    Ok((query.name.clone(), seed, k, out, trace))
+/// `profile`.
+fn traced_session(opts: &Options) -> Result<(Served, query_decomposition::obs::Trace), String> {
+    let (corpus, rfs) = load_session_inputs(opts)?;
+    let (served, trace) =
+        query_decomposition::obs::with_recorder(|| oracle_session(opts, &corpus, &rfs));
+    Ok((served?, trace))
 }
 
 fn trace(opts: &Options) -> Result<(), String> {
-    let (name, seed, k, out, trace) = traced_session(opts)?;
+    let (served, trace) = traced_session(opts)?;
     if let Some(path) = opts.get("export-chrome") {
         let path = PathBuf::from(path);
         let json = qd_bench::report::chrome_trace_json(&trace).render();
@@ -435,20 +493,26 @@ fn trace(opts: &Options) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "trace of query {name:?} (seed {seed}, k = {k}): {} subqueries, {} results",
-        out.subquery_count,
-        out.results.len()
+        "trace of query {:?} (seed {}, k = {}): {} subqueries, {} results",
+        served.query.name,
+        served.seed,
+        served.k,
+        served.out.subquery_count,
+        served.out.results.len()
     );
     print!("{}", trace.render());
     Ok(())
 }
 
 fn profile(opts: &Options) -> Result<(), String> {
-    let (name, seed, k, out, trace) = traced_session(opts)?;
+    let (served, trace) = traced_session(opts)?;
     println!(
-        "profile of query {name:?} (seed {seed}, k = {k}): {} subqueries, {} results",
-        out.subquery_count,
-        out.results.len()
+        "profile of query {:?} (seed {}, k = {}): {} subqueries, {} results",
+        served.query.name,
+        served.seed,
+        served.k,
+        served.out.subquery_count,
+        served.out.results.len()
     );
     print!(
         "{}",
@@ -458,17 +522,7 @@ fn profile(opts: &Options) -> Result<(), String> {
 }
 
 fn serve_sim(opts: &Options) -> Result<(), String> {
-    let corpus = load_corpus(opts)?;
-    let rfs_path = opts.require("rfs")?;
-    let rfs = RfsStructure::load(Path::new(rfs_path))
-        .map_err(|e| format!("cannot load RFS {rfs_path}: {e}"))?;
-    if rfs.len() != corpus.len() {
-        return Err(format!(
-            "RFS indexes {} images but the corpus has {} — rebuild with `qd build-rfs`",
-            rfs.len(),
-            corpus.len()
-        ));
-    }
+    let (corpus, rfs) = load_session_inputs(opts)?;
     let load_cfg = LoadConfig {
         users: opts.parse_in("users", 12usize, 1..)?,
         seed: opts.parse_or("seed", 7u64)?,
@@ -552,7 +606,6 @@ fn export(opts: &Options) -> Result<(), String> {
 }
 
 fn shard(opts: &Options) -> Result<(), String> {
-    use query_decomposition::index::KnnIndex;
     use query_decomposition::shard::{build_sharded_rfs, persist, ShardConfig, MAX_SHARDS};
 
     let corpus = load_corpus(opts)?;
@@ -598,23 +651,7 @@ fn shard(opts: &Options) -> Result<(), String> {
             corpus.len()
         ));
     }
-    let name = opts.require("query")?;
-    let query = queries::standard_queries(corpus.taxonomy())
-        .into_iter()
-        .find(|q| q.name == name)
-        .ok_or_else(|| format!("no standard query named {name:?} (see `qd list-queries`)"))?;
-    let gt = corpus.ground_truth(&query).len();
-    let k = opts.parse_or("k", gt)?;
-    let seed = opts.parse_or("seed", 7u64)?;
-    let cfg = QdConfig {
-        rounds: opts.parse_or("rounds", 3usize)?,
-        seed,
-        ..QdConfig::default()
-    };
-    let mut user = SimulatedUser::oracle(&query, seed);
-    let out = try_run_session(&corpus, &rfs, &query, &mut user, k, &cfg)
-        .map_err(|e| e.to_string())?
-        .into_outcome();
+    let Served { query, k, out, .. } = oracle_session(opts, &corpus, &rfs)?;
     println!(
         "query {:?} over {} shards: {} subqueries, {} results (k = {k})",
         query.name,

@@ -295,6 +295,75 @@ fn unknown_command_fails_cleanly() {
     assert!(stderr(&out).contains("unknown command"));
 }
 
+/// Each command reads only the options its usage line names: a misspelt
+/// key (which used to build silently at the default) or a stray word exits
+/// 2 with that line, before any work starts.
+#[test]
+fn an_unknown_option_or_a_stray_word_is_a_usage_error() {
+    let dir = built();
+    let build_rfs = "usage: qd build-rfs --corpus corpus.qdc --out rfs.qdr";
+    let query = "usage: qd query --corpus corpus.qdc --rfs rfs.qdr --query <name>";
+    let cases: &[(&[&str], &str, &str)] = &[
+        (
+            &[
+                "build-rfs",
+                "--corpus",
+                "c.qdc",
+                "--out",
+                "refused.out",
+                "--node-mx",
+                "50",
+            ],
+            "unknown option --node-mx",
+            build_rfs,
+        ),
+        (
+            &[
+                "build-rfs",
+                "--corpus",
+                "c.qdc",
+                "--out",
+                "refused.out",
+                "--baseline",
+                "mv",
+            ],
+            "unknown option --baseline",
+            build_rfs,
+        ),
+        (
+            &["build-rfs", "--corpus", "c.qdc", "refused.out"],
+            "unexpected argument \"refused.out\"",
+            build_rfs,
+        ),
+        (
+            &[
+                "query", "--corpus", "c.qdc", "--rfs", "r.qdr", "--query", "bird", "car",
+            ],
+            "unexpected argument \"car\"",
+            query,
+        ),
+        (
+            &[
+                "query", "--corpus", "c.qdc", "--rfs", "r.qdr", "--query", "bird", "--k",
+            ],
+            "--k needs a value",
+            query,
+        ),
+    ];
+    for (args, error, usage) in cases {
+        let out = qd(dir, args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.starts_with(&format!("error: {error}\n")),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains(usage), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran");
+        assert!(!dir.join("refused.out").exists(), "{args:?} wrote a file");
+    }
+}
+
 #[test]
 fn missing_required_option_fails_cleanly() {
     let dir = workdir("errors");

@@ -1,24 +1,28 @@
 //! Parallel ≡ sequential property suite for the qd-runtime wiring.
 //!
-//! Every layer that fans out over the qd-runtime pool — the MV baseline's
-//! viewpoint k-NNs, the bottom-up RFS build, and the evaluation harness —
-//! must produce *bit-identical* output whatever the worker count, and so
-//! must the session path above them, which runs its subqueries serially on
-//! the calling thread. These properties pin that contract: each scenario runs
-//! once under a forced single thread and once under eight workers, and every
-//! observable (result ids, group order, similarity scores down to the bit,
-//! access counts) must match exactly.
+//! Four places fan out over the qd-runtime pool: the corpus build (per
+//! image), the shard builds (per shard), and the per-query loops of the
+//! evaluation tables and of `repro`'s baseline shoot-out (the last is pinned
+//! by a unit test in `qd-bench`). Each must produce *bit-identical* output
+//! whatever the worker count, and so must the session path, which runs its
+//! subqueries serially on the calling thread. These properties pin that
+//! contract: each scenario runs once under a forced single thread and once
+//! under eight workers, and every observable (result ids, group order,
+//! similarity scores down to the bit, access counts, file bytes) must match
+//! exactly.
 
 use proptest::prelude::*;
-use query_decomposition::core::baselines::{mv, BaselineConfig};
+use query_decomposition::core::baselines::BaselineConfig;
 use query_decomposition::core::eval::{self, Baseline};
 use query_decomposition::core::rfs::{RfsConfig, RfsStructure};
 use query_decomposition::core::session::{
     try_execute_subqueries, try_run_session, FinalExecution, MergeStrategy, QdConfig,
 };
 use query_decomposition::core::user::SimulatedUser;
+use query_decomposition::corpus::cache;
 use query_decomposition::index::NodeId;
-use query_decomposition::prelude::{queries, Corpus, CorpusConfig};
+use query_decomposition::prelude::{build_sharded_rfs, queries, Corpus, CorpusConfig, ShardConfig};
+use query_decomposition::shard::persist;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -150,62 +154,40 @@ proptest! {
             prop_assert_eq!(ta.gtir.to_bits(), tb.gtir.to_bits());
         }
     }
-
-    /// Query layer, MV baseline: the four viewpoint k-NNs merge to the same
-    /// results and per-round quality trace under 1 and 8 workers.
-    #[test]
-    fn mv_run_session_is_thread_count_invariant(
-        query_idx in 0usize..11,
-        seed in any::<u64>(),
-    ) {
-        let (corpus, _) = fixture();
-        let query = &queries::standard_queries(corpus.taxonomy())[query_idx];
-        let k = corpus.ground_truth(query).len();
-        let cfg = BaselineConfig::default();
-        let (seq, par) = both_modes(|| {
-            let mut user = SimulatedUser::oracle(query, seed);
-            mv::run_session(corpus, query, &mut user, k, &cfg)
-        });
-        prop_assert_eq!(&seq.results, &par.results);
-        prop_assert_eq!(seq.round_trace.len(), par.round_trace.len());
-        for (ta, tb) in seq.round_trace.iter().zip(&par.round_trace) {
-            prop_assert_eq!(ta.precision, tb.precision);
-            prop_assert_eq!(ta.gtir.to_bits(), tb.gtir.to_bits());
-        }
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Build layer: per-node representative selection (both the k-means
-    /// medoid path and the random-shuffle ablation) is seeded per node, so
-    /// the built structure is identical under 1 and 8 workers.
+    /// Build layer, corpus: every image renders and extracts from its own
+    /// RNG stream, so the corpus file is byte-identical under 1 and 8
+    /// workers, viewpoint features and normalizers included.
     #[test]
-    fn rfs_build_is_thread_count_invariant(
-        seed in any::<u64>(),
-        kmeans in any::<bool>(),
-    ) {
-        let (corpus, _) = fixture();
-        let config = RfsConfig {
-            kmeans_representatives: kmeans,
+    fn corpus_build_is_thread_count_invariant(seed in any::<u64>()) {
+        let config = CorpusConfig {
+            size: 90,
+            image_size: 16,
             seed,
-            ..RfsConfig::test_small()
+            filler_count: 2,
+            with_viewpoints: true,
         };
-        let (seq, par) = both_modes(|| RfsStructure::build(corpus.features(), &config));
-        // Both builds must satisfy every RFS structural invariant (leaf_of
-        // bijection, representatives within their subtree, level partition).
-        seq.validate();
-        par.validate();
-        prop_assert_eq!(seq.all_representatives(), par.all_representatives());
-        for n in seq.tree().node_ids() {
-            prop_assert_eq!(
-                seq.representatives(n),
-                par.representatives(n),
-                "node {:?} reps diverge",
-                n
-            );
-        }
+        let (seq, par) = both_modes(|| cache::to_bytes(&Corpus::build(&config)));
+        prop_assert!(seq == par, "corpus bytes diverge");
+    }
+
+    /// Build layer, shards: one R*-tree per shard, built on its own worker,
+    /// gives the same QDS1 bytes under 1 and 8 workers.
+    #[test]
+    fn shard_build_is_thread_count_invariant(seed in any::<u64>(), shards in 2usize..6) {
+        let (corpus, _) = fixture();
+        let (seq, par) = both_modes(|| {
+            persist::to_bytes(&build_sharded_rfs(
+                corpus.features(),
+                &RfsConfig::test_small(),
+                ShardConfig::new(shards, seed),
+            ))
+        });
+        prop_assert!(seq == par, "sharded RFS bytes diverge");
     }
 
     /// Harness layer: Table 1 and Table 2 rows (the CSV payload) are

@@ -298,6 +298,39 @@ fn a_non_sync_index_serves_the_same_sessions() {
     }
 }
 
+/// Serial by type, build side: representative selection runs on the calling
+/// thread, so a `!Sync` index goes through `build_on` and
+/// `rebuild_with_refresh` — and each gives what the same `RStarTree` gives.
+#[test]
+fn a_non_sync_index_builds_and_refreshes_the_same_structure() {
+    let (corpus, rfs) = fixture();
+    let features = corpus.features();
+    let config = RfsConfig::test_small();
+    let serial = |tree: &RStarTree| SerialOnly(tree.clone(), std::marker::PhantomData);
+    let mut built = qd_runtime::with_threads(8, || {
+        RfsStructure::build_on(serial(rfs.tree()), features, &config)
+    });
+    assert_eq!(built.reps_map(), rfs.reps_map());
+    // One image out, then back in: every refresh matches the bare tree's.
+    let (mut tree, mut bare) = (rfs.tree().clone(), rfs.clone());
+    let id = 7;
+    for insert in [false, true] {
+        if insert {
+            tree.insert(features[id].clone(), id as u64);
+        } else {
+            assert!(tree.remove(&features[id], id as u64));
+        }
+        bare = bare.rebuild_with_refresh(tree.clone(), features, &config);
+        built = qd_runtime::with_threads(8, || {
+            built.rebuild_with_refresh(serial(&tree), features, &config)
+        });
+        assert_eq!(built.reps_map(), bare.reps_map(), "insert {insert}");
+        for image in 0..features.len() {
+            assert_eq!(built.leaf_of(image), bare.leaf_of(image), "image {image}");
+        }
+    }
+}
+
 /// FNV-1a-64 over `ids`, each as a little-endian `u64`.
 fn fnv1a64(ids: &[usize]) -> u64 {
     ids.iter()
