@@ -18,7 +18,9 @@
 //! ```
 //!
 //! `--quick` runs on a 3,000-image corpus instead of the paper's 15,000, and
-//! sweeps 1 000–3 000 images instead of 2 500–15 000 for `fig10`/`fig11`.
+//! sweeps 2 000–3 000 images instead of 2 500–15 000 for `fig10`/`fig11`
+//! (below 2 000 at seed 42, sessions average under one subquery: the user
+//! finds too few relevant images among the representatives to mark).
 //! Every number `repro` prints is a deterministic count or quality figure;
 //! wall-clock is the `perf` binary's (`BENCHMARK.json`).
 //!
@@ -115,7 +117,7 @@ fn run(args: &Args) -> Result<(), QdError> {
         BenchScale::Paper
     };
     let sizes: &[usize] = if quick {
-        &[1_000, 2_000, 3_000]
+        &[2_000, 2_500, 3_000]
     } else {
         &[2_500, 5_000, 7_500, 10_000, 12_500, 15_000]
     };

@@ -111,7 +111,8 @@ pub trait FeedbackHierarchy {
 /// representatives, and an ordered container makes every such traversal
 /// deterministic by construction. `leaf_of` is a [`LeafMap`]: `(image,
 /// leaf)` pairs sorted by image, patched by one ordered merge per update
-/// (see [`leaf_map`]).
+/// (see [`leaf_map`]). The tree's mutation log is always empty here: every
+/// construction path takes it.
 ///
 /// Generic over the index implementation: the arena tree (the default) and
 /// `qd-shard`'s `ShardSet` both build, navigate and serve through this one
@@ -166,24 +167,30 @@ impl LeafMap {
 }
 
 /// The image → leaf map of `tree` — the one path every construction takes.
-/// `fresh` lists, ascending, the leaves of `tree` whose images `previous` (an
-/// older tree and its map's pairs) does not already map correctly; with no
-/// previous map that is every leaf. The result is the previous map less the
-/// images of its leaves that changed or vanished, merged with the sorted
-/// pairs of the fresh leaves, so an update sorts only the leaves it touched
-/// and copies the rest of the map in runs.
+/// `fresh` lists the handles whose images are (re)mapped: every leaf for a
+/// structure built from scratch, the mutation log for a refresh. With
+/// `previous` (the tree the map was made for, and its pairs) the result is
+/// the previous map less the images that the `fresh` handles held as leaves
+/// of the older tree, merged with the sorted pairs of the `fresh` handles
+/// that are leaves of `tree`: an update sorts only the leaves it touched and
+/// copies the rest of the map in runs.
 fn leaf_map<I: KnnIndex>(
     tree: &I,
     fresh: &[NodeId],
     previous: Option<(&I, &[(usize, NodeId)])>,
 ) -> LeafMap {
+    fn leaves_of<'a, I: KnnIndex>(
+        t: &'a I,
+        handles: &'a [NodeId],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let leaf = |&n: &NodeId| t.contains_node(n) && t.is_leaf(n);
+        handles.iter().copied().filter(leaf)
+    }
     // Sized up front: grown by doubling, a from-scratch map of 15 000 pairs
     // reallocates its way through blocks that raise the peak resident set.
-    let count = fresh
-        .iter()
-        .map(|&leaf| tree.leaf_ids(leaf).into_iter().len());
+    let count = leaves_of(tree, fresh).map(|leaf| tree.leaf_ids(leaf).into_iter().len());
     let mut added: Vec<(usize, NodeId)> = Vec::with_capacity(count.sum());
-    for &leaf in fresh {
+    for leaf in leaves_of(tree, fresh) {
         added.extend(
             tree.leaf_ids(leaf)
                 .into_iter()
@@ -194,15 +201,7 @@ fn leaf_map<I: KnnIndex>(
     let Some((old_tree, old_map)) = previous else {
         return LeafMap::new(added);
     };
-    // An old leaf's pairs stay only if `tree` still holds that handle as a
-    // leaf that is not fresh, i.e. with exactly the images it had.
-    let stays = |leaf: NodeId| {
-        tree.contains_node(leaf) && tree.is_leaf(leaf) && fresh.binary_search(&leaf).is_err()
-    };
-    let mut dropped: Vec<usize> = old_tree
-        .node_ids()
-        .into_iter()
-        .filter(|&leaf| old_tree.is_leaf(leaf) && !stays(leaf))
+    let mut dropped: Vec<usize> = leaves_of(old_tree, fresh)
         .flat_map(|leaf| old_tree.leaf_ids(leaf).into_iter().map(|id| id as usize))
         .collect();
     dropped.sort_unstable();
@@ -243,87 +242,56 @@ fn pool_of<I: KnnIndex>(tree: &I, reps: &BTreeMap<NodeId, Vec<usize>>, n: NodeId
     }
 }
 
-/// The refresh's verdict on node `n` of the mutated `tree`, decided without
-/// building a pool: `old`'s representative list for `n` when its candidate
-/// pool is unchanged, `None` when `n` must select. The pool is unchanged when
-/// `old` holds the same handle as the same kind of node — a freed leaf index
-/// reused by an internal node must re-select, because the two kinds keep
-/// different fractions of their pool — and, for a leaf, the same images in
-/// the same order; for an internal node, the same children in the same order
-/// with the same representatives (`reps`, the levels below already settled).
-fn kept_by<'a, I: KnnIndex>(
-    tree: &I,
-    reps: &BTreeMap<NodeId, Vec<usize>>,
-    old: &'a RfsStructure<I>,
-    n: NodeId,
-) -> Option<&'a Vec<usize>> {
-    let was = &old.tree;
-    if !was.contains_node(n) || was.is_leaf(n) != tree.is_leaf(n) {
-        return None;
+/// The nodes a refresh of `tree` re-selects, given its mutation log `log`:
+/// every logged node still live in `tree`, every ancestor of one, and the
+/// root (a `ShardSet`'s synthetic root, whose children are the shard roots,
+/// is no shard's node and so in no shard's log) — as `(level, handle)`,
+/// ascending, each once. Nothing when nothing was logged.
+fn dirty_nodes<I: KnnIndex>(tree: &I, log: &[NodeId]) -> Vec<(u32, NodeId)> {
+    let mut dirty = Vec::new();
+    for &n in log.iter().filter(|&&n| tree.contains_node(n)) {
+        let mut cur = Some(n);
+        while let Some(c) = cur {
+            dirty.push((tree.level(c), c));
+            cur = tree.parent(c);
+        }
     }
-    let unchanged = if tree.is_leaf(n) {
-        tree.leaf_ids(n).into_iter().eq(was.leaf_ids(n))
-    } else {
-        tree.children(n).into_iter().eq(was.children(n))
-            && tree
-                .children(n)
-                .into_iter()
-                .all(|c| reps.get(&c) == old.reps.get(&c))
-    };
-    old.reps.get(&n).filter(|_| unchanged)
+    if !log.is_empty() {
+        dirty.push((tree.level(tree.root()), tree.root()));
+    }
+    dirty.sort_unstable();
+    dirty.dedup();
+    dirty
 }
 
-/// Bottom-up per-node representative selection over `tree` — the shared back
-/// half of every build path. Levels build bottom-up (an internal node's pool
-/// is its children's representatives); the nodes of a level run in node
-/// order on the calling thread, each under its own `catch_unwind`. At 2
-/// workers a fan-out over them gained nothing on a 15 000-image build and
-/// made the update refresh 4× slower (DESIGN.md §7). Every node derives its
-/// randomness from `config.seed` and its own stable node index — never a
-/// shared RNG stream — so a node's selection does not depend on the order
-/// the others ran in.
+/// Bottom-up representative selection of `nodes` over `tree` into `reps` —
+/// the shared back half of every build path. `nodes` is ascending by
+/// `(level, handle)`, so an internal node's pool (its children's
+/// representatives) is settled before it selects; the nodes of a level run
+/// in handle order on the calling thread, each under its own
+/// `catch_unwind`. At 2 workers a fan-out over them gained nothing on a
+/// 15 000-image build and made the update refresh 4× slower (DESIGN.md §7).
+/// Every node derives its randomness from `config.seed` and its own stable
+/// node index — never a shared RNG stream — so a node's selection does not
+/// depend on which other nodes ran, or in what order.
 ///
-/// With `previous = Some(old)` this is an *incremental refresh*: a node whose
-/// candidate pool is unchanged from `old` ([`kept_by`]) keeps its old
-/// representatives untouched without building its pool, and every other node
-/// re-selects from scratch with the same node-index-keyed seed a full rebuild
-/// would use (counted in `rfs.representatives_refreshed`) — which makes a
-/// refreshed structure exactly equal to a full rebuild over the mutated tree.
-///
-/// Returns the representative lists and, ascending, the leaves that did not
-/// keep theirs: every leaf of a from-scratch build, the changed and new
-/// leaves of a refresh — the `fresh` leaves of [`leaf_map`].
+/// That is what makes the incremental refresh exact: it passes only the
+/// nodes the mutation log names and their ancestors (`refreshing`, counted
+/// in `rfs.representatives_refreshed`), over `reps` holding the old lists,
+/// and a node re-selected with an unchanged pool gets the list it had. The
+/// refresh is sound only when `tree` is a copy of the tree `reps` was built
+/// for — made by `clone()` or the codec — changed since only through
+/// `insert`/`remove`, so that its log names every node whose pool changed.
 fn select_representatives<I: KnnIndex>(
     tree: &I,
     features: &[Vec<f32>],
     config: &RfsConfig,
-    previous: Option<&RfsStructure<I>>,
-) -> (BTreeMap<NodeId, Vec<usize>>, Vec<NodeId>) {
-    // `by_level` is a BTreeMap so iterating it visits levels in ascending
-    // order — leaves first — with no separate sorted key list.
-    let mut by_level: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-    for n in tree.node_ids() {
-        by_level.entry(tree.level(n)).or_default().push(n);
-    }
-
-    let mut reps: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    let mut fresh_leaves = Vec::new();
-    for (level, mut nodes) in by_level {
-        nodes.sort_unstable(); // deterministic order
-
-        // The verdicts are taken before the selection, so a panicking node
-        // cannot lose one: the leaf map needs every leaf's.
-        let work: Vec<(NodeId, Option<&Vec<usize>>)> = nodes
-            .iter()
-            .map(|&n| (n, previous.and_then(|old| kept_by(tree, &reps, old, n))))
-            .collect();
-        if level == 0 {
-            fresh_leaves = work
-                .iter()
-                .filter(|(_, kept)| kept.is_none())
-                .map(|&(n, _)| n)
-                .collect();
-        }
+    nodes: &[(u32, NodeId)],
+    reps: &mut BTreeMap<NodeId, Vec<usize>>,
+    refreshing: bool,
+) {
+    for level_nodes in nodes.chunk_by(|a, b| a.0 == b.0) {
+        let level = level_nodes[0].0;
         let target_of = |pool_len: usize| -> usize {
             if level > 0 {
                 // The paper keeps representative counts proportional to
@@ -346,7 +314,7 @@ fn select_representatives<I: KnnIndex>(
         // `try_map_indexed`; the node falls back to a deterministic prefix
         // of its pool rather than aborting the whole build.
         let selected = qd_obs::span_indexed(qd_obs::sp::RFS_LEVEL, u64::from(level), || {
-            qd_runtime::try_map_indexed(&work, |_, &(n, kept)| {
+            qd_runtime::try_map_indexed(level_nodes, |_, &(_, n)| {
                 if qd_fault::fire_keyed(qd_fault::site::RFS_SELECT_PANIC, n.index() as u64)
                     .is_some()
                 {
@@ -355,14 +323,11 @@ fn select_representatives<I: KnnIndex>(
                         n.index()
                     );
                 }
-                if let Some(kept) = kept {
-                    return kept.clone();
-                }
-                let pool = pool_of(tree, &reps, n);
+                let pool = pool_of(tree, reps, n);
                 if pool.is_empty() {
                     return Vec::new();
                 }
-                if previous.is_some() {
+                if refreshing {
                     qd_obs::count(qd_obs::ctr::RFS_REFRESHED, 1);
                 }
                 qd_obs::count(qd_obs::ctr::RFS_SELECTIONS, 1);
@@ -390,19 +355,18 @@ fn select_representatives<I: KnnIndex>(
                 }
             })
         });
-        for (n, sel) in nodes.into_iter().zip(selected) {
+        for (&(_, n), sel) in level_nodes.iter().zip(selected) {
             let sel = sel.unwrap_or_else(|_| {
                 // Degraded selection: the pool prefix (already in
                 // deterministic traversal order) keeps every node covered
                 // by *some* representatives.
-                let pool = pool_of(tree, &reps, n);
+                let pool = pool_of(tree, reps, n);
                 let target = target_of(pool.len().max(1)).min(pool.len());
                 pool.into_iter().take(target).collect()
             });
             reps.insert(n, sel);
         }
     }
-    (reps, fresh_leaves)
 }
 
 impl RfsStructure {
@@ -433,21 +397,41 @@ impl RfsStructure {
 }
 
 impl<I: KnnIndex> RfsStructure<I> {
-    /// The shared back half of every construction path: the leaf map and
-    /// the bottom-up selection over `tree`, incremental against `previous`
-    /// when there is one.
+    /// The shared back half of every construction path: the bottom-up
+    /// selection and the leaf map over `tree` — of every node, or, against
+    /// `previous`, of the nodes `tree`'s mutation log names and their
+    /// ancestors, every other list copied from `previous`. Takes the log
+    /// either way, so the stored tree's is empty.
     fn decorate(
-        tree: I,
+        mut tree: I,
         features: &[Vec<f32>],
         config: &RfsConfig,
         previous: Option<&Self>,
     ) -> Self {
-        let (reps, fresh) = select_representatives(&tree, features, config, previous);
-        let leaf_of = leaf_map(
-            &tree,
-            &fresh,
-            previous.map(|old| (&old.tree, old.leaf_of.pairs.as_slice())),
-        );
+        let mut log = tree.take_touched();
+        let (reps, leaf_of) = if let Some(old) = previous {
+            log.sort_unstable();
+            log.dedup();
+            let mut reps = old.reps.clone();
+            for n in log.iter().filter(|&&n| !tree.contains_node(n)) {
+                reps.remove(n);
+            }
+            let dirty = dirty_nodes(&tree, &log);
+            select_representatives(&tree, features, config, &dirty, &mut reps, true);
+            let pairs = old.leaf_of.pairs.as_slice();
+            (reps, leaf_map(&tree, &log, Some((&old.tree, pairs))))
+        } else {
+            let mut nodes: Vec<(u32, NodeId)> = tree
+                .node_ids()
+                .into_iter()
+                .map(|n| (tree.level(n), n))
+                .collect();
+            nodes.sort_unstable();
+            let mut reps = BTreeMap::new();
+            select_representatives(&tree, features, config, &nodes, &mut reps, false);
+            let every_node: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
+            (reps, leaf_map(&tree, &every_node, None))
+        };
         let built = Self {
             tree,
             reps,
@@ -477,17 +461,23 @@ impl<I: KnnIndex> RfsStructure<I> {
         })
     }
 
-    /// Re-decorates a *mutated* index incrementally: a node whose candidate
-    /// pool (leaf contents, or children's representatives) is unchanged from
-    /// `self` keeps its representative list; every node insert/delete
-    /// actually touched re-selects with the same node-index-keyed seed a
-    /// full rebuild would use. The result is exactly equal to
-    /// [`RfsStructure::build_on`] over the same mutated tree — the refresh
-    /// saves the k-means work, never changes the answer. It creates no RFS
-    /// node (`rfs.nodes_created` does not move); what it re-selected is
-    /// counted in `rfs.representatives_refreshed`. Only those nodes build a
-    /// candidate pool, and the leaf map is `self`'s, patched for the leaves
-    /// that changed: no whole-corpus sort or rebuild.
+    /// Re-decorates a *mutated* index incrementally. `tree` must be a copy
+    /// of [`Self::tree`] — made by `clone()` or the codec, or returned by a
+    /// `ShardSet`'s `insert`/`remove` — changed since only through
+    /// `insert`/`remove`: the refresh takes `tree`'s mutation log
+    /// ([`KnnIndex::take_touched`]) and trusts it to name every node whose
+    /// candidate pool changed. It re-selects exactly the logged nodes still
+    /// live, their ancestors and the root, with the same node-index-keyed
+    /// seed a full rebuild would use; drops the lists of logged handles that
+    /// were freed; and copies every other list from `self`. Only dirty
+    /// leaves run k-means — an internal node's pool is a concatenation. The
+    /// leaf map is `self`'s, patched for the logged leaves of both trees. No
+    /// node of either tree outside the log and its ancestors is read.
+    ///
+    /// The result is exactly equal to [`RfsStructure::build_on`] over the
+    /// same mutated tree — the refresh saves the work, never changes the
+    /// answer. It creates no RFS node (`rfs.nodes_created` does not move);
+    /// what it re-selected is counted in `rfs.representatives_refreshed`.
     ///
     /// # Panics
     /// Panics (in debug builds) if the resulting structure violates an
@@ -559,7 +549,8 @@ impl<I: KnnIndex> RfsStructure<I> {
     /// # Errors
     /// Returns the first invariant violation as a description, without
     /// panicking, so persistence loaders can surface it as typed corruption.
-    pub fn from_parts(tree: I, reps: BTreeMap<NodeId, Vec<usize>>) -> Result<Self, String> {
+    pub fn from_parts(mut tree: I, reps: BTreeMap<NodeId, Vec<usize>>) -> Result<Self, String> {
+        tree.take_touched();
         let leaves: Vec<NodeId> = tree
             .node_ids()
             .into_iter()
@@ -1017,10 +1008,29 @@ mod tests {
         RfsStructure::build_on(tree, features, config)
     }
 
-    /// The oracle of the incremental refresh: `before` refreshed over the
-    /// mutated `tree` equals a from-scratch decoration of the same tree —
-    /// the same representative lists, and the same leaf for every image id
-    /// the features know, `None` for an id the tree does not hold. Checks the
+    /// The whole-tree comparison the refresh made before the tree kept a
+    /// mutation log, kept as the log's oracle: every node of `new` that `old`
+    /// did not hold, or held as the other kind, with other images or with
+    /// other children, and every handle of `old` that `new` freed, is in
+    /// `log`.
+    fn assert_log_covers(old: &RStarTree, new: &RStarTree, log: &[NodeId], what: &str) {
+        for n in new.node_ids() {
+            let same = old.contains_node(n)
+                && old.is_leaf(n) == new.is_leaf(n)
+                && old.leaf_ids(n).eq(new.leaf_ids(n))
+                && old.children(n).eq(new.children(n));
+            assert!(same || log.contains(&n), "{what}: changed {n:?} not logged");
+        }
+        for n in old.node_ids().filter(|&n| !new.contains_node(n)) {
+            assert!(log.contains(&n), "{what}: freed {n:?} not logged");
+        }
+    }
+
+    /// The oracle of the incremental refresh: `tree`'s log covers every
+    /// change from `before`'s tree, and `before` refreshed over `tree`
+    /// equals a from-scratch decoration of the same tree — the same
+    /// representative lists, and the same leaf for every image id the
+    /// features know, `None` for an id the tree does not hold. Checks the
     /// invariants explicitly, since release builds skip them in `decorate`.
     fn assert_refresh_is_rebuild(
         before: &RfsStructure,
@@ -1029,6 +1039,7 @@ mod tests {
         config: &RfsConfig,
         what: &str,
     ) -> RfsStructure {
+        assert_log_covers(before.tree(), &tree, tree.touched(), what);
         let refreshed = before.rebuild_with_refresh(tree.clone(), features, config);
         let scratch = RfsStructure::build_on(tree, features, config);
         refreshed.check_invariants().expect("refreshed invariants");
@@ -1201,5 +1212,117 @@ mod tests {
         );
         let empty = assert_refresh_is_rebuild(&rfs, tree, &features, &config, "emptied");
         assert!(empty.representatives(root).is_empty());
+    }
+
+    /// The leaf of `tree` holding `id`, found by a scan.
+    fn leaf_holding(tree: &RStarTree, id: usize) -> Option<NodeId> {
+        tree.node_ids()
+            .find(|&n| tree.is_leaf(n) && tree.leaf_ids(n).any(|i| i as usize == id))
+    }
+
+    /// The updates that reach leaves the update itself did not aim at: an
+    /// insert whose leaf-level forced reinsertion moves old images into a
+    /// leaf other than the one the new image went to; then a remove that
+    /// condenses a leaf whose images all land outside its old parent's
+    /// subtree, so that the parent, which keeps its other children, is
+    /// logged only for the child it lost. Either refresh is right only if
+    /// the log names nodes off the update's own path: the leaves the moved
+    /// images land in, and a parent under which no live logged node lies.
+    #[test]
+    fn refresh_follows_reinsertions_off_the_update_path() {
+        // Uniform points, so that sibling rectangles overlap: with the
+        // clustered fixtures condensed images go back under their parent.
+        // Few seeds give the remove case at all; 13 does, within this walk.
+        let mut rng = StdRng::seed_from_u64(13);
+        let features: Vec<Vec<f32>> = (0..640)
+            .map(|_| (0..4).map(|_| rng.random::<f32>()).collect())
+            .collect();
+        let config = RfsConfig::test_small();
+        let ids: Vec<usize> = (0..features.len()).step_by(2).collect();
+        let mut rfs = build_over(&features, &ids, &config);
+
+        let mut moved = false;
+        for id in (1..features.len()).step_by(2) {
+            let old = rfs.tree();
+            let mut tree = old.clone();
+            tree.insert(features[id].clone(), id as u64);
+            let target = leaf_holding(&tree, id);
+            moved = tree.node_ids().any(|n| {
+                Some(n) != target
+                    && tree.is_leaf(n)
+                    && old.contains_node(n)
+                    && old.is_leaf(n)
+                    && tree.leaf_ids(n).any(|i| !old.leaf_ids(n).any(|j| j == i))
+            });
+            rfs =
+                assert_refresh_is_rebuild(&rfs, tree, &features, &config, &format!("insert {id}"));
+            if moved {
+                break;
+            }
+        }
+        assert!(
+            moved,
+            "no forced reinsertion moved images off the insert path"
+        );
+
+        // Empties leaves one image at a time; each leaf condenses once it
+        // falls below `node_min`.
+        let mut landed_elsewhere = false;
+        while !landed_elsewhere && rfs.len() > 2 * config.node_max {
+            let tree = rfs.tree();
+            let leaves: Vec<NodeId> = tree.node_ids().filter(|&n| tree.is_leaf(n)).collect();
+            'leaves: for leaf in leaves {
+                loop {
+                    let old = rfs.tree();
+                    if !(old.contains_node(leaf) && old.is_leaf(leaf)) {
+                        continue 'leaves;
+                    }
+                    let (Some(parent), Some(id)) = (old.parent(leaf), old.leaf_ids(leaf).next())
+                    else {
+                        continue 'leaves;
+                    };
+                    let id = id as usize;
+                    let orphans: Vec<usize> =
+                        old.leaf_ids(leaf).skip(1).map(|i| i as usize).collect();
+                    let mut tree = old.clone();
+                    assert!(tree.remove(&features[id], id as u64));
+                    let under_parent = |mut n: NodeId| loop {
+                        if n == parent {
+                            return true;
+                        }
+                        match tree.parent(n) {
+                            Some(p) => n = p,
+                            None => return false,
+                        }
+                    };
+                    let condensed = orphans
+                        .iter()
+                        .all(|&i| leaf_holding(&tree, i) != Some(leaf));
+                    landed_elsewhere = condensed
+                        && parent != tree.root()
+                        && tree.contains_node(parent)
+                        && !tree.is_leaf(parent)
+                        && old
+                            .children(parent)
+                            .filter(|&c| c != leaf)
+                            .eq(tree.children(parent))
+                        && orphans
+                            .iter()
+                            .all(|&i| leaf_holding(&tree, i).is_some_and(|l| !under_parent(l)));
+                    let what = format!("remove {id}");
+                    rfs = assert_refresh_is_rebuild(&rfs, tree, &features, &config, &what);
+                    if landed_elsewhere {
+                        break 'leaves;
+                    }
+                    if condensed {
+                        continue 'leaves;
+                    }
+                }
+            }
+        }
+        assert!(
+            landed_elsewhere,
+            "no condensed leaf's images left its parent's subtree"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Read abstraction over an R\*-tree-shaped index.
+//! Structural abstraction over an R\*-tree-shaped index.
 //!
 //! `qd-core`'s RFS builder, feedback navigation and localized-k-NN executor
 //! are generic over [`KnnIndex`]. Two indexes implement it: the arena tree
@@ -12,15 +12,20 @@
 //! `children` and `leaf_ids` return `IntoIterator`s that borrow the arena
 //! and allocate nothing, and everything derivable from them — heights,
 //! counts, the subtree walk — is a provided method, so an implementation
-//! supplies thirteen methods and overrides a provided one only where it has
+//! supplies fourteen methods and overrides a provided one only where it has
 //! a cheaper answer. Points stay inside the index, stored dimension-major
 //! (DESIGN.md §11): an engine caller that needs an image's vector reads it
 //! from its own feature table, by id.
+//!
+//! Every method reads but one: [`KnnIndex::take_touched`] drains the index's
+//! mutation log, the list of nodes its inserts and removes touched, which
+//! the representative refresh re-selects instead of comparing two trees.
 
 use crate::rect::Rect;
 use crate::tree::{BudgetedKnn, NodeId};
 
-/// Read-only structural and query access to a tree-shaped index.
+/// Structural and query access to a tree-shaped index, plus the mutation
+/// log its updates keep.
 pub trait KnnIndex {
     /// Root node handle.
     fn root(&self) -> NodeId;
@@ -64,6 +69,15 @@ pub trait KnnIndex {
     ) -> BudgetedKnn;
     /// Non-panicking structural invariant check.
     fn check_invariants(&self) -> Result<(), String>;
+    /// Takes the mutation log, leaving it empty: the handles of every node
+    /// whose slot list or child list changed, or that was allocated or
+    /// freed, since the index was built or decoded or the log was last taken
+    /// (see [`crate::RStarTree::take_touched`]). In any order, possibly
+    /// repeated, possibly naming handles that are no longer live; it may name
+    /// more nodes than changed, never fewer. There is deliberately no
+    /// provided default: an empty log claims that nothing changed, and a
+    /// refresh that believed it would keep stale representatives.
+    fn take_touched(&mut self) -> Vec<NodeId>;
 
     /// True if no points are stored.
     fn is_empty(&self) -> bool {
@@ -170,5 +184,8 @@ impl KnnIndex for crate::RStarTree {
     }
     fn check_invariants(&self) -> Result<(), String> {
         crate::RStarTree::check_invariants(self)
+    }
+    fn take_touched(&mut self) -> Vec<NodeId> {
+        crate::RStarTree::take_touched(self)
     }
 }

@@ -453,12 +453,16 @@ pub struct RStarTree {
     len: usize,
     store: FeatureStore,
     accesses: AtomicU64,
+    /// The mutation log ([`Self::take_touched`]): every node whose slot list
+    /// or child list changed, or that was allocated or freed, since the tree
+    /// was built or decoded or the log was last taken. Never persisted.
+    touched: Vec<NodeId>,
 }
 
 /// A private copy of the whole arena — the copy-on-write step of an index
 /// update: readers keep the shared original, the writer inserts into or
 /// removes from the clone. The arena is flat `Vec`s, so this is a handful of
-/// memcpys; the access counter carries its current value over.
+/// memcpys; the access counter and the mutation log carry over.
 impl Clone for RStarTree {
     fn clone(&self) -> Self {
         Self {
@@ -469,6 +473,7 @@ impl Clone for RStarTree {
             len: self.len,
             store: self.store.clone(),
             accesses: AtomicU64::new(self.accesses()),
+            touched: self.touched.clone(),
         }
     }
 }
@@ -490,6 +495,7 @@ impl RStarTree {
             len: 0,
             store,
             accesses: AtomicU64::new(0),
+            touched: Vec::new(),
         }
     }
 
@@ -505,6 +511,8 @@ impl RStarTree {
         let mut tree = Self::new(config);
         for (id, point) in rows {
             tree.insert(point, id);
+            // A fresh tree hands on no log: drop each insert's as it comes.
+            tree.touched.clear();
         }
         tree.compact();
         tree
@@ -593,6 +601,7 @@ impl RStarTree {
             level += 1;
         }
         tree.root = level_nodes[0];
+        tree.touched = Vec::new();
         tree
     }
 
@@ -711,6 +720,7 @@ impl RStarTree {
     /// Rewrites `parent`'s child chain to exactly `children` (in order) and
     /// points every child's parent link back at `parent`.
     fn link_children(&mut self, parent: NodeId, children: &[NodeId]) {
+        self.log_touched(parent);
         self.chain_children(parent, children);
         for &c in children {
             self.nodes[c.index()].parent = parent.0;
@@ -738,6 +748,7 @@ impl RStarTree {
 
     /// Appends `child` at the end of `parent`'s child chain.
     fn push_child(&mut self, parent: NodeId, child: NodeId) {
+        self.log_touched(parent);
         self.nodes[child.index()].next_sibling = NONE;
         self.nodes[child.index()].parent = parent.0;
         match &mut self.nodes[parent.index()].kind {
@@ -763,6 +774,7 @@ impl RStarTree {
 
     /// Unlinks `child` from `parent`'s chain (keeping the remaining order).
     fn remove_child(&mut self, parent: NodeId, child: NodeId) {
+        self.log_touched(parent);
         let children: Vec<NodeId> = self.children(parent).filter(|&c| c != child).collect();
         self.chain_children(parent, &children);
     }
@@ -794,8 +806,9 @@ impl RStarTree {
         }
     }
 
-    /// The slot list of `n`, which must be a leaf.
+    /// The slot list of `n`, which must be a leaf, logged as touched.
     fn leaf_slots_mut(&mut self, n: NodeId) -> &mut Vec<u32> {
+        self.log_touched(n);
         match &mut self.node_mut(n).kind {
             NodeKind::Leaf(s) => s,
             NodeKind::Internal { .. } => unreachable!("slot list of an internal node"),
@@ -818,6 +831,39 @@ impl RStarTree {
         self.accesses.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
+    /// The mutation log as it stands, in the order the handles were logged,
+    /// possibly repeated: what [`Self::take_touched`] would return.
+    pub fn touched(&self) -> &[NodeId] {
+        &self.touched
+    }
+
+    /// Takes the mutation log, leaving it empty: every node whose slot list
+    /// or child list changed, and every node allocated or freed, since the
+    /// tree was built or decoded or the log was last taken — in the order
+    /// they were logged, possibly repeated, possibly naming a handle that is
+    /// no longer live. The mutators that change a node's entries
+    /// (`leaf_slots_mut`, `push_child`, `remove_child`, `link_children`) and
+    /// the arena's `alloc` and `release` each log their node, so everything
+    /// an insert or remove reaches — the split, the forced reinsertion, the
+    /// condensation and its orphans — is logged. Rectangles, parent links
+    /// and slot numbers are not entries and are not logged.
+    ///
+    /// A clone carries the log over; `from_rows`, `bulk_load` and the codec
+    /// hand out a tree with an empty log. One insert or remove logs
+    /// O(height · reinsertion count) handles, so the log names the path an
+    /// update took, not the tree.
+    pub fn take_touched(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.touched)
+    }
+
+    /// Logs `n` as touched; a repeat of the last logged handle is skipped.
+    #[inline]
+    fn log_touched(&mut self, n: NodeId) {
+        if self.touched.last() != Some(&n) {
+            self.touched.push(n);
+        }
+    }
+
     #[inline]
     fn node(&self, n: NodeId) -> &Node {
         let node = &self.nodes[n.index()];
@@ -833,7 +879,7 @@ impl RStarTree {
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
-        if let Some(i) = self.free.pop() {
+        let n = if let Some(i) = self.free.pop() {
             self.nodes[i as usize] = node;
             NodeId(i)
         } else {
@@ -841,10 +887,13 @@ impl RStarTree {
             let i = self.nodes.len() as u32;
             self.nodes.push(node);
             NodeId(i)
-        }
+        };
+        self.log_touched(n);
+        n
     }
 
     fn release(&mut self, n: NodeId) {
+        self.log_touched(n);
         let node = &mut self.nodes[n.index()];
         node.live = false;
         node.rect = None;
@@ -1828,6 +1877,7 @@ pub(crate) fn read_tree(data: &[u8]) -> Result<RStarTree, CodecError> {
         len,
         store,
         accesses: AtomicU64::new(0),
+        touched: Vec::new(),
     };
     // Rebuild sibling chains from the explicit child lists. Parents come
     // from the file and are cross-validated against the chains below.
@@ -2209,6 +2259,44 @@ mod tests {
             max_entries: 5,
             reinsert_fraction: 0.3,
         });
+    }
+
+    /// The mutation log's contract, mutator by mutator: each one that
+    /// changes a node's entries, and the arena's `alloc` and `release`, logs
+    /// that node. An insert or remove reaches all of them, but there a freed
+    /// node was always logged first by the change that emptied it, so only
+    /// this test sees `release` log on its own. Construction, the codec and
+    /// `take_touched` hand out an empty log; a clone carries it over.
+    #[test]
+    fn every_mutator_logs_its_node() {
+        let rows = random_points(200, 2, 31).into_iter();
+        let mut tree = RStarTree::from_rows(TreeConfig::small(2), rows);
+        assert!(tree.touched().is_empty(), "from_rows");
+        let bulk = RStarTree::bulk_load(TreeConfig::small(2), random_points(200, 2, 31));
+        assert!(bulk.touched().is_empty(), "bulk_load");
+        tree.insert(vec![1.0, 2.0], 200);
+        assert!(!tree.touched().is_empty(), "insert");
+        assert_eq!(tree.clone().touched(), tree.touched(), "clone");
+        let decoded = crate::persist::from_bytes(&crate::persist::to_bytes(&tree)).unwrap();
+        assert!(decoded.touched().is_empty(), "decode");
+        tree.take_touched();
+        assert!(tree.touched().is_empty(), "take_touched");
+
+        let leaf = tree.node_ids().find(|&n| tree.is_leaf(n)).unwrap();
+        let parent = tree.parent(leaf).unwrap();
+        tree.leaf_slots_mut(leaf);
+        assert_eq!(tree.take_touched(), [leaf], "leaf_slots_mut");
+        tree.remove_child(parent, leaf);
+        assert_eq!(tree.take_touched(), [parent], "remove_child");
+        tree.push_child(parent, leaf);
+        assert_eq!(tree.take_touched(), [parent], "push_child");
+        let children: Vec<NodeId> = tree.children(parent).collect();
+        tree.link_children(parent, &children);
+        assert_eq!(tree.take_touched(), [parent], "link_children");
+        let new = tree.alloc(Node::detached(0, NodeKind::Leaf(Vec::new())));
+        assert_eq!(tree.take_touched(), [new], "alloc");
+        tree.release(new);
+        assert_eq!(tree.take_touched(), [new], "release");
     }
 
     #[test]

@@ -38,7 +38,11 @@
 //!   middle id re-inserted, any removal) is held to an oracle instead —
 //!   invariants, exhaustive-scan answers over the mutated membership, and
 //!   a representative refresh equal to a fresh decoration of the same tree
-//!   (DESIGN.md §14).
+//!   (DESIGN.md §14). The updated set carries the touched shard's mutation
+//!   log, its handles encoded with that shard's stride, behind
+//!   [`KnnIndex::take_touched`]: the refresh re-selects those nodes and
+//!   their ancestors, so it costs the update's path, not the K shards.
+//!   Shards shared by `Arc` add nothing to the log.
 //! * **Copy-on-write snapshots** — a mutation returns a *new* `ShardSet`
 //!   sharing the untouched shards by `Arc`; [`ShardPublisher`] swaps the
 //!   published snapshot atomically so in-flight sessions keep reading the
@@ -137,6 +141,10 @@ pub struct ShardSet {
     root_rect: Option<Rect>,
     /// Level of the synthetic root: one above the tallest shard root.
     root_level: u32,
+    /// The mutation log ([`KnnIndex::take_touched`]) in global handles:
+    /// what each update since the set was built, decoded or last drained
+    /// touched in its shard. Empty from every construction path.
+    touched: Vec<NodeId>,
 }
 
 /// Builds one shard's tree from scratch by inserting its member ids in
@@ -232,7 +240,8 @@ impl ShardSet {
     /// The copy-on-write step: applies `update` to a private clone of shard
     /// `s`'s tree, gives shard `s` the member list `list`, and reassembles
     /// the set around both, sharing every other shard's tree and list with
-    /// `self`.
+    /// `self`. The new set's log is `self`'s plus what `update` touched,
+    /// encoded with shard `s`'s stride.
     fn with_updated_shard(
         &self,
         s: usize,
@@ -240,17 +249,25 @@ impl ShardSet {
         update: impl FnOnce(&mut RStarTree),
     ) -> Self {
         let mut tree = RStarTree::clone(&self.shards[s]);
+        // A shared tree keeps the log of the update that made it, and the
+        // clone inherits it: drop it, or every update of this shard would
+        // hand on all the earlier ones and the log would grow with churn.
+        tree.take_touched();
         update(&mut tree);
+        let mut touched = self.touched.clone();
+        touched.extend(tree.touched().iter().map(|&n| self.encode(s, n)));
         let mut shards = self.shards.clone();
         shards[s] = Arc::new(tree);
         let mut members = self.members.clone();
         members[s] = Arc::new(list);
-        Self::assemble(
+        let mut set = Self::assemble(
             self.config.clone(),
             self.tree_config.clone(),
             shards,
             members,
-        )
+        );
+        set.touched = touched;
+        set
     }
 
     /// Computes the derived fields (totals, synthetic-root rect and level)
@@ -281,6 +298,7 @@ impl ShardSet {
             total,
             root_rect,
             root_level: max_root_level + 1,
+            touched: Vec::new(),
         }
     }
 
@@ -664,6 +682,10 @@ impl KnnIndex for ShardSet {
         }
         Ok(())
     }
+
+    fn take_touched(&mut self) -> Vec<NodeId> {
+        std::mem::take(&mut self.touched)
+    }
 }
 
 /// Builds an RFS over a freshly sharded corpus — the sharded counterpart of
@@ -785,6 +807,73 @@ mod tests {
             max_entries: 8,
             reinsert_fraction: 0.3,
         }
+    }
+
+    /// An update's mutation log names the path it took in its own shard
+    /// and no more: 200 alternating removes and re-inserts on one shard of
+    /// four, each refreshed as a deployment would. Every logged handle is
+    /// one of that shard's. No log is longer than one update can touch: it
+    /// moves at most a forced reinsertion's or a condensation's worth of
+    /// entries per level, each logs the node it lands in and may split a
+    /// node on every level (the node, its new sibling, the parent), and
+    /// the update's own path and a new root add a few per level. And the
+    /// length does not trend upward, as it would if a shard's tree handed
+    /// the logs of earlier updates on to later ones.
+    #[test]
+    fn an_update_logs_its_own_path_and_no_more() {
+        let features = blob_features(1200, 4, 11);
+        let config = RfsConfig {
+            node_min: 4,
+            node_max: 10,
+            ..RfsConfig::test_small()
+        };
+        let reinsert_fraction = config.tree_config(4).reinsert_fraction;
+        let reinserted = (config.node_max as f32 * reinsert_fraction).ceil() as usize;
+        let moved_per_level = reinserted.max(config.node_min - 1);
+        let mut rfs = build_sharded_rfs(&features, &config, ShardConfig::new(4, 7));
+        let s = 1;
+        let victims: Vec<u64> = rfs
+            .tree()
+            .shard_members(s)
+            .iter()
+            .copied()
+            .step_by(3)
+            .take(100)
+            .collect();
+        assert_eq!(victims.len(), 100);
+        let mut lengths = Vec::new();
+        for &id in &victims {
+            for insert in [false, true] {
+                let set = if insert {
+                    rfs.tree().insert(&features, id)
+                } else {
+                    rfs.tree().remove(&features, id)
+                };
+                let log = set.clone().take_touched();
+                let what = format!("image {id}, insert={insert}");
+                assert!(!log.is_empty(), "{what}: nothing logged");
+                assert!(
+                    log.iter().all(|n| n.index() / STRIDE == s),
+                    "{what}: {log:?} names another shard's nodes"
+                );
+                let height = rfs.tree().shard(s).height().max(set.shard(s).height());
+                let moved = moved_per_level * height;
+                let bound = (moved + 1) * (1 + 3 * height) + 3 * height + 2;
+                assert!(
+                    log.len() <= bound,
+                    "{what}: {} logged, bound {bound}",
+                    log.len()
+                );
+                lengths.push(log.len());
+                rfs = rfs.rebuild_with_refresh(set, &features, &config);
+            }
+        }
+        let (early, late) = lengths.split_at(lengths.len() / 2);
+        let mean = |l: &[usize]| l.iter().sum::<usize>() as f64 / l.len() as f64;
+        assert!(
+            mean(late) <= 2.0 * mean(early),
+            "log lengths grow with churn: {lengths:?}"
+        );
     }
 
     #[test]

@@ -4,26 +4,20 @@
 //! image), the shard builds (per shard), and the per-query loops of the
 //! evaluation tables and of `repro`'s baseline shoot-out (the last is pinned
 //! by a unit test in `qd-bench`). Each must produce *bit-identical* output
-//! whatever the worker count, and so must the session path, which runs its
-//! subqueries serially on the calling thread. These properties pin that
-//! contract: each scenario runs once under a forced single thread and once
-//! under eight workers, and every observable (result ids, group order,
-//! similarity scores down to the bit, access counts, file bytes) must match
-//! exactly.
+//! whatever the worker count. These properties pin that contract: each
+//! scenario runs once under a forced single thread and once under eight
+//! workers, and every observable (row order, precision and GTIR down to the
+//! bit, file bytes) must match exactly. The session path has no fan-out at
+//! all: `session_properties`' `!Sync` index proves that by type.
 
 use proptest::prelude::*;
 use query_decomposition::core::baselines::BaselineConfig;
 use query_decomposition::core::eval::{self, Baseline};
 use query_decomposition::core::rfs::{RfsConfig, RfsStructure};
-use query_decomposition::core::session::{
-    try_execute_subqueries, try_run_session, FinalExecution, MergeStrategy, QdConfig,
-};
-use query_decomposition::core::user::SimulatedUser;
+use query_decomposition::core::session::QdConfig;
 use query_decomposition::corpus::cache;
-use query_decomposition::index::NodeId;
-use query_decomposition::prelude::{build_sharded_rfs, queries, Corpus, CorpusConfig, ShardConfig};
+use query_decomposition::prelude::{build_sharded_rfs, Corpus, CorpusConfig, ShardConfig};
 use query_decomposition::shard::persist;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 fn fixture() -> &'static (Corpus, RfsStructure) {
@@ -46,114 +40,6 @@ fn both_modes<R>(f: impl Fn() -> R) -> (R, R) {
     let sequential = qd_runtime::with_threads(1, &f);
     let parallel = qd_runtime::with_threads(8, &f);
     (sequential, parallel)
-}
-
-/// Exact (bit-level for floats) comparison of two final executions.
-fn assert_exec_identical(a: &FinalExecution, b: &FinalExecution) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&a.results, &b.results, "result ids diverge");
-    prop_assert_eq!(a.knn_accesses, b.knn_accesses, "knn_accesses diverge");
-    prop_assert_eq!(a.subquery_count, b.subquery_count);
-    prop_assert_eq!(a.groups.len(), b.groups.len(), "group count diverges");
-    for (ga, gb) in a.groups.iter().zip(&b.groups) {
-        prop_assert_eq!(ga.home, gb.home, "group order diverges");
-        prop_assert_eq!(
-            ga.ranking_score.to_bits(),
-            gb.ranking_score.to_bits(),
-            "ranking score diverges: {} vs {}",
-            ga.ranking_score,
-            gb.ranking_score
-        );
-        prop_assert_eq!(ga.images.len(), gb.images.len());
-        for (&(ia, sa), &(ib, sb)) in ga.images.iter().zip(&gb.images) {
-            prop_assert_eq!(ia, ib, "image order diverges within group");
-            prop_assert_eq!(sa.to_bits(), sb.to_bits(), "score diverges: {sa} vs {sb}");
-        }
-    }
-    Ok(())
-}
-
-/// Decomposes a standard query into per-leaf subqueries (one per RFS leaf
-/// holding ground-truth images) — the shape `try_execute_subqueries`
-/// receives from the feedback rounds.
-fn decompose(
-    corpus: &Corpus,
-    rfs: &RfsStructure,
-    query_idx: usize,
-) -> (Vec<(NodeId, Vec<usize>)>, usize) {
-    let query = &queries::standard_queries(corpus.taxonomy())[query_idx];
-    let gt = corpus.ground_truth(query);
-    let mut by_leaf: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for &id in &gt {
-        by_leaf
-            .entry(rfs.leaf_of(id).unwrap())
-            .or_default()
-            .push(id);
-    }
-    (by_leaf.into_iter().collect(), gt.len())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Query layer: the final localized subqueries return identical results,
-    /// group order, bit-identical scores, and identical access counts under
-    /// 1 and 8 workers.
-    #[test]
-    fn execute_subqueries_is_thread_count_invariant(
-        query_idx in 0usize..11,
-        threshold in 0.0f32..1.0,
-        merge in prop::sample::select(vec![
-            MergeStrategy::Proportional,
-            MergeStrategy::Uniform,
-            MergeStrategy::SingleList,
-        ]),
-    ) {
-        let (corpus, rfs) = fixture();
-        let (subqueries, k) = decompose(corpus, rfs, query_idx);
-        prop_assume!(!subqueries.is_empty());
-        let cfg = QdConfig {
-            boundary_threshold: threshold,
-            merge,
-            ..QdConfig::default()
-        };
-        let (seq, par) = both_modes(|| {
-            try_execute_subqueries(corpus, rfs, &subqueries, k, &cfg).expect("well-formed marks")
-        });
-        assert_exec_identical(&seq, &par)?;
-    }
-
-    /// Query layer, full session: a complete QD feedback session (rounds +
-    /// final k-NN + merge) is thread-count invariant, including its I/O
-    /// accounting.
-    #[test]
-    fn qd_run_session_is_thread_count_invariant(
-        query_idx in 0usize..11,
-        seed in any::<u64>(),
-    ) {
-        let (corpus, rfs) = fixture();
-        let query = &queries::standard_queries(corpus.taxonomy())[query_idx];
-        let k = corpus.ground_truth(query).len();
-        let cfg = QdConfig { seed, ..QdConfig::default() };
-        let (seq, par) = both_modes(|| {
-            let mut user = SimulatedUser::oracle(query, seed);
-            try_run_session(corpus, rfs, query, &mut user, k, &cfg)
-                .expect("well-formed session")
-                .into_outcome()
-        });
-        prop_assert_eq!(&seq.results, &par.results);
-        prop_assert_eq!(seq.knn_accesses, par.knn_accesses);
-        prop_assert_eq!(seq.feedback_accesses, par.feedback_accesses);
-        prop_assert_eq!(seq.subquery_count, par.subquery_count);
-        prop_assert_eq!(seq.groups.len(), par.groups.len());
-        for (ga, gb) in seq.groups.iter().zip(&par.groups) {
-            prop_assert_eq!(ga.home, gb.home);
-            prop_assert_eq!(ga.ranking_score.to_bits(), gb.ranking_score.to_bits());
-        }
-        for (ta, tb) in seq.round_trace.iter().zip(&par.round_trace) {
-            prop_assert_eq!(ta.precision, tb.precision);
-            prop_assert_eq!(ta.gtir.to_bits(), tb.gtir.to_bits());
-        }
-    }
 }
 
 proptest! {

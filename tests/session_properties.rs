@@ -221,6 +221,9 @@ impl KnnIndex for SerialOnly {
     fn check_invariants(&self) -> Result<(), String> {
         self.0.check_invariants()
     }
+    fn take_touched(&mut self) -> Vec<NodeId> {
+        self.0.take_touched()
+    }
 }
 
 /// Serial by type: the session path and the serve loop run over an index

@@ -26,8 +26,10 @@
 //!    fingerprints stay byte-identical to the swap-free run.
 //! 6. **Updates against an oracle**: a seeded random walk of inserts,
 //!    removes and publications beside a `BTreeSet` of member ids — after
-//!    every step the invariants hold, root-scope k-NN is the exhaustive
-//!    scan over the model's membership, and the structure survives QDS1.
+//!    every step the invariants hold, the set's mutation log names every
+//!    node that changed (the refresh reads nothing else), root-scope k-NN
+//!    is the exhaustive scan over the model's membership, and the structure
+//!    survives QDS1.
 //! 7. **One update algorithm**: a one-shard set's update is byte for byte
 //!    the monolithic tree's `clone` + `insert`/`remove`, and an update
 //!    costs a bounded number of node accesses whatever the shard's size —
@@ -37,7 +39,7 @@
 //!    last-first, shards in index order) is pinned by a golden.
 
 use qd_fault::{FaultPlan, Mode};
-use query_decomposition::index::KnnIndex;
+use query_decomposition::index::{KnnIndex, NodeId};
 use query_decomposition::obs;
 use query_decomposition::prelude::*;
 use query_decomposition::shard::{
@@ -619,6 +621,30 @@ fn assert_answers_over(
     }
 }
 
+/// The whole-tree comparison the refresh made before indexes kept a
+/// mutation log, kept as the log's oracle: every node of `new` that `old`
+/// did not hold, or held as the other kind, with other images or with other
+/// children, and every handle of `old` that `new` freed, is in `log` — all
+/// but a multi-shard set's synthetic root, which is no shard's node and which
+/// the refresh re-selects after every update.
+fn assert_log_covers(old: &ShardSet, new: &ShardSet, log: &[NodeId], what: &str) {
+    let synthetic = (new.shard_count() > 1).then(|| new.root());
+    for n in new.node_ids().into_iter().filter(|&n| Some(n) != synthetic) {
+        let same = old.contains_node(n)
+            && old.is_leaf(n) == new.is_leaf(n)
+            && old.leaf_ids(n).into_iter().eq(new.leaf_ids(n))
+            && old.children(n).into_iter().eq(new.children(n));
+        assert!(same || log.contains(&n), "{what}: changed {n:?} not logged");
+    }
+    for n in old
+        .node_ids()
+        .into_iter()
+        .filter(|&n| !new.contains_node(n))
+    {
+        assert!(log.contains(&n), "{what}: freed {n:?} not logged");
+    }
+}
+
 /// The update model behind gate 6: a sharded RFS driven beside a `BTreeSet`
 /// of the image ids that should be in it.
 struct Model<'a> {
@@ -670,6 +696,7 @@ impl<'a> Model<'a> {
         }
         new_set.check_invariants().expect("set invariants");
         common::assert_rects_tight(new_set.shard(touched));
+        assert_log_covers(old_set, &new_set, &new_set.clone().take_touched(), &what);
         let next = before.rebuild_with_refresh(new_set.clone(), features, &self.config);
         next.check_invariants().expect("refreshed RFS invariants");
 
@@ -748,7 +775,8 @@ impl<'a> Model<'a> {
 /// Gate 6: updates against an oracle, not against a rebuild. A seeded walk
 /// of random insert / remove / publish steps at K ∈ {1, 4} beside a
 /// `BTreeSet` of member ids; after every step the invariants hold on the
-/// set and on the refreshed RFS, root-scope k-NN is the exhaustive scan
+/// set and on the refreshed RFS, the set's mutation log names every node
+/// that changed, root-scope k-NN is the exhaustive scan
 /// over the model's membership, `leaf_of` / `child_containing` resolve
 /// exactly the members, the refresh equals `build_on` over the same tree,
 /// untouched shards are shared, older snapshots still answer over their own
