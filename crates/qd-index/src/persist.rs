@@ -82,6 +82,7 @@ mod tests {
         let got: Vec<u64> = loaded.knn(&q, 25).into_iter().map(|x| x.id).collect();
         let want: Vec<u64> = tree.knn(&q, 25).into_iter().map(|x| x.id).collect();
         assert_eq!(got, want);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -95,6 +96,7 @@ mod tests {
         loaded.validate();
         assert!(loaded.remove(&[1.0, 2.0, 3.0], 9999));
         loaded.validate();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -115,7 +117,6 @@ mod tests {
     fn tree_with_holes_roundtrips() {
         // Deletions leave free slots in the arena; those must survive.
         let mut tree = random_tree(200, 4);
-        let mut rng = StdRng::seed_from_u64(5);
         let items: Vec<(u64, Vec<f32>)> = tree
             .node_ids()
             .flat_map(|n| tree.leaf_items(n))
@@ -124,7 +125,6 @@ mod tests {
         for (id, p) in items.iter().take(120) {
             assert!(tree.remove(p, *id));
         }
-        let _ = &mut rng;
         let path = tmp("holes.qdt");
         save(&tree, &path).unwrap();
         let loaded = load(&path).unwrap();

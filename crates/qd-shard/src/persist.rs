@@ -23,7 +23,7 @@
 //! outside their subtree — surfaces as a typed [`CodecError`], never a
 //! panic.
 
-use crate::{ShardConfig, ShardSet, MAX_SHARDS, STRIDE};
+use crate::{ShardConfig, ShardSet, MAX_SHARDS};
 use qd_core::RfsStructure;
 use qd_fault::codec::{self, CodecError, Reader, Writer, INDEX_SITES};
 use qd_index::{KnnIndex, RStarTree, TreeConfig};
@@ -100,34 +100,16 @@ pub fn from_bytes(data: &[u8]) -> Result<RfsStructure<ShardSet>, CodecError> {
     for s in 0..shards {
         let tree = qd_index::persist::from_bytes(r.section()?)
             .map_err(|e| bad(format!("shard {s} tree: {e}")))?;
-        if !tree.is_empty() && KnnIndex::dims(&tree) != dims {
-            return Err(bad(format!("shard {s} dims disagree with the header")));
-        }
         let mut stored: Vec<u64> = tree.subtree_ids(tree.root()).into_iter().collect();
         stored.sort_unstable();
-        if stored.windows(2).any(|w| w[0] == w[1]) {
-            return Err(bad(format!("shard {s} stores a duplicate image id")));
-        }
-        for &id in &stored {
-            if crate::shard_of(&config, id) != s {
-                return Err(bad(format!("image {id} stored in the wrong shard {s}")));
-            }
-        }
-        if shards > 1 {
-            for n in KnnIndex::node_ids(&tree) {
-                if n.index() >= STRIDE {
-                    return Err(bad(format!(
-                        "shard {s} node index {} exceeds the encoding stride",
-                        n.index()
-                    )));
-                }
-            }
-        }
         trees.push(Arc::new(tree));
         members.push(Arc::new(stored));
     }
+    // Each tree passed its own check as it was read, and each member list
+    // is what its tree stores: what is left is the set's membership, then
+    // the representatives.
     let set = ShardSet::assemble(config, tree_config, trees, members);
-    set.check_invariants().map_err(bad)?;
+    set.check_membership().map_err(bad)?;
     RfsStructure::read_reps(set, r)
 }
 
