@@ -5,41 +5,66 @@
 //! negative — and combines the images returned by the channels into the
 //! final result set (§5.2). Within each channel the query point is the
 //! centroid of the relevant examples in that channel's feature space
-//! (query point movement per channel); the channel result lists then merge
-//! per the configured [`MvMergeRule`] — by default the paper's union of
-//! per-channel heads.
+//! (query point movement per channel); the final result set is the union of
+//! the channels' heads, taken round-robin — the paper's "we combined the
+//! images returned by the four color channels", and its observed behaviour:
+//! "the MV approach brings some unrelated images in the color-negative,
+//! black-white, and black-white negative channels" (§5.2.1).
 //!
 //! MV is a strong technique for picking the best cluster among neighboring
 //! candidates, but it remains a single-neighborhood k-NN model — the paper's
 //! experiments (and ours) show it cannot cover ground-truth subconcepts that
 //! are scattered across distant clusters.
 
-use super::{feedback_loop, top_k_by, top_k_euclidean, BaselineConfig, BaselineOutcome};
+use super::{feedback_loop, top_k_rows, top_k_tiles, BaselineConfig, BaselineOutcome};
 use crate::user::SimulatedUser;
 use qd_corpus::{Corpus, QuerySpec};
 use qd_imagery::Viewpoint;
-use qd_linalg::metric::euclidean;
 use qd_linalg::vector::centroid;
+use qd_linalg::TileTable;
 
-/// How the per-channel ranked lists combine into the final result set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MvMergeRule {
-    /// Each channel contributes its top `k / channels` images and the union
-    /// is the result (filled round-robin from each channel's remaining
-    /// candidates when lists overlap). This is the paper's description —
-    /// "we combined the images returned by the four color channels" — and
-    /// its observed behaviour: "the MV approach brings some unrelated images
-    /// in the color-negative, black-white, and black-white negative
-    /// channels" (§5.2.1).
-    #[default]
-    ChannelUnion,
-    /// Rank every image by its best (minimum) distance across channels — a
-    /// stronger merge than the paper's, kept as an ablation.
-    BestDistance,
+/// One viewpoint's feature table: the normal channel is the corpus's row
+/// table, the other three are stored as tiles.
+#[derive(Clone, Copy)]
+enum Channel<'a> {
+    Rows(&'a [Vec<f32>]),
+    Tiles(&'a TileTable),
 }
 
-/// Runs an MV relevance-feedback session retrieving `k` images with the
-/// paper's channel-union merge.
+impl Channel<'_> {
+    /// Number of images.
+    fn len(self) -> usize {
+        match self {
+            Channel::Rows(rows) => rows.len(),
+            Channel::Tiles(table) => table.len(),
+        }
+    }
+
+    /// The centroid of the `relevant` images in this channel.
+    fn centroid(self, relevant: &[usize]) -> Vec<f32> {
+        match self {
+            Channel::Rows(rows) => {
+                let rel: Vec<&[f32]> = relevant.iter().map(|&id| rows[id].as_slice()).collect();
+                centroid(&rel)
+            }
+            Channel::Tiles(table) => {
+                let rel: Vec<Vec<f32>> =
+                    relevant.iter().map(|&id| table.row(id).collect()).collect();
+                centroid(&rel)
+            }
+        }
+    }
+
+    /// The `k` images nearest `query` in this channel, best first.
+    fn top_k(self, query: &[f32], k: usize) -> Vec<usize> {
+        match self {
+            Channel::Rows(rows) => top_k_rows(rows, query, k),
+            Channel::Tiles(table) => top_k_tiles(table, query, k),
+        }
+    }
+}
+
+/// Runs an MV relevance-feedback session retrieving `k` images.
 ///
 /// Uses every viewpoint whose features the corpus carries; a corpus built
 /// without viewpoints degenerates to single-channel query point movement.
@@ -50,95 +75,65 @@ pub fn run_session(
     k: usize,
     cfg: &BaselineConfig,
 ) -> BaselineOutcome {
-    run_session_with(corpus, query, user, k, cfg, MvMergeRule::default())
-}
-
-/// [`run_session`] with an explicit merge rule.
-pub fn run_session_with(
-    corpus: &Corpus,
-    query: &QuerySpec,
-    user: &mut SimulatedUser,
-    k: usize,
-    cfg: &BaselineConfig,
-    merge: MvMergeRule,
-) -> BaselineOutcome {
-    let channels: Vec<&[Vec<f32>]> = Viewpoint::ALL
-        .iter()
-        .filter_map(|&vp| corpus.viewpoint_features(vp))
-        .collect();
+    let channels = channels(corpus);
     feedback_loop(corpus, query, user, cfg, |relevant| {
-        retrieve(&channels, relevant, k, merge)
+        retrieve(&channels, relevant, k)
     })
 }
 
-/// One MV retrieval: per-channel centroid k-NN, merged per `rule`.
-fn retrieve(
-    channels: &[&[Vec<f32>]],
-    relevant: &[usize],
-    k: usize,
-    rule: MvMergeRule,
-) -> Vec<usize> {
-    debug_assert!(!channels.is_empty());
-    let n = channels[0].len();
-    // Per-channel query points.
-    let query_points: Vec<Vec<f32>> = channels
+/// The corpus's channels in [`Viewpoint::ALL`] order.
+fn channels(corpus: &Corpus) -> Vec<Channel<'_>> {
+    Viewpoint::ALL
         .iter()
-        .map(|feats| {
-            let rel: Vec<&[f32]> = relevant.iter().map(|&id| feats[id].as_slice()).collect();
-            centroid(&rel)
+        .filter_map(|&vp| match vp {
+            Viewpoint::Normal => Some(Channel::Rows(corpus.features())),
+            vp => corpus.viewpoint_table(vp).map(Channel::Tiles),
+        })
+        .collect()
+}
+
+/// One MV retrieval: per-channel centroid k-NN, then the channels' heads
+/// round-robin until `k` distinct images are collected, mirroring an even
+/// `k / channels` split.
+fn retrieve(channels: &[Channel<'_>], relevant: &[usize], k: usize) -> Vec<usize> {
+    debug_assert!(!channels.is_empty());
+    // The viewpoint k-NNs run one after another: fanned out over 2 workers
+    // they overlapped too little to pay for the spawn (DESIGN.md §7).
+    let ranked: Vec<Vec<usize>> = channels
+        .iter()
+        .enumerate()
+        .map(|(ch, channel)| {
+            let query_point = channel.centroid(relevant);
+            qd_obs::span_indexed(qd_obs::sp::MV_VIEWPOINT, ch as u64, || {
+                channel.top_k(&query_point, k)
+            })
         })
         .collect();
-    match rule {
-        MvMergeRule::BestDistance => top_k_by(n, k, |id| {
-            channels
-                .iter()
-                .zip(&query_points)
-                .map(|(feats, qp)| euclidean(&feats[id], qp))
-                .fold(f32::INFINITY, f32::min)
-        }),
-        MvMergeRule::ChannelUnion => {
-            // Each channel ranks the database; the final set takes the
-            // channels' heads round-robin until k distinct images are
-            // collected, mirroring an even k/4 split per channel.
-            // The four viewpoint k-NNs run one after another: fanned out
-            // over 2 workers they overlapped too little to pay for the
-            // spawn (DESIGN.md §7).
-            let ranked: Vec<Vec<usize>> = channels
-                .iter()
-                .zip(&query_points)
-                .enumerate()
-                .map(|(ch, (feats, qp))| {
-                    qd_obs::span_indexed(qd_obs::sp::MV_VIEWPOINT, ch as u64, || {
-                        top_k_euclidean(feats, qp, k)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(k.min(n)); // `k` is the caller's; `n` images exist
-            let mut taken = vec![false; n];
-            let mut cursors = vec![0usize; ranked.len()];
-            'fill: loop {
-                let mut advanced = false;
-                for (list, cursor) in ranked.iter().zip(&mut cursors) {
-                    while *cursor < list.len() {
-                        let id = list[*cursor];
-                        *cursor += 1;
-                        if !std::mem::replace(&mut taken[id], true) {
-                            out.push(id);
-                            advanced = true;
-                            if out.len() == k {
-                                break 'fill;
-                            }
-                            break;
-                        }
+    let n = channels[0].len();
+    let mut out = Vec::with_capacity(k.min(n)); // `k` is the caller's; `n` images exist
+    let mut taken = vec![false; n];
+    let mut cursors = vec![0usize; ranked.len()];
+    'fill: loop {
+        let mut advanced = false;
+        for (list, cursor) in ranked.iter().zip(&mut cursors) {
+            while *cursor < list.len() {
+                let id = list[*cursor];
+                *cursor += 1;
+                if !std::mem::replace(&mut taken[id], true) {
+                    out.push(id);
+                    advanced = true;
+                    if out.len() == k {
+                        break 'fill;
                     }
-                }
-                if !advanced {
-                    break; // every channel exhausted
+                    break;
                 }
             }
-            out
+        }
+        if !advanced {
+            break; // every channel exhausted
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -208,11 +203,9 @@ mod tests {
         let (corpus, _) = testutil::shared();
         let query = testutil::query("rose");
         let rose_yellow = corpus.images_of(corpus.taxonomy().require("rose/yellow"));
-        let channels: Vec<&[Vec<f32>]> = Viewpoint::ALL
-            .iter()
-            .filter_map(|&vp| corpus.viewpoint_features(vp))
-            .collect();
-        let results = retrieve(&channels, &rose_yellow[..3], 10, MvMergeRule::BestDistance);
+        let channels = channels(corpus);
+        assert_eq!(channels.len(), Viewpoint::ALL.len());
+        let results = retrieve(&channels, &rose_yellow[..3], 10);
         // Most of the top-10 share the seed subconcept.
         let hits = results
             .iter()

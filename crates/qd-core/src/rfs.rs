@@ -20,7 +20,7 @@ use qd_index::{KnnIndex, NodeId, RStarTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Magic of a persisted [`RfsStructure`].
@@ -550,7 +550,7 @@ impl<I: KnnIndex> RfsStructure<I> {
 
     /// Reassembles a structure from a tree and a representative map,
     /// deriving the leaf map and checking the decoration's invariants — the
-    /// leaf map, the level groups and the representative lists of
+    /// leaf map, the levels and the representative lists of
     /// [`Self::check_invariants`] — but not the tree's own: `tree` must
     /// already satisfy them, as every decoder's output does (QDT2 and QDS1
     /// check their trees as they read them), so a load checks each part once.
@@ -678,9 +678,8 @@ impl<I: KnnIndex> RfsStructure<I> {
     ///   its entries are strictly ascending by image, every image stored in
     ///   a leaf has its own entry naming that leaf, and there are as many
     ///   entries as stored images, so no entry is left over;
-    /// * grouping the node ids by level partitions the node set (every node
-    ///   in exactly one level group, levels `0..height` all non-empty) and
-    ///   every node carries a representative list, and no other handle does;
+    /// * every level `0..height` holds a node, and every node carries a
+    ///   representative list, and no other handle does;
     /// * every node's representatives are drawn from its own subtree: the
     ///   node is an ancestor of (or is) the representative's leaf.
     ///
@@ -726,21 +725,11 @@ impl<I: KnnIndex> RfsStructure<I> {
             ));
         }
 
-        // Level grouping partitions the node set.
-        let mut by_level: BTreeMap<u32, usize> = BTreeMap::new();
-        for &n in &node_ids {
-            *by_level.entry(self.tree.level(n)).or_default() += 1;
-        }
-        let grouped: usize = by_level.values().sum();
-        if grouped != node_ids.len() {
-            return fail(format!(
-                "level groups cover {grouped} of {} nodes",
-                node_ids.len()
-            ));
-        }
+        // Every level from the leaves to the root holds a node.
+        let levels: BTreeSet<u32> = node_ids.iter().map(|&n| self.tree.level(n)).collect();
         let height = self.tree.level(self.tree.root()) + 1;
         for level in 0..height {
-            if !by_level.contains_key(&level) {
+            if !levels.contains(&level) {
                 return fail(format!("no nodes at level {level} (height {height})"));
             }
         }

@@ -24,7 +24,7 @@ use crate::corpus::{Corpus, CorpusConfig};
 use crate::taxonomy::{SubconceptId, Taxonomy};
 use qd_fault::codec::{self, CodecError, Reader, Writer, CACHE_SITES};
 use qd_imagery::Viewpoint;
-use qd_linalg::Normalizer;
+use qd_linalg::{Normalizer, TileTable};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"QDC2";
@@ -62,19 +62,23 @@ pub fn to_bytes(corpus: &Corpus) -> Vec<u8> {
         w.u32(label.0);
     }
 
-    let tables: Vec<(Viewpoint, &[Vec<f32>])> = [
+    // Each viewpoint table is written row by row out of its tiles, so the
+    // bytes are those of the row tables the format was defined on.
+    let tables: Vec<(Viewpoint, &TileTable)> = [
         Viewpoint::Negative,
         Viewpoint::Grayscale,
         Viewpoint::GrayNegative,
     ]
     .into_iter()
-    .filter_map(|vp| corpus.viewpoint_features(vp).map(|t| (vp, t)))
+    .filter_map(|vp| corpus.viewpoint_table(vp).map(|t| (vp, t)))
     .collect();
     w.usize(tables.len());
     for (vp, table) in tables {
         w.u8(viewpoint_tag(vp));
-        for row in table {
-            w.f32s(row);
+        for id in 0..table.len() {
+            for (word, v) in w.f32_words(table.dims()).iter_mut().zip(table.row(id)) {
+                *word = v.to_le_bytes();
+            }
         }
     }
     w.finish()
@@ -112,17 +116,8 @@ pub fn from_bytes(data: &[u8]) -> Result<Corpus, CodecError> {
     if n.checked_mul(dim) != Some(block_len) {
         return Err(bad("feature block length does not match n × dim"));
     }
-    // Feature values become R*-tree corners, which must be ordered numbers:
-    // a NaN or an infinity is refused here rather than panicking the build.
-    let table = |r: &mut Reader| {
-        let rows = (0..n).map(|_| r.f32s(dim)).collect::<Result<Vec<_>, _>>()?;
-        if rows.iter().flatten().all(|v| v.is_finite()) {
-            Ok(rows)
-        } else {
-            Err(bad("non-finite feature value"))
-        }
-    };
-    let features = table(&mut r)?;
+    let features = (0..n).map(|_| r.f32s(dim)).collect::<Result<Vec<_>, _>>()?;
+    finite(features.iter().flatten())?;
     let taxonomy = Taxonomy::standard(config.filler_count, config.seed);
     let labels = r.u32s(n)?;
     if labels.iter().any(|&raw| raw as usize >= taxonomy.len()) {
@@ -134,10 +129,16 @@ pub fn from_bytes(data: &[u8]) -> Result<Corpus, CodecError> {
     if vp_count > 3 {
         return Err(bad("corrupt viewpoint count"));
     }
-    let mut viewpoint_features = Vec::with_capacity(vp_count);
+    let mut viewpoint_tables = Vec::with_capacity(vp_count);
     for _ in 0..vp_count {
         let vp = viewpoint_from_tag(r.u8()?).ok_or_else(|| bad("unknown viewpoint tag"))?;
-        viewpoint_features.push((vp, table(&mut r)?));
+        // Straight into tiles: the table never exists as rows.
+        let mut table = TileTable::with_capacity(dim, n);
+        for _ in 0..n {
+            table.push(r.f32_words(dim)?.iter().map(|w| f32::from_le_bytes(*w)));
+        }
+        finite(table.tiles().flatten())?;
+        viewpoint_tables.push((vp, table));
     }
     r.finish()?;
 
@@ -147,8 +148,18 @@ pub fn from_bytes(data: &[u8]) -> Result<Corpus, CodecError> {
         features,
         labels,
         normalizer,
-        viewpoint_features,
+        viewpoint_tables,
     ))
+}
+
+/// Feature values become R*-tree corners, which must be ordered numbers: a
+/// NaN or an infinity is refused on load rather than panicking the build.
+fn finite<'a>(values: impl IntoIterator<Item = &'a f32>) -> Result<(), CodecError> {
+    if values.into_iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(CodecError::Invalid("non-finite feature value".to_string()))
+    }
 }
 
 /// Saves a corpus to `path`, atomically.
@@ -236,14 +247,29 @@ mod tests {
         assert_eq!(loaded.labels(), corpus.labels());
         for vp in Viewpoint::ALL {
             assert_eq!(
-                loaded.viewpoint_features(vp).map(<[Vec<f32>]>::to_vec),
-                corpus.viewpoint_features(vp).map(<[Vec<f32>]>::to_vec),
+                loaded.viewpoint_table(vp),
+                corpus.viewpoint_table(vp),
                 "{vp:?}"
             );
         }
         // The reloaded corpus can still re-render images.
         assert_eq!(loaded.render_image(3), corpus.render_image(3));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bytes_survive_a_load_unchanged() {
+        // The viewpoint tables are parsed into tiles and written back out
+        // of them: the round trip must give back every byte.
+        for with_viewpoints in [true, false] {
+            let config = CorpusConfig {
+                size: 21,
+                with_viewpoints,
+                ..tiny_config()
+            };
+            let bytes = to_bytes(&Corpus::build(&config));
+            assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()), bytes);
+        }
     }
 
     #[test]

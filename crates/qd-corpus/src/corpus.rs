@@ -5,7 +5,7 @@ use crate::taxonomy::{SubconceptId, Taxonomy};
 use qd_features::{FeatureExtractor, FEATURE_DIM};
 use qd_imagery::Image;
 use qd_imagery::Viewpoint;
-use qd_linalg::Normalizer;
+use qd_linalg::{Normalizer, TileTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,8 +62,9 @@ pub struct Corpus {
     labels: Vec<SubconceptId>,
     normalizer: Normalizer,
     /// `(viewpoint, normalized features)` for the three non-trivial MV
-    /// channels; empty unless `with_viewpoints` was set.
-    viewpoint_features: Vec<(Viewpoint, Vec<Vec<f32>>)>,
+    /// channels, stored only as tiles; empty unless `with_viewpoints` was
+    /// set.
+    viewpoint_tables: Vec<(Viewpoint, TileTable)>,
 }
 
 impl Corpus {
@@ -130,13 +131,18 @@ impl Corpus {
         let normalizer = Normalizer::fit(&features);
         normalizer.transform_all(&mut features);
 
-        let viewpoint_features = raw_viewpoints
+        // Each channel goes into its tiles row by row, every row freed as it
+        // is copied, so no channel is held twice.
+        let viewpoint_tables = raw_viewpoints
             .into_iter()
             .zip(extra_viewpoints)
-            .map(|(mut feats, vp)| {
+            .map(|(feats, vp)| {
                 let n = Normalizer::fit(&feats);
-                n.transform_all(&mut feats);
-                (vp, feats)
+                let mut table = TileTable::with_capacity(FEATURE_DIM, feats.len());
+                for row in feats {
+                    table.push(n.transform(&row));
+                }
+                (vp, table)
             })
             .collect();
 
@@ -146,7 +152,7 @@ impl Corpus {
             features,
             labels,
             normalizer,
-            viewpoint_features,
+            viewpoint_tables,
         }
     }
 
@@ -157,7 +163,7 @@ impl Corpus {
         features: Vec<Vec<f32>>,
         labels: Vec<SubconceptId>,
         normalizer: Normalizer,
-        viewpoint_features: Vec<(Viewpoint, Vec<Vec<f32>>)>,
+        viewpoint_tables: Vec<(Viewpoint, TileTable)>,
     ) -> Self {
         Self {
             config,
@@ -165,7 +171,7 @@ impl Corpus {
             features,
             labels,
             normalizer,
-            viewpoint_features,
+            viewpoint_tables,
         }
     }
 
@@ -232,17 +238,15 @@ impl Corpus {
         &self.normalizer
     }
 
-    /// Normalized features under an MV viewpoint. `Normal` maps to the main
-    /// feature table; the others are present only when the corpus was built
-    /// `with_viewpoints`.
-    pub fn viewpoint_features(&self, vp: Viewpoint) -> Option<&[Vec<f32>]> {
-        if vp == Viewpoint::Normal {
-            return Some(&self.features);
-        }
-        self.viewpoint_features
+    /// Normalized features under one of the three non-trivial MV
+    /// viewpoints, as tiles; present only when the corpus was built
+    /// `with_viewpoints`. `Normal` is the row table [`Corpus::features`],
+    /// so it maps to `None` here.
+    pub fn viewpoint_table(&self, vp: Viewpoint) -> Option<&TileTable> {
+        self.viewpoint_tables
             .iter()
             .find(|(v, _)| *v == vp)
-            .map(|(_, f)| f.as_slice())
+            .map(|(_, table)| table)
     }
 
     /// Ids of all images with the given label.
@@ -360,9 +364,10 @@ mod tests {
     #[test]
     fn viewpoints_present_only_when_requested() {
         let c = shared();
-        for vp in Viewpoint::ALL {
-            assert!(c.viewpoint_features(vp).is_some(), "{vp:?}");
-            assert_eq!(c.viewpoint_features(vp).unwrap().len(), c.len());
+        assert!(c.viewpoint_table(Viewpoint::Normal).is_none());
+        for vp in &Viewpoint::ALL[1..] {
+            let table = c.viewpoint_table(*vp).unwrap();
+            assert_eq!((table.len(), table.dims()), (c.len(), c.dim()), "{vp:?}");
         }
         let plain = Corpus::build(&CorpusConfig {
             size: 30,
@@ -371,8 +376,9 @@ mod tests {
             filler_count: 1,
             with_viewpoints: false,
         });
-        assert!(plain.viewpoint_features(Viewpoint::Normal).is_some());
-        assert!(plain.viewpoint_features(Viewpoint::Negative).is_none());
+        assert!(Viewpoint::ALL
+            .iter()
+            .all(|&vp| plain.viewpoint_table(vp).is_none()));
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! * [`vector`] — element-wise vector arithmetic over `&[f32]` slices,
 //! * [`metric`] — the distance measures used by retrieval and clustering,
 //! * [`stats`] — running moments and per-dimension z-score normalization,
+//! * [`tile`] — a row table stored as the dimension-major tiles the
+//!   eight-lane distance kernel reads,
 //! * [`matrix`] — a minimal row-major dense matrix,
 //! * [`pca`] — principal component analysis via cyclic Jacobi eigendecomposition
 //!   (used to regenerate Figure 1 of the paper).
@@ -21,9 +23,11 @@ pub mod matrix;
 pub mod metric;
 pub mod pca;
 pub mod stats;
+pub mod tile;
 pub mod vector;
 
 pub use matrix::Matrix;
 pub use metric::Metric;
 pub use pca::Pca;
 pub use stats::{Normalizer, RunningStats};
+pub use tile::TileTable;

@@ -286,31 +286,51 @@ pub fn sq_l2_rows4(rows: [&[f32]; 4], q: &[f32], bound: f64) -> [f64; 4] {
     acc
 }
 
-/// Calls `visit(i, sq_l2_f64(rows[i], q))` for every row in order, scoring
-/// them through [`sq_l2_rows4`] in blocks of four — the full-scan loop of
-/// the exhaustive baselines, compiled for AVX2 where the CPU has it.
-pub fn sq_l2_each<V: AsRef<[f32]>>(rows: &[V], q: &[f32], visit: impl FnMut(usize, f64)) {
-    with_best_isa(EachKernel { rows, q, visit });
+/// Calls `visit(i, sq_l2_f64(rows[i], q))` for every row in order: the
+/// scan of [`sq_l2_each_within`] with no bound, as k-means scores points
+/// against a centroid and centroids against a point.
+pub fn sq_l2_each<V: AsRef<[f32]>>(rows: &[V], q: &[f32], mut visit: impl FnMut(usize, f64)) {
+    sq_l2_each_within(rows, q, |i, d| {
+        visit(i, d);
+        f64::INFINITY
+    });
 }
 
-/// The call behind [`sq_l2_each`].
-struct EachKernel<'a, V, F> {
+/// The row scan, in blocks of four through [`sq_l2_rows4`], compiled for
+/// AVX2 where the CPU has it. For a caller that keeps only what lies within
+/// a bound which tightens as the scan goes (the row channel of the
+/// baselines' bounded top-k): `visit(i, d2)` is called for every row in
+/// order and returns the bound for the rows after it (`f64::INFINITY` keeps
+/// every sum exact). Each block of four is scored against the bound the
+/// last visit returned, so `d2` is the row's exact distance or a partial sum
+/// already beyond that bound.
+pub fn sq_l2_each_within<V: AsRef<[f32]>>(
+    rows: &[V],
+    q: &[f32],
+    visit: impl FnMut(usize, f64) -> f64,
+) {
+    with_best_isa(WithinKernel { rows, q, visit });
+}
+
+/// The call behind [`sq_l2_each_within`].
+struct WithinKernel<'a, V, F> {
     rows: &'a [V],
     q: &'a [f32],
     visit: F,
 }
 
-impl<V: AsRef<[f32]>, F: FnMut(usize, f64)> Kernel for EachKernel<'_, V, F> {
+impl<V: AsRef<[f32]>, F: FnMut(usize, f64) -> f64> Kernel for WithinKernel<'_, V, F> {
     type Output = ();
 
     #[inline(always)]
     fn run(mut self) {
+        let mut bound = f64::INFINITY;
         for (b, block) in self.rows.chunks(4).enumerate() {
             let last = block.len() - 1;
             let block_rows = std::array::from_fn(|i| block[i.min(last)].as_ref());
-            let d2 = sq_l2_rows4(block_rows, self.q, f64::INFINITY);
+            let d2 = sq_l2_rows4(block_rows, self.q, bound);
             for (i, &d) in d2.iter().take(block.len()).enumerate() {
-                (self.visit)(4 * b + i, d);
+                bound = (self.visit)(4 * b + i, d);
             }
         }
     }
@@ -439,15 +459,24 @@ mod tests {
                     let mut each = vec![u64::MAX; n];
                     sq_l2_each(&rows, &q, |i, d| each[i] = bits(d));
                     assert_eq!(each, want, "sq_l2_each dim {dim} n {n}");
+                    let mut within = vec![u64::MAX; n];
+                    sq_l2_each_within(&rows, &q, |i, d| {
+                        within[i] = bits(d);
+                        f64::INFINITY
+                    });
+                    assert_eq!(within, want, "sq_l2_each_within dim {dim} n {n}");
                     let mut plain = vec![u64::MAX; n];
-                    let visit = |i, d| plain[i] = bits(d);
-                    EachKernel {
+                    let visit = |i, d| {
+                        plain[i] = bits(d);
+                        f64::INFINITY
+                    };
+                    WithinKernel {
                         rows: &rows,
                         q: &q,
                         visit,
                     }
                     .run();
-                    assert_eq!(plain, want, "EachKernel::run dim {dim} n {n}");
+                    assert_eq!(plain, want, "WithinKernel::run dim {dim} n {n}");
 
                     // Every lane, with the rows rotated through all four.
                     for shift in 0..4 {
@@ -534,6 +563,45 @@ mod tests {
                 finished[kernel]
             );
         }
+    }
+
+    #[test]
+    fn the_within_scan_abandons_only_past_the_bound_in_force() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let (mut abandoned, mut exact) = (0usize, 0usize);
+        for dim in [5usize, 9, 37, 64] {
+            for n in [1usize, 4, 7, 13, 40] {
+                let rows = kernel_rows(&mut rng, n, dim, false);
+                let q = kernel_rows(&mut rng, 1, dim, false).remove(0);
+                let want: Vec<f64> = rows.iter().map(|r| reference_sq_l2(r, &q)).collect();
+                // A bound that tightens as the scan goes, the way a running
+                // k-th best does: the smallest exact sum seen so far, scaled.
+                let scale = rng.random_range(0.8f64..1.5);
+                let (mut seen, mut handed) = (Vec::new(), vec![f64::INFINITY]);
+                let mut smallest = f64::INFINITY;
+                sq_l2_each_within(&rows, &q, |i, d| {
+                    seen.push((i, d));
+                    smallest = smallest.min(want[i]);
+                    handed.push(smallest * scale);
+                    smallest * scale
+                });
+                assert_eq!(
+                    seen.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+                    (0..n).collect::<Vec<_>>()
+                );
+                for (i, d) in seen {
+                    // The block starts from what the visit before it returned.
+                    let bound = handed[i - i % 4];
+                    if d.to_bits() == want[i].to_bits() {
+                        exact += 1;
+                    } else {
+                        assert!(d > bound && d < want[i], "dim {dim} n {n} row {i}");
+                        abandoned += 1;
+                    }
+                }
+            }
+        }
+        assert!(abandoned > 10 && exact > 10, "{abandoned} / {exact}");
     }
 
     #[test]

@@ -302,7 +302,7 @@ fn stats(opts: &Options) -> Result<(), String> {
     println!("  dimensions  : {}", corpus.dim());
     println!(
         "  viewpoints  : {}",
-        if corpus.viewpoint_features(Viewpoint::Negative).is_some() {
+        if corpus.viewpoint_table(Viewpoint::Negative).is_some() {
             "normal + negative + gray + gray-negative"
         } else {
             "normal only"

@@ -374,6 +374,14 @@ fn baseline_histograms_record_per_session_scan_cost() {
         trace.counters[obs::ctr::BASELINE_DISTANCE],
         "the observation charges exactly what the session scanned"
     );
+    // Four channels × three rounds, each a scan of the whole corpus: a
+    // scan charges every image, whether the kernel abandoned it or not.
+    let cfg = BaselineConfig::default();
+    assert_eq!(
+        distances.sum(),
+        (4 * cfg.rounds * corpus.len()) as u64,
+        "MV charges channels × rounds × corpus size"
+    );
     assert_eq!(
         distances,
         &trace.hists[obs::hist::BASELINE_QUERY_NODE_ACCESSES],
