@@ -83,15 +83,27 @@ fn rfs_cache() -> &'static RfsCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Where built corpora persist: `qd-corpus-cache/` in `CARGO_TARGET_DIR`
+/// when that is set, else in the workspace's `target/` — never relative to
+/// the working directory, so a test run from a crate directory writes
+/// nothing there.
+fn corpus_cache_dir() -> std::path::PathBuf {
+    let target = std::env::var_os("CARGO_TARGET_DIR")
+        .filter(|dir| !dir.is_empty())
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target"));
+    target.join("qd-corpus-cache")
+}
+
 /// Builds (or returns the cached) corpus for a scale. Corpora are memoized
-/// in-process and persisted to `target/qd-corpus-cache/` so repeated `repro`
+/// in-process and persisted to [`corpus_cache_dir`] so repeated `repro`
 /// invocations skip the render+extract phase.
 pub fn bench_corpus(scale: BenchScale, seed: u64) -> Arc<Corpus> {
     if let Some(c) = corpus_cache().lock().unwrap().get(&(scale, seed)) {
         return c.clone();
     }
     let config = scale.corpus_config(seed);
-    let path = std::path::PathBuf::from("target/qd-corpus-cache").join(format!(
+    let path = corpus_cache_dir().join(format!(
         "{}-{}-{}-{}-{}.qdc",
         config.size, config.image_size, config.seed, config.filler_count, config.with_viewpoints
     ));

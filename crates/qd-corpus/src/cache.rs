@@ -9,8 +9,9 @@
 //! Format (`QDC2`, framed by [`qd_fault::codec`]): header magic, the five
 //! config fields, the normalizer, the feature table (with an explicit
 //! `block_len = n × dim` field mirroring the index's SoA layout contract,
-//! cross-checked on load), the labels, and the optional per-viewpoint
-//! tables. The taxonomy is *not* stored — it is deterministic in
+//! cross-checked on load), the labels, and the per-viewpoint tables: all
+//! three, each tag once, when the header's `with_viewpoints` flag is set,
+//! and none when it is not. The taxonomy is *not* stored — it is deterministic in
 //! `(filler_count, seed)` and is rebuilt on load.
 //!
 //! Robustness comes from the shared boundary: [`save`] is atomic, [`load`]
@@ -129,9 +130,16 @@ pub fn from_bytes(data: &[u8]) -> Result<Corpus, CodecError> {
     if vp_count > 3 {
         return Err(bad("corrupt viewpoint count"));
     }
-    let mut viewpoint_tables = Vec::with_capacity(vp_count);
+    // The header's flag promises all three tables or none.
+    if vp_count != if config.with_viewpoints { 3 } else { 0 } {
+        return Err(bad("viewpoint count does not match the header"));
+    }
+    let mut viewpoint_tables: Vec<(Viewpoint, TileTable)> = Vec::with_capacity(vp_count);
     for _ in 0..vp_count {
         let vp = viewpoint_from_tag(r.u8()?).ok_or_else(|| bad("unknown viewpoint tag"))?;
+        if viewpoint_tables.iter().any(|(seen, _)| *seen == vp) {
+            return Err(bad("repeated viewpoint tag"));
+        }
         // Straight into tiles: the table never exists as rows.
         let mut table = TileTable::with_capacity(dim, n);
         for _ in 0..n {

@@ -34,4 +34,4 @@ pub mod tree;
 
 pub use rect::Rect;
 pub use traits::KnnIndex;
-pub use tree::{BudgetedKnn, Neighbor, NodeId, RStarTree, TreeConfig};
+pub use tree::{BudgetedKnn, Ceiling, Leg, Neighbor, NodeId, RStarTree, TreeConfig};

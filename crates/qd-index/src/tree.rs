@@ -1087,8 +1087,10 @@ impl RStarTree {
     /// `scope` — the paper's *localized* k-NN computation (§3.3): each final
     /// subquery searches only its own subcluster — under an optional
     /// *distance-computation budget*, the anytime variant behind
-    /// cost-budgeted graceful degradation. This is the one search loop; every
-    /// scope, shard leg, serve tick and convenience wrapper goes through it.
+    /// cost-budgeted graceful degradation. This is the one-tree search loop;
+    /// every scope, serve tick and convenience wrapper goes through it, and a
+    /// sharded root-scope scatter runs its legs through [`Self::knn_legs`],
+    /// which shares its per-node body.
     ///
     /// The budget counts distance evaluations (one per leaf entry scored,
     /// one per child-rectangle MINDIST), a deterministic machine-independent
@@ -1136,70 +1138,167 @@ impl RStarTree {
         query: &[f32],
         k: usize,
         budget: Option<u64>,
-        score_leaf: impl Fn(&Self, &[u32], &[f32], f64, (f64, u64), &mut BestK) -> u64,
+        score_leaf: impl Fn(&Self, &[u32], &[f32], f64, (f64, u64), &mut BestK, &mut NoCut) -> u64,
     ) -> BudgetedKnn {
         assert_eq!(
             query.len(),
             self.config.dims,
             "query dimensionality mismatch"
         );
-        // No answer is longer than the tree: asking for more asks for all of
-        // it, and `k` sizes the result heap.
-        let k = k.min(self.len);
-        let mut touched = 0u64;
-        let mut spent = 0u64;
-        let mut pruned = 0u64;
-        let mut nodes_skipped = 0u64;
-        let mut exhausted = false;
-        let mut best = BestK::new(k);
-        if let Some(scope_rect) = self.node(scope).rect.as_ref().filter(|_| k > 0) {
+        let mut walk = Walk::new(self, k, budget);
+        if let Some(scope_rect) = self.node(scope).rect.as_ref().filter(|_| walk.k() > 0) {
             let qnorm = norm_of(query);
             let mut frontier = BinaryHeap::new();
-            spent += 1;
+            walk.spent += 1;
             frontier.push(Reverse((TotalF64(scope_rect.min_dist2(query)), scope)));
             while let Some(Reverse((TotalF64(mindist), n))) = frontier.pop() {
-                if best.closes(mindist) {
+                if walk.best.closes(mindist) {
                     // `k` images at most this far are held, and every node
                     // still queued is at least this far.
                     break;
                 }
-                if budget.is_some_and(|b| spent >= b) {
-                    // Budget gone: leave this subtree unexplored; the nodes
-                    // queued behind it are skipped the same way.
-                    exhausted = true;
-                    nodes_skipped += 1;
+                if walk.out_of_budget() {
                     continue;
                 }
-                touched += 1;
-                match &self.node(n).kind {
-                    NodeKind::Leaf(slots) => {
-                        // Charged as if every entry were evaluated — the
-                        // budget currency is layout- and pruning-free.
-                        spent += slots.len() as u64;
-                        let opened = (mindist, touched);
-                        pruned += score_leaf(self, slots, query, qnorm, opened, &mut best);
-                    }
-                    NodeKind::Internal { .. } => {
-                        let children = self
-                            .children(n)
-                            .filter_map(|c| Some((c, self.node(c).rect.as_ref()?)));
-                        Rect::min_dist2_each(children, query, |child, d2| {
-                            spent += 1;
-                            frontier.push(Reverse((TotalF64(d2), child)));
-                        });
-                    }
-                }
+                let push = |d2, child| frontier.push(Reverse((TotalF64(d2), child)));
+                self.open(
+                    n,
+                    mindist,
+                    query,
+                    qnorm,
+                    &mut walk,
+                    &mut NoCut,
+                    &score_leaf,
+                    push,
+                );
             }
         }
-        self.accesses.fetch_add(touched, AtomicOrdering::Relaxed);
-        BudgetedKnn {
-            neighbors: best.into_neighbors(),
-            accesses: touched,
-            distance_computations: spent,
-            distances_pruned: pruned,
-            nodes_skipped,
-            partitions_dropped: 0,
-            exhausted,
+        walk.finish(self)
+    }
+
+    /// The loop of [`Self::knn_legs`] with its leaf scorer as a parameter,
+    /// like [`Self::search`]: one frontier over every leg's nodes, ordered
+    /// by `(MINDIST, leg, node index)`, so each leg pops its nodes in the
+    /// order its own search would.
+    fn search_legs<'c, C: Ceiling>(
+        legs: &[Leg<'_>],
+        query: &[f32],
+        k: usize,
+        ceiling: &'c mut C,
+        score_leaf: impl Fn(&Self, &[u32], &[f32], f64, (f64, u64), &mut BestK, &mut Fed<'c, C>) -> u64,
+    ) -> Vec<BudgetedKnn> {
+        let mut walks: Vec<Walk> = legs
+            .iter()
+            .map(|l| Walk::new(l.tree, k, l.budget))
+            .collect();
+        let qnorm = norm_of(query);
+        let mut frontier = BinaryHeap::new();
+        for (l, (leg, walk)) in legs.iter().zip(&mut walks).enumerate() {
+            let tree = leg.tree;
+            assert_eq!(
+                query.len(),
+                tree.config.dims,
+                "query dimensionality mismatch"
+            );
+            if let Some(rect) = tree.node(tree.root).rect.as_ref().filter(|_| walk.k() > 0) {
+                walk.spent += 1;
+                frontier.push(Reverse((TotalF64(rect.min_dist2(query)), l, tree.root)));
+            }
+        }
+        let mut fed = Fed::new(ceiling);
+        while let Some(Reverse((TotalF64(mindist), l, n))) = frontier.pop() {
+            if mindist > fed.ceiling {
+                // Every node still queued, in every leg, is at least this
+                // far, and no image past the ceiling reaches the answer.
+                break;
+            }
+            let walk = &mut walks[l];
+            // A leg closed by its own heap pops the rest of its nodes here;
+            // a leg out of budget counts them as skipped until it closes or
+            // the ceiling ends the search.
+            if walk.best.closes(mindist) || walk.out_of_budget() {
+                continue;
+            }
+            fed.leg = l;
+            let push = |d2, child| frontier.push(Reverse((TotalF64(d2), l, child)));
+            legs[l]
+                .tree
+                .open(n, mindist, query, qnorm, walk, &mut fed, &score_leaf, push);
+        }
+        legs.iter()
+            .zip(walks)
+            .map(|(leg, walk)| walk.finish(leg.tree))
+            .collect()
+    }
+
+    /// The `k` nearest neighbors of `query` in each of several trees, as
+    /// one best-first search over all of them under a shared k-th
+    /// `ceiling`: the root-scope scatter of a sharded index.
+    ///
+    /// Each leg keeps what [`Self::knn_in_budgeted`] from its tree's root
+    /// keeps — its own result heap, budget, counters and order of opening
+    /// nodes — and reports them in its own [`BudgetedKnn`], in `legs` order.
+    /// Every image a leg's heap takes is reported to
+    /// [`Ceiling::admitted`] with the leg's index. No node whose MINDIST is
+    /// past [`Ceiling::get`] is opened, and no image past it is scored into
+    /// a heap; once the nearest queued node is past it, every leg stops.
+    /// So a leg does at most the work of its own search, and its answer is
+    /// that search's answer with some images past the ceiling left out.
+    /// `exhausted` and `nodes_skipped` count only nodes that the budget cut
+    /// before the leg's own heap or the ceiling closed them.
+    ///
+    /// A ceiling is sound when leaving out images past it changes nothing
+    /// the caller keeps; `qd-shard` keeps `k` by `(distance, id)` over the
+    /// legs it merges, and feeds only those legs.
+    ///
+    /// # Panics
+    /// Panics when a tree's dimensionality differs from the query's.
+    pub fn knn_legs<C: Ceiling>(
+        legs: &[Leg<'_>],
+        query: &[f32],
+        k: usize,
+        ceiling: &mut C,
+    ) -> Vec<BudgetedKnn> {
+        Self::search_legs(legs, query, k, ceiling, Self::score_leaf)
+    }
+
+    /// The search's work on one popped node `n` at `mindist` — the body
+    /// both drivers share: opens a leaf and scores it into `walk`'s heap
+    /// under `cut`, or charges and hands each child's MINDIST to `push`.
+    #[inline(always)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the loop body of both drivers, inlined into each"
+    )]
+    fn open<X: Cut>(
+        &self,
+        n: NodeId,
+        mindist: f64,
+        query: &[f32],
+        qnorm: f64,
+        walk: &mut Walk,
+        cut: &mut X,
+        score_leaf: &impl Fn(&Self, &[u32], &[f32], f64, (f64, u64), &mut BestK, &mut X) -> u64,
+        mut push: impl FnMut(f64, NodeId),
+    ) {
+        walk.touched += 1;
+        match &self.node(n).kind {
+            NodeKind::Leaf(slots) => {
+                // Charged as if every entry were evaluated — the budget
+                // currency is layout- and pruning-free.
+                walk.spent += slots.len() as u64;
+                let opened = (mindist, walk.touched);
+                walk.pruned += score_leaf(self, slots, query, qnorm, opened, &mut walk.best, cut);
+            }
+            NodeKind::Internal { .. } => {
+                let children = self
+                    .children(n)
+                    .filter_map(|c| Some((c, self.node(c).rect.as_ref()?)));
+                Rect::min_dist2_each(children, query, |child, d2| {
+                    walk.spent += 1;
+                    push(d2, child);
+                });
+            }
         }
     }
 
@@ -1208,43 +1307,49 @@ impl RStarTree {
     /// entry pruned against the bound as it stands or offered to
     /// [`BestK::admit`], except that the first survivor in a tile scores the
     /// whole tile and the entries after it in the same tile take their lanes
-    /// from that, and that an entry `admit` would refuse on distance alone
-    /// is never offered. `opened` is the leaf's MINDIST and its position in
-    /// the open sequence, from which `admit` takes an image's turn.
-    fn score_leaf(
+    /// from that, and that an entry `admit` would refuse on distance alone,
+    /// or that `cut` refuses, is never offered. `opened` is the leaf's
+    /// MINDIST and its position in the open sequence, from which `admit`
+    /// takes an image's turn. The bound is the heap's, lowered to `cut`.
+    fn score_leaf<X: Cut>(
         &self,
         slots: &[u32],
         query: &[f32],
         qnorm: f64,
         opened: (f64, u64),
         best: &mut BestK,
+        cut: &mut X,
     ) -> u64 {
         let mut pruned = 0;
         // The bound changes only when `admit` takes an entry.
         let (mut bound, mut full) = (best.bound(), best.is_full());
+        let mut lowered = cut.lower(bound);
         // The tile scored last and its lanes. A lane the kernel abandoned
         // exceeds the bound it was given, and the bound only tightens, so
         // it is rejected below as the exact distance would be.
         let (mut tile_at, mut lanes) = (usize::MAX, [0.0; TILE]);
         for &s in slots {
-            if BestK::prunes(self.store.norm(s) - qnorm, bound) {
+            if BestK::prunes(self.store.norm(s) - qnorm, lowered) {
                 pruned += 1;
                 continue;
             }
             let (tile, lane) = (s as usize / TILE, s as usize % TILE);
             if tile != tile_at {
-                lanes = sq_l2_tile(self.store.tile(tile), query, bound);
+                lanes = sq_l2_tile(self.store.tile(tile), query, lowered);
                 tile_at = tile;
             }
             let d2 = lanes[lane];
             // Exactly the entries `admit` refuses whatever their turn and
             // id: a full heap and a distance past its top's. A tie still
             // goes in, and so does a NaN while the heap fills.
-            if full && d2.total_cmp(&bound) == Ordering::Greater {
+            if (full && d2.total_cmp(&bound) == Ordering::Greater) || cut.refuses(d2) {
                 continue;
             }
-            best.admit(d2, opened, self.store.id(s));
+            if best.admit(d2, opened, self.store.id(s)) {
+                cut.admitted(d2);
+            }
             (bound, full) = (best.bound(), best.is_full());
+            lowered = cut.lower(bound);
         }
         pruned
     }
@@ -1404,16 +1509,20 @@ impl BestK {
     /// Offers an image scored at `d2` in a leaf `opened` at `(MINDIST,
     /// position in the open sequence)`. It is held while it sorts among the
     /// first `k`; one beyond the bound (every row of an abandoned block) is
-    /// turned away.
-    fn admit(&mut self, d2: f64, opened: (f64, u64), id: u64) {
+    /// turned away. True when the heap took it.
+    fn admit(&mut self, d2: f64, opened: (f64, u64), id: u64) -> bool {
         let turn = if d2 == opened.0 { opened.1 } else { 0 };
         let key = (TotalF64(d2), turn, id);
         if self.worst_first.len() < self.k {
             self.worst_first.push(key);
-        } else if let Some(mut worst) = self.worst_first.peek_mut() {
-            if key < *worst {
+            return true;
+        }
+        match self.worst_first.peek_mut() {
+            Some(mut worst) if key < *worst => {
                 *worst = key; // re-sifted when the guard drops
+                true
             }
+            _ => false,
         }
     }
 
@@ -1429,6 +1538,162 @@ impl BestK {
                 distance: d2.sqrt() as f32,
             })
             .collect()
+    }
+}
+
+/// One search's state in one tree: its result heap, its budget and what it
+/// has spent and counted so far.
+struct Walk {
+    best: BestK,
+    budget: Option<u64>,
+    touched: u64,
+    spent: u64,
+    pruned: u64,
+    nodes_skipped: u64,
+    exhausted: bool,
+}
+
+impl Walk {
+    fn new(tree: &RStarTree, k: usize, budget: Option<u64>) -> Self {
+        Self {
+            // No answer is longer than the tree: asking for more asks for
+            // all of it, and `k` sizes the result heap.
+            best: BestK::new(k.min(tree.len)),
+            budget,
+            touched: 0,
+            spent: 0,
+            pruned: 0,
+            nodes_skipped: 0,
+            exhausted: false,
+        }
+    }
+
+    fn k(&self) -> usize {
+        self.best.k
+    }
+
+    /// True when the budget is gone, counting the popped node as skipped:
+    /// its subtree stays unexplored, and the nodes queued behind it are
+    /// skipped the same way.
+    #[inline(always)]
+    fn out_of_budget(&mut self) -> bool {
+        let out = self.budget.is_some_and(|b| self.spent >= b);
+        if out {
+            self.exhausted = true;
+            self.nodes_skipped += 1;
+        }
+        out
+    }
+
+    /// The answer, with the node reads folded into `tree`'s counter.
+    fn finish(self, tree: &RStarTree) -> BudgetedKnn {
+        tree.accesses
+            .fetch_add(self.touched, AtomicOrdering::Relaxed);
+        BudgetedKnn {
+            neighbors: self.best.into_neighbors(),
+            accesses: self.touched,
+            distance_computations: self.spent,
+            distances_pruned: self.pruned,
+            nodes_skipped: self.nodes_skipped,
+            partitions_dropped: 0,
+            exhausted: self.exhausted,
+        }
+    }
+}
+
+/// One tree of an [`RStarTree::knn_legs`] search and the distance budget
+/// its leg may spend (`None`: unlimited), searched from its root.
+#[derive(Debug, Clone, Copy)]
+pub struct Leg<'a> {
+    /// The tree the leg searches.
+    pub tree: &'a RStarTree,
+    /// The leg's own budget, in [`BudgetedKnn::distance_computations`].
+    pub budget: Option<u64>,
+}
+
+/// The squared-distance ceiling that the legs of one
+/// [`RStarTree::knn_legs`] search share.
+pub trait Ceiling {
+    /// The squared distance past which no image can reach the caller's
+    /// answer; `f64::INFINITY` while there is none. It may only fall, and
+    /// only when [`Self::admitted`] is called.
+    fn get(&self) -> f64;
+
+    /// Leg `leg`'s result heap took an image at squared distance `d2`:
+    /// called once for each image a heap takes, evicted ones included.
+    fn admitted(&mut self, leg: usize, d2: f64);
+}
+
+/// How a leaf scan consults a ceiling: [`NoCut`] for one tree, [`Fed`]
+/// for a leg of [`RStarTree::knn_legs`]. A scan that calls no method on
+/// `NoCut` compiles to the scan without one.
+trait Cut {
+    /// `bound` lowered to the ceiling.
+    fn lower(&self, bound: f64) -> f64;
+    /// True when the ceiling alone refuses an image at `d2`. A partial
+    /// comparison: a NaN is never refused, as the heap takes one while it
+    /// fills.
+    fn refuses(&self, d2: f64) -> bool;
+    /// The leg's heap took an image at `d2`.
+    fn admitted(&mut self, d2: f64);
+}
+
+/// The one-tree search's ceiling: none.
+struct NoCut;
+
+impl Cut for NoCut {
+    #[inline(always)]
+    fn lower(&self, bound: f64) -> f64 {
+        bound
+    }
+
+    #[inline(always)]
+    fn refuses(&self, _: f64) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn admitted(&mut self, _: f64) {}
+}
+
+/// A caller's [`Ceiling`] seen from the leg being searched, with its value
+/// read once per change.
+struct Fed<'c, C> {
+    shared: &'c mut C,
+    ceiling: f64,
+    leg: usize,
+}
+
+impl<'c, C: Ceiling> Fed<'c, C> {
+    fn new(shared: &'c mut C) -> Self {
+        let ceiling = shared.get();
+        Self {
+            shared,
+            ceiling,
+            leg: 0,
+        }
+    }
+}
+
+impl<C: Ceiling> Cut for Fed<'_, C> {
+    #[inline]
+    fn lower(&self, bound: f64) -> f64 {
+        if self.ceiling < bound {
+            self.ceiling
+        } else {
+            bound
+        }
+    }
+
+    #[inline]
+    fn refuses(&self, d2: f64) -> bool {
+        d2 > self.ceiling
+    }
+
+    #[inline]
+    fn admitted(&mut self, d2: f64) {
+        self.shared.admitted(self.leg, d2);
+        self.ceiling = self.shared.get();
     }
 }
 
@@ -2175,22 +2440,26 @@ mod tests {
     }
 
     /// The leaf scan as a one-by-one loop in slot order that offers every
-    /// entry's full [`sq_l2_f64`] of the gathered row to `admit`, and counts
-    /// the entries the norm prune against the bound as it stands would have
-    /// skipped.
-    fn reference_score_leaf(
+    /// entry's full [`sq_l2_f64`] of the gathered row to `admit` unless the
+    /// ceiling refuses it, and counts the entries the norm prune against
+    /// the bound as it stands, lowered to the ceiling, would have skipped.
+    fn reference_score_leaf<X: Cut>(
         tree: &RStarTree,
         slots: &[u32],
         query: &[f32],
         qnorm: f64,
         opened: (f64, u64),
         best: &mut BestK,
+        cut: &mut X,
     ) -> u64 {
         let mut pruned = 0;
         for &s in slots {
-            pruned += u64::from(BestK::prunes(tree.store.norm(s) - qnorm, best.bound()));
+            let bound = cut.lower(best.bound());
+            pruned += u64::from(BestK::prunes(tree.store.norm(s) - qnorm, bound));
             let d2 = sq_l2_f64(&tree.store.row(s), query);
-            best.admit(d2, opened, tree.store.id(s));
+            if !cut.refuses(d2) && best.admit(d2, opened, tree.store.id(s)) {
+                cut.admitted(d2);
+            }
         }
         pruned
     }
@@ -2283,6 +2552,123 @@ mod tests {
             "only {shared_tiles} leaves spread over tiles"
         );
         assert!(stale_lanes > 50, "only {stale_lanes} freed slots");
+    }
+
+    /// A ceiling that never falls: each leg of a search under it is the
+    /// one-tree search from its root.
+    struct Never;
+
+    impl Ceiling for Never {
+        fn get(&self) -> f64 {
+            f64::INFINITY
+        }
+
+        fn admitted(&mut self, _: usize, _: f64) {}
+    }
+
+    /// The k-th best narrowed distance that any leg admitted, as a sorted
+    /// list, with the same `next_up` square as the shard gather's.
+    struct Sorted {
+        k: usize,
+        kept: Vec<f32>,
+    }
+
+    impl Ceiling for Sorted {
+        fn get(&self) -> f64 {
+            match self.kept.get(self.k.wrapping_sub(1)) {
+                Some(kth) if self.kept.len() == self.k => f64::from(kth.next_up()).powi(2),
+                _ => f64::INFINITY,
+            }
+        }
+
+        fn admitted(&mut self, _: usize, d2: f64) {
+            self.kept.push(d2.sqrt() as f32);
+            self.kept.sort_by(f32::total_cmp);
+            self.kept.truncate(self.k);
+        }
+    }
+
+    /// The multi-leg driver pops each leg's nodes in its own search's
+    /// order: under a ceiling that never falls every leg's answer is
+    /// `knn_in_budgeted` from its tree's root, field for field. Under a
+    /// falling ceiling the tile scan and the one-by-one reference agree
+    /// through that driver too, and no leg does more than its own search.
+    #[test]
+    fn the_multi_leg_driver_runs_each_leg_as_its_own_search() {
+        let trees: Vec<RStarTree> = (0..4u64)
+            .map(|t| {
+                let mut items = random_points(90 + 41 * t as usize, 4, 300 + t);
+                items.iter_mut().for_each(|(id, _)| *id += 1000 * t);
+                let mut tree = RStarTree::new(TreeConfig::small(4));
+                for (id, p) in items.iter().cloned() {
+                    tree.insert(p, id);
+                }
+                for (id, p) in items.iter().step_by(5) {
+                    assert!(tree.remove(p, *id));
+                }
+                tree
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x1E65);
+        let mut cut_work = 0;
+        for q in 0..10 {
+            let query: Vec<f32> = (0..4).map(|_| rng.random_range(-2.0f32..12.0)).collect();
+            let query = if q == 9 { vec![f32::NAN; 4] } else { query };
+            for k in [0usize, 1, 6, 30, usize::MAX] {
+                for budget in [None, Some(0), Some(9), Some(80)] {
+                    let legs: Vec<Leg> = trees.iter().map(|tree| Leg { tree, budget }).collect();
+                    let alone: Vec<BudgetedKnn> = trees
+                        .iter()
+                        .map(|t| t.knn_in_budgeted(t.root(), &query, k, budget))
+                        .collect();
+                    let what = format!("q {q} k {k} budget {budget:?}");
+                    let bits = |answers: &[BudgetedKnn]| -> Vec<_> {
+                        answers
+                            .iter()
+                            .map(|b| {
+                                let n: Vec<_> = b
+                                    .neighbors
+                                    .iter()
+                                    .map(|n| (n.id, n.distance.to_bits()))
+                                    .collect();
+                                (
+                                    n,
+                                    b.accesses,
+                                    b.distance_computations,
+                                    b.distances_pruned,
+                                    b.nodes_skipped,
+                                    b.exhausted,
+                                )
+                            })
+                            .collect()
+                    };
+                    let never = RStarTree::knn_legs(&legs, &query, k, &mut Never);
+                    assert_eq!(bits(&never), bits(&alone), "{what}");
+                    let sorted = || Sorted {
+                        k: k.min(400),
+                        kept: Vec::new(),
+                    };
+                    let got = RStarTree::knn_legs(&legs, &query, k, &mut sorted());
+                    let want = RStarTree::search_legs(
+                        &legs,
+                        &query,
+                        k,
+                        &mut sorted(),
+                        reference_score_leaf,
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                    for (leg, own) in got.iter().zip(&alone) {
+                        assert!(leg.accesses <= own.accesses, "{what}");
+                        assert!(
+                            leg.distance_computations <= own.distance_computations,
+                            "{what}"
+                        );
+                        cut_work += own.distance_computations - leg.distance_computations;
+                    }
+                }
+            }
+        }
+        assert!(cut_work > 0, "the ceiling cut nothing");
     }
 
     #[test]

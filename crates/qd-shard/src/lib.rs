@@ -14,10 +14,12 @@
 //! scoped below the synthetic root delegate to the owning shard untouched;
 //! queries at the synthetic root *scatter* across all shards (with a
 //! largest-remainder split of the distance budget, reusing
-//! [`qd_core::split_budget`]), one leg after another on the calling thread,
-//! and *gather* the per-shard prefixes through the same `total_cmp`/id
-//! tie-break merge the session layer uses, so results are bit-identical at
-//! every `QD_THREADS`.
+//! [`qd_core::split_budget`]) as one best-first search on the calling
+//! thread, in which a leg stops once nothing left in it can reach the
+//! merged answer, and *gather* the per-shard prefixes through the same
+//! `total_cmp`/id tie-break merge the session layer uses, so results are
+//! those of running every leg to its own `k`, bit-identical at every
+//! `QD_THREADS`.
 //!
 //! Three properties make the layer safe to compose with the rest of the
 //! engine:
@@ -49,8 +51,8 @@
 //!   old one (the publication contract of DESIGN.md §14).
 //!
 //! Failure injection: `shard.scatter.panic` kills one scatter leg (keyed by
-//! shard index), `shard.merge.drop` makes the gather refuse one shard's
-//! prefix (work stays charged), and `shard.publish.fail` turns a snapshot
+//! shard index; the leg does no work), `shard.merge.drop` makes the gather
+//! refuse one shard's prefix (work stays charged), and `shard.publish.fail` turns a snapshot
 //! publication into a typed error that leaves the previous snapshot in
 //! place. Lost legs surface as [`qd_index::BudgetedKnn::partitions_dropped`]
 //! and the `shard.legs_dropped` counter, which the session layer folds into
@@ -60,7 +62,10 @@
 pub mod persist;
 
 use qd_core::{split_budget, RfsConfig, RfsStructure};
-use qd_index::{BudgetedKnn, KnnIndex, Neighbor, NodeId, RStarTree, Rect, TreeConfig};
+use qd_index::{
+    BudgetedKnn, Ceiling, KnnIndex, Leg, Neighbor, NodeId, RStarTree, Rect, TreeConfig,
+};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -456,17 +461,21 @@ impl ShardSet {
     /// The scatter-gather path behind [`KnnIndex::knn_in_budgeted`] at the
     /// synthetic root: split the budget across shards proportionally to
     /// their populations (largest-remainder, same as the session layer's
-    /// subquery split), run one leg per shard in turn on the calling thread
-    /// (a leg is tens of microseconds, below the grain at which a thread
-    /// fan-out pays, DESIGN.md §7), then merge the surviving prefixes by
-    /// `(distance.total_cmp, id)`.
+    /// subquery split), run the legs as one best-first search on the
+    /// calling thread ([`RStarTree::knn_legs`]) under a shared k-th ceiling
+    /// ([`KthCeiling`]), then merge the surviving prefixes by
+    /// `(distance.total_cmp, id)`. The answer is the one that running each
+    /// leg to its own `k` and merging those gives; only the work drops.
     ///
     /// Failure semantics: a leg that panics (`shard.scatter.panic`, keyed by
     /// shard index) or is refused at the gather (`shard.merge.drop`) is
     /// *dropped* — its neighbors are lost but any work it reported is still
     /// charged — and counted in [`BudgetedKnn::partitions_dropped`] plus the
-    /// `shard.legs_dropped` counter. The query keeps whatever the surviving
-    /// shards returned: degradation, not an error.
+    /// `shard.legs_dropped` counter. Both are decided for every shard before
+    /// the search: a panicked leg does no work, and a refused one runs but
+    /// never feeds the ceiling. The query keeps whatever the surviving
+    /// shards returned: degradation, not an error. A panic the search
+    /// itself raises fails the whole query.
     fn scatter_gather_knn(&self, query: &[f32], k: usize, budget: Option<u64>) -> BudgetedKnn {
         let empty = BudgetedKnn {
             neighbors: Vec::new(),
@@ -483,21 +492,30 @@ impl ShardSet {
         // One distance charge for the synthetic root rect — the same charge
         // a monolithic search pays for its scope rect — then the remainder
         // splits across the legs before any of them runs, so no leg's
-        // answer depends on another's work.
+        // *answer* depends on another's work, though its work does.
         let leg_total = budget.map(|b| b.saturating_sub(1));
         let quotas: Vec<usize> = self.members.iter().map(|list| list.len()).collect();
         let budgets = split_budget(leg_total, &quotas);
-        let legs = qd_runtime::try_map_indexed(&self.shards, |s, tree| {
-            qd_obs::span_indexed(qd_obs::sp::SHARD_LEG, s as u64, || {
-                qd_obs::count(qd_obs::ctr::SHARD_LEGS, 1);
-                if qd_fault::fire_keyed(qd_fault::site::SHARD_SCATTER, s as u64).is_some() {
-                    panic!("injected fault: shard {s} scatter leg");
-                }
-                let leg = tree.knn_in_budgeted(tree.root(), query, k, budgets[s]);
-                qd_obs::observe(qd_obs::hist::SHARD_LEG_DISTANCES, leg.distance_computations);
-                leg
+        let fires = |site, s: usize| qd_fault::fire_keyed(site, s as u64).is_some();
+        let panicked: Vec<bool> = (0..self.shards.len())
+            .map(|s| fires(qd_fault::site::SHARD_SCATTER, s))
+            .collect();
+        let running: Vec<usize> = (0..self.shards.len()).filter(|&s| !panicked[s]).collect();
+        let refused: Vec<bool> = running
+            .iter()
+            .map(|&s| fires(qd_fault::site::SHARD_MERGE, s))
+            .collect();
+        let legs: Vec<Leg> = running
+            .iter()
+            .map(|&s| Leg {
+                tree: &self.shards[s],
+                budget: budgets[s],
             })
-        });
+            .collect();
+        let mut ceiling = KthCeiling::new(k.min(self.total), &refused);
+        let mut answers = RStarTree::knn_legs(&legs, query, k, &mut ceiling)
+            .into_iter()
+            .zip(refused);
 
         let mut spent = 1u64; // synthetic root rect
         let mut accesses = 0u64;
@@ -506,26 +524,31 @@ impl ShardSet {
         let mut dropped = 0u64;
         let mut exhausted = false;
         let mut merged: Vec<Neighbor> = Vec::new();
-        for (s, leg) in legs.into_iter().enumerate() {
-            match leg {
-                // A panicked leg's partial trace stays in the caller's
-                // recorder; its results are gone.
-                Err(_) => dropped += 1,
-                Ok(leg) => {
-                    // Work is charged whether or not the merge keeps the
-                    // leg — the degradation report counts work performed.
-                    accesses += leg.accesses;
-                    spent += leg.distance_computations;
-                    pruned += leg.distances_pruned;
-                    nodes_skipped += leg.nodes_skipped;
-                    if qd_fault::fire_keyed(qd_fault::site::SHARD_MERGE, s as u64).is_some() {
-                        dropped += 1;
-                        continue;
-                    }
-                    exhausted |= leg.exhausted;
-                    merged.extend(leg.neighbors);
+        for (s, &panicked) in panicked.iter().enumerate() {
+            let leg = (!panicked).then(|| answers.next()).flatten();
+            qd_obs::span_indexed(qd_obs::sp::SHARD_LEG, s as u64, || {
+                qd_obs::count(qd_obs::ctr::SHARD_LEGS, 1);
+                if let Some((leg, _)) = &leg {
+                    qd_obs::observe(qd_obs::hist::SHARD_LEG_DISTANCES, leg.distance_computations);
                 }
+            });
+            let Some((leg, refused)) = leg else {
+                // A panicked leg ran nothing; its results are gone.
+                dropped += 1;
+                continue;
+            };
+            // Work is charged whether or not the merge keeps the leg — the
+            // degradation report counts work performed.
+            accesses += leg.accesses;
+            spent += leg.distance_computations;
+            pruned += leg.distances_pruned;
+            nodes_skipped += leg.nodes_skipped;
+            if refused {
+                dropped += 1;
+                continue;
             }
+            exhausted |= leg.exhausted;
+            merged.extend(leg.neighbors);
         }
         qd_obs::count(qd_obs::ctr::SHARD_LEGS_DROPPED, dropped);
         merged.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
@@ -538,6 +561,82 @@ impl ShardSet {
             nodes_skipped,
             partitions_dropped: dropped,
             exhausted,
+        }
+    }
+}
+
+/// The smallest squared distance past which every squared distance `d2`
+/// narrows (`d2.sqrt() as f32`, as a leg's answer narrows it) to a
+/// distance past `kth`; so every `d2` that narrows to `kth` is at most it.
+/// With `up` the next `f32` above `kth`, it is `up²`, exact in `f64` (a
+/// 24-bit significand squared needs 48 bits). A `d2` above `up²` has a
+/// correctly rounded root of at least `up`, which narrows to at least `up`.
+fn ceiling_of(kth: f32) -> f64 {
+    let up = f64::from(kth.next_up());
+    up * up
+}
+
+/// The ceiling a root-scope scatter's legs share: the `k` best distances
+/// that the legs the gather keeps have admitted, and [`ceiling_of`] the
+/// k-th of them once there are `k`.
+///
+/// Why an image past it cannot reach the merged answer: `k` admitted
+/// images are at most `kth` away. Each is still in its leg's answer, or
+/// its leg evicted it for an image that sorts before it — so no farther —
+/// inside the same leg, and so on down a chain that ends in the answer. A
+/// leg holds at most `k` images, so the kept legs' answers hold `k` images
+/// at most `kth` away between them. An image whose `d2` is past the ceiling
+/// is strictly farther than `kth`, sorts after all `k` by `(distance, id)`,
+/// and leaving it out changes no leg's images up to `kth`; the merge keeps
+/// nothing else. Legs the gather refuses feed nothing, as their images are
+/// not merged.
+struct KthCeiling {
+    k: usize,
+    refused: Vec<bool>,
+    /// Admitted distances' bits, largest on top. A squared distance is
+    /// never negative, so its root's bits order as the root does.
+    worst_first: BinaryHeap<u32>,
+    ceiling: f64,
+}
+
+impl KthCeiling {
+    /// A ceiling over the `k` best images of the legs not `refused` (one
+    /// entry per leg, in leg order).
+    fn new(k: usize, refused: &[bool]) -> Self {
+        Self {
+            k,
+            refused: refused.to_vec(),
+            worst_first: BinaryHeap::with_capacity(k),
+            ceiling: f64::INFINITY,
+        }
+    }
+}
+
+impl Ceiling for KthCeiling {
+    fn get(&self) -> f64 {
+        self.ceiling
+    }
+
+    fn admitted(&mut self, leg: usize, d2: f64) {
+        // CAST: narrowed as the leg's answer narrows it.
+        let distance = d2.sqrt() as f32;
+        // A NaN is left out: counting fewer images only raises the ceiling.
+        if self.refused[leg] || distance.is_nan() {
+            return;
+        }
+        let key = distance.to_bits();
+        if self.worst_first.len() < self.k {
+            self.worst_first.push(key);
+        } else {
+            match self.worst_first.peek_mut() {
+                Some(mut worst) if key < *worst => *worst = key,
+                _ => return,
+            }
+        }
+        if self.worst_first.len() == self.k {
+            if let Some(&kth) = self.worst_first.peek() {
+                self.ceiling = ceiling_of(f32::from_bits(kth));
+            }
         }
     }
 }
@@ -930,6 +1029,239 @@ mod tests {
         let a = set.knn_in_budgeted(set.root(), q, 10, None);
         let b = KnnIndex::knn_in_budgeted(&solo, KnnIndex::root(&solo), q, 10, None);
         assert_eq!(a, b);
+    }
+
+    /// The scatter-gather as it ran before the legs shared a search: each
+    /// leg to its own `k` through `try_map_indexed`, then the same merge.
+    fn leg_by_leg(set: &ShardSet, query: &[f32], k: usize, budget: Option<u64>) -> BudgetedKnn {
+        if k == 0 || set.root_rect.is_none() {
+            return set.scatter_gather_knn(query, k, budget);
+        }
+        let leg_total = budget.map(|b| b.saturating_sub(1));
+        let quotas: Vec<usize> = set.members.iter().map(|list| list.len()).collect();
+        let budgets = split_budget(leg_total, &quotas);
+        let legs = qd_runtime::try_map_indexed(&set.shards, |s, tree| {
+            if qd_fault::fire_keyed(qd_fault::site::SHARD_SCATTER, s as u64).is_some() {
+                panic!("injected fault: shard {s} scatter leg");
+            }
+            tree.knn_in_budgeted(tree.root(), query, k, budgets[s])
+        });
+        let mut answer = BudgetedKnn {
+            neighbors: Vec::new(),
+            accesses: 0,
+            distance_computations: 1,
+            distances_pruned: 0,
+            nodes_skipped: 0,
+            partitions_dropped: 0,
+            exhausted: false,
+        };
+        for (s, leg) in legs.into_iter().enumerate() {
+            let Ok(leg) = leg else {
+                answer.partitions_dropped += 1;
+                continue;
+            };
+            answer.accesses += leg.accesses;
+            answer.distance_computations += leg.distance_computations;
+            answer.distances_pruned += leg.distances_pruned;
+            answer.nodes_skipped += leg.nodes_skipped;
+            if qd_fault::fire_keyed(qd_fault::site::SHARD_MERGE, s as u64).is_some() {
+                answer.partitions_dropped += 1;
+                continue;
+            }
+            answer.exhausted |= leg.exhausted;
+            answer.neighbors.extend(leg.neighbors);
+        }
+        let merged = &mut answer.neighbors;
+        merged.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
+        merged.truncate(k);
+        answer
+    }
+
+    /// `blob_features` with ties planted for a K-shard set around the
+    /// probe `[3, 3, 3]`, far from the blob: in shard 0 a point at distance
+    /// 0.1 and one at squared distance `2⁻⁴`; in shard 1, under a smaller
+    /// id, one at `2⁻⁴ + 2⁻²⁸` — distinct sums that both narrow to `0.25`
+    /// — and exact duplicates of both after them in further shards. Shard
+    /// 0's leg scores first, so at `k = 2` the ceiling stands at `0.25`
+    /// before shard 1's point, which the merge keeps by id, is scored.
+    fn tie_features(k_shards: usize, seed: u64) -> (Vec<Vec<f32>>, ShardConfig, u64) {
+        let config = ShardConfig::new(k_shards, seed);
+        let mut features = blob_features(260, 3, seed);
+        let next_in = |shard: usize, after: usize| {
+            (after..).find(|&id| shard_of(&config, id as u64) == shard % k_shards)
+        };
+        let over = [3.25, 3.0 + 2f32.powi(-14), 3.0];
+        let exact = [3.25, 3.0, 3.0];
+        let over_id = next_in(1, 0).unwrap();
+        let exact_id = next_in(0, over_id + 1).unwrap();
+        let near_id = next_in(0, exact_id + 1).unwrap();
+        let exact_dup = next_in(2, near_id + 1).unwrap();
+        let over_dup = next_in(3, exact_dup + 1).unwrap();
+        features[over_id] = over.to_vec();
+        features[exact_id] = exact.to_vec();
+        features[near_id] = vec![3.1, 3.0, 3.0];
+        features[exact_dup] = exact.to_vec();
+        features[over_dup] = over.to_vec();
+        (features, config, over_id as u64)
+    }
+
+    /// The one best-first scatter under the shared ceiling answers what the
+    /// leg-by-leg scatter answers — same neighbours, same f32 bits, same
+    /// dropped partitions — at every K, `k`, budget and fault plan, for at
+    /// most its work; it is exhausted only where the old one was, and when
+    /// it is not its answer is the unbudgeted one.
+    #[test]
+    fn the_shared_search_answers_what_the_legs_answered_one_by_one() {
+        use qd_fault::{site, FaultPlan, Mode};
+        let mut saved_work = 0u64;
+        for k_shards in [2usize, 3, 4, 7] {
+            let (features, config, over_id) = tie_features(k_shards, 31 + k_shards as u64);
+            let set = ShardSet::build(&features, tree_config(3), config);
+            set.validate();
+            let len = set.len();
+            let probe = [3.0f32, 3.0, 3.0];
+            let at_probe = |f: &Vec<f32>| {
+                let d2: f64 = f
+                    .iter()
+                    .zip(&probe)
+                    .map(|(&a, &b)| ((a - b) as f64).powi(2))
+                    .sum();
+                d2.sqrt() as f32
+            };
+            let nearer = features.iter().filter(|f| at_probe(f) < 0.25).count();
+            let mut queries: Vec<Vec<f32>> =
+                vec![probe.to_vec(), vec![0.5; 3], vec![-2.0, 9.0, 0.5]];
+            queries.extend(features.iter().step_by(37).cloned());
+            let plans = [
+                None,
+                Some(FaultPlan::new(3).site(site::SHARD_SCATTER, Mode::Once(1))),
+                Some(FaultPlan::new(3).site(site::SHARD_MERGE, Mode::Once(0))),
+                Some(
+                    FaultPlan::new(3)
+                        .site(site::SHARD_SCATTER, Mode::Once(0))
+                        .site(site::SHARD_MERGE, Mode::Once(1)),
+                ),
+                Some(FaultPlan::new(3).site(site::SHARD_MERGE, Mode::Always)),
+                Some(FaultPlan::new(3).site(site::SHARD_SCATTER, Mode::Always)),
+            ];
+            let ks = [
+                0,
+                1,
+                5,
+                nearer + 1,
+                nearer + 2,
+                nearer + 3,
+                len - 1,
+                len,
+                usize::MAX,
+            ];
+            let budgets = [
+                None,
+                Some(0),
+                Some(1),
+                Some(40),
+                Some(203),
+                Some(1001),
+                Some(u64::MAX),
+            ];
+            // The k-th place is the tie, and the merge breaks it by id.
+            let tied = set
+                .knn_in_budgeted(set.root(), &probe, nearer + 1, None)
+                .neighbors;
+            assert_eq!(
+                (nearer, tied[nearer].id, tied[nearer].distance),
+                (1, over_id, 0.25)
+            );
+            for plan in &plans {
+                let run = |f: &dyn Fn() -> BudgetedKnn| match plan {
+                    Some(plan) => qd_fault::with_plan(plan, f),
+                    None => f(),
+                };
+                for (qi, q) in queries.iter().enumerate() {
+                    for &k in &ks {
+                        let full = run(&|| set.knn_in_budgeted(set.root(), q, k, None));
+                        for &budget in &budgets {
+                            let what = format!(
+                                "K {k_shards} plan {plan:?} q {qi} k {k} budget {budget:?}"
+                            );
+                            let got = run(&|| set.knn_in_budgeted(set.root(), q, k, budget));
+                            let want = run(&|| leg_by_leg(&set, q, k, budget));
+                            let bits = |b: &BudgetedKnn| -> Vec<(u64, u32)> {
+                                b.neighbors
+                                    .iter()
+                                    .map(|n| (n.id, n.distance.to_bits()))
+                                    .collect()
+                            };
+                            assert_eq!(bits(&got), bits(&want), "{what}");
+                            assert_eq!(got.partitions_dropped, want.partitions_dropped, "{what}");
+                            assert!(got.accesses <= want.accesses, "{what}");
+                            assert!(
+                                got.distance_computations <= want.distance_computations,
+                                "{what}"
+                            );
+                            assert!(!got.exhausted || want.exhausted, "{what}");
+                            if !got.exhausted {
+                                assert_eq!(bits(&got), bits(&full), "{what}");
+                            }
+                            saved_work += want.distance_computations - got.distance_computations;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saved_work > 0, "the ceiling never cut any work");
+    }
+
+    /// The ceiling of a k-th distance: every squared distance past it
+    /// narrows past the k-th, and every one that narrows to it is at most
+    /// the ceiling — checked at the f64 values on either side of the
+    /// ceiling and of `kth²`, over distances from subnormal to huge.
+    #[test]
+    fn every_distance_past_the_ceiling_narrows_past_the_kth() {
+        let narrow = |d2: f64| d2.sqrt() as f32;
+        let mut kths: Vec<f32> = vec![
+            0.0,
+            f32::from_bits(1),
+            1e-30,
+            0.25,
+            1.0,
+            3.0,
+            1e10,
+            f32::MAX,
+        ];
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..2000 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            kths.push(f32::from_bits(x >> 1).min(f32::MAX)); // non-negative and finite
+        }
+        for kth in kths {
+            let c = ceiling_of(kth);
+            let square = f64::from(kth) * f64::from(kth);
+            let mut probes = vec![
+                c,
+                c.next_up(),
+                c.next_down(),
+                square,
+                square.next_up(),
+                square.next_down(),
+            ];
+            // Walk up from kth² to past the ceiling in a few large strides.
+            let step = (c - square) / 64.0;
+            probes.extend((0..=70).map(|i| square + step * f64::from(i)));
+            for d2 in probes.into_iter().filter(|d2| *d2 >= 0.0) {
+                if d2 > c {
+                    assert!(
+                        narrow(d2) > kth,
+                        "kth {kth:e}: {d2:e} above {c:e} narrows to {:e}",
+                        narrow(d2)
+                    );
+                }
+                if narrow(d2) == kth {
+                    assert!(d2 <= c, "kth {kth:e}: {d2:e} narrows to it above {c:e}");
+                }
+            }
+        }
+        assert_eq!(ceiling_of(f32::MAX), f64::INFINITY);
     }
 
     #[test]
